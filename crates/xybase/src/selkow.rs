@@ -62,13 +62,13 @@ impl Ctx<'_> {
                 }
                 // Attribute differences cost 1 each (set comparison).
                 let mut cost = 0;
-                for at in &a.attrs {
+                for at in a.attrs {
                     match b.attr(&at.name) {
                         Some(v) if v == at.value => {}
                         _ => cost += 1,
                     }
                 }
-                for bt in &b.attrs {
+                for bt in b.attrs {
                     if a.attr(&bt.name).is_none() {
                         cost += 1;
                     }

@@ -406,8 +406,8 @@ fn serve_bench() {
 /// E12 (extension) — diff hot-path throughput on the xysim corpus, with a
 /// machine-readable `BENCH_diff.json` next to the human table. Fast mode
 /// (`XYBENCH_FAST=1`) shrinks the corpus for the CI perf-smoke job;
-/// `XYBENCH_GATE=1` compares docs/sec against `bench_baseline.json` and
-/// exits non-zero on a >2x regression.
+/// `XYBENCH_GATE=1` compares docs/sec, the phase means and `peak_rss_bytes`
+/// against `bench_baseline.json` and exits non-zero on a >2x regression.
 fn diff_bench() {
     use xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 
@@ -446,6 +446,11 @@ fn diff_bench() {
         }
     }
     let bytes_per_round: usize = cases.iter().map(|c| c.bytes).sum();
+    // Measured first, while the heap holds little besides the corpus; 8
+    // copies put even the fast corpus at a few hundred pages.
+    let texts: Vec<String> = cases.iter().map(|c| c.new.to_xml()).collect();
+    let bytes_per_node = xybench::resident_bytes_per_node(&texts, 8).unwrap_or(0.0);
+    drop(texts);
 
     // Intra-document diff parallelism: XYBENCH_DIFF_THREADS, defaulting to
     // the host's parallelism capped at 8 (1 ⇒ strictly serial pipeline).
@@ -529,8 +534,9 @@ fn diff_bench() {
         phases[5],
         fmt_bytes(peak_rss as usize),
     );
+    println!("\nresident bytes per held tree node: {bytes_per_node:.1}");
     println!(
-        "\nmean per-phase micros: p1 {:.0} | p2 {:.0} | p3 {:.0} | p4 {:.0} | p5 {:.0}",
+        "mean per-phase micros: p1 {:.0} | p2 {:.0} | p3 {:.0} | p4 {:.0} | p5 {:.0}",
         phases[0], phases[1], phases[2], phases[3], phases[4]
     );
     println!(
@@ -557,6 +563,7 @@ fn diff_bench() {
          \"phase_micros\": {means},\n  \
          \"phase_p50_micros\": {p50s},\n  \
          \"phase_p99_micros\": {p99s},\n  \
+         \"bytes_per_node\": {bytes_per_node:.1},\n  \
          \"peak_rss_bytes\": {peak_rss}\n}}\n",
         mode = if fast { "fast" } else { "full" },
         pairs = cases.len(),
@@ -599,6 +606,18 @@ fn diff_bench() {
                     eprintln!("perf gate FAILED: {name} mean regressed >2.5x");
                     failed = true;
                 }
+            }
+        }
+        // Memory gate, same shape as the throughput floor: the run's high-water
+        // mark is the corpus, its 8 held copies and the differ's scratch, so a
+        // per-node constant that doubles shows here.
+        let baseline = std::fs::read_to_string("bench_baseline.json").ok();
+        if let Some(base) = baseline.and_then(|t| xybench::json_number(&t, "peak_rss_bytes")) {
+            let ceil = base * 2.0;
+            println!("perf gate: peak RSS {peak_rss} B vs baseline {base:.0} (ceiling {ceil:.0})");
+            if peak_rss as f64 > ceil {
+                eprintln!("perf gate FAILED: peak_rss_bytes regressed >2x");
+                failed = true;
             }
         }
         if failed {

@@ -73,13 +73,33 @@ pub fn bench_out_path(file: &str) -> std::path::PathBuf {
     }
 }
 
+/// A `kB` field of `/proc/self/status`, in bytes (`None` off Linux).
+fn status_bytes(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Peak resident set size of this process in bytes (Linux `VmHWM`; `None`
 /// elsewhere).
 pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
+    status_bytes("VmHWM:")
+}
+
+/// What a parsed document costs to keep, per tree node: parse `copies`
+/// copies of every text, hold them all, and divide the growth of the
+/// resident set (`VmRSS`) by the nodes held. Call it before the process has
+/// freed much memory — growth into recycled pages does not show.
+pub fn resident_bytes_per_node(texts: &[String], copies: usize) -> Option<f64> {
+    let before = status_bytes("VmRSS:")?;
+    let held: Vec<Document> = (0..copies)
+        .flat_map(|_| texts.iter())
+        .map(|xml| Document::parse(xml).expect("the corpus serializes to well-formed XML"))
+        .collect();
+    let after = status_bytes("VmRSS:")?;
+    let nodes: usize = held.iter().map(Document::node_count).sum();
+    Some(after.saturating_sub(before) as f64 / nodes.max(1) as f64)
 }
 
 /// Extract `"docs_per_sec": <number>` from a checked-in baseline JSON file

@@ -24,11 +24,12 @@ use crate::error::{ApplyError, ApplyErrorKind};
 use crate::ops::Op;
 use crate::xid::{Xid, XidMap};
 use crate::xiddoc::XidDocument;
-use xytree::{NodeId, NodeKind, Tree};
+use xytree::{NodeId, Tree};
 
 /// Apply `delta` to `doc` in place. On error the document may be left
 /// partially modified; apply to a clone when atomicity matters.
 pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
+    doc.restamp();
     // Phase 1: detach moved subtrees.
     for (i, op) in delta.ops.iter().enumerate() {
         if let Op::Move { xid, .. } = op {
@@ -140,21 +141,19 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
             let node = doc.node(*xid).ok_or_else(|| {
                 ApplyError::at(i, ApplyErrorKind::UnknownXid { xid: *xid, op: "update" })
             })?;
-            match doc.doc.tree.kind_mut(node) {
-                NodeKind::Text(t) => {
-                    if t != old {
-                        return Err(ApplyError::at(
-                            i,
-                            ApplyErrorKind::StaleUpdate {
-                                xid: *xid,
-                                expected: old.clone(),
-                                found: t.clone(),
-                            },
-                        ));
-                    }
-                    *t = new.clone();
+            match doc.doc.tree.text(node) {
+                Some(t) if t == old => doc.doc.tree.set_text(node, new),
+                Some(t) => {
+                    return Err(ApplyError::at(
+                        i,
+                        ApplyErrorKind::StaleUpdate {
+                            xid: *xid,
+                            expected: old.clone(),
+                            found: t.to_string(),
+                        },
+                    ))
                 }
-                _ => return Err(ApplyError::at(i, ApplyErrorKind::NotAText(*xid))),
+                None => return Err(ApplyError::at(i, ApplyErrorKind::NotAText(*xid))),
             }
         }
     }
@@ -171,11 +170,11 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
                 let elem = doc
                     .doc
                     .tree
-                    .element_mut(e)
+                    .element(e)
                     .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(*element)))?;
                 match elem.attr(name) {
                     Some(v) if v == old => {
-                        elem.remove_attr(name);
+                        doc.doc.tree.remove_attr(e, name);
                     }
                     Some(_) => {
                         return Err(ApplyError::at(
@@ -204,11 +203,11 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
                 let elem = doc
                     .doc
                     .tree
-                    .element_mut(e)
+                    .element(e)
                     .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(*element)))?;
                 match elem.attr(name) {
                     Some(v) if v == old => {
-                        elem.set_attr(name.clone(), new.clone());
+                        doc.doc.tree.set_attr(e, name, new.clone());
                     }
                     Some(_) => {
                         return Err(ApplyError::at(
@@ -250,7 +249,7 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
         let elem = doc
             .doc
             .tree
-            .element_mut(e)
+            .element(e)
             .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(*element)))?;
         if elem.has_attr(name) {
             return Err(ApplyError::at(
@@ -264,7 +263,7 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
         }
         // Positions are fidelity hints over a semantically unordered set
         // (§5.2), so out-of-range values clamp instead of erroring.
-        elem.insert_attr_at(*pos, name.clone(), value.clone());
+        doc.doc.tree.insert_attr_at(e, *pos, name, value.clone());
     }
     Ok(())
 }

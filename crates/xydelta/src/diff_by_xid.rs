@@ -22,7 +22,7 @@
 
 use crate::delta::Delta;
 use crate::lis::{chunked_heaviest_increasing_by, heaviest_increasing_subsequence_by};
-use crate::ops::{capture_subtree, Op, PayloadSide, SubtreePayload};
+use crate::ops::{materialize, Op, PayloadSide, SubtreePayload};
 use crate::xid::{Xid, XidMap};
 use crate::xiddoc::XidDocument;
 use xytree::hash::{fast_map_with_capacity, FastHashMap};
@@ -223,7 +223,7 @@ pub fn diff_by_xid_captured(
         // Content update?
         match (o.kind(old_node), n.kind(new_node)) {
             (xytree::NodeKind::Text(a), xytree::NodeKind::Text(b)) if a != b => {
-                ops.push(Op::Update { xid, old: a.clone(), new: b.clone() });
+                ops.push(Op::Update { xid, old: a.to_string(), new: b.to_string() });
             }
             (xytree::NodeKind::Element(ea), xytree::NodeKind::Element(eb)) => {
                 diff_attrs(xid, ea, eb, &mut ops);
@@ -343,19 +343,12 @@ fn capture_payload(
     let mut xids = Vec::new();
     let mut excluded = Vec::new();
     collect_xids_postfix(doc, node, matched, &mut excluded, &mut xids);
-    match capture {
-        CaptureMode::Owned => {
-            let subtree = capture_subtree(&doc.doc.tree, node, matched);
-            (subtree.into(), XidMap::new(xids))
-        }
-        CaptureMode::Borrowed => {
-            excluded.sort_unstable();
-            (
-                SubtreePayload::Borrowed { side, node, excluded },
-                XidMap::new(xids),
-            )
-        }
-    }
+    excluded.sort_unstable();
+    let payload = match capture {
+        CaptureMode::Owned => materialize(&doc.doc.tree, node, &excluded).into(),
+        CaptureMode::Borrowed => SubtreePayload::Borrowed { side, node, excluded },
+    };
+    (payload, XidMap::new(xids))
 }
 
 /// Postfix walk below `node` collecting the XIDs of captured nodes and the
@@ -380,7 +373,7 @@ fn collect_xids_postfix(
     out.push(doc.xid(node).expect("captured node without XID"));
 }
 
-fn diff_attrs(xid: Xid, old: &xytree::Element, new: &xytree::Element, ops: &mut Vec<Op>) {
+fn diff_attrs(xid: Xid, old: xytree::Element<'_>, new: xytree::Element<'_>, ops: &mut Vec<Op>) {
     for (i, a) in old.attrs.iter().enumerate() {
         match new.attr_sym(a.name) {
             None => ops.push(Op::AttrDelete {
@@ -489,9 +482,7 @@ mod tests {
         let mut new = old.clone();
         let p = node_by_label(&new, "p");
         let t = new.doc.tree.first_child(p).unwrap();
-        if let xytree::NodeKind::Text(s) = new.doc.tree.kind_mut(t) {
-            *s = "new".into();
-        }
+        new.doc.tree.set_text(t, "new");
         let delta = check_roundtrip(&old, &new);
         assert_eq!(delta.counts().updates, 1);
     }
@@ -596,10 +587,9 @@ mod tests {
         let old = XidDocument::parse_initial("<a k=\"1\" gone=\"g\"/>").unwrap();
         let mut new = old.clone();
         let a = node_by_label(&new, "a");
-        let e = new.doc.tree.element_mut(a).unwrap();
-        e.set_attr("k", "2");
-        e.remove_attr("gone");
-        e.set_attr("fresh", "f");
+        new.doc.tree.set_attr(a, "k", "2");
+        new.doc.tree.remove_attr(a, "gone");
+        new.doc.tree.set_attr(a, "fresh", "f");
         let delta = check_roundtrip(&old, &new);
         assert_eq!(delta.counts().attr_ops, 3);
     }
@@ -614,9 +604,7 @@ mod tests {
         // update p1's text
         let p1 = node_by_label(&new, "p1");
         let t1 = new.doc.tree.first_child(p1).unwrap();
-        if let xytree::NodeKind::Text(s) = new.doc.tree.kind_mut(t1) {
-            *s = "A!".into();
-        }
+        new.doc.tree.set_text(t1, "A!");
         // move p3 under sec
         let p3 = node_by_label(&new, "p3");
         let sec = node_by_label(&new, "sec");

@@ -15,7 +15,7 @@
 //! move-target positions to the **new** document.
 
 use crate::xid::{Xid, XidMap};
-use xytree::{NodeId, NodeKind, Tree};
+use xytree::{NodeId, Tree};
 
 /// Which diffed document a borrowed payload references.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,12 +107,7 @@ impl SubtreePayload {
         match self {
             owned @ SubtreePayload::Owned(_) => owned,
             SubtreePayload::Borrowed { side, node, excluded } => {
-                let from = src.tree_for(side);
-                let mut t = Tree::new();
-                let copied = t.copy_subtree_from_excluding(from, node, &excluded);
-                let root = t.root();
-                t.append_child(root, copied);
-                SubtreePayload::Owned(t)
+                SubtreePayload::Owned(materialize(src.tree_for(side), node, &excluded))
             }
         }
     }
@@ -359,39 +354,42 @@ pub fn capture_subtree(
     node: xytree::NodeId,
     exclude: &dyn Fn(xytree::NodeId) -> bool,
 ) -> Tree {
+    // The maximal excluded roots, in the form the tree's own copy takes.
+    let mut excluded = Vec::new();
+    let mut stack = vec![node];
+    while let Some(n) = stack.pop() {
+        for c in src.children(n) {
+            if exclude(c) {
+                excluded.push(c);
+            } else {
+                stack.push(c);
+            }
+        }
+    }
+    excluded.sort_unstable();
+    materialize(src, node, &excluded)
+}
+
+/// A standalone tree holding a copy of `node`'s subtree minus the subtrees
+/// rooted at `excluded` (sorted), under its document root.
+pub(crate) fn materialize(src: &Tree, node: xytree::NodeId, excluded: &[xytree::NodeId]) -> Tree {
     let mut t = Tree::new();
-    let copied = capture_rec(src, node, exclude, &mut t);
+    let copied = t.copy_subtree_from_excluding(src, node, excluded);
     let root = t.root();
     t.append_child(root, copied);
     t
-}
-
-fn capture_rec(
-    src: &Tree,
-    node: xytree::NodeId,
-    exclude: &dyn Fn(xytree::NodeId) -> bool,
-    dst: &mut Tree,
-) -> xytree::NodeId {
-    let kind = match src.kind(node) {
-        NodeKind::Document => NodeKind::Element(xytree::Element::new("#document")),
-        k => k.clone(),
-    };
-    let copy = dst.new_node(kind);
-    let kids: Vec<_> = src.children(node).collect();
-    for k in kids {
-        if exclude(k) {
-            continue;
-        }
-        let child_copy = capture_rec(src, k, exclude, dst);
-        dst.append_child(copy, child_copy);
-    }
-    copy
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xytree::Document;
+
+    #[test]
+    fn op_size_is_pinned() {
+        // A stored delta is a `Vec<Op>`: every operation pays for the largest.
+        assert!(std::mem::size_of::<Op>() <= 88, "{}", std::mem::size_of::<Op>());
+    }
 
     #[test]
     fn inversion_is_an_involution() {

@@ -76,6 +76,9 @@ impl VersionChain {
     pub fn push_delta(&mut self, delta: Delta) -> Result<(), ApplyError> {
         let mut next = self.latest.clone();
         delta.apply_to(&mut next)?;
+        // A chain grown this way (WAL replay) never swaps in a freshly
+        // parsed tree, so what the deltas detach would pile up for good.
+        next.shed_garbage();
         self.latest = next;
         self.deltas.push(delta);
         Ok(())
@@ -205,6 +208,8 @@ impl VersionChain {
                     let span = aggregate_chain(&doc, &self.deltas[prev_version..boundary])?;
                     span.apply_to(&mut doc)?;
                 }
+                // Reconstructed by applying deltas, kept for good.
+                doc.shed_garbage();
                 let at = self
                     .checkpoints
                     .iter()

@@ -40,13 +40,15 @@ impl fmt::Display for Xid {
 /// parents, so the subtree root is always last.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct XidMap {
-    xids: Vec<Xid>,
+    /// Boxed, not a `Vec`: a map never grows once built, every stored
+    /// insert/delete carries one, and the two words keep `Op` at 88 bytes.
+    xids: Box<[Xid]>,
 }
 
 impl XidMap {
     /// An XID-map from a postfix-ordered sequence.
     pub fn new(xids: Vec<Xid>) -> XidMap {
-        XidMap { xids }
+        XidMap { xids: xids.into() }
     }
 
     /// The postfix-ordered XIDs.
@@ -128,7 +130,7 @@ impl FromStr for XidMap {
             .ok_or_else(|| XidMapParseError(format!("{s:?} is not parenthesized")))?;
         let mut xids = Vec::new();
         if inner.is_empty() {
-            return Ok(XidMap { xids });
+            return Ok(XidMap::new(xids));
         }
         for part in inner.split(';') {
             if let Some((lo, hi)) = part.split_once('-') {
@@ -152,7 +154,7 @@ impl FromStr for XidMap {
                 xids.push(Xid(v));
             }
         }
-        Ok(XidMap { xids })
+        Ok(XidMap::new(xids))
     }
 }
 

@@ -1,6 +1,7 @@
 //! A document together with its persistent-identifier assignment.
 
 use crate::xid::{Xid, XidMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use xytree::hash::{fast_map_with_capacity, FastHashMap};
 use xytree::{Document, NodeId};
@@ -33,6 +34,14 @@ fn parse_for_annotation(xml: &str) -> Result<Document, AnnotatedParseError> {
     Document::parse(xml).map_err(AnnotatedParseError::Xml)
 }
 
+/// Source of [`XidDocument::stamp`] values. Relaxed: a stamp is an identity,
+/// it publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A [`Document`] whose nodes carry persistent identifiers (XIDs).
 ///
 /// The initial version of a document gets XIDs `1..=n` in postfix order
@@ -42,12 +51,16 @@ fn parse_for_annotation(xml: &str) -> Result<Document, AnnotatedParseError> {
 /// Attributes do **not** get XIDs — per §5.2 "we do not provide persistent
 /// identifiers to attributes"; an attribute is addressed by its element's XID
 /// plus its label.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct XidDocument {
     /// The underlying document.
     pub doc: Document,
-    /// XID of each arena slot (`None` for unassigned/detached slots).
-    xid_of: Vec<Option<Xid>>,
+    /// XID value of each arena slot, 8 bytes per slot: 0 — never a valid
+    /// XID — marks unassigned and detached slots.
+    xid_of: Vec<u64>,
+    /// Number of assigned slots. Every attached node carries an XID and a
+    /// deleted subtree gives its XIDs up, so this is the live node count.
+    assigned: usize,
     /// Reverse index, built lazily on the first [`XidDocument::node`] query.
     /// The diff hot path builds one `XidDocument` per version and only walks
     /// the forward array, so constructing the per-version hash map eagerly
@@ -56,6 +69,24 @@ pub struct XidDocument {
     by_xid: OnceLock<FastHashMap<Xid, NodeId>>,
     /// Next fresh XID value.
     next: u64,
+    /// See [`XidDocument::stamp`].
+    stamp: u64,
+}
+
+/// A clone is a new document state of its own: it gets a fresh
+/// [`XidDocument::stamp`], so side tables built for the original are never
+/// mistaken for the copy's once the two diverge.
+impl Clone for XidDocument {
+    fn clone(&self) -> XidDocument {
+        XidDocument {
+            doc: self.doc.clone(),
+            xid_of: self.xid_of.clone(),
+            assigned: self.assigned,
+            by_xid: self.by_xid.clone(),
+            next: self.next,
+            stamp: fresh_stamp(),
+        }
+    }
 }
 
 impl XidDocument {
@@ -63,15 +94,14 @@ impl XidDocument {
     /// of `doc`, including the document node itself (which therefore always
     /// has the largest XID).
     pub fn assign_initial(doc: Document) -> XidDocument {
-        let n = doc.tree.arena_len();
-        let mut xid_of = vec![None; n];
+        let mut xid_of = vec![0; doc.tree.arena_len()];
         let mut next = 1u64;
         for node in doc.tree.post_order(doc.tree.root()) {
-            let xid = Xid(next);
+            xid_of[node.index()] = next;
             next += 1;
-            xid_of[node.index()] = Some(xid);
         }
-        XidDocument { doc, xid_of, by_xid: OnceLock::new(), next }
+        let assigned = (next - 1) as usize;
+        XidDocument { doc, xid_of, assigned, by_xid: OnceLock::new(), next, stamp: fresh_stamp() }
     }
 
     /// Wrap a document with an explicit XID assignment (used by the diff when
@@ -82,16 +112,16 @@ impl XidDocument {
         assignment: impl IntoIterator<Item = (NodeId, Xid)>,
         next: u64,
     ) -> XidDocument {
-        let n = doc.tree.arena_len();
-        let mut xid_of = vec![None; n];
+        let mut xid_of = vec![0; doc.tree.arena_len()];
         for (node, xid) in assignment {
             debug_assert!(xid.0 < next, "assigned XID {xid} not below next={next}");
             if node.index() >= xid_of.len() {
-                xid_of.resize(node.index() + 1, None);
+                xid_of.resize(node.index() + 1, 0);
             }
-            xid_of[node.index()] = Some(xid);
+            xid_of[node.index()] = xid.0;
         }
-        XidDocument { doc, xid_of, by_xid: OnceLock::new(), next }
+        let assigned = xid_of.iter().filter(|&&x| x != 0).count();
+        XidDocument { doc, xid_of, assigned, by_xid: OnceLock::new(), next, stamp: fresh_stamp() }
     }
 
     /// Parse XML and assign initial XIDs.
@@ -99,10 +129,28 @@ impl XidDocument {
         Ok(Self::assign_initial(Document::parse(xml)?))
     }
 
+    /// Identity of this document *state*: unique per process, given afresh
+    /// by every constructor, clone, delta application and dense rebuild. A
+    /// table keyed by this document's node ids (the diff's signature cache)
+    /// records the stamp it was computed under and is valid exactly while the
+    /// stamps agree. Editing `doc.tree` directly does not change the stamp;
+    /// whoever does that owns the tables that describe the tree.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Mark the start of an in-place content change (delta application).
+    pub(crate) fn restamp(&mut self) {
+        self.stamp = fresh_stamp();
+    }
+
     /// The XID of `node`, if assigned.
     #[inline]
     pub fn xid(&self, node: NodeId) -> Option<Xid> {
-        self.xid_of.get(node.index()).copied().flatten()
+        match self.xid_of.get(node.index()) {
+            Some(&x) if x != 0 => Some(Xid(x)),
+            _ => None,
+        }
     }
 
     /// The node currently carrying `xid`, if any.
@@ -114,19 +162,10 @@ impl XidDocument {
     /// The reverse index, materialized from the forward array on first use.
     fn reverse(&self) -> &FastHashMap<Xid, NodeId> {
         self.by_xid.get_or_init(|| {
-            let mut m = fast_map_with_capacity(self.xid_of.len());
-            for (i, x) in self.xid_of.iter().enumerate() {
-                if let Some(x) = *x {
-                    m.insert(x, NodeId::from_index(i));
-                }
-            }
+            let mut m = fast_map_with_capacity(self.assigned);
+            m.extend(self.iter().map(|(n, x)| (x, n)));
             m
         })
-    }
-
-    /// Number of XID-bearing nodes.
-    pub fn assigned_count(&self) -> usize {
-        self.xid_of.iter().flatten().count()
     }
 
     /// The next fresh XID value (not yet assigned).
@@ -143,33 +182,59 @@ impl XidDocument {
 
     /// Assign `xid` to `node`, replacing any previous assignment of either.
     pub fn set_xid(&mut self, node: NodeId, xid: Xid) {
+        assert_ne!(xid.0, 0, "XID 0 is reserved");
         // The displacement lookup ("who holds `xid` now?") needs the reverse
         // index; materialize it so the update below keeps it in sync.
         self.reverse();
         // INVARIANT: reverse() on the line above materializes the index.
         let by_xid = self.by_xid.get_mut().expect("reverse index materialized");
         if node.index() >= self.xid_of.len() {
-            self.xid_of.resize(node.index() + 1, None);
+            self.xid_of.resize(node.index() + 1, 0);
         }
-        if let Some(old) = self.xid_of[node.index()] {
-            by_xid.remove(&old);
+        match std::mem::replace(&mut self.xid_of[node.index()], xid.0) {
+            0 => self.assigned += 1,
+            old => {
+                by_xid.remove(&Xid(old));
+            }
         }
-        if let Some(&old_node) = by_xid.get(&xid) {
-            self.xid_of[old_node.index()] = None;
+        if let Some(displaced) = by_xid.insert(xid, node) {
+            self.xid_of[displaced.index()] = 0;
+            self.assigned -= 1;
         }
-        self.xid_of[node.index()] = Some(xid);
-        by_xid.insert(xid, node);
         self.next = self.next.max(xid.0 + 1);
     }
 
     /// Remove the XID of `node` (e.g. after its subtree is deleted).
     pub fn clear_xid(&mut self, node: NodeId) {
-        if let Some(x) = self.xid_of.get(node.index()).copied().flatten() {
+        if let Some(x) = self.xid(node) {
             if let Some(by_xid) = self.by_xid.get_mut() {
                 by_xid.remove(&x);
             }
-            self.xid_of[node.index()] = None;
+            self.xid_of[node.index()] = 0;
+            self.assigned -= 1;
         }
+    }
+
+    /// Rebuild the arena densely, remapping the XID table, when the tree
+    /// reports more garbage than content ([`xytree::Tree::is_sparse`]): a
+    /// version kept across many applied deltas would otherwise carry every
+    /// subtree ever deleted from it and every text it ever held. O(1) when
+    /// there is nothing to shed. Node ids change; XIDs do not.
+    pub(crate) fn shed_garbage(&mut self) {
+        let old = &self.doc.tree;
+        if !old.is_sparse(self.assigned) {
+            return;
+        }
+        let dense = old.compacted();
+        let mut xid_of = vec![0; dense.arena_len()];
+        for (o, n) in old.descendants(old.root()).zip(dense.descendants(dense.root())) {
+            xid_of[n.index()] = self.xid_of[o.index()];
+        }
+        self.assigned = xid_of.iter().filter(|&&x| x != 0).count();
+        self.xid_of = xid_of;
+        self.doc.tree = dense;
+        self.by_xid = OnceLock::new();
+        self.stamp = fresh_stamp();
     }
 
     /// Assign fresh XIDs to every node of the subtree rooted at `node` that
@@ -207,7 +272,8 @@ impl XidDocument {
         self.xid_of
             .iter()
             .enumerate()
-            .filter_map(|(i, x)| x.map(|x| (NodeId::from_index(i), x)))
+            .filter(|(_, &x)| x != 0)
+            .map(|(i, &x)| (NodeId::from_index(i), Xid(x)))
     }
 
     /// Serialize with the persistent identifiers embedded: a processing
@@ -234,16 +300,11 @@ impl XidDocument {
         let mut doc = crate::xiddoc::parse_for_annotation(xml)?;
         // The annotation is a top-level PI (a child of the document node).
         let root = doc.tree.root();
-        let pi = doc.tree.children(root).find(|&c| {
-            matches!(doc.tree.kind(c), xytree::NodeKind::Pi { target, .. }
-                if target == XIDMAP_PI_TARGET)
+        let pi = doc.tree.children(root).find_map(|c| match doc.tree.kind(c) {
+            xytree::NodeKind::Pi { target, data } if target == XIDMAP_PI_TARGET => Some((c, data)),
+            _ => None,
         });
-        let Some(pi_node) = pi else { return Ok(None) };
-        let data = match doc.tree.kind(pi_node) {
-            xytree::NodeKind::Pi { data, .. } => data.clone(),
-            // INVARIANT: pi_node was found by filtering on the Pi kind above.
-            _ => unreachable!(),
-        };
+        let Some((pi_node, data)) = pi else { return Ok(None) };
         let map: XidMap = data
             .trim()
             .parse()
@@ -268,19 +329,19 @@ impl XidDocument {
     /// Check that the forward and reverse indexes agree and that every
     /// attached node has an XID. For tests.
     pub fn validate(&self) -> Result<(), String> {
-        for (i, &x) in self.xid_of.iter().enumerate() {
-            if let Some(x) = x {
-                let node = NodeId::from_index(i);
-                if self.node(x) != Some(node) {
-                    return Err(format!("xid {x} reverse index mismatch at slot {i}"));
-                }
-                if x.0 >= self.next {
-                    return Err(format!("xid {x} >= next {}", self.next));
-                }
+        for (node, x) in self.iter() {
+            if self.node(x) != Some(node) {
+                return Err(format!("xid {x} reverse index mismatch at slot {}", node.index()));
+            }
+            if x.0 >= self.next {
+                return Err(format!("xid {x} >= next {}", self.next));
             }
         }
+        if self.iter().count() != self.assigned {
+            return Err(format!("assigned count {} out of step", self.assigned));
+        }
         for (&x, &n) in self.reverse() {
-            if self.xid_of.get(n.index()).copied().flatten() != Some(x) {
+            if self.xid(n) != Some(x) {
                 return Err(format!("forward index mismatch for xid {x}"));
             }
         }

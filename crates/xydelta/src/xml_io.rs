@@ -62,10 +62,8 @@ fn build_delta_document(delta: &Delta, src: Option<&PayloadSource<'_>>) -> Docum
 }
 
 fn set(tree: &mut Tree, node: NodeId, name: &str, value: impl ToString) {
-    tree.element_mut(node)
-        // INVARIANT: only called on nodes built by op_to_node, all elements.
-        .expect("op node is an element")
-        .set_attr(name, value.to_string());
+    // Only called on nodes built by op_to_node, all elements.
+    tree.set_attr(node, name, value.to_string());
 }
 
 /// Serialize an attribute-op position, 1-based like the tree-op positions.
@@ -181,8 +179,8 @@ fn separate_adjacent_texts(tree: &mut Tree, root: NodeId) {
         if let Some(next) = tree.next_sibling(n) {
             if tree.kind(next).is_text() {
                 let sep = tree.new_node(xytree::NodeKind::Pi {
-                    target: TEXT_SEPARATOR_PI.to_string(),
-                    data: String::new(),
+                    target: TEXT_SEPARATOR_PI,
+                    data: "",
                 });
                 tree.insert_after(n, sep);
             }

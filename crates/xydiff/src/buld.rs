@@ -158,12 +158,12 @@ fn preverify_top_level(
     let mut tasks: Vec<(NodeId, NodeId)> = Vec::new();
     for v in new.children(root_elem) {
         let Some(&slot) = index.by_sig.get(&new_info.signature(v)) else { continue };
-        let size = new_info.get(v).size;
+        let size = new_info.size(v);
         tasks.extend(
             index.lists[slot]
                 .nodes
                 .iter()
-                .filter(|&&c| old_info.get(c).size == size)
+                .filter(|&&c| old_info.size(c) == size)
                 .take(PREVERIFY_CANDIDATES)
                 .map(|&c| (c, v)),
         );
@@ -315,10 +315,10 @@ impl CandidateIndex {
         // filled by the parallel pre-verification pass. Both are pure
         // restatements of what `subtree_eq` would conclude, so the chosen
         // candidate is identical with or without them.
-        let v_size = new_info.get(v).size;
+        let v_size = new_info.size(v);
         let accepts = |c: NodeId| {
             matching.available_old(c)
-                && old_info.get(c).size == v_size
+                && old_info.size(c) == v_size
                 && match eq_memo.get(&(c, v)) {
                     Some(&eq) => eq,
                     None => old.subtree_eq(c, new, v),

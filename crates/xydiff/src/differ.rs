@@ -229,7 +229,7 @@ impl Differ {
     /// [`Differ::diff`] with an external per-document cache.
     ///
     /// The differ contributes options + scratch; `cache` must describe `old`
-    /// (or be empty/cold — stale entries miss and fall back to hashing) and
+    /// (or be empty/cold — a cache describing any other state misses) and
     /// is refreshed to describe the produced version before returning. Any
     /// owned cache installed via [`Differ::with_cache`] is ignored for this
     /// call.

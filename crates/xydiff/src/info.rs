@@ -18,8 +18,8 @@
 
 use crate::par::ParallelRunner;
 use std::sync::OnceLock;
-use xydelta::{Xid, XidDocument};
-use xytree::hash::{FastHashMap, Fnv64};
+use xydelta::XidDocument;
+use xytree::hash::Fnv64;
 use xytree::{NodeId, NodeKind, Tree};
 
 /// Domain-separation seeds so that, e.g., a text node `"a"` and an element
@@ -49,10 +49,15 @@ pub struct NodeInfo {
     pub size: u32,
 }
 
-/// Signatures and weights for every attached node of a tree.
+/// Signatures and weights for every attached node of a tree, one array per
+/// field, each indexed by arena slot: phase 3 probes signatures and sizes
+/// far more often than weights, and 20 bytes per node is what a
+/// [`SignatureCache`] keeps resident per stored document.
 #[derive(Debug, Clone, Default)]
 pub struct TreeInfo {
-    infos: Vec<NodeInfo>,
+    signatures: Vec<u64>,
+    weights: Vec<f64>,
+    sizes: Vec<u32>,
     /// Total weight of the document (W₀ in the paper's depth bound).
     pub total_weight: f64,
     /// Number of attached nodes.
@@ -62,20 +67,68 @@ pub struct TreeInfo {
 impl TreeInfo {
     /// Info record of `node`.
     #[inline]
-    pub fn get(&self, node: NodeId) -> &NodeInfo {
-        &self.infos[node.index()]
+    pub fn get(&self, node: NodeId) -> NodeInfo {
+        let i = node.index();
+        NodeInfo { signature: self.signatures[i], weight: self.weights[i], size: self.sizes[i] }
     }
 
     /// Subtree signature of `node`.
     #[inline]
     pub fn signature(&self, node: NodeId) -> u64 {
-        self.infos[node.index()].signature
+        self.signatures[node.index()]
     }
 
     /// Weight of `node`.
     #[inline]
     pub fn weight(&self, node: NodeId) -> f64 {
-        self.infos[node.index()].weight
+        self.weights[node.index()]
+    }
+
+    /// Subtree node count of `node`.
+    #[inline]
+    pub fn size(&self, node: NodeId) -> u32 {
+        self.sizes[node.index()]
+    }
+
+    #[inline]
+    fn set(&mut self, node: NodeId, info: NodeInfo) {
+        let i = node.index();
+        self.signatures[i] = info.signature;
+        self.weights[i] = info.weight;
+        self.sizes[i] = info.size;
+    }
+
+    /// Zeroed records for `slots` arena slots, keeping the allocations.
+    fn reset(&mut self, slots: usize) {
+        self.signatures.clear();
+        self.signatures.resize(slots, 0);
+        self.weights.clear();
+        self.weights.resize(slots, 0.0);
+        self.sizes.clear();
+        self.sizes.resize(slots, 0);
+    }
+
+    /// Give back capacity beyond twice the length.
+    fn trim(&mut self) {
+        if self.signatures.capacity() > 2 * self.signatures.len() {
+            self.signatures.shrink_to_fit();
+            self.weights.shrink_to_fit();
+            self.sizes.shrink_to_fit();
+        }
+    }
+
+    /// Fill in every attached node of `tree` in post-order: from `staged`
+    /// where it has a record, by hashing otherwise.
+    fn fill(&mut self, tree: &Tree, staged: impl Fn(NodeId) -> Option<NodeInfo>) {
+        self.reset(tree.arena_len());
+        let mut node_count = 0usize;
+        for node in tree.post_order(tree.root()) {
+            node_count += 1;
+            let info = staged(node).unwrap_or_else(|| compute_node(tree, node, |c| self.get(c)));
+            self.set(node, info);
+        }
+        self.total_weight = self.weight(tree.root());
+        self.node_count = node_count;
     }
 }
 
@@ -90,15 +143,7 @@ pub fn analyze(tree: &Tree) -> TreeInfo {
 /// This is the [`crate::DiffScratch`] reuse path: a long-lived worker runs
 /// thousands of diffs without growing the heap.
 pub fn analyze_into(tree: &Tree, out: &mut TreeInfo) {
-    out.infos.clear();
-    out.infos.resize(tree.arena_len(), NodeInfo::default());
-    let mut node_count = 0usize;
-    for node in tree.post_order(tree.root()) {
-        node_count += 1;
-        out.infos[node.index()] = compute_node(tree, node, &out.infos);
-    }
-    out.total_weight = out.infos[tree.root().index()].weight;
-    out.node_count = node_count;
+    out.fill(tree, |_| None);
 }
 
 /// [`analyze_into`] with the subtree hashing fanned out over `runner`.
@@ -127,7 +172,7 @@ pub fn analyze_into_with(tree: &Tree, out: &mut TreeInfo, runner: &dyn ParallelR
     let slots: Vec<OnceLock<NodeInfo>> = (0..tree.arena_len()).map(|_| OnceLock::new()).collect();
     runner.run(shards.len(), &|i| {
         for node in tree.post_order(shards[i]) {
-            let info = compute_node_via(tree, node, |c| {
+            let info = compute_node(tree, node, |c| {
                 // INVARIANT: post-order within one shard — a node's children
                 // were published by this same worker before the node itself.
                 *slots[c.index()].get().expect("children published before their parent")
@@ -135,18 +180,7 @@ pub fn analyze_into_with(tree: &Tree, out: &mut TreeInfo, runner: &dyn ParallelR
             let _ = slots[node.index()].set(info);
         }
     });
-    out.infos.clear();
-    out.infos.resize(tree.arena_len(), NodeInfo::default());
-    let mut node_count = 0usize;
-    for node in tree.post_order(tree.root()) {
-        node_count += 1;
-        out.infos[node.index()] = match slots[node.index()].get() {
-            Some(info) => *info,
-            None => compute_node(tree, node, &out.infos),
-        };
-    }
-    out.total_weight = out.infos[tree.root().index()].weight;
-    out.node_count = node_count;
+    out.fill(tree, |node| slots[node.index()].get().copied());
 }
 
 /// The root element (first element child of the document node), if any.
@@ -154,15 +188,9 @@ fn root_element_of(tree: &Tree) -> Option<NodeId> {
     tree.children(tree.root()).find(|&n| matches!(tree.kind(n), NodeKind::Element(_)))
 }
 
-/// Signature/weight/size of one node, assuming its children (post-order
-/// predecessors) are already present in `infos`.
-fn compute_node(tree: &Tree, node: NodeId, infos: &[NodeInfo]) -> NodeInfo {
-    compute_node_via(tree, node, |c| infos[c.index()])
-}
-
-/// [`compute_node`] with child records supplied by a lookup closure, so the
-/// parallel path can read from its [`OnceLock`] staging buffer.
-fn compute_node_via(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInfo) -> NodeInfo {
+/// Signature/weight/size of one node, with the records of its children
+/// (post-order predecessors) supplied by `child`.
+fn compute_node(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInfo) -> NodeInfo {
     let mut h;
     let mut weight;
     let mut size = 1u32;
@@ -185,7 +213,7 @@ fn compute_node_via(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInf
                 h.update(&[2]);
             };
             if e.attrs.windows(2).all(|w| w[0].name <= w[1].name) {
-                for a in &e.attrs {
+                for a in e.attrs {
                     fold(a);
                 }
             } else {
@@ -226,24 +254,30 @@ fn compute_node_via(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInf
     NodeInfo { signature: h.value(), weight, size }
 }
 
-/// Cross-version cache of per-subtree [`NodeInfo`] records, keyed by
-/// persistent XID.
+/// The phase-2 records of one stored document version, carried to the next
+/// diff of that document.
 ///
 /// In a warehouse, the *old* side of every diff is a document the system
 /// itself produced one ingest earlier — its signatures were all computed
-/// then. Keyed by XID (the identity that survives versioning), those records
-/// can be replayed instead of re-hashed, removing the old tree's share of
-/// phase 2 from steady-state ingestion.
+/// then, as the *new* side of that diff. The cache keeps those arrays,
+/// indexed by node like the [`TreeInfo`] they were: at the end of a diff the
+/// new side's arrays are swapped in (the buffer they replace goes back to
+/// the [`crate::DiffScratch`]), and the next diff swaps them out again as
+/// its old side instead of re-hashing the old tree. Nothing is copied,
+/// probed or rebuilt per node.
 ///
-/// **Coherence contract**: an entry must equal what [`analyze`] would compute
-/// for the subtree currently rooted at that XID. [`SignatureCache::refresh`]
-/// (after each ingest) maintains this; any out-of-band mutation of the stored
-/// document must [`SignatureCache::invalidate`] the touched XIDs or
-/// [`SignatureCache::clear`] the cache. A stale-but-coherent miss is safe —
-/// the analysis falls back to hashing locally.
+/// **Coherence**: the cache records the [`XidDocument::stamp`] of the version
+/// it describes and is used only for a document carrying that stamp — the
+/// very value the diff produced, moved but not cloned, applied to or rebuilt
+/// since. Anything else (a foreign document, a chain recovered from a log, a
+/// clone) misses as a whole and is hashed locally; a miss is always safe.
+/// The one case the stamp cannot see is an edit made directly through
+/// `XidDocument::doc`: whoever does that must [`SignatureCache::clear`].
 #[derive(Debug, Clone, Default)]
 pub struct SignatureCache {
-    map: FastHashMap<u64, NodeInfo>,
+    info: TreeInfo,
+    /// Stamp of the version `info` describes; 0 (never issued) when empty.
+    stamp: u64,
     hits: u64,
     misses: u64,
 }
@@ -256,68 +290,52 @@ impl SignatureCache {
 
     /// Number of cached subtree records.
     pub fn len(&self) -> usize {
-        self.map.len()
+        if self.stamp == 0 {
+            0
+        } else {
+            self.info.node_count
+        }
     }
 
     /// True when no records are cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
-    /// Drop every record (keeps the table allocation).
+    /// Drop every record (keeps the allocation).
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.stamp = 0;
     }
 
-    /// Drop the record for one XID — required for any node whose subtree
-    /// content changed outside the normal ingest path (e.g. a delta applied
-    /// directly to the stored version).
-    pub fn invalidate(&mut self, xid: Xid) {
-        self.map.remove(&xid.value());
+    /// Take over `info`, the records of `doc` (indices must refer to
+    /// `doc.doc.tree`); `info` receives the retired buffers in exchange.
+    pub(crate) fn store(&mut self, doc: &XidDocument, info: &mut TreeInfo) {
+        std::mem::swap(&mut self.info, info);
+        self.stamp = doc.stamp();
+        // A worker's scratch grows to the largest document it has seen; a
+        // small document's cache must not keep buffers of that size.
+        self.info.trim();
     }
 
-    /// Replace the cache contents with the records of `doc`'s current
-    /// version, as computed in `info` (indices must refer to `doc.doc.tree`).
-    pub fn refresh(&mut self, doc: &XidDocument, info: &TreeInfo) {
-        self.map.clear();
-        let tree = &doc.doc.tree;
-        for node in tree.post_order(tree.root()) {
-            if let Some(xid) = doc.xid(node) {
-                self.map.insert(xid.value(), *info.get(node));
-            }
-        }
-    }
-
-    /// Cumulative (hits, misses) over the cache's lifetime.
+    /// Cumulative (hits, misses), in nodes, over the cache's lifetime.
     pub fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }
 
-/// [`analyze`] for an XID-carrying document, replaying records cached from a
-/// previous version wherever the XID resolves; only cache misses are hashed.
-/// See the [`SignatureCache`] coherence contract.
+/// [`analyze`] for an XID-carrying document: when `cache` holds the records
+/// of exactly this document state they are swapped into `out` (the cache is
+/// left empty until the diff stores the next version's), otherwise the tree
+/// is hashed. See the [`SignatureCache`] coherence rule.
 pub fn analyze_xid_cached(doc: &XidDocument, cache: &mut SignatureCache, out: &mut TreeInfo) {
-    let tree = &doc.doc.tree;
-    out.infos.clear();
-    out.infos.resize(tree.arena_len(), NodeInfo::default());
-    let mut node_count = 0usize;
-    for node in tree.post_order(tree.root()) {
-        node_count += 1;
-        let cached = doc.xid(node).and_then(|x| cache.map.get(&x.value()).copied());
-        out.infos[node.index()] = match cached {
-            Some(info) => {
-                cache.hits += 1;
-                info
-            }
-            None => {
-                cache.misses += 1;
-                compute_node(tree, node, &out.infos)
-            }
-        };
+    if cache.stamp == doc.stamp() {
+        std::mem::swap(&mut cache.info, out);
+        cache.stamp = 0;
+        cache.hits += out.node_count as u64;
+    } else {
+        analyze_into(&doc.doc.tree, out);
+        cache.misses += out.node_count as u64;
     }
-    out.total_weight = out.infos[tree.root().index()].weight;
-    out.node_count = node_count;
 }
 
 /// Text-node weight: `1 + log(length)` (§5.2), with `log 0 := 0`.

@@ -117,7 +117,7 @@ pub fn diff(old: &XidDocument, new: &Document, opts: &DiffOptions) -> DiffResult
 /// The BULD arm uses the full machinery (scratch, cache, parallel runner);
 /// the unordered and similarity arms build their own matching state and
 /// ignore `scratch`, `cache`, and `runner` (an installed per-document cache
-/// is simply left untouched — stale entries miss safely if the caller later
+/// is simply left untouched — it misses safely if the caller later
 /// switches back to BULD). All arms honor `capture` and the phase-5 LIS
 /// settings, so every mode supports the zero-copy warehouse path.
 #[allow(clippy::too_many_arguments)]
@@ -179,7 +179,8 @@ pub(crate) fn diff_core(
     }
     info::analyze_into_with(new_tree, new_info, runner);
     timings.phase2 = t.elapsed();
-    let (old_info, new_info) = (&*old_info, &*new_info);
+    let new_info_buf = new_info;
+    let (old_info, new_info) = (&*old_info, &*new_info_buf);
 
     // Phase 1: ID-attribute matching (+ one propagation pass).
     let t = Instant::now();
@@ -223,9 +224,10 @@ pub(crate) fn diff_core(
     timings.phase5 = t.elapsed();
 
     // Hand the next ingest of this document a warm cache: `new_version`
-    // wraps the same tree (same NodeIds), so `new_info` indexes it directly.
+    // wraps the same tree (same NodeIds), so the new side's records index it
+    // directly and change hands as they are.
     if let Some(c) = cache {
-        c.refresh(&new_version, new_info);
+        c.store(&new_version, new_info_buf);
     }
 
     stats.new_nodes = new_version.doc.tree.subtree_size(new_version.doc.tree.root());

@@ -83,9 +83,9 @@ enum ChildKey<'a> {
     Pi(&'a str, &'a str),
 }
 
-fn child_key<'a>(kind: &'a NodeKind) -> Option<ChildKey<'a>> {
+fn child_key(kind: NodeKind<'_>) -> Option<ChildKey<'_>> {
     match kind {
-        NodeKind::Element(e) => Some(ChildKey::Elem(&e.name)),
+        NodeKind::Element(e) => Some(ChildKey::Elem(e.name.as_str())),
         NodeKind::Text(_) => Some(ChildKey::Text),
         NodeKind::Comment(c) => Some(ChildKey::Comment(c)),
         NodeKind::Pi { target, data } => Some(ChildKey::Pi(target, data)),

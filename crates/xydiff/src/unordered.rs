@@ -98,7 +98,7 @@ pub fn unordered_signatures(tree: &Tree) -> Vec<u64> {
                     h.update(&[2]);
                 };
                 if e.attrs.windows(2).all(|w| w[0].name <= w[1].name) {
-                    for a in &e.attrs {
+                    for a in e.attrs {
                         fold(a);
                     }
                 } else {

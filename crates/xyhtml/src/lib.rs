@@ -32,7 +32,7 @@ mod rules;
 
 pub use rules::{closes_implicitly, is_void};
 
-use xytree::{Document, NodeId, NodeKind, Tree};
+use xytree::{Document, NodeId, Tree};
 
 /// Convert (possibly messy) HTML into a well-formed XML document. This is
 /// infallible by design: crawled HTML is never rejected, only repaired.
@@ -99,8 +99,8 @@ impl<'a> Parser<'a> {
         }
         let parent = self.current_parent();
         if let Some(last) = self.tree.last_child(parent) {
-            if let NodeKind::Text(prev) = self.tree.kind_mut(last) {
-                prev.push_str(&text);
+            if self.tree.kind(last).is_text() {
+                self.tree.append_text(last, &text);
                 return;
             }
         }
@@ -197,7 +197,7 @@ impl<'a> Parser<'a> {
         let parent = self.current_parent();
         let node = self.tree.new_element(name.clone());
         for (k, v) in attrs {
-            self.tree.element_mut(node).unwrap().set_attr(k, v);
+            self.tree.set_attr(node, k, v);
         }
         self.tree.append_child(parent, node);
 
@@ -285,7 +285,7 @@ impl<'a> Parser<'a> {
         let end = find_ascii_ci(rest.as_bytes(), close.as_bytes()).unwrap_or(rest.len());
         let content = &rest[..end];
         if !content.trim().is_empty() {
-            let t = self.tree.new_text(content.to_string());
+            let t = self.tree.new_text(content);
             self.tree.append_child(node, t);
         }
         self.pos += end;

@@ -348,7 +348,7 @@ fn check_subtree(t: &Tree, g: &Grammar, i: usize, out: &mut Vec<Finding>) {
                 }
             }
         }
-        for attr in &el.attrs {
+        for attr in el.attrs {
             match g.attdef(label, attr.name.as_str()) {
                 None => out.push(Finding {
                     op_index: i,

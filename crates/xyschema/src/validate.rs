@@ -281,7 +281,7 @@ fn check_element(
 
     // Attribute checks.
     let lname = || label.as_str().to_string();
-    for attr in &el.attrs {
+    for attr in el.attrs {
         let Some(def) = g.attdef(label, attr.name.as_str()) else {
             out.push(Violation {
                 node: id,

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xydelta::diff_by_xid::diff_by_xid;
 use xydelta::{Delta, XidDocument};
-use xytree::{NodeId, NodeKind};
+use xytree::NodeId;
 
 /// Per-node operation probabilities.
 #[derive(Debug, Clone)]
@@ -142,14 +142,10 @@ pub fn simulate(old: &XidDocument, cfg: &ChangeConfig) -> SimulatedChange {
         if !work.doc.tree.is_attached(n) {
             continue;
         }
-        if let NodeKind::Text(_) = work.doc.tree.kind(n) {
-            if rng.gen_bool(p_update) {
-                let fresh = counter_text(&mut text_counter, &mut rng);
-                if let NodeKind::Text(t) = work.doc.tree.kind_mut(n) {
-                    *t = fresh;
-                }
-                actions.updated_texts += 1;
-            }
+        if work.doc.tree.kind(n).is_text() && rng.gen_bool(p_update) {
+            let fresh = counter_text(&mut text_counter, &mut rng);
+            work.doc.tree.set_text(n, &fresh);
+            actions.updated_texts += 1;
         }
     }
 

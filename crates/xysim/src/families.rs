@@ -144,24 +144,18 @@ pub fn attribute_churn(old: &XidDocument, cfg: &AttrChurnConfig) -> SimulatedCha
         };
         for name in names {
             if rng.gen_bool(p_remove) {
-                if let Some(e) = work.doc.tree.element_mut(el) {
-                    e.remove_attr(&name);
-                    actions.updated_texts += 1;
-                }
+                work.doc.tree.remove_attr(el, &name);
+                actions.updated_texts += 1;
             } else if rng.gen_bool(p_set) {
                 fresh += 1;
-                if let Some(e) = work.doc.tree.element_mut(el) {
-                    e.set_attr(&name, format!("churned-{fresh}"));
-                    actions.updated_texts += 1;
-                }
+                work.doc.tree.set_attr(el, &name, format!("churned-{fresh}"));
+                actions.updated_texts += 1;
             }
         }
         if rng.gen_bool(p_add) {
             fresh += 1;
-            if let Some(e) = work.doc.tree.element_mut(el) {
-                e.set_attr(format!("added{}", fresh % 7), format!("fresh-{fresh}"));
-                actions.updated_texts += 1;
-            }
+            work.doc.tree.set_attr(el, format!("added{}", fresh % 7), format!("fresh-{fresh}"));
+            actions.updated_texts += 1;
         }
     }
 

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::document::Document;
-use crate::node::{Attr, Element, NodeKind};
+use crate::node::{Attr, NodeKind};
 use crate::tree::{NodeId, Tree};
 
 /// Declarative element builder; see the module docs for an example.
@@ -77,16 +77,15 @@ impl ElementBuilder {
 
     /// Materialize into `tree` as a detached subtree; returns its root.
     pub fn build_into(self, tree: &mut Tree) -> NodeId {
-        let node = tree.new_node(NodeKind::Element(Element {
-            name: self.name.into(),
-            attrs: self.attrs,
-        }));
+        let node = tree.new_element_with(self.name.into(), self.attrs);
         for child in self.children {
             let c = match child {
                 BuildNode::Element(b) => b.build_into(tree),
                 BuildNode::Text(t) => tree.new_text(t),
-                BuildNode::Comment(t) => tree.new_node(NodeKind::Comment(t)),
-                BuildNode::Pi { target, data } => tree.new_node(NodeKind::Pi { target, data }),
+                BuildNode::Comment(t) => tree.new_node(NodeKind::Comment(&t)),
+                BuildNode::Pi { target, data } => {
+                    tree.new_node(NodeKind::Pi { target: &target, data: &data })
+                }
             };
             tree.append_child(node, c);
         }

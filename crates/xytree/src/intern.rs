@@ -95,6 +95,13 @@ impl Symbol {
     pub fn id(&self) -> u32 {
         self.0
     }
+
+    /// The symbol a handle value obtained from [`Symbol::id`] stands for —
+    /// how arena slots store labels in four bytes.
+    #[inline]
+    pub(crate) fn from_id(id: u32) -> Symbol {
+        Symbol(id)
+    }
 }
 
 impl Deref for Symbol {

@@ -25,66 +25,35 @@ impl Attr {
     }
 }
 
-/// Payload of an element node: a label and its attribute list.
+/// Borrowed view of an element node: its label and attribute list.
 ///
 /// Attribute order is preserved for faithful serialization but is semantically
-/// irrelevant (set semantics), matching the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Element {
+/// irrelevant (set semantics), matching the paper. The view is `Copy`; the
+/// tree owns the data, and mutation goes through [`crate::Tree::set_attr`],
+/// [`crate::Tree::insert_attr_at`] and [`crate::Tree::remove_attr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Element<'a> {
     /// The element label (tag name), as an interned label.
     pub name: Symbol,
     /// Attributes in document order.
-    pub attrs: Vec<Attr>,
+    pub attrs: &'a [Attr],
 }
 
-impl Element {
+impl<'a> Element<'a> {
     /// An element with the given label and no attributes.
     pub fn new(name: impl Into<Symbol>) -> Self {
-        Element { name: name.into(), attrs: Vec::new() }
+        Element { name: name.into(), attrs: &[] }
     }
 
     /// Value of the attribute named `name`, if present.
-    pub fn attr(&self, name: &str) -> Option<&str> {
+    pub fn attr(&self, name: &str) -> Option<&'a str> {
         self.attrs.iter().find(|a| a.name == name).map(|a| a.value.as_str())
     }
 
     /// Value of the attribute with the interned label `name`, if present.
     /// Avoids the text comparison of [`Element::attr`] on hot paths.
-    pub fn attr_sym(&self, name: Symbol) -> Option<&str> {
+    pub fn attr_sym(&self, name: Symbol) -> Option<&'a str> {
         self.attrs.iter().find(|a| a.name == name).map(|a| a.value.as_str())
-    }
-
-    /// Set (insert or overwrite) an attribute. Returns the previous value.
-    pub fn set_attr(&mut self, name: impl Into<Symbol>, value: impl Into<String>) -> Option<String> {
-        let name = name.into();
-        let value = value.into();
-        for a in &mut self.attrs {
-            if a.name == name {
-                return Some(std::mem::replace(&mut a.value, value));
-            }
-        }
-        self.attrs.push(Attr { name, value });
-        None
-    }
-
-    /// Insert an attribute at `pos` in the attribute list (clamped to the
-    /// list length). Attribute order is semantically irrelevant, but delta
-    /// application uses this to keep reconstructed versions byte-identical
-    /// to the originals. Callers ensure no attribute of that name exists.
-    pub fn insert_attr_at(
-        &mut self,
-        pos: usize,
-        name: impl Into<Symbol>,
-        value: impl Into<String>,
-    ) {
-        let pos = pos.min(self.attrs.len());
-        self.attrs.insert(pos, Attr { name: name.into(), value: value.into() });
-    }
-
-    /// Remove an attribute. Returns its value if it existed.
-    pub fn remove_attr(&mut self, name: &str) -> Option<String> {
-        let idx = self.attrs.iter().position(|a| a.name == name)?;
-        Some(self.attrs.remove(idx).value)
     }
 
     /// True when the element carries an attribute named `name`.
@@ -93,29 +62,31 @@ impl Element {
     }
 }
 
-/// The payload of a tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
+/// Borrowed view of a tree node's payload, handed out by value by
+/// [`crate::Tree::kind`] and accepted by [`crate::Tree::new_node`] (which
+/// copies the borrowed content into the tree).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind<'a> {
     /// The document root; exactly one per [`crate::Tree`], always the root.
     Document,
     /// An element node: label plus attributes.
-    Element(Element),
+    Element(Element<'a>),
     /// A text node (character data after entity expansion).
-    Text(String),
+    Text(&'a str),
     /// A comment (`<!-- ... -->`).
-    Comment(String),
+    Comment(&'a str),
     /// A processing instruction (`<?target data?>`).
     Pi {
         /// The PI target, e.g. `xml-stylesheet`.
-        target: String,
+        target: &'a str,
         /// Everything between the target and `?>`.
-        data: String,
+        data: &'a str,
     },
 }
 
-impl NodeKind {
+impl<'a> NodeKind<'a> {
     /// Element label, if this is an element.
-    pub fn name(&self) -> Option<&str> {
+    pub fn name(&self) -> Option<&'static str> {
         match self {
             NodeKind::Element(e) => Some(e.name.as_str()),
             _ => None,
@@ -123,24 +94,16 @@ impl NodeKind {
     }
 
     /// Text content, if this is a text node.
-    pub fn text(&self) -> Option<&str> {
-        match self {
-            NodeKind::Text(t) => Some(t.as_str()),
+    pub fn text(&self) -> Option<&'a str> {
+        match *self {
+            NodeKind::Text(t) => Some(t),
             _ => None,
         }
     }
 
-    /// Borrow the element payload, if this is an element.
-    pub fn as_element(&self) -> Option<&Element> {
-        match self {
-            NodeKind::Element(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Mutably borrow the element payload, if this is an element.
-    pub fn as_element_mut(&mut self) -> Option<&mut Element> {
-        match self {
+    /// The element view, if this is an element.
+    pub fn as_element(&self) -> Option<Element<'a>> {
+        match *self {
             NodeKind::Element(e) => Some(e),
             _ => None,
         }
@@ -156,11 +119,6 @@ impl NodeKind {
         matches!(self, NodeKind::Text(_))
     }
 
-    /// True for [`NodeKind::Document`].
-    pub fn is_document(&self) -> bool {
-        matches!(self, NodeKind::Document)
-    }
-
     /// A short tag identifying the kind, used in diagnostics and hashing.
     pub fn kind_tag(&self) -> &'static str {
         match self {
@@ -173,7 +131,7 @@ impl NodeKind {
     }
 }
 
-impl fmt::Display for NodeKind {
+impl fmt::Display for NodeKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NodeKind::Document => write!(f, "#document"),
@@ -197,27 +155,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn element_attr_roundtrip() {
-        let mut e = Element::new("product");
-        assert_eq!(e.attr("id"), None);
-        assert_eq!(e.set_attr("id", "p1"), None);
+    fn element_view_lookups() {
+        let attrs = [Attr::new("id", "p1"), Attr::new("lang", "en")];
+        let e = Element { name: "product".into(), attrs: &attrs };
         assert_eq!(e.attr("id"), Some("p1"));
-        assert_eq!(e.set_attr("id", "p2"), Some("p1".to_string()));
-        assert_eq!(e.attr("id"), Some("p2"));
+        assert_eq!(e.attr_sym(Symbol::intern("lang")), Some("en"));
         assert!(e.has_attr("id"));
-        assert_eq!(e.remove_attr("id"), Some("p2".to_string()));
-        assert!(!e.has_attr("id"));
-        assert_eq!(e.remove_attr("id"), None);
-    }
-
-    #[test]
-    fn set_attr_preserves_order_of_others() {
-        let mut e = Element::new("x");
-        e.set_attr("a", "1");
-        e.set_attr("b", "2");
-        e.set_attr("a", "3");
-        let names: Vec<_> = e.attrs.iter().map(|a| a.name.as_str()).collect();
-        assert_eq!(names, ["a", "b"]);
+        assert!(!e.has_attr("sku"));
+        assert_eq!(Element::new("x").attrs.len(), 0);
     }
 
     #[test]
@@ -226,7 +171,7 @@ mod tests {
         assert_eq!(e.name(), Some("a"));
         assert!(e.is_element());
         assert!(!e.is_text());
-        let t = NodeKind::Text("hello".into());
+        let t = NodeKind::Text("hello");
         assert_eq!(t.text(), Some("hello"));
         assert!(t.is_text());
         assert_eq!(NodeKind::Document.kind_tag(), "document");
@@ -235,8 +180,8 @@ mod tests {
 
     #[test]
     fn display_truncates_long_text() {
-        let t = NodeKind::Text("x".repeat(100));
-        let s = t.to_string();
+        let long = "x".repeat(100);
+        let s = NodeKind::Text(&long).to_string();
         assert!(s.len() < 60);
         assert!(s.contains('…'));
     }

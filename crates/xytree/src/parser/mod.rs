@@ -25,7 +25,7 @@ pub use dtd::{
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::intern::Symbol;
-use crate::node::{Attr, Element, NodeKind};
+use crate::node::{Attr, NodeKind};
 use crate::tree::{NodeId, Tree};
 use cursor::Cursor;
 use std::borrow::Cow;
@@ -76,7 +76,8 @@ struct Parser<'a> {
     /// Pending character data. Borrows straight from the input for the common
     /// single-run, no-entities case; goes owned only when runs merge (CDATA,
     /// entity expansion) — so indentation text that the whitespace policy
-    /// drops is never copied at all.
+    /// drops is never copied at all, and kept text is copied exactly once,
+    /// into the tree's text buffer.
     pending_text: Option<Cow<'a, str>>,
 }
 
@@ -121,6 +122,8 @@ impl<'a> Parser<'a> {
         if !self.seen_root {
             return Err(self.err(ParseErrorKind::NoRootElement));
         }
+        // The parse result is what a warehouse keeps as the latest version.
+        self.tree.shrink_to_fit();
         Ok(Parsed { tree: self.tree, doctype: self.doctype })
     }
 
@@ -191,14 +194,13 @@ impl<'a> Parser<'a> {
         let parent = self.current_parent();
         // Merge with a trailing text sibling: "both data will be merged in
         // the parsing of the resulting document" (§6.1).
-        if let Some(last) = self.tree.last_child(parent) {
-            if let NodeKind::Text(t) = self.tree.kind_mut(last) {
-                t.push_str(&text);
-                return Ok(());
+        match self.tree.last_child(parent) {
+            Some(last) if self.tree.kind(last).is_text() => self.tree.append_text(last, &text),
+            _ => {
+                let n = self.tree.new_text(text);
+                self.tree.link_last(parent, n);
             }
         }
-        let n = self.tree.new_text(text.into_owned());
-        self.tree.append_child(parent, n);
         Ok(())
     }
 
@@ -270,8 +272,8 @@ impl<'a> Parser<'a> {
             return Err(self.err(ParseErrorKind::TooDeep(self.opts.max_depth)));
         }
         let parent = self.current_parent();
-        let node = self.tree.new_node(NodeKind::Element(Element { name, attrs }));
-        self.tree.append_child(parent, node);
+        let node = self.tree.new_element_with(name, attrs);
+        self.tree.link_last(parent, node);
         if !self_closed {
             self.stack.push((node, name));
         }
@@ -351,18 +353,13 @@ impl<'a> Parser<'a> {
         let content = self
             .cur
             .take_until_seq(b"-->")
-            .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("comment")))?
-            .to_string();
+            .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("comment")))?;
         self.cur.advance(3);
-        if self.opts.keep_comments && !self.stack.is_empty() {
+        if self.opts.keep_comments {
+            // Top-level comments are legal before/after the root.
             let parent = self.current_parent();
             let n = self.tree.new_node(NodeKind::Comment(content));
-            self.tree.append_child(parent, n);
-        } else if self.opts.keep_comments && self.stack.is_empty() {
-            // Top-level comments are legal before/after the root.
-            let root = self.tree.root();
-            let n = self.tree.new_node(NodeKind::Comment(content));
-            self.tree.append_child(root, n);
+            self.tree.link_last(parent, n);
         }
         Ok(())
     }
@@ -375,8 +372,7 @@ impl<'a> Parser<'a> {
             .cur
             .take_until_seq(b"?>")
             .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("processing instruction")))?
-            .trim_end()
-            .to_string();
+            .trim_end();
         self.cur.advance(2);
         // The XML declaration is not a PI node.
         if target.eq_ignore_ascii_case("xml") {
@@ -384,8 +380,8 @@ impl<'a> Parser<'a> {
         }
         if self.opts.keep_pi {
             let parent = self.current_parent();
-            let n = self.tree.new_node(NodeKind::Pi { target: target.to_string(), data });
-            self.tree.append_child(parent, n);
+            let n = self.tree.new_node(NodeKind::Pi { target, data });
+            self.tree.link_last(parent, n);
         }
         Ok(())
     }

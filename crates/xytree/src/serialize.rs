@@ -180,7 +180,7 @@ mod tests {
     fn escapes_on_output() {
         let mut t = Tree::new();
         let e = t.new_element("e");
-        t.element_mut(e).unwrap().set_attr("q", "a\"b");
+        t.set_attr(e, "q", "a\"b");
         let txt = t.new_text("1<2&3");
         t.append_child(e, txt);
         let root = t.root();

@@ -13,26 +13,47 @@
 //!    arena; completed deltas can still serialize it for the inverse
 //!    operation.
 //!
-//! Memory is only reclaimed when the whole tree is dropped; documents in this
-//! workload are short-lived (parse → diff → drop), matching the paper's
-//! streaming warehouse setting.
+//! # Layout and its cost rule
+//!
+//! The warehouse keeps the latest version of every document and the payload
+//! tree of every stored insert/delete resident, so the per-node constant —
+//! not the asymptotics — decides what fits in memory:
+//!
+//! - A node is one **32-byte slot**: five 4-byte links ([`NodeId`] wraps a
+//!   `NonZeroU32`, so `Option<NodeId>` has no separate tag), a kind tag, and
+//!   two 4-byte payload words.
+//! - **Text and comment bytes** live in one buffer per tree; the slot holds
+//!   `(offset, len)`. The parser copies character data straight from its
+//!   input into that buffer — no per-node allocation.
+//! - An **element** slot holds its interned label and, when it has
+//!   attributes, the index of its list in an out-of-line table. Processing
+//!   instructions (rare) are out of line as well.
+//!
+//! So a tree costs `32 B × slots + text bytes + 24 B per attribute-bearing
+//! element (+ its attributes)`, in a handful of allocations however many
+//! nodes it has. Nothing is reclaimed in place: detached subtrees keep their
+//! slots, and replaced text ([`Tree::set_text`]) leaves its old bytes behind.
+//! Long-lived mutated trees ask [`Tree::is_sparse`] and rebuild through
+//! [`Tree::compacted`].
 
-use crate::node::{Element, NodeKind};
+use crate::intern::Symbol;
+use crate::node::{Attr, Element, NodeKind};
 use crate::traversal::{Ancestors, Children, Descendants, PostOrder};
+use std::num::NonZeroU32;
 
 /// Index of a node within a [`Tree`] arena.
 ///
 /// Only meaningful together with the tree that created it. The raw index is
 /// exposed ([`NodeId::index`]) so callers can maintain dense side tables
-/// (e.g. `Vec<Option<Xid>>` keyed by node).
+/// (e.g. one XID per slot) keyed by node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(u32);
+pub struct NodeId(NonZeroU32);
 
 impl NodeId {
     /// The arena slot of this node.
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
     }
 
     /// Rebuild a `NodeId` from a slot index previously obtained via
@@ -40,20 +61,72 @@ impl NodeId {
     /// node id that panics on use.
     #[inline]
     pub fn from_index(index: usize) -> NodeId {
+        let raw = u32::try_from(index).ok().and_then(|i| NonZeroU32::new(i.wrapping_add(1)));
         // INVARIANT: arena slots are u32-indexed; an index from
         // NodeId::index always fits back.
-        NodeId(u32::try_from(index).expect("node index exceeds u32 range"))
+        NodeId(raw.expect("node index exceeds u32 range"))
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeData {
+/// What a slot's payload words mean.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// No payload.
+    Document,
+    /// `a` = label ([`Symbol`] id), `b` = 1-based index into
+    /// `Rare::attr_lists` (0: no attributes).
+    Element,
+    /// `a`, `b` = offset and length of the content in `Side::text`.
+    Text,
+    /// Like `Text`.
+    Comment,
+    /// `a` = index into `Rare::pis`.
+    Pi,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     parent: Option<NodeId>,
     prev_sibling: Option<NodeId>,
     next_sibling: Option<NodeId>,
     first_child: Option<NodeId>,
     last_child: Option<NodeId>,
-    kind: NodeKind,
+    tag: Tag,
+    a: u32,
+    b: u32,
+}
+
+impl Slot {
+    fn detached(tag: Tag, a: u32, b: u32) -> Slot {
+        Slot {
+            parent: None,
+            prev_sibling: None,
+            next_sibling: None,
+            first_child: None,
+            last_child: None,
+            tag,
+            a,
+            b,
+        }
+    }
+}
+
+/// Everything a tree owns besides its slots. Boxed so that a [`Tree`] — and
+/// with it every delta operation that carries one — stays four words.
+#[derive(Debug, Clone, Default)]
+struct Side {
+    /// Content of every text and comment node, back to back.
+    text: String,
+    /// Bytes of `text` no slot refers to any more (left by `set_text`).
+    text_slack: usize,
+    /// Attribute lists and processing instructions, allocated on first use.
+    rare: Option<Box<Rare>>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Rare {
+    attr_lists: Vec<Vec<Attr>>,
+    pis: Vec<(Box<str>, Box<str>)>,
 }
 
 /// An ordered tree of XML nodes backed by an arena.
@@ -63,7 +136,8 @@ struct NodeData {
 /// detached and linked in with the insertion methods.
 #[derive(Debug, Clone)]
 pub struct Tree {
-    nodes: Vec<NodeData>,
+    slots: Vec<Slot>,
+    side: Box<Side>,
 }
 
 impl Default for Tree {
@@ -72,100 +146,229 @@ impl Default for Tree {
     }
 }
 
+/// Narrow a buffer offset or table index to a payload word.
+fn word(n: usize) -> u32 {
+    // INVARIANT: like node indices, per-tree text offsets are u32; a tree
+    // holding 4 GiB of character data is outside the arena's design range.
+    u32::try_from(n).expect("tree payload exceeds u32 range")
+}
+
 impl Tree {
     /// A tree containing only the document root.
     pub fn new() -> Tree {
-        Tree {
-            nodes: vec![NodeData {
-                parent: None,
-                prev_sibling: None,
-                next_sibling: None,
-                first_child: None,
-                last_child: None,
-                kind: NodeKind::Document,
-            }],
-        }
+        Tree::with_capacity(1)
     }
 
     /// A tree with a capacity hint for the expected node count.
     pub fn with_capacity(nodes: usize) -> Tree {
-        let mut t = Tree { nodes: Vec::with_capacity(nodes.max(1)) };
-        t.nodes.push(NodeData {
-            parent: None,
-            prev_sibling: None,
-            next_sibling: None,
-            first_child: None,
-            last_child: None,
-            kind: NodeKind::Document,
-        });
-        t
+        let mut slots = Vec::with_capacity(nodes.max(1));
+        slots.push(Slot::detached(Tag::Document, 0, 0));
+        Tree { slots, side: Box::default() }
     }
 
     /// The document root node.
     #[inline]
     pub fn root(&self) -> NodeId {
-        NodeId(0)
+        NodeId(NonZeroU32::MIN)
     }
 
     /// Number of arena slots in use (live **and** detached nodes).
     #[inline]
     pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
     #[inline]
-    fn data(&self, id: NodeId) -> &NodeData {
-        &self.nodes[id.index()]
+    fn data(&self, id: NodeId) -> &Slot {
+        &self.slots[id.index()]
     }
 
     #[inline]
-    fn data_mut(&mut self, id: NodeId) -> &mut NodeData {
-        &mut self.nodes[id.index()]
+    fn data_mut(&mut self, id: NodeId) -> &mut Slot {
+        &mut self.slots[id.index()]
+    }
+
+    #[inline]
+    fn span(&self, start: u32, len: u32) -> &str {
+        &self.side.text[start as usize..start as usize + len as usize]
+    }
+
+    fn rare(&self) -> &Rare {
+        // INVARIANT: a slot only refers to an attribute list or a PI after
+        // `rare_mut` created the table that holds it.
+        self.side.rare.as_deref().expect("slot refers to a table that was never created")
+    }
+
+    fn rare_mut(&mut self) -> &mut Rare {
+        self.side.rare.get_or_insert_with(Box::default)
+    }
+
+    #[inline]
+    fn attrs_of(&self, slot: &Slot) -> &[Attr] {
+        match slot.b {
+            0 => &[],
+            i => &self.rare().attr_lists[i as usize - 1],
+        }
+    }
+
+    /// The attribute list of element `id`, created on first use.
+    fn attrs_mut(&mut self, id: NodeId) -> &mut Vec<Attr> {
+        assert_eq!(self.data(id).tag, Tag::Element, "attribute edit on a non-element node");
+        if self.data(id).b == 0 {
+            let lists = &mut self.rare_mut().attr_lists;
+            lists.push(Vec::new());
+            let i = word(lists.len());
+            self.data_mut(id).b = i;
+        }
+        let i = self.data(id).b as usize - 1;
+        &mut self.rare_mut().attr_lists[i]
     }
 
     // ------------------------------------------------------------------
     // Payload access
     // ------------------------------------------------------------------
 
-    /// Borrow the payload of `id`.
+    /// A view of the payload of `id`.
     #[inline]
-    pub fn kind(&self, id: NodeId) -> &NodeKind {
-        &self.data(id).kind
-    }
-
-    /// Mutably borrow the payload of `id`.
-    #[inline]
-    pub fn kind_mut(&mut self, id: NodeId) -> &mut NodeKind {
-        &mut self.data_mut(id).kind
+    pub fn kind(&self, id: NodeId) -> NodeKind<'_> {
+        let slot = self.data(id);
+        match slot.tag {
+            Tag::Document => NodeKind::Document,
+            Tag::Element => NodeKind::Element(Element {
+                name: Symbol::from_id(slot.a),
+                attrs: self.attrs_of(slot),
+            }),
+            Tag::Text => NodeKind::Text(self.span(slot.a, slot.b)),
+            Tag::Comment => NodeKind::Comment(self.span(slot.a, slot.b)),
+            Tag::Pi => {
+                let (target, data) = &self.rare().pis[slot.a as usize];
+                NodeKind::Pi { target, data }
+            }
+        }
     }
 
     /// Element label of `id`, if it is an element.
     #[inline]
     pub fn name(&self, id: NodeId) -> Option<&str> {
-        self.kind(id).name()
+        let slot = self.data(id);
+        (slot.tag == Tag::Element).then(|| Symbol::from_id(slot.a).as_str())
     }
 
     /// Text content of `id`, if it is a text node.
     #[inline]
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        self.kind(id).text()
+        let slot = self.data(id);
+        (slot.tag == Tag::Text).then(|| self.span(slot.a, slot.b))
     }
 
-    /// Borrow the element payload of `id`, if it is an element.
+    /// A view of the element payload of `id`, if it is an element.
     #[inline]
-    pub fn element(&self, id: NodeId) -> Option<&Element> {
+    pub fn element(&self, id: NodeId) -> Option<Element<'_>> {
         self.kind(id).as_element()
-    }
-
-    /// Mutably borrow the element payload of `id`, if it is an element.
-    #[inline]
-    pub fn element_mut(&mut self, id: NodeId) -> Option<&mut Element> {
-        self.kind_mut(id).as_element_mut()
     }
 
     /// Attribute `name` of element `id`.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
         self.element(id).and_then(|e| e.attr(name))
+    }
+
+    /// Replace the content of text node `id`. The old bytes stay in the
+    /// tree's buffer (see [`Tree::is_sparse`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a text node.
+    pub fn set_text(&mut self, id: NodeId, text: &str) {
+        self.rewrite_text(id, false, text);
+    }
+
+    /// Append `more` to the content of text node `id` — how parsers merge
+    /// adjacent runs of character data. In place when the node's content is
+    /// the last thing in the buffer, which is the case while parsing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a text node.
+    pub fn append_text(&mut self, id: NodeId, more: &str) {
+        self.rewrite_text(id, true, more);
+    }
+
+    /// Make the content of text node `id` its old content (if `keep`) plus
+    /// `more`: in place when its span ends the buffer, else at the buffer's
+    /// end, leaving the old span behind as slack.
+    fn rewrite_text(&mut self, id: NodeId, keep: bool, more: &str) {
+        let slot = &mut self.slots[id.index()];
+        assert_eq!(slot.tag, Tag::Text, "text edit on a non-text node");
+        let (start, len) = (slot.a as usize, slot.b as usize);
+        let kept = if keep { len } else { 0 };
+        let side = &mut *self.side;
+        let mut at = start;
+        if start + len == side.text.len() {
+            side.text.truncate(start + kept);
+        } else {
+            at = side.text.len();
+            let old = side.text[start..start + kept].to_owned();
+            side.text.push_str(&old);
+            side.text_slack += len;
+        }
+        side.text.push_str(more);
+        slot.a = word(at);
+        slot.b = word(kept + more.len());
+    }
+
+    /// Set (insert or overwrite) an attribute of element `id`. Returns the
+    /// previous value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an element.
+    pub fn set_attr(
+        &mut self,
+        id: NodeId,
+        name: impl Into<Symbol>,
+        value: impl Into<String>,
+    ) -> Option<String> {
+        let (name, value) = (name.into(), value.into());
+        let attrs = self.attrs_mut(id);
+        match attrs.iter_mut().find(|a| a.name == name) {
+            Some(a) => Some(std::mem::replace(&mut a.value, value)),
+            None => {
+                attrs.push(Attr { name, value });
+                None
+            }
+        }
+    }
+
+    /// Insert an attribute at `pos` in the attribute list of element `id`
+    /// (clamped to the list length). Attribute order is semantically
+    /// irrelevant, but delta application uses this to keep reconstructed
+    /// versions byte-identical to the originals. Callers ensure no attribute
+    /// of that name exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an element.
+    pub fn insert_attr_at(
+        &mut self,
+        id: NodeId,
+        pos: usize,
+        name: impl Into<Symbol>,
+        value: impl Into<String>,
+    ) {
+        let attrs = self.attrs_mut(id);
+        let pos = pos.min(attrs.len());
+        attrs.insert(pos, Attr { name: name.into(), value: value.into() });
+    }
+
+    /// Remove an attribute of element `id`. Returns its value if it existed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an element.
+    pub fn remove_attr(&mut self, id: NodeId, name: &str) -> Option<String> {
+        let attrs = self.attrs_mut(id);
+        let idx = attrs.iter().position(|a| a.name == name)?;
+        Some(attrs.remove(idx).value)
     }
 
     // ------------------------------------------------------------------
@@ -306,29 +509,59 @@ impl Tree {
     // Construction & mutation
     // ------------------------------------------------------------------
 
-    /// Allocate a detached node with the given payload.
-    pub fn new_node(&mut self, kind: NodeKind) -> NodeId {
-        assert!(!kind.is_document(), "a tree has exactly one document node");
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData {
-            parent: None,
-            prev_sibling: None,
-            next_sibling: None,
-            first_child: None,
-            last_child: None,
-            kind,
-        });
+    fn push_slot(&mut self, tag: Tag, a: u32, b: u32) -> NodeId {
+        let id = NodeId::from_index(self.slots.len());
+        self.slots.push(Slot::detached(tag, a, b));
         id
     }
 
+    fn push_span(&mut self, tag: Tag, content: &str) -> NodeId {
+        let start = word(self.side.text.len());
+        self.side.text.push_str(content);
+        self.push_slot(tag, start, word(content.len()))
+    }
+
+    /// Allocate a detached node with a copy of the given payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`NodeKind::Document`].
+    pub fn new_node(&mut self, kind: NodeKind<'_>) -> NodeId {
+        match kind {
+            // INVARIANT: documented precondition — the root is the only
+            // document node a tree ever has.
+            NodeKind::Document => panic!("a tree has exactly one document node"),
+            NodeKind::Element(e) => self.new_element_with(e.name, e.attrs.to_vec()),
+            NodeKind::Text(t) => self.push_span(Tag::Text, t),
+            NodeKind::Comment(c) => self.push_span(Tag::Comment, c),
+            NodeKind::Pi { target, data } => {
+                let pis = &mut self.rare_mut().pis;
+                pis.push((target.into(), data.into()));
+                let i = word(pis.len() - 1);
+                self.push_slot(Tag::Pi, i, 0)
+            }
+        }
+    }
+
+    /// Allocate a detached element node that takes ownership of `attrs`.
+    pub(crate) fn new_element_with(&mut self, name: Symbol, attrs: Vec<Attr>) -> NodeId {
+        let mut list = 0;
+        if !attrs.is_empty() {
+            let lists = &mut self.rare_mut().attr_lists;
+            lists.push(attrs);
+            list = word(lists.len());
+        }
+        self.push_slot(Tag::Element, name.id(), list)
+    }
+
     /// Allocate a detached element node.
-    pub fn new_element(&mut self, name: impl Into<crate::intern::Symbol>) -> NodeId {
-        self.new_node(NodeKind::Element(Element::new(name)))
+    pub fn new_element(&mut self, name: impl Into<Symbol>) -> NodeId {
+        self.new_element_with(name.into(), Vec::new())
     }
 
     /// Allocate a detached text node.
-    pub fn new_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.new_node(NodeKind::Text(text.into()))
+    pub fn new_text(&mut self, text: impl AsRef<str>) -> NodeId {
+        self.push_span(Tag::Text, text.as_ref())
     }
 
     fn assert_insertable(&self, parent: NodeId, child: NodeId) {
@@ -348,6 +581,13 @@ impl Tree {
     /// Attach `child` as the last child of `parent`.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
         self.assert_insertable(parent, child);
+        self.link_last(parent, child);
+    }
+
+    /// [`Tree::append_child`] for a `child` this module just allocated: a
+    /// fresh node is detached and has no descendants, so the attach checks
+    /// (one ancestor walk per call) cannot fail.
+    pub(crate) fn link_last(&mut self, parent: NodeId, child: NodeId) {
         let old_last = self.data(parent).last_child;
         self.data_mut(child).parent = Some(parent);
         self.data_mut(child).prev_sibling = old_last;
@@ -444,18 +684,7 @@ impl Tree {
     /// Deep-copy the subtree rooted at `src_node` of `src` into this tree,
     /// returning the id of the copied root (detached).
     pub fn copy_subtree_from(&mut self, src: &Tree, src_node: NodeId) -> NodeId {
-        let new_root = self.new_node(src.kind_for_copy(src_node));
-        let mut stack = vec![(src_node, new_root)];
-        while let Some((s, d)) = stack.pop() {
-            // Collect children first so we append in order.
-            let kids: Vec<NodeId> = src.children(s).collect();
-            for k in kids {
-                let nk = self.new_node(src.kind_for_copy(k));
-                self.append_child(d, nk);
-                stack.push((k, nk));
-            }
-        }
-        new_root
+        self.copy_subtree_from_excluding(src, src_node, &[])
     }
 
     /// Like [`Tree::copy_subtree_from`], but skipping every subtree whose
@@ -470,29 +699,39 @@ impl Tree {
     ) -> NodeId {
         debug_assert!(excluded.windows(2).all(|w| w[0] < w[1]), "excluded ids must be sorted");
         let new_root = self.new_node(src.kind_for_copy(src_node));
-        let mut stack = vec![(src_node, new_root)];
-        while let Some((s, d)) = stack.pop() {
-            // Collect children first so we append in order.
-            let kids: Vec<NodeId> = src.children(s).collect();
-            for k in kids {
-                if excluded.binary_search(&k).is_ok() {
-                    continue;
+        // Document-order walk over sibling links, no per-node buffer: `at`
+        // is the source node whose children are being copied under `copy`,
+        // `next` the next of those children to look at.
+        let (mut at, mut copy) = (src_node, new_root);
+        let mut next = src.first_child(at);
+        loop {
+            match next {
+                Some(c) if excluded.binary_search(&c).is_ok() => next = src.next_sibling(c),
+                Some(c) => {
+                    let child = self.new_node(src.kind_for_copy(c));
+                    self.link_last(copy, child);
+                    (at, copy) = (c, child);
+                    next = src.first_child(c);
                 }
-                let nk = self.new_node(src.kind_for_copy(k));
-                self.append_child(d, nk);
-                stack.push((k, nk));
+                None if at == src_node => return new_root,
+                None => {
+                    next = src.next_sibling(at);
+                    // INVARIANT: below `src_node` every node has a parent.
+                    at = src.parent(at).expect("walk stays inside the copied subtree");
+                    // INVARIANT: each copy was linked under its parent's copy.
+                    copy = self.parent(copy).expect("copies mirror the source's parent links");
+                }
             }
         }
-        new_root
     }
 
-    fn kind_for_copy(&self, id: NodeId) -> NodeKind {
+    fn kind_for_copy(&self, id: NodeId) -> NodeKind<'_> {
         // A document node can only be copied as the content below it; callers
         // never pass the root, but guard anyway by turning it into an element
         // placeholder — in practice `extract_subtree` handles the root case.
         match self.kind(id) {
             NodeKind::Document => NodeKind::Element(Element::new("#document")),
-            k => k.clone(),
+            k => k,
         }
     }
 
@@ -502,8 +741,42 @@ impl Tree {
         let mut t = Tree::with_capacity(self.subtree_size(id) + 1);
         let copied = t.copy_subtree_from(self, id);
         let root = t.root();
-        t.append_child(root, copied);
+        t.link_last(root, copied);
         t
+    }
+
+    /// Whether this tree carries more garbage than content, given that
+    /// `live_nodes` of its slots are still in use: dead slots (detached for
+    /// good, which only the caller can know) outnumber live ones, or replaced
+    /// text outweighs the text still referenced. O(1); the cue to swap the
+    /// tree for its [`Tree::compacted`] copy.
+    pub fn is_sparse(&self, live_nodes: usize) -> bool {
+        self.slots.len() > 2 * live_nodes || 2 * self.side.text_slack > self.side.text.len()
+    }
+
+    /// A dense copy of everything reachable from the root, in exactly-sized
+    /// buffers. The copy has the same shape, so walking both trees in
+    /// document order pairs every surviving node with its new id.
+    pub fn compacted(&self) -> Tree {
+        let mut t = Tree::with_capacity(self.subtree_size(self.root()));
+        t.side.text.reserve(self.side.text.len() - self.side.text_slack);
+        let root = t.root();
+        for c in self.children(self.root()) {
+            let copied = t.copy_subtree_from(self, c);
+            t.link_last(root, copied);
+        }
+        t.shrink_to_fit();
+        t
+    }
+
+    /// Give back unused capacity; for trees that are built once and kept.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+        self.side.text.shrink_to_fit();
+        if let Some(rare) = &mut self.side.rare {
+            rare.attr_lists.shrink_to_fit();
+            rare.pis.shrink_to_fit();
+        }
     }
 
     /// Structural equality of two subtrees (labels, attributes as sets, text,
@@ -543,7 +816,7 @@ impl Tree {
     /// Check the intrusive-list invariants of the whole arena. Returns a
     /// description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
-        for (i, d) in self.nodes.iter().enumerate() {
+        for (i, d) in self.slots.iter().enumerate() {
             let id = NodeId::from_index(i);
             if let Some(fc) = d.first_child {
                 if self.data(fc).parent != Some(id) {
@@ -578,7 +851,7 @@ impl Tree {
                 prev = Some(c);
                 cur = self.data(c).next_sibling;
                 steps += 1;
-                if steps > self.nodes.len() {
+                if steps > self.slots.len() {
                     return Err(format!("cycle in child list of node {i}"));
                 }
             }
@@ -592,13 +865,13 @@ impl Tree {
 
 /// Compare node payloads the way the diff does: element attributes are a set,
 /// everything else is literal.
-pub fn node_payload_eq(a: &NodeKind, b: &NodeKind) -> bool {
+fn node_payload_eq(a: NodeKind<'_>, b: NodeKind<'_>) -> bool {
     match (a, b) {
         (NodeKind::Document, NodeKind::Document) => true,
         (NodeKind::Element(x), NodeKind::Element(y)) => {
             x.name == y.name
                 && x.attrs.len() == y.attrs.len()
-                && x.attrs.iter().all(|ax| y.attr(&ax.name) == Some(ax.value.as_str()))
+                && x.attrs.iter().all(|ax| y.attr_sym(ax.name) == Some(ax.value.as_str()))
         }
         (NodeKind::Text(x), NodeKind::Text(y)) => x == y,
         (NodeKind::Comment(x), NodeKind::Comment(y)) => x == y,
@@ -762,20 +1035,20 @@ mod tests {
     fn subtree_eq_detects_attr_set_equality() {
         let mut t1 = Tree::new();
         let e1 = t1.new_element("e");
-        t1.element_mut(e1).unwrap().set_attr("a", "1");
-        t1.element_mut(e1).unwrap().set_attr("b", "2");
+        t1.set_attr(e1, "a", "1");
+        t1.set_attr(e1, "b", "2");
         let r1 = t1.root();
         t1.append_child(r1, e1);
 
         let mut t2 = Tree::new();
         let e2 = t2.new_element("e");
-        t2.element_mut(e2).unwrap().set_attr("b", "2");
-        t2.element_mut(e2).unwrap().set_attr("a", "1");
+        t2.set_attr(e2, "b", "2");
+        t2.set_attr(e2, "a", "1");
         let r2 = t2.root();
         t2.append_child(r2, e2);
 
         assert!(t1.subtree_eq(e1, &t2, e2), "attribute order must not matter");
-        t2.element_mut(e2).unwrap().set_attr("a", "9");
+        t2.set_attr(e2, "a", "9");
         assert!(!t1.subtree_eq(e1, &t2, e2));
     }
 
@@ -790,7 +1063,7 @@ mod tests {
     #[test]
     fn root_element_skips_comments() {
         let mut t = Tree::new();
-        let c = t.new_node(NodeKind::Comment("hi".into()));
+        let c = t.new_node(NodeKind::Comment("hi"));
         let root = t.root();
         t.append_child(root, c);
         let e = t.new_element("e");
@@ -821,6 +1094,76 @@ mod tests {
         let mut dst2 = Tree::new();
         let full = dst2.copy_subtree_from_excluding(&t, a, &[]);
         assert!(dst2.subtree_eq(full, &t, a));
+    }
+
+    #[test]
+    fn slot_layout_is_pinned() {
+        // The cost rule in the module docs: what a resident node costs.
+        assert_eq!(std::mem::size_of::<Option<NodeId>>(), 4);
+        assert!(std::mem::size_of::<Slot>() <= 32, "{}", std::mem::size_of::<Slot>());
+        assert!(std::mem::size_of::<Tree>() <= 32, "{}", std::mem::size_of::<Tree>());
+    }
+
+    #[test]
+    fn text_edits_track_slack() {
+        let (mut t, _a, _b, txt, _c) = small();
+        // The only span, at the buffer's tail: rewritten in place.
+        t.set_text(txt, "longer text");
+        assert_eq!(t.text(txt), Some("longer text"));
+        t.append_text(txt, "!");
+        assert_eq!(t.text(txt), Some("longer text!"));
+        assert!(!t.is_sparse(5));
+        // A second span behind it: the first can now only move.
+        let other = t.new_text("tail");
+        t.set_text(txt, "moved once, leaving twelve bytes behind");
+        t.append_text(other, " grows in place");
+        assert_eq!(t.text(txt), Some("moved once, leaving twelve bytes behind"));
+        assert_eq!(t.text(other), Some("tail grows in place"));
+        for _ in 0..8 {
+            t.append_text(txt, ".");
+            t.append_text(other, ".");
+        }
+        assert!(t.is_sparse(6), "relocated text must count as garbage");
+        let dense = t.compacted();
+        assert!(!dense.is_sparse(5));
+        assert!(dense.subtree_eq(dense.root(), &t, t.root()));
+    }
+
+    #[test]
+    fn compacted_drops_detached_subtrees_and_keeps_document_order() {
+        let (mut t, a, b, txt, c) = small();
+        t.set_attr(c, "k", "v");
+        let pi = t.new_node(NodeKind::Pi { target: "go", data: "fast" });
+        t.insert_before(b, pi);
+        t.detach(b);
+        assert!(!t.is_sparse(5) && t.is_sparse(2));
+        let dense = t.compacted();
+        assert_eq!(dense.arena_len(), 5, "root, a, pi, text, c");
+        dense.validate().unwrap();
+        assert!(dense.subtree_eq(dense.root(), &t, t.root()));
+        let pairs: Vec<_> = t.descendants(t.root()).zip(dense.descendants(dense.root())).collect();
+        assert_eq!(pairs.len(), 5);
+        assert_eq!(pairs[0].0, t.root());
+        assert_eq!(pairs[1].0, a);
+        assert_eq!(pairs[3].0, txt);
+        assert_eq!(dense.attr(pairs[4].1, "k"), Some("v"));
+    }
+
+    #[test]
+    fn attribute_setters_roundtrip() {
+        let mut t = Tree::new();
+        let e = t.new_element("product");
+        assert_eq!(t.attr(e, "id"), None);
+        assert_eq!(t.remove_attr(e, "id"), None);
+        assert_eq!(t.set_attr(e, "id", "p1"), None);
+        assert_eq!(t.set_attr(e, "id", "p2"), Some("p1".to_string()));
+        t.set_attr(e, "z", "last");
+        t.insert_attr_at(e, 1, "mid", "m");
+        t.insert_attr_at(e, 99, "end", "clamped");
+        let names: Vec<_> = t.element(e).unwrap().attrs.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["id", "mid", "z", "end"]);
+        assert_eq!(t.remove_attr(e, "mid"), Some("m".to_string()));
+        assert!(!t.element(e).unwrap().has_attr("mid"));
     }
 
     #[test]

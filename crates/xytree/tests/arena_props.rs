@@ -144,7 +144,7 @@ fn escaped_content_roundtrips() {
     ];
     for (i, v) in nasty_values.iter().enumerate() {
         let e = tree.new_element(format!("e{i}"));
-        tree.element_mut(e).unwrap().set_attr("v", *v);
+        tree.set_attr(e, "v", *v);
         let t = tree.new_text(*v);
         tree.append_child(e, t);
         tree.append_child(root_elem, e);

@@ -85,9 +85,9 @@ pub struct LoadOutcome {
 }
 
 /// One stored document: its version chain plus the signature cache carried
-/// between ingests (see [`SignatureCache`] for the coherence contract — the
-/// repository refreshes it on every diff, so the *old* side of the next diff
-/// replays cached subtree signatures instead of re-hashing the whole tree).
+/// between ingests (see [`SignatureCache`] for the coherence rule — every
+/// diff leaves it describing the version it stored, so the *old* side of
+/// the next diff takes over those signatures instead of re-hashing the tree).
 struct StoredDoc {
     chain: VersionChain,
     cache: SignatureCache,

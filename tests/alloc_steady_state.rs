@@ -1,20 +1,21 @@
 //! Heap-instrumented proof of the allocation-free hot path.
 //!
-//! A counting global allocator tracks net live bytes. After a warm-up that
-//! fills the `DiffScratch` capacity, interns every symbol, and touches every
-//! lazily initialised global, repeating the same diff workload must not grow
-//! the heap at all: every transient allocation (delta ops, the cloned new
-//! version) is freed with its `DiffResult`, and the scratch reuses its
-//! capacity instead of reallocating.
+//! A counting global allocator tracks net live bytes and the number of
+//! allocation calls. After a warm-up that fills the `DiffScratch` capacity,
+//! interns every symbol, and touches every lazily initialised global,
+//! repeating the same diff workload must not grow the heap at all: every
+//! transient allocation (delta ops, the cloned new version) is freed with its
+//! `DiffResult`, and the scratch reuses its capacity instead of reallocating.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use xydiff_suite::xydelta::{CaptureMode, PayloadSource, XidDocument};
 use xydiff_suite::xydiff::Differ;
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::Document;
+use xydiff_suite::xywarehouse::Repository;
 
 /// The harness runs `#[test]` fns on concurrent threads, but every test
 /// here reads the one global byte counter — serialize them.
@@ -23,14 +24,18 @@ static GATE: Mutex<()> = Mutex::new(());
 struct CountingAlloc;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Calls that obtain or move a block: `alloc`, `alloc_zeroed`, `realloc`.
+static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
@@ -41,6 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -139,4 +145,76 @@ fn steady_state_zero_copy_capture_does_not_grow_the_heap() {
          diffs (borrowed payloads, their excluded-node lists and the \
          materialized owned delta must all die with each round)"
     );
+}
+
+/// Parsing allocates per tree, not per node: the slots are one vector, all
+/// character data goes into one buffer, and attribute-free elements own
+/// nothing. (Before the dense arena every text node was its own `String`,
+/// so this document cost well over a thousand allocations.)
+#[test]
+fn parsing_allocates_per_tree_not_per_node() {
+    let _gate = GATE.lock().unwrap();
+    let xml = generate(&DocGenConfig {
+        kind: DocKind::Catalog,
+        target_nodes: 5500,
+        seed: 41,
+        id_attributes: false,
+    })
+    .to_xml();
+    // Warm-up interns every label.
+    let warm = Document::parse(&xml).unwrap();
+    let nodes = warm.node_count();
+    assert!(nodes >= 4000, "generator produced only {nodes} nodes");
+
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let doc = Document::parse(&xml).unwrap();
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(doc.node_count(), nodes);
+    assert!(calls <= 64, "parsing a {nodes}-node document made {calls} allocation calls");
+}
+
+/// The warehouse's steady state: an unchanged page re-crawled. The diff runs
+/// on the worker's scratch, the stored version's signature arrays change
+/// hands with the scratch instead of being rebuilt, the old latest is freed
+/// as the new one is stored, and the empty delta owns nothing — so the heap
+/// must not grow at all while the chains' delta vectors have room. Two keys
+/// of different size share one differ, so the buffers really do rotate.
+#[test]
+fn steady_state_repository_ingest_does_not_grow_the_heap() {
+    let _gate = GATE.lock().unwrap();
+    let pages: Vec<(String, String)> = [(DocKind::Catalog, 400), (DocKind::Feed, 600)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (kind, target_nodes))| {
+            let seed = 77 + i as u64;
+            let cfg = DocGenConfig { kind, target_nodes, seed, id_attributes: false };
+            (format!("page-{i}"), generate(&cfg).to_xml())
+        })
+        .collect();
+    let repo = Repository::new();
+    let mut differ = repo.differ();
+    let mut crawl = |rounds: usize| {
+        for _ in 0..rounds {
+            for (key, xml) in &pages {
+                let doc = Document::parse(xml).unwrap();
+                let out = repo.try_load_parsed_with(key, doc, &mut differ).unwrap();
+                assert!(out.delta.is_empty());
+            }
+        }
+    };
+
+    // 34 stored versions per key: each chain's delta vector now has room for
+    // 64, every buffer in rotation has grown to the larger document, and
+    // both caches are warm.
+    crawl(34);
+    let (hits_before, misses_before) = repo.cache_counters("page-0");
+
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    crawl(25);
+    let growth = LIVE_BYTES.load(Ordering::Relaxed) - before;
+
+    assert_eq!(growth, 0, "steady-state ingest leaked {growth} net bytes over 50 loads");
+    let (hits, misses) = repo.cache_counters("page-0");
+    assert!(hits > hits_before, "the swapped-in cache stopped hitting");
+    assert_eq!(misses, misses_before, "a warm cache must not miss in the steady state");
 }

@@ -103,3 +103,41 @@ fn delta_sizes_scale_with_range_width() {
     );
     let _ = snapshots;
 }
+
+/// A chain grown by applying deltas — what WAL replay builds — never swaps
+/// in a freshly parsed tree, so the slots its deltas detach and the text
+/// they replace would pile up in the latest version (and in every clone and
+/// checkpoint made from it) unless the chain sheds them.
+#[test]
+fn replayed_chain_sheds_dead_slots_and_replaced_text() {
+    let pages = [
+        "<r><a><x>1</x><y>2</y></a><k>t</k></r>",
+        "<r><k>a much longer text than before</k><m><p>3</p><q>4</q></m></r>",
+    ];
+    let parse = |i: usize| xydiff_suite::xytree::Document::parse(pages[i % 2]).unwrap();
+    let mut live = VersionChain::new(XidDocument::assign_initial(parse(0)));
+    let mut replayed = live.clone();
+    for i in 1..=200 {
+        let r = diff(live.latest(), &parse(i), &DiffOptions::default());
+        let counts = r.delta.counts();
+        assert!(counts.inserts > 0 && counts.deletes > 0, "step {i}: {counts:?}");
+        replayed.push_delta(r.delta.clone()).unwrap();
+        live.push_version(r.new_version, r.delta);
+
+        let tree = &replayed.latest().doc.tree;
+        let live_nodes = tree.subtree_size(tree.root());
+        assert_eq!(live_nodes, 9);
+        assert!(tree.arena_len() <= 2 * live_nodes, "step {i}: {} slots", tree.arena_len());
+        assert!(!tree.is_sparse(live_nodes), "step {i}: replaced text piled up");
+        replayed.latest().validate().unwrap();
+    }
+    replayed.compact(16).unwrap();
+    for i in 0..=200 {
+        let v = replayed.version(i).unwrap();
+        assert_eq!(v.doc.to_xml(), pages[i % 2], "version {i}");
+        if i % 16 == 0 {
+            // A clone of the checkpoint itself.
+            assert!(v.doc.tree.arena_len() <= 18, "checkpoint {i}: {}", v.doc.tree.arena_len());
+        }
+    }
+}

@@ -62,8 +62,8 @@ fn build(spec: &Spec) -> Document {
                     return;
                 }
                 if let Some(last) = tree.last_child(parent) {
-                    if let NodeKind::Text(prev) = tree.kind_mut(last) {
-                        prev.push_str(t);
+                    if tree.kind(last).is_text() {
+                        tree.append_text(last, t);
                         return;
                     }
                 }
@@ -71,13 +71,13 @@ fn build(spec: &Spec) -> Document {
                 tree.append_child(parent, n);
             }
             Spec::Comment(c) => {
-                let n = tree.new_node(NodeKind::Comment(c.clone()));
+                let n = tree.new_node(NodeKind::Comment(c));
                 tree.append_child(parent, n);
             }
             Spec::Element { name, attrs, children } => {
                 let n = tree.new_element(*name);
                 for (k, v) in attrs {
-                    tree.element_mut(n).unwrap().set_attr(*k, v.clone());
+                    tree.set_attr(n, *k, v.clone());
                 }
                 tree.append_child(parent, n);
                 for c in children {

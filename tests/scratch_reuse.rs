@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 
 use proptest::prelude::*;
-use xydiff_suite::xydelta::{xml_io, XidDocument};
+use xydiff_suite::xydelta::{xml_io, VersionChain, XidDocument};
 use xydiff_suite::xydiff::{diff, Differ, DiffOptions, SignatureCache};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::{Document, NodeKind, Tree};
@@ -65,8 +65,8 @@ fn build(spec: &Spec) -> Document {
                     return;
                 }
                 if let Some(last) = tree.last_child(parent) {
-                    if let NodeKind::Text(prev) = tree.kind_mut(last) {
-                        prev.push_str(t);
+                    if tree.kind(last).is_text() {
+                        tree.append_text(last, t);
                         return;
                     }
                 }
@@ -74,13 +74,13 @@ fn build(spec: &Spec) -> Document {
                 tree.append_child(parent, n);
             }
             Spec::Comment(c) => {
-                let n = tree.new_node(NodeKind::Comment(c.clone()));
+                let n = tree.new_node(NodeKind::Comment(c));
                 tree.append_child(parent, n);
             }
             Spec::Element { name, attrs, children } => {
                 let n = tree.new_element(*name);
                 for (k, v) in attrs {
-                    tree.element_mut(n).unwrap().set_attr(*k, v.clone());
+                    tree.set_attr(n, *k, v.clone());
                 }
                 tree.append_child(parent, n);
                 for c in children {
@@ -129,10 +129,10 @@ proptest! {
         prop_assert_eq!(fresh.stats.matched_nodes, reused.stats.matched_nodes);
     }
 
-    /// Same with an external cache: a cache warmed by an unrelated earlier
-    /// diff never changes the outcome (its entries are keyed by XID, so at
-    /// worst they miss — the coherence contract is exercised by the chain
-    /// tests).
+    /// Same with an external cache: a cache that describes some other
+    /// document state never changes the outcome (it is valid for one stamp
+    /// only, so at worst it misses — the coherence rule is exercised by the
+    /// chain tests).
     #[test]
     fn cached_diff_matches_fresh(sa in arb_spec(), sb in arb_spec()) {
         let a = XidDocument::assign_initial(build(&sa));
@@ -140,7 +140,8 @@ proptest! {
         let fresh = diff(&a, &b, &DiffOptions::default());
         let mut differ = Differ::new();
         let mut cache = SignatureCache::new();
-        // First run refreshes the cache for `a`'s XIDs; second run replays it.
+        // Leave the cache describing an unrelated version first.
+        let _ = differ.diff_with_cache(&XidDocument::assign_initial(b.clone()), &a.doc, &mut cache);
         let warm = differ.diff_with_cache(&a, &b, &mut cache);
         prop_assert_eq!(
             xml_io::delta_to_xml(&fresh.delta),
@@ -263,8 +264,88 @@ fn warehouse_cache_on_off_is_equivalent() {
             assert_eq!(on, off, "reconstructed {key} v{v} diverged");
             assert_eq!(&on, xml, "reconstruction must reproduce the ingested bytes");
         }
-        let (hits, _misses) = repo_on.cache_counters(key);
+        let (hits, misses) = repo_on.cache_counters(key);
         assert!(hits > 0, "cache-enabled repository never hit for {key}");
+        assert!(misses > 0, "the first diff of {key} runs cold and must be counted");
         assert_eq!(repo_off.cache_counters(key), (0, 0), "disabled cache must stay cold");
     }
+}
+
+/// Delta bytes of `old → new` through `cache`, checked against the uncached
+/// diff of the same pair; returns the produced version.
+fn cached_equals_uncached(
+    differ: &mut Differ,
+    old: &XidDocument,
+    new: &Document,
+    cache: &mut SignatureCache,
+    what: &str,
+) -> XidDocument {
+    let plain = xml_io::delta_to_xml(&differ.diff_uncached(old, new).delta);
+    let cached = differ.diff_with_cache(old, new, cache);
+    assert_eq!(plain, xml_io::delta_to_xml(&cached.delta), "{what}: cached delta diverged");
+    cached.new_version
+}
+
+/// A warm cache describes one document state. Handed anything else — here a
+/// foreign document that agrees with that state in arena length *and* in
+/// the XID of every slot, so nothing short of the content tells them apart —
+/// it must miss, never replay signatures of text the document does not hold.
+#[test]
+fn cache_paired_with_a_foreign_document_misses() {
+    let mut differ = Differ::new();
+    let mut cache = SignatureCache::new();
+    let v0 = XidDocument::parse_initial("<a><b>x</b><c>y</c></a>").unwrap();
+    let v1 = Document::parse("<a><b>x</b><c>z</c></a>").unwrap();
+    let v1 = cached_equals_uncached(&mut differ, &v0, &v1, &mut cache, "warm-up");
+
+    let foreign = XidDocument::parse_initial("<a><b>p</b><c>q</c></a>").unwrap();
+    assert_eq!(foreign.doc.tree.arena_len(), v1.doc.tree.arena_len());
+    for n in foreign.doc.tree.descendants(foreign.doc.tree.root()) {
+        assert_eq!(foreign.xid(n), v1.xid(n), "the foreign document must look alike slot by slot");
+    }
+    let (_, misses_before) = cache.counters();
+    // With <c>q</c> hashed as <c>z</c> the subtree match under <k> is lost
+    // and the move degrades into a delete + insert.
+    let target = Document::parse("<a><k><c>q</c></k><b>p</b></a>").unwrap();
+    let out = cached_equals_uncached(&mut differ, &foreign, &target, &mut cache, "foreign");
+    assert_eq!(out.doc.to_xml(), target.to_xml());
+    assert!(cache.counters().1 > misses_before, "a foreign document must count as a miss");
+}
+
+/// The warehouse's other ways of arriving at a latest version: a chain
+/// rebuilt from its log (init + deltas re-parsed and re-applied, as WAL
+/// recovery does — same XIDs, different node ids) and a chain after
+/// `compact`. Whatever state a cache warmed on the live chain is in, pairing
+/// it with these yields the uncached delta, and the live chain keeps hitting.
+#[test]
+fn cache_survives_recovered_and_compacted_chains() {
+    let xmls = version_chain(DocKind::Catalog, 6, 53);
+    let mut differ = Differ::new();
+    let mut cache = SignatureCache::new();
+    let mut live = VersionChain::new(XidDocument::parse_initial(&xmls[0]).unwrap());
+    let mut log = Vec::new();
+    for xml in &xmls[1..5] {
+        let new = Document::parse(xml).unwrap();
+        let r = differ.diff_with_cache(live.latest(), &new, &mut cache);
+        log.push(xml_io::delta_to_xml(&r.delta));
+        live.push_version(r.new_version, r.delta);
+    }
+
+    let mut recovered = VersionChain::new(XidDocument::parse_initial(&xmls[0]).unwrap());
+    for delta_xml in &log {
+        recovered.push_delta(xml_io::parse_delta(delta_xml).unwrap()).unwrap();
+    }
+    assert_eq!(recovered.latest().doc.to_xml(), live.latest().doc.to_xml());
+    let next = Document::parse(&xmls[5]).unwrap();
+    let mut borrowed = cache.clone();
+    cached_equals_uncached(&mut differ, recovered.latest(), &next, &mut borrowed, "recovered");
+
+    live.compact(2).unwrap();
+    assert!(live.checkpoint_count() > 0);
+    let (hits_before, misses_before) = cache.counters();
+    let v5 = cached_equals_uncached(&mut differ, live.latest(), &next, &mut cache, "compacted");
+    let (hits, misses) = cache.counters();
+    assert!(hits > hits_before, "compaction leaves the latest version alone: the cache must hit");
+    assert_eq!(misses, misses_before);
+    assert_eq!(v5.doc.to_xml(), xmls[5]);
 }
