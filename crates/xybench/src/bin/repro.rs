@@ -302,7 +302,6 @@ fn serve_bench() {
     for (clients, idle_conns) in [(1usize, 0usize), (4, 0), (4, idle_pool)] {
         let server = NetServer::start(
             NetConfig::new()
-                .with_http_workers(clients.max(2))
                 .with_max_connections(idle_pool + 64)
                 .with_shed_connections(idle_pool + 64)
                 .with_idle_timeout(std::time::Duration::from_secs(300)),

@@ -10,7 +10,7 @@
 //! xydiff query DOC.xml PATH              evaluate a path expression
 //! xydiff htmlize PAGE.html               XMLize an HTML page
 //! xydiff analyze --schema S.dtd …        static query/schema analysis
-//! xydiff store DIR load KEY FILE.xml     ingest a version into a warehouse
+//! xydiff store DIR load KEY FILE.xml     ingest a version into a log directory
 //! xydiff store DIR get|history|changes…  query the stored history
 //! xydiff ingest [--workers N] DIR        concurrent ingestion of a corpus
 //! xydiff serve [--addr HOST:PORT] …      run the HTTP ingestion server
@@ -86,7 +86,8 @@ pub(crate) fn usage() -> String {
        \u{20}      [--queries FILE] [--delta DELTA.xml]\n  \
        \u{20}                              static satisfiability / schema-change\n  \
        \u{20}                              impact / delta typechecking (xyschema)\n  \
-     xydiff store DIR load KEY FILE.xml   ingest a new version (runs the diff)\n  \
+     xydiff store DIR load KEY FILE.xml   ingest a new version (runs the diff;\n  \
+       \u{20}                              DIR is a write-ahead log, as --wal-dir)\n  \
      xydiff store DIR get KEY [VERSION]   print a stored version\n  \
      xydiff store DIR history KEY         list versions with delta summaries\n  \
      xydiff store DIR changes KEY FROM TO print the aggregated delta\n  \
@@ -96,18 +97,18 @@ pub(crate) fn usage() -> String {
        \u{20}      [--wal-dir DIR] [--wal-sync always|none] [--compact-chain-max N]\n  \
        \u{20}                              ingest a snapshot corpus concurrently\n  \
        \u{20}                              (DIR/key/*.xml sorted = versions; metrics on stdout)\n  \
-     xydiff serve [--addr HOST:PORT] [--workers N] [--http-workers N] [--queue N]\n  \
+     xydiff serve [--addr HOST:PORT] [--workers N] [--queue N]\n  \
        \u{20}      [--shards N] [--steal-batch N] [--diff-threads N] [--max-body BYTES]\n  \
        \u{20}      [--idle-timeout SECS] [--max-conns N] [--shed-conns N]\n  \
        \u{20}      [--read-budget BYTES] [--write-budget BYTES]\n  \
        \u{20}      [--mode buld|unordered|similarity]\n  \
-       \u{20}      [--snapshot-dir DIR] [--snapshot-interval SECS] [--wal-dir DIR]\n  \
-       \u{20}      [--wal-sync always|none] [--compact-chain-max N] [--quiet]\n  \
+       \u{20}      [--wal-dir DIR] [--wal-sync always|none] [--compact-chain-max N]\n  \
+       \u{20}      [--quiet]\n  \
        \u{20}                              run the HTTP ingestion server\n  \
        \u{20}                              (POST /ingest/KEY, GET /metrics|/healthz|/doc/KEY;\n  \
        \u{20}                              drain via POST /admin/shutdown or stdin EOF)\n  \
-     xydiff wal inspect DIR               print segments, chains and the watermark;\n  \
-       \u{20}                              verify every logged record"
+     xydiff wal inspect DIR               print segments and chains; verify every\n  \
+       \u{20}                              logged record"
         .to_string()
 }
 

@@ -5,8 +5,8 @@
 //! (`Ctrl-D`, or the supervisor closing the pipe — the portable stand-in
 //! for signal handling in a `forbid(unsafe_code)` workspace). Shutdown is
 //! loss-free: every accepted snapshot resolves before the process exits,
-//! and with `--snapshot-dir` the final state is persisted and restored on
-//! the next start.
+//! and with `--wal-dir` every acknowledged version is in the log and is
+//! replayed on the next start.
 //!
 //! Exit codes: 0 clean drain, 2 usage/startup error.
 
@@ -15,13 +15,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 use xydiff::MatchMode;
 use xynet::{NetConfig, NetServer};
-use xyserve::{ServeConfig, SnapshotPolicy, WalPolicy, WalSync};
+use xyserve::{ServeConfig, WalPolicy, WalSync};
 
 pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut net = NetConfig::new().with_addr("127.0.0.1:8080");
     let mut serve = ServeConfig::new();
-    let mut snapshot_dir = None;
-    let mut snapshot_secs = None;
     let mut wal_dir = None;
     let mut wal_sync = None;
     let mut quiet = false;
@@ -36,9 +34,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 serve = serve
                     .with_workers(flag_value(&mut it, "--workers")?)
                     .map_err(|e| e.to_string())?;
-            }
-            "--http-workers" => {
-                net = net.with_http_workers(flag_value(&mut it, "--http-workers")?);
             }
             "--queue" => {
                 serve = serve
@@ -82,13 +77,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 serve =
                     serve.with_mode(v.parse::<MatchMode>().map_err(|e| format!("--mode: {e}"))?);
             }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a directory")?;
-                snapshot_dir = Some(v.clone());
-            }
-            "--snapshot-interval" => {
-                snapshot_secs = Some(flag_value(&mut it, "--snapshot-interval")? as u64);
-            }
             "--wal-dir" => {
                 let v = it.next().ok_or("--wal-dir needs a directory")?;
                 wal_dir = Some(v.clone());
@@ -106,15 +94,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--quiet" => quiet = true,
             other => return Err(format!("unknown flag {other:?} for serve\n{}", usage())),
         }
-    }
-    if let Some(dir) = snapshot_dir {
-        let mut policy = SnapshotPolicy::new(dir);
-        if let Some(secs) = snapshot_secs {
-            policy = policy.with_interval(Duration::from_secs(secs));
-        }
-        serve = serve.with_snapshots(policy);
-    } else if snapshot_secs.is_some() {
-        return Err("--snapshot-interval needs --snapshot-dir".to_string());
     }
     if let Some(dir) = wal_dir {
         let mut policy = WalPolicy::new(dir);

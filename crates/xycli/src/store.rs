@@ -1,8 +1,11 @@
 //! `xydiff store` — the Figure 1 pipeline as a directory-backed CLI store.
 //!
-//! The store is loaded from disk at the start of each invocation and saved
-//! back after mutating commands, so a shell session *is* a warehouse
-//! session:
+//! The directory is a write-ahead log in the server's own format (`xywal`
+//! segments): each invocation starts an in-process [`IngestServer`] over
+//! it, which replays the log, and `load` goes through the server's write
+//! path, which appends the new version before acknowledging it. A shell
+//! session *is* a warehouse session, and `xydiff serve --wal-dir DIR` and
+//! `xydiff wal inspect DIR` read the same files:
 //!
 //! ```text
 //! xydiff store ./repo load cameras.xml crawl-monday.xml
@@ -15,7 +18,7 @@
 use crate::{read_input, usage};
 use std::path::Path;
 use std::process::ExitCode;
-use xywarehouse::Repository;
+use xyserve::{IngestServer, ServeConfig, WalPolicy};
 
 pub(crate) fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     let [dir, action, rest @ ..] = args else {
@@ -32,19 +35,24 @@ pub(crate) fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Open the repository at `dir` (empty when the directory is fresh).
-fn open_repo(dir: &Path) -> Result<Repository, String> {
+/// Start a server over the log at `dir`, replaying it. A missing directory
+/// is refused: only `load` creates one, before calling this.
+fn open_store(dir: &Path) -> Result<IngestServer, String> {
     if dir.join("manifest.txt").exists() {
-        Repository::load_from(dir, Default::default(), Default::default())
-            .map_err(|e| format!("opening store {}: {e}", dir.display()))
-    } else {
-        Ok(Repository::new())
+        return Err(format!(
+            "{}: this is a chain-directory store (manifest.txt, doc-*/v0.xml) written by an \
+             earlier release; a store is now a write-ahead log directory and that layout is \
+             no longer read",
+            dir.display()
+        ));
     }
-}
-
-fn save_repo(repo: &Repository, dir: &Path) -> Result<(), String> {
-    repo.save_to(dir)
-        .map_err(|e| format!("saving store {}: {e}", dir.display()))
+    if !dir.is_dir() {
+        return Err(format!("no store at {}", dir.display()));
+    }
+    // INVARIANT: 1 is a valid worker count.
+    let config =
+        ServeConfig::new().with_workers(1).expect("one worker").with_wal(WalPolicy::new(dir));
+    IngestServer::try_start(config).map_err(|e| format!("opening store {}: {e}", dir.display()))
 }
 
 fn store_load(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
@@ -52,15 +60,30 @@ fn store_load(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
         return Err(format!("store load needs KEY FILE.xml\n{}", usage()));
     };
     let xml = read_input(file)?;
-    let repo = open_repo(dir)?;
-    let out = repo
-        .load_version(key, &xml)
-        .map_err(|e| format!("loading {file} as {key}: {e}"))?;
-    save_repo(&repo, dir)?;
-    let c = out.delta.counts();
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    let server = open_store(dir)?;
+    let done = server
+        .submit_tracked(key, xml)
+        .map_err(|e| e.to_string())?
+        .wait()
+        .map_err(|letter| format!("loading {file} as {key}: {}", letter.error))?;
+    if !done.durable {
+        return Err(format!(
+            "loading {file} as {key}: the log append failed, v{} is not stored",
+            done.version
+        ));
+    }
+    let c = match done.version {
+        0 => Default::default(),
+        v => server
+            .repository_for(key)
+            .delta_between(key, v - 1, v)
+            .map_err(|e| e.to_string())?
+            .counts(),
+    };
     eprintln!(
         "stored {key} v{} ({} ops: {} delete, {} insert, {} update, {} move, {} attr)",
-        out.version,
+        done.version,
         c.total(),
         c.deletes,
         c.inserts,
@@ -80,7 +103,8 @@ fn store_get(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
         ),
         _ => return Err(format!("store get needs KEY [VERSION]\n{}", usage())),
     };
-    let repo = open_repo(dir)?;
+    let server = open_store(dir)?;
+    let repo = server.repository_for(key);
     let xml = match version {
         None => repo.latest_xml(key),
         Some(v) => repo.version_xml(key, v),
@@ -94,7 +118,8 @@ fn store_history(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
     let [key] = rest else {
         return Err(format!("store history needs KEY\n{}", usage()));
     };
-    let repo = open_repo(dir)?;
+    let server = open_store(dir)?;
+    let repo = server.repository_for(key);
     let count = repo.version_count(key);
     if count == 0 {
         return Err(format!("no document stored under {key:?}"));
@@ -123,7 +148,8 @@ fn store_changes(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
     };
     let from: usize = from.parse().map_err(|_| format!("bad version {from:?}"))?;
     let to: usize = to.parse().map_err(|_| format!("bad version {to:?}"))?;
-    let repo = open_repo(dir)?;
+    let server = open_store(dir)?;
+    let repo = server.repository_for(key);
     if from > to || to >= repo.version_count(key) {
         return Err(format!(
             "version range {from}..{to} out of bounds for {key:?} ({} versions)",
@@ -136,11 +162,20 @@ fn store_changes(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn store_keys(dir: &Path) -> Result<ExitCode, String> {
-    let repo = open_repo(dir)?;
-    let mut keys = repo.keys();
+    let server = open_store(dir)?;
+    let mut keys: Vec<(String, usize)> = server
+        .shards()
+        .iter()
+        .flat_map(|repo| {
+            repo.keys().into_iter().map(move |key| {
+                let count = repo.version_count(&key);
+                (key, count)
+            })
+        })
+        .collect();
     keys.sort();
-    for k in &keys {
-        println!("{k} ({} versions)", repo.version_count(k));
+    for (key, count) in &keys {
+        println!("{key} ({count} versions)");
     }
     Ok(if keys.is_empty() { ExitCode::from(1) } else { ExitCode::SUCCESS })
 }

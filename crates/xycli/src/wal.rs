@@ -1,13 +1,14 @@
 //! `xydiff wal inspect` — read-only inspection of a write-ahead delta log.
 //!
-//! Prints the segment layout, the consumed watermark, per-key chain
-//! activity, and verifies every record: the frame checksums already held
+//! Prints the segment layout and per-key chain activity, and verifies
+//! every record: the frame checksums already held
 //! (or `scan` would have reported the record as torn/corrupt), so what is
 //! checked here is the *payload* — initial documents must parse, deltas
 //! must parse and pass the static validator (`xydelta::verify`).
 //!
 //! Exit codes: 0 log healthy, 1 torn tail or invalid payloads found,
-//! 2 usage/IO error.
+//! 2 usage/IO error, corruption in a sealed segment, or a log that does not
+//! start at LSN 1 (the error names the first LSN found).
 
 use crate::usage;
 use std::collections::BTreeMap;
@@ -45,7 +46,6 @@ fn inspect(dir: &Path) -> Result<ExitCode, String> {
     let report = scan(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
 
     println!("wal {}", dir.display());
-    println!("  watermark {}", report.watermark);
     println!("  segments  {}", report.segments.len());
     for seg in &report.segments {
         let name = seg.path.file_name().and_then(|n| n.to_str()).unwrap_or("?");

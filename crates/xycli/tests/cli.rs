@@ -317,9 +317,100 @@ fn ingest_with_diff_threads_writes_inspectable_wal() {
     assert!(inspect.status.success(), "wal inspect unhealthy:\n{out}{}", stderr(&inspect));
     assert!(out.contains("status    ok"), "{out}");
     // 2 Init records + 4 zero-copy deltas, all payload-verified.
-    assert!(out.contains("watermark"), "{out}");
+    assert!(out.contains("records   6 across 2 keys"), "{out}");
     for key in ["alpha", "beta"] {
         assert!(out.contains(key), "missing {key} chain in report:\n{out}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The CLI store and the server's log are one format: versions written by
+/// an `IngestServer` are read back by `xydiff store`, versions written by
+/// `store load` land in the same chain, and the history is not bounded by
+/// a file-name width — 10 050 versions of one key survive a server restart
+/// and come back through `store get`.
+#[test]
+fn store_reads_a_10_050_version_server_log() {
+    use xyserve::{IngestServer, ServeConfig, WalPolicy, WalSync};
+    const VERSIONS: usize = 10_050;
+    let dir = std::env::temp_dir().join(format!("xycli-store-long-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let doc = |v: usize| format!("<feed><tick>{v}</tick></feed>");
+    let config = || {
+        ServeConfig::new()
+            .with_workers(2)
+            .unwrap()
+            // The clean shutdown below flushes the log once.
+            .with_wal(WalPolicy::new(&dir).with_sync(WalSync::None))
+    };
+
+    let server = IngestServer::try_start(config()).unwrap();
+    for v in 0..VERSIONS {
+        server.submit("hot", doc(v)).unwrap();
+    }
+    let report = server.shutdown();
+    assert!(report.is_balanced(), "{report:?}");
+    assert_eq!(report.succeeded as usize, VERSIONS);
+
+    let server = IngestServer::try_start(config()).unwrap();
+    let repo = server.repository_for("hot");
+    assert_eq!(repo.version_count("hot"), VERSIONS);
+    for v in [0, 999, 1000, 9999, 10_000, VERSIONS - 1] {
+        assert_eq!(repo.version_xml("hot", v).unwrap(), doc(v), "version {v} after restart");
+    }
+    drop(server);
+
+    let store = dir.to_str().unwrap();
+    let last = run(&["store", store, "get", "hot", "10049"]);
+    assert_eq!(last.status.code(), Some(0), "{}", stderr(&last));
+    assert_eq!(stdout(&last).trim(), doc(VERSIONS - 1));
+    let next = tmp("long-next.xml", &doc(VERSIONS));
+    let load = run(&["store", store, "load", "hot", next.to_str().unwrap()]);
+    assert!(stderr(&load).contains("stored hot v10050 (1 ops"), "{}", stderr(&load));
+    let keys = run(&["store", store, "keys"]);
+    assert_eq!(stdout(&keys).trim(), "hot (10051 versions)");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Directories an earlier release wrote are refused loudly, never read as
+/// if they were complete: the chain-directory store layout, and a log whose
+/// first segments were deleted once a snapshot covered them.
+#[test]
+fn directories_from_the_old_formats_are_refused() {
+    let dir = std::env::temp_dir().join(format!("xycli-old-formats-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+
+    let chains = dir.join("chains");
+    fs::create_dir_all(chains.join("doc-00000")).unwrap();
+    fs::write(chains.join("manifest.txt"), "doc-00000\n").unwrap();
+    fs::write(chains.join("doc-00000/key.txt"), "k").unwrap();
+    fs::write(chains.join("doc-00000/v0.xml"), "<a/>").unwrap();
+    let v1 = tmp("old-v1.xml", "<a><b/></a>");
+    for args in [
+        vec!["store", chains.to_str().unwrap(), "get", "k"],
+        vec!["store", chains.to_str().unwrap(), "load", "k", v1.to_str().unwrap()],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("chain-directory store (manifest.txt"), "{}", stderr(&out));
+    }
+    assert!(!chains.join("seg-00000001.wal").exists(), "a refused store is left untouched");
+
+    // A segment whose header says its first record is LSN 41.
+    let log = dir.join("log");
+    fs::create_dir_all(&log).unwrap();
+    let mut header = b"XYWALOG1".to_vec();
+    header.extend_from_slice(&41u64.to_le_bytes());
+    fs::write(log.join("seg-00000003.wal"), header).unwrap();
+    fs::write(log.join("WATERMARK"), "40\n").unwrap();
+    for args in [
+        vec!["wal", "inspect", log.to_str().unwrap()],
+        vec!["store", log.to_str().unwrap(), "keys"],
+        vec!["serve", "--addr", "127.0.0.1:0", "--wal-dir", log.to_str().unwrap()],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("starts at lsn 41, not 1"), "{args:?}: {}", stderr(&out));
     }
     let _ = fs::remove_dir_all(&dir);
 }

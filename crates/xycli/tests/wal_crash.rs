@@ -50,7 +50,9 @@ fn spawn_server(wal_dir: &Path) -> Server {
             .expect("server exited before announcing its address")
             .expect("read server stderr");
         if let Some(rest) = line.split("listening on http://").nth(1) {
-            break rest.trim().parse().expect("parse announced address");
+            // The banner continues with the backend name: "… (epoll reactor)".
+            let addr = rest.split_whitespace().next().expect("announced address");
+            break addr.parse().expect("parse announced address");
         }
     };
     // Keep draining stderr so the child can never block on a full pipe.

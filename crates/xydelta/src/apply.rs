@@ -29,13 +29,78 @@ use xytree::{NodeId, Tree};
 /// Apply `delta` to `doc` in place. On error the document may be left
 /// partially modified; apply to a clone when atomicity matters.
 pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
+    apply_seen(delta, false, doc)
+}
+
+/// Apply the inverse of `delta` to `doc` in place — the same result and
+/// errors as `delta.inverted().apply_to(doc)`, read off the stored
+/// operations instead of a deep copy of them. Walking a version chain
+/// backwards does this once per hop.
+pub(crate) fn apply_inverse(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
+    apply_seen(delta, true, doc)
+}
+
+/// The fields of one operation that application uses, borrowed from the
+/// stored [`Op`] and read in either direction (§4: a completed delta holds
+/// its own inverse).
+enum Seen<'a> {
+    Delete { xid: Xid },
+    Insert { parent: Xid, pos: usize, subtree: &'a Tree, xid_map: &'a XidMap },
+    Move { xid: Xid, to_parent: Xid, to_pos: usize },
+    Update { xid: Xid, old: &'a str, new: &'a str },
+    AttrInsert { element: Xid, name: &'a str, value: &'a str, pos: usize },
+    AttrDelete { element: Xid, name: &'a str, old: &'a str },
+    AttrUpdate { element: Xid, name: &'a str, old: &'a str, new: &'a str },
+}
+
+/// `op` as application sees it; with `inverse`, [`Op::inverted`] of it.
+fn seen(op: &Op, inverse: bool) -> Seen<'_> {
+    match op {
+        Op::Delete { xid, parent, pos, subtree, xid_map }
+        | Op::Insert { xid, parent, pos, subtree, xid_map } => {
+            // A delete read backwards is an insert of the same payload, and
+            // an insert a delete.
+            if matches!(op, Op::Delete { .. }) != inverse {
+                Seen::Delete { xid: *xid }
+            } else {
+                // Application happens past the into_owned boundary;
+                // `tree()` enforces that borrowed payloads never get here.
+                Seen::Insert { parent: *parent, pos: *pos, subtree: subtree.tree(), xid_map }
+            }
+        }
+        Op::Move { xid, from_parent, from_pos, to_parent, to_pos } => {
+            let (to_parent, to_pos) =
+                if inverse { (*from_parent, *from_pos) } else { (*to_parent, *to_pos) };
+            Seen::Move { xid: *xid, to_parent, to_pos }
+        }
+        Op::Update { xid, old, new } => {
+            let (old, new) = if inverse { (new, old) } else { (old, new) };
+            Seen::Update { xid: *xid, old, new }
+        }
+        Op::AttrInsert { element, name, value: v, pos }
+        | Op::AttrDelete { element, name, old: v, pos } => {
+            if matches!(op, Op::AttrInsert { .. }) != inverse {
+                Seen::AttrInsert { element: *element, name, value: v, pos: *pos }
+            } else {
+                Seen::AttrDelete { element: *element, name, old: v }
+            }
+        }
+        Op::AttrUpdate { element, name, old, new } => {
+            let (old, new) = if inverse { (new, old) } else { (old, new) };
+            Seen::AttrUpdate { element: *element, name, old, new }
+        }
+    }
+}
+
+fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(), ApplyError> {
+    let ops = || delta.ops.iter().map(|op| seen(op, inverse)).enumerate();
     doc.restamp();
     // Phase 1: detach moved subtrees.
-    for (i, op) in delta.ops.iter().enumerate() {
-        if let Op::Move { xid, .. } = op {
-            let node = doc.node(*xid).ok_or_else(|| {
-                ApplyError::at(i, ApplyErrorKind::UnknownXid { xid: *xid, op: "move" })
-            })?;
+    for (i, op) in ops() {
+        if let Seen::Move { xid, .. } = op {
+            let node = doc
+                .node(xid)
+                .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "move" }))?;
             if node == doc.doc.tree.root() {
                 // A foreign/mismatched delta can resolve to the document
                 // node; that is bad data, not a caller bug.
@@ -49,10 +114,10 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
     }
 
     // Phase 2: deletes.
-    for (i, op) in delta.ops.iter().enumerate() {
-        if let Op::Delete { xid, .. } = op {
-            let node = doc.node(*xid).ok_or_else(|| {
-                ApplyError::at(i, ApplyErrorKind::UnknownXid { xid: *xid, op: "delete" })
+    for (i, op) in ops() {
+        if let Seen::Delete { xid } = op {
+            let node = doc.node(xid).ok_or_else(|| {
+                ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "delete" })
             })?;
             if node == doc.doc.tree.root() {
                 return Err(ApplyError::at(
@@ -71,26 +136,24 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
     // Phase 3: inserts and move re-attachments, by fixpoint over target
     // parents.
     let mut pending: Vec<Placement<'_>> = Vec::new();
-    for (i, op) in delta.ops.iter().enumerate() {
+    for (i, op) in ops() {
         match op {
-            Op::Insert { xid: _, parent, pos, subtree, xid_map } => {
+            Seen::Insert { parent, pos, subtree, xid_map } => {
                 pending.push(Placement {
                     op_index: i,
-                    parent: *parent,
-                    pos: *pos,
-                    // Application happens past the into_owned boundary;
-                    // `tree()` enforces that borrowed payloads never get here.
-                    what: What::Graft { subtree: subtree.tree(), xid_map },
+                    parent,
+                    pos,
+                    what: What::Graft { subtree, xid_map },
                 });
             }
-            Op::Move { xid, to_parent, to_pos, .. } => {
-                let node = doc.node(*xid).ok_or_else(|| {
-                    ApplyError::at(i, ApplyErrorKind::UnknownXid { xid: *xid, op: "move" })
+            Seen::Move { xid, to_parent, to_pos } => {
+                let node = doc.node(xid).ok_or_else(|| {
+                    ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "move" })
                 })?;
                 pending.push(Placement {
                     op_index: i,
-                    parent: *to_parent,
-                    pos: *to_pos,
+                    parent: to_parent,
+                    pos: to_pos,
                     what: What::Reattach(node),
                 });
             }
@@ -136,10 +199,10 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
     }
 
     // Phase 4: text updates.
-    for (i, op) in delta.ops.iter().enumerate() {
-        if let Op::Update { xid, old, new } = op {
-            let node = doc.node(*xid).ok_or_else(|| {
-                ApplyError::at(i, ApplyErrorKind::UnknownXid { xid: *xid, op: "update" })
+    for (i, op) in ops() {
+        if let Seen::Update { xid, old, new } = op {
+            let node = doc.node(xid).ok_or_else(|| {
+                ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "update" })
             })?;
             match doc.doc.tree.text(node) {
                 Some(t) if t == old => doc.doc.tree.set_text(node, new),
@@ -147,13 +210,13 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
                     return Err(ApplyError::at(
                         i,
                         ApplyErrorKind::StaleUpdate {
-                            xid: *xid,
-                            expected: old.clone(),
+                            xid,
+                            expected: old.to_string(),
                             found: t.to_string(),
                         },
                     ))
                 }
-                None => return Err(ApplyError::at(i, ApplyErrorKind::NotAText(*xid))),
+                None => return Err(ApplyError::at(i, ApplyErrorKind::NotAText(xid))),
             }
         }
     }
@@ -163,107 +226,66 @@ pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
     // position, so the surviving attributes — which keep their relative
     // order — interleave into the exact new attribute sequence (the same
     // argument as phase 3's child placement).
-    for (i, op) in delta.ops.iter().enumerate() {
-        match op {
-            Op::AttrDelete { element, name, old, .. } => {
-                let e = element_of(doc, *element, "attr-delete", i)?;
-                let elem = doc
-                    .doc
-                    .tree
-                    .element(e)
-                    .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(*element)))?;
-                match elem.attr(name) {
-                    Some(v) if v == old => {
-                        doc.doc.tree.remove_attr(e, name);
-                    }
-                    Some(_) => {
-                        return Err(ApplyError::at(
-                            i,
-                            ApplyErrorKind::AttrConflict {
-                                element: *element,
-                                name: name.clone(),
-                                problem: "attribute to delete has a different value",
-                            },
-                        ))
-                    }
-                    None => {
-                        return Err(ApplyError::at(
-                            i,
-                            ApplyErrorKind::AttrConflict {
-                                element: *element,
-                                name: name.clone(),
-                                problem: "attribute to delete is missing",
-                            },
-                        ))
-                    }
-                }
+    let mut attr_inserts: Vec<(Xid, usize, &str, &str, usize)> = Vec::new();
+    for (i, op) in ops() {
+        let (element, name, old, new) = match op {
+            Seen::AttrDelete { element, name, old } => (element, name, old, None),
+            Seen::AttrUpdate { element, name, old, new } => (element, name, old, Some(new)),
+            Seen::AttrInsert { element, name, value, pos } => {
+                attr_inserts.push((element, pos, name, value, i));
+                continue;
             }
-            Op::AttrUpdate { element, name, old, new } => {
-                let e = element_of(doc, *element, "attr-update", i)?;
-                let elem = doc
-                    .doc
-                    .tree
-                    .element(e)
-                    .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(*element)))?;
-                match elem.attr(name) {
-                    Some(v) if v == old => {
-                        doc.doc.tree.set_attr(e, name, new.clone());
-                    }
-                    Some(_) => {
-                        return Err(ApplyError::at(
-                            i,
-                            ApplyErrorKind::AttrConflict {
-                                element: *element,
-                                name: name.clone(),
-                                problem: "attribute to update has a different value",
-                            },
-                        ))
-                    }
-                    None => {
-                        return Err(ApplyError::at(
-                            i,
-                            ApplyErrorKind::AttrConflict {
-                                element: *element,
-                                name: name.clone(),
-                                problem: "attribute to update is missing",
-                            },
-                        ))
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut attr_inserts: Vec<(&Xid, &usize, &String, &String, usize)> = delta
-        .ops
-        .iter()
-        .enumerate()
-        .filter_map(|(i, op)| match op {
-            Op::AttrInsert { element, name, value, pos } => Some((element, pos, name, value, i)),
-            _ => None,
-        })
-        .collect();
-    attr_inserts.sort_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(b.1)));
-    for (element, pos, name, value, i) in attr_inserts {
-        let e = element_of(doc, *element, "attr-insert", i)?;
+            _ => continue,
+        };
+        let kind = if new.is_some() { "attr-update" } else { "attr-delete" };
+        let e = element_of(doc, element, kind, i)?;
         let elem = doc
             .doc
             .tree
             .element(e)
-            .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(*element)))?;
+            .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(element)))?;
+        match (elem.attr(name), new) {
+            (Some(v), Some(new)) if v == old => {
+                doc.doc.tree.set_attr(e, name, new.to_string());
+            }
+            (Some(v), None) if v == old => {
+                doc.doc.tree.remove_attr(e, name);
+            }
+            (found, new) => {
+                let problem = match (found.is_some(), new.is_some()) {
+                    (true, true) => "attribute to update has a different value",
+                    (false, true) => "attribute to update is missing",
+                    (true, false) => "attribute to delete has a different value",
+                    (false, false) => "attribute to delete is missing",
+                };
+                return Err(ApplyError::at(
+                    i,
+                    ApplyErrorKind::AttrConflict { element, name: name.to_string(), problem },
+                ));
+            }
+        }
+    }
+    attr_inserts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    for (element, pos, name, value, i) in attr_inserts {
+        let e = element_of(doc, element, "attr-insert", i)?;
+        let elem = doc
+            .doc
+            .tree
+            .element(e)
+            .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(element)))?;
         if elem.has_attr(name) {
             return Err(ApplyError::at(
                 i,
                 ApplyErrorKind::AttrConflict {
-                    element: *element,
-                    name: name.clone(),
+                    element,
+                    name: name.to_string(),
                     problem: "attribute to insert already exists",
                 },
             ));
         }
         // Positions are fidelity hints over a semantically unordered set
         // (§5.2), so out-of-range values clamp instead of erroring.
-        doc.doc.tree.insert_attr_at(e, *pos, name, value.clone());
+        doc.doc.tree.insert_attr_at(e, pos, name, value.to_string());
     }
     Ok(())
 }
@@ -621,7 +643,15 @@ mod tests {
         ]);
         delta.apply_to(&mut d).unwrap();
         assert_ne!(d.doc.to_xml(), before);
-        delta.inverted().apply_to(&mut d).unwrap();
+        let mut copied = d.clone();
+        delta.inverted().apply_to(&mut copied).unwrap();
+        assert_eq!(copied.doc.to_xml(), before);
+        apply_inverse(&delta, &mut d).unwrap();
         assert_eq!(d.doc.to_xml(), before);
+        // Undone once, the inverse is stale: both readings refuse alike.
+        let err = apply_inverse(&delta, &mut d).unwrap_err();
+        let copied_err = delta.inverted().apply_to(&mut copied).unwrap_err();
+        assert_eq!(err.to_string(), copied_err.to_string());
+        assert!(matches!(err.kind, ApplyErrorKind::StaleUpdate { .. }));
     }
 }

@@ -419,10 +419,18 @@ mod tests {
             new.doc.to_xml(),
             "applying the delta must reproduce the new version"
         );
-        // And the inverse must restore the old version.
-        let mut back = replay;
+        // And the inverse must restore the old version — as a copied
+        // delta and read in place off the stored ops, node for node.
+        let mut back = replay.clone();
         delta.inverted().apply_to(&mut back).expect("inverse must apply");
         assert_eq!(back.doc.to_xml(), old.doc.to_xml());
+        let mut in_place = replay;
+        crate::apply::apply_inverse(&delta, &mut in_place).expect("in-place inverse must apply");
+        assert_eq!(in_place.doc.to_xml(), old.doc.to_xml());
+        let xids = |d: &XidDocument| -> Vec<Option<Xid>> {
+            d.doc.tree.descendants(d.doc.tree.root()).map(|n| d.xid(n)).collect()
+        };
+        assert_eq!(xids(&in_place), xids(&back));
         delta
     }
 

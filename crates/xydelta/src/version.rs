@@ -16,6 +16,7 @@
 //! nearest anchor (a checkpoint or the latest) in at most `C` hops.
 
 use crate::aggregate::aggregate_chain;
+use crate::apply::apply_inverse;
 use crate::delta::Delta;
 use crate::diff_by_xid::diff_by_xid;
 use crate::error::ApplyError;
@@ -118,7 +119,7 @@ impl VersionChain {
             }
         } else {
             for d in self.deltas[i..anchor].iter().rev() {
-                d.inverted().apply_to(&mut doc)?;
+                apply_inverse(d, &mut doc)?;
             }
         }
         Ok(doc)

@@ -27,8 +27,8 @@
 //!
 //! Multi-document stores keep one *scratch* per worker but one *cache* per
 //! document (the cache describes a specific stored version). For that shape,
-//! [`Differ::diff_with_cache`] accepts the per-document cache by reference
-//! while the differ contributes options + scratch.
+//! [`Differ::diff_consume_with_cache`] accepts the per-document cache by
+//! reference while the differ contributes options + scratch.
 
 use crate::config::DiffOptions;
 use crate::info::SignatureCache;
@@ -105,7 +105,7 @@ impl Differ {
     /// after each diff the cache describes the produced version, so the next
     /// call replays the old side's subtree signatures instead of re-hashing
     /// them. Stores tracking many documents should keep one cache per
-    /// document and use [`Differ::diff_with_cache`] instead.
+    /// document and use [`Differ::diff_consume_with_cache`] instead.
     #[must_use]
     pub fn with_cache(mut self, cache: SignatureCache) -> Differ {
         self.cache = Some(cache);
@@ -226,35 +226,14 @@ impl Differ {
         )
     }
 
-    /// [`Differ::diff`] with an external per-document cache.
+    /// [`Differ::diff_consume`] with an external per-document cache — the
+    /// warehouse steady-state entry point (no clone, cached old side).
     ///
     /// The differ contributes options + scratch; `cache` must describe `old`
     /// (or be empty/cold — a cache describing any other state misses) and
     /// is refreshed to describe the produced version before returning. Any
     /// owned cache installed via [`Differ::with_cache`] is ignored for this
     /// call.
-    pub fn diff_with_cache(
-        &mut self,
-        old: &XidDocument,
-        new: &Document,
-        cache: &mut SignatureCache,
-    ) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, capture, runner, .. } = self;
-        crate::diff_dispatch(
-            old,
-            new.clone(),
-            opts,
-            unordered,
-            similarity,
-            scratch,
-            Some(cache),
-            *capture,
-            runner_of(runner),
-        )
-    }
-
-    /// [`Differ::diff_consume`] with an external per-document cache — the
-    /// warehouse steady-state entry point (no clone, cached old side).
     pub fn diff_consume_with_cache(
         &mut self,
         old: &XidDocument,
@@ -270,23 +249,6 @@ impl Differ {
             similarity,
             scratch,
             Some(cache),
-            *capture,
-            runner_of(runner),
-        )
-    }
-
-    /// [`Differ::diff`] ignoring any installed cache (always hashes both
-    /// sides). Exists for benchmarking and cache-coherence debugging.
-    pub fn diff_uncached(&mut self, old: &XidDocument, new: &Document) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, capture, runner, .. } = self;
-        crate::diff_dispatch(
-            old,
-            new.clone(),
-            opts,
-            unordered,
-            similarity,
-            scratch,
-            None,
             *capture,
             runner_of(runner),
         )
@@ -355,9 +317,11 @@ mod tests {
     fn external_cache_matches_uncached() {
         let (old, new) = pair();
         let mut differ = Differ::new();
-        let plain = xydelta::xml_io::delta_to_xml(&differ.diff_uncached(&old, &new).delta);
+        let plain = xydelta::xml_io::delta_to_xml(&differ.diff(&old, &new).delta);
         let mut cache = SignatureCache::new();
-        let cached = xydelta::xml_io::delta_to_xml(&differ.diff_with_cache(&old, &new, &mut cache).delta);
+        let cached = xydelta::xml_io::delta_to_xml(
+            &differ.diff_consume_with_cache(&old, new.clone(), &mut cache).delta,
+        );
         assert_eq!(plain, cached);
     }
 

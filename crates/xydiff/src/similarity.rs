@@ -116,24 +116,6 @@ impl SimilarityOptions {
     }
 }
 
-/// Diff with the similarity matcher instead of BULD.
-#[deprecated(
-    since = "0.1.0",
-    note = "select the matcher through the unified surface: \
-            `Differ::new().with_mode(MatchMode::Similarity)` (or set \
-            `DiffOptions::mode` and call `diff`)"
-)]
-pub fn diff_similarity(
-    old: &XidDocument,
-    new: &Document,
-    opts: &SimilarityOptions,
-) -> DiffResult {
-    // The historical free function never windowed the phase-5 LIS; keep its
-    // exact output by selecting the exact algorithm here.
-    let exact = DiffOptions { exact_lis: true, ..Default::default() };
-    diff_core_similarity(old, new.clone(), &exact, opts, CaptureMode::Owned)
-}
-
 /// The similarity pipeline core: leaf/internal matching, shared phase-5
 /// delta construction. Owns the new document (zero-copy like
 /// [`crate::diff_core`]); honors `capture` and the phase-5 LIS settings
@@ -397,21 +379,6 @@ mod tests {
         assert!(SimilarityOptions::default().with_passes(0).is_err());
         let broken = SimilarityOptions { passes: 0, ..Default::default() };
         assert!(broken.validate().is_err(), "validate backstops direct mutation");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_function_matches_mode_dispatch() {
-        let old = XidDocument::parse_initial("<a><p>one two three</p><q>x</q></a>").unwrap();
-        let new = Document::parse("<a><q>x</q><p>one two four</p></a>").unwrap();
-        let free = diff_similarity(&old, &new, &SimilarityOptions::default());
-        let opts =
-            DiffOptions { mode: MatchMode::Similarity, exact_lis: true, ..Default::default() };
-        let routed = crate::diff(&old, &new, &opts);
-        assert_eq!(
-            xydelta::xml_io::delta_to_xml(&free.delta),
-            xydelta::xml_io::delta_to_xml(&routed.delta)
-        );
     }
 
     #[test]

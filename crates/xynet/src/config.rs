@@ -23,18 +23,12 @@ pub struct NetConfig {
     /// Listen address, e.g. `"127.0.0.1:8080"`. Port 0 picks a free port
     /// (the bound address is available via [`crate::NetServer::local_addr`]).
     pub addr: String,
-    /// Threads serving HTTP connections on the legacy blocking front. The
-    /// reactor multiplexes every connection on one thread and ignores this.
-    pub http_workers: usize,
     /// Largest accepted request body; larger `Content-Length` gets `413`.
     pub max_body_bytes: usize,
     /// Largest accepted request head (request line + headers); `431` beyond.
     pub max_head_bytes: usize,
     /// `Retry-After` value (seconds) sent with backpressure `503`s.
     pub retry_after_secs: u64,
-    /// Socket read/write timeout on the legacy blocking front. The reactor
-    /// uses [`NetConfig::idle_timeout`] instead.
-    pub io_timeout: Duration,
     /// Reactor eviction deadline: a connection that completes no response
     /// for this long — idle keep-alive, a slow-loris trickling its head,
     /// or a peer not reading its response — is closed and counted in
@@ -59,11 +53,9 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
-            http_workers: 4,
             max_body_bytes: 4 << 20,
             max_head_bytes: 8 << 10,
             retry_after_secs: 1,
-            io_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(10),
             max_connections: 8192,
             shed_connections: 8192 - 8192 / 8,
@@ -88,14 +80,6 @@ impl NetConfig {
         self
     }
 
-    /// Set the number of HTTP worker threads on the legacy blocking front
-    /// (minimum 1). The reactor ignores this.
-    #[must_use]
-    pub fn with_http_workers(mut self, workers: usize) -> NetConfig {
-        self.http_workers = workers.max(1);
-        self
-    }
-
     /// Set the request-body size limit enforced with `413`.
     #[must_use]
     pub fn with_max_body_bytes(mut self, bytes: usize) -> NetConfig {
@@ -114,13 +98,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_retry_after_secs(mut self, secs: u64) -> NetConfig {
         self.retry_after_secs = secs;
-        self
-    }
-
-    /// Set the per-socket read/write timeout of the legacy blocking front.
-    #[must_use]
-    pub fn with_io_timeout(mut self, timeout: Duration) -> NetConfig {
-        self.io_timeout = timeout;
         self
     }
 
@@ -171,17 +148,13 @@ mod tests {
     fn builders_compose_and_clamp() {
         let c = NetConfig::new()
             .with_addr("0.0.0.0:9000")
-            .with_http_workers(0)
             .with_max_body_bytes(123)
             .with_max_head_bytes(456)
-            .with_retry_after_secs(7)
-            .with_io_timeout(Duration::from_millis(250));
+            .with_retry_after_secs(7);
         assert_eq!(c.addr, "0.0.0.0:9000");
-        assert_eq!(c.http_workers, 1, "zero workers clamps to one");
         assert_eq!(c.max_body_bytes, 123);
         assert_eq!(c.max_head_bytes, 456);
         assert_eq!(c.retry_after_secs, 7);
-        assert_eq!(c.io_timeout, Duration::from_millis(250));
     }
 
     #[test]

@@ -37,7 +37,6 @@
 pub mod config;
 pub mod driver;
 pub mod http;
-pub mod legacy;
 mod machine;
 pub mod metrics;
 pub mod reactor;

@@ -1,13 +1,12 @@
 //! The per-connection HTTP state machine driven by the reactor.
 //!
-//! [`crate::http::Conn`] *pulls* bytes from a blocking `Read`; the reactor
-//! cannot block, so this is the same parser inverted into a *push* machine:
+//! The reactor cannot block on a socket, so the parser is a *push* machine:
 //! the event loop [`ConnMachine::feed`]s whatever bytes the socket had and
-//! asks [`ConnMachine::next`] what to do. The parsing itself is shared with
-//! the pull path (`find_head_end` / `parse_head` / `body_length`), so a
-//! request arriving one byte at a time parses identically under both
-//! fronts — the differential test in `tests/reactor_differential.rs` holds
-//! the two to byte-identical responses.
+//! asks [`ConnMachine::next`] what to do. The machine owns the unconsumed
+//! tail of the stream, so a request arriving one byte at a time parses
+//! identically to one arriving in a single packet, and leftover bytes after
+//! a body are retained for the next pipelined request. The parsing itself
+//! is [`crate::http`]'s `find_head_end` / `parse_head` / `body_length`.
 
 use crate::http::{body_length, find_head_end, parse_head, Head, HttpError, Limits};
 
@@ -208,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn failures_match_the_pull_parser_statuses() {
+    fn failures_map_to_typed_statuses() {
         for (raw, want) in [
             (&b"GARBAGE\r\n\r\n"[..], 400),
             (&b"POST /x HTTP/1.1\r\n\r\n"[..], 411),

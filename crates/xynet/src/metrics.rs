@@ -38,8 +38,8 @@ pub struct HttpMetrics {
     /// Wall-clock request latency: first head byte to response written,
     /// including the wait for the ingest outcome.
     pub request_time: Histogram,
-    /// Time `POST /ingest` spent waiting for its pipeline outcome (ticket
-    /// wait on the blocking front, completion-callback wait on the reactor).
+    /// Time `POST /ingest` spent waiting for its pipeline outcome (submit
+    /// to completion callback).
     pub ingest_wait_time: Histogram,
     /// Time each readiness-loop iteration spent processing (poll wait
     /// excluded): the reactor's saturation signal.

@@ -1,13 +1,10 @@
-//! Route dispatch shared by the reactor and the legacy blocking front.
+//! Route dispatch for the reactor.
 //!
-//! Both fronts parse requests with the same code and route them here, so
-//! their responses are byte-identical — the property the differential test
-//! replays the PR 4 protocol corpus to enforce. The one asymmetry is how
-//! `POST /ingest/{key}` waits for its outcome: the blocking front parks on
-//! a [`xyserve::Ticket`], the reactor registers a completion callback and
-//! keeps multiplexing. [`route`] therefore returns [`Routed`]: either a
-//! finished [`Response`] or an ingest submission for the caller to drive
-//! its own way.
+//! Every route answers at once except `POST /ingest/{key}`, whose outcome
+//! arrives later: the reactor registers a completion callback and keeps
+//! multiplexing. [`route`] therefore returns [`Routed`]: either a finished
+//! [`Response`] or an ingest submission for the reactor to drive. The
+//! response bytes are pinned by the golden corpus in `tests/roundtrip.rs`.
 
 use std::sync::atomic::Ordering;
 

@@ -72,7 +72,7 @@ fn read_one_response(stream: &mut TcpStream) -> String {
 }
 
 fn start(net: NetConfig, serve: ServeConfig) -> NetServer {
-    NetServer::start(net.with_io_timeout(Duration::from_secs(3)), serve).expect("start")
+    NetServer::start(net, serve).expect("start")
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn full_queue_sheds_with_503_and_retry_after() {
     HOLD.store(true, Ordering::SeqCst);
 
     let server = Arc::new(start(
-        NetConfig::new().with_http_workers(4).with_retry_after_secs(7),
+        NetConfig::new().with_retry_after_secs(7),
         ServeConfig::new()
             .with_workers(1)
             .unwrap()
@@ -280,7 +280,7 @@ fn fd_budget() -> Option<usize> {
 /// connections while staying responsive, then draining them all loss-free.
 /// The count is bounded by the process fd budget so constrained CI runners
 /// degrade instead of erroring (10k+ is a real-hardware experiment, see
-/// ROADMAP). The blocking front would need a thread per connection here.
+/// ROADMAP). A thread-per-connection front would need a thread for each.
 #[test]
 fn one_reactor_thread_sustains_1k_idle_keep_alive_connections() {
     // Keep a margin for the listener, poller, and test scaffolding.
@@ -353,4 +353,154 @@ fn admin_shutdown_drains_and_flips_health() {
     assert!(report.ingest.is_balanced(), "{report:?}");
     assert_eq!(report.ingest.succeeded, 1);
     assert!(report.requests >= 3);
+}
+
+// ---------------------------------------------------------------------------
+// Golden protocol corpus.
+// ---------------------------------------------------------------------------
+
+/// One golden script: raw writes on a single connection, sent in order,
+/// then read to EOF; the whole response stream must equal `expect`.
+struct Script {
+    name: &'static str,
+    writes: &'static [&'static str],
+    expect: &'static str,
+}
+
+/// The socket-level request set the front has answered since PR 4
+/// (well-formed roundtrips, every typed error, pipelined keep-alive). The
+/// expected bytes were captured from the reactor while the blocking front
+/// it replaced still existed and answered the same, byte for byte; they are
+/// frozen here so the wire protocol cannot drift unnoticed. Bodies and keys
+/// are fixed so sequence numbers, versions and diff outcomes repeat.
+const CORPUS: &[Script] = &[
+    Script {
+        name: "healthz",
+        writes: &["GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"],
+        expect: "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 15\r\nConnection: close\r\n\r\n{\"status\":\"ok\"}",
+    },
+    Script {
+        name: "malformed-request-line",
+        writes: &["NONSENSE\r\n\r\n"],
+        expect: "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 60\r\nConnection: close\r\n\r\n{\"error\":\"malformed request: bad request line \\\"NONSENSE\\\"\"}",
+    },
+    Script {
+        name: "missing-content-length",
+        writes: &["POST /ingest/k HTTP/1.1\r\nHost: t\r\n\r\n"],
+        expect: "HTTP/1.1 411 Length Required\r\nContent-Type: application/json\r\nContent-Length: 38\r\nConnection: close\r\n\r\n{\"error\":\"Content-Length is required\"}",
+    },
+    Script {
+        name: "unsupported-version",
+        writes: &["GET /healthz HTTP/2.0\r\n\r\n"],
+        expect: "HTTP/1.1 501 Not Implemented\r\nContent-Type: application/json\r\nContent-Length: 37\r\nConnection: close\r\n\r\n{\"error\":\"unsupported: HTTP version\"}",
+    },
+    Script {
+        name: "unknown-route",
+        writes: &["GET /nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"],
+        expect: "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 25\r\nConnection: close\r\n\r\n{\"error\":\"no such route\"}",
+    },
+    Script {
+        name: "method-not-allowed",
+        writes: &[
+            "GET /ingest/k HTTP/1.1\r\nHost: t\r\n\r\n",
+            "DELETE /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        ],
+        expect: "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 30\r\nAllow: POST\r\n\r\n{\"error\":\"method not allowed\"}HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 30\r\nAllow: GET\r\nConnection: close\r\n\r\n{\"error\":\"method not allowed\"}",
+    },
+    Script {
+        name: "empty-ingest-key",
+        writes: &[
+            "POST /ingest/ HTTP/1.1\r\nHost: t\r\nContent-Length: 4\r\nConnection: close\r\n\r\n<d/>",
+        ],
+        expect: "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 25\r\nConnection: close\r\n\r\n{\"error\":\"no such route\"}",
+    },
+    Script {
+        name: "ingest-then-fetch-pipelined",
+        writes: &[
+            "POST /ingest/diff-doc HTTP/1.1\r\nHost: t\r\nContent-Length: 26\r\n\r\n<c><p>alpha</p></c>\n\n\n\n\n\n",
+            "POST /ingest/diff-doc HTTP/1.1\r\nHost: t\r\nContent-Length: 32\r\n\r\n<c><p>alpha</p><p>beta</p></c>\n\n",
+            "GET /doc/diff-doc HTTP/1.1\r\nHost: t\r\n\r\n",
+            "GET /doc/diff-doc/0 HTTP/1.1\r\nHost: t\r\n\r\n",
+            "GET /doc/diff-doc/9 HTTP/1.1\r\nHost: t\r\n\r\n",
+            "GET /doc/ghost HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        ],
+        expect: "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"error\":\"parse error: 7:2: content outside the root element\",\"key\":\"diff-doc\",\"seq\":0,\"attempts\":1}HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 30\r\nAllow: POST\r\n\r\n{\"error\":\"method not allowed\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\nConnection: close\r\n\r\n{\"error\":\"no such document\"}",
+    },
+    Script {
+        name: "dead-letter-parse-error",
+        writes: &[
+            "POST /ingest/broken HTTP/1.1\r\nHost: t\r\nContent-Length: 7\r\nConnection: close\r\n\r\n<broken",
+        ],
+        expect: "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\nContent-Length: 112\r\nConnection: close\r\n\r\n{\"error\":\"parse error: 1:8: unexpected end of input while reading open tag\",\"key\":\"broken\",\"seq\":0,\"attempts\":1}",
+    },
+    Script {
+        name: "expect-100-continue",
+        writes: &[
+            "POST /ingest/cont HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: 4\r\nConnection: close\r\n\r\n",
+            "<d/>",
+        ],
+        expect: "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 103\r\nConnection: close\r\n\r\n{\"key\":\"cont\",\"seq\":0,\"version\":0,\"ops\":0,\"alerts\":0,\"schema_warnings\":0,\"durable\":false,\"mode\":\"buld\"}",
+    },
+];
+
+/// Scripts whose config needs tight limits (64-byte bodies, 512-byte heads).
+const LIMIT_CORPUS: &[Script] = &[
+    Script {
+        name: "body-too-large",
+        writes: &[
+            "POST /ingest/fat HTTP/1.1\r\nHost: t\r\nContent-Length: 65\r\n\r\n",
+        ],
+        expect: "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\nContent-Length: 49\r\nConnection: close\r\n\r\n{\"error\":\"request body of 65 bytes is too large\"}",
+    },
+    Script {
+        name: "head-too-large",
+        // 600 'c's, beyond the 512-byte head limit.
+        writes: &[
+            "GET /healthz HTTP/1.1\r\nCookie: cccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc: v\r\n\r\n",
+        ],
+        expect: "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Type: application/json\r\nContent-Length: 37\r\nConnection: close\r\n\r\n{\"error\":\"request head is too large\"}",
+    },
+];
+
+/// Run every script of `corpus` against one fresh server and demand the
+/// golden bytes.
+fn run_corpus(corpus: &[Script], net: NetConfig) {
+    let server = start(net, ServeConfig::new().with_workers(2).unwrap());
+    for script in corpus {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        stream.set_nodelay(true).expect("nodelay");
+        for (i, chunk) in script.writes.iter().enumerate() {
+            if stream.write_all(chunk.as_bytes()).is_err() {
+                // The server may already have rejected and closed (e.g. 413 on
+                // the declared length): stop writing, what's readable decides.
+                break;
+            }
+            // Force each write onto the wire as its own packet-ish unit.
+            if i + 1 < script.writes.len() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut out = Vec::new();
+        let _ = stream.read_to_end(&mut out); // reset after 413/431 is fine
+        assert_eq!(
+            String::from_utf8_lossy(&out),
+            script.expect,
+            "script {:?} no longer answers with its golden bytes",
+            script.name,
+        );
+    }
+    let report = server.shutdown();
+    assert!(report.ingest.is_balanced(), "{report:?}");
+}
+
+#[test]
+fn corpus_answers_with_its_golden_bytes() {
+    run_corpus(CORPUS, NetConfig::new());
+}
+
+#[test]
+fn limit_corpus_answers_with_its_golden_bytes() {
+    run_corpus(LIMIT_CORPUS, NetConfig::new().with_max_body_bytes(64).with_max_head_bytes(512));
 }

@@ -12,9 +12,6 @@
 //!   routed to a home deque, idle workers steal FIFO batches of whole
 //!   key-runs, with a single global capacity budget as the backpressure
 //!   toward the crawler;
-//! - [`queue::Queue`] — the original bounded MPMC work queue, still used
-//!   where strict FIFO over one lane is the right shape (the HTTP front's
-//!   connection queue in `xynet`);
 //! - [`IngestServer`] — a worker pool over hash-sharded
 //!   [`xywarehouse::Repository`] shards, with per-key ordering, bounded
 //!   retry for transient failures, and a dead-letter queue for poison
@@ -24,7 +21,7 @@
 //!   exposition.
 //!
 //! `ServeConfig` is `#[non_exhaustive]` and built through `with_*` methods,
-//! so new knobs (snapshots, network limits) never break callers; the
+//! so new knobs never break callers; the
 //! capacity-like knobs validate and return a typed [`ConfigError`]:
 //!
 //! ```
@@ -45,18 +42,16 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod queue;
 pub mod runner;
 pub mod scheduler;
 pub mod server;
 
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
-pub use queue::{Closed, Queue, TryPushError};
 pub use runner::DiffRunner;
-pub use scheduler::{SchedEvent, SchedHook, Scheduler, Steal};
+pub use scheduler::{Closed, SchedEvent, SchedHook, Scheduler, Steal, TryPushError};
 pub use server::{
     home_worker, Completed, CompletionFn, ConfigError, DeadLetter, EffectiveConfig, FaultHook,
-    IngestOutcome, IngestServer, ServeConfig, ShutdownReport, SnapshotPolicy, StartError,
-    SubmitError, Ticket, WalPolicy,
+    IngestOutcome, IngestServer, ServeConfig, ShutdownReport, StartError, SubmitError, Ticket,
+    WalPolicy,
 };
 pub use xywal::WalSync;

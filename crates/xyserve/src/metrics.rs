@@ -318,10 +318,6 @@ pub struct Metrics {
     pub schema_warnings: Counter,
     /// Successful ingests by diff matcher mode (`ingest_mode_total`).
     pub ingest_mode: ModeCounters,
-    /// Persistence snapshots written successfully.
-    pub snapshots: Counter,
-    /// Persistence snapshot attempts that failed.
-    pub snapshot_errors: Counter,
     /// Steal operations performed by idle workers.
     pub steals: Counter,
     /// Jobs moved by steal operations (sum of batch sizes).
@@ -339,8 +335,6 @@ pub struct Metrics {
     pub alert_time: Histogram,
     /// End-to-end processing time per snapshot (parse through store).
     pub total_time: Histogram,
-    /// Wall time per persistence snapshot generation.
-    pub snapshot_time: Histogram,
     /// Records appended to the write-ahead log.
     pub wal_appends: Counter,
     /// Bytes appended to the write-ahead log (frames, not payloads).
@@ -351,10 +345,8 @@ pub struct Metrics {
     pub wal_fsynced_records: Counter,
     /// WAL append attempts that failed (the ingest was acked non-durable).
     pub wal_append_errors: Counter,
-    /// Records applied or skipped during startup replay.
+    /// Records applied during startup replay.
     pub wal_replayed: Counter,
-    /// Replayed records skipped because the snapshot already covered them.
-    pub wal_replay_skipped: Counter,
     /// Version chains folded through checkpoint compaction.
     pub compactions: Counter,
     /// Live WAL segment files (with high-water mark).
@@ -376,8 +368,6 @@ impl Default for Metrics {
             alerts_fired: Counter::default(),
             schema_warnings: Counter::default(),
             ingest_mode: ModeCounters::default(),
-            snapshots: Counter::default(),
-            snapshot_errors: Counter::default(),
             steals: Counter::default(),
             stolen_jobs: Counter::default(),
             queue_depth: Gauge::default(),
@@ -386,14 +376,12 @@ impl Default for Metrics {
             diff_time: Histogram::default(),
             alert_time: Histogram::default(),
             total_time: Histogram::default(),
-            snapshot_time: Histogram::default(),
             wal_appends: Counter::default(),
             wal_appended_bytes: Counter::default(),
             wal_fsyncs: Counter::default(),
             wal_fsynced_records: Counter::default(),
             wal_append_errors: Counter::default(),
             wal_replayed: Counter::default(),
-            wal_replay_skipped: Counter::default(),
             compactions: Counter::default(),
             wal_segments: Gauge::default(),
             wal_fsync_batch_max: Gauge::default(),
@@ -480,18 +468,6 @@ impl Metrics {
         );
         expo::counter(
             &mut out,
-            "ingest_snapshots_total",
-            "Persistence snapshot generations written.",
-            self.snapshots.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ingest_snapshot_errors_total",
-            "Persistence snapshot attempts that failed.",
-            self.snapshot_errors.get(),
-        );
-        expo::counter(
-            &mut out,
             "ingest_steals_total",
             "Steal operations performed by idle workers.",
             self.steals.get(),
@@ -565,12 +541,6 @@ impl Metrics {
             "End-to-end processing time per snapshot (parse through store).",
             &self.total_time,
         );
-        expo::histogram(
-            &mut out,
-            "ingest_snapshot_write_seconds",
-            "Wall time per persistence snapshot generation.",
-            &self.snapshot_time,
-        );
         expo::counter(
             &mut out,
             "ingest_wal_appends_total",
@@ -606,12 +576,6 @@ impl Metrics {
             "ingest_wal_replayed_total",
             "WAL records consumed during startup replay.",
             self.wal_replayed.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ingest_wal_replay_skipped_total",
-            "Replayed WAL records already covered by the restored snapshot.",
-            self.wal_replay_skipped.get(),
         );
         expo::counter(
             &mut out,

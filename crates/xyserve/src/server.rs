@@ -23,136 +23,44 @@
 //! [`ShutdownReport::is_balanced`] checks after a draining shutdown.
 //!
 //! Callers that need the outcome of an individual snapshot (the HTTP front
-//! answering a `POST`) use [`IngestServer::submit_tracked`] /
-//! [`IngestServer::try_submit_tracked`]: the returned [`Ticket`] resolves to
-//! the stored version number and delta size, or to the dead letter. The
-//! `try_` variant never blocks — a full queue comes back as
-//! [`SubmitError::QueueFull`], which the network layer turns into
-//! `503 Retry-After`.
+//! answering a `POST`) use [`IngestServer::submit_tracked`], whose
+//! [`Ticket`] resolves to the stored version number and delta size, or to
+//! the dead letter, or [`IngestServer::try_submit_with`], which never
+//! blocks — a full queue comes back as [`SubmitError::QueueFull`], which the
+//! network layer turns into `503 Retry-After` — and delivers the same
+//! outcome through a callback.
 //!
-//! With a [`SnapshotPolicy`] configured, a background thread periodically
-//! persists every shard through [`xywarehouse::SnapshotStore`] (crash-safe
-//! generation directories), a final snapshot is taken after the drain
-//! completes, and [`IngestServer::try_start`] restores the latest published
-//! generation before accepting work — a restarted server resumes its
-//! version chains.
+//! With a [`WalPolicy`] configured, every completed ingest is appended to a
+//! [`xywal::Wal`] before it is acknowledged, and [`IngestServer::try_start`]
+//! replays that log before accepting work — a restarted server resumes its
+//! version chains. The log is the only durable form of the warehouse.
 
 use crate::metrics::Metrics;
-use crate::queue::TryPushError;
-use crate::scheduler::{SchedHook, Scheduler};
+use crate::scheduler::{Closed, SchedHook, Scheduler, TryPushError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xydelta::xml_io;
 use xydiff::{Differ, DiffOptions, MatchMode};
 use xytree::Document;
-use xywal::{Record, Wal, WalConfig, WalError, WalSync};
-use xywarehouse::{
-    Alerter, Notification, PersistError, ReplayError, Repository, SnapshotStore,
-};
+use xywal::{Record, Wal, WalError};
+use xywarehouse::{Alerter, Notification, ReplayError, Repository};
 
 /// Decides whether an attempt experiences a (simulated) transient failure.
 /// Arguments: document key, per-key sequence number, 1-based attempt count.
 pub type FaultHook = Arc<dyn Fn(&str, u64, u32) -> bool + Send + Sync>;
 
-/// When and where the server persists shard snapshots.
-///
-/// Built with [`SnapshotPolicy::new`] plus `with_*` methods; the struct is
-/// `#[non_exhaustive]` so trigger knobs can be added without breaking
-/// callers.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct SnapshotPolicy {
-    /// Root directory of the [`SnapshotStore`].
-    pub dir: PathBuf,
-    /// Time-based trigger: snapshot at least this often while running.
-    pub interval: Duration,
-    /// Op-count trigger: also snapshot after this many successful ingests
-    /// since the previous snapshot (0 disables the trigger).
-    pub every_ops: u64,
-    /// Published generations to retain (minimum 1).
-    pub keep: usize,
-}
-
-impl SnapshotPolicy {
-    /// Snapshot into `dir` every 30 seconds, keeping 2 generations.
-    pub fn new(dir: impl Into<PathBuf>) -> SnapshotPolicy {
-        SnapshotPolicy {
-            dir: dir.into(),
-            interval: Duration::from_secs(30),
-            every_ops: 0,
-            keep: 2,
-        }
-    }
-
-    /// Set the time-based trigger interval.
-    #[must_use]
-    pub fn with_interval(mut self, interval: Duration) -> SnapshotPolicy {
-        self.interval = interval;
-        self
-    }
-
-    /// Also snapshot after `n` successful ingests since the last snapshot
-    /// (0 disables the op-count trigger).
-    #[must_use]
-    pub fn with_every_ops(mut self, n: u64) -> SnapshotPolicy {
-        self.every_ops = n;
-        self
-    }
-
-    /// Retain `keep` published generations (minimum 1).
-    #[must_use]
-    pub fn with_keep(mut self, keep: usize) -> SnapshotPolicy {
-        self.keep = keep.max(1);
-        self
-    }
-}
-
-/// Where and how the server write-ahead-logs every completed ingest.
+/// Where and how the server write-ahead-logs every completed ingest: the
+/// log's own [`xywal::WalConfig`] (directory, sync mode, segment size).
 ///
 /// With a policy configured, each worker appends the computed delta (or the
 /// initial document) to a [`xywal::Wal`] **before** acknowledging the
 /// ingest, so a `kill -9` after the ack loses nothing: on restart the
-/// server replays `latest snapshot + log suffix`. Built with
-/// [`WalPolicy::new`] plus `with_*` methods; `#[non_exhaustive]` so knobs
-/// can be added without breaking callers.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct WalPolicy {
-    /// Directory holding the log segments.
-    pub dir: PathBuf,
-    /// Durability mode: fsync every append (group-committed) or leave
-    /// flushing to the OS.
-    pub sync: WalSync,
-    /// Roll to a new segment once the active one reaches this size.
-    pub segment_bytes: u64,
-}
-
-impl WalPolicy {
-    /// Log into `dir` with group-committed fsync on every append and 4 MiB
-    /// segments.
-    pub fn new(dir: impl Into<PathBuf>) -> WalPolicy {
-        WalPolicy { dir: dir.into(), sync: WalSync::Always, segment_bytes: 4 << 20 }
-    }
-
-    /// Set the durability mode.
-    #[must_use]
-    pub fn with_sync(mut self, sync: WalSync) -> WalPolicy {
-        self.sync = sync;
-        self
-    }
-
-    /// Set the segment roll size.
-    #[must_use]
-    pub fn with_segment_bytes(mut self, bytes: u64) -> WalPolicy {
-        self.segment_bytes = bytes;
-        self
-    }
-}
+/// server replays the log.
+pub use xywal::WalConfig as WalPolicy;
 
 /// A rejected [`ServeConfig`] knob, reported by the fallible `with_*`
 /// builders (and re-checked by [`IngestServer::try_start`] in case a caller
@@ -274,8 +182,8 @@ impl std::fmt::Display for EffectiveConfig {
 ///
 /// Built with [`ServeConfig::new`] plus `with_*` methods. The struct is
 /// `#[non_exhaustive]`: construct it through the builder, not a struct
-/// literal, so new fields (as the HTTP and snapshot layers grow) do not
-/// break downstream callers. The builders for the capacity-like knobs
+/// literal, so new fields do not break downstream callers. The builders
+/// for the capacity-like knobs
 /// (`workers`, `queue_capacity`, `shards`, `steal_batch`) are fallible and
 /// reject degenerate values with a typed [`ConfigError`] instead of
 /// silently clamping; [`ServeConfig::effective`] reports what a validated
@@ -309,10 +217,8 @@ pub struct ServeConfig {
     pub fault_hook: Option<FaultHook>,
     /// Scheduler decision-point observer for tests; `None` in production.
     pub sched_hook: Option<SchedHook>,
-    /// Periodic persistence; `None` keeps the server memory-only.
-    pub snapshots: Option<SnapshotPolicy>,
-    /// Write-ahead logging of every completed ingest; `None` means an ack
-    /// only guarantees the version is in memory.
+    /// Write-ahead logging of every completed ingest; `None` keeps the
+    /// server memory-only: an ack only guarantees the version is in memory.
     pub wal: Option<WalPolicy>,
     /// Background chain compaction: keep every document reconstructible
     /// within this many delta applications (0 disables the compactor).
@@ -491,15 +397,9 @@ impl ServeConfig {
         self
     }
 
-    /// Enable periodic shard snapshots under `policy`.
-    #[must_use]
-    pub fn with_snapshots(mut self, policy: SnapshotPolicy) -> ServeConfig {
-        self.snapshots = Some(policy);
-        self
-    }
-
     /// Enable write-ahead logging under `policy`: every completed ingest is
-    /// appended (and, in [`WalSync::Always`] mode, fsynced) before the ack.
+    /// appended (and, in [`xywal::WalSync::Always`] mode, fsynced) before the
+    /// ack, and the log is replayed on the next start.
     #[must_use]
     pub fn with_wal(mut self, policy: WalPolicy) -> ServeConfig {
         self.wal = Some(policy);
@@ -528,7 +428,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("mode", &self.diff_options.mode)
             .field("fault_hook", &self.fault_hook.is_some())
             .field("sched_hook", &self.sched_hook.is_some())
-            .field("snapshots", &self.snapshots)
             .field("wal", &self.wal)
             .field("compact_chain_max", &self.compact_chain_max)
             .finish_non_exhaustive()
@@ -548,7 +447,6 @@ impl Default for ServeConfig {
             alerter: Alerter::new(),
             fault_hook: None,
             sched_hook: None,
-            snapshots: None,
             wal: None,
             compact_chain_max: 0,
         }
@@ -588,7 +486,7 @@ pub struct Completed {
     /// (non-zero only on the first load of a key or on a DOCTYPE change).
     pub schema_warnings: usize,
     /// True when the version was written to the write-ahead log (and, in
-    /// [`WalSync::Always`] mode, fsynced) before this ack — i.e. it
+    /// [`xywal::WalSync::Always`] mode, fsynced) before this ack — i.e. it
     /// survives `kill -9`. False when no WAL is configured, when the sync
     /// mode leaves flushing to the OS, or when the append failed.
     pub durable: bool,
@@ -648,21 +546,18 @@ impl std::error::Error for SubmitError {}
 /// Error returned by [`IngestServer::try_start`].
 #[derive(Debug)]
 pub enum StartError {
-    /// Opening or restoring the snapshot store failed.
-    Snapshot(PersistError),
     /// The configuration failed [`ServeConfig::validate`].
     Config(ConfigError),
-    /// Opening the write-ahead log failed (I/O error or corruption outside
-    /// the reclaimable tail).
+    /// Opening the write-ahead log failed (I/O error, corruption outside
+    /// the repairable tail, or a log truncated by an earlier release).
     Wal(WalError),
-    /// The log and the restored snapshot could not be reconciled.
+    /// A logged record could not be replayed into the version chains.
     Replay(ReplayError),
 }
 
 impl std::fmt::Display for StartError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StartError::Snapshot(e) => write!(f, "snapshot store: {e}"),
             StartError::Config(e) => write!(f, "invalid config: {e}"),
             StartError::Wal(e) => write!(f, "write-ahead log: {e}"),
             StartError::Replay(e) => write!(f, "wal replay: {e}"),
@@ -748,14 +643,6 @@ struct Gate {
     cancelled: BTreeSet<u64>,
 }
 
-struct SnapshotState {
-    store: SnapshotStore,
-    policy: SnapshotPolicy,
-    stop: Mutex<bool>,
-    wake: Condvar,
-    last_error: Mutex<Option<String>>,
-}
-
 struct CompactorState {
     /// Hop bound every chain is kept within.
     every: usize,
@@ -774,7 +661,6 @@ struct Inner {
     diff_threads: usize,
     mode: MatchMode,
     fault_hook: Option<FaultHook>,
-    snapshot: Option<SnapshotState>,
     wal: Option<Wal>,
     compactor: Option<CompactorState>,
 }
@@ -783,23 +669,22 @@ struct Inner {
 pub struct IngestServer {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    snapshotter: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
 }
 
 impl IngestServer {
     /// Start a server with `config`, spawning its worker pool.
     ///
-    /// Panics if a configured snapshot store cannot be opened or restored;
-    /// snapshot-enabled callers should prefer [`IngestServer::try_start`].
+    /// Panics if a configured write-ahead log cannot be opened or replayed;
+    /// callers with a [`WalPolicy`] should prefer [`IngestServer::try_start`].
     pub fn start(config: ServeConfig) -> IngestServer {
-        // INVARIANT: the only fallible path is snapshot open/restore, which
+        // INVARIANT: the only fallible path is WAL open + replay, which
         // callers opting into persistence handle through try_start.
-        IngestServer::try_start(config).expect("snapshot store must open and restore")
+        IngestServer::try_start(config).expect("write-ahead log must open and replay")
     }
 
-    /// Start a server with `config`, restoring the latest published
-    /// snapshot generation first when persistence is configured.
+    /// Start a server with `config`, replaying the write-ahead log first
+    /// when one is configured.
     pub fn try_start(config: ServeConfig) -> Result<IngestServer, StartError> {
         // The builders already reject these, but the fields are public —
         // re-validate so direct mutation cannot smuggle in a degenerate pool.
@@ -810,36 +695,12 @@ impl IngestServer {
                 Repository::with_options(config.diff_options.clone(), config.alerter.clone())
             })
             .collect();
-        let snapshot = match &config.snapshots {
-            Some(policy) => {
-                let store = SnapshotStore::open(&policy.dir)
-                    .map_err(StartError::Snapshot)?
-                    .with_keep(policy.keep);
-                store
-                    .restore_into(&shards, |key| shard_index(key, shard_count))
-                    .map_err(StartError::Snapshot)?;
-                Some(SnapshotState {
-                    store,
-                    policy: policy.clone(),
-                    stop: Mutex::new(false),
-                    wake: Condvar::new(),
-                    last_error: Mutex::new(None),
-                })
-            }
-            None => None,
-        };
         let metrics = Metrics::with_deques(config.workers);
         let wal = match &config.wal {
             Some(policy) => {
-                let (wal, recovery) = Wal::open(
-                    &WalConfig::new(&policy.dir)
-                        .with_sync(policy.sync)
-                        .with_segment_bytes(policy.segment_bytes),
-                )
-                .map_err(StartError::Wal)?;
-                // Fold the log suffix (everything past the consumed
-                // watermark) on top of the restored snapshot. Records the
-                // snapshot already covers replay as harmless skips.
+                let (wal, recovery) = Wal::open(policy).map_err(StartError::Wal)?;
+                // The log holds the whole history: fold every record into
+                // the (empty) shards.
                 let replayed = xywarehouse::replay::apply_records(
                     &recovery.records,
                     &shards,
@@ -847,7 +708,6 @@ impl IngestServer {
                 )
                 .map_err(StartError::Replay)?;
                 metrics.wal_replayed.add(replayed.total() as u64);
-                metrics.wal_replay_skipped.add(replayed.skipped as u64);
                 Some(wal)
             }
             None => None,
@@ -875,7 +735,6 @@ impl IngestServer {
             diff_threads: config.diff_threads,
             mode: config.diff_options.mode,
             fault_hook: config.fault_hook.clone(),
-            snapshot,
             wal,
             compactor: compactor_state,
         });
@@ -893,15 +752,6 @@ impl IngestServer {
                     .expect("spawn worker thread")
             })
             .collect();
-        let snapshotter = inner.snapshot.is_some().then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("xyserve-snapshot".to_string())
-                .spawn(move || inner.snapshot_loop())
-                // INVARIANT: thread spawn fails only on OS resource exhaustion at
-                // startup; persistence cannot run without its thread.
-                .expect("spawn snapshot thread")
-        });
         let compactor = inner.compactor.is_some().then(|| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -911,7 +761,7 @@ impl IngestServer {
                 // startup; compaction cannot run without its thread.
                 .expect("spawn compactor thread")
         });
-        Ok(IngestServer { inner, workers, snapshotter, compactor })
+        Ok(IngestServer { inner, workers, compactor })
     }
 
     fn submit_with(&self, key: &str, xml: String, done: Option<Done>) -> Result<(), SubmitError> {
@@ -931,7 +781,7 @@ impl IngestServer {
                 self.inner.sync_sched_metrics();
                 Ok(())
             }
-            Err(crate::queue::Closed(job)) => {
+            Err(Closed(job)) => {
                 // The sequence number is already burned; account for it so
                 // successors parked behind it are not stranded.
                 self.inner.cancel(job);
@@ -959,44 +809,6 @@ impl IngestServer {
         Ok(Ticket { rx })
     }
 
-    /// Non-blocking [`IngestServer::submit_tracked`]: a full queue returns
-    /// [`SubmitError::QueueFull`] immediately — without burning a sequence
-    /// number — so the network layer can shed load with `503 Retry-After`.
-    pub fn try_submit_tracked(
-        &self,
-        key: &str,
-        xml: impl Into<String>,
-    ) -> Result<Ticket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        // Hold the gate lock across reservation *and* the non-blocking push:
-        // on Full the unused sequence number is released without racing a
-        // concurrent submitter for the same key. Safe against the queue
-        // lock — no path acquires the gate lock while holding it.
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        let mut gates = self.inner.gates.lock().unwrap();
-        let g = gates.entry(key.to_string()).or_default();
-        let seq = g.next_submit;
-        let job = Job { key: key.to_string(), xml: xml.into(), seq, done: Some(Done::Channel(tx)) };
-        match self.inner.sched.try_push(key_hash(key), job) {
-            Ok(()) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                self.inner.sync_sched_metrics();
-                Ok(Ticket { rx })
-            }
-            Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(job)) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                self.inner.cancel(job);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
-    }
-
     /// Non-blocking submit delivering the outcome through a callback
     /// instead of a [`Ticket`]: the event-driven network front cannot park
     /// a thread per in-flight request, so workers invoke `done` (exactly
@@ -1004,18 +816,19 @@ impl IngestServer {
     /// from inside the callback.
     ///
     /// On `Err` the callback has **not** been invoked and never will be —
-    /// the caller still owns the failure response. Backpressure semantics
-    /// match [`IngestServer::try_submit_tracked`]: a full queue returns
-    /// [`SubmitError::QueueFull`] without burning a sequence number.
+    /// the caller still owns the failure response. A full queue returns
+    /// [`SubmitError::QueueFull`] immediately, without burning a sequence
+    /// number, so the network layer can shed load with `503 Retry-After`.
     pub fn try_submit_with(
         &self,
         key: &str,
         xml: impl Into<String>,
         done: CompletionFn,
     ) -> Result<(), SubmitError> {
-        // Same locking argument as try_submit_tracked: the gate lock spans
-        // reservation and the non-blocking push so Full releases the
-        // sequence number atomically with respect to same-key submitters.
+        // Hold the gate lock across reservation *and* the non-blocking push:
+        // on Full the unused sequence number is released without racing a
+        // concurrent submitter for the same key. Safe against the queue
+        // lock — no path acquires the gate lock while holding it.
         // INVARIANT: a poisoned lock means a worker panicked mid-update;
         // the server cannot vouch for its state, so the panic propagates.
         let mut gates = self.inner.gates.lock().unwrap();
@@ -1070,7 +883,7 @@ impl IngestServer {
         &self.inner.shards[self.inner.shard_of(key)]
     }
 
-    /// All shard repositories (persistence, global stats).
+    /// All shard repositories (global stats).
     pub fn shards(&self) -> &[Repository] {
         &self.inner.shards
     }
@@ -1103,43 +916,26 @@ impl IngestServer {
     }
 
     /// The write-ahead log, when one is configured (observability: LSNs,
-    /// watermark, segment counts).
+    /// segment counts).
     pub fn wal(&self) -> Option<&Wal> {
         self.inner.wal.as_ref()
     }
 
-    /// The error of the most recent failed snapshot attempt, if the most
-    /// recent attempt failed (cleared by the next success).
-    pub fn last_snapshot_error(&self) -> Option<String> {
-        let st = self.inner.snapshot.as_ref()?;
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        st.last_error.lock().unwrap().clone()
-    }
-
     /// Stop accepting work, drain the queue and all in-flight chains, join
-    /// every worker, and return the loss-free accounting. With persistence
-    /// configured, a final snapshot is written after the drain so a restart
-    /// resumes exactly the drained state.
+    /// every worker, and return the loss-free accounting. With a WAL
+    /// configured, the log is flushed after the drain so a restart resumes
+    /// exactly the drained state.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.inner.sched.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.stop_snapshotter();
         self.stop_compactor();
         if let Some(wal) = &self.inner.wal {
             // In WalSync::None mode appended records may still be in the OS
             // cache; a clean shutdown flushes them.
             let _ = wal.sync();
             self.inner.sync_wal_metrics(wal);
-        }
-        if let Some(st) = &self.inner.snapshot {
-            // The drain is complete, so this snapshot captures every stored
-            // version — the restart-resumes-the-chains guarantee. With a
-            // WAL configured it also advances the consumed watermark to the
-            // drained frontier, making old segments deletable.
-            self.inner.take_snapshot(st);
         }
         let m = &self.inner.metrics;
         ShutdownReport {
@@ -1155,18 +951,6 @@ impl IngestServer {
             // the server cannot vouch for its state, so the panic propagates.
             notifications: std::mem::take(&mut self.inner.notifications.lock().unwrap()),
             metrics_text: m.render(),
-        }
-    }
-
-    fn stop_snapshotter(&mut self) {
-        if let Some(h) = self.snapshotter.take() {
-            if let Some(st) = &self.inner.snapshot {
-                // INVARIANT: a poisoned lock means the snapshot thread
-                // panicked mid-update; the panic propagates.
-                *st.stop.lock().unwrap() = true;
-                st.wake.notify_all();
-            }
-            let _ = h.join();
         }
     }
 
@@ -1190,7 +974,6 @@ impl Drop for IngestServer {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.stop_snapshotter();
         self.stop_compactor();
         if let Some(wal) = &self.inner.wal {
             let _ = wal.sync();
@@ -1207,8 +990,8 @@ fn key_hash(key: &str) -> u64 {
     h.finish()
 }
 
-/// Hash-partition `key` over `shard_count` shards. Free function so the
-/// snapshot-restore path can route before an `Inner` exists.
+/// Hash-partition `key` over `shard_count` shards. Free function so WAL
+/// replay can route before an `Inner` exists.
 fn shard_index(key: &str, shard_count: usize) -> usize {
     (key_hash(key) % shard_count as u64) as usize
 }
@@ -1254,7 +1037,8 @@ impl Inner {
         // runs: it owns the options and the scratch (see xydiff::Differ),
         // so the steady-state ingest loop allocates no per-diff working
         // memory. Per-document signature caches live with the stored
-        // documents; the repository threads them through diff_with_cache.
+        // documents; the repository threads them through
+        // diff_consume_with_cache.
         // With diff_threads > 1 the differ additionally fans its
         // data-parallel stages out over a scheduler-backed runner.
         let mut differ = self.make_differ();
@@ -1435,9 +1219,7 @@ impl Inner {
         }
         // Write-ahead: the record must be on the log (and, in Always mode,
         // fsynced via the group commit) before the ack below, so an ack
-        // with durable=true survives kill -9. The version is already in the
-        // in-memory chain — program order per worker, which the snapshot
-        // watermark protocol relies on.
+        // with durable=true survives kill -9.
         let mut durable = false;
         if let Some(wal) = &self.wal {
             let record = match init_xml {
@@ -1476,80 +1258,6 @@ impl Inner {
                 durable,
                 mode: self.mode,
             }));
-        }
-    }
-
-    /// The background persistence loop: wake on the interval (or every
-    /// 50 ms while an op-count trigger is armed), snapshot when either
-    /// trigger is due, exit when the server signals stop. The final
-    /// post-drain snapshot is taken by `shutdown`, not here.
-    fn snapshot_loop(&self) {
-        // INVARIANT: snapshot_loop only runs when a SnapshotState was built.
-        let st = self.snapshot.as_ref().expect("snapshot state exists");
-        // Baseline 0, not the counter at thread start: work processed
-        // before this thread is first scheduled must count toward the
-        // op-count trigger.
-        let mut last_ops = 0;
-        let mut last_time = Instant::now();
-        loop {
-            {
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                let mut stop = st.stop.lock().unwrap();
-                loop {
-                    if *stop {
-                        return;
-                    }
-                    let elapsed = last_time.elapsed();
-                    let ops = self.metrics.succeeded.get().saturating_sub(last_ops);
-                    if elapsed >= st.policy.interval
-                        || (st.policy.every_ops > 0 && ops >= st.policy.every_ops)
-                    {
-                        break;
-                    }
-                    let mut wait = st.policy.interval - elapsed;
-                    if st.policy.every_ops > 0 {
-                        wait = wait.min(Duration::from_millis(50));
-                    }
-                    // INVARIANT: a poisoned lock means a holder panicked
-                    // mid-update; the panic propagates.
-                    stop = st.wake.wait_timeout(stop, wait).unwrap().0;
-                }
-            }
-            last_ops = self.metrics.succeeded.get();
-            self.take_snapshot(st);
-            last_time = Instant::now();
-        }
-    }
-
-    fn take_snapshot(&self, st: &SnapshotState) {
-        let t = Instant::now();
-        // Read the WAL frontier BEFORE cloning the shards: every record
-        // with lsn <= this value had its chain push happen-before its
-        // append (program order in process()), and the append
-        // happened-before this read — so the snapshot covers all of them
-        // and the watermark may advance to here once it is durable.
-        let wal_lsn = self.wal.as_ref().map(Wal::appended_lsn);
-        match st.store.save(&self.shards) {
-            Ok(_generation) => {
-                self.metrics.snapshots.inc();
-                self.metrics.snapshot_time.observe(t.elapsed());
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                *st.last_error.lock().unwrap() = None;
-                if let (Some(wal), Some(lsn)) = (&self.wal, wal_lsn) {
-                    // Consumed segments become deletable; failure here only
-                    // delays truncation (retried on the next snapshot).
-                    let _ = wal.advance_watermark(lsn);
-                    self.sync_wal_metrics(wal);
-                }
-            }
-            Err(e) => {
-                self.metrics.snapshot_errors.inc();
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                *st.last_error.lock().unwrap() = Some(e.to_string());
-            }
         }
     }
 
@@ -1791,113 +1499,57 @@ mod tests {
 
     #[test]
     fn try_submit_full_queue_sheds_without_burning_seq() {
-        // No workers draining: occupy the queue completely.
+        // Hold the single worker inside its first job so the one queue slot
+        // stays occupied for as long as the test needs.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let entered_tx = Mutex::new(entered_tx);
+        let release_rx = Mutex::new(release_rx);
         let server = IngestServer::start(
             ServeConfig::new()
                 .with_workers(1)
                 .unwrap()
-                .with_queue_capacity(2)
+                .with_queue_capacity(1)
                 .unwrap()
-                .with_fault_hook(
-                    // Park the single worker on its first job forever-ish by
-                    // making every attempt fail (retries burn time), keeping
-                    // the queue full long enough to observe Full.
-                    Arc::new(|_, _, _| false),
-                ),
+                .with_fault_hook(Arc::new(move |key, _, _| {
+                    if key == "held" {
+                        entered_tx.lock().unwrap().send(()).unwrap();
+                        release_rx.lock().unwrap().recv().unwrap();
+                    }
+                    false
+                })),
         );
-        // Fill the queue faster than one worker can drain by submitting
-        // from this thread only; with capacity 2 a burst can still observe
-        // Full only racily, so instead drain the server and use the closed
-        // path plus a dedicated full-queue check below.
-        drop(server);
+        server.submit("held", "<a/>").unwrap();
+        entered_rx.recv().unwrap();
 
-        // Deterministic Full: a scheduler with no pop pressure. Build it
-        // directly to avoid racing workers.
-        let s: Scheduler<u32> = Scheduler::new(1, 1, 1);
-        assert!(s.try_push(0, 1).is_ok());
-        assert!(matches!(s.try_push(0, 2), Err(TryPushError::Full(_))));
+        let (done_tx, done_rx) = mpsc::channel();
+        let callback = |tx: &mpsc::Sender<IngestOutcome>| -> CompletionFn {
+            let tx = tx.clone();
+            Box::new(move |outcome| tx.send(outcome).unwrap())
+        };
+        server.try_submit_with("doc", "<d>0</d>", callback(&done_tx)).unwrap();
+        // The slot is taken: Full, the callback is dropped uninvoked, and no
+        // sequence number is burned.
+        let err = server.try_submit_with("doc", "<d>shed</d>", callback(&done_tx));
+        assert!(matches!(err, Err(SubmitError::QueueFull)));
+        release_tx.send(()).unwrap();
+        assert_eq!(done_rx.recv().unwrap().unwrap().seq, 0);
+        server.try_submit_with("doc", "<d>1</d>", callback(&done_tx)).unwrap();
+        assert_eq!(done_rx.recv().unwrap().unwrap().seq, 1, "the shed submit burned no seq");
 
-        // And the server-level contract on the shutdown path: QueueFull
-        // never burns a sequence number, ShuttingDown does (and resolves
-        // the ticket with a dead letter).
-        let server = tiny_server(1);
+        // ShuttingDown does burn one, accounted as a dead letter; the Err
+        // return owns the response, so the callback is not invoked.
         server.begin_drain();
-        let err = server.try_submit_tracked("doc", "<a/>");
+        let err = server.try_submit_with("doc", "<d>late</d>", callback(&done_tx));
         assert!(matches!(err, Err(SubmitError::ShuttingDown)));
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
-        assert_eq!(report.dead_lettered, 1);
+        assert_eq!((report.succeeded, report.dead_lettered), (3, 1));
+        assert!(done_rx.try_recv().is_err(), "refused submits never call back");
     }
 
-    #[test]
-    fn snapshot_on_shutdown_restores_on_restart() {
-        let dir = std::env::temp_dir()
-            .join(format!("xyserve-snap-restart-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = ServeConfig::new()
-            .with_workers(2)
-            .unwrap()
-            .with_shards(2)
-            .unwrap()
-            .with_snapshots(SnapshotPolicy::new(&dir).with_interval(Duration::from_secs(3600)));
-        let server = IngestServer::try_start(config.clone()).unwrap();
-        for v in 0..3 {
-            server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
-        }
-        server.submit("other", "<o/>").unwrap();
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-
-        // Restart with a different shard count: chains must re-route.
-        let server = IngestServer::try_start(config.with_shards(4).unwrap()).unwrap();
-        assert_eq!(server.total_versions(), 4);
-        let repo = server.repository_for("doc");
-        assert_eq!(repo.latest_xml("doc").unwrap(), "<d><v>2</v></d>");
-        assert_eq!(repo.version_xml("doc", 0).unwrap(), "<d><v>0</v></d>");
-        // Ingest continues on the restored chain.
-        let t = server.submit_tracked("doc", "<d><v>3</v></d>").unwrap();
-        assert_eq!(t.wait().unwrap().version, 3);
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn op_count_trigger_snapshots_while_running() {
-        let dir = std::env::temp_dir()
-            .join(format!("xyserve-snap-ops-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let server = IngestServer::try_start(
-            ServeConfig::new().with_workers(2).unwrap().with_snapshots(
-                SnapshotPolicy::new(&dir)
-                    .with_interval(Duration::from_secs(3600))
-                    .with_every_ops(2),
-            ),
-        )
-        .unwrap();
-        for v in 0..6 {
-            server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
-        }
-        server.wait_idle();
-        // The op trigger fires within its 50 ms polling cadence.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.metrics().snapshots.get() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            server.metrics().snapshots.get() >= 1,
-            "op-count trigger fired (errors={} last={:?} succeeded={})",
-            server.metrics().snapshot_errors.get(),
-            server.last_snapshot_error(),
-            server.metrics().succeeded.get()
-        );
-        assert_eq!(server.last_snapshot_error(), None);
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-        assert!(report.metrics_text.contains("ingest_snapshots_total"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
+    /// The log alone must reconstruct everything that was acked — under a
+    /// different shard count and matcher than the ones that wrote it.
     #[test]
     fn wal_only_restart_replays_every_acked_version() {
         let dir = std::env::temp_dir().join(format!("xyserve-wal-restart-{}", std::process::id()));
@@ -1919,9 +1571,12 @@ mod tests {
         assert!(report.is_balanced(), "{report:?}");
         assert!(report.metrics_text.contains("ingest_wal_appends_total 6"), "{}", report.metrics_text);
 
-        // No snapshot store configured: the log alone must reconstruct
-        // everything that was acked.
-        let server = IngestServer::try_start(config).unwrap();
+        // Restart with a different shard count and matcher: chains re-route,
+        // and replay applies the logged deltas without running any diff.
+        let server = IngestServer::try_start(
+            config.with_shards(4).unwrap().with_mode(MatchMode::Unordered),
+        )
+        .unwrap();
         assert_eq!(server.total_versions(), 6);
         let repo = server.repository_for("doc");
         for v in 0..5 {
@@ -1943,47 +1598,6 @@ mod tests {
         let t = server.submit_tracked("doc", "<a/>").unwrap();
         assert!(!t.wait().unwrap().durable);
         drop(server);
-    }
-
-    #[test]
-    fn snapshot_advances_wal_watermark_and_truncates_segments() {
-        let base = std::env::temp_dir().join(format!("xyserve-wal-wm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let config = ServeConfig::new()
-            .with_workers(1)
-            .unwrap()
-            .with_snapshots(
-                SnapshotPolicy::new(base.join("snap")).with_interval(Duration::from_secs(3600)),
-            )
-            // Tiny segments so the log rolls during the test (clamped to 4 KiB).
-            .with_wal(WalPolicy::new(base.join("wal")).with_segment_bytes(1));
-        let server = IngestServer::try_start(config.clone()).unwrap();
-        for v in 0..20 {
-            server
-                .submit_tracked(
-                    "doc",
-                    // The pad changes every version, so each logged delta
-                    // carries ~1 KiB of old+new text and the log rolls.
-                    format!("<d><v>{v}</v><pad>{}</pad></d>", format!("{v:03}").repeat(256)),
-                )
-                .unwrap()
-                .wait()
-                .unwrap();
-        }
-        assert!(server.wal().unwrap().segment_count() > 1, "segments must roll");
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-
-        // The final snapshot covered the whole log, so a restart replays
-        // nothing and consumed segments are gone.
-        let server = IngestServer::try_start(config).unwrap();
-        assert_eq!(server.metrics().wal_replayed.get(), 0, "watermark covers the log");
-        assert_eq!(server.total_versions(), 20);
-        let wal = server.wal().unwrap();
-        assert_eq!(wal.watermark(), 20);
-        assert_eq!(wal.segment_count(), 1, "consumed segments truncated");
-        drop(server);
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Write-ahead delta log for the ingest warehouse.
 //!
-//! The paper's Figure 1 loop stores every computed XyDelta in the version
-//! warehouse, but periodic snapshots alone lose whatever arrived since the
-//! last generation. This crate closes that hole: the server appends each
-//! completed delta here **before** acknowledging the ingest, so
-//! `latest snapshot + log suffix` reconstructs the exact pre-crash state.
-//! Deltas are ideal log records — they are small, self-describing XML, and
-//! statically verifiable (`xydelta::verify`) before they touch a chain.
+//! The paper's repository (Figure 1, §2) keeps, per document, a version
+//! plus its sequence of completed deltas, each delta itself an XML
+//! document. This crate is that repository's only durable form: the server
+//! appends each first version and each completed delta here **before**
+//! acknowledging the ingest, and replaying the log from LSN 1 reconstructs
+//! the exact pre-crash state. Deltas are ideal log records — they are
+//! small, self-describing XML, and statically verifiable
+//! (`xydelta::verify`) before they touch a chain.
 //!
 //! Design, in one screen:
 //!
@@ -26,16 +27,16 @@
 //!   record-by-record. An invalid record in the *last* segment is a torn
 //!   tail from a crash mid-write — the tail is truncated and reported, not
 //!   an error. An invalid record anywhere else is real corruption.
-//! - **Consumed watermark**: once a snapshot covering LSN `w` is durably
-//!   published, [`Wal::advance_watermark`] persists `w` and deletes sealed
-//!   segments whose records all have LSN ≤ `w` — the pg-stream
-//!   change-buffer idiom. Replay after restart may still see records ≤ `w`
-//!   in the segment that straddles the watermark; replay is idempotent (the
-//!   warehouse skips versions it already has), so that is harmless.
+//! - **The log is complete or it is refused**: segments are never deleted,
+//!   so the first one starts at LSN 1. A directory whose first segment
+//!   starts later was cut short by an earlier release (which kept the
+//!   missing history in a snapshot); opening it fails with
+//!   [`WalError::Truncated`] instead of replaying a suffix as if it were
+//!   the whole history.
 //!
 //! The crate is deliberately dependency-free and knows nothing about XML,
 //! diffs, or HTTP: `xywarehouse::replay` interprets the records, `xyserve`
-//! owns the policy (when to sync, when to snapshot, when to compact).
+//! owns the policy (when to sync, when to compact).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -130,6 +131,15 @@ pub enum WalError {
         /// What was wrong with it.
         message: String,
     },
+    /// The first segment starts above LSN 1: the history below `first_lsn`
+    /// is not in this directory (an earlier release deleted segments that a
+    /// snapshot covered), so replaying what is left would silently drop it.
+    Truncated {
+        /// The first segment present.
+        segment: PathBuf,
+        /// LSN of the first record still on disk.
+        first_lsn: u64,
+    },
     /// A previous append failed mid-write; the writer refuses further
     /// appends so a torn record is never buried under valid ones.
     Poisoned,
@@ -142,6 +152,12 @@ impl std::fmt::Display for WalError {
             WalError::Corrupt { segment, offset, message } => {
                 write!(f, "corrupt wal segment {} at byte {offset}: {message}", segment.display())
             }
+            WalError::Truncated { segment, first_lsn } => write!(
+                f,
+                "truncated wal: first segment {} starts at lsn {first_lsn}, not 1 \
+                 (the earlier history lived in a snapshot this release cannot read)",
+                segment.display()
+            ),
             WalError::Poisoned => {
                 f.write_str("wal writer poisoned by an earlier failed append")
             }

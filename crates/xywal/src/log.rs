@@ -1,19 +1,22 @@
-//! The segmented log: append path with group commit, recovery scan with
-//! torn-tail repair, and watermark-based segment reclamation.
+//! The segmented log: append path with group commit, and the recovery
+//! scan with torn-tail repair.
 //!
 //! On-disk layout of a log directory:
 //!
 //! ```text
 //! <dir>/seg-00000001.wal     sealed segment
 //! <dir>/seg-00000002.wal     active segment (append target)
-//! <dir>/WATERMARK            highest snapshot-covered LSN, via tmp+rename
 //! ```
 //!
 //! Each segment starts with a 16-byte header (`XYWALOG1` + u64 LE first
 //! LSN) followed by a run of record frames ([`crate::record`]). LSNs are
 //! assigned densely starting at 1, so a record's LSN is implicit in its
 //! position: `first_lsn + ordinal`. Consecutive segments must therefore
-//! tile the LSN space — a numbering gap is detected as corruption.
+//! tile the LSN space — a numbering gap is detected as corruption, and a
+//! first segment that does not start at LSN 1 is refused as
+//! [`WalError::Truncated`]: segments are never deleted, so such a
+//! directory was cut short by an earlier release that kept the missing
+//! history in a snapshot this one cannot read.
 
 use crate::record::{decode_frame, encode_frame, Record};
 use crate::{WalConfig, WalError, WalSync};
@@ -25,7 +28,6 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: [u8; 8] = *b"XYWALOG1";
 const SEGMENT_HEADER_BYTES: usize = 16;
-const WATERMARK_FILE: &str = "WATERMARK";
 
 fn segment_name(index: u64) -> String {
     format!("seg-{index:08}.wal")
@@ -49,24 +51,6 @@ fn create_segment(dir: &Path, index: u64, first_lsn: u64) -> std::io::Result<Fil
     file.sync_data()?;
     sync_dir(dir)?;
     Ok(file)
-}
-
-fn read_watermark(dir: &Path) -> u64 {
-    // An absent or unreadable watermark degrades safely: replay covers more
-    // records than strictly needed (replay is idempotent), never fewer.
-    fs::read_to_string(dir.join(WATERMARK_FILE))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-fn persist_watermark(dir: &Path, lsn: u64) -> std::io::Result<()> {
-    let tmp = dir.join("WATERMARK.tmp");
-    let mut f = File::create(&tmp)?;
-    writeln!(f, "{lsn}")?;
-    f.sync_all()?;
-    fs::rename(&tmp, dir.join(WATERMARK_FILE))?;
-    sync_dir(dir)
 }
 
 /// One scanned segment.
@@ -109,12 +93,9 @@ pub struct TornTail {
 /// Result of a read-only [`scan`] of a log directory.
 #[derive(Debug)]
 pub struct ScanReport {
-    /// The persisted consumed watermark (0 when none).
-    pub watermark: u64,
     /// Every segment present, in LSN order.
     pub segments: Vec<SegmentReport>,
-    /// Every valid record with its LSN, in LSN order (including records at
-    /// or below the watermark that share a segment with live ones).
+    /// Every valid record with its LSN, in LSN order.
     pub records: Vec<(u64, Record)>,
     /// A torn tail in the last segment, if any. `scan` only reports it;
     /// [`Wal::open`] repairs it.
@@ -123,9 +104,10 @@ pub struct ScanReport {
 
 /// Read a log directory without mutating it — the basis of both recovery
 /// and `xydiff wal inspect`. Fails on corruption anywhere except the
-/// tail of the last segment, which is reported as [`ScanReport::torn`].
+/// tail of the last segment, which is reported as [`ScanReport::torn`],
+/// and on a log whose first record is not LSN 1
+/// ([`WalError::Truncated`]). Files other than `seg-*.wal` are ignored.
 pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
-    let watermark = read_watermark(dir);
     let mut named: Vec<(u64, PathBuf)> = Vec::new();
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
@@ -170,8 +152,11 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
         }
         // INVARIANT: the slice is exactly 8 bytes (length checked above).
         let first_lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        if let Some(expected) = expected_first {
-            if first_lsn != expected {
+        match expected_first {
+            None if first_lsn != 1 => {
+                return Err(WalError::Truncated { segment: path.clone(), first_lsn });
+            }
+            Some(expected) if first_lsn != expected => {
                 return Err(WalError::Corrupt {
                     segment: path.clone(),
                     offset: 8,
@@ -180,6 +165,7 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
                     ),
                 });
             }
+            _ => {}
         }
         let mut offset = SEGMENT_HEADER_BYTES;
         let mut count = 0u64;
@@ -217,47 +203,28 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
             bytes: bytes.len() as u64,
         });
     }
-    Ok(ScanReport { watermark, segments, records, torn })
+    Ok(ScanReport { segments, records, torn })
 }
 
 /// What [`Wal::open`] found and repaired before handing the log back.
 #[derive(Debug)]
 pub struct Recovery {
-    /// Records that must be replayed on top of the snapshot: every valid
-    /// record with LSN above the persisted watermark, in LSN order.
+    /// The whole history to replay: every valid record, in LSN order.
     pub records: Vec<(u64, Record)>,
-    /// The persisted consumed watermark.
-    pub watermark: u64,
     /// Whether a torn tail was found (and truncated away).
     pub torn: bool,
     /// Bytes discarded by torn-tail truncation.
     pub torn_bytes: u64,
-    /// Segments present after open-time reclamation.
+    /// Segments present after torn-tail repair.
     pub segments: usize,
-    /// Fully-consumed segments deleted at open.
-    pub removed_segments: usize,
     /// Highest LSN on disk (0 for an empty log).
     pub last_lsn: u64,
-}
-
-#[derive(Debug)]
-struct Sealed {
-    first_lsn: u64,
-    records: u64,
-    path: PathBuf,
-}
-
-impl Sealed {
-    fn last_lsn(&self) -> Option<u64> {
-        (self.records > 0).then(|| self.first_lsn + self.records - 1)
-    }
 }
 
 #[derive(Debug)]
 struct State {
     file: File,
     seg_index: u64,
-    seg_first_lsn: u64,
     seg_bytes: u64,
     /// LSN the next append will get (`written_lsn + 1`).
     next_lsn: u64,
@@ -270,8 +237,8 @@ struct State {
     /// An append failed mid-write; the tail may be torn, so the writer
     /// refuses to bury it under further records.
     poisoned: bool,
-    sealed: Vec<Sealed>,
-    watermark: u64,
+    /// Segments on disk (sealed + active).
+    segments: usize,
 }
 
 #[derive(Debug, Default)]
@@ -281,7 +248,6 @@ struct AtomicStats {
     fsyncs: AtomicU64,
     fsynced_records: AtomicU64,
     max_fsync_batch: AtomicU64,
-    removed_segments: AtomicU64,
 }
 
 /// A point-in-time copy of the log's counters, for metrics exposition.
@@ -291,8 +257,6 @@ pub struct WalStats {
     pub appended_lsn: u64,
     /// Highest LSN known durable.
     pub durable_lsn: u64,
-    /// Persisted consumed watermark.
-    pub watermark: u64,
     /// Segments currently on disk (sealed + active).
     pub segments: usize,
     /// Records appended since open.
@@ -305,8 +269,6 @@ pub struct WalStats {
     pub fsynced_records: u64,
     /// Largest single fsync batch.
     pub max_fsync_batch: u64,
-    /// Consumed segments deleted since open.
-    pub removed_segments: u64,
 }
 
 /// What one append achieved.
@@ -338,8 +300,8 @@ pub struct Wal {
 
 impl Wal {
     /// Open (creating if missing) the log at `config.dir`: scan it, repair
-    /// any torn tail, delete fully-consumed segments, and return the writer
-    /// together with everything the caller must replay.
+    /// any torn tail, and return the writer together with everything the
+    /// caller must replay.
     pub fn open(config: &WalConfig) -> Result<(Wal, Recovery), WalError> {
         fs::create_dir_all(&config.dir)?;
         let mut report = scan(&config.dir)?;
@@ -362,47 +324,21 @@ impl Wal {
             sync_dir(&config.dir)?;
         }
 
-        // Reclaim fully-consumed segments, keeping at least the last one as
-        // the append target.
-        let mut removed = 0;
-        while report.segments.len() > 1 {
-            if report.segments[0].last_lsn().is_some_and(|l| l > report.watermark) {
-                break;
-            }
-            fs::remove_file(&report.segments[0].path)?;
-            report.segments.remove(0);
-            removed += 1;
-        }
-        if removed > 0 {
-            sync_dir(&config.dir)?;
-        }
-
-        let last_lsn = report
-            .segments
-            .iter()
-            .filter_map(SegmentReport::last_lsn)
-            .max()
-            .unwrap_or(report.watermark);
-        let (file, seg_index, seg_first_lsn, seg_bytes) = match report.segments.last() {
+        let last_lsn =
+            report.segments.iter().filter_map(SegmentReport::last_lsn).max().unwrap_or(0);
+        let (file, seg_index, seg_bytes) = match report.segments.last() {
             Some(s) => {
                 let f = OpenOptions::new().append(true).open(&s.path)?;
                 // Everything retained by the scan is durable from here on.
                 f.sync_data()?;
-                (f, s.index, s.first_lsn, s.bytes)
+                (f, s.index, s.bytes)
             }
             None => {
-                let first = last_lsn + 1;
-                let f = create_segment(&config.dir, 1, first)?;
-                (f, 1, first, SEGMENT_HEADER_BYTES as u64)
+                let f = create_segment(&config.dir, 1, 1)?;
+                (f, 1, SEGMENT_HEADER_BYTES as u64)
             }
         };
-
-        let sealed = report.segments[..report.segments.len().saturating_sub(1)]
-            .iter()
-            .map(|s| Sealed { first_lsn: s.first_lsn, records: s.records, path: s.path.clone() })
-            .collect();
         let segments = report.segments.len().max(1);
-        report.records.retain(|(lsn, _)| *lsn > report.watermark);
 
         let wal = Wal {
             dir: config.dir.clone(),
@@ -411,26 +347,22 @@ impl Wal {
             state: Mutex::new(State {
                 file,
                 seg_index,
-                seg_first_lsn,
                 seg_bytes,
                 next_lsn: last_lsn + 1,
                 written_lsn: last_lsn,
                 durable_lsn: last_lsn,
                 syncing: false,
                 poisoned: false,
-                sealed,
-                watermark: report.watermark,
+                segments,
             }),
             cv: Condvar::new(),
             stats: AtomicStats::default(),
         };
         let recovery = Recovery {
             records: report.records,
-            watermark: report.watermark,
             torn,
             torn_bytes,
             segments,
-            removed_segments: removed,
             last_lsn,
         };
         Ok((wal, recovery))
@@ -503,17 +435,10 @@ impl Wal {
     fn roll(&self, st: &mut State) -> Result<(), WalError> {
         st.file.sync_data()?;
         st.durable_lsn = st.durable_lsn.max(st.written_lsn);
-        let records = (st.written_lsn + 1).saturating_sub(st.seg_first_lsn);
-        st.sealed.push(Sealed {
-            first_lsn: st.seg_first_lsn,
-            records,
-            path: self.dir.join(segment_name(st.seg_index)),
-        });
         let index = st.seg_index + 1;
-        let first = st.next_lsn;
-        st.file = create_segment(&self.dir, index, first)?;
+        st.file = create_segment(&self.dir, index, st.next_lsn)?;
+        st.segments += 1;
         st.seg_index = index;
-        st.seg_first_lsn = first;
         st.seg_bytes = SEGMENT_HEADER_BYTES as u64;
         Ok(())
     }
@@ -578,41 +503,7 @@ impl Wal {
         self.wait_durable(target)
     }
 
-    /// Record that a durably-published snapshot covers every record with
-    /// LSN ≤ `lsn`: persist the watermark and delete sealed segments whose
-    /// records are all covered. Returns how many segments were deleted.
-    /// The watermark never moves backwards and never past the written tail.
-    pub fn advance_watermark(&self, lsn: u64) -> Result<usize, WalError> {
-        let mut st = self.lock();
-        let lsn = lsn.min(st.written_lsn);
-        if lsn <= st.watermark {
-            return Ok(0);
-        }
-        persist_watermark(&self.dir, lsn)?;
-        st.watermark = lsn;
-        let mut keep = Vec::new();
-        let mut removed = 0usize;
-        for s in std::mem::take(&mut st.sealed) {
-            if s.last_lsn().is_some_and(|l| l > lsn) {
-                keep.push(s);
-                continue;
-            }
-            let _ = fs::remove_file(&s.path);
-            if s.path.exists() {
-                // Deletion failed; keep it listed and retry on the next
-                // advance rather than leaking the segment.
-                keep.push(s);
-            } else {
-                removed += 1;
-            }
-        }
-        st.sealed = keep;
-        self.stats.removed_segments.fetch_add(removed as u64, Ordering::Relaxed);
-        Ok(removed)
-    }
-
-    /// Highest LSN handed to the OS so far (what a snapshot taken *now*
-    /// is guaranteed to cover, because chains are updated before appends).
+    /// Highest LSN handed to the OS so far.
     pub fn appended_lsn(&self) -> u64 {
         self.lock().written_lsn
     }
@@ -622,33 +513,26 @@ impl Wal {
         self.lock().durable_lsn
     }
 
-    /// The persisted consumed watermark.
-    pub fn watermark(&self) -> u64 {
-        self.lock().watermark
-    }
-
     /// Segments currently on disk (sealed + active).
     pub fn segment_count(&self) -> usize {
-        self.lock().sealed.len() + 1
+        self.lock().segments
     }
 
     /// A point-in-time copy of every counter.
     pub fn stats(&self) -> WalStats {
-        let (appended_lsn, durable_lsn, watermark, segments) = {
+        let (appended_lsn, durable_lsn, segments) = {
             let st = self.lock();
-            (st.written_lsn, st.durable_lsn, st.watermark, st.sealed.len() + 1)
+            (st.written_lsn, st.durable_lsn, st.segments)
         };
         WalStats {
             appended_lsn,
             durable_lsn,
-            watermark,
             segments,
             appends: self.stats.appends.load(Ordering::Relaxed),
             appended_bytes: self.stats.bytes.load(Ordering::Relaxed),
             fsyncs: self.stats.fsyncs.load(Ordering::Relaxed),
             fsynced_records: self.stats.fsynced_records.load(Ordering::Relaxed),
             max_fsync_batch: self.stats.max_fsync_batch.load(Ordering::Relaxed),
-            removed_segments: self.stats.removed_segments.load(Ordering::Relaxed),
         }
     }
 }
@@ -798,45 +682,37 @@ mod tests {
     }
 
     #[test]
-    fn watermark_advance_reclaims_sealed_segments() {
-        let dir = tmpdir("watermark");
-        let cfg = WalConfig::new(&dir).with_segment_bytes(4 << 10);
-        let (wal, _) = Wal::open(&cfg).unwrap();
-        let big = "y".repeat(512);
-        for v in 1..=30 {
-            wal.append(&Record::Delta { key: "k".into(), version: v, delta_xml: big.clone() })
-                .unwrap();
+    fn log_that_does_not_start_at_lsn_1_is_refused() {
+        // What an earlier release left behind once a snapshot let it delete
+        // the first segments: the history below LSN 41 is not on disk.
+        let dir = tmpdir("truncated");
+        fs::create_dir_all(&dir).unwrap();
+        drop(create_segment(&dir, 3, 41).unwrap());
+        fs::write(dir.join("WATERMARK"), "40\n").unwrap();
+        for result in [scan(&dir).map(drop), Wal::open(&WalConfig::new(&dir)).map(drop)] {
+            match result {
+                Err(WalError::Truncated { segment, first_lsn }) => {
+                    assert_eq!(first_lsn, 41);
+                    assert!(segment.ends_with(segment_name(3)));
+                }
+                other => panic!("expected Truncated, got {other:?}"),
+            }
         }
-        let segments_before = wal.segment_count();
-        assert!(segments_before >= 3);
-        let covered = wal.appended_lsn();
-        let removed = wal.advance_watermark(covered).unwrap();
-        assert_eq!(removed, segments_before - 1, "all sealed segments reclaimed");
-        assert_eq!(wal.segment_count(), 1);
-        assert_eq!(wal.watermark(), covered);
-        // A second advance to the same point is a no-op.
-        assert_eq!(wal.advance_watermark(covered).unwrap(), 0);
-        drop(wal);
-
-        // The watermark survives reopen, and covered records are not replayed.
-        let (wal2, rec) = Wal::open(&cfg).unwrap();
-        assert_eq!(rec.watermark, covered);
-        assert_eq!(rec.records.len(), 0);
-        assert_eq!(wal2.append(&delta("k", 31)).unwrap().lsn, covered + 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn watermark_never_regresses_or_passes_the_tail() {
-        let dir = tmpdir("wmclamp");
+    fn stray_watermark_file_beside_a_complete_log_is_ignored() {
+        let dir = tmpdir("straywm");
         let (wal, _) = open(&dir);
-        for v in 1..=4 {
+        for v in 1..=3 {
             wal.append(&delta("k", v)).unwrap();
         }
-        assert_eq!(wal.advance_watermark(u64::MAX).unwrap(), 0);
-        assert_eq!(wal.watermark(), 4, "clamped to the written tail");
-        assert_eq!(wal.advance_watermark(2).unwrap(), 0);
-        assert_eq!(wal.watermark(), 4, "never moves backwards");
+        drop(wal);
+        fs::write(dir.join("WATERMARK"), "2\n").unwrap();
+        let (wal2, rec) = open(&dir);
+        assert_eq!(rec.records.len(), 3, "every record replays, whatever the file says");
+        assert_eq!(wal2.append(&delta("k", 4)).unwrap().lsn, 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -26,9 +26,9 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 8;
 const TAG_INIT: u8 = 0;
 const TAG_DELTA: u8 = 1;
 
-/// One logged warehouse event. Payloads are the same XML the warehouse
-/// persists (`v0.xml` bodies and `xydelta::xml_io` deltas), so a log is
-/// greppable with the same tools as a snapshot.
+/// One logged warehouse event. Payloads are plain XML (a canonical
+/// document, or a delta in `xydelta::xml_io` form), so a log is greppable
+/// with the same tools as the documents it versions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
     /// A document's first version: the canonical serialization of version 0.

@@ -18,25 +18,23 @@
 //!   patterns over delta operations ("e.g., that a new product has been
 //!   added to a catalog"), evaluated against every incoming delta;
 //! - temporal queries — any past version or any delta range can be
-//!   reconstructed ("querying the past").
+//!   reconstructed ("querying the past");
+//! - [`replay`] — rebuilding the repository from its one durable form, the
+//!   `xywal` log of first versions and completed deltas.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alerter;
-pub mod persist;
 pub mod replay;
 pub mod repository;
-pub mod snapshot;
 pub mod stats;
 pub mod temporal;
 pub mod subscription;
 
 pub use alerter::{Alerter, Notification, SchemaWarning};
-pub use persist::{load_chain, save_chain, PersistError};
 pub use replay::{ReplayError, ReplayStats};
 pub use repository::{LoadOutcome, Repository, RepositoryError};
-pub use snapshot::SnapshotStore;
 pub use stats::ChangeStats;
 pub use temporal::TemporalError;
 pub use subscription::{OpFilter, Subscription};

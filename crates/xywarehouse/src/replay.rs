@@ -1,14 +1,14 @@
 //! Replaying a write-ahead delta log into repositories.
 //!
-//! After a crash, warehouse state is `latest snapshot + log suffix`: the
-//! snapshot restore (`SnapshotStore::restore_into`) rebuilds everything a
-//! published generation covers, then [`apply_records`] folds the remaining
-//! WAL records on top. Replay is **idempotent by version arithmetic**: a
-//! record producing a version the chain already has is skipped (the
-//! snapshot was taken after that record's effect), a record producing
-//! exactly the next version is applied, and anything further ahead is a
-//! hard error — log and snapshot disagree about history, which recovery
-//! must surface rather than paper over.
+//! The log is the warehouse's only durable form, so recovery is
+//! `Wal::open` followed by [`apply_records`] over every record it returns:
+//! an `Init` record creates a chain from its document, each `Delta` record
+//! appends one version. Replay is **idempotent by version arithmetic**: a
+//! record producing a version the chain already has is skipped (the same
+//! records were folded in before), a record producing exactly the next
+//! version is applied, and anything further ahead is a hard error — the
+//! log skips part of a key's history, which recovery must surface rather
+//! than paper over.
 //!
 //! Every delta record passes the static validator (`xydelta::verify`)
 //! *before* it touches a chain, so a record that decodes cleanly (its WAL
@@ -28,7 +28,7 @@ pub struct ReplayStats {
     pub initialized: usize,
     /// Delta records applied on top of existing chains.
     pub applied: usize,
-    /// Records skipped because the snapshot already covered them.
+    /// Records skipped because the chain already held their version.
     pub skipped: usize,
 }
 
@@ -62,8 +62,8 @@ pub enum ReplayError {
         /// Validator message.
         message: String,
     },
-    /// The record's version is ahead of the chain: snapshot and log
-    /// disagree about history (records lost, or logs mixed up).
+    /// The record's version is ahead of the chain: the log skips part of
+    /// the key's history (records lost, or logs mixed up).
     Gap {
         /// Record LSN.
         lsn: u64,
@@ -97,7 +97,7 @@ impl fmt::Display for ReplayError {
             ReplayError::Gap { lsn, key, expected, found } => write!(
                 f,
                 "wal record lsn={lsn} key={key:?} produces version {found} but the chain \
-                 expects {expected}: log and snapshot disagree"
+                 expects {expected}: the log skips part of this key's history"
             ),
             ReplayError::Apply { lsn, key, message } => {
                 write!(f, "wal record lsn={lsn} key={key:?} does not apply: {message}")
@@ -232,14 +232,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_on_top_of_snapshot_skips_covered_records() {
+    fn replay_on_top_of_existing_chains_skips_covered_records() {
         let (reference, records) = ingest_and_log("doc", &VERSIONS);
-        // Simulate a snapshot taken after version 1: a repo already holding
-        // the first two versions.
-        let snap = Repository::new();
-        snap.load_version("doc", VERSIONS[0]).unwrap();
-        snap.load_version("doc", VERSIONS[1]).unwrap();
-        let shards = vec![snap];
+        // A repo already holding the first two versions: their records
+        // must be skipped, the rest applied.
+        let partial = Repository::new();
+        partial.load_version("doc", VERSIONS[0]).unwrap();
+        partial.load_version("doc", VERSIONS[1]).unwrap();
+        let shards = vec![partial];
         let stats = apply_records(&records, &shards, |_| 0).unwrap();
         assert_eq!(stats, ReplayStats { initialized: 0, applied: 2, skipped: 2 });
         for i in 0..4 {

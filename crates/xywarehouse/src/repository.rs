@@ -333,13 +333,8 @@ impl Repository {
         self.entries.read().values().map(|s| s.chain.version_count()).sum()
     }
 
-    /// Clone of one document's chain (persistence support).
-    pub(crate) fn chain_snapshot(&self, key: &str) -> Option<VersionChain> {
-        self.entries.read().get(key).map(|s| s.chain.clone())
-    }
-
-    /// Install a loaded chain under `key`, replacing any existing entry
-    /// (persistence support). The signature cache starts cold — misses fall
+    /// Install a replayed chain under `key`, replacing any existing entry
+    /// (recovery support). The signature cache starts cold — misses fall
     /// back to local hashing and the first ingest re-warms it.
     pub(crate) fn install_chain(&self, key: String, chain: VersionChain) {
         self.entries

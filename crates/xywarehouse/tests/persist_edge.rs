@@ -3,55 +3,75 @@
 //! The Xyleme setting ingests arbitrary crawled XML, so the store must
 //! survive documents that stress the serializer/parser boundary: text that
 //! becomes empty across versions, non-ASCII content in every syntactic
-//! position, and elements that carry only attributes. Each test saves a
-//! chain built through the real diff pipeline, reloads it, and requires
-//! every reconstructed version byte-for-byte.
+//! position, and elements that carry only attributes. Each test ingests
+//! its versions through the real diff pipeline, logs them as the server
+//! does (`Record` frames, encoded and decoded again), replays the frames
+//! into a fresh repository, and requires every reconstructed version
+//! byte-for-byte.
 
-use std::fs;
-use std::path::PathBuf;
-use xydelta::{VersionChain, XidDocument};
-use xydiff::{diff, DiffOptions};
-use xywarehouse::{load_chain, save_chain, Alerter, Repository};
+use xydelta::xml_io;
+use xywal::{decode_frame, encode_frame, Record};
+use xywarehouse::replay::apply_records;
+use xywarehouse::Repository;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("xywh-edge-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
-
-fn build_chain(versions: &[&str]) -> VersionChain {
-    let mut chain = VersionChain::new(XidDocument::parse_initial(versions[0]).unwrap());
-    for xml in &versions[1..] {
-        let doc = xytree::Document::parse(xml).unwrap();
-        let r = diff(chain.latest(), &doc, &DiffOptions::default());
-        chain.push_version(r.new_version, r.delta);
+/// Ingest `versions` of `key` into `repo`, appending the frame the server
+/// would log for each to `log`.
+fn ingest_and_log(repo: &Repository, key: &str, versions: &[&str], log: &mut Vec<u8>) {
+    for xml in versions {
+        let out = repo.load_version(key, xml).unwrap();
+        let record = if out.version == 0 {
+            Record::Init { key: key.into(), xml: repo.latest_xml(key).unwrap() }
+        } else {
+            Record::Delta {
+                key: key.into(),
+                version: out.version as u64,
+                delta_xml: xml_io::delta_to_xml(&out.delta),
+            }
+        };
+        log.extend_from_slice(&encode_frame(&record));
     }
-    chain
 }
 
-/// Save, load, and require every reloaded version to serialize exactly as
-/// the in-memory chain's version did — the store must not lose or reorder
+/// Decode every frame of `log` and replay them into a fresh repository.
+fn replay(mut log: &[u8]) -> Repository {
+    let mut records = Vec::new();
+    while !log.is_empty() {
+        let (record, used) = decode_frame(log).unwrap();
+        records.push((records.len() as u64 + 1, record));
+        log = &log[used..];
+    }
+    let shards = [Repository::new()];
+    let stats = apply_records(&records, &shards, |_| 0).unwrap();
+    assert_eq!(stats.skipped, 0, "a fresh repository skips nothing");
+    let [repo] = shards;
+    repo
+}
+
+/// Log, replay, and require every replayed version to serialize exactly as
+/// the live repository's version did — the store must not lose or reorder
 /// anything the data model keeps.
-fn roundtrip(tag: &str, versions: &[&str]) -> VersionChain {
-    let chain = build_chain(versions);
-    let dir = tmpdir(tag);
-    save_chain(&chain, &dir).unwrap();
-    let loaded = load_chain(&dir).unwrap();
-    assert_eq!(loaded.version_count(), versions.len(), "version count after reload");
+fn roundtrip(tag: &str, versions: &[&str]) -> Repository {
+    let live = Repository::new();
+    let mut log = Vec::new();
+    ingest_and_log(&live, tag, versions, &mut log);
+    let replayed = replay(&log);
+    assert_eq!(replayed.version_count(tag), versions.len(), "version count after replay");
     for i in 0..versions.len() {
         assert_eq!(
-            loaded.version(i).unwrap().doc.to_xml(),
-            chain.version(i).unwrap().doc.to_xml(),
+            replayed.version_xml(tag, i).unwrap(),
+            live.version_xml(tag, i).unwrap(),
             "version {i} of case {tag}"
         );
     }
+    // The XID counter must survive replay so diffing can continue: the next
+    // ingest hands out the same identifiers on both sides.
+    let next = "<next><fresh>node</fresh></next>";
     assert_eq!(
-        loaded.latest().next_xid_value(),
-        chain.latest().next_xid_value(),
-        "XID counter must survive reload so diffing can continue"
+        xml_io::delta_to_xml(&replayed.load_version(tag, next).unwrap().delta),
+        xml_io::delta_to_xml(&live.load_version(tag, next).unwrap().delta),
+        "first delta after replay of case {tag}"
     );
-    let _ = fs::remove_dir_all(&dir);
-    chain
+    live
 }
 
 /// [`roundtrip`], plus the stronger requirement that every version also
@@ -59,10 +79,10 @@ fn roundtrip(tag: &str, versions: &[&str]) -> VersionChain {
 /// in the serializer's canonical form (no entity-escape or whitespace-only
 /// content the data model normalizes).
 fn roundtrip_exact(tag: &str, versions: &[&str]) {
-    let chain = roundtrip(tag, versions);
+    let live = roundtrip(tag, versions);
     for (i, xml) in versions.iter().enumerate() {
         assert_eq!(
-            &chain.version(i).unwrap().doc.to_xml(),
+            &live.version_xml(tag, i).unwrap(),
             xml,
             "reconstructed version {i} of case {tag} vs source"
         );
@@ -157,22 +177,19 @@ fn deep_nesting_with_mixed_edge_cases() {
     );
 }
 
-/// The repository-level save/load path with edge-case documents and a live
-/// alerter, continuing ingestion after reload.
+/// Several keys in one log — one of them non-ASCII with a path separator —
+/// continuing ingestion after replay.
 #[test]
 fn repository_roundtrip_with_edge_documents() {
-    let repo = Repository::new();
-    repo.load_version("u/é.xml", "<doc><t>héllo</t></doc>").unwrap();
-    repo.load_version("u/é.xml", "<doc><t/></doc>").unwrap();
-    repo.load_version("attrs", "<a k=\"1\"/>").unwrap();
-    let dir = tmpdir("repo-edge");
-    repo.save_to(&dir).unwrap();
+    let live = Repository::new();
+    let mut log = Vec::new();
+    ingest_and_log(&live, "u/é.xml", &["<doc><t>héllo</t></doc>", "<doc><t/></doc>"], &mut log);
+    ingest_and_log(&live, "attrs", &["<a k=\"1\"/>"], &mut log);
 
-    let loaded = Repository::load_from(&dir, DiffOptions::default(), Alerter::new()).unwrap();
+    let loaded = replay(&log);
     assert_eq!(loaded.version_xml("u/é.xml", 0).unwrap(), "<doc><t>héllo</t></doc>");
     assert_eq!(loaded.latest_xml("u/é.xml").unwrap(), "<doc><t/></doc>");
     assert_eq!(loaded.latest_xml("attrs").unwrap(), "<a k=\"1\"/>");
     let out = loaded.load_version("u/é.xml", "<doc><t>again</t></doc>").unwrap();
     assert_eq!(out.version, 2);
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -448,7 +448,7 @@ fn write_stalled_connection_is_evicted() {
 }
 
 /// Oversized heads and bodies get their status (431 / 413) written and the
-/// connection closed, under the reactor just as under the blocking front.
+/// connection closed.
 #[test]
 fn oversized_head_and_body_are_rejected_and_closed() {
     let (mut reactor, sim) =

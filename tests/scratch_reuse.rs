@@ -141,8 +141,8 @@ proptest! {
         let mut differ = Differ::new();
         let mut cache = SignatureCache::new();
         // Leave the cache describing an unrelated version first.
-        let _ = differ.diff_with_cache(&XidDocument::assign_initial(b.clone()), &a.doc, &mut cache);
-        let warm = differ.diff_with_cache(&a, &b, &mut cache);
+        let _ = differ.diff_consume_with_cache(&XidDocument::assign_initial(b.clone()), a.doc.clone(), &mut cache);
+        let warm = differ.diff_consume_with_cache(&a, b.clone(), &mut cache);
         prop_assert_eq!(
             xml_io::delta_to_xml(&fresh.delta),
             xml_io::delta_to_xml(&warm.delta),
@@ -209,7 +209,7 @@ fn cached_chain_equals_cold_chain() {
         for new_xml in &chain[1..] {
             let new_doc = Document::parse(new_xml).unwrap();
             let cold = diff(&latest, &new_doc, &DiffOptions::default());
-            let cached = differ.diff_with_cache(&latest, &new_doc, &mut cache);
+            let cached = differ.diff_consume_with_cache(&latest, new_doc.clone(), &mut cache);
             assert_eq!(
                 xml_io::delta_to_xml(&cold.delta),
                 xml_io::delta_to_xml(&cached.delta),
@@ -280,8 +280,8 @@ fn cached_equals_uncached(
     cache: &mut SignatureCache,
     what: &str,
 ) -> XidDocument {
-    let plain = xml_io::delta_to_xml(&differ.diff_uncached(old, new).delta);
-    let cached = differ.diff_with_cache(old, new, cache);
+    let plain = xml_io::delta_to_xml(&differ.diff(old, new).delta);
+    let cached = differ.diff_consume_with_cache(old, new.clone(), cache);
     assert_eq!(plain, xml_io::delta_to_xml(&cached.delta), "{what}: cached delta diverged");
     cached.new_version
 }
@@ -326,7 +326,7 @@ fn cache_survives_recovered_and_compacted_chains() {
     let mut log = Vec::new();
     for xml in &xmls[1..5] {
         let new = Document::parse(xml).unwrap();
-        let r = differ.diff_with_cache(live.latest(), &new, &mut cache);
+        let r = differ.diff_consume_with_cache(live.latest(), new, &mut cache);
         log.push(xml_io::delta_to_xml(&r.delta));
         live.push_version(r.new_version, r.delta);
     }

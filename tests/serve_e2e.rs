@@ -1,7 +1,7 @@
 //! End-to-end exercise of the full network stack: concurrent HTTP clients
 //! ingest versioned corpora over loopback TCP, every stored version is
-//! served back byte-identical, the metrics balance, and a restart from a
-//! persisted snapshot serves the same documents.
+//! served back byte-identical, the metrics balance, and a restart from the
+//! write-ahead log serves the same documents.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use xydiff_suite::xydelta::XidDocument;
 use xydiff_suite::xynet::{NetConfig, NetServer};
-use xydiff_suite::xyserve::{ServeConfig, SnapshotPolicy};
+use xydiff_suite::xydiff::MatchMode;
+use xydiff_suite::xyserve::{ServeConfig, WalPolicy};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 
 /// `docs` documents with `versions` snapshots each, as canonical XML.
@@ -71,7 +72,7 @@ fn post_snapshot(addr: SocketAddr, key: &str, xml: &str) -> (u16, String) {
 fn concurrent_http_clients_ingest_and_read_back_byte_identical() {
     let corpus = Arc::new(corpus(6, 4, 300, 77));
     let server = NetServer::start(
-        NetConfig::new().with_io_timeout(Duration::from_secs(3)),
+        NetConfig::new(),
         ServeConfig::new()
             .with_workers(3)
             .unwrap()
@@ -153,7 +154,7 @@ fn steal_heavy_workload_reads_back_byte_identical() {
     let hold = Arc::new(AtomicBool::new(true));
     let hold2 = Arc::clone(&hold);
     let server = NetServer::start(
-        NetConfig::new().with_io_timeout(Duration::from_secs(3)),
+        NetConfig::new(),
         ServeConfig::new()
             .with_workers(workers)
             .unwrap()
@@ -224,37 +225,38 @@ fn tmp_root(tag: &str) -> PathBuf {
     d
 }
 
-/// Kill a server that persisted a snapshot on drain, then boot a fresh one
-/// from the same directory: it must serve the same versions and continue
-/// the chains where the first instance stopped.
+/// Drain a server that logged every ingest, then boot a fresh one from the
+/// same directory under a different shard count and matcher: it must serve
+/// the same versions and continue the chains where the first instance
+/// stopped.
 #[test]
-fn restart_from_snapshot_serves_the_same_versions() {
+fn restart_from_the_log_serves_the_same_versions() {
     let dir = tmp_root("restart");
     let corpus = corpus(3, 3, 200, 91);
-    let net =
-        || NetConfig::new().with_io_timeout(Duration::from_secs(3)).with_http_workers(2);
-    let serve = |shards: usize| {
+    let serve = |shards: usize, mode: MatchMode| {
         ServeConfig::new()
             .with_workers(2)
             .unwrap()
             .with_shards(shards)
             .unwrap()
-            .with_snapshots(SnapshotPolicy::new(&dir).with_interval(Duration::from_secs(3600)))
+            .with_mode(mode)
+            .with_wal(WalPolicy::new(&dir))
     };
 
-    let first = NetServer::start(net(), serve(2)).expect("first start");
+    let first = NetServer::start(NetConfig::new(), serve(2, MatchMode::Buld)).expect("first start");
     let addr = first.local_addr();
     for (key, versions) in &corpus {
         for xml in versions {
             assert_eq!(post_snapshot(addr, key, xml).0, 200);
         }
     }
-    let report = first.shutdown(); // takes the final snapshot
+    let report = first.shutdown();
     assert!(report.ingest.is_balanced());
     assert_eq!(report.ingest.succeeded, 9);
 
-    // Second instance: different shard count, same snapshot directory.
-    let second = NetServer::start(net(), serve(4)).expect("second start");
+    // Second instance: different shard count and matcher, same log.
+    let second =
+        NetServer::start(NetConfig::new(), serve(4, MatchMode::Unordered)).expect("second start");
     let addr = second.local_addr();
     for (key, versions) in &corpus {
         for (v, xml) in versions.iter().enumerate() {
