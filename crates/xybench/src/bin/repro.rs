@@ -462,12 +462,13 @@ fn diff_bench() {
 
     // One differ (options + scratch) reused across the whole run, as a
     // long-lived ingest worker would hold it: zero-copy (borrowed) payload
-    // capture, plus the scheduler-backed runner when parallelism is on. The
+    // capture, plus the scoped fork-join runner when parallelism is on. The
     // warmup round (untimed) also warms its scratch capacity, so the timed
     // rounds measure the allocation-free steady state.
     let mut differ = Differ::new().with_capture(xydelta::CaptureMode::Borrowed);
     if diff_threads > 1 {
-        differ = differ.with_runner(std::sync::Arc::new(xyserve::DiffRunner::new(diff_threads)));
+        differ =
+            differ.with_runner(std::sync::Arc::new(xydiff::StdScopeRunner::new(diff_threads)));
     }
     for c in &cases {
         let _ = differ.diff(&c.old, &c.new);
@@ -640,8 +641,8 @@ fn ingest() {
         corpus[0].1.len(),
         fmt_bytes(corpus[0].1[0].len()),
     );
-    println!("| workers | wall time | docs/sec | speedup | queue high-water | steals | stolen jobs | diff mean | diff p99 | total p99 |");
-    println!("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
+    println!("| workers | wall time | docs/sec | speedup | queue high-water | diff mean | diff p99 | total p99 |");
+    println!("|---:|---:|---:|---:|---:|---:|---:|---:|");
     let mut base_rate = None;
     let mut last_metrics = String::new();
     let mut json_rows: Vec<String> = Vec::new();
@@ -672,10 +673,8 @@ fn ingest() {
         let m = server.metrics();
         let rate = snapshots as f64 / wall.as_secs_f64();
         let speedup = rate / *base_rate.get_or_insert(rate);
-        let steals = m.steals.get();
-        let stolen = m.stolen_jobs.get();
         println!(
-            "| {workers} | {} | {:.0} | {speedup:.2}x | {} | {steals} | {stolen} | {} µs | {} µs | {} µs |",
+            "| {workers} | {} | {:.0} | {speedup:.2}x | {} | {} µs | {} µs | {} µs |",
             fmt_dur(wall),
             rate,
             m.queue_depth.high_water(),
@@ -685,7 +684,7 @@ fn ingest() {
         );
         json_rows.push(format!(
             "    {{ \"workers\": {workers}, \"wall_secs\": {:.4}, \"docs_per_sec\": {rate:.2}, \
-             \"speedup\": {speedup:.3}, \"steals\": {steals}, \"stolen_jobs\": {stolen}, \
+             \"speedup\": {speedup:.3}, \
              \"diff_mean_micros\": {}, \"diff_p99_micros\": {}, \"total_p99_micros\": {} }}",
             wall.as_secs_f64(),
             m.diff_time.mean_micros(),

@@ -40,11 +40,6 @@ pub(crate) fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
                     .with_shards(flag_value(&mut it, "--shards")?)
                     .map_err(|e| e.to_string())?;
             }
-            "--steal-batch" => {
-                config = config
-                    .with_steal_batch(flag_value(&mut it, "--steal-batch")?)
-                    .map_err(|e| e.to_string())?;
-            }
             "--diff-threads" => {
                 config = config
                     .with_diff_threads(flag_value(&mut it, "--diff-threads")?)

@@ -45,11 +45,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                     .with_shards(flag_value(&mut it, "--shards")?)
                     .map_err(|e| e.to_string())?;
             }
-            "--steal-batch" => {
-                serve = serve
-                    .with_steal_batch(flag_value(&mut it, "--steal-batch")?)
-                    .map_err(|e| e.to_string())?;
-            }
             "--diff-threads" => {
                 serve = serve
                     .with_diff_threads(flag_value(&mut it, "--diff-threads")?)

@@ -397,7 +397,7 @@ mod tests {
         let mut xd = XidDocument::parse_initial("<a><b/></a>").unwrap();
         let a = xd.doc.root_element().unwrap();
         let b = xd.doc.tree.first_child(a).unwrap();
-        // Steal a's XID for b.
+        // Take a's XID for b.
         let xa = xd.xid(a).unwrap();
         xd.set_xid(b, xa);
         assert_eq!(xd.node(xa), Some(b));

@@ -32,11 +32,10 @@
 
 use crate::config::DiffOptions;
 use crate::info::SignatureCache;
-use crate::mode::{MatchMode, UnorderedOptions};
+use crate::mode::MatchMode;
 use crate::par::{ParallelRunner, SerialRunner};
 use crate::report::DiffResult;
 use crate::scratch::DiffScratch;
-use crate::similarity::SimilarityOptions;
 use std::sync::Arc;
 use xydelta::CaptureMode;
 use xydelta::XidDocument;
@@ -46,13 +45,10 @@ use xytree::Document;
 /// cross-version signature cache. See the module docs for the design.
 ///
 /// The matcher is selected with [`Differ::with_mode`] (or by setting
-/// [`DiffOptions::mode`]); per-mode tuning rides along in the
-/// [`UnorderedOptions`] / [`SimilarityOptions`] the differ owns.
+/// [`DiffOptions::mode`]).
 #[derive(Debug, Default)]
 pub struct Differ {
     opts: DiffOptions,
-    unordered: UnorderedOptions,
-    similarity: SimilarityOptions,
     scratch: DiffScratch,
     cache: Option<SignatureCache>,
     capture: CaptureMode,
@@ -77,25 +73,6 @@ impl Differ {
     #[must_use]
     pub fn with_mode(mut self, mode: MatchMode) -> Differ {
         self.opts.mode = mode;
-        self
-    }
-
-    /// Replace the unordered-mode tuning (builder style). Only consulted
-    /// when the mode is [`MatchMode::Unordered`]. Build the options through
-    /// their fallible `with_*` builders; values are assumed valid here.
-    #[must_use]
-    pub fn with_unordered_options(mut self, opts: UnorderedOptions) -> Differ {
-        self.unordered = opts;
-        self
-    }
-
-    /// Replace the similarity-mode tuning (builder style). Only consulted
-    /// when the mode is [`MatchMode::Similarity`]. Build the options
-    /// through their fallible `with_*` builders; values are assumed valid
-    /// here.
-    #[must_use]
-    pub fn with_similarity_options(mut self, opts: SimilarityOptions) -> Differ {
-        self.similarity = opts;
         self
     }
 
@@ -147,16 +124,6 @@ impl Differ {
         self.opts.mode
     }
 
-    /// The unordered-mode tuning this differ carries.
-    pub fn unordered_options(&self) -> &UnorderedOptions {
-        &self.unordered
-    }
-
-    /// The similarity-mode tuning this differ carries.
-    pub fn similarity_options(&self) -> &SimilarityOptions {
-        &self.similarity
-    }
-
     /// Worker parallelism of the installed runner (1 when none is set).
     pub fn runner_threads(&self) -> usize {
         self.runner.as_ref().map_or(1, |r| r.threads())
@@ -188,20 +155,7 @@ impl Differ {
     /// calls; results are byte-identical to a fresh-memory diff (pinned by
     /// the golden-equivalence suite).
     pub fn diff(&mut self, old: &XidDocument, new: &Document) -> DiffResult {
-        // Destructure for split borrows: the runner is shared while the
-        // scratch (and cache) are handed out mutably.
-        let Differ { opts, unordered, similarity, scratch, cache, capture, runner } = self;
-        crate::diff_dispatch(
-            old,
-            new.clone(),
-            opts,
-            unordered,
-            similarity,
-            scratch,
-            cache.as_mut(),
-            *capture,
-            runner_of(runner),
-        )
+        self.run(old, new.clone(), None)
     }
 
     /// [`Differ::diff`] consuming the new document.
@@ -212,18 +166,7 @@ impl Differ {
     /// Ingestion pipelines that parse each incoming version themselves (and
     /// have no further use for the parse) should always take this path.
     pub fn diff_consume(&mut self, old: &XidDocument, new: Document) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, cache, capture, runner } = self;
-        crate::diff_dispatch(
-            old,
-            new,
-            opts,
-            unordered,
-            similarity,
-            scratch,
-            cache.as_mut(),
-            *capture,
-            runner_of(runner),
-        )
+        self.run(old, new, None)
     }
 
     /// [`Differ::diff_consume`] with an external per-document cache — the
@@ -240,26 +183,22 @@ impl Differ {
         new: Document,
         cache: &mut SignatureCache,
     ) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, capture, runner, .. } = self;
-        crate::diff_dispatch(
-            old,
-            new,
-            opts,
-            unordered,
-            similarity,
-            scratch,
-            Some(cache),
-            *capture,
-            runner_of(runner),
-        )
+        self.run(old, new, Some(cache))
     }
-}
 
-/// The effective runner for a call: the installed one, else serial.
-fn runner_of(runner: &Option<Arc<dyn ParallelRunner>>) -> &dyn ParallelRunner {
-    match runner {
-        Some(r) => r.as_ref(),
-        None => &SerialRunner,
+    /// The one body behind the three entry points: `external` is the
+    /// caller's per-document cache, used in place of the owned one.
+    fn run(
+        &mut self,
+        old: &XidDocument,
+        new: Document,
+        external: Option<&mut SignatureCache>,
+    ) -> DiffResult {
+        // Destructure for split borrows: the runner is shared while the
+        // scratch (and cache) are handed out mutably.
+        let Differ { opts, scratch, cache, capture, runner } = self;
+        let runner: &dyn ParallelRunner = runner.as_deref().unwrap_or(&SerialRunner);
+        crate::diff_dispatch(old, new, opts, scratch, external.or(cache.as_mut()), *capture, runner)
     }
 }
 
@@ -338,20 +277,6 @@ mod tests {
             assert_eq!(replay.doc.to_xml(), new.to_xml(), "mode {mode}");
             xydelta::verify(&r.delta).unwrap_or_else(|e| panic!("mode {mode}: {e}"));
         }
-    }
-
-    #[test]
-    fn per_mode_options_are_carried() {
-        let differ = Differ::new()
-            .with_mode(MatchMode::Unordered)
-            .with_unordered_options(
-                UnorderedOptions::default().with_max_bucket_pairs(7).unwrap(),
-            )
-            .with_similarity_options(
-                SimilarityOptions::default().with_passes(5).unwrap(),
-            );
-        assert_eq!(differ.unordered_options().max_bucket_pairs, 7);
-        assert_eq!(differ.similarity_options().passes, 5);
     }
 
     #[test]

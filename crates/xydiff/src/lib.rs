@@ -72,11 +72,10 @@ pub use config::DiffOptions;
 pub use differ::Differ;
 pub use info::SignatureCache;
 pub use matching::Matching;
-pub use mode::{ConfigError, MatchMode, ParseMatchModeError, UnorderedOptions};
+pub use mode::{MatchMode, ParseMatchModeError};
 pub use par::{ParallelRunner, SerialRunner, StdScopeRunner};
 pub use report::{DiffResult, DiffStats, PhaseTimings};
 pub use scratch::DiffScratch;
-pub use similarity::SimilarityOptions;
 
 use std::time::Instant;
 use xydelta::diff_by_xid::CaptureMode;
@@ -89,9 +88,7 @@ use xytree::Document;
 /// timings, and matching statistics. The new document is cloned into the
 /// result (the diff itself never mutates its inputs).
 ///
-/// The matcher is selected by [`DiffOptions::mode`]; non-default modes run
-/// with their default per-mode options (tune them through the [`Differ`]
-/// builder's `with_unordered_options` / `with_similarity_options`).
+/// The matcher is selected by [`DiffOptions::mode`].
 ///
 /// This is a thin convenience wrapper that allocates fresh working memory
 /// per call; long-running callers should hold a [`Differ`] (which owns the
@@ -99,34 +96,21 @@ use xytree::Document;
 /// [`Differ::diff`] instead.
 pub fn diff(old: &XidDocument, new: &Document, opts: &DiffOptions) -> DiffResult {
     let mut scratch = DiffScratch::new();
-    diff_dispatch(
-        old,
-        new.clone(),
-        opts,
-        &UnorderedOptions::default(),
-        &SimilarityOptions::default(),
-        &mut scratch,
-        None,
-        CaptureMode::Owned,
-        &SerialRunner,
-    )
+    diff_dispatch(old, new.clone(), opts, &mut scratch, None, CaptureMode::Owned, &SerialRunner)
 }
 
 /// Route a diff to the matcher selected by [`DiffOptions::mode`].
 ///
 /// The BULD arm uses the full machinery (scratch, cache, parallel runner);
-/// the unordered and similarity arms build their own matching state and
-/// ignore `scratch`, `cache`, and `runner` (an installed per-document cache
-/// is simply left untouched — it misses safely if the caller later
-/// switches back to BULD). All arms honor `capture` and the phase-5 LIS
-/// settings, so every mode supports the zero-copy warehouse path.
-#[allow(clippy::too_many_arguments)]
+/// the unordered and similarity arms take only the scratch's matching and
+/// ignore `cache` and `runner` (an installed per-document cache is simply
+/// left untouched — it misses safely if the caller later switches back to
+/// BULD). All arms honor `capture` and the phase-5 LIS settings, so every
+/// mode supports the zero-copy warehouse path.
 pub(crate) fn diff_dispatch(
     old: &XidDocument,
     new: Document,
     opts: &DiffOptions,
-    uopts: &UnorderedOptions,
-    sopts: &SimilarityOptions,
     scratch: &mut DiffScratch,
     cache: Option<&mut SignatureCache>,
     capture: CaptureMode,
@@ -134,9 +118,43 @@ pub(crate) fn diff_dispatch(
 ) -> DiffResult {
     match opts.mode {
         MatchMode::Buld => diff_core(old, new, opts, scratch, cache, capture, runner),
-        MatchMode::Unordered => unordered::diff_core_unordered(old, new, opts, uopts, capture),
-        MatchMode::Similarity => similarity::diff_core_similarity(old, new, opts, sopts, capture),
+        MatchMode::Unordered => {
+            unordered::diff_core_unordered(old, new, opts, &mut scratch.matching, capture)
+        }
+        MatchMode::Similarity => {
+            similarity::diff_core_similarity(old, new, opts, &mut scratch.matching, capture)
+        }
     }
+}
+
+/// The prologue every matcher shares: size `matching` for both arenas and
+/// pair the document roots, which always correspond.
+pub(crate) fn start_matching(matching: &mut Matching, old: &XidDocument, new: &Document) {
+    matching.reset(old.doc.tree.arena_len(), new.tree.arena_len());
+    matching.add(old.doc.tree.root(), new.tree.root());
+}
+
+/// The epilogue every matcher shares — phase 5: matched nodes inherit XIDs
+/// (`new` moves into the produced version), the delta is built from the two
+/// XID-carrying versions, and the node counts close the statistics.
+pub(crate) fn finish(
+    old: &XidDocument,
+    new: Document,
+    matching: &Matching,
+    opts: &DiffOptions,
+    capture: CaptureMode,
+    mut stats: DiffStats,
+    mut timings: PhaseTimings,
+) -> DiffResult {
+    stats.old_nodes = old.doc.tree.subtree_size(old.doc.tree.root());
+    let t = Instant::now();
+    let new_version = phase5::inherit_xids(old, new, matching);
+    let lis_window = if opts.exact_lis { None } else { Some(opts.lis_window) };
+    let delta = xydelta::diff_by_xid::diff_by_xid_captured(old, &new_version, lis_window, capture);
+    timings.phase5 = t.elapsed();
+    stats.new_nodes = new_version.doc.tree.subtree_size(new_version.doc.tree.root());
+    stats.matched_nodes = matching.matched_count();
+    DiffResult { delta, new_version, timings, stats }
 }
 
 /// The whole pipeline, owning the new document.
@@ -165,9 +183,7 @@ pub(crate) fn diff_core(
     // Split borrows: the infos stay shared references through phases 1–4
     // while the matching and BULD state are mutated.
     let DiffScratch { old_info, new_info, matching, buld } = scratch;
-    matching.reset(old_tree.arena_len(), new_tree.arena_len());
-    // The document roots always correspond.
-    matching.add(old_tree.root(), new_tree.root());
+    start_matching(matching, old, &new);
 
     // Phase 2 runs first here: the propagation pass that closes phase 1
     // needs the weights (the paper reports "phase 1 + phase 2" as one curve
@@ -212,28 +228,15 @@ pub(crate) fn diff_core(
     }
     timings.phase4 = t.elapsed();
 
-    stats.old_nodes = old_tree.subtree_size(old_tree.root());
-
-    // Phase 5: XID inheritance + delta construction. `new` moves into the
-    // produced version here — the one subtree-sized copy the old pipeline
-    // performed at this point is gone.
-    let t = Instant::now();
-    let new_version = phase5::inherit_xids(old, new, matching);
-    let lis_window = if opts.exact_lis { None } else { Some(opts.lis_window) };
-    let delta = xydelta::diff_by_xid::diff_by_xid_captured(old, &new_version, lis_window, capture);
-    timings.phase5 = t.elapsed();
+    let result = finish(old, new, matching, opts, capture, stats, timings);
 
     // Hand the next ingest of this document a warm cache: `new_version`
     // wraps the same tree (same NodeIds), so the new side's records index it
     // directly and change hands as they are.
     if let Some(c) = cache {
-        c.store(&new_version, new_info_buf);
+        c.store(&result.new_version, new_info_buf);
     }
-
-    stats.new_nodes = new_version.doc.tree.subtree_size(new_version.doc.tree.root());
-    stats.matched_nodes = matching.matched_count();
-
-    DiffResult { delta, new_version, timings, stats }
+    result
 }
 
 /// Convenience wrapper: assign initial XIDs to `old` and diff.

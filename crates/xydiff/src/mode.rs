@@ -10,11 +10,8 @@
 //! phase-5 delta construction, so all three emit valid,
 //! `xydelta::verify`-clean XyDeltas over the same change model.
 //!
-//! Per-mode tuning lives in per-mode option structs ([`UnorderedOptions`]
-//! here, [`SimilarityOptions`](crate::similarity::SimilarityOptions) in its
-//! module), following the `ServeConfig` conventions: `#[non_exhaustive]`,
-//! fallible `with_*` builders returning typed [`ConfigError`]s, and a
-//! `validate()` backstop for callers that mutate fields directly.
+//! Per-mode tuning is a handful of constants beside the matcher that reads
+//! them ([`crate::unordered`], [`crate::similarity`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -91,111 +88,6 @@ impl FromStr for MatchMode {
     }
 }
 
-/// A per-mode option value was rejected by a `with_*` builder (or by
-/// `validate()`); the diff never runs with out-of-range tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum ConfigError {
-    /// A similarity threshold must lie in `(0, 1]` — 0 would match
-    /// everything to the first candidate, above 1 nothing ever matches.
-    ThresholdOutOfRange {
-        /// The option field the value was destined for.
-        name: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
-    /// `passes` must be nonzero (zero passes would match leaves only).
-    ZeroPasses,
-    /// `max_leaf_candidates` must be nonzero (zero examines no candidate).
-    ZeroCandidates,
-    /// `max_bucket_pairs` must be nonzero (zero disables the fallback
-    /// assignment entirely, turning every changed subtree into
-    /// delete + insert).
-    ZeroBucketPairs,
-    /// `min_child_overlap` must lie in `[0, 1]` (it is a fraction of the
-    /// combined child count).
-    OverlapOutOfRange {
-        /// The rejected value.
-        value: f64,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            ConfigError::ThresholdOutOfRange { name, value } => {
-                write!(f, "{name} must be in (0, 1], got {value}")
-            }
-            ConfigError::ZeroPasses => f.write_str("passes must be nonzero"),
-            ConfigError::ZeroCandidates => f.write_str("max_leaf_candidates must be nonzero"),
-            ConfigError::ZeroBucketPairs => f.write_str("max_bucket_pairs must be nonzero"),
-            ConfigError::OverlapOutOfRange { value } => {
-                write!(f, "min_child_overlap must be in [0, 1], got {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Tuning of the unordered (X-Diff-style) matcher.
-///
-/// Construct via `Default` + the fallible `with_*` builders; fields stay
-/// `pub` for struct-update syntax inside the workspace, with
-/// [`UnorderedOptions::validate`] as the backstop for direct mutation.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct UnorderedOptions {
-    /// Cost-matrix budget for the label-bucket fallback: a bucket of `o`
-    /// old × `n` new changed subtrees runs min-cost assignment only while
-    /// `o · n` stays within this bound, and degrades to occurrence-order
-    /// pairing beyond it (the X-Diff `O(n²)` worst case, capped).
-    pub max_bucket_pairs: usize,
-    /// Minimum fraction of combined children two changed elements must
-    /// share (by subtree-signature multiset) to be paired by the fallback;
-    /// below it the pair is left unmatched (delete + insert). 0 accepts
-    /// any same-label pair.
-    pub min_child_overlap: f64,
-}
-
-impl Default for UnorderedOptions {
-    fn default() -> Self {
-        UnorderedOptions { max_bucket_pairs: 4096, min_child_overlap: 0.0 }
-    }
-}
-
-impl UnorderedOptions {
-    /// Set the bucket cost-matrix budget. Zero is rejected.
-    pub fn with_max_bucket_pairs(mut self, max: usize) -> Result<Self, ConfigError> {
-        if max == 0 {
-            return Err(ConfigError::ZeroBucketPairs);
-        }
-        self.max_bucket_pairs = max;
-        Ok(self)
-    }
-
-    /// Set the minimum child-multiset overlap fraction. Must be in `[0, 1]`.
-    pub fn with_min_child_overlap(mut self, overlap: f64) -> Result<Self, ConfigError> {
-        if !(0.0..=1.0).contains(&overlap) {
-            return Err(ConfigError::OverlapOutOfRange { value: overlap });
-        }
-        self.min_child_overlap = overlap;
-        Ok(self)
-    }
-
-    /// Validate directly-mutated fields (the builders cannot produce an
-    /// invalid value; struct-update syntax can).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.max_bucket_pairs == 0 {
-            return Err(ConfigError::ZeroBucketPairs);
-        }
-        if !(0.0..=1.0).contains(&self.min_child_overlap) {
-            return Err(ConfigError::OverlapOutOfRange { value: self.min_child_overlap });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,36 +105,5 @@ mod tests {
     #[test]
     fn default_mode_is_buld() {
         assert_eq!(MatchMode::default(), MatchMode::Buld);
-    }
-
-    #[test]
-    fn unordered_builders_validate() {
-        let o = UnorderedOptions::default()
-            .with_max_bucket_pairs(16)
-            .unwrap()
-            .with_min_child_overlap(0.5)
-            .unwrap();
-        assert_eq!(o.max_bucket_pairs, 16);
-        assert!(o.validate().is_ok());
-
-        assert_eq!(
-            UnorderedOptions::default().with_max_bucket_pairs(0),
-            Err(ConfigError::ZeroBucketPairs)
-        );
-        assert_eq!(
-            UnorderedOptions::default().with_min_child_overlap(1.5),
-            Err(ConfigError::OverlapOutOfRange { value: 1.5 })
-        );
-        assert!(UnorderedOptions::default().with_min_child_overlap(f64::NAN).is_err());
-
-        let broken = UnorderedOptions { max_bucket_pairs: 0, ..Default::default() };
-        assert!(broken.validate().is_err(), "validate backstops direct mutation");
-    }
-
-    #[test]
-    fn errors_display_usefully() {
-        let e = ConfigError::ThresholdOutOfRange { name: "leaf_threshold", value: 2.0 };
-        assert!(e.to_string().contains("leaf_threshold"));
-        assert!(ConfigError::ZeroBucketPairs.to_string().contains("max_bucket_pairs"));
     }
 }

@@ -15,13 +15,10 @@
 //!   thread. The diff takes this path when `--diff-threads 1` (or when no
 //!   runner is installed), and it performs *zero* additional allocation, so
 //!   the steady-state no-alloc guarantee of [`crate::DiffScratch`] holds.
-//! - [`StdScopeRunner`] — a reference fork-join over [`std::thread::scope`],
-//!   used by the equivalence property tests at arbitrary thread counts.
-//!
-//! The production server installs a third implementation —
-//! `xyserve::DiffRunner`, a facade over the work-stealing scheduler's deques
-//! — via [`crate::Differ::with_runner`]. (The dependency points that way:
-//! `xyserve` depends on this crate, so the facade cannot live here.)
+//! - [`StdScopeRunner`] — fork-join over [`std::thread::scope`]: the runner
+//!   the server installs via [`crate::Differ::with_runner`] when
+//!   `--diff-threads` is above 1, and the one the equivalence property tests
+//!   run at arbitrary thread counts.
 //!
 //! # Determinism contract
 //!
@@ -66,13 +63,11 @@ impl ParallelRunner for SerialRunner {
     }
 }
 
-/// Reference fork-join runner over [`std::thread::scope`].
+/// Fork-join runner over [`std::thread::scope`].
 ///
 /// Spawns `min(threads, n)` scoped workers that race over a shared atomic
-/// index — the simplest possible work distribution, adequate for the test
-/// suite and for one-shot CLI use. Long-running servers should prefer the
-/// `xyserve::DiffRunner` facade, which reuses the scheduler's deques instead
-/// of spawning threads per call.
+/// index, so a worker that drew a small item takes the next one while a
+/// large item is still running — uneven items balance without a queue.
 #[derive(Debug, Clone, Copy)]
 pub struct StdScopeRunner {
     threads: usize,

@@ -18,8 +18,6 @@
 use crate::config::DiffOptions;
 use crate::info::{analyze, TreeInfo};
 use crate::matching::Matching;
-use crate::mode::ConfigError;
-use crate::phase5;
 use crate::report::{DiffResult, DiffStats, PhaseTimings};
 use std::time::Instant;
 use xydelta::diff_by_xid::CaptureMode;
@@ -27,94 +25,18 @@ use xydelta::XidDocument;
 use xytree::hash::{fast_map, FastHashMap};
 use xytree::{Document, NodeId, NodeKind, Tree};
 
-/// Tuning of the similarity matcher.
-///
-/// Construct via `Default` + the fallible `with_*` builders (thresholds
-/// must lie in `(0, 1]`, counts must be nonzero); fields stay `pub` for
-/// struct-update syntax inside the workspace, with
-/// [`SimilarityOptions::validate`] as the backstop for direct mutation.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct SimilarityOptions {
-    /// Minimum Dice similarity for two text leaves to match (LaDiff's `f`).
-    pub leaf_threshold: f64,
-    /// Minimum fraction of an element's children that must point at the
-    /// same old parent (LaDiff's `t` over common descendants).
-    pub parent_ratio: f64,
-    /// Candidates examined per leaf before giving up (cost bound).
-    pub max_leaf_candidates: usize,
-    /// Bottom-up passes over the element structure.
-    pub passes: usize,
-}
+/// Minimum Dice similarity for two text leaves to match (LaDiff's `f`).
+const LEAF_THRESHOLD: f64 = 0.5;
 
-impl Default for SimilarityOptions {
-    fn default() -> Self {
-        SimilarityOptions {
-            leaf_threshold: 0.5,
-            parent_ratio: 0.5,
-            max_leaf_candidates: 64,
-            passes: 2,
-        }
-    }
-}
+/// Minimum fraction of an element's children that must point at the same
+/// old parent (LaDiff's `t` over common descendants).
+const PARENT_RATIO: f64 = 0.5;
 
-/// A threshold is usable iff it lies in `(0, 1]` — at 0 everything "matches"
-/// the first candidate examined, above 1 (or NaN) nothing ever matches.
-fn check_threshold(name: &'static str, value: f64) -> Result<(), ConfigError> {
-    if value > 0.0 && value <= 1.0 {
-        Ok(())
-    } else {
-        Err(ConfigError::ThresholdOutOfRange { name, value })
-    }
-}
+/// Candidates examined per leaf before giving up (cost bound).
+const MAX_LEAF_CANDIDATES: usize = 64;
 
-impl SimilarityOptions {
-    /// Set the minimum leaf Dice similarity. Must be in `(0, 1]`.
-    pub fn with_leaf_threshold(mut self, threshold: f64) -> Result<Self, ConfigError> {
-        check_threshold("leaf_threshold", threshold)?;
-        self.leaf_threshold = threshold;
-        Ok(self)
-    }
-
-    /// Set the minimum matched-children vote ratio. Must be in `(0, 1]`.
-    pub fn with_parent_ratio(mut self, ratio: f64) -> Result<Self, ConfigError> {
-        check_threshold("parent_ratio", ratio)?;
-        self.parent_ratio = ratio;
-        Ok(self)
-    }
-
-    /// Set the per-leaf candidate budget. Zero is rejected.
-    pub fn with_max_leaf_candidates(mut self, max: usize) -> Result<Self, ConfigError> {
-        if max == 0 {
-            return Err(ConfigError::ZeroCandidates);
-        }
-        self.max_leaf_candidates = max;
-        Ok(self)
-    }
-
-    /// Set the number of bottom-up passes. Zero is rejected.
-    pub fn with_passes(mut self, passes: usize) -> Result<Self, ConfigError> {
-        if passes == 0 {
-            return Err(ConfigError::ZeroPasses);
-        }
-        self.passes = passes;
-        Ok(self)
-    }
-
-    /// Validate directly-mutated fields (the builders cannot produce an
-    /// invalid value; struct-update syntax can).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        check_threshold("leaf_threshold", self.leaf_threshold)?;
-        check_threshold("parent_ratio", self.parent_ratio)?;
-        if self.max_leaf_candidates == 0 {
-            return Err(ConfigError::ZeroCandidates);
-        }
-        if self.passes == 0 {
-            return Err(ConfigError::ZeroPasses);
-        }
-        Ok(())
-    }
-}
+/// Bottom-up passes over the element structure.
+const PASSES: usize = 2;
 
 /// The similarity pipeline core: leaf/internal matching, shared phase-5
 /// delta construction. Owns the new document (zero-copy like
@@ -123,16 +45,15 @@ impl SimilarityOptions {
 pub(crate) fn diff_core_similarity(
     old: &XidDocument,
     new: Document,
-    dopts: &DiffOptions,
-    opts: &SimilarityOptions,
+    opts: &DiffOptions,
+    matching: &mut Matching,
     capture: CaptureMode,
 ) -> DiffResult {
     let mut stats = DiffStats::default();
     let mut timings = PhaseTimings::default();
     let old_tree = &old.doc.tree;
     let new_tree = &new.tree;
-    let mut matching = Matching::new(old_tree.arena_len(), new_tree.arena_len());
-    matching.add(old_tree.root(), new_tree.root());
+    crate::start_matching(matching, old, &new);
 
     let t = Instant::now();
     let new_info = analyze(new_tree);
@@ -140,7 +61,7 @@ pub(crate) fn diff_core_similarity(
 
     // --- Leaf matching by similarity. ---
     let t = Instant::now();
-    match_leaves(old_tree, new_tree, &mut matching, opts, &mut stats);
+    match_leaves(old_tree, new_tree, matching, &mut stats);
     timings.phase3 = t.elapsed();
 
     // --- Internal nodes by matched-children vote, then children alignment
@@ -148,13 +69,12 @@ pub(crate) fn diff_core_similarity(
     // children of matched parents when generating its edit script; the
     // unique-label alignment below is that second half). ---
     let t = Instant::now();
-    for _ in 0..opts.passes {
-        let mut changed =
-            match_internal(old_tree, new_tree, &new_info, &mut matching, opts, &mut stats);
+    for _ in 0..PASSES {
+        let mut changed = match_internal(old_tree, new_tree, &new_info, matching, &mut stats);
         for n in new_tree.descendants(new_tree.root()) {
             if let Some(o) = matching.old_of_new(n) {
                 changed +=
-                    align_unique_element_children(old_tree, new_tree, &mut matching, o, n, &mut stats);
+                    align_unique_element_children(old_tree, new_tree, matching, o, n, &mut stats);
             }
         }
         if changed == 0 {
@@ -163,18 +83,7 @@ pub(crate) fn diff_core_similarity(
     }
     timings.phase4 = t.elapsed();
 
-    stats.old_nodes = old_tree.subtree_size(old_tree.root());
-
-    // --- Shared delta construction (`new` moves into the version). ---
-    let t = Instant::now();
-    let new_version = phase5::inherit_xids(old, new, &matching);
-    let lis_window = if dopts.exact_lis { None } else { Some(dopts.lis_window) };
-    let delta = xydelta::diff_by_xid::diff_by_xid_captured(old, &new_version, lis_window, capture);
-    timings.phase5 = t.elapsed();
-
-    stats.new_nodes = new_version.doc.tree.subtree_size(new_version.doc.tree.root());
-    stats.matched_nodes = matching.matched_count();
-    DiffResult { delta, new_version, timings, stats }
+    crate::finish(old, new, matching, opts, capture, stats, timings)
 }
 
 /// Word-level Dice similarity of two strings.
@@ -212,7 +121,6 @@ fn match_leaves(
     old: &Tree,
     new: &Tree,
     matching: &mut Matching,
-    opts: &SimilarityOptions,
     stats: &mut DiffStats,
 ) {
     // Old text leaves grouped by enclosing label.
@@ -235,12 +143,12 @@ fn match_leaves(
                 continue;
             }
             examined += 1;
-            if examined > opts.max_leaf_candidates {
+            if examined > MAX_LEAF_CANDIDATES {
                 break;
             }
             let NodeKind::Text(old_content) = old.kind(c) else { continue };
             let s = dice(old_content, content);
-            if s >= opts.leaf_threshold && best.is_none_or(|(bs, _)| s > bs) {
+            if s >= LEAF_THRESHOLD && best.is_none_or(|(bs, _)| s > bs) {
                 best = Some((s, c));
                 if s == 1.0 {
                     break;
@@ -299,7 +207,6 @@ fn match_internal(
     new: &Tree,
     new_info: &TreeInfo,
     matching: &mut Matching,
-    opts: &SimilarityOptions,
     stats: &mut DiffStats,
 ) -> usize {
     let mut added = 0;
@@ -329,7 +236,7 @@ fn match_internal(
         let old_total: f64 = old.children(po).count().max(1) as f64;
         let new_total = total.max(1.0);
         let ratio = vote / new_total.max(old_total);
-        if ratio >= opts.parent_ratio
+        if ratio >= PARENT_RATIO
             && matching.available_old(po)
             && old.name(po) == new.name(n)
         {
@@ -356,29 +263,6 @@ mod tests {
         r.delta.apply_to(&mut replay).expect("similarity delta applies");
         assert_eq!(replay.doc.to_xml(), new.to_xml(), "correctness holds for any matcher");
         r
-    }
-
-    #[test]
-    fn builders_validate() {
-        let o = SimilarityOptions::default()
-            .with_leaf_threshold(0.8)
-            .unwrap()
-            .with_parent_ratio(1.0)
-            .unwrap()
-            .with_max_leaf_candidates(16)
-            .unwrap()
-            .with_passes(3)
-            .unwrap();
-        assert_eq!((o.leaf_threshold, o.parent_ratio), (0.8, 1.0));
-        assert!(o.validate().is_ok());
-
-        assert!(SimilarityOptions::default().with_leaf_threshold(0.0).is_err());
-        assert!(SimilarityOptions::default().with_leaf_threshold(1.5).is_err());
-        assert!(SimilarityOptions::default().with_parent_ratio(f64::NAN).is_err());
-        assert!(SimilarityOptions::default().with_max_leaf_candidates(0).is_err());
-        assert!(SimilarityOptions::default().with_passes(0).is_err());
-        let broken = SimilarityOptions { passes: 0, ..Default::default() };
-        assert!(broken.validate().is_err(), "validate backstops direct mutation");
     }
 
     #[test]

@@ -37,14 +37,24 @@
 
 use crate::config::DiffOptions;
 use crate::matching::Matching;
-use crate::mode::UnorderedOptions;
-use crate::phase5;
 use crate::report::{DiffResult, DiffStats, PhaseTimings};
 use std::time::Instant;
 use xydelta::diff_by_xid::CaptureMode;
 use xydelta::XidDocument;
 use xytree::hash::{fast_map, FastHashMap, Fnv64};
 use xytree::{Document, NodeId, NodeKind, Tree};
+
+/// Cost-matrix budget for the label-bucket fallback: a bucket of `o` old ×
+/// `n` new changed subtrees runs min-cost assignment only while `o · n`
+/// stays within this bound, and degrades to occurrence-order pairing beyond
+/// it (the X-Diff `O(n²)` worst case, capped).
+const MAX_BUCKET_PAIRS: usize = 4096;
+
+/// Minimum fraction of combined children two changed elements must share
+/// (by subtree-signature multiset) to be paired by the fallback; below it
+/// the pair is left unmatched (delete + insert). 0 accepts any same-label
+/// pair.
+const MIN_CHILD_OVERLAP: f64 = 0.0;
 
 /// Domain-separation seeds for the commutative signature. Deliberately
 /// distinct from the ordered signature seeds in `info.rs`: an ordered and
@@ -199,7 +209,6 @@ fn run_matching<'t>(
     old_sigs: &[u64],
     new_sigs: &[u64],
     matching: &mut Matching,
-    opts: &UnorderedOptions,
     stats: &mut DiffStats,
 ) {
     let mut work: Vec<(NodeId, NodeId)> = vec![(old_tree.root(), new_tree.root())];
@@ -281,7 +290,6 @@ fn run_matching<'t>(
                     olds,
                     news,
                     matches!(key, BucketKey::Element(_)),
-                    opts,
                     &mut overlap_counts,
                 );
                 for (oc, nc) in pairs {
@@ -300,7 +308,7 @@ fn run_matching<'t>(
 /// Pair one label/type bucket of changed children.
 ///
 /// Elements use a deterministic greedy min-cost assignment on child-multiset
-/// overlap while `|old| · |new|` fits the configured budget (and
+/// overlap while `|old| · |new|` fits [`MAX_BUCKET_PAIRS`] (and
 /// occurrence-order zip beyond it); non-elements always zip in occurrence
 /// order (text pairs become updates).
 #[allow(clippy::too_many_arguments)]
@@ -312,11 +320,10 @@ fn pair_bucket(
     olds: &[NodeId],
     news: &[NodeId],
     elements: bool,
-    opts: &UnorderedOptions,
     overlap_counts: &mut FastHashMap<u64, usize>,
 ) -> Vec<(NodeId, NodeId)> {
     let mut out = Vec::new();
-    if !elements || olds.len() * news.len() > opts.max_bucket_pairs {
+    if !elements || olds.len() * news.len() > MAX_BUCKET_PAIRS {
         // Occurrence-order zip: the deterministic O(n) degradation.
         for (&oc, &nc) in olds.iter().zip(news.iter()) {
             out.push((oc, nc));
@@ -333,7 +340,7 @@ fn pair_bucket(
             );
             let total = o_n + n_n;
             let frac = if total == 0 { 1.0 } else { 2.0 * shared as f64 / total as f64 };
-            if frac < opts.min_child_overlap {
+            if frac < MIN_CHILD_OVERLAP {
                 continue;
             }
             // Cost = symmetric difference of the child multisets; lower is
@@ -363,7 +370,7 @@ pub(crate) fn diff_core_unordered(
     old: &XidDocument,
     new: Document,
     opts: &DiffOptions,
-    uopts: &UnorderedOptions,
+    matching: &mut Matching,
     capture: CaptureMode,
 ) -> DiffResult {
     let mut stats = DiffStats::default();
@@ -377,22 +384,11 @@ pub(crate) fn diff_core_unordered(
     timings.phase2 = t.elapsed();
 
     let t = Instant::now();
-    let mut matching = Matching::new(old_tree.arena_len(), new_tree.arena_len());
-    matching.add(old_tree.root(), new_tree.root());
-    run_matching(old_tree, new_tree, &old_sigs, &new_sigs, &mut matching, uopts, &mut stats);
+    crate::start_matching(matching, old, &new);
+    run_matching(old_tree, new_tree, &old_sigs, &new_sigs, matching, &mut stats);
     timings.phase3 = t.elapsed();
 
-    stats.old_nodes = old_tree.subtree_size(old_tree.root());
-
-    let t = Instant::now();
-    let new_version = phase5::inherit_xids(old, new, &matching);
-    let lis_window = if opts.exact_lis { None } else { Some(opts.lis_window) };
-    let delta = xydelta::diff_by_xid::diff_by_xid_captured(old, &new_version, lis_window, capture);
-    timings.phase5 = t.elapsed();
-
-    stats.new_nodes = new_version.doc.tree.subtree_size(new_version.doc.tree.root());
-    stats.matched_nodes = matching.matched_count();
-    DiffResult { delta, new_version, timings, stats }
+    crate::finish(old, new, matching, opts, capture, stats, timings)
 }
 
 #[cfg(test)]
@@ -493,25 +489,6 @@ mod tests {
         let c = r.delta.counts();
         assert_eq!(c.moves, 0, "{}", r.delta.describe());
         assert!(c.deletes >= 1 && c.inserts >= 1, "{}", r.delta.describe());
-    }
-
-    #[test]
-    fn min_overlap_threshold_rejects_dissimilar_pairs() {
-        let old = XidDocument::parse_initial(
-            "<t><row><a>1</a><b>2</b></row></t>",
-        )
-        .unwrap();
-        let new = Document::parse("<t><row><x>9</x><y>8</y></row></t>").unwrap();
-        let strict = UnorderedOptions::default().with_min_child_overlap(0.9).unwrap();
-        let opts = DiffOptions { mode: MatchMode::Unordered, ..Default::default() };
-        let r = diff_core_unordered(&old, new.clone(), &opts, &strict, CaptureMode::Owned);
-        let c = r.delta.counts();
-        // No shared children: under a strict overlap threshold the rows do
-        // not pair, so the whole row is replaced.
-        assert!(c.deletes >= 1 && c.inserts >= 1, "{}", r.delta.describe());
-        let mut replay = old.clone();
-        r.delta.apply_to(&mut replay).unwrap();
-        assert_eq!(replay.doc.to_xml(), new.to_xml());
     }
 
     #[test]

@@ -7,18 +7,16 @@
 //! the single-threaded loop the other crates implement into that service
 //! shape:
 //!
-//! - [`scheduler::Scheduler`] — a sharded work-stealing scheduler (std
-//!   `Mutex`/`Condvar`/atomics only): one bounded deque per worker, keys
-//!   routed to a home deque, idle workers steal FIFO batches of whole
-//!   key-runs, with a single global capacity budget as the backpressure
+//! - [`queue::KeyedQueue`] — the one type that queues jobs (std
+//!   `Mutex`/`Condvar` only): a strand per document key, so versions of a
+//!   document run one at a time in push order while any idle worker takes
+//!   the oldest ready key, with one capacity bound as the backpressure
 //!   toward the crawler;
 //! - [`IngestServer`] — a worker pool over hash-sharded
-//!   [`xywarehouse::Repository`] shards, with per-key ordering, bounded
-//!   retry for transient failures, and a dead-letter queue for poison
-//!   documents;
-//! - [`metrics::Metrics`] — atomic counters, per-deque depth gauges, steal
-//!   counters, and per-phase latency histograms with a Prometheus text
-//!   exposition.
+//!   [`xywarehouse::Repository`] shards, with bounded retry for transient
+//!   failures and a dead-letter queue for poison documents;
+//! - [`metrics::Metrics`] — atomic counters, the queue-depth gauge, and
+//!   per-phase latency histograms with a Prometheus text exposition.
 //!
 //! `ServeConfig` is `#[non_exhaustive]` and built through `with_*` methods,
 //! so new knobs never break callers; the
@@ -42,16 +40,13 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod runner;
-pub mod scheduler;
+pub mod queue;
 pub mod server;
 
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
-pub use runner::DiffRunner;
-pub use scheduler::{Closed, SchedEvent, SchedHook, Scheduler, Steal, TryPushError};
+pub use queue::{KeyedQueue, PushError};
 pub use server::{
-    home_worker, Completed, CompletionFn, ConfigError, DeadLetter, EffectiveConfig, FaultHook,
-    IngestOutcome, IngestServer, ServeConfig, ShutdownReport, StartError, SubmitError, Ticket,
-    WalPolicy,
+    Completed, CompletionFn, ConfigError, DeadLetter, EffectiveConfig, FaultHook, IngestOutcome,
+    IngestServer, ServeConfig, ShutdownReport, StartError, SubmitError, Ticket, WalPolicy,
 };
 pub use xywal::WalSync;

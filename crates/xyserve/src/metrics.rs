@@ -32,7 +32,7 @@ impl Counter {
     }
 
     /// Sync this counter to an externally maintained monotone total (e.g. a
-    /// counter owned by the scheduler). `fetch_max` keeps the counter
+    /// counter owned by the write-ahead log). `fetch_max` keeps the counter
     /// monotone even when several workers observe the total concurrently.
     pub fn observe_total(&self, total: u64) {
         self.0.fetch_max(total, Ordering::Relaxed);
@@ -216,23 +216,6 @@ pub mod expo {
         writeln!(out, "{name} {value}").unwrap();
     }
 
-    /// Append one gauge family whose series carry a label, e.g.
-    /// `ingest_deque_depth{deque="0"} 3`. Zero-valued series are kept so
-    /// scrapes always see the full label set.
-    pub fn labeled_gauge(
-        out: &mut String,
-        name: &str,
-        help: &str,
-        label: &str,
-        series: &[(String, f64)],
-    ) {
-        header(out, name, help, "gauge");
-        for (value, v) in series {
-            // INVARIANT: writing to a String cannot fail.
-            writeln!(out, "{name}{{{label}=\"{value}\"}} {v}").unwrap();
-        }
-    }
-
     /// Append one histogram family in seconds (`name` should end in
     /// `_seconds`): cumulative `_bucket{le="…"}` series with exact `le`
     /// semantics (the histogram's µs buckets have inclusive upper bounds),
@@ -318,15 +301,8 @@ pub struct Metrics {
     pub schema_warnings: Counter,
     /// Successful ingests by diff matcher mode (`ingest_mode_total`).
     pub ingest_mode: ModeCounters,
-    /// Steal operations performed by idle workers.
-    pub steals: Counter,
-    /// Jobs moved by steal operations (sum of batch sizes).
-    pub stolen_jobs: Counter,
-    /// Current queue depth across all deques (with high-water mark).
+    /// Snapshots pending in the queue (with high-water mark).
     pub queue_depth: Gauge,
-    /// Per-deque depth, one gauge per worker deque (empty when the
-    /// registry is not attached to a scheduler).
-    pub deque_depth: Vec<Gauge>,
     /// XML parse time per snapshot.
     pub parse_time: Histogram,
     /// BULD diff time per snapshot (from the repository's stats hook).
@@ -368,10 +344,7 @@ impl Default for Metrics {
             alerts_fired: Counter::default(),
             schema_warnings: Counter::default(),
             ingest_mode: ModeCounters::default(),
-            steals: Counter::default(),
-            stolen_jobs: Counter::default(),
             queue_depth: Gauge::default(),
-            deque_depth: Vec::new(),
             parse_time: Histogram::default(),
             diff_time: Histogram::default(),
             alert_time: Histogram::default(),
@@ -395,14 +368,6 @@ impl Metrics {
     /// A fresh registry; the uptime clock starts now.
     pub fn new() -> Metrics {
         Metrics::default()
-    }
-
-    /// A fresh registry with one per-deque depth gauge per worker deque.
-    pub fn with_deques(n: usize) -> Metrics {
-        Metrics {
-            deque_depth: (0..n).map(|_| Gauge::default()).collect(),
-            ..Metrics::default()
-        }
     }
 
     /// Seconds since the registry was created.
@@ -466,18 +431,6 @@ impl Metrics {
             "mode",
             &self.ingest_mode.series(),
         );
-        expo::counter(
-            &mut out,
-            "ingest_steals_total",
-            "Steal operations performed by idle workers.",
-            self.steals.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ingest_stolen_jobs_total",
-            "Snapshots moved between worker deques by stealing.",
-            self.stolen_jobs.get(),
-        );
         expo::gauge(
             &mut out,
             "ingest_queue_depth",
@@ -490,21 +443,6 @@ impl Metrics {
             "Highest queue depth observed since start.",
             self.queue_depth.high_water() as f64,
         );
-        if !self.deque_depth.is_empty() {
-            let series: Vec<(String, f64)> = self
-                .deque_depth
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (i.to_string(), g.get() as f64))
-                .collect();
-            expo::labeled_gauge(
-                &mut out,
-                "ingest_deque_depth",
-                "Snapshots currently waiting in each worker deque.",
-                "deque",
-                &series,
-            );
-        }
         expo::gauge(
             &mut out,
             "ingest_uptime_seconds",
@@ -715,21 +653,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.observe_total(9);
         assert_eq!(c.get(), 9);
-    }
-
-    #[test]
-    fn deque_depth_gauges_render_with_labels() {
-        let m = Metrics::with_deques(2);
-        m.deque_depth[0].set(3);
-        m.steals.observe_total(4);
-        m.stolen_jobs.observe_total(11);
-        let text = m.render();
-        assert!(text.contains("ingest_deque_depth{deque=\"0\"} 3"), "{text}");
-        assert!(text.contains("ingest_deque_depth{deque=\"1\"} 0"), "{text}");
-        assert!(text.contains("ingest_steals_total 4"), "{text}");
-        assert!(text.contains("ingest_stolen_jobs_total 11"), "{text}");
-        // A registry with no deques omits the family entirely.
-        assert!(!Metrics::new().render().contains("ingest_deque_depth{"), "empty label set");
     }
 
     #[test]

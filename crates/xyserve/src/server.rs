@@ -1,8 +1,8 @@
 //! The concurrent ingestion server: Figure 1 at production scale.
 //!
-//! Snapshots enter through [`IngestServer::submit`], which assigns each
-//! document key a per-key sequence number and enqueues the snapshot on a
-//! bounded queue (blocking when full — backpressure toward the crawler). A
+//! Snapshots enter through [`IngestServer::submit`], which enqueues the
+//! snapshot on the bounded [`KeyedQueue`] (blocking when full — backpressure
+//! toward the crawler); the queue assigns the per-key sequence number. A
 //! pool of workers pops snapshots and runs the paper's loop: parse → BULD
 //! diff against the stored latest → append the delta to the version chain →
 //! evaluate subscriptions.
@@ -15,11 +15,10 @@
 //!   in for store I/O hiccups) are retried a bounded number of times before
 //!   dead-lettering.
 //!
-//! Because workers race on the shared queue, a per-key gate enforces that
-//! versions of one document apply in submission order: a popped snapshot
-//! whose predecessor is still in flight parks, and whoever finishes the
-//! predecessor continues the chain. Every submitted snapshot therefore ends
-//! in exactly one of {succeeded, dead-lettered}, which
+//! Versions of one document apply in submission order because the queue
+//! hands out at most one snapshot per key at a time, in push order (see
+//! [`crate::queue`]); the server adds nothing to that. Every submitted
+//! snapshot ends in exactly one of {succeeded, dead-lettered}, which
 //! [`ShutdownReport::is_balanced`] checks after a draining shutdown.
 //!
 //! Callers that need the outcome of an individual snapshot (the HTTP front
@@ -36,9 +35,8 @@
 //! version chains. The log is the only durable form of the warehouse.
 
 use crate::metrics::Metrics;
-use crate::scheduler::{Closed, SchedHook, Scheduler, TryPushError};
+use crate::queue::{KeyedQueue, PushError};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -87,8 +85,6 @@ pub enum ConfigError {
         /// The rejected shard count.
         requested: usize,
     },
-    /// `steal_batch` was 0 — idle workers could never steal anything.
-    ZeroStealBatch,
     /// `diff_threads` was 0 — every diff would have nowhere to run.
     ZeroDiffThreads,
     /// `diff_threads` exceeded [`ServeConfig::MAX_WORKERS`].
@@ -112,7 +108,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ShardsNotPowerOfTwo { requested } => {
                 write!(f, "shards = {requested} is not a power of two")
             }
-            ConfigError::ZeroStealBatch => write!(f, "steal batch must be at least 1"),
             ConfigError::ZeroDiffThreads => write!(f, "diff threads must be at least 1"),
             ConfigError::TooManyDiffThreads { requested, max } => {
                 write!(f, "diff_threads = {requested} exceeds the maximum of {max}")
@@ -130,7 +125,7 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EffectiveConfig {
-    /// Worker threads (and scheduler deques) the server will run.
+    /// Worker threads the server will run.
     pub workers: usize,
     /// The host's available parallelism (0 when undetectable).
     pub available_parallelism: usize,
@@ -140,10 +135,8 @@ pub struct EffectiveConfig {
     pub oversubscribed: bool,
     /// Repository shards.
     pub shards: usize,
-    /// Global scheduler capacity (sum of deque depths).
+    /// Queue capacity (pending snapshots over all keys).
     pub queue_capacity: usize,
-    /// Jobs an idle worker steals per scan (before key-run completion).
-    pub steal_batch: usize,
     /// Intra-document diff parallelism per worker (1 = serial diffs).
     pub diff_threads: usize,
     /// Diff matcher mode every shard runs (`buld`, `unordered`, …).
@@ -161,14 +154,13 @@ impl std::fmt::Display for EffectiveConfig {
         write!(
             f,
             "workers={} available_parallelism={} oversubscribed={} shards={} \
-             queue_capacity={} steal_batch={} diff_threads={} mode={} max_retries={} wal={} \
+             queue_capacity={} diff_threads={} mode={} max_retries={} wal={} \
              compact_chain_max={}",
             self.workers,
             self.available_parallelism,
             self.oversubscribed,
             self.shards,
             self.queue_capacity,
-            self.steal_batch,
             self.diff_threads,
             self.mode,
             self.max_retries,
@@ -184,29 +176,27 @@ impl std::fmt::Display for EffectiveConfig {
 /// `#[non_exhaustive]`: construct it through the builder, not a struct
 /// literal, so new fields do not break downstream callers. The builders
 /// for the capacity-like knobs
-/// (`workers`, `queue_capacity`, `shards`, `steal_batch`) are fallible and
+/// (`workers`, `queue_capacity`, `shards`, `diff_threads`) are fallible and
 /// reject degenerate values with a typed [`ConfigError`] instead of
 /// silently clamping; [`ServeConfig::effective`] reports what a validated
 /// config will actually run with.
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Number of worker threads (one scheduler deque each).
+    /// Number of worker threads.
     pub workers: usize,
-    /// Global scheduler capacity — the backpressure threshold over the
-    /// *sum* of all deque depths.
+    /// Queue capacity — the backpressure threshold over the pending
+    /// snapshots of all keys.
     pub queue_capacity: usize,
     /// How many times a transient failure is retried before dead-lettering.
     pub max_retries: u32,
     /// Number of repository shards (keys are hash-partitioned; must be a
     /// power of two).
     pub shards: usize,
-    /// Jobs an idle worker steals per scan (whole key-runs may extend it).
-    pub steal_batch: usize,
     /// Intra-document diff parallelism: each worker's differ fans the
     /// data-parallel diff stages (phase-2 hashing, phase-3 candidate
     /// pre-verification) out over this many scoped threads via
-    /// [`crate::DiffRunner`]. 1 (the default) keeps diffs strictly serial
+    /// [`xydiff::StdScopeRunner`]. 1 (the default) keeps diffs strictly serial
     /// and allocation-free; deltas are byte-identical at any setting.
     pub diff_threads: usize,
     /// Diff options used by every shard.
@@ -215,8 +205,6 @@ pub struct ServeConfig {
     pub alerter: Alerter,
     /// Transient-failure injection for tests; `None` in production.
     pub fault_hook: Option<FaultHook>,
-    /// Scheduler decision-point observer for tests; `None` in production.
-    pub sched_hook: Option<SchedHook>,
     /// Write-ahead logging of every completed ingest; `None` keeps the
     /// server memory-only: an ack only guarantees the version is in memory.
     pub wal: Option<WalPolicy>,
@@ -252,7 +240,7 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// Set the global scheduler capacity. Rejects 0.
+    /// Set the queue capacity. Rejects 0.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Result<ServeConfig, ConfigError> {
         if capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
@@ -277,15 +265,6 @@ impl ServeConfig {
             return Err(ConfigError::ShardsNotPowerOfTwo { requested: shards });
         }
         self.shards = shards;
-        Ok(self)
-    }
-
-    /// Set how many jobs an idle worker steals per scan. Rejects 0.
-    pub fn with_steal_batch(mut self, batch: usize) -> Result<ServeConfig, ConfigError> {
-        if batch == 0 {
-            return Err(ConfigError::ZeroStealBatch);
-        }
-        self.steal_batch = batch;
         Ok(self)
     }
 
@@ -327,9 +306,6 @@ impl ServeConfig {
         if !self.shards.is_power_of_two() {
             return Err(ConfigError::ShardsNotPowerOfTwo { requested: self.shards });
         }
-        if self.steal_batch == 0 {
-            return Err(ConfigError::ZeroStealBatch);
-        }
         if self.diff_threads == 0 {
             return Err(ConfigError::ZeroDiffThreads);
         }
@@ -352,7 +328,6 @@ impl ServeConfig {
             oversubscribed: available > 0 && self.workers > available,
             shards: self.shards,
             queue_capacity: self.queue_capacity,
-            steal_batch: self.steal_batch,
             diff_threads: self.diff_threads,
             mode: self.diff_options.mode,
             max_retries: self.max_retries,
@@ -390,13 +365,6 @@ impl ServeConfig {
         self
     }
 
-    /// Install a scheduler decision-point observer (tests).
-    #[must_use]
-    pub fn with_sched_hook(mut self, hook: SchedHook) -> ServeConfig {
-        self.sched_hook = Some(hook);
-        self
-    }
-
     /// Enable write-ahead logging under `policy`: every completed ingest is
     /// appended (and, in [`xywal::WalSync::Always`] mode, fsynced) before the
     /// ack, and the log is replayed on the next start.
@@ -423,11 +391,9 @@ impl std::fmt::Debug for ServeConfig {
             .field("queue_capacity", &self.queue_capacity)
             .field("max_retries", &self.max_retries)
             .field("shards", &self.shards)
-            .field("steal_batch", &self.steal_batch)
             .field("diff_threads", &self.diff_threads)
             .field("mode", &self.diff_options.mode)
             .field("fault_hook", &self.fault_hook.is_some())
-            .field("sched_hook", &self.sched_hook.is_some())
             .field("wal", &self.wal)
             .field("compact_chain_max", &self.compact_chain_max)
             .finish_non_exhaustive()
@@ -441,12 +407,10 @@ impl Default for ServeConfig {
             queue_capacity: 128,
             max_retries: 2,
             shards: 8,
-            steal_batch: 4,
             diff_threads: 1,
             diff_options: DiffOptions::default(),
             alerter: Alerter::new(),
             fault_hook: None,
-            sched_hook: None,
             wal: None,
             compact_chain_max: 0,
         }
@@ -458,7 +422,8 @@ impl Default for ServeConfig {
 pub struct DeadLetter {
     /// Document key.
     pub key: String,
-    /// Per-key sequence number of the failed snapshot.
+    /// Per-key sequence number of the failed snapshot (0 for one refused by
+    /// a draining server, which never got a number).
     pub seq: u64,
     /// Attempts made (0 when the snapshot never reached processing).
     pub attempts: u32,
@@ -501,8 +466,8 @@ pub struct Ticket {
 
 impl Ticket {
     /// Block until the snapshot is processed. Every accepted snapshot is
-    /// guaranteed to resolve: workers deliver the outcome on success, on
-    /// dead-lettering, and on the shutdown-cancellation path.
+    /// guaranteed to resolve: workers deliver the outcome on success and on
+    /// dead-lettering.
     pub fn wait(self) -> IngestOutcome {
         self.rx.recv().unwrap_or_else(|_| {
             // Unreachable in practice (the sender is dropped only after a
@@ -528,7 +493,7 @@ pub enum SubmitError {
     /// The server is shutting down; the snapshot was dead-lettered.
     ShuttingDown,
     /// Non-blocking submit found the queue at capacity; the snapshot was
-    /// **not** accepted (no sequence number burned) — retry later.
+    /// **not** accepted (no sequence number assigned) — retry later.
     QueueFull,
 }
 
@@ -570,7 +535,7 @@ impl std::error::Error for StartError {}
 /// Loss-free accounting produced by [`IngestServer::shutdown`].
 #[derive(Debug)]
 pub struct ShutdownReport {
-    /// Snapshots submitted (sequence numbers assigned).
+    /// Snapshots submitted (accepted, or refused by a draining server).
     pub submitted: u64,
     /// Snapshots fully processed.
     pub succeeded: u64,
@@ -597,7 +562,7 @@ impl ShutdownReport {
 }
 
 /// A completion callback: invoked exactly once with the submission's
-/// outcome, from whichever worker (or canceller) resolves it. Used by the
+/// outcome, from whichever worker resolves it. Used by the
 /// `xynet` reactor, whose event loop cannot block on a [`Ticket`]: the
 /// callback records the outcome and wakes the readiness loop instead.
 pub type CompletionFn = Box<dyn FnOnce(IngestOutcome) + Send + 'static>;
@@ -623,24 +588,11 @@ impl Done {
     }
 }
 
+/// One queued snapshot; its key and sequence number travel with the queue.
 struct Job {
-    key: String,
     xml: String,
-    seq: u64,
     /// Outcome delivery for tracked submissions; `None` for fire-and-forget.
     done: Option<Done>,
-}
-
-#[derive(Default)]
-struct Gate {
-    /// Next sequence number to hand out at submit time.
-    next_submit: u64,
-    /// The only sequence number allowed to apply right now.
-    next_apply: u64,
-    /// Popped snapshots waiting for their predecessor, keyed by seq.
-    parked: BTreeMap<u64, Job>,
-    /// Sequence numbers that will never run (submit lost the shutdown race).
-    cancelled: BTreeSet<u64>,
 }
 
 struct CompactorState {
@@ -652,8 +604,7 @@ struct CompactorState {
 
 struct Inner {
     shards: Vec<Repository>,
-    sched: Scheduler<Job>,
-    gates: Mutex<HashMap<String, Gate>>,
+    queue: KeyedQueue<Job>,
     metrics: Metrics,
     dead: Mutex<Vec<DeadLetter>>,
     notifications: Mutex<Vec<Notification>>,
@@ -695,7 +646,7 @@ impl IngestServer {
                 Repository::with_options(config.diff_options.clone(), config.alerter.clone())
             })
             .collect();
-        let metrics = Metrics::with_deques(config.workers);
+        let metrics = Metrics::new();
         let wal = match &config.wal {
             Some(policy) => {
                 let (wal, recovery) = Wal::open(policy).map_err(StartError::Wal)?;
@@ -712,13 +663,6 @@ impl IngestServer {
             }
             None => None,
         };
-        let sched = {
-            let s = Scheduler::new(config.workers, config.queue_capacity, config.steal_batch);
-            match config.sched_hook.clone() {
-                Some(hook) => s.with_hook(hook),
-                None => s,
-            }
-        };
         let compactor_state = (config.compact_chain_max > 0).then(|| CompactorState {
             every: config.compact_chain_max,
             stop: Mutex::new(false),
@@ -726,8 +670,7 @@ impl IngestServer {
         });
         let inner = Arc::new(Inner {
             shards,
-            sched,
-            gates: Mutex::new(HashMap::new()),
+            queue: KeyedQueue::new(config.queue_capacity),
             metrics,
             dead: Mutex::new(Vec::new()),
             notifications: Mutex::new(Vec::new()),
@@ -746,7 +689,7 @@ impl IngestServer {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("xyserve-worker-{i}"))
-                    .spawn(move || inner.worker_loop(i))
+                    .spawn(move || inner.worker_loop())
                     // INVARIANT: thread spawn fails only on OS resource exhaustion at
                     // startup; there is no server to run without its workers.
                     .expect("spawn worker thread")
@@ -764,37 +707,37 @@ impl IngestServer {
         Ok(IngestServer { inner, workers, compactor })
     }
 
-    fn submit_with(&self, key: &str, xml: String, done: Option<Done>) -> Result<(), SubmitError> {
-        let seq = {
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            let mut gates = self.inner.gates.lock().unwrap();
-            let g = gates.entry(key.to_string()).or_default();
-            let seq = g.next_submit;
-            g.next_submit += 1;
-            seq
-        };
-        self.inner.metrics.enqueued.inc();
-        let job = Job { key: key.to_string(), xml, seq, done };
-        match self.inner.sched.push(key_hash(key), job) {
-            Ok(()) => {
-                self.inner.sync_sched_metrics();
+    /// The one way in: push onto the keyed queue, waiting for room when
+    /// `block` is set and reporting [`SubmitError::QueueFull`] otherwise.
+    /// On `Err` the job's `done` has not been and will not be invoked.
+    fn enqueue(&self, key: &str, job: Job, block: bool) -> Result<(), SubmitError> {
+        let inner = &self.inner;
+        let pushed =
+            if block { inner.queue.push(key, job) } else { inner.queue.try_push(key, job) };
+        match pushed {
+            Ok(_) => {
+                inner.metrics.enqueued.inc();
+                inner.metrics.queue_depth.set(inner.queue.len() as u64);
                 Ok(())
             }
-            Err(Closed(job)) => {
-                // The sequence number is already burned; account for it so
-                // successors parked behind it are not stranded.
-                self.inner.cancel(job);
+            Err(PushError::Full(_)) => Err(SubmitError::QueueFull),
+            Err(PushError::Closed(_)) => {
+                // The Err return owns the response, so the job's `done` is
+                // dropped unused: a delivery on top would answer twice. The
+                // letter is counted before the submit, so the two counters
+                // never read as work still pending.
+                inner.dead_letter(key, 0, 0, "submitted during shutdown".to_string(), None);
+                inner.metrics.enqueued.inc();
                 Err(SubmitError::ShuttingDown)
             }
         }
     }
 
     /// Submit one snapshot of document `key`. Blocks while the queue is
-    /// full. Snapshots of the same key submitted from one thread are
-    /// guaranteed to apply in submission order.
+    /// full. Snapshots of the same key apply in the order their submits
+    /// entered the queue.
     pub fn submit(&self, key: &str, xml: impl Into<String>) -> Result<(), SubmitError> {
-        self.submit_with(key, xml.into(), None)
+        self.enqueue(key, Job { xml: xml.into(), done: None }, true)
     }
 
     /// [`IngestServer::submit`] returning a [`Ticket`] that resolves to the
@@ -805,7 +748,7 @@ impl IngestServer {
         xml: impl Into<String>,
     ) -> Result<Ticket, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.submit_with(key, xml.into(), Some(Done::Channel(tx)))?;
+        self.enqueue(key, Job { xml: xml.into(), done: Some(Done::Channel(tx)) }, true)?;
         Ok(Ticket { rx })
     }
 
@@ -817,7 +760,7 @@ impl IngestServer {
     ///
     /// On `Err` the callback has **not** been invoked and never will be —
     /// the caller still owns the failure response. A full queue returns
-    /// [`SubmitError::QueueFull`] immediately, without burning a sequence
+    /// [`SubmitError::QueueFull`] immediately, without consuming a sequence
     /// number, so the network layer can shed load with `503 Retry-After`.
     pub fn try_submit_with(
         &self,
@@ -825,38 +768,7 @@ impl IngestServer {
         xml: impl Into<String>,
         done: CompletionFn,
     ) -> Result<(), SubmitError> {
-        // Hold the gate lock across reservation *and* the non-blocking push:
-        // on Full the unused sequence number is released without racing a
-        // concurrent submitter for the same key. Safe against the queue
-        // lock — no path acquires the gate lock while holding it.
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        let mut gates = self.inner.gates.lock().unwrap();
-        let g = gates.entry(key.to_string()).or_default();
-        let seq = g.next_submit;
-        let job =
-            Job { key: key.to_string(), xml: xml.into(), seq, done: Some(Done::Callback(done)) };
-        match self.inner.sched.try_push(key_hash(key), job) {
-            Ok(()) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                self.inner.sync_sched_metrics();
-                Ok(())
-            }
-            Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(mut job)) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                // Strip the callback before cancelling: the Err return
-                // already owns the shutting-down response, and a dead-letter
-                // delivery on top of it would answer the request twice.
-                job.done = None;
-                self.inner.cancel(job);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
+        self.enqueue(key, Job { xml: xml.into(), done: Some(Done::Callback(done)) }, false)
     }
 
     /// The metrics registry (live counters; render at any time).
@@ -898,21 +810,24 @@ impl IngestServer {
     /// server keeps accepting new work afterwards.
     pub fn wait_idle(&self) {
         let m = &self.inner.metrics;
-        while m.succeeded.get() + m.dead_lettered.get() < m.enqueued.get() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let submitted = m.enqueued.get();
+        self.inner.queue.wait_idle();
+        debug_assert!(
+            m.succeeded.get() + m.dead_lettered.get() >= submitted,
+            "queue idle with a submitted snapshot unaccounted for (a worker died mid-job?)"
+        );
     }
 
     /// Stop accepting new snapshots while the workers keep draining what is
     /// already queued. Idempotent; [`IngestServer::shutdown`] completes the
     /// drain and joins the pool.
     pub fn begin_drain(&self) {
-        self.inner.sched.close();
+        self.inner.queue.close();
     }
 
     /// True once a drain (or shutdown) has started.
     pub fn is_draining(&self) -> bool {
-        self.inner.sched.is_closed()
+        self.inner.queue.is_closed()
     }
 
     /// The write-ahead log, when one is configured (observability: LSNs,
@@ -926,7 +841,7 @@ impl IngestServer {
     /// configured, the log is flushed after the drain so a restart resumes
     /// exactly the drained state.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.inner.sched.close();
+        self.inner.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -970,7 +885,7 @@ impl IngestServer {
 impl Drop for IngestServer {
     fn drop(&mut self) {
         // `shutdown` drains `workers`; a bare drop still terminates cleanly.
-        self.inner.sched.close();
+        self.inner.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -981,9 +896,7 @@ impl Drop for IngestServer {
     }
 }
 
-/// The hash every routing decision derives from: repository shards and
-/// scheduler home deques both partition on this one value, so a key's jobs
-/// always meet the same shard lock and the same home deque.
+/// The hash shard routing derives from.
 fn key_hash(key: &str) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
@@ -996,133 +909,44 @@ fn shard_index(key: &str, shard_count: usize) -> usize {
     (key_hash(key) % shard_count as u64) as usize
 }
 
-/// The scheduler deque `key`'s jobs are routed to in a pool of `workers`.
-/// Exposed so tests can aim a hook (parking, yield injection) at exactly
-/// the worker that owns a key.
-pub fn home_worker(key: &str, workers: usize) -> usize {
-    (key_hash(key) % workers.max(1) as u64) as usize
-}
-
 impl Inner {
     fn shard_of(&self, key: &str) -> usize {
         shard_index(key, self.shards.len())
     }
 
-    /// Publish the scheduler's depth and steal totals into the metrics
-    /// registry (called after every push and pop, so scrapes are current).
-    fn sync_sched_metrics(&self) {
-        self.metrics.queue_depth.set(self.sched.len() as u64);
-        for (i, g) in self.metrics.deque_depth.iter().enumerate() {
-            g.set(self.sched.depth_of(i) as u64);
-        }
-        self.metrics.steals.observe_total(self.sched.steals());
-        self.metrics.stolen_jobs.observe_total(self.sched.stolen_jobs());
-    }
-
-    /// A worker's differ: repository options + scratch, plus the
-    /// scheduler-backed parallel runner when intra-diff parallelism is on.
+    /// A worker's differ: repository options + scratch, plus the scoped
+    /// fork-join runner when intra-diff parallelism is on.
     fn make_differ(&self) -> Differ {
         let differ = self.shards[0].differ();
         if self.diff_threads > 1 {
-            differ.with_runner(std::sync::Arc::new(crate::runner::DiffRunner::new(
-                self.diff_threads,
-            )))
+            differ.with_runner(Arc::new(xydiff::StdScopeRunner::new(self.diff_threads)))
         } else {
             differ
         }
     }
 
-    fn worker_loop(&self, worker: usize) {
+    fn worker_loop(&self) {
+        /// Hands the key back to the queue when the job ends — also when it
+        /// ends by unwinding, so a worker that dies releases its key and
+        /// `wait_idle` returns (to a failing counter check) instead of
+        /// blocking forever.
+        struct Lease<'a>(&'a KeyedQueue<Job>, &'a str);
+        impl Drop for Lease<'_> {
+            fn drop(&mut self) {
+                self.0.done(self.1);
+            }
+        }
         // One differ per worker thread, reused for every diff this worker
         // runs: it owns the options and the scratch (see xydiff::Differ),
         // so the steady-state ingest loop allocates no per-diff working
         // memory. Per-document signature caches live with the stored
         // documents; the repository threads them through
         // diff_consume_with_cache.
-        // With diff_threads > 1 the differ additionally fans its
-        // data-parallel stages out over a scheduler-backed runner.
         let mut differ = self.make_differ();
-        while let Some(job) = self.sched.pop(worker) {
-            self.sync_sched_metrics();
-            let mut runnable = self.admit(job);
-            while let Some(j) = runnable {
-                let key = j.key.clone();
-                let seq = j.seq;
-                self.process(j, &mut differ);
-                runnable = self.advance(&key, seq);
-            }
-        }
-    }
-
-    /// Gate check: run the job now iff it is its key's next version;
-    /// otherwise park it for whoever finishes the predecessor.
-    fn admit(&self, job: Job) -> Option<Job> {
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        let mut gates = self.gates.lock().unwrap();
-        let g = gates.entry(job.key.clone()).or_default();
-        if job.seq == g.next_apply {
-            Some(job)
-        } else {
-            g.parked.insert(job.seq, job);
-            None
-        }
-    }
-
-    /// Mark `seq` done, skip any cancelled successors, and hand back the
-    /// next parked snapshot if it is now runnable.
-    fn advance(&self, key: &str, seq: u64) -> Option<Job> {
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        let mut gates = self.gates.lock().unwrap();
-        // INVARIANT: submit() creates the gate before any job for the key
-        // reaches a worker, and gates are never removed while jobs exist.
-        let g = gates.get_mut(key).expect("gate exists for processed key");
-        debug_assert_eq!(g.next_apply, seq, "only the gated seq can finish");
-        g.next_apply = seq + 1;
-        loop {
-            if g.cancelled.remove(&g.next_apply) {
-                g.next_apply += 1;
-                continue;
-            }
-            return g.parked.remove(&g.next_apply);
-        }
-    }
-
-    /// A submit lost the race against shutdown after its sequence number
-    /// was assigned: dead-letter it and unblock any parked successors (the
-    /// canceller processes them inline, acting as a worker).
-    fn cancel(&self, job: Job) {
-        let Job { key, seq, done, .. } = job;
-        self.dead_letter(&key, seq, 0, "submitted during shutdown".to_string(), done);
-        let mut runnable = {
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            let mut gates = self.gates.lock().unwrap();
-            // INVARIANT: submit() creates the gate before any job for the key
-            // reaches a worker, and gates are never removed while jobs exist.
-            let g = gates.get_mut(&key).expect("gate exists for submitted key");
-            if seq == g.next_apply {
-                g.next_apply += 1;
-                loop {
-                    if g.cancelled.remove(&g.next_apply) {
-                        g.next_apply += 1;
-                        continue;
-                    }
-                    break g.parked.remove(&g.next_apply);
-                }
-            } else {
-                g.cancelled.insert(seq);
-                None
-            }
-        };
-        // Rare path (shutdown race), so a cold differ is fine.
-        let mut differ = self.make_differ();
-        while let Some(j) = runnable {
-            let key = j.key.clone();
-            let seq = j.seq;
-            self.process(j, &mut differ);
-            runnable = self.advance(&key, seq);
+        while let Some((key, seq, job)) = self.queue.pop() {
+            self.metrics.queue_depth.set(self.queue.len() as u64);
+            let _lease = Lease(&self.queue, &key);
+            self.process(&key, seq, job, &mut differ);
         }
     }
 
@@ -1139,15 +963,15 @@ impl Inner {
 
     /// Run one snapshot through parse → diff → store → alert, with bounded
     /// retry for transient failures and dead-lettering for poison input.
-    fn process(&self, job: Job, differ: &mut Differ) {
-        let Job { key, xml, seq, done } = job;
+    fn process(&self, key: &str, seq: u64, job: Job, differ: &mut Differ) {
+        let Job { xml, done } = job;
         let started = Instant::now();
         let t_parse = Instant::now();
         let doc = match Document::parse(&xml) {
             Ok(doc) => doc,
             Err(e) => {
                 // Poison: malformed XML can never succeed, so no retry.
-                self.dead_letter(&key, seq, 1, format!("parse error: {e}"), done);
+                self.dead_letter(key, seq, 1, format!("parse error: {e}"), done);
                 return;
             }
         };
@@ -1157,10 +981,10 @@ impl Inner {
         loop {
             attempt += 1;
             if let Some(hook) = &self.fault_hook {
-                if hook(&key, seq, attempt) {
+                if hook(key, seq, attempt) {
                     if attempt > self.max_retries {
                         self.dead_letter(
-                            &key,
+                            key,
                             seq,
                             attempt,
                             "transient failure, retries exhausted".to_string(),
@@ -1175,22 +999,22 @@ impl Inner {
             break;
         }
 
-        let shard = &self.shards[self.shard_of(&key)];
+        let shard = &self.shards[self.shard_of(key)];
         // The first version of a key is logged as the full document; its
         // canonical serialization must be captured before the load consumes
         // the parse. Safe against racing writers of the same key: the
-        // per-key gate admits one snapshot of a key at a time, so between
-        // this check and the load no other worker can create the chain.
-        let init_xml = (self.wal.is_some() && shard.version_count(&key) == 0)
+        // queue hands out one snapshot of a key at a time, so between this
+        // check and the load no other worker can create the chain.
+        let init_xml = (self.wal.is_some() && shard.version_count(key) == 0)
             .then(|| doc.to_xml());
-        let out = match shard.try_load_parsed_with(&key, doc, differ) {
+        let out = match shard.try_load_parsed_with(key, doc, differ) {
             Ok(out) => out,
             Err(e) => {
                 // A delta that fails static verification is a diff bug, not
                 // an input property: dead-letter the snapshot (the version
                 // was not stored, so the chain stays consistent) instead of
                 // taking the worker down.
-                self.dead_letter(&key, seq, attempt, format!("rejected delta: {e}"), done);
+                self.dead_letter(key, seq, attempt, format!("rejected delta: {e}"), done);
                 return;
             }
         };
@@ -1223,9 +1047,9 @@ impl Inner {
         let mut durable = false;
         if let Some(wal) = &self.wal {
             let record = match init_xml {
-                Some(xml) if out.version == 0 => Record::Init { key: key.clone(), xml },
+                Some(xml) if out.version == 0 => Record::Init { key: key.to_string(), xml },
                 _ => Record::Delta {
-                    key: key.clone(),
+                    key: key.to_string(),
                     version: out.version as u64,
                     delta_xml: xml_io::delta_to_xml(&out.delta),
                 },
@@ -1249,7 +1073,7 @@ impl Inner {
         self.metrics.total_time.observe(started.elapsed());
         if let Some(done) = done {
             done.deliver(Ok(Completed {
-                key,
+                key: key.to_string(),
                 seq,
                 version: out.version,
                 ops: out.delta.len(),
@@ -1415,7 +1239,7 @@ mod tests {
         assert!(server.is_draining());
         let err = server.submit("doc", "<a/>");
         assert!(matches!(err, Err(SubmitError::ShuttingDown)));
-        // The burned sequence number is accounted as a dead letter.
+        // The refused submit is accounted as a dead letter.
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
         assert_eq!(report.dead_lettered, 1);
@@ -1529,7 +1353,7 @@ mod tests {
         };
         server.try_submit_with("doc", "<d>0</d>", callback(&done_tx)).unwrap();
         // The slot is taken: Full, the callback is dropped uninvoked, and no
-        // sequence number is burned.
+        // sequence number is assigned.
         let err = server.try_submit_with("doc", "<d>shed</d>", callback(&done_tx));
         assert!(matches!(err, Err(SubmitError::QueueFull)));
         release_tx.send(()).unwrap();
@@ -1537,8 +1361,8 @@ mod tests {
         server.try_submit_with("doc", "<d>1</d>", callback(&done_tx)).unwrap();
         assert_eq!(done_rx.recv().unwrap().unwrap().seq, 1, "the shed submit burned no seq");
 
-        // ShuttingDown does burn one, accounted as a dead letter; the Err
-        // return owns the response, so the callback is not invoked.
+        // ShuttingDown is accounted as a dead letter; the Err return owns
+        // the response, so the callback is not invoked.
         server.begin_drain();
         let err = server.try_submit_with("doc", "<d>late</d>", callback(&done_tx));
         assert!(matches!(err, Err(SubmitError::ShuttingDown)));
@@ -1645,10 +1469,6 @@ mod tests {
             ServeConfig::new().with_shards(3).unwrap_err(),
             ConfigError::ShardsNotPowerOfTwo { requested: 3 },
         );
-        assert_eq!(
-            ServeConfig::new().with_steal_batch(0).unwrap_err(),
-            ConfigError::ZeroStealBatch,
-        );
         // try_start re-validates against direct field mutation.
         let mut config = ServeConfig::new();
         config.shards = 6;
@@ -1660,67 +1480,16 @@ mod tests {
 
     #[test]
     fn effective_config_reports_oversubscription() {
-        let eff = ServeConfig::new()
-            .with_workers(ServeConfig::MAX_WORKERS)
-            .unwrap()
-            .with_steal_batch(2)
-            .unwrap()
-            .effective();
+        let eff = ServeConfig::new().with_workers(ServeConfig::MAX_WORKERS).unwrap().effective();
         assert_eq!(eff.workers, ServeConfig::MAX_WORKERS);
-        assert_eq!(eff.steal_batch, 2);
         // 1024 workers oversubscribe any host that can report parallelism.
         if eff.available_parallelism > 0 {
             assert!(eff.oversubscribed);
         }
         let line = eff.to_string();
         assert!(line.contains("workers=1024"), "{line}");
-        assert!(line.contains("steal_batch=2"), "{line}");
         // A worker count at the host's parallelism is not oversubscribed.
         let eff = ServeConfig::new().with_workers(1).unwrap().effective();
         assert!(!eff.oversubscribed, "{eff}");
-    }
-
-    #[test]
-    fn parked_home_worker_gets_its_backlog_stolen() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // Every job goes to one hot key, so every job homes to one deque;
-        // park that worker's own pops briefly so the other workers must
-        // steal to make progress.
-        let workers = 4;
-        let home = home_worker("hot", workers);
-        let parked = Arc::new(AtomicU64::new(0));
-        let parked2 = Arc::clone(&parked);
-        let hook: SchedHook = Arc::new(move |e| {
-            if let crate::scheduler::SchedEvent::PopOwn { worker } = e {
-                // Bounded: ~50 short naps, then the worker runs normally.
-                if worker == home && parked2.fetch_add(1, Ordering::Relaxed) < 50 {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        });
-        let server = IngestServer::start(
-            ServeConfig::new()
-                .with_workers(workers)
-                .unwrap()
-                .with_queue_capacity(64)
-                .unwrap()
-                .with_shards(2)
-                .unwrap()
-                .with_steal_batch(2)
-                .unwrap()
-                .with_sched_hook(hook),
-        );
-        for v in 0..40 {
-            server.submit("hot", format!("<d><v>{v}</v></d>")).unwrap();
-        }
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-        assert_eq!(report.succeeded, 40);
-        assert!(
-            report.metrics_text.contains("ingest_steals_total"),
-            "{}",
-            report.metrics_text
-        );
-        assert!(report.metrics_text.contains("ingest_deque_depth{deque=\"0\"}"));
     }
 }

@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use xydiff_suite::xydelta::{xml_io, CaptureMode, PayloadSource, XidDocument};
-use xydiff_suite::xydiff::{diff, DiffOptions, Differ, ParallelRunner, StdScopeRunner};
-use xydiff_suite::xyserve::DiffRunner;
+use xydiff_suite::xydiff::{diff, DiffOptions, Differ, StdScopeRunner};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::Document;
 
@@ -76,22 +75,13 @@ fn parallel_diff_is_byte_identical_at_every_thread_count() {
     let (old, new) = corpus_case(DocKind::Catalog, 900, 0.15, 41);
     let want = reference_xml(&old, &new);
     for &threads in THREAD_COUNTS {
-        // Both runner implementations: the reference scoped-thread runner
-        // and the production work-stealing facade.
-        let runners: [Arc<dyn ParallelRunner>; 2] = [
-            Arc::new(StdScopeRunner::new(threads)),
-            Arc::new(DiffRunner::new(threads)),
-        ];
-        for runner in runners {
-            let label = format!("{runner:?} at {threads} threads");
-            let mut differ = Differ::new().with_runner(runner);
-            let result = differ.diff_consume(&old, new.clone());
-            assert_eq!(
-                xml_io::delta_to_xml(&result.delta),
-                want,
-                "{label}: parallel delta diverged from serial"
-            );
-        }
+        let mut differ = Differ::new().with_runner(Arc::new(StdScopeRunner::new(threads)));
+        let result = differ.diff_consume(&old, new.clone());
+        assert_eq!(
+            xml_io::delta_to_xml(&result.delta),
+            want,
+            "{threads} threads: parallel delta diverged from serial"
+        );
     }
 }
 
@@ -115,7 +105,7 @@ proptest! {
         for &threads in THREAD_COUNTS {
             let mut differ = Differ::new()
                 .with_capture(CaptureMode::Borrowed)
-                .with_runner(Arc::new(DiffRunner::new(threads)));
+                .with_runner(Arc::new(StdScopeRunner::new(threads)));
             let result = differ.diff_consume(&old, new.clone());
             let src = PayloadSource {
                 old: &old.doc.tree,

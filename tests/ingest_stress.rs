@@ -207,67 +207,202 @@ fn poison_corpus_is_dead_lettered_with_full_accounting() {
     }
 }
 
-/// Poison accounting on the *steal* path: the hot key's home worker is
-/// parked, so every one of its snapshots — including the malformed one — is
-/// executed by a stealing worker. The poison must be dead-lettered exactly
-/// once and the key's later versions must still apply in order.
+/// One hot key interleaved with cold keys over a pool larger than the key
+/// count needs: the hot key's thirty versions (one malformed) must apply in
+/// order while the cold keys run beside it. Every stored version is
+/// byte-identical to a serial run over the same snapshots, and the poison
+/// snapshot is dead-lettered exactly once.
 #[test]
-fn poison_on_the_steal_path_is_dead_lettered_exactly_once() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
-    use xydiff_suite::xyserve::{home_worker, SchedEvent};
+fn poison_in_a_hot_key_among_cold_keys_is_dead_lettered_exactly_once() {
+    let cold = corpus(6, 4, 200, 77);
+    let hot: Vec<String> = (0..30)
+        .map(|v| if v == 13 { "<d><broken v13".to_string() } else { format!("<d><v>{v}</v></d>") })
+        .collect();
 
-    let workers = 4;
-    let home = home_worker("hot", workers);
-    let hold = Arc::new(AtomicBool::new(true));
-    let hold2 = Arc::clone(&hold);
+    // Serial reference: the same snapshots, one key after another; the
+    // malformed one is refused by the parser there too.
+    let serial = Repository::new();
+    for xml in &hot {
+        let _ = serial.load_version("hot", xml);
+    }
+    for (key, versions) in &cold {
+        for xml in versions {
+            serial.load_version(key, xml).unwrap();
+        }
+    }
+
     let server = IngestServer::start(
         ServeConfig::new()
-            .with_workers(workers)
+            .with_workers(4)
             .unwrap()
             .with_queue_capacity(64)
             .unwrap()
             .with_shards(2)
-            .unwrap()
-            .with_steal_batch(2)
-            .unwrap()
-            .with_sched_hook(Arc::new(move |e| {
-                // Park the hot key's home worker inside its own pop: while
-                // held, only thieves can run the hot key's jobs.
-                if let SchedEvent::PopOwn { worker } = e {
-                    if worker == home {
-                        while hold2.load(Ordering::SeqCst) {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
-                }
-            })),
+            .unwrap(),
     );
-
-    for v in 0..30 {
-        if v == 13 {
-            server.submit("hot", "<d><broken v13").unwrap();
-        } else {
-            server.submit("hot", format!("<d><v>{v}</v></d>")).unwrap();
+    // Five hot versions, then one version of one cold key, round and round:
+    // the hot lane is never empty while the cold keys come and go.
+    let mut cold_turns =
+        (0..4).flat_map(|v| cold.iter().map(move |(key, versions)| (key, &versions[v])));
+    for (v, xml) in hot.iter().enumerate() {
+        server.submit("hot", xml.clone()).unwrap();
+        if v % 5 == 4 {
+            for (key, xml) in cold_turns.by_ref().take(4) {
+                server.submit(key, xml.clone()).unwrap();
+            }
         }
     }
+    assert!(cold_turns.next().is_none(), "every cold snapshot was submitted");
     server.wait_idle();
-    hold.store(false, Ordering::SeqCst);
 
-    assert!(
-        server.metrics().steals.get() >= 1,
-        "every hot job ran on the steal path, so steals must be non-zero"
-    );
     // The poison version is simply missing; everything after it applied.
-    let repo = server.repository_for("hot");
-    assert_eq!(repo.version_count("hot"), 29);
-    assert_eq!(repo.latest_xml("hot").unwrap(), "<d><v>29</v></d>");
+    let keys = std::iter::once(("hot", 29)).chain(cold.iter().map(|(k, v)| (k.as_str(), v.len())));
+    for (key, versions) in keys {
+        let repo = server.repository_for(key);
+        assert_eq!(repo.version_count(key), versions, "{key}");
+        for v in 0..versions {
+            assert_eq!(
+                repo.version_xml(key, v).unwrap(),
+                serial.version_xml(key, v).unwrap(),
+                "{key} V({v}) diverged from serial ingestion"
+            );
+        }
+    }
 
     let report = server.shutdown();
     assert!(report.is_balanced(), "{report:?}");
-    assert_eq!(report.succeeded, 29);
+    assert_eq!(report.succeeded, 29 + 6 * 4);
     assert_eq!(report.dead_lettered, 1, "dead-lettered exactly once");
     assert_eq!(report.dead_letters.len(), 1);
-    assert_eq!(report.dead_letters[0].seq, 13);
+    assert_eq!((report.dead_letters[0].key.as_str(), report.dead_letters[0].seq), ("hot", 13));
     assert!(report.dead_letters[0].error.contains("parse error"), "{:?}", report.dead_letters);
+}
+
+/// Two threads submitting the same key at once: the queue numbers the
+/// snapshots in the order it accepted them and applies them in that order,
+/// so every ack's `seq` is the index of the version it stored.
+#[test]
+fn concurrent_same_key_submitters_get_seqs_in_apply_order() {
+    use std::sync::Barrier;
+    let per_thread = 40;
+    let server = IngestServer::start(
+        ServeConfig::new()
+            .with_workers(4)
+            .unwrap()
+            // Small on purpose: both submitters block on a full queue.
+            .with_queue_capacity(2)
+            .unwrap()
+            .with_shards(2)
+            .unwrap(),
+    );
+    let start = Barrier::new(2);
+    let acks: Vec<(u64, usize, String)> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..2)
+            .map(|t| {
+                let (server, start) = (&server, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let tickets: Vec<_> = (0..per_thread)
+                        .map(|i| {
+                            let xml = format!("<d><t>{t}</t><i>{i}</i></d>");
+                            (server.submit_tracked("shared", xml.clone()).unwrap(), xml)
+                        })
+                        .collect();
+                    let acks: Vec<_> = tickets
+                        .into_iter()
+                        .map(|(ticket, xml)| {
+                            let done = ticket.wait().expect("well-formed snapshots store");
+                            (done.seq, done.version, xml)
+                        })
+                        .collect();
+                    assert!(
+                        acks.windows(2).all(|w| w[0].0 < w[1].0),
+                        "thread {t}: one thread's submits are numbered in program order"
+                    );
+                    acks
+                })
+            })
+            .collect();
+        submitters.into_iter().flat_map(|s| s.join().unwrap()).collect()
+    });
+
+    let mut seqs: Vec<u64> = acks.iter().map(|a| a.0).collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..2 * per_thread as u64).collect::<Vec<_>>(), "seqs are dense");
+    let repo = server.repository_for("shared");
+    for (seq, version, xml) in &acks {
+        assert_eq!(*seq as usize, *version, "seq {seq} applied out of order");
+        assert_eq!(&repo.version_xml("shared", *version).unwrap(), xml, "seq {seq}");
+    }
+    let report = server.shutdown();
+    assert!(report.is_balanced(), "{report:?}");
+}
+
+/// Non-blocking submits racing the start of a drain: each one is answered
+/// exactly once — by the `Err` return or by its callback, never both and
+/// never neither — and the refused ones are dead-lettered.
+#[test]
+fn try_submit_racing_begin_drain_is_answered_exactly_once() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use xydiff_suite::xyserve::SubmitError;
+
+    let threads = 3;
+    let per_thread = 200;
+    let server = IngestServer::start(
+        ServeConfig::new().with_workers(2).unwrap().with_queue_capacity(8).unwrap(),
+    );
+    // One slot per submission: how often its callback ran.
+    let called: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..threads * per_thread).map(|_| AtomicUsize::new(0)).collect());
+    let accepted = AtomicUsize::new(0);
+    let start = Barrier::new(threads + 1);
+    let refused: Vec<Vec<bool>> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..threads)
+            .map(|t| {
+                let (server, called, accepted, start) = (&server, &called, &accepted, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..per_thread)
+                        .map(|i| {
+                            let slot = t * per_thread + i;
+                            loop {
+                                let called = Arc::clone(called);
+                                let done = Box::new(move |_| {
+                                    called[slot].fetch_add(1, Ordering::SeqCst);
+                                });
+                                match server.try_submit_with(&format!("k{t}"), "<d/>", done) {
+                                    Ok(()) => {
+                                        accepted.fetch_add(1, Ordering::SeqCst);
+                                        return false;
+                                    }
+                                    Err(SubmitError::ShuttingDown) => return true,
+                                    Err(SubmitError::QueueFull) => std::thread::yield_now(),
+                                }
+                            }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        start.wait();
+        // Close the door once the race is under way.
+        while accepted.load(Ordering::SeqCst) < per_thread / 2 {
+            std::thread::yield_now();
+        }
+        server.begin_drain();
+        submitters.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+
+    let report = server.shutdown();
+    assert!(report.is_balanced(), "{report:?}");
+    let refused: Vec<bool> = refused.into_iter().flatten().collect();
+    let refusals = refused.iter().filter(|r| **r).count();
+    assert!(refusals > 0 && refusals < refused.len(), "the drain must land mid-race: {refusals}");
+    for (slot, was_refused) in refused.iter().enumerate() {
+        let calls = called[slot].load(Ordering::SeqCst);
+        assert_eq!(calls, usize::from(!was_refused), "submission {slot}: refused={was_refused}");
+    }
+    assert_eq!(report.dead_lettered as usize, refusals);
+    assert!(report.dead_letters.iter().all(|d| d.error == "submitted during shutdown"));
 }

@@ -10,7 +10,7 @@
 //! net_torture`).
 //!
 //! The harness mirrors `tests/sched_determinism.rs`, which does the same
-//! for the work-stealing scheduler underneath this front.
+//! for the keyed run queue underneath this front.
 
 use std::time::Duration;
 

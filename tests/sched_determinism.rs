@@ -1,4 +1,4 @@
-//! Deterministic schedule exploration for the work-stealing scheduler.
+//! Deterministic schedule exploration for the keyed run queue.
 //!
 //! Every test here derives the whole run — dimensions, operation sequence,
 //! injected yields — from a single `u64` seed via SplitMix64, and every
@@ -8,21 +8,22 @@
 //!
 //! Three layers:
 //!
-//! 1. Single-threaded exploration: random `try_push`/`try_pop`/`close`
-//!    walks where the exact scheduler state is checkable after every step
-//!    (`Full` exactly at capacity, `Retry` never, depth bookkeeping exact,
-//!    multiset of pops equal to the multiset of pushes).
-//! 2. Multi-threaded exploration: producer/worker pools race over a small
-//!    scheduler while a seeded [`SchedHook`] injects yields at scheduling
-//!    decision points, shaking out interleavings around steals and close.
+//! 1. A single-threaded walk of `try_push`/`try_pop`/`done`/`close`, checked
+//!    after every step against a reference model that is correct by
+//!    inspection (per key: the list of accepted pushes, how many of them
+//!    have been popped, whether one is out).
+//! 2. A multi-threaded sweep: producers and workers race over a small queue
+//!    while the worker closure injects seeded yields between `pop` and
+//!    `done`; the workers themselves check that no key is ever out twice
+//!    and that each key's jobs arrive in `seq` order.
 //! 3. An oversubscription smoke test: a full `IngestServer` with more
 //!    workers than the host has cores drains loss-free.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use xydiff_suite::xyserve::{IngestServer, Scheduler, ServeConfig, Steal, TryPushError};
+use xydiff_suite::xyserve::{IngestServer, KeyedQueue, PushError, ServeConfig};
 
 /// SplitMix64: tiny, deterministic, and good enough to scatter schedules.
 struct SplitMix64(u64);
@@ -37,11 +38,6 @@ impl SplitMix64 {
     }
 }
 
-/// One stateless SplitMix64 step, for seeding decisions inside hooks.
-fn mix(x: u64) -> u64 {
-    SplitMix64(x).next()
-}
-
 /// Seed range knobs: `XYSCHED_SEED_START` / `XYSCHED_SEED_COUNT` override
 /// the defaults, so one failing seed reruns alone and CI can widen the
 /// sweep without a code change.
@@ -53,170 +49,211 @@ fn seed_range(default_count: u64) -> std::ops::Range<u64> {
     start..start + get("XYSCHED_SEED_COUNT", default_count)
 }
 
-/// Sorted copy, for multiset comparison.
-fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    v.sort_unstable();
-    v
+const KEYS: usize = 6;
+
+/// The reference: what one key's lane must look like from outside.
+#[derive(Default)]
+struct ModelLane {
+    /// Ids of the accepted pushes; the index is the `seq`.
+    accepted: Vec<u64>,
+    /// How many of them have been popped (always a prefix: per-key FIFO).
+    popped: usize,
+    /// One of them is out and not yet `done`.
+    out: bool,
 }
 
-/// One single-threaded walk: with no concurrency the scheduler's visible
-/// state is exactly predictable, so every step is checked against a
-/// counting model.
+impl ModelLane {
+    fn pending(&self) -> usize {
+        self.accepted.len() - self.popped
+    }
+}
+
+/// Pop once and check the job against the model; `None` must mean that no
+/// key is eligible (pending work and nothing out).
+fn checked_try_pop(q: &KeyedQueue<u64>, lanes: &mut [ModelLane], at: &str) {
+    match q.try_pop() {
+        Some((key, seq, id)) => {
+            let lane = &mut lanes[key.parse::<usize>().unwrap()];
+            assert!(!lane.out, "{at}: key {key} handed out twice");
+            assert_eq!(seq as usize, lane.popped, "{at}: key {key} popped out of order");
+            assert_eq!(id, lane.accepted[lane.popped], "{at}: key {key} seq {seq} carries the wrong job");
+            lane.popped += 1;
+            lane.out = true;
+        }
+        None => assert!(
+            lanes.iter().all(|l| l.out || l.pending() == 0),
+            "{at}: None with an eligible key"
+        ),
+    }
+}
+
 fn explore_single_threaded(seed: u64) {
     let mut rng = SplitMix64(seed);
-    let workers = 1 + (rng.next() % 4) as usize;
     let capacity = 1 + (rng.next() % 8) as usize;
-    let batch = 1 + (rng.next() % 3) as usize;
-    let s: Scheduler<(u64, u64)> = Scheduler::new(workers, capacity, batch);
-
-    let mut pushed: Vec<(u64, u64)> = Vec::new();
-    let mut popped: Vec<(u64, u64)> = Vec::new();
+    let q: KeyedQueue<u64> = KeyedQueue::new(capacity);
+    let mut lanes: Vec<ModelLane> = (0..KEYS).map(|_| ModelLane::default()).collect();
     let mut next_id = 0u64;
     let mut closed = false;
+
     let steps = 100 + rng.next() % 150;
     for step in 0..steps {
-        match rng.next() % 10 {
-            0..=4 => {
-                let key = rng.next() % 6;
-                let item = (key, next_id);
-                match s.try_push(key, item) {
-                    Ok(()) => {
-                        assert!(!closed, "seed {seed} step {step}: push accepted after close");
-                        pushed.push(item);
+        let at = format!("seed {seed} step {step}");
+        let depth: usize = lanes.iter().map(ModelLane::pending).sum();
+        match rng.next() % 20 {
+            0..=8 => {
+                let k = (rng.next() % KEYS as u64) as usize;
+                match q.try_push(&k.to_string(), next_id) {
+                    Ok(seq) => {
+                        assert!(!closed, "{at}: push accepted after close");
+                        assert!(depth < capacity, "{at}: push accepted past capacity");
+                        assert_eq!(
+                            seq as usize,
+                            lanes[k].accepted.len(),
+                            "{at}: key {k} seq not dense (a refused push consumed one?)"
+                        );
+                        lanes[k].accepted.push(next_id);
                         next_id += 1;
                     }
-                    Err(TryPushError::Full(_)) => assert_eq!(
-                        pushed.len() - popped.len(),
-                        capacity,
-                        "seed {seed} step {step}: Full below capacity"
-                    ),
-                    Err(TryPushError::Closed(_)) => {
-                        assert!(closed, "seed {seed} step {step}: spurious Closed");
+                    Err(PushError::Full(_)) => {
+                        assert!(!closed, "{at}: Full from a closed queue");
+                        assert_eq!(depth, capacity, "{at}: Full below capacity");
                     }
+                    Err(PushError::Closed(_)) => assert!(closed, "{at}: spurious Closed"),
                 }
             }
-            5..=8 => {
-                let w = (rng.next() % workers as u64) as usize;
-                match s.try_pop(w) {
-                    Steal::Item(item) => popped.push(item),
-                    Steal::Empty => assert_eq!(
-                        pushed.len(),
-                        popped.len(),
-                        "seed {seed} step {step}: Empty with jobs queued"
-                    ),
-                    Steal::Retry => {
-                        panic!("seed {seed} step {step}: Retry is impossible single-threaded")
-                    }
+            9..=14 => checked_try_pop(&q, &mut lanes, &at),
+            15..=18 => {
+                let out: Vec<usize> = (0..KEYS).filter(|&k| lanes[k].out).collect();
+                if !out.is_empty() {
+                    let k = out[(rng.next() % out.len() as u64) as usize];
+                    q.done(&k.to_string());
+                    lanes[k].out = false;
                 }
             }
             _ => {
-                if !closed && rng.next().is_multiple_of(4) {
-                    s.close();
+                if rng.next().is_multiple_of(4) {
+                    q.close();
                     closed = true;
                 }
             }
         }
-        let depth = pushed.len() - popped.len();
-        assert_eq!(s.len(), depth, "seed {seed} step {step}: depth bookkeeping drifted");
-        assert_eq!(
-            (0..workers).map(|d| s.depth_of(d)).sum::<usize>(),
-            depth,
-            "seed {seed} step {step}: per-deque depths disagree with the global depth"
-        );
-        assert_eq!(s.is_closed(), closed, "seed {seed} step {step}: close flag");
+        let depth: usize = lanes.iter().map(ModelLane::pending).sum();
+        assert_eq!(q.len(), depth, "{at}: depth bookkeeping drifted");
+        assert_eq!(q.is_closed(), closed, "{at}: close flag");
     }
 
-    // Drain and compare multisets: nothing lost, nothing invented.
-    s.close();
-    let mut w = 0usize;
-    loop {
-        match s.try_pop(w % workers) {
-            Steal::Item(item) => popped.push(item),
-            Steal::Empty => break,
-            Steal::Retry => panic!("seed {seed}: Retry is impossible single-threaded"),
+    // Drain: hand back what is out, then the blocking `pop` must yield every
+    // remaining job and report `None` exactly when nothing is pending.
+    q.close();
+    let at = format!("seed {seed} drain");
+    for (k, lane) in lanes.iter_mut().enumerate() {
+        if std::mem::take(&mut lane.out) {
+            q.done(&k.to_string());
         }
-        w += 1;
     }
-    assert_eq!(
-        sorted(pushed),
-        sorted(popped),
-        "seed {seed}: drained multiset differs from the pushed multiset"
-    );
+    while lanes.iter().any(|l| l.pending() > 0) {
+        let (key, seq, id) = q.pop().unwrap_or_else(|| panic!("{at}: None with jobs pending"));
+        let lane = &mut lanes[key.parse::<usize>().unwrap()];
+        assert_eq!((seq as usize, id), (lane.popped, lane.accepted[lane.popped]), "{at}: key {key}");
+        lane.popped += 1;
+        q.done(&key);
+    }
+    assert!(q.pop().is_none(), "{at}: a job nobody pushed");
+    assert!(q.try_pop().is_none(), "{at}: a job nobody pushed");
+    // Popped is a prefix of accepted per key and nothing is pending, so the
+    // multiset of pops equals the multiset of accepted pushes.
+    assert_eq!(lanes.iter().map(|l| l.popped as u64).sum::<u64>(), next_id, "{at}");
+    q.wait_idle();
 }
 
 #[test]
-fn single_threaded_exploration_over_seed_range() {
+fn single_threaded_walk_against_the_model_over_seed_range() {
     for seed in seed_range(700) {
         explore_single_threaded(seed);
     }
 }
 
-/// One multi-threaded run: producers race workers over a small scheduler
-/// while the hook injects seeded yields at every scheduling decision point,
-/// perturbing the interleaving deterministically per (seed, event index).
+/// One multi-threaded run: producers race workers over a small queue; each
+/// worker yields at seeded points while it holds a job, so other workers
+/// get every chance to be handed the same key.
 fn explore_multi_threaded(seed: u64) {
     let mut rng = SplitMix64(seed ^ 0xDEAD_BEEF);
     let workers = 2 + (rng.next() % 3) as usize;
     let capacity = 2 + (rng.next() % 12) as usize;
-    let batch = 1 + (rng.next() % 3) as usize;
-    let producers = 2usize;
+    let producers = 2u64;
     let per_producer = 40u64;
+    let what = format!("seed {seed}: {workers} workers / cap {capacity}");
 
-    let events = Arc::new(AtomicU64::new(0));
-    let hook_events = Arc::clone(&events);
-    let s: Arc<Scheduler<(u64, u64)>> = Arc::new(
-        Scheduler::new(workers, capacity, batch).with_hook(Arc::new(move |_| {
-            let n = hook_events.fetch_add(1, Ordering::Relaxed);
-            if mix(seed ^ n).is_multiple_of(4) {
-                std::thread::yield_now();
-            }
-        })),
-    );
+    let q: KeyedQueue<(u64, u64)> = KeyedQueue::new(capacity);
+    // Per key: "a job of this key is with a worker", and the next seq due.
+    let out: Vec<AtomicBool> = (0..KEYS).map(|_| AtomicBool::new(false)).collect();
+    let due: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let yields = AtomicU64::new(0);
+    // A worker that saw a broken rule records it and carries on, so the run
+    // still drains and the failure is reported instead of hanging the pool.
+    let broken: Mutex<Option<String>> = Mutex::new(None);
+    let check = |ok: bool, rule: &str, k: usize| {
+        if !ok {
+            broken.lock().unwrap().get_or_insert_with(|| format!("{what}: key {k} {rule}"));
+        }
+    };
 
-    let pushers: Vec<_> = (0..producers as u64)
-        .map(|p| {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                let mut rng = SplitMix64(seed.wrapping_add(p));
-                for i in 0..per_producer {
-                    let key = rng.next() % 5;
-                    // Blocking push: backpressure stalls are part of the
-                    // schedule being explored.
-                    s.push(key, (key, p * per_producer + i)).unwrap();
-                }
+    let mut drained: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let poppers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut got = Vec::new();
+                    while let Some((key, seq, item)) = q.pop() {
+                        let k = key.parse::<usize>().unwrap();
+                        check(!out[k].swap(true, Ordering::SeqCst), "out twice", k);
+                        check(due[k].load(Ordering::SeqCst) == seq, "popped out of order", k);
+                        for _ in 0..2 {
+                            let n = yields.fetch_add(1, Ordering::Relaxed);
+                            if SplitMix64(seed ^ n).next().is_multiple_of(3) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        got.push(item);
+                        due[k].store(seq + 1, Ordering::SeqCst);
+                        out[k].store(false, Ordering::SeqCst);
+                        q.done(&key);
+                    }
+                    got
+                })
             })
-        })
-        .collect();
-    let poppers: Vec<_> = (0..workers)
-        .map(|w| {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(item) = s.pop(w) {
-                    got.push(item);
-                }
-                got
+            .collect();
+        let pushers: Vec<_> = (0..producers)
+            .map(|p| {
+                let q = &q;
+                scope.spawn(move || {
+                    let mut rng = SplitMix64(seed.wrapping_add(p));
+                    for i in 0..per_producer {
+                        // Blocking push: backpressure stalls are part of the
+                        // schedule being explored. Both producers hit every
+                        // key, so same-key pushes race across threads.
+                        let key = rng.next() % KEYS as u64;
+                        q.push(&key.to_string(), (p, i)).unwrap();
+                    }
+                })
             })
-        })
-        .collect();
+            .collect();
+        for p in pushers {
+            p.join().unwrap();
+        }
+        q.wait_idle();
+        q.close();
+        poppers.into_iter().flat_map(|p| p.join().unwrap()).collect()
+    });
 
-    for p in pushers {
-        p.join().unwrap();
-    }
-    s.close();
-    let drained: Vec<(u64, u64)> =
-        poppers.into_iter().flat_map(|p| p.join().unwrap()).collect();
-
-    let expect: Vec<(u64, u64)> = (0..producers as u64)
-        .flat_map(|p| {
-            let mut rng = SplitMix64(seed.wrapping_add(p));
-            (0..per_producer).map(move |i| (rng.next() % 5, p * per_producer + i))
-        })
-        .collect();
+    assert_eq!(broken.into_inner().unwrap(), None);
+    drained.sort_unstable();
+    let expect: Vec<(u64, u64)> =
+        (0..producers).flat_map(|p| (0..per_producer).map(move |i| (p, i))).collect();
+    assert_eq!(drained, expect, "{what}: lost or duplicated jobs");
     assert_eq!(
-        sorted(drained),
-        sorted(expect),
-        "seed {seed}: {workers} workers / cap {capacity} / batch {batch} lost or duplicated jobs"
+        due.iter().map(|d| d.load(Ordering::SeqCst)).sum::<u64>(),
+        producers * per_producer,
+        "{what}: per-key seqs are not dense"
     );
 }
 
@@ -238,8 +275,6 @@ fn oversubscribed_pool_drains_loss_free() {
             .with_queue_capacity(16)
             .unwrap()
             .with_shards(2)
-            .unwrap()
-            .with_steal_batch(2)
             .unwrap(),
     );
     let docs = 6;
