@@ -15,10 +15,8 @@ use xydiff::{diff, Differ, DiffOptions};
 use xysim::{evolve_site, site_snapshot, SiteConfig};
 use xytree::{Document, SerializeOptions};
 
-const KNOWN: &[&str] = &[
-    "all", "fig4", "fig5", "fig6", "scaling", "site", "ablation", "index", "matchers", "modes",
-    "ingest", "diff", "serve", "recover",
-];
+const KNOWN: &[&str] =
+    &["all", "fig4", "fig5", "fig6", "scaling", "site", "ablation", "index", "modes", "diff"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,356 +48,12 @@ fn main() {
     if want("index") {
         index_maintenance();
     }
-    if want("matchers") {
-        matchers();
-    }
     if want("modes") {
         modes();
-    }
-    if want("ingest") {
-        ingest();
     }
     if want("diff") {
         diff_bench();
     }
-    if want("serve") {
-        serve_bench();
-    }
-    if want("recover") {
-        recover();
-    }
-}
-
-/// E14 (extension) — WAL durability and crash recovery on a hot key: one
-/// document with thousands of versions, each delta logged the way the
-/// server's ack path logs it. Measures append+fsync throughput, recovery
-/// (scan + replay into a cold warehouse), and the cost of "querying the
-/// past" before vs after chain compaction. Writes `BENCH_recover.json`;
-/// `XYBENCH_GATE=1` fails the run if compaction leaves any version more
-/// than the configured hop bound away from an anchor.
-fn recover() {
-    use xywal::{Record, Wal, WalConfig};
-    use xywarehouse::{replay, Repository};
-
-    println!("## Recover — WAL append, crash replay, chain compaction (xywal)\n");
-    let fast = xybench::fast_mode();
-    let versions = if fast { 1_500usize } else { 10_000 };
-    let chain_max = 64usize;
-    // A hot document that stays the same size forever: every version
-    // rewrites a few item values in place, so deltas are small and a
-    // 10k-deep chain does not compound document growth the way the
-    // simulator's insert/delete mix would.
-    let key = "hot".to_string();
-    let snaps: Vec<String> = {
-        let mut items: Vec<u64> = (0..40).map(|i| i as u64).collect();
-        (0..versions)
-            .map(|v| {
-                if v > 0 {
-                    for k in 0..3 {
-                        let idx = (v * 7 + k * 13) % items.len();
-                        items[idx] = items[idx].wrapping_mul(31).wrapping_add(v as u64);
-                    }
-                }
-                let body: String = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, val)| {
-                        format!("<item id=\"i{i}\"><name>part-{i}</name><val>{val}</val></item>")
-                    })
-                    .collect();
-                format!("<catalog>{body}</catalog>")
-            })
-            .collect()
-    };
-    let key = &key;
-    println!(
-        "corpus: 1 hot document x {versions} versions (~{} each), hop bound {chain_max}\n",
-        fmt_bytes(snaps[0].len()),
-    );
-
-    let dir = std::env::temp_dir().join(format!("xydiff-bench-recover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create wal dir");
-
-    // Ingest + log: diff each snapshot against the chain, append the
-    // completed delta before acking — the server's write path.
-    let reference = Repository::new();
-    let (wal, _) = Wal::open(&WalConfig::new(&dir)).expect("open wal");
-    let t = Instant::now();
-    for xml in &snaps {
-        let first = reference.version_count(key) == 0;
-        let out = reference.load_version(key, xml).expect("ingest");
-        let record = if first {
-            Record::Init { key: key.clone(), xml: Document::parse(xml).expect("snapshot").to_xml() }
-        } else {
-            Record::Delta {
-                key: key.clone(),
-                version: out.version as u64,
-                delta_xml: xydelta::xml_io::delta_to_xml(&out.delta),
-            }
-        };
-        wal.append(&record).expect("append");
-    }
-    let ingest_wall = t.elapsed();
-    let stats = wal.stats();
-    drop(wal); // crash: no snapshot was taken, the log is all there is
-
-    // Recovery: re-open (scan + checksum every frame), then replay the
-    // whole log into a cold warehouse.
-    let t = Instant::now();
-    let (wal, recovery) = Wal::open(&WalConfig::new(&dir)).expect("reopen wal");
-    let scan_wall = t.elapsed();
-    drop(wal);
-    assert_eq!(recovery.records.len(), versions, "every acked record must survive");
-    let shards = vec![Repository::new()];
-    let t = Instant::now();
-    let rstats = replay::apply_records(&recovery.records, &shards, |_| 0).expect("replay");
-    let replay_wall = t.elapsed();
-    assert_eq!(rstats.total(), versions);
-    let repo = &shards[0];
-    assert_eq!(repo.version_count(key), versions);
-
-    // Querying the past before/after compaction: the same interior
-    // version, first on the raw chain (one anchor: the latest version),
-    // then with checkpoints every `chain_max` versions.
-    let probe = versions / 2 + chain_max / 2;
-    let hops_before = repo.chain_hops(key).unwrap_or(0);
-    let t = Instant::now();
-    let probe_before = repo.version_xml(key, probe).expect("probe version");
-    let reconstruct_before = t.elapsed();
-
-    let t = Instant::now();
-    let compacted = repo.compact_chains(chain_max);
-    let compact_wall = t.elapsed();
-    assert_eq!(compacted, 1, "exactly the hot chain gets compacted");
-    let hops_after = repo.chain_hops(key).unwrap_or(usize::MAX);
-    let checkpoints = repo.chain_checkpoints(key).unwrap_or(0);
-    let t = Instant::now();
-    let probe_after = repo.version_xml(key, probe).expect("probe version after");
-    let reconstruct_after = t.elapsed();
-    assert_eq!(probe_before, probe_after, "compaction must not change history");
-    assert_eq!(
-        probe_after,
-        reference.version_xml(key, probe).expect("reference probe"),
-        "replayed history must match the pre-crash reference",
-    );
-
-    let replay_rate = versions as f64 / replay_wall.as_secs_f64();
-    println!("| phase | wall | detail |");
-    println!("|---|---:|---|");
-    println!(
-        "| ingest + log | {} | {} records, {} appended, {} fsyncs |",
-        fmt_dur(ingest_wall),
-        stats.appends,
-        fmt_bytes(stats.appended_bytes as usize),
-        stats.fsyncs,
-    );
-    println!("| recovery scan | {} | checksum every frame |", fmt_dur(scan_wall));
-    println!(
-        "| replay | {} | {replay_rate:.0} versions/sec into a cold warehouse |",
-        fmt_dur(replay_wall),
-    );
-    println!(
-        "| compaction | {} | {checkpoints} checkpoints, max hops {hops_before} -> {hops_after} |",
-        fmt_dur(compact_wall),
-    );
-    println!(
-        "| query v{probe} | {} -> {} | before -> after compaction |",
-        fmt_dur(reconstruct_before),
-        fmt_dur(reconstruct_after),
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"recover\",\n  \"mode\": \"{mode}\",\n  \"versions\": {versions},\n  \
-         \"chain_max\": {chain_max},\n  \"wal_bytes\": {wal_bytes},\n  \"fsyncs\": {fsyncs},\n  \
-         \"ingest_wall_secs\": {ingest:.4},\n  \"scan_wall_secs\": {scan:.4},\n  \
-         \"replay_wall_secs\": {rep:.4},\n  \"replay_versions_per_sec\": {replay_rate:.2},\n  \
-         \"compact_wall_secs\": {compact:.4},\n  \"checkpoints\": {checkpoints},\n  \
-         \"hops_before\": {hops_before},\n  \"hops_after\": {hops_after},\n  \
-         \"reconstruct_mid_before_micros\": {rb},\n  \"reconstruct_mid_after_micros\": {ra},\n  \
-         \"peak_rss_bytes\": {rss}\n}}\n",
-        mode = if fast { "fast" } else { "full" },
-        wal_bytes = stats.appended_bytes,
-        fsyncs = stats.fsyncs,
-        ingest = ingest_wall.as_secs_f64(),
-        scan = scan_wall.as_secs_f64(),
-        rep = replay_wall.as_secs_f64(),
-        compact = compact_wall.as_secs_f64(),
-        rb = reconstruct_before.as_micros(),
-        ra = reconstruct_after.as_micros(),
-        rss = xybench::peak_rss_bytes().unwrap_or(0),
-    );
-    let path = xybench::bench_out_path("BENCH_recover.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| eprintln!("cannot write {path:?}: {e}"));
-    println!("\nwrote {}\n", path.display());
-    let _ = std::fs::remove_dir_all(&dir);
-
-    if std::env::var_os("XYBENCH_GATE").is_some() {
-        println!("recover gate: max hops {hops_after} vs bound {chain_max}");
-        if hops_after > chain_max {
-            eprintln!("recover gate FAILED: compaction left a {hops_after}-hop reconstruction");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// E13 (extension) — loopback HTTP load: concurrent clients driving the
-/// `xynet` front over real TCP, 1 client vs N, keep-alive connections.
-/// Writes `BENCH_serve.json` for the CI smoke job.
-fn serve_bench() {
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::sync::Arc;
-    use xynet::{NetConfig, NetServer};
-    use xyserve::ServeConfig;
-
-    /// Read one `Content-Length`-framed response off a keep-alive stream.
-    fn read_response(stream: &mut TcpStream) -> (u16, usize) {
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break i + 4;
-            }
-            let n = stream.read(&mut chunk).expect("read response head");
-            assert!(n > 0, "server closed mid-response");
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-        let status: u16 =
-            head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status line");
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(str::to_string))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("Content-Length");
-        while buf.len() < head_end + len {
-            let n = stream.read(&mut chunk).expect("read response body");
-            assert!(n > 0, "server closed mid-body");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        (status, len)
-    }
-
-    println!("## Serve — loopback HTTP ingest through the xynet front (xyserve behind)\n");
-    let fast = xybench::fast_mode();
-    let (docs, versions, bytes) = if fast { (8usize, 4usize, 4_000) } else { (16, 6, 12_000) };
-    let corpus = Arc::new(xybench::versioned_corpus(docs, versions, bytes, 61));
-    let snapshots: usize = corpus.iter().map(|(_, v)| v.len()).sum();
-    println!(
-        "corpus: {docs} documents x {versions} versions = {snapshots} snapshots (~{} each)\n",
-        fmt_bytes(corpus[0].1[0].len()),
-    );
-    println!("| clients | idle conns | wall time | docs/sec | speedup | shed (503) | req p99 | ingest-wait p99 |");
-    println!("|---:|---:|---:|---:|---:|---:|---:|---:|");
-
-    // The idle column is the reactor's whole point: the same single loop
-    // thread carries hundreds of parked keep-alive connections while the
-    // active clients ingest at full rate.
-    let idle_pool = if fast { 256usize } else { 1000 };
-    let mut base_rate = None;
-    let mut json_rows: Vec<String> = Vec::new();
-    for (clients, idle_conns) in [(1usize, 0usize), (4, 0), (4, idle_pool)] {
-        let server = NetServer::start(
-            NetConfig::new()
-                .with_max_connections(idle_pool + 64)
-                .with_shed_connections(idle_pool + 64)
-                .with_idle_timeout(std::time::Duration::from_secs(300)),
-            ServeConfig::new()
-                .with_workers(4)
-                .unwrap()
-                .with_queue_capacity(64)
-                .unwrap()
-                .with_shards(8)
-                .unwrap(),
-        )
-        .expect("bind loopback");
-        let addr = server.local_addr();
-
-        // Park the idle pool first: each completes one request so it is
-        // registered with the reactor, then just holds its socket open.
-        let idle: Vec<TcpStream> = (0..idle_conns)
-            .map(|_| {
-                let mut stream = TcpStream::connect(addr).expect("connect idle");
-                stream
-                    .write_all(b"GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n")
-                    .expect("idle request");
-                let (status, _) = read_response(&mut stream);
-                assert_eq!(status, 200, "idle connection setup failed");
-                stream
-            })
-            .collect();
-
-        let t = Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let corpus = Arc::clone(&corpus);
-                std::thread::spawn(move || {
-                    // One keep-alive connection per client; each client owns
-                    // a disjoint document slice so per-key order holds.
-                    let mut stream = TcpStream::connect(addr).expect("connect");
-                    let mut shed = 0u64;
-                    for (key, versions) in corpus.iter().skip(c).step_by(clients) {
-                        for xml in versions {
-                            loop {
-                                let raw = format!(
-                                    "POST /ingest/{key} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{xml}",
-                                    xml.len(),
-                                );
-                                stream.write_all(raw.as_bytes()).expect("write request");
-                                let (status, _) = read_response(&mut stream);
-                                match status {
-                                    200 => break,
-                                    503 => {
-                                        shed += 1;
-                                        std::thread::sleep(std::time::Duration::from_millis(1));
-                                    }
-                                    other => panic!("{key}: unexpected status {other}"),
-                                }
-                            }
-                        }
-                    }
-                    shed
-                })
-            })
-            .collect();
-        let shed: u64 = handles.into_iter().map(|h| h.join().expect("client thread")).sum();
-        let wall = t.elapsed();
-
-        let rate = snapshots as f64 / wall.as_secs_f64();
-        let speedup = rate / *base_rate.get_or_insert(rate);
-        let http = server.http_metrics();
-        let req_p99 = http.request_time.quantile_bound_micros(0.99);
-        let wait_p99 = http.ingest_wait_time.quantile_bound_micros(0.99);
-        println!(
-            "| {clients} | {idle_conns} | {} | {rate:.0} | {speedup:.2}x | {shed} | {req_p99} µs | {wait_p99} µs |",
-            fmt_dur(wall),
-        );
-        json_rows.push(format!(
-            "    {{ \"clients\": {clients}, \"idle_conns\": {idle_conns}, \"wall_secs\": {:.4}, \
-             \"docs_per_sec\": {rate:.2}, \
-             \"speedup\": {speedup:.3}, \"shed_503\": {shed}, \"request_p99_micros\": {req_p99}, \
-             \"ingest_wait_p99_micros\": {wait_p99} }}",
-            wall.as_secs_f64(),
-        ));
-
-        drop(idle);
-        let report = server.shutdown();
-        assert!(report.ingest.is_balanced(), "unbalanced accounting: {report:?}");
-        assert_eq!(report.ingest.succeeded as usize, snapshots);
-        assert_eq!(report.ingest.dead_lettered, 0);
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"mode\": \"{}\",\n  \"snapshots\": {snapshots},\n  \
-         \"runs\": [\n{}\n  ],\n  \"peak_rss_bytes\": {}\n}}\n",
-        if fast { "fast" } else { "full" },
-        json_rows.join(",\n"),
-        xybench::peak_rss_bytes().unwrap_or(0),
-    );
-    let path = xybench::bench_out_path("BENCH_serve.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| eprintln!("cannot write {path:?}: {e}"));
-    println!("wrote {}\n", path.display());
 }
 
 /// E12 (extension) — diff hot-path throughput on the xysim corpus, with a
@@ -626,92 +280,6 @@ fn diff_bench() {
     }
 }
 
-/// E11 (extension) — Figure 1 at production scale: the `xyserve` worker
-/// pool running crawler→diff→store→alert concurrently, 1 worker vs N.
-fn ingest() {
-    use xyserve::{IngestServer, ServeConfig};
-
-    println!("## Ingest — concurrent crawler→diff→store→alert throughput (xyserve)\n");
-    let corpus = xybench::versioned_corpus(24, 6, 12_000, 41);
-    let snapshots: usize = corpus.iter().map(|(_, v)| v.len()).sum();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "corpus: {} documents x {} versions = {snapshots} snapshots (~{} each); host parallelism: {cores}\n",
-        corpus.len(),
-        corpus[0].1.len(),
-        fmt_bytes(corpus[0].1[0].len()),
-    );
-    println!("| workers | wall time | docs/sec | speedup | queue high-water | diff mean | diff p99 | total p99 |");
-    println!("|---:|---:|---:|---:|---:|---:|---:|---:|");
-    let mut base_rate = None;
-    let mut last_metrics = String::new();
-    let mut json_rows: Vec<String> = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let config = ServeConfig::new()
-            .with_workers(workers)
-            .unwrap()
-            .with_queue_capacity(64)
-            .unwrap()
-            .with_shards(8)
-            .unwrap();
-        eprintln!("effective: {}", config.effective());
-        let server = IngestServer::start(config);
-        let t = Instant::now();
-        // Round-robin across documents, as a crawler sweep would: version i
-        // of every document before version i+1 of any, so the chains of
-        // different documents genuinely overlap in the pool.
-        let max_versions = corpus.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-        for round in 0..max_versions {
-            for (key, versions) in &corpus {
-                if let Some(xml) = versions.get(round) {
-                    server.submit(key, xml.clone()).unwrap();
-                }
-            }
-        }
-        server.wait_idle();
-        let wall = t.elapsed();
-        let m = server.metrics();
-        let rate = snapshots as f64 / wall.as_secs_f64();
-        let speedup = rate / *base_rate.get_or_insert(rate);
-        println!(
-            "| {workers} | {} | {:.0} | {speedup:.2}x | {} | {} µs | {} µs | {} µs |",
-            fmt_dur(wall),
-            rate,
-            m.queue_depth.high_water(),
-            m.diff_time.mean_micros(),
-            m.diff_time.quantile_bound_micros(0.99),
-            m.total_time.quantile_bound_micros(0.99),
-        );
-        json_rows.push(format!(
-            "    {{ \"workers\": {workers}, \"wall_secs\": {:.4}, \"docs_per_sec\": {rate:.2}, \
-             \"speedup\": {speedup:.3}, \
-             \"diff_mean_micros\": {}, \"diff_p99_micros\": {}, \"total_p99_micros\": {} }}",
-            wall.as_secs_f64(),
-            m.diff_time.mean_micros(),
-            m.diff_time.quantile_bound_micros(0.99),
-            m.total_time.quantile_bound_micros(0.99),
-        ));
-        last_metrics = m.render();
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "unbalanced shutdown accounting: {report:?}");
-        assert_eq!(report.succeeded as usize, snapshots);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"ingest\",\n  \"snapshots\": {snapshots},\n  \"runs\": [\n{}\n  ],\n  \
-         \"peak_rss_bytes\": {}\n}}\n",
-        json_rows.join(",\n"),
-        xybench::peak_rss_bytes().unwrap_or(0),
-    );
-    let path = xybench::bench_out_path("BENCH_ingest.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| eprintln!("cannot write {path:?}: {e}"));
-    println!("wrote {}", path.display());
-    println!(
-        "\n(target: >=2x docs/sec with 4 workers on a >=4-core host; this host has {cores} core{})\n",
-        if cores == 1 { "" } else { "s" }
-    );
-    println!("metrics exposition of the 4-worker run:\n\n```\n{last_metrics}```\n");
-}
-
 /// E1 / Figure 4 — time cost of the different phases vs total input size.
 fn fig4() {
     println!("## Figure 4 — per-phase time vs total size of both documents\n");
@@ -899,39 +467,6 @@ fn site() {
     println!(
         "(paper: delta in ~30 s wall incl. I/O, core < 2 s, delta ≈ 1 MB for 5 MB snapshot)\n"
     );
-}
-
-/// E10 (extension) — BULD vs the LaDiff-inspired similarity matcher (§3:
-/// "perhaps the closest in spirit to our algorithm is LaDiff").
-fn matchers() {
-    println!("## Matchers — BULD (signatures) vs LaDiff-inspired similarity\n");
-    println!("| doc size | change rate | BULD time | BULD delta | similarity time | similarity delta | delta ratio |");
-    println!("|---:|---:|---:|---:|---:|---:|---:|");
-    for &bytes in &[20_000usize, 100_000] {
-        for &rate in &[0.02, 0.1, 0.25] {
-            let (old, sim) = pair_at_rate(bytes, rate, 3);
-            let t = Instant::now();
-            let buld = diff(&old, &sim.new_version.doc, &DiffOptions::default());
-            let buld_time = t.elapsed();
-            let mut simi_differ = Differ::new()
-                .with_options(DiffOptions { exact_lis: true, ..Default::default() })
-                .with_mode(xydiff::MatchMode::Similarity);
-            let t = Instant::now();
-            let simi = simi_differ.diff(&old, &sim.new_version.doc);
-            let simi_time = t.elapsed();
-            println!(
-                "| {} | {:>3.0}% | {} | {} | {} | {} | {:.2} |",
-                fmt_bytes(bytes),
-                rate * 100.0,
-                fmt_dur(buld_time),
-                fmt_bytes(buld.delta.size_bytes()),
-                fmt_dur(simi_time),
-                fmt_bytes(simi.delta.size_bytes()),
-                simi.delta.size_bytes() as f64 / buld.delta.size_bytes().max(1) as f64,
-            );
-        }
-    }
-    println!("\n(both matchers share the delta builder; the ratio isolates matching quality)\n");
 }
 
 /// E16 (extension) — cross-mode delta cost: the same simulated pairs run

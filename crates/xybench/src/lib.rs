@@ -34,30 +34,6 @@ pub fn pair_at_rate(bytes: usize, rate: f64, seed: u64) -> (XidDocument, Simulat
     (old, sim)
 }
 
-/// A corpus of `docs` documents with `versions` snapshots each, serialized
-/// the way a crawler would deliver them. Each document's snapshots form a
-/// chain of simulated edits (8% per-node change rate), so ingesting them in
-/// order exercises the full diff→store→alert loop of `xyserve`.
-pub fn versioned_corpus(
-    docs: usize,
-    versions: usize,
-    bytes: usize,
-    seed: u64,
-) -> Vec<(String, Vec<String>)> {
-    (0..docs)
-        .map(|d| {
-            let mut cur = XidDocument::assign_initial(sized_catalog(bytes, seed + d as u64));
-            let mut snaps = vec![cur.doc.to_xml()];
-            for v in 1..versions {
-                let step_seed = seed ^ (d as u64).wrapping_mul(1009) ^ (v as u64).wrapping_mul(9176);
-                cur = simulate(&cur, &ChangeConfig::uniform(0.08, step_seed)).new_version;
-                snaps.push(cur.doc.to_xml());
-            }
-            (format!("doc-{d:03}"), snaps)
-        })
-        .collect()
-}
-
 /// True when `XYBENCH_FAST=1`: benches shrink their corpora so the CI
 /// perf-smoke job finishes in seconds.
 pub fn fast_mode() -> bool {

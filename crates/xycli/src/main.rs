@@ -27,6 +27,7 @@
 
 mod analyze;
 mod ingest;
+mod pipeline;
 mod serve;
 mod store;
 mod wal;

@@ -10,45 +10,24 @@
 //!
 //! Exit codes: 0 clean drain, 2 usage/startup error.
 
+use crate::pipeline::{flag_value, PipelineFlags};
 use crate::usage;
 use std::process::ExitCode;
 use std::time::Duration;
-use xydiff::MatchMode;
 use xynet::{NetConfig, NetServer};
-use xyserve::{ServeConfig, WalPolicy, WalSync};
 
 pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut net = NetConfig::new().with_addr("127.0.0.1:8080");
-    let mut serve = ServeConfig::new();
-    let mut wal_dir = None;
-    let mut wal_sync = None;
-    let mut quiet = false;
+    let mut pipeline = PipelineFlags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if pipeline.accept(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--addr" => {
                 let v = it.next().ok_or("--addr needs a value (e.g. 127.0.0.1:8080)")?;
                 net = net.with_addr(v.clone());
-            }
-            "--workers" => {
-                serve = serve
-                    .with_workers(flag_value(&mut it, "--workers")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--queue" => {
-                serve = serve
-                    .with_queue_capacity(flag_value(&mut it, "--queue")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--shards" => {
-                serve = serve
-                    .with_shards(flag_value(&mut it, "--shards")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--diff-threads" => {
-                serve = serve
-                    .with_diff_threads(flag_value(&mut it, "--diff-threads")?)
-                    .map_err(|e| e.to_string())?;
             }
             "--max-body" => net = net.with_max_body_bytes(flag_value(&mut it, "--max-body")?),
             "--idle-timeout" => {
@@ -67,47 +46,20 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--write-budget" => {
                 net = net.with_write_budget(flag_value(&mut it, "--write-budget")?);
             }
-            "--mode" => {
-                let v = it.next().ok_or("--mode needs a value (buld|unordered|similarity)")?;
-                serve =
-                    serve.with_mode(v.parse::<MatchMode>().map_err(|e| format!("--mode: {e}"))?);
-            }
-            "--wal-dir" => {
-                let v = it.next().ok_or("--wal-dir needs a directory")?;
-                wal_dir = Some(v.clone());
-            }
-            "--wal-sync" => {
-                let v = it.next().ok_or("--wal-sync needs a mode (always | none)")?;
-                wal_sync = Some(
-                    WalSync::parse(v)
-                        .ok_or_else(|| format!("--wal-sync must be always or none, got {v:?}"))?,
-                );
-            }
-            "--compact-chain-max" => {
-                serve = serve.with_compact_chain_max(flag_value(&mut it, "--compact-chain-max")?);
-            }
-            "--quiet" => quiet = true,
             other => return Err(format!("unknown flag {other:?} for serve\n{}", usage())),
         }
     }
-    if let Some(dir) = wal_dir {
-        let mut policy = WalPolicy::new(dir);
-        if let Some(sync) = wal_sync {
-            policy = policy.with_sync(sync);
-        }
-        serve = serve.with_wal(policy);
-    } else if wal_sync.is_some() {
-        return Err("--wal-sync needs --wal-dir".to_string());
-    }
+    let quiet = pipeline.quiet;
+    let serve = pipeline.into_config()?;
 
-    let effective = serve.effective();
+    let banner = serve.to_string();
     let server = NetServer::start(net, serve).map_err(|e| e.to_string())?;
     eprintln!(
         "xydiff serve: listening on http://{} ({} reactor)",
         server.local_addr(),
         server.backend(),
     );
-    eprintln!("xydiff serve: {effective}");
+    eprintln!("xydiff serve: {banner}");
     eprintln!("xydiff serve: POST /admin/shutdown (or close stdin) to drain");
 
     // Wake the waiter when stdin reaches EOF. The thread is deliberately
@@ -155,12 +107,4 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         print!("{}", report.ingest.metrics_text);
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn flag_value<'a>(
-    it: &mut impl Iterator<Item = &'a String>,
-    flag: &str,
-) -> Result<usize, String> {
-    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse::<usize>().map_err(|_| format!("{flag} needs a positive integer, got {v:?}"))
 }

@@ -196,6 +196,41 @@ fn error_paths_exit_two() {
     assert!(stderr(&badflag).contains("--bogus"));
 }
 
+/// `serve` and `ingest` share one parser for the pipeline flags: a missing
+/// or malformed value is refused by both with the same message, before the
+/// server binds a port or the corpus is scanned.
+#[test]
+fn pipeline_flags_reject_bad_values_identically_in_serve_and_ingest() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--workers"], "--workers needs a value"),
+        (&["--workers", "many"], "--workers needs a positive integer, got \"many\""),
+        (&["--workers", "0"], "workers must be at least 1"),
+        (&["--queue"], "--queue needs a value"),
+        (&["--queue", "-1"], "--queue needs a positive integer, got \"-1\""),
+        (&["--shards"], "--shards needs a value"),
+        (&["--shards", "3"], "shards = 3 is not a power of two"),
+        (&["--diff-threads"], "--diff-threads needs a value"),
+        (&["--diff-threads", "1e3"], "--diff-threads needs a positive integer, got \"1e3\""),
+        (&["--compact-chain-max"], "--compact-chain-max needs a value"),
+        (&["--compact-chain-max", "x"], "--compact-chain-max needs a positive integer, got \"x\""),
+        (&["--mode"], "--mode needs a value (buld|unordered|similarity)"),
+        (&["--mode", "fuzzy"], "--mode: "),
+        (&["--wal-dir"], "--wal-dir needs a directory"),
+        (&["--wal-sync"], "--wal-sync needs a mode (always | none)"),
+        (&["--wal-sync", "sometimes"], "--wal-sync must be always or none, got \"sometimes\""),
+        (&["--wal-sync", "none"], "--wal-sync needs --wal-dir"),
+    ];
+    for (flags, want) in cases {
+        let messages = ["serve", "ingest"].map(|command| {
+            let out = run(&[&[command], *flags].concat());
+            assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {}", stderr(&out));
+            stderr(&out)
+        });
+        assert_eq!(messages[0], messages[1], "{flags:?}");
+        assert!(messages[0].starts_with(&format!("xydiff: {want}")), "{flags:?}: {}", messages[0]);
+    }
+}
+
 #[test]
 fn help_exits_zero() {
     let h = run(&["--help"]);

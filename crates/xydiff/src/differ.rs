@@ -1,11 +1,7 @@
-//! The unified diff entry point: options + scratch + cache in one value.
+//! The unified diff entry point: options + scratch in one value.
 //!
-//! Before this module the crate exposed three parallel entry points —
-//! [`crate::diff`], [`crate::diff_with_scratch`], and [`crate::diff_cached`]
-//! — whose argument lists grew with every optimisation. [`Differ`] collapses
-//! them: it owns the [`DiffOptions`], the reusable [`DiffScratch`], and
-//! (optionally) a [`SignatureCache`], so callers configure once and then
-//! call [`Differ::diff`] per document pair:
+//! [`Differ`] owns the [`DiffOptions`] and the reusable [`DiffScratch`], so
+//! callers configure once and then call [`Differ::diff`] per document pair:
 //!
 //! ```
 //! use xydelta::XidDocument;
@@ -14,21 +10,19 @@
 //! let v0 = XidDocument::parse_initial("<cat><p>1</p></cat>").unwrap();
 //! let v1 = xytree::Document::parse("<cat><p>one</p></cat>").unwrap();
 //!
-//! let mut differ = Differ::new().with_cache(Default::default());
+//! let mut differ = Differ::new();
 //! let result = differ.diff(&v0, &v1);
 //! assert_eq!(result.delta.counts().updates, 1);
 //! ```
 //!
 //! A long-lived worker holds one `Differ` and reuses it for every diff it
-//! runs; the scratch (and cache, when enabled) keep their capacity across
-//! calls, so the steady state performs no per-diff structural allocation —
-//! exactly the property the old multi-arg variants provided, without the
-//! argument plumbing.
+//! runs; the scratch keeps its capacity across calls, so the steady state
+//! performs no per-diff structural allocation.
 //!
-//! Multi-document stores keep one *scratch* per worker but one *cache* per
-//! document (the cache describes a specific stored version). For that shape,
-//! [`Differ::diff_consume_with_cache`] accepts the per-document cache by
-//! reference while the differ contributes options + scratch.
+//! A [`SignatureCache`] describes one specific stored version, so it lives
+//! with the document, not with the differ: stores keep one *scratch* per
+//! worker but one *cache* per document, and pass the cache by reference to
+//! [`Differ::diff_consume_with_cache`].
 
 use crate::config::DiffOptions;
 use crate::info::SignatureCache;
@@ -41,8 +35,8 @@ use xydelta::CaptureMode;
 use xydelta::XidDocument;
 use xytree::Document;
 
-/// Builder-style diff engine owning options, scratch, and an optional
-/// cross-version signature cache. See the module docs for the design.
+/// Builder-style diff engine owning options and scratch. See the module
+/// docs for the design.
 ///
 /// The matcher is selected with [`Differ::with_mode`] (or by setting
 /// [`DiffOptions::mode`]).
@@ -50,13 +44,12 @@ use xytree::Document;
 pub struct Differ {
     opts: DiffOptions,
     scratch: DiffScratch,
-    cache: Option<SignatureCache>,
     capture: CaptureMode,
     runner: Option<Arc<dyn ParallelRunner>>,
 }
 
 impl Differ {
-    /// A differ with default [`DiffOptions`], empty scratch, and no cache.
+    /// A differ with default [`DiffOptions`] and empty scratch.
     pub fn new() -> Differ {
         Differ::default()
     }
@@ -73,19 +66,6 @@ impl Differ {
     #[must_use]
     pub fn with_mode(mut self, mode: MatchMode) -> Differ {
         self.opts.mode = mode;
-        self
-    }
-
-    /// Install an owned cross-version signature cache (builder style).
-    ///
-    /// Appropriate when this differ follows *one* document's version chain:
-    /// after each diff the cache describes the produced version, so the next
-    /// call replays the old side's subtree signatures instead of re-hashing
-    /// them. Stores tracking many documents should keep one cache per
-    /// document and use [`Differ::diff_consume_with_cache`] instead.
-    #[must_use]
-    pub fn with_cache(mut self, cache: SignatureCache) -> Differ {
-        self.cache = Some(cache);
         self
     }
 
@@ -139,20 +119,9 @@ impl Differ {
         &mut self.opts
     }
 
-    /// True when an owned cache is installed.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Remove and return the owned cache, if any.
-    pub fn take_cache(&mut self) -> Option<SignatureCache> {
-        self.cache.take()
-    }
-
     /// Diff an XID-carrying old version against a plain new document.
     ///
-    /// Scratch (and the owned cache, when installed) are reused across
-    /// calls; results are byte-identical to a fresh-memory diff (pinned by
+    /// The scratch is reused across calls; results are byte-identical to a fresh-memory diff (pinned by
     /// the golden-equivalence suite).
     pub fn diff(&mut self, old: &XidDocument, new: &Document) -> DiffResult {
         self.run(old, new.clone(), None)
@@ -174,9 +143,7 @@ impl Differ {
     ///
     /// The differ contributes options + scratch; `cache` must describe `old`
     /// (or be empty/cold — a cache describing any other state misses) and
-    /// is refreshed to describe the produced version before returning. Any
-    /// owned cache installed via [`Differ::with_cache`] is ignored for this
-    /// call.
+    /// is refreshed to describe the produced version before returning.
     pub fn diff_consume_with_cache(
         &mut self,
         old: &XidDocument,
@@ -186,19 +153,19 @@ impl Differ {
         self.run(old, new, Some(cache))
     }
 
-    /// The one body behind the three entry points: `external` is the
-    /// caller's per-document cache, used in place of the owned one.
+    /// The one body behind the three entry points; `cache` is the caller's
+    /// per-document cache, when it keeps one.
     fn run(
         &mut self,
         old: &XidDocument,
         new: Document,
-        external: Option<&mut SignatureCache>,
+        cache: Option<&mut SignatureCache>,
     ) -> DiffResult {
         // Destructure for split borrows: the runner is shared while the
-        // scratch (and cache) are handed out mutably.
-        let Differ { opts, scratch, cache, capture, runner } = self;
+        // scratch is handed out mutably.
+        let Differ { opts, scratch, capture, runner } = self;
         let runner: &dyn ParallelRunner = runner.as_deref().unwrap_or(&SerialRunner);
-        crate::diff_dispatch(old, new, opts, scratch, external.or(cache.as_mut()), *capture, runner)
+        crate::diff_dispatch(old, new, opts, scratch, cache, *capture, runner)
     }
 }
 
@@ -236,20 +203,18 @@ mod tests {
     }
 
     #[test]
-    fn owned_cache_follows_a_version_chain() {
-        let mut differ = Differ::new().with_cache(SignatureCache::new());
-        assert!(differ.has_cache());
+    fn external_cache_follows_a_version_chain() {
+        let mut differ = Differ::new();
+        let mut cache = SignatureCache::new();
         let mut cur = XidDocument::parse_initial("<log><e>0</e></log>").unwrap();
         for v in 1..5 {
             let next = Document::parse(&format!("<log><e>{v}</e></log>")).unwrap();
-            let r = differ.diff(&cur, &next);
+            let r = differ.diff_consume_with_cache(&cur, next, &mut cache);
             assert_eq!(r.delta.counts().updates, 1);
             cur = r.new_version;
         }
-        let cache = differ.take_cache().expect("cache still installed");
         let (hits, _misses) = cache.counters();
         assert!(hits > 0, "warm chain must hit the cache");
-        assert!(!differ.has_cache());
     }
 
     #[test]

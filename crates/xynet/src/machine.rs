@@ -134,8 +134,11 @@ mod tests {
 
     const LIMITS: Limits = Limits { max_head_bytes: 1024, max_body_bytes: 64 };
 
+    /// What [`drive`] saw: completed requests, failure status, clean close.
+    type Driven = (Vec<(Head, Vec<u8>)>, Option<u16>, bool);
+
     /// Feed `raw` in `step`-byte chunks, collecting completed requests.
-    fn drive(raw: &[u8], step: usize) -> (Vec<(Head, Vec<u8>)>, Option<u16>, bool) {
+    fn drive(raw: &[u8], step: usize) -> Driven {
         let mut m = ConnMachine::new(LIMITS);
         let mut requests = Vec::new();
         let mut fail = None;

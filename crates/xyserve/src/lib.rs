@@ -46,7 +46,7 @@ pub mod server;
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
 pub use queue::{KeyedQueue, PushError};
 pub use server::{
-    Completed, CompletionFn, ConfigError, DeadLetter, EffectiveConfig, FaultHook, IngestOutcome,
+    Completed, CompletionFn, ConfigError, DeadLetter, FaultHook, IngestOutcome,
     IngestServer, ServeConfig, ShutdownReport, StartError, SubmitError, Ticket, WalPolicy,
 };
 pub use xywal::WalSync;

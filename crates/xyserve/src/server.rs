@@ -118,58 +118,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The values a validated [`ServeConfig`] actually runs with, including how
-/// the worker count relates to the host's parallelism. Rendered by
-/// `Display` (one line, `key=value` pairs) for operator-facing reporting —
-/// `xydiff serve` and `repro ingest` print it at startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct EffectiveConfig {
-    /// Worker threads the server will run.
-    pub workers: usize,
-    /// The host's available parallelism (0 when undetectable).
-    pub available_parallelism: usize,
-    /// True when `workers` exceeds the host's available parallelism —
-    /// legal (CI runs 8 workers on 1 core to shake out interleavings) but
-    /// worth surfacing, because it adds context switching without speedup.
-    pub oversubscribed: bool,
-    /// Repository shards.
-    pub shards: usize,
-    /// Queue capacity (pending snapshots over all keys).
-    pub queue_capacity: usize,
-    /// Intra-document diff parallelism per worker (1 = serial diffs).
-    pub diff_threads: usize,
-    /// Diff matcher mode every shard runs (`buld`, `unordered`, …).
-    pub mode: MatchMode,
-    /// Transient-failure retry budget.
-    pub max_retries: u32,
-    /// Whether a write-ahead log is configured.
-    pub wal: bool,
-    /// Chain-compaction hop bound (0 = compactor disabled).
-    pub compact_chain_max: usize,
-}
-
-impl std::fmt::Display for EffectiveConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "workers={} available_parallelism={} oversubscribed={} shards={} \
-             queue_capacity={} diff_threads={} mode={} max_retries={} wal={} \
-             compact_chain_max={}",
-            self.workers,
-            self.available_parallelism,
-            self.oversubscribed,
-            self.shards,
-            self.queue_capacity,
-            self.diff_threads,
-            self.mode,
-            self.max_retries,
-            self.wal,
-            self.compact_chain_max
-        )
-    }
-}
-
 /// Configuration of an [`IngestServer`].
 ///
 /// Built with [`ServeConfig::new`] plus `with_*` methods. The struct is
@@ -178,8 +126,9 @@ impl std::fmt::Display for EffectiveConfig {
 /// for the capacity-like knobs
 /// (`workers`, `queue_capacity`, `shards`, `diff_threads`) are fallible and
 /// reject degenerate values with a typed [`ConfigError`] instead of
-/// silently clamping; [`ServeConfig::effective`] reports what a validated
-/// config will actually run with.
+/// silently clamping; `Display` renders what the config will run with on
+/// this host (one line, `key=value` pairs — `xydiff serve` and `xydiff
+/// ingest` print it at startup).
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct ServeConfig {
@@ -225,27 +174,15 @@ impl ServeConfig {
 
     /// Set the worker-thread count. Rejects 0 and counts above
     /// [`ServeConfig::MAX_WORKERS`]; oversubscribing the host is allowed
-    /// (and flagged by [`ServeConfig::effective`]).
+    /// (and flagged by the `Display` line).
     pub fn with_workers(mut self, workers: usize) -> Result<ServeConfig, ConfigError> {
-        if workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if workers > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyWorkers {
-                requested: workers,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
-        self.workers = workers;
+        self.workers = check_workers(workers)?;
         Ok(self)
     }
 
     /// Set the queue capacity. Rejects 0.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Result<ServeConfig, ConfigError> {
-        if capacity == 0 {
-            return Err(ConfigError::ZeroQueueCapacity);
-        }
-        self.queue_capacity = capacity;
+        self.queue_capacity = check_queue_capacity(capacity)?;
         Ok(self)
     }
 
@@ -258,13 +195,7 @@ impl ServeConfig {
 
     /// Set the repository shard count. Rejects 0 and non-powers-of-two.
     pub fn with_shards(mut self, shards: usize) -> Result<ServeConfig, ConfigError> {
-        if shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if !shards.is_power_of_two() {
-            return Err(ConfigError::ShardsNotPowerOfTwo { requested: shards });
-        }
-        self.shards = shards;
+        self.shards = check_shards(shards)?;
         Ok(self)
     }
 
@@ -272,68 +203,18 @@ impl ServeConfig {
     /// [`ServeConfig::MAX_WORKERS`]; oversubscribing the host is allowed
     /// (the result is byte-identical, only the wall-clock differs).
     pub fn with_diff_threads(mut self, threads: usize) -> Result<ServeConfig, ConfigError> {
-        if threads == 0 {
-            return Err(ConfigError::ZeroDiffThreads);
-        }
-        if threads > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyDiffThreads {
-                requested: threads,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
-        self.diff_threads = threads;
+        self.diff_threads = check_diff_threads(threads)?;
         Ok(self)
     }
 
     /// Check every invariant the `with_*` builders enforce — the backstop
     /// for callers that set the public fields directly.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if self.workers > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyWorkers {
-                requested: self.workers,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
-        if self.queue_capacity == 0 {
-            return Err(ConfigError::ZeroQueueCapacity);
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if !self.shards.is_power_of_two() {
-            return Err(ConfigError::ShardsNotPowerOfTwo { requested: self.shards });
-        }
-        if self.diff_threads == 0 {
-            return Err(ConfigError::ZeroDiffThreads);
-        }
-        if self.diff_threads > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyDiffThreads {
-                requested: self.diff_threads,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
+        check_workers(self.workers)?;
+        check_queue_capacity(self.queue_capacity)?;
+        check_shards(self.shards)?;
+        check_diff_threads(self.diff_threads)?;
         Ok(())
-    }
-
-    /// What this config will actually run with (host parallelism,
-    /// oversubscription flag) — for operator-facing startup reporting.
-    pub fn effective(&self) -> EffectiveConfig {
-        let available = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-        EffectiveConfig {
-            workers: self.workers,
-            available_parallelism: available,
-            oversubscribed: available > 0 && self.workers > available,
-            shards: self.shards,
-            queue_capacity: self.queue_capacity,
-            diff_threads: self.diff_threads,
-            mode: self.diff_options.mode,
-            max_retries: self.max_retries,
-            wal: self.wal.is_some(),
-            compact_chain_max: self.compact_chain_max,
-        }
     }
 
     /// Set the diff options used by every shard.
@@ -381,6 +262,73 @@ impl ServeConfig {
     pub fn with_compact_chain_max(mut self, max: usize) -> ServeConfig {
         self.compact_chain_max = max;
         self
+    }
+}
+
+/// The `workers` rule, stated once for [`ServeConfig::with_workers`] and
+/// [`ServeConfig::validate`]; the three below do the same for their knobs.
+fn check_workers(workers: usize) -> Result<usize, ConfigError> {
+    match workers {
+        0 => Err(ConfigError::ZeroWorkers),
+        n if n > ServeConfig::MAX_WORKERS => {
+            Err(ConfigError::TooManyWorkers { requested: n, max: ServeConfig::MAX_WORKERS })
+        }
+        n => Ok(n),
+    }
+}
+
+fn check_queue_capacity(capacity: usize) -> Result<usize, ConfigError> {
+    if capacity == 0 {
+        return Err(ConfigError::ZeroQueueCapacity);
+    }
+    Ok(capacity)
+}
+
+fn check_shards(shards: usize) -> Result<usize, ConfigError> {
+    match shards {
+        0 => Err(ConfigError::ZeroShards),
+        n if !n.is_power_of_two() => Err(ConfigError::ShardsNotPowerOfTwo { requested: n }),
+        n => Ok(n),
+    }
+}
+
+fn check_diff_threads(threads: usize) -> Result<usize, ConfigError> {
+    match threads {
+        0 => Err(ConfigError::ZeroDiffThreads),
+        n if n > ServeConfig::MAX_WORKERS => {
+            Err(ConfigError::TooManyDiffThreads { requested: n, max: ServeConfig::MAX_WORKERS })
+        }
+        n => Ok(n),
+    }
+}
+
+/// The operator-facing startup line: what this config runs with on this
+/// host, as `key=value` pairs. `available_parallelism` is 0 when the host
+/// cannot report it. `oversubscribed` is true when the threads the pool can
+/// have runnable at once — every worker fanning a diff out over
+/// `diff_threads` — exceed that parallelism: legal (CI runs 8 workers on 1
+/// core to shake out interleavings) but worth surfacing, because it adds
+/// context switching without speedup.
+impl std::fmt::Display for ServeConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let available = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+        let runnable = self.workers.saturating_mul(self.diff_threads);
+        write!(
+            f,
+            "workers={} available_parallelism={} oversubscribed={} shards={} \
+             queue_capacity={} diff_threads={} mode={} max_retries={} wal={} \
+             compact_chain_max={}",
+            self.workers,
+            available,
+            available > 0 && runnable > available,
+            self.shards,
+            self.queue_capacity,
+            self.diff_threads,
+            self.diff_options.mode,
+            self.max_retries,
+            self.wal.is_some(),
+            self.compact_chain_max
+        )
     }
 }
 
@@ -567,37 +515,14 @@ impl ShutdownReport {
 /// callback records the outcome and wakes the readiness loop instead.
 pub type CompletionFn = Box<dyn FnOnce(IngestOutcome) + Send + 'static>;
 
-/// How one submission's outcome is delivered back to its submitter.
-enum Done {
-    /// Tracked via a [`Ticket`] channel (the blocking API).
-    Channel(mpsc::Sender<IngestOutcome>),
-    /// Delivered by invoking a callback (the non-blocking reactor API).
-    Callback(CompletionFn),
-}
-
-impl Done {
-    /// Deliver the outcome. Channel delivery is best-effort (the submitter
-    /// may have stopped waiting); callback delivery always runs.
-    fn deliver(self, outcome: IngestOutcome) {
-        match self {
-            Done::Channel(tx) => {
-                let _ = tx.send(outcome);
-            }
-            Done::Callback(f) => f(outcome),
-        }
-    }
-}
-
 /// One queued snapshot; its key and sequence number travel with the queue.
 struct Job {
     xml: String,
     /// Outcome delivery for tracked submissions; `None` for fire-and-forget.
-    done: Option<Done>,
+    done: Option<CompletionFn>,
 }
 
 struct CompactorState {
-    /// Hop bound every chain is kept within.
-    every: usize,
     stop: Mutex<bool>,
     wake: Condvar,
 }
@@ -608,11 +533,10 @@ struct Inner {
     metrics: Metrics,
     dead: Mutex<Vec<DeadLetter>>,
     notifications: Mutex<Vec<Notification>>,
-    max_retries: u32,
-    diff_threads: usize,
-    mode: MatchMode,
-    fault_hook: Option<FaultHook>,
+    /// The validated configuration the server was started with.
+    config: ServeConfig,
     wal: Option<Wal>,
+    /// Present exactly when `config.compact_chain_max > 0`.
     compactor: Option<CompactorState>,
 }
 
@@ -663,28 +587,22 @@ impl IngestServer {
             }
             None => None,
         };
-        let compactor_state = (config.compact_chain_max > 0).then(|| CompactorState {
-            every: config.compact_chain_max,
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
+        let compactor = (config.compact_chain_max > 0)
+            .then(|| CompactorState { stop: Mutex::new(false), wake: Condvar::new() });
         let inner = Arc::new(Inner {
             shards,
             queue: KeyedQueue::new(config.queue_capacity),
             metrics,
             dead: Mutex::new(Vec::new()),
             notifications: Mutex::new(Vec::new()),
-            max_retries: config.max_retries,
-            diff_threads: config.diff_threads,
-            mode: config.diff_options.mode,
-            fault_hook: config.fault_hook.clone(),
+            config,
             wal,
-            compactor: compactor_state,
+            compactor,
         });
         if let Some(wal) = &inner.wal {
             inner.sync_wal_metrics(wal);
         }
-        let workers = (0..config.workers)
+        let workers = (0..inner.config.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -748,7 +666,11 @@ impl IngestServer {
         xml: impl Into<String>,
     ) -> Result<Ticket, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(key, Job { xml: xml.into(), done: Some(Done::Channel(tx)) }, true)?;
+        // Best-effort delivery: the submitter may have stopped waiting.
+        let done: CompletionFn = Box::new(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        self.enqueue(key, Job { xml: xml.into(), done: Some(done) }, true)?;
         Ok(Ticket { rx })
     }
 
@@ -768,7 +690,7 @@ impl IngestServer {
         xml: impl Into<String>,
         done: CompletionFn,
     ) -> Result<(), SubmitError> {
-        self.enqueue(key, Job { xml: xml.into(), done: Some(Done::Callback(done)) }, false)
+        self.enqueue(key, Job { xml: xml.into(), done: Some(done) }, false)
     }
 
     /// The metrics registry (live counters; render at any time).
@@ -778,16 +700,12 @@ impl IngestServer {
 
     /// Current snapshot of the dead-letter queue.
     pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        self.inner.dead.lock().unwrap().clone()
+        locked(&self.inner.dead).clone()
     }
 
     /// Take every notification fired so far (the alert delivery channel).
     pub fn take_notifications(&self) -> Vec<Notification> {
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        std::mem::take(&mut self.inner.notifications.lock().unwrap())
+        std::mem::take(&mut locked(&self.inner.notifications))
     }
 
     /// The shard repository holding `key` (for reads: versions, deltas).
@@ -841,17 +759,7 @@ impl IngestServer {
     /// configured, the log is flushed after the drain so a restart resumes
     /// exactly the drained state.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.inner.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.stop_compactor();
-        if let Some(wal) = &self.inner.wal {
-            // In WalSync::None mode appended records may still be in the OS
-            // cache; a clean shutdown flushes them.
-            let _ = wal.sync();
-            self.inner.sync_wal_metrics(wal);
-        }
+        self.stop();
         let m = &self.inner.metrics;
         ShutdownReport {
             submitted: m.enqueued.get(),
@@ -859,41 +767,47 @@ impl IngestServer {
             dead_lettered: m.dead_lettered.get(),
             retries: m.retries.get(),
             alerts_fired: m.alerts_fired.get(),
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            dead_letters: self.inner.dead.lock().unwrap().clone(),
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            notifications: std::mem::take(&mut self.inner.notifications.lock().unwrap()),
+            dead_letters: locked(&self.inner.dead).clone(),
+            notifications: std::mem::take(&mut locked(&self.inner.notifications)),
             metrics_text: m.render(),
         }
     }
 
-    fn stop_compactor(&mut self) {
+    /// Close the queue, let the workers drain it, stop the compactor and
+    /// flush the log. Idempotent: `shutdown` runs it, then `Drop` finds
+    /// nothing left to join.
+    fn stop(&mut self) {
+        self.inner.queue.close();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
         if let Some(h) = self.compactor.take() {
             if let Some(st) = &self.inner.compactor {
-                // INVARIANT: a poisoned lock means the compactor thread
-                // panicked mid-update; the panic propagates.
-                *st.stop.lock().unwrap() = true;
+                *locked(&st.stop) = true;
                 st.wake.notify_all();
             }
             let _ = h.join();
+        }
+        if let Some(wal) = &self.inner.wal {
+            // In WalSync::None mode appended records may still be in the OS
+            // cache; a clean stop flushes them.
+            let _ = wal.sync();
+            self.inner.sync_wal_metrics(wal);
         }
     }
 }
 
 impl Drop for IngestServer {
     fn drop(&mut self) {
-        // `shutdown` drains `workers`; a bare drop still terminates cleanly.
-        self.inner.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.stop_compactor();
-        if let Some(wal) = &self.inner.wal {
-            let _ = wal.sync();
-        }
+        self.stop();
     }
+}
+
+/// Lock a piece of server state.
+fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    // INVARIANT: a poisoned lock means a holder panicked mid-update; the
+    // server cannot vouch for its state, so the panic propagates.
+    m.lock().unwrap()
 }
 
 /// The hash shard routing derives from.
@@ -918,8 +832,8 @@ impl Inner {
     /// fork-join runner when intra-diff parallelism is on.
     fn make_differ(&self) -> Differ {
         let differ = self.shards[0].differ();
-        if self.diff_threads > 1 {
-            differ.with_runner(Arc::new(xydiff::StdScopeRunner::new(self.diff_threads)))
+        if self.config.diff_threads > 1 {
+            differ.with_runner(Arc::new(xydiff::StdScopeRunner::new(self.config.diff_threads)))
         } else {
             differ
         }
@@ -950,15 +864,20 @@ impl Inner {
         }
     }
 
-    fn dead_letter(&self, key: &str, seq: u64, attempts: u32, error: String, done: Option<Done>) {
+    fn dead_letter(
+        &self,
+        key: &str,
+        seq: u64,
+        attempts: u32,
+        error: String,
+        done: Option<CompletionFn>,
+    ) {
         self.metrics.dead_lettered.inc();
         let letter = DeadLetter { key: key.to_string(), seq, attempts, error };
         if let Some(done) = done {
-            done.deliver(Err(letter.clone()));
+            done(Err(letter.clone()));
         }
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        self.dead.lock().unwrap().push(letter);
+        locked(&self.dead).push(letter);
     }
 
     /// Run one snapshot through parse → diff → store → alert, with bounded
@@ -980,9 +899,9 @@ impl Inner {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            if let Some(hook) = &self.fault_hook {
+            if let Some(hook) = &self.config.fault_hook {
                 if hook(key, seq, attempt) {
-                    if attempt > self.max_retries {
+                    if attempt > self.config.max_retries {
                         self.dead_letter(
                             key,
                             seq,
@@ -1037,9 +956,7 @@ impl Inner {
         let alerts = out.notifications.len();
         if alerts > 0 {
             self.metrics.alerts_fired.add(alerts as u64);
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            self.notifications.lock().unwrap().extend(out.notifications);
+            locked(&self.notifications).extend(out.notifications);
         }
         // Write-ahead: the record must be on the log (and, in Always mode,
         // fsynced via the group commit) before the ack below, so an ack
@@ -1068,11 +985,12 @@ impl Inner {
             }
             self.sync_wal_metrics(wal);
         }
+        let mode = self.config.diff_options.mode;
         self.metrics.succeeded.inc();
-        self.metrics.ingest_mode.inc(self.mode);
+        self.metrics.ingest_mode.inc(mode);
         self.metrics.total_time.observe(started.elapsed());
         if let Some(done) = done {
-            done.deliver(Ok(Completed {
+            done(Ok(Completed {
                 key: key.to_string(),
                 seq,
                 version: out.version,
@@ -1080,7 +998,7 @@ impl Inner {
                 alerts,
                 schema_warnings,
                 durable,
-                mode: self.mode,
+                mode,
             }));
         }
     }
@@ -1104,9 +1022,7 @@ impl Inner {
         let st = self.compactor.as_ref().expect("compactor state exists");
         loop {
             {
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                let stop = st.stop.lock().unwrap();
+                let stop = locked(&st.stop);
                 if *stop {
                     return;
                 }
@@ -1120,7 +1036,7 @@ impl Inner {
             }
             let mut compacted = 0;
             for shard in &self.shards {
-                compacted += shard.compact_chains(st.every);
+                compacted += shard.compact_chains(self.config.compact_chain_max);
             }
             if compacted > 0 {
                 self.metrics.compactions.add(compacted as u64);
@@ -1455,41 +1371,61 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_rejected_with_typed_errors() {
-        assert_eq!(ServeConfig::new().with_workers(0).unwrap_err(), ConfigError::ZeroWorkers);
-        assert_eq!(
-            ServeConfig::new().with_workers(2000).unwrap_err(),
-            ConfigError::TooManyWorkers { requested: 2000, max: ServeConfig::MAX_WORKERS },
-        );
-        assert_eq!(
-            ServeConfig::new().with_queue_capacity(0).unwrap_err(),
-            ConfigError::ZeroQueueCapacity,
-        );
-        assert_eq!(ServeConfig::new().with_shards(0).unwrap_err(), ConfigError::ZeroShards);
-        assert_eq!(
-            ServeConfig::new().with_shards(3).unwrap_err(),
-            ConfigError::ShardsNotPowerOfTwo { requested: 3 },
-        );
-        // try_start re-validates against direct field mutation.
-        let mut config = ServeConfig::new();
-        config.shards = 6;
-        assert!(matches!(
-            IngestServer::try_start(config),
-            Err(StartError::Config(ConfigError::ShardsNotPowerOfTwo { requested: 6 })),
-        ));
+        type Build = fn(ServeConfig, usize) -> Result<ServeConfig, ConfigError>;
+        type Poke = fn(&mut ServeConfig, usize);
+        let max = ServeConfig::MAX_WORKERS;
+        let workers: (Build, Poke) = (ServeConfig::with_workers, |c, v| c.workers = v);
+        let queue: (Build, Poke) = (ServeConfig::with_queue_capacity, |c, v| c.queue_capacity = v);
+        let shards: (Build, Poke) = (ServeConfig::with_shards, |c, v| c.shards = v);
+        let threads: (Build, Poke) = (ServeConfig::with_diff_threads, |c, v| c.diff_threads = v);
+        let rules = [
+            (workers, 0, ConfigError::ZeroWorkers),
+            (workers, 2000, ConfigError::TooManyWorkers { requested: 2000, max }),
+            (queue, 0, ConfigError::ZeroQueueCapacity),
+            (shards, 0, ConfigError::ZeroShards),
+            (shards, 6, ConfigError::ShardsNotPowerOfTwo { requested: 6 }),
+            (threads, 0, ConfigError::ZeroDiffThreads),
+            (threads, 2000, ConfigError::TooManyDiffThreads { requested: 2000, max }),
+        ];
+        for ((build, poke), value, want) in rules {
+            assert_eq!(build(ServeConfig::new(), value).unwrap_err(), want);
+            // The fields are public: validate, and try_start through it,
+            // are the backstop against direct mutation.
+            let mut config = ServeConfig::new();
+            poke(&mut config, value);
+            assert_eq!(config.validate().unwrap_err(), want);
+            assert!(
+                matches!(IngestServer::try_start(config), Err(StartError::Config(e)) if e == want),
+                "{want:?}"
+            );
+        }
     }
 
     #[test]
     fn effective_config_reports_oversubscription() {
-        let eff = ServeConfig::new().with_workers(ServeConfig::MAX_WORKERS).unwrap().effective();
-        assert_eq!(eff.workers, ServeConfig::MAX_WORKERS);
+        let available = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let line = ServeConfig::new().with_workers(ServeConfig::MAX_WORKERS).unwrap().to_string();
+        let keys: Vec<&str> = line.split(' ').filter_map(|kv| kv.split('=').next()).collect();
+        assert_eq!(
+            keys.join(" "),
+            "workers available_parallelism oversubscribed shards queue_capacity diff_threads \
+             mode max_retries wal compact_chain_max",
+            "{line}"
+        );
+        assert!(line.starts_with(&format!("workers=1024 available_parallelism={available} ")), "{line}");
         // 1024 workers oversubscribe any host that can report parallelism.
-        if eff.available_parallelism > 0 {
-            assert!(eff.oversubscribed);
+        assert_eq!(line.contains("oversubscribed=true"), available > 0, "{line}");
+        // One serial worker never does.
+        let line = ServeConfig::new().with_workers(1).unwrap().to_string();
+        assert!(line.contains("oversubscribed=false"), "{line}");
+        // What can be runnable at once is workers x diff_threads: a worker
+        // per core fills the host exactly until each diff fans out.
+        if (1..=ServeConfig::MAX_WORKERS).contains(&available) {
+            let full = ServeConfig::new().with_workers(available).unwrap();
+            assert!(full.to_string().contains("oversubscribed=false"), "{full}");
+            let fanned = full.with_diff_threads(2).unwrap().to_string();
+            assert!(fanned.contains("diff_threads=2 "), "{fanned}");
+            assert!(fanned.contains("oversubscribed=true"), "{fanned}");
         }
-        let line = eff.to_string();
-        assert!(line.contains("workers=1024"), "{line}");
-        // A worker count at the host's parallelism is not oversubscribed.
-        let eff = ServeConfig::new().with_workers(1).unwrap().effective();
-        assert!(!eff.oversubscribed, "{eff}");
     }
 }

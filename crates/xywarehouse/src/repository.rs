@@ -8,9 +8,9 @@
 //! alerter.
 
 use crate::alerter::{Alerter, Notification, SchemaWarning};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use xydelta::{ApplyError, Delta, VersionChain, XidDocument};
 use xydiff::{Differ, DiffOptions, SignatureCache};
 use xytree::{Document, ParseError};
@@ -117,6 +117,19 @@ impl Repository {
         }
     }
 
+    /// Shared access to the entries. A poisoned lock (a thread panicked while
+    /// holding it) is entered anyway — the non-poisoning policy this store
+    /// has always had: the map stays structurally valid, and handing one
+    /// writer's panic to every reader of every other key helps nobody.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, StoredDoc>> {
+        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the entries; same poison policy as [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, StoredDoc>> {
+        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enable or disable the per-document cross-version signature cache.
     ///
     /// The cache is a pure optimisation — deltas and reconstructed versions
@@ -125,7 +138,7 @@ impl Repository {
     pub fn set_signature_cache(&mut self, enabled: bool) {
         self.use_signature_cache = enabled;
         if !enabled {
-            for stored in self.entries.write().values_mut() {
+            for stored in self.write().values_mut() {
                 stored.cache.clear();
             }
         }
@@ -190,7 +203,7 @@ impl Repository {
         doc: Document,
         differ: &mut Differ,
     ) -> Result<LoadOutcome, RepositoryError> {
-        let mut entries = self.entries.write();
+        let mut entries = self.write();
         match entries.get_mut(key) {
             None => {
                 let schema_warnings = doc
@@ -265,7 +278,7 @@ impl Repository {
 
     /// Serialized latest version of `key`.
     pub fn latest_xml(&self, key: &str) -> Result<String, RepositoryError> {
-        let entries = self.entries.read();
+        let entries = self.read();
         let chain = entries
             .get(key)
             .map(|s| &s.chain)
@@ -276,13 +289,13 @@ impl Repository {
     /// Cumulative signature-cache (hits, misses) for `key`, `(0, 0)` when the
     /// key is unknown or the cache is disabled (observability hook).
     pub fn cache_counters(&self, key: &str) -> (u64, u64) {
-        self.entries.read().get(key).map_or((0, 0), |s| s.cache.counters())
+        self.read().get(key).map_or((0, 0), |s| s.cache.counters())
     }
 
     /// Serialized version `i` of `key`, reconstructed through inverse deltas
     /// ("querying the past").
     pub fn version_xml(&self, key: &str, version: usize) -> Result<String, RepositoryError> {
-        let entries = self.entries.read();
+        let entries = self.read();
         let chain = entries
             .get(key)
             .map(|s| &s.chain)
@@ -300,7 +313,7 @@ impl Repository {
 
     /// Number of stored versions of `key` (0 when unknown).
     pub fn version_count(&self, key: &str) -> usize {
-        self.entries.read().get(key).map_or(0, |s| s.chain.version_count())
+        self.read().get(key).map_or(0, |s| s.chain.version_count())
     }
 
     /// The aggregated delta between two versions of `key`.
@@ -310,7 +323,7 @@ impl Repository {
         from: usize,
         to: usize,
     ) -> Result<Delta, RepositoryError> {
-        let entries = self.entries.read();
+        let entries = self.read();
         let chain = entries
             .get(key)
             .map(|s| &s.chain)
@@ -320,26 +333,24 @@ impl Repository {
 
     /// All stored document keys.
     pub fn keys(&self) -> Vec<String> {
-        self.entries.read().keys().cloned().collect()
+        self.read().keys().cloned().collect()
     }
 
     /// Number of stored documents (stats hook for serving layers).
     pub fn doc_count(&self) -> usize {
-        self.entries.read().len()
+        self.read().len()
     }
 
     /// Total stored versions across all documents (stats hook).
     pub fn total_versions(&self) -> usize {
-        self.entries.read().values().map(|s| s.chain.version_count()).sum()
+        self.read().values().map(|s| s.chain.version_count()).sum()
     }
 
     /// Install a replayed chain under `key`, replacing any existing entry
     /// (recovery support). The signature cache starts cold — misses fall
     /// back to local hashing and the first ingest re-warms it.
     pub(crate) fn install_chain(&self, key: String, chain: VersionChain) {
-        self.entries
-            .write()
-            .insert(key, StoredDoc { chain, cache: SignatureCache::new() });
+        self.write().insert(key, StoredDoc { chain, cache: SignatureCache::new() });
     }
 
     /// Append a WAL-replayed delta to `key`'s chain (recovery support). No
@@ -350,7 +361,7 @@ impl Repository {
         key: &str,
         delta: Delta,
     ) -> Result<(), RepositoryError> {
-        let mut entries = self.entries.write();
+        let mut entries = self.write();
         let stored = entries
             .get_mut(key)
             .ok_or_else(|| RepositoryError::UnknownDocument(key.to_string()))?;
@@ -368,7 +379,6 @@ impl Repository {
     /// whole sweep.
     pub fn compact_chains(&self, every: usize) -> usize {
         let needy: Vec<String> = self
-            .entries
             .read()
             .iter()
             .filter(|(_, s)| s.chain.needs_compaction(every))
@@ -376,7 +386,7 @@ impl Repository {
             .collect();
         let mut compacted = 0;
         for key in needy {
-            let mut entries = self.entries.write();
+            let mut entries = self.write();
             if let Some(stored) = entries.get_mut(&key) {
                 if stored.chain.needs_compaction(every) && stored.chain.compact(every).is_ok() {
                     compacted += 1;
@@ -389,13 +399,13 @@ impl Repository {
     /// Worst-case delta applications needed to reconstruct any version of
     /// `key` (`None` when the key is unknown).
     pub fn chain_hops(&self, key: &str) -> Option<usize> {
-        self.entries.read().get(key).map(|s| s.chain.max_reconstruct_hops())
+        self.read().get(key).map(|s| s.chain.max_reconstruct_hops())
     }
 
     /// Number of materialised checkpoints on `key`'s chain (`None` when the
     /// key is unknown).
     pub fn chain_checkpoints(&self, key: &str) -> Option<usize> {
-        self.entries.read().get(key).map(|s| s.chain.checkpoint_count())
+        self.read().get(key).map(|s| s.chain.checkpoint_count())
     }
 }
 

@@ -16,6 +16,9 @@
 //! on the shuffle-only family the unordered (X-Diff style) matcher emits
 //! strictly fewer ops on average than ordered BULD.
 
+mod common;
+
+use common::seed_range;
 use proptest::prelude::*;
 use xydiff_suite::xydelta::{verify, XidDocument};
 use xydiff_suite::xydiff::{DiffResult, Differ, MatchMode};
@@ -30,17 +33,6 @@ fn mix(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Seed range knobs: `XYMODE_SEED_START` / `XYMODE_SEED_COUNT` override the
-/// defaults, so one failing seed reruns alone and CI can widen the sweep
-/// without a code change.
-fn seed_range(default_count: u64) -> std::ops::Range<u64> {
-    let get = |name: &str, default: u64| {
-        std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let start = get("XYMODE_SEED_START", 0);
-    start..start + get("XYMODE_SEED_COUNT", default_count)
 }
 
 const KINDS: [DocKind; 4] = [DocKind::Catalog, DocKind::Grid, DocKind::AddressBook, DocKind::Feed];
@@ -107,7 +99,7 @@ fn recipe(seed: u64) -> String {
 #[test]
 fn all_modes_patch_every_simulated_pair() {
     let mut wins = [0usize; 3];
-    let range = seed_range(48);
+    let range = seed_range("XYMODE", 48);
     for seed in range.clone() {
         let ctx = recipe(seed);
         let (old, sim, _family) = pair_for(seed);
@@ -136,7 +128,7 @@ fn all_modes_patch_every_simulated_pair() {
 fn unordered_beats_buld_on_shuffled_grids() {
     let mut buld_ops = 0usize;
     let mut unordered_ops = 0usize;
-    let range = seed_range(24);
+    let range = seed_range("XYMODE", 24);
     for seed in range.clone() {
         let ctx = recipe(seed);
         let doc = generate(&DocGenConfig {

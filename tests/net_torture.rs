@@ -12,8 +12,11 @@
 //! The harness mirrors `tests/sched_determinism.rs`, which does the same
 //! for the keyed run queue underneath this front.
 
+mod common;
+
 use std::time::Duration;
 
+use common::seed_range;
 use xydiff_suite::xynet::{NetConfig, Reactor, SimClient, SimDriver, SimNet};
 use xydiff_suite::xyserve::ServeConfig;
 
@@ -28,17 +31,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-}
-
-/// Seed range knobs: `XYNET_SEED_START` / `XYNET_SEED_COUNT` override the
-/// defaults, so one failing seed reruns alone and CI can widen the sweep
-/// without a code change.
-fn seed_range(default_count: u64) -> std::ops::Range<u64> {
-    let get = |name: &str, default: u64| {
-        std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let start = get("XYNET_SEED_START", 0);
-    start..start + get("XYNET_SEED_COUNT", default_count)
 }
 
 /// A reactor over a simulated network, plus a small ingest pipeline.
@@ -75,10 +67,7 @@ fn drive_until(
 fn parse_responses(buf: &[u8]) -> (Vec<(u16, String)>, Vec<u8>) {
     let mut out = Vec::new();
     let mut rest = buf;
-    loop {
-        let Some(head_end) = rest.windows(4).position(|w| w == b"\r\n\r\n") else {
-            break;
-        };
+    while let Some(head_end) = rest.windows(4).position(|w| w == b"\r\n\r\n") {
         let head = String::from_utf8_lossy(&rest[..head_end + 4]).to_string();
         let Some(len) = head.lines().find_map(|l| {
             l.to_ascii_lowercase()
@@ -194,7 +183,7 @@ fn explore_byte_splits(seed: u64) {
 
 #[test]
 fn byte_boundary_splits_over_seed_range() {
-    for seed in seed_range(40) {
+    for seed in seed_range("XYNET", 40) {
         explore_byte_splits(seed);
     }
 }
@@ -269,7 +258,7 @@ fn explore_many_connections(seed: u64) {
 
 #[test]
 fn pipelined_requests_across_many_connections() {
-    for seed in seed_range(8) {
+    for seed in seed_range("XYNET", 8) {
         explore_many_connections(seed);
     }
 }
@@ -347,7 +336,7 @@ fn explore_disconnects(seed: u64) {
 
 #[test]
 fn mid_request_disconnects_leave_neighbours_unharmed() {
-    for seed in seed_range(30) {
+    for seed in seed_range("XYNET", 30) {
         explore_disconnects(seed);
     }
 }

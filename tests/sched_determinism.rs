@@ -19,10 +19,13 @@
 //! 3. An oversubscription smoke test: a full `IngestServer` with more
 //!    workers than the host has cores drains loss-free.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use common::seed_range;
 use xydiff_suite::xyserve::{IngestServer, KeyedQueue, PushError, ServeConfig};
 
 /// SplitMix64: tiny, deterministic, and good enough to scatter schedules.
@@ -36,17 +39,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-}
-
-/// Seed range knobs: `XYSCHED_SEED_START` / `XYSCHED_SEED_COUNT` override
-/// the defaults, so one failing seed reruns alone and CI can widen the
-/// sweep without a code change.
-fn seed_range(default_count: u64) -> std::ops::Range<u64> {
-    let get = |name: &str, default: u64| {
-        std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let start = get("XYSCHED_SEED_START", 0);
-    start..start + get("XYSCHED_SEED_COUNT", default_count)
 }
 
 const KEYS: usize = 6;
@@ -131,7 +123,7 @@ fn explore_single_threaded(seed: u64) {
                 }
             }
             _ => {
-                if rng.next().is_multiple_of(4) {
+                if rng.next() % 4 == 0 {
                     q.close();
                     closed = true;
                 }
@@ -168,7 +160,7 @@ fn explore_single_threaded(seed: u64) {
 
 #[test]
 fn single_threaded_walk_against_the_model_over_seed_range() {
-    for seed in seed_range(700) {
+    for seed in seed_range("XYSCHED", 700) {
         explore_single_threaded(seed);
     }
 }
@@ -209,7 +201,7 @@ fn explore_multi_threaded(seed: u64) {
                         check(due[k].load(Ordering::SeqCst) == seq, "popped out of order", k);
                         for _ in 0..2 {
                             let n = yields.fetch_add(1, Ordering::Relaxed);
-                            if SplitMix64(seed ^ n).next().is_multiple_of(3) {
+                            if SplitMix64(seed ^ n).next() % 3 == 0 {
                                 std::thread::yield_now();
                             }
                         }
@@ -259,7 +251,7 @@ fn explore_multi_threaded(seed: u64) {
 
 #[test]
 fn multi_threaded_exploration_over_seed_range() {
-    for seed in seed_range(300) {
+    for seed in seed_range("XYSCHED", 300) {
         explore_multi_threaded(seed);
     }
 }
