@@ -36,7 +36,7 @@ pub fn aggregate_chain(base: &XidDocument, deltas: &[Delta]) -> Result<Delta, Ap
 mod tests {
     use super::*;
     use crate::ops::Op;
-    use crate::xid::{Xid, XidMap};
+    use crate::xid::Xid;
     use xytree::Document;
 
     fn find(d: &XidDocument, label: &str) -> Xid {
@@ -49,18 +49,28 @@ mod tests {
         d.xid(n).unwrap()
     }
 
+    fn update(xid: Xid, old: &str, new: &str) -> Delta {
+        Delta::build(|b| {
+            b.update(xid, old, new);
+        })
+    }
+
+    fn one_move(xid: Xid, from_parent: Xid, to_parent: Xid) -> Delta {
+        Delta::build(|b| {
+            b.push(Op::Move { xid, from_parent, from_pos: 0, to_parent, to_pos: 0 });
+        })
+    }
+
     #[test]
     fn two_updates_collapse_to_one() {
         let base = XidDocument::parse_initial("<a><p>v0</p></a>").unwrap();
         let p_node = base.node(find(&base, "p")).unwrap();
         let txt = base.xid(base.doc.tree.first_child(p_node).unwrap()).unwrap();
-        let d1 = Delta::from_ops(vec![Op::Update { xid: txt, old: "v0".into(), new: "v1".into() }]);
-        let d2 = Delta::from_ops(vec![Op::Update { xid: txt, old: "v1".into(), new: "v2".into() }]);
-        let agg = aggregate(&base, &d1, &d2).unwrap();
+        let agg = aggregate(&base, &update(txt, "v0", "v1"), &update(txt, "v1", "v2")).unwrap();
         assert_eq!(agg.len(), 1);
-        match &agg.ops[0] {
+        match agg.ops[0] {
             Op::Update { old, new, .. } => {
-                assert_eq!((old.as_str(), new.as_str()), ("v0", "v2"));
+                assert_eq!((agg.text(old), agg.text(new)), ("v0", "v2"));
             }
             _ => panic!(),
         }
@@ -71,21 +81,14 @@ mod tests {
         let mut base = XidDocument::parse_initial("<a/>").unwrap();
         let a = find(&base, "a");
         let stored = Document::parse("<tmp/>").unwrap();
+        let tmp = stored.root_element().unwrap();
         let x = base.fresh_xid();
-        let d1 = Delta::from_ops(vec![Op::Insert {
-            xid: x,
-            parent: a,
-            pos: 0,
-            subtree: stored.tree.clone().into(),
-            xid_map: XidMap::new(vec![x]),
-        }]);
-        let d2 = Delta::from_ops(vec![Op::Delete {
-            xid: x,
-            parent: a,
-            pos: 0,
-            subtree: stored.tree.into(),
-            xid_map: XidMap::new(vec![x]),
-        }]);
+        let d1 = Delta::build(|b| {
+            b.insert(x, a, 0, &stored.tree, tmp, &[x]);
+        });
+        let d2 = Delta::build(|b| {
+            b.delete(x, a, 0, &stored.tree, tmp, &[x]);
+        });
         let agg = aggregate(&base, &d1, &d2).unwrap();
         assert!(agg.is_empty(), "insert∘delete must cancel, got {}", agg.describe());
     }
@@ -97,20 +100,8 @@ mod tests {
         let x = find(&base, "x");
         let y = find(&base, "y");
         let a = find(&base, "a");
-        let d1 = Delta::from_ops(vec![Op::Move {
-            xid: m,
-            from_parent: x,
-            from_pos: 0,
-            to_parent: y,
-            to_pos: 0,
-        }]);
-        let d2 = Delta::from_ops(vec![Op::Move {
-            xid: m,
-            from_parent: y,
-            from_pos: 0,
-            to_parent: a,
-            to_pos: 0,
-        }]);
+        let d1 = one_move(m, x, y);
+        let d2 = one_move(m, y, a);
         // Sequential.
         let mut seq = base.clone();
         d1.apply_to(&mut seq).unwrap();
@@ -128,10 +119,7 @@ mod tests {
         let base = XidDocument::parse_initial("<a><p>0</p></a>").unwrap();
         let p_node = base.node(find(&base, "p")).unwrap();
         let txt = base.xid(base.doc.tree.first_child(p_node).unwrap()).unwrap();
-        let mk = |o: &str, n: &str| {
-            Delta::from_ops(vec![Op::Update { xid: txt, old: o.into(), new: n.into() }])
-        };
-        let deltas = [mk("0", "1"), mk("1", "2"), mk("2", "3")];
+        let deltas = [update(txt, "0", "1"), update(txt, "1", "2"), update(txt, "2", "3")];
         let agg = aggregate_chain(&base, &deltas).unwrap();
         let mut v = base.clone();
         agg.apply_to(&mut v).unwrap();

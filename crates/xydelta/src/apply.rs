@@ -22,82 +22,34 @@
 use crate::delta::Delta;
 use crate::error::{ApplyError, ApplyErrorKind};
 use crate::ops::Op;
-use crate::xid::{Xid, XidMap};
+use crate::xid::Xid;
 use crate::xiddoc::XidDocument;
-use xytree::{NodeId, Tree};
+use xytree::{NodeId, Symbol, Tree};
 
 /// Apply `delta` to `doc` in place. On error the document may be left
 /// partially modified; apply to a clone when atomicity matters.
 pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
-    apply_seen(delta, false, doc)
+    apply_read(delta, false, doc)
 }
 
 /// Apply the inverse of `delta` to `doc` in place — the same result and
-/// errors as `delta.inverted().apply_to(doc)`, read off the stored
-/// operations instead of a deep copy of them. Walking a version chain
+/// errors as `delta.inverted().apply_to(doc)`, without the copy of the
+/// delta's buffers that `inverted()` makes. Walking a version chain
 /// backwards does this once per hop.
 pub(crate) fn apply_inverse(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
-    apply_seen(delta, true, doc)
+    apply_read(delta, true, doc)
 }
 
-/// The fields of one operation that application uses, borrowed from the
-/// stored [`Op`] and read in either direction (§4: a completed delta holds
-/// its own inverse).
-enum Seen<'a> {
-    Delete { xid: Xid },
-    Insert { parent: Xid, pos: usize, subtree: &'a Tree, xid_map: &'a XidMap },
-    Move { xid: Xid, to_parent: Xid, to_pos: usize },
-    Update { xid: Xid, old: &'a str, new: &'a str },
-    AttrInsert { element: Xid, name: &'a str, value: &'a str, pos: usize },
-    AttrDelete { element: Xid, name: &'a str, old: &'a str },
-    AttrUpdate { element: Xid, name: &'a str, old: &'a str, new: &'a str },
-}
-
-/// `op` as application sees it; with `inverse`, [`Op::inverted`] of it.
-fn seen(op: &Op, inverse: bool) -> Seen<'_> {
-    match op {
-        Op::Delete { xid, parent, pos, subtree, xid_map }
-        | Op::Insert { xid, parent, pos, subtree, xid_map } => {
-            // A delete read backwards is an insert of the same payload, and
-            // an insert a delete.
-            if matches!(op, Op::Delete { .. }) != inverse {
-                Seen::Delete { xid: *xid }
-            } else {
-                // Application happens past the into_owned boundary;
-                // `tree()` enforces that borrowed payloads never get here.
-                Seen::Insert { parent: *parent, pos: *pos, subtree: subtree.tree(), xid_map }
-            }
-        }
-        Op::Move { xid, from_parent, from_pos, to_parent, to_pos } => {
-            let (to_parent, to_pos) =
-                if inverse { (*from_parent, *from_pos) } else { (*to_parent, *to_pos) };
-            Seen::Move { xid: *xid, to_parent, to_pos }
-        }
-        Op::Update { xid, old, new } => {
-            let (old, new) = if inverse { (new, old) } else { (old, new) };
-            Seen::Update { xid: *xid, old, new }
-        }
-        Op::AttrInsert { element, name, value: v, pos }
-        | Op::AttrDelete { element, name, old: v, pos } => {
-            if matches!(op, Op::AttrInsert { .. }) != inverse {
-                Seen::AttrInsert { element: *element, name, value: v, pos: *pos }
-            } else {
-                Seen::AttrDelete { element: *element, name, old: v }
-            }
-        }
-        Op::AttrUpdate { element, name, old, new } => {
-            let (old, new) = if inverse { (new, old) } else { (old, new) };
-            Seen::AttrUpdate { element: *element, name, old, new }
-        }
-    }
-}
-
-fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(), ApplyError> {
-    let ops = || delta.ops.iter().map(|op| seen(op, inverse)).enumerate();
+/// Apply `delta`, or with `inverse` its inverse: an [`Op`] is a record of
+/// handles, so reading it backwards ([`Op::inverted`]) copies nothing (§4: a
+/// completed delta holds its own inverse).
+fn apply_read(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(), ApplyError> {
+    let ops =
+        || delta.ops.iter().map(|op| if inverse { op.inverted() } else { *op }).enumerate();
     doc.restamp();
     // Phase 1: detach moved subtrees.
     for (i, op) in ops() {
-        if let Seen::Move { xid, .. } = op {
+        if let Op::Move { xid, .. } = op {
             let node = doc
                 .node(xid)
                 .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "move" }))?;
@@ -115,7 +67,7 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
 
     // Phase 2: deletes.
     for (i, op) in ops() {
-        if let Seen::Delete { xid } = op {
+        if let Op::Delete { xid, .. } = op {
             let node = doc.node(xid).ok_or_else(|| {
                 ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "delete" })
             })?;
@@ -138,15 +90,18 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
     let mut pending: Vec<Placement<'_>> = Vec::new();
     for (i, op) in ops() {
         match op {
-            Seen::Insert { parent, pos, subtree, xid_map } => {
+            Op::Insert { parent, pos, subtree, xid_map, .. } => {
+                // Application happens past the into_owned boundary;
+                // `payload()` enforces that borrowed payloads never get here.
+                let (tree, node) = delta.payload(subtree);
                 pending.push(Placement {
                     op_index: i,
                     parent,
                     pos,
-                    what: What::Graft { subtree, xid_map },
+                    what: What::Graft { tree, node, xids: delta.xid_map(xid_map) },
                 });
             }
-            Seen::Move { xid, to_parent, to_pos } => {
+            Op::Move { xid, to_parent, to_pos, .. } => {
                 let node = doc.node(xid).ok_or_else(|| {
                     ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "move" })
                 })?;
@@ -200,7 +155,8 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
 
     // Phase 4: text updates.
     for (i, op) in ops() {
-        if let Seen::Update { xid, old, new } = op {
+        if let Op::Update { xid, old, new } = op {
+            let (old, new) = (delta.text(old), delta.text(new));
             let node = doc.node(xid).ok_or_else(|| {
                 ApplyError::at(i, ApplyErrorKind::UnknownXid { xid, op: "update" })
             })?;
@@ -226,17 +182,20 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
     // position, so the surviving attributes — which keep their relative
     // order — interleave into the exact new attribute sequence (the same
     // argument as phase 3's child placement).
-    let mut attr_inserts: Vec<(Xid, usize, &str, &str, usize)> = Vec::new();
+    let mut attr_inserts: Vec<(Xid, usize, Symbol, &str, usize)> = Vec::new();
     for (i, op) in ops() {
         let (element, name, old, new) = match op {
-            Seen::AttrDelete { element, name, old } => (element, name, old, None),
-            Seen::AttrUpdate { element, name, old, new } => (element, name, old, Some(new)),
-            Seen::AttrInsert { element, name, value, pos } => {
-                attr_inserts.push((element, pos, name, value, i));
+            Op::AttrDelete { element, name, old, .. } => (element, name, old, None),
+            Op::AttrUpdate { element, name, old, new } => {
+                (element, name, old, Some(delta.text(new)))
+            }
+            Op::AttrInsert { element, name, value, pos } => {
+                attr_inserts.push((element, pos, name, delta.text(value), i));
                 continue;
             }
             _ => continue,
         };
+        let old = delta.text(old);
         let kind = if new.is_some() { "attr-update" } else { "attr-delete" };
         let e = element_of(doc, element, kind, i)?;
         let elem = doc
@@ -244,12 +203,12 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
             .tree
             .element(e)
             .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(element)))?;
-        match (elem.attr(name), new) {
+        match (elem.attr_sym(name), new) {
             (Some(v), Some(new)) if v == old => {
-                doc.doc.tree.set_attr(e, name, new.to_string());
+                doc.doc.tree.set_attr(e, name, new);
             }
             (Some(v), None) if v == old => {
-                doc.doc.tree.remove_attr(e, name);
+                doc.doc.tree.remove_attr(e, &name);
             }
             (found, new) => {
                 let problem = match (found.is_some(), new.is_some()) {
@@ -273,7 +232,7 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
             .tree
             .element(e)
             .ok_or_else(|| ApplyError::at(i, ApplyErrorKind::NotAnElement(element)))?;
-        if elem.has_attr(name) {
+        if elem.attr_sym(name).is_some() {
             return Err(ApplyError::at(
                 i,
                 ApplyErrorKind::AttrConflict {
@@ -285,7 +244,7 @@ fn apply_seen(delta: &Delta, inverse: bool, doc: &mut XidDocument) -> Result<(),
         }
         // Positions are fidelity hints over a semantically unordered set
         // (§5.2), so out-of-range values clamp instead of erroring.
-        doc.doc.tree.insert_attr_at(e, pos, name, value.to_string());
+        doc.doc.tree.insert_attr_at(e, pos, name, value);
     }
     Ok(())
 }
@@ -300,7 +259,7 @@ struct Placement<'a> {
 
 #[derive(Clone)]
 enum What<'a> {
-    Graft { subtree: &'a Tree, xid_map: &'a XidMap },
+    Graft { tree: &'a Tree, node: NodeId, xids: &'a [Xid] },
     Reattach(NodeId),
 }
 
@@ -335,18 +294,12 @@ fn place(doc: &mut XidDocument, placement: &Placement<'_>) -> Result<(), ApplyEr
         What::Reattach(node) => {
             doc.doc.tree.insert_child_at(parent_node, placement.pos, *node);
         }
-        What::Graft { subtree, xid_map } => {
-            let src_root = subtree.first_child(subtree.root()).ok_or_else(|| {
-                ApplyError::at(
-                    placement.op_index,
-                    ApplyErrorKind::MalformedOp("insert op with empty subtree"),
-                )
-            })?;
-            let copied = doc.doc.tree.copy_subtree_from(subtree, src_root);
+        What::Graft { tree, node, xids } => {
+            let copied = doc.doc.tree.copy_subtree_from(tree, *node);
             doc.doc.tree.insert_child_at(parent_node, placement.pos, copied);
             // Bind the op's XIDs to the grafted nodes, postfix order.
             let nodes: Vec<NodeId> = doc.doc.tree.post_order(copied).collect();
-            if nodes.len() != xid_map.len() {
+            if nodes.len() != xids.len() {
                 return Err(ApplyError::at(
                     placement.op_index,
                     ApplyErrorKind::MalformedOp(
@@ -354,7 +307,7 @@ fn place(doc: &mut XidDocument, placement: &Placement<'_>) -> Result<(), ApplyEr
                     ),
                 ));
             }
-            for (n, &x) in nodes.iter().zip(xid_map.xids()) {
+            for (n, &x) in nodes.iter().zip(*xids) {
                 doc.set_xid(*n, x);
             }
         }
@@ -365,7 +318,6 @@ fn place(doc: &mut XidDocument, placement: &Placement<'_>) -> Result<(), ApplyEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::capture_subtree;
     use xytree::Document;
 
     fn xd(xml: &str) -> XidDocument {
@@ -386,13 +338,12 @@ mod tests {
     fn update_text() {
         let mut d = xd("<a><p>old</p></a>");
         let p = d.doc.tree.child_at(d.doc.root_element().unwrap(), 0).unwrap();
-        let txt = d.doc.tree.first_child(p).unwrap();
-        let delta = Delta::from_ops(vec![Op::Update {
-            xid: d.xid(txt).unwrap(),
-            old: "old".into(),
-            new: "new".into(),
-        }]);
-        delta.apply_to(&mut d).unwrap();
+        let txt = d.xid(d.doc.tree.first_child(p).unwrap()).unwrap();
+        Delta::build(|b| {
+            b.update(txt, "old", "new");
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><p>new</p></a>");
     }
 
@@ -400,13 +351,12 @@ mod tests {
     fn stale_update_rejected() {
         let mut d = xd("<a><p>current</p></a>");
         let p = d.doc.tree.child_at(d.doc.root_element().unwrap(), 0).unwrap();
-        let txt = d.doc.tree.first_child(p).unwrap();
-        let delta = Delta::from_ops(vec![Op::Update {
-            xid: d.xid(txt).unwrap(),
-            old: "other".into(),
-            new: "new".into(),
-        }]);
-        let err = delta.apply_to(&mut d).unwrap_err();
+        let txt = d.xid(d.doc.tree.first_child(p).unwrap()).unwrap();
+        let err = Delta::build(|b| {
+            b.update(txt, "other", "new");
+        })
+        .apply_to(&mut d)
+        .unwrap_err();
         assert!(matches!(err.kind, ApplyErrorKind::StaleUpdate { .. }));
     }
 
@@ -417,15 +367,10 @@ mod tests {
         let c_xid = xid_of_label(&d, "c");
         let a_xid = xid_of_label(&d, "a");
         let b_node = d.node(b_xid).unwrap();
-        let sub = capture_subtree(&d.doc.tree, b_node, &|_| false);
         let map = d.xid_map_of(b_node);
-        let delta = Delta::from_ops(vec![Op::Delete {
-            xid: b_xid,
-            parent: a_xid,
-            pos: 0,
-            subtree: sub.into(),
-            xid_map: map,
-        }]);
+        let delta = Delta::build(|b| {
+            b.delete(b_xid, a_xid, 0, &d.doc.tree, b_node, map.xids());
+        });
         delta.apply_to(&mut d).unwrap();
         assert_eq!(d.doc.to_xml(), "<a><k/></a>");
         assert_eq!(d.node(b_xid), None);
@@ -439,16 +384,13 @@ mod tests {
         let a_xid = xid_of_label(&d, "a");
         let ins_doc = Document::parse("<b><c/>t</b>").unwrap();
         // Postfix order of <b><c/>t</b>: c, t, b — allocate 3 fresh xids.
-        let xids = vec![d.fresh_xid(), d.fresh_xid(), d.fresh_xid()];
+        let xids = [d.fresh_xid(), d.fresh_xid(), d.fresh_xid()];
         let b_xid = xids[2];
-        let delta = Delta::from_ops(vec![Op::Insert {
-            xid: b_xid,
-            parent: a_xid,
-            pos: 0,
-            subtree: ins_doc.tree.into(),
-            xid_map: XidMap::new(xids),
-        }]);
-        delta.apply_to(&mut d).unwrap();
+        Delta::build(|b| {
+            b.insert(b_xid, a_xid, 0, &ins_doc.tree, ins_doc.root_element().unwrap(), &xids);
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><b><c/>t</b><k/></a>");
         let b_node = d.node(b_xid).unwrap();
         assert_eq!(d.doc.tree.name(b_node), Some("b"));
@@ -461,14 +403,11 @@ mod tests {
         let m = xid_of_label(&d, "m");
         let x = xid_of_label(&d, "x");
         let y = xid_of_label(&d, "y");
-        let delta = Delta::from_ops(vec![Op::Move {
-            xid: m,
-            from_parent: x,
-            from_pos: 0,
-            to_parent: y,
-            to_pos: 0,
-        }]);
-        delta.apply_to(&mut d).unwrap();
+        Delta::build(|b| {
+            b.push(Op::Move { xid: m, from_parent: x, from_pos: 0, to_parent: y, to_pos: 0 });
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><x/><y><m/></y></a>");
     }
 
@@ -477,14 +416,11 @@ mod tests {
         let mut d = xd("<a><p1/><p2/><p3/></a>");
         let p3 = xid_of_label(&d, "p3");
         let a = xid_of_label(&d, "a");
-        let delta = Delta::from_ops(vec![Op::Move {
-            xid: p3,
-            from_parent: a,
-            from_pos: 2,
-            to_parent: a,
-            to_pos: 0,
-        }]);
-        delta.apply_to(&mut d).unwrap();
+        Delta::build(|b| {
+            b.push(Op::Move { xid: p3, from_parent: a, from_pos: 2, to_parent: a, to_pos: 0 });
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><p3/><p1/><p2/></a>");
     }
 
@@ -495,18 +431,13 @@ mod tests {
         let m = xid_of_label(&d, "m");
         let ins_doc = Document::parse("<box/>").unwrap();
         let box_xid = d.fresh_xid();
-        let delta = Delta::from_ops(vec![
+        Delta::build(|b| {
             // Move listed before the insert it depends on: fixpoint must cope.
-            Op::Move { xid: m, from_parent: a, from_pos: 0, to_parent: box_xid, to_pos: 0 },
-            Op::Insert {
-                xid: box_xid,
-                parent: a,
-                pos: 0,
-                subtree: ins_doc.tree.into(),
-                xid_map: XidMap::new(vec![box_xid]),
-            },
-        ]);
-        delta.apply_to(&mut d).unwrap();
+            b.push(Op::Move { xid: m, from_parent: a, from_pos: 0, to_parent: box_xid, to_pos: 0 })
+                .insert(box_xid, a, 0, &ins_doc.tree, ins_doc.root_element().unwrap(), &[box_xid]);
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><box><m/></box></a>");
     }
 
@@ -515,14 +446,11 @@ mod tests {
         let mut d = xd("<a><m/></a>");
         let a = xid_of_label(&d, "a");
         let m = xid_of_label(&d, "m");
-        let delta = Delta::from_ops(vec![Op::Move {
-            xid: m,
-            from_parent: a,
-            from_pos: 0,
-            to_parent: Xid(999),
-            to_pos: 0,
-        }]);
-        let err = delta.apply_to(&mut d).unwrap_err();
+        let err = Delta::build(|b| {
+            b.push(Op::Move { xid: m, from_parent: a, from_pos: 0, to_parent: Xid(999), to_pos: 0 });
+        })
+        .apply_to(&mut d)
+        .unwrap_err();
         assert!(matches!(err.kind, ApplyErrorKind::UnresolvableTargets { remaining: 1 }));
     }
 
@@ -533,20 +461,14 @@ mod tests {
         let dying = xid_of_label(&d, "dying");
         let keep = xid_of_label(&d, "keep");
         let safe = xid_of_label(&d, "safe");
-        let dying_node = d.node(dying).unwrap();
-        let keep_node = d.node(keep).unwrap();
-        let sub = capture_subtree(&d.doc.tree, dying_node, &|n| n == keep_node);
-        let delta = Delta::from_ops(vec![
-            Op::Delete {
-                xid: dying,
-                parent: a,
-                pos: 0,
-                subtree: sub.into(),
-                xid_map: XidMap::new(vec![dying]),
-            },
-            Op::Move { xid: keep, from_parent: dying, from_pos: 0, to_parent: safe, to_pos: 0 },
-        ]);
-        delta.apply_to(&mut d).unwrap();
+        // What the delete stores: <dying> without the node that moved out.
+        let stored = Document::parse("<dying/>").unwrap();
+        Delta::build(|b| {
+            b.delete(dying, a, 0, &stored.tree, stored.root_element().unwrap(), &[dying])
+                .push(Op::Move { xid: keep, from_parent: dying, from_pos: 0, to_parent: safe, to_pos: 0 });
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><safe><keep/></safe></a>");
         assert!(d.node(keep).is_some(), "moved-out node keeps its XID");
         assert_eq!(d.node(dying), None);
@@ -556,21 +478,17 @@ mod tests {
     fn multiple_inserts_same_parent_ascending_positions() {
         let mut d = xd("<a><s1/><s2/></a>");
         let a = xid_of_label(&d, "a");
-        let mk = |d: &mut XidDocument, label: &str| {
-            let doc = Document::parse(&format!("<{label}/>")).unwrap();
-            let x = d.fresh_xid();
-            (doc.tree, XidMap::new(vec![x]), x)
-        };
-        let (t0, m0, x0) = mk(&mut d, "i0");
-        let (t2, m2, x2) = mk(&mut d, "i2");
-        let (t4, m4, x4) = mk(&mut d, "i4");
+        let doc = Document::parse("<i><i0/><i2/><i4/></i>").unwrap();
+        let child = |i| doc.tree.child_at(doc.root_element().unwrap(), i).unwrap();
+        let (x0, x2, x4) = (d.fresh_xid(), d.fresh_xid(), d.fresh_xid());
         // Final layout: i0 s1 i2 s2 i4 — ops given out of order.
-        let delta = Delta::from_ops(vec![
-            Op::Insert { xid: x4, parent: a, pos: 4, subtree: t4.into(), xid_map: m4 },
-            Op::Insert { xid: x0, parent: a, pos: 0, subtree: t0.into(), xid_map: m0 },
-            Op::Insert { xid: x2, parent: a, pos: 2, subtree: t2.into(), xid_map: m2 },
-        ]);
-        delta.apply_to(&mut d).unwrap();
+        Delta::build(|b| {
+            b.insert(x4, a, 4, &doc.tree, child(2), &[x4])
+                .insert(x0, a, 0, &doc.tree, child(0), &[x0])
+                .insert(x2, a, 2, &doc.tree, child(1), &[x2]);
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.to_xml(), "<a><i0/><s1/><i2/><s2/><i4/></a>");
     }
 
@@ -578,12 +496,11 @@ mod tests {
     fn attr_ops_roundtrip() {
         let mut d = xd("<a k=\"1\" gone=\"x\"/>");
         let a = xid_of_label(&d, "a");
-        let delta = Delta::from_ops(vec![
-            Op::AttrUpdate { element: a, name: "k".into(), old: "1".into(), new: "2".into() },
-            Op::AttrDelete { element: a, name: "gone".into(), old: "x".into(), pos: 1 },
-            Op::AttrInsert { element: a, name: "fresh".into(), value: "f".into(), pos: 1 },
-        ]);
-        delta.apply_to(&mut d).unwrap();
+        Delta::build(|b| {
+            b.attr_update(a, "k", "1", "2").attr_delete(a, "gone", "x", 1).attr_insert(a, "fresh", "f", 1);
+        })
+        .apply_to(&mut d)
+        .unwrap();
         assert_eq!(d.doc.tree.attr(d.node(a).unwrap(), "k"), Some("2"));
         assert_eq!(d.doc.tree.attr(d.node(a).unwrap(), "gone"), None);
         assert_eq!(d.doc.tree.attr(d.node(a).unwrap(), "fresh"), Some("f"));
@@ -593,22 +510,16 @@ mod tests {
     fn attr_conflicts_detected() {
         let mut d = xd("<a k=\"1\"/>");
         let a = xid_of_label(&d, "a");
-        let dup = Delta::from_ops(vec![Op::AttrInsert {
-            element: a,
-            name: "k".into(),
-            value: "2".into(),
-            pos: 0,
-        }]);
+        let dup = Delta::build(|b| {
+            b.attr_insert(a, "k", "2", 0);
+        });
         assert!(matches!(
             dup.apply_to(&mut d.clone()).unwrap_err().kind,
             ApplyErrorKind::AttrConflict { .. }
         ));
-        let stale = Delta::from_ops(vec![Op::AttrUpdate {
-            element: a,
-            name: "k".into(),
-            old: "9".into(),
-            new: "2".into(),
-        }]);
+        let stale = Delta::build(|b| {
+            b.attr_update(a, "k", "9", "2");
+        });
         assert!(matches!(
             stale.apply_to(&mut d).unwrap_err().kind,
             ApplyErrorKind::AttrConflict { .. }
@@ -618,12 +529,11 @@ mod tests {
     #[test]
     fn unknown_xid_errors() {
         let mut d = xd("<a/>");
-        let delta = Delta::from_ops(vec![Op::Update {
-            xid: Xid(777),
-            old: String::new(),
-            new: String::new(),
-        }]);
-        let err = delta.apply_to(&mut d).unwrap_err();
+        let err = Delta::build(|b| {
+            b.update(Xid(777), "", "");
+        })
+        .apply_to(&mut d)
+        .unwrap_err();
         assert!(matches!(err.kind, ApplyErrorKind::UnknownXid { .. }));
         assert_eq!(err.op_index, Some(0));
     }
@@ -636,11 +546,11 @@ mod tests {
         let x = xid_of_label(&d, "x");
         let y = xid_of_label(&d, "y");
         let p_node = d.node(xid_of_label(&d, "p")).unwrap();
-        let txt = d.doc.tree.first_child(p_node).unwrap();
-        let delta = Delta::from_ops(vec![
-            Op::Move { xid: m, from_parent: x, from_pos: 0, to_parent: y, to_pos: 0 },
-            Op::Update { xid: d.xid(txt).unwrap(), old: "text".into(), new: "TEXT".into() },
-        ]);
+        let txt = d.xid(d.doc.tree.first_child(p_node).unwrap()).unwrap();
+        let delta = Delta::build(|b| {
+            b.push(Op::Move { xid: m, from_parent: x, from_pos: 0, to_parent: y, to_pos: 0 })
+                .update(txt, "text", "TEXT");
+        });
         delta.apply_to(&mut d).unwrap();
         assert_ne!(d.doc.to_xml(), before);
         let mut copied = d.clone();

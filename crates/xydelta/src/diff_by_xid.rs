@@ -20,10 +20,10 @@
 //! occurred"), and in tests as an oracle for the BULD diff (feeding BULD's
 //! matching through it must reproduce BULD's delta).
 
-use crate::delta::Delta;
+use crate::delta::{Delta, DeltaBuilder};
 use crate::lis::{chunked_heaviest_increasing_by, heaviest_increasing_subsequence_by};
-use crate::ops::{materialize, Op, PayloadSide, SubtreePayload};
-use crate::xid::{Xid, XidMap};
+use crate::ops::{Op, PayloadSide};
+use crate::xid::Xid;
 use crate::xiddoc::XidDocument;
 use xytree::hash::{fast_map_with_capacity, FastHashMap};
 use xytree::NodeId;
@@ -31,11 +31,12 @@ use xytree::NodeId;
 /// How delete/insert operations capture their subtree content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaptureMode {
-    /// Clone the captured nodes into standalone trees (the classic path;
-    /// deltas are self-contained immediately).
+    /// Copy the captured nodes into the delta's payload arena (the classic
+    /// path; deltas are self-contained immediately).
     #[default]
     Owned,
-    /// Record [`SubtreePayload::Borrowed`] references into the diffed
+    /// Record [`SubtreePayload::Borrowed`](crate::SubtreePayload::Borrowed)
+    /// references into the diffed
     /// documents — no node is cloned at capture time. The caller owns the
     /// [`Delta::into_owned`](crate::Delta::into_owned) boundary before the
     /// delta outlives the source documents.
@@ -79,7 +80,8 @@ pub fn diff_by_xid_captured(
         "diff_by_xid requires matching document roots"
     );
 
-    let mut ops: Vec<Op> = Vec::new();
+    let mut ops = DeltaBuilder::new();
+    let borrow_as = |side| (capture == CaptureMode::Borrowed).then_some(side);
 
     // Resolve the XID matching into direct NodeId↔NodeId arrays up front:
     // the walks below probe "is this node matched / where is its partner"
@@ -148,12 +150,11 @@ pub fn diff_by_xid_captured(
         // INVARIANT: every node of a XidDocument carries an XID; assignment is
         // total at construction (assign_initial / apply) and never partial.
         let parent_xid = old.xid(parent).expect("parent without XID");
-        let (subtree, xid_map) = capture_payload(
+        let (subtree, xid_map) = ops.capture_payload(
             old,
             node,
             &|d| new_of_old[d.index()].is_some(),
-            capture,
-            PayloadSide::Old,
+            borrow_as(PayloadSide::Old),
         );
         ops.push(Op::Delete {
             xid,
@@ -180,12 +181,11 @@ pub fn diff_by_xid_captured(
         // INVARIANT: every node of a XidDocument carries an XID; assignment is
         // total at construction (assign_initial / apply) and never partial.
         let parent_xid = new.xid(parent).expect("parent without XID");
-        let (subtree, xid_map) = capture_payload(
+        let (subtree, xid_map) = ops.capture_payload(
             new,
             node,
             &|d| old_of_new[d.index()].is_some(),
-            capture,
-            PayloadSide::New,
+            borrow_as(PayloadSide::New),
         );
         ops.push(Op::Insert {
             xid,
@@ -223,7 +223,7 @@ pub fn diff_by_xid_captured(
         // Content update?
         match (o.kind(old_node), n.kind(new_node)) {
             (xytree::NodeKind::Text(a), xytree::NodeKind::Text(b)) if a != b => {
-                ops.push(Op::Update { xid, old: a.to_string(), new: b.to_string() });
+                ops.update(xid, a, b);
             }
             (xytree::NodeKind::Element(ea), xytree::NodeKind::Element(eb)) => {
                 diff_attrs(xid, ea, eb, &mut ops);
@@ -311,7 +311,7 @@ pub fn diff_by_xid_captured(
         }
     }
 
-    let mut delta = Delta::from_ops(ops);
+    let mut delta = ops.finish();
     delta.canonicalize();
     delta
 }
@@ -328,77 +328,22 @@ fn child_positions(tree: &xytree::Tree) -> Vec<usize> {
     pos
 }
 
-/// Capture the payload for a delete/insert op at `node`, excluding
-/// descendants for which `matched` holds (those exist in the other version
-/// and are handled by moves), together with the postfix XID-map of exactly
-/// the captured nodes. `Owned` clones the nodes into a standalone tree;
-/// `Borrowed` only collects the XIDs and the maximal excluded roots.
-fn capture_payload(
-    doc: &XidDocument,
-    node: NodeId,
-    matched: &dyn Fn(NodeId) -> bool,
-    capture: CaptureMode,
-    side: PayloadSide,
-) -> (SubtreePayload, XidMap) {
-    let mut xids = Vec::new();
-    let mut excluded = Vec::new();
-    collect_xids_postfix(doc, node, matched, &mut excluded, &mut xids);
-    excluded.sort_unstable();
-    let payload = match capture {
-        CaptureMode::Owned => materialize(&doc.doc.tree, node, &excluded).into(),
-        CaptureMode::Borrowed => SubtreePayload::Borrowed { side, node, excluded },
-    };
-    (payload, XidMap::new(xids))
-}
-
-/// Postfix walk below `node` collecting the XIDs of captured nodes and the
-/// maximal excluded roots (children for which `excluded` holds; their
-/// descendants are not visited).
-fn collect_xids_postfix(
-    doc: &XidDocument,
-    node: NodeId,
-    excluded: &dyn Fn(NodeId) -> bool,
-    excluded_roots: &mut Vec<NodeId>,
-    out: &mut Vec<Xid>,
+fn diff_attrs(
+    xid: Xid,
+    old: xytree::Element<'_>,
+    new: xytree::Element<'_>,
+    ops: &mut DeltaBuilder,
 ) {
-    for c in doc.doc.tree.children(node) {
-        if excluded(c) {
-            excluded_roots.push(c);
-            continue;
-        }
-        collect_xids_postfix(doc, c, excluded, excluded_roots, out);
-    }
-    // INVARIANT: every node of a XidDocument carries an XID; assignment is
-    // total at construction (assign_initial / apply) and never partial.
-    out.push(doc.xid(node).expect("captured node without XID"));
-}
-
-fn diff_attrs(xid: Xid, old: xytree::Element<'_>, new: xytree::Element<'_>, ops: &mut Vec<Op>) {
     for (i, a) in old.attrs.iter().enumerate() {
         match new.attr_sym(a.name) {
-            None => ops.push(Op::AttrDelete {
-                element: xid,
-                name: a.name.to_string(),
-                old: a.value.clone(),
-                pos: i,
-            }),
-            Some(v) if v != a.value => ops.push(Op::AttrUpdate {
-                element: xid,
-                name: a.name.to_string(),
-                old: a.value.clone(),
-                new: v.to_string(),
-            }),
-            Some(_) => {}
-        }
+            None => ops.attr_delete(xid, a.name, &a.value, i),
+            Some(v) if v != a.value => ops.attr_update(xid, a.name, &a.value, v),
+            Some(_) => continue,
+        };
     }
     for (i, a) in new.attrs.iter().enumerate() {
         if old.attr_sym(a.name).is_none() {
-            ops.push(Op::AttrInsert {
-                element: xid,
-                name: a.name.to_string(),
-                value: a.value.clone(),
-                pos: i,
-            });
+            ops.attr_insert(xid, a.name, &a.value, i);
         }
     }
 }
@@ -463,10 +408,8 @@ mod tests {
         let c = delta.counts();
         assert_eq!((c.deletes, c.inserts, c.moves, c.updates), (1, 0, 0, 0));
         // The delete is maximal: one op covering b and c.
-        match &delta.ops[0] {
-            Op::Delete { xid_map, .. } => assert_eq!(xid_map.len(), 2),
-            _ => panic!(),
-        }
+        assert!(matches!(delta.ops[0], Op::Delete { .. }));
+        assert_eq!(delta.ops[0].carried_nodes(), 2);
     }
 
     #[test]
@@ -575,15 +518,11 @@ mod tests {
         let c = delta.counts();
         assert_eq!((c.deletes, c.moves), (1, 1));
         // The delete op must not carry the moved-out <keep>.
-        match delta.ops.iter().find(|o| matches!(o, Op::Delete { .. })).unwrap() {
+        match *delta.ops.iter().find(|o| matches!(o, Op::Delete { .. })).unwrap() {
             Op::Delete { xid_map, subtree, .. } => {
                 assert_eq!(xid_map.len(), 2); // dying + junk
-                let subtree = subtree.tree();
-                let root = subtree.first_child(subtree.root()).unwrap();
-                let labels: Vec<_> = subtree
-                    .descendants(root)
-                    .filter_map(|x| subtree.name(x))
-                    .collect();
+                let (tree, root) = delta.payload(subtree);
+                let labels: Vec<_> = tree.descendants(root).filter_map(|x| tree.name(x)).collect();
                 assert_eq!(labels, ["dying", "junk"]);
             }
             _ => unreachable!(),

@@ -14,8 +14,9 @@
 //!
 //! - [`Xid`], [`XidMap`], [`XidDocument`] — persistent node identification
 //!   (initial assignment in postfix order, §4);
-//! - [`Op`], [`Delta`] — the operation set, including the attribute-specific
-//!   operations of §5.2;
+//! - [`Op`], [`Delta`], [`DeltaBuilder`] — the operation set, including the
+//!   attribute-specific operations of §5.2; a delta keeps everything its
+//!   operations carry in one payload arena and two flat buffers;
 //! - [`Delta::apply_to`], [`Delta::inverted`], [`aggregate::aggregate`] —
 //!   the delta algebra;
 //! - [`diff_by_xid::diff_by_xid`] — the *exact* delta between two versions
@@ -47,10 +48,10 @@ pub mod xid;
 pub mod xiddoc;
 pub mod xml_io;
 
-pub use delta::Delta;
+pub use delta::{Delta, DeltaBuilder};
 pub use diff_by_xid::CaptureMode;
 pub use error::{ApplyError, ApplyErrorKind, DeltaParseError};
-pub use ops::{Op, PayloadSide, PayloadSource, SubtreePayload};
+pub use ops::{Op, PayloadSide, PayloadSource, Span, SubtreePayload};
 pub use verify::{verify, verify_all, VerifyError};
 pub use version::VersionChain;
 pub use xid::{Xid, XidMap};

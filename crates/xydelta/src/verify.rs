@@ -50,6 +50,7 @@ use crate::xid::Xid;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use xytree::Symbol;
 
 /// A structural invariant violated by a delta, found without applying it.
 ///
@@ -62,7 +63,7 @@ pub enum VerifyError {
         /// Offending operation.
         op_index: usize,
     },
-    /// An insert/delete op's subtree is not a single rooted subtree.
+    /// An insert/delete op's payload cannot be a subtree at all.
     MalformedSubtree {
         /// Offending operation.
         op_index: usize,
@@ -219,7 +220,7 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
     let mut old_pos: HashMap<(Xid, usize), usize> = HashMap::new();
     let mut new_pos: HashMap<(Xid, usize), usize> = HashMap::new();
     // Attribute claims: (element, name) → (op index, kind).
-    let mut attr_claims: HashMap<(Xid, &str), usize> = HashMap::new();
+    let mut attr_claims: HashMap<(Xid, Symbol), usize> = HashMap::new();
     let mut attr_ins_pos: HashMap<(Xid, usize), usize> = HashMap::new();
 
     macro_rules! push {
@@ -239,23 +240,11 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
         match op {
             Op::Insert { xid, subtree, xid_map, .. } | Op::Delete { xid, subtree, xid_map, .. } => {
                 let is_insert = matches!(op, Op::Insert { .. });
+                let xid_map = delta.xid_map(*xid_map);
                 match subtree {
-                    SubtreePayload::Owned(subtree) => {
-                        let root = subtree.root();
-                        let Some(top) = subtree.first_child(root) else {
-                            push!(VerifyError::MalformedSubtree {
-                                op_index: i,
-                                problem: "carried subtree is empty",
-                            });
-                            continue;
-                        };
-                        if subtree.children(root).count() != 1 {
-                            push!(VerifyError::MalformedSubtree {
-                                op_index: i,
-                                problem: "carried subtree has more than one root node",
-                            });
-                        }
-                        let nodes = subtree.subtree_size(top);
+                    SubtreePayload::Stored(_) => {
+                        let (tree, node) = delta.payload(*subtree);
+                        let nodes = tree.subtree_size(node);
                         if xid_map.len() != nodes {
                             push!(VerifyError::XidMapLength {
                                 op_index: i,
@@ -264,13 +253,13 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
                             });
                         }
                     }
-                    SubtreePayload::Borrowed { .. } => {
+                    SubtreePayload::Borrowed(_) => {
                         // Tree-shape and node-count checks need the source
                         // documents, which static verification by design does
                         // not consult. A borrowed payload always covers at
                         // least its captured root, so the XID-map cannot be
                         // empty; the map checks below still apply in full.
-                        if xid_map.xids().is_empty() {
+                        if xid_map.is_empty() {
                             push!(VerifyError::MalformedSubtree {
                                 op_index: i,
                                 problem: "borrowed payload with an empty XID-map",
@@ -279,8 +268,8 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
                         }
                     }
                 }
-                match xid_map.root_xid() {
-                    Some(r) if r != *xid => {
+                match xid_map.last() {
+                    Some(&r) if r != *xid => {
                         push!(VerifyError::RootXidMismatch {
                             op_index: i,
                             op_xid: *xid,
@@ -294,7 +283,7 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
                 } else {
                     (&mut deleted, "is deleted twice")
                 };
-                for &x in xid_map.xids() {
+                for &x in xid_map {
                     if x == Xid(0) {
                         push!(VerifyError::ZeroXid { op_index: i });
                         continue;
@@ -432,7 +421,7 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
             | Op::AttrDelete { element, name, pos, .. } => {
                 check_survivor(*element, i, "attribute op anchors at a non-surviving element",
                                &inserted, &deleted, &mut errors);
-                claim_attr(&mut attr_claims, *element, name, i, &mut errors);
+                claim_attr(&mut attr_claims, *element, *name, i, &mut errors);
                 if matches!(op, Op::AttrInsert { .. }) {
                     if let Some(&prev) = attr_ins_pos.get(&(*element, *pos)) {
                         errors.push(VerifyError::PositionConflict {
@@ -453,7 +442,7 @@ fn verify_inner(delta: &Delta, stop_at_first: bool) -> Vec<VerifyError> {
             Op::AttrUpdate { element, name, .. } => {
                 check_survivor(*element, i, "attribute op anchors at a non-surviving element",
                                &inserted, &deleted, &mut errors);
-                claim_attr(&mut attr_claims, *element, name, i, &mut errors);
+                claim_attr(&mut attr_claims, *element, *name, i, &mut errors);
                 if stop_at_first && !errors.is_empty() {
                     return errors;
                 }
@@ -490,10 +479,10 @@ fn claim_pos(
 /// Record that `op_index` operates on attribute `name` of `element`; any
 /// second op touching the same attribute conflicts (a completed delta needs
 /// at most one op per attribute — old→new pairs collapse into updates).
-fn claim_attr<'d>(
-    claims: &mut HashMap<(Xid, &'d str), usize>,
+fn claim_attr(
+    claims: &mut HashMap<(Xid, Symbol), usize>,
     element: Xid,
-    name: &'d str,
+    name: Symbol,
     op_index: usize,
     errors: &mut Vec<VerifyError>,
 ) {
@@ -529,8 +518,7 @@ fn check_survivor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::capture_subtree;
-    use crate::xid::XidMap;
+    use crate::delta::DeltaBuilder;
     use crate::xiddoc::XidDocument;
 
     fn xd(xml: &str) -> XidDocument {
@@ -547,18 +535,13 @@ mod tests {
         d.xid(n).unwrap()
     }
 
-    /// A delete of <b> (with child <c/>) out of <a><b><c/></b><k/></a>.
-    fn sample_delete(d: &XidDocument) -> Op {
-        let b = xid_of_label(d, "b");
-        let a = xid_of_label(d, "a");
-        let b_node = d.node(b).unwrap();
-        Op::Delete {
-            xid: b,
-            parent: a,
-            pos: 0,
-            subtree: capture_subtree(&d.doc.tree, b_node, &|_| false).into(),
-            xid_map: d.xid_map_of(b_node),
-        }
+    /// Append a delete of <b> (with child <c/>) out of <a><b><c/></b><k/></a>,
+    /// its XID-map passed through `map`.
+    fn sample_delete(b: &mut DeltaBuilder, d: &XidDocument, map: impl FnOnce(Vec<Xid>) -> Vec<Xid>) {
+        let b_xid = xid_of_label(d, "b");
+        let b_node = d.node(b_xid).unwrap();
+        let xids = map(d.xid_map_of(b_node).xids().to_vec());
+        b.delete(b_xid, xid_of_label(d, "a"), 0, &d.doc.tree, b_node, &xids);
     }
 
     #[test]
@@ -569,50 +552,42 @@ mod tests {
     #[test]
     fn well_formed_delete_verifies() {
         let d = xd("<a><b><c/></b><k/></a>");
-        let delta = Delta::from_ops(vec![sample_delete(&d)]);
+        let delta = Delta::build(|b| sample_delete(b, &d, |m| m));
         assert_eq!(verify(&delta), Ok(()));
         assert_eq!(verify(&delta.inverted()), Ok(()));
     }
 
     #[test]
     fn zero_xid_rejected() {
-        let delta = Delta::from_ops(vec![Op::Update {
-            xid: Xid(0),
-            old: "a".into(),
-            new: "b".into(),
-        }]);
+        let delta = Delta::build(|b| {
+            b.update(Xid(0), "a", "b");
+        });
         assert!(matches!(verify(&delta), Err(VerifyError::ZeroXid { op_index: 0 })));
     }
 
     #[test]
     fn xid_map_length_mismatch_rejected() {
         let d = xd("<a><b><c/></b><k/></a>");
-        let mut op = sample_delete(&d);
-        if let Op::Delete { xid_map, xid, .. } = &mut op {
-            *xid_map = XidMap::new(vec![*xid]); // claims 1 node for a 2-node subtree
-        }
-        let delta = Delta::from_ops(vec![op]);
+        // Claims 1 node for a 2-node subtree.
+        let delta = Delta::build(|b| sample_delete(b, &d, |m| m[1..].to_vec()));
         assert!(matches!(verify(&delta), Err(VerifyError::XidMapLength { .. })));
     }
 
     #[test]
     fn swapped_root_xid_rejected() {
         let d = xd("<a><b><c/></b><k/></a>");
-        let mut op = sample_delete(&d);
-        if let Op::Delete { xid_map, .. } = &mut op {
-            // Reverse postfix order: root first instead of last.
-            let mut xids: Vec<Xid> = xid_map.xids().to_vec();
-            xids.reverse();
-            *xid_map = XidMap::new(xids);
-        }
-        let delta = Delta::from_ops(vec![op]);
+        // Reverse postfix order: root first instead of last.
+        let delta = Delta::build(|b| sample_delete(b, &d, |m| m.into_iter().rev().collect()));
         assert!(matches!(verify(&delta), Err(VerifyError::RootXidMismatch { .. })));
     }
 
     #[test]
     fn double_delete_rejected() {
         let d = xd("<a><b><c/></b><k/></a>");
-        let delta = Delta::from_ops(vec![sample_delete(&d), sample_delete(&d)]);
+        let delta = Delta::build(|b| {
+            sample_delete(b, &d, |m| m);
+            sample_delete(b, &d, |m| m);
+        });
         let all = verify_all(&delta);
         assert!(
             all.iter().any(|e| matches!(e, VerifyError::DuplicateXid { .. })),
@@ -622,30 +597,20 @@ mod tests {
 
     #[test]
     fn self_parenting_move_rejected() {
-        let delta = Delta::from_ops(vec![Op::Move {
-            xid: Xid(3),
-            from_parent: Xid(1),
-            from_pos: 0,
-            to_parent: Xid(3),
-            to_pos: 0,
-        }]);
+        let delta = Delta::build(|b| {
+            b.push(Op::Move { xid: Xid(3), from_parent: Xid(1), from_pos: 0, to_parent: Xid(3), to_pos: 0 });
+        });
         assert!(matches!(verify(&delta), Err(VerifyError::BrokenMovePairing { .. })));
     }
 
     #[test]
     fn move_source_in_inserted_subtree_rejected() {
         let ins = xd("<b/>");
-        let delta = Delta::from_ops(vec![
-            Op::Insert {
-                xid: Xid(10),
-                parent: Xid(1),
-                pos: 0,
-                subtree: ins.doc.tree.clone().into(),
-                xid_map: XidMap::new(vec![Xid(10)]),
-            },
-            // Claims to move a node *out of* the subtree being inserted.
-            Op::Move { xid: Xid(5), from_parent: Xid(10), from_pos: 0, to_parent: Xid(1), to_pos: 1 },
-        ]);
+        let delta = Delta::build(|b| {
+            b.insert(Xid(10), Xid(1), 0, &ins.doc.tree, ins.doc.root_element().unwrap(), &[Xid(10)])
+                // Claims to move a node *out of* the subtree being inserted.
+                .push(Op::Move { xid: Xid(5), from_parent: Xid(10), from_pos: 0, to_parent: Xid(1), to_pos: 1 });
+        });
         let all = verify_all(&delta);
         assert!(
             all.iter().any(|e| matches!(e, VerifyError::BrokenMovePairing { .. })),
@@ -656,14 +621,11 @@ mod tests {
     #[test]
     fn stale_position_conflict_rejected() {
         let ins = xd("<b/>");
-        let mk = |xid: u64| Op::Insert {
-            xid: Xid(xid),
-            parent: Xid(1),
-            pos: 2,
-            subtree: ins.doc.tree.clone().into(),
-            xid_map: XidMap::new(vec![Xid(xid)]),
-        };
-        let delta = Delta::from_ops(vec![mk(10), mk(11)]);
+        let delta = Delta::build(|b| {
+            for xid in [Xid(10), Xid(11)] {
+                b.insert(xid, Xid(1), 2, &ins.doc.tree, ins.doc.root_element().unwrap(), &[xid]);
+            }
+        });
         assert!(matches!(
             verify(&delta),
             Err(VerifyError::PositionConflict { side: "new", pos: 2, .. })
@@ -674,10 +636,10 @@ mod tests {
     fn update_of_deleted_node_rejected() {
         let d = xd("<a><b><c/></b><k/></a>");
         let c = xid_of_label(&d, "c");
-        let delta = Delta::from_ops(vec![
-            sample_delete(&d),
-            Op::Update { xid: c, old: "x".into(), new: "y".into() },
-        ]);
+        let delta = Delta::build(|b| {
+            sample_delete(b, &d, |m| m);
+            b.update(c, "x", "y");
+        });
         let all = verify_all(&delta);
         assert!(
             all.iter().any(|e| matches!(e, VerifyError::AnchorInSubtree { .. })),
@@ -687,10 +649,9 @@ mod tests {
 
     #[test]
     fn conflicting_attr_ops_rejected() {
-        let delta = Delta::from_ops(vec![
-            Op::AttrInsert { element: Xid(2), name: "k".into(), value: "v".into(), pos: 0 },
-            Op::AttrDelete { element: Xid(2), name: "k".into(), old: "w".into(), pos: 0 },
-        ]);
+        let delta = Delta::build(|b| {
+            b.attr_insert(Xid(2), "k", "v", 0).attr_delete(Xid(2), "k", "w", 0);
+        });
         assert!(matches!(verify(&delta), Err(VerifyError::AttrOpConflict { .. })));
     }
 
@@ -703,29 +664,20 @@ mod tests {
         let dying = xid_of_label(&d, "dying");
         let keep = xid_of_label(&d, "keep");
         let safe = xid_of_label(&d, "safe");
-        let dying_node = d.node(dying).unwrap();
-        let keep_node = d.node(keep).unwrap();
-        let delta = Delta::from_ops(vec![
-            Op::Delete {
-                xid: dying,
-                parent: a,
-                pos: 0,
-                subtree: capture_subtree(&d.doc.tree, dying_node, &|n| n == keep_node).into(),
-                xid_map: XidMap::new(vec![dying]),
-            },
-            Op::Move { xid: keep, from_parent: dying, from_pos: 0, to_parent: safe, to_pos: 0 },
-        ]);
+        let stored = xd("<dying/>");
+        let delta = Delta::build(|b| {
+            b.delete(dying, a, 0, &stored.doc.tree, stored.doc.root_element().unwrap(), &[dying])
+                .push(Op::Move { xid: keep, from_parent: dying, from_pos: 0, to_parent: safe, to_pos: 0 });
+        });
         assert_eq!(verify(&delta), Ok(()));
         assert_eq!(verify(&delta.inverted()), Ok(()));
     }
 
     #[test]
     fn errors_display_with_op_indexes() {
-        let delta = Delta::from_ops(vec![Op::Update {
-            xid: Xid(0),
-            old: String::new(),
-            new: String::new(),
-        }]);
+        let delta = Delta::build(|b| {
+            b.update(Xid(0), "", "");
+        });
         let e = verify(&delta).unwrap_err();
         assert!(e.to_string().contains("op #0"), "{e}");
     }

@@ -241,7 +241,6 @@ impl VersionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Op;
     use crate::xid::Xid;
 
     fn text_xid(d: &XidDocument) -> Xid {
@@ -255,7 +254,9 @@ mod tests {
     }
 
     fn update(xid: Xid, old: &str, new: &str) -> Delta {
-        Delta::from_ops(vec![Op::Update { xid, old: old.into(), new: new.into() }])
+        Delta::build(|b| {
+            b.update(xid, old, new);
+        })
     }
 
     fn chain() -> (VersionChain, Xid) {

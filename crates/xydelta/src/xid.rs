@@ -40,15 +40,13 @@ impl fmt::Display for Xid {
 /// parents, so the subtree root is always last.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct XidMap {
-    /// Boxed, not a `Vec`: a map never grows once built, every stored
-    /// insert/delete carries one, and the two words keep `Op` at 88 bytes.
-    xids: Box<[Xid]>,
+    xids: Vec<Xid>,
 }
 
 impl XidMap {
     /// An XID-map from a postfix-ordered sequence.
     pub fn new(xids: Vec<Xid>) -> XidMap {
-        XidMap { xids: xids.into() }
+        XidMap { xids }
     }
 
     /// The postfix-ordered XIDs.
@@ -74,29 +72,34 @@ impl XidMap {
     /// Render in the paper's compressed syntax: consecutive runs become
     /// `lo-hi`, runs are separated by `;`, the whole map is parenthesized.
     pub fn to_compact_string(&self) -> String {
-        let mut out = String::from("(");
-        let mut i = 0;
-        while i < self.xids.len() {
-            let lo = self.xids[i].0;
-            let mut hi = lo;
-            let mut j = i + 1;
-            while j < self.xids.len() && self.xids[j].0 == hi + 1 {
-                hi += 1;
-                j += 1;
-            }
-            if out.len() > 1 {
-                out.push(';');
-            }
-            if lo == hi {
-                out.push_str(&lo.to_string());
-            } else {
-                out.push_str(&format!("{lo}-{hi}"));
-            }
-            i = j;
-        }
-        out.push(')');
+        let mut out = String::new();
+        write_compact(&self.xids, &mut out);
         out
     }
+}
+
+/// Append the compressed form of a postfix XID sequence to `out` (see
+/// [`XidMap::to_compact_string`]).
+pub(crate) fn write_compact(xids: &[Xid], out: &mut String) {
+    use fmt::Write;
+    out.push('(');
+    let mut i = 0;
+    while i < xids.len() {
+        let lo = xids[i].0;
+        let mut hi = lo;
+        let mut j = i + 1;
+        while j < xids.len() && xids[j].0 == hi + 1 {
+            hi += 1;
+            j += 1;
+        }
+        if i > 0 {
+            out.push(';');
+        }
+        // Writing to a `String` cannot fail.
+        let _ = if lo == hi { write!(out, "{lo}") } else { write!(out, "{lo}-{hi}") };
+        i = j;
+    }
+    out.push(')');
 }
 
 impl fmt::Display for XidMap {
@@ -124,38 +127,45 @@ impl FromStr for XidMap {
     type Err = XidMapParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let inner = s
-            .strip_prefix('(')
-            .and_then(|r| r.strip_suffix(')'))
-            .ok_or_else(|| XidMapParseError(format!("{s:?} is not parenthesized")))?;
         let mut xids = Vec::new();
-        if inner.is_empty() {
-            return Ok(XidMap::new(xids));
-        }
-        for part in inner.split(';') {
-            if let Some((lo, hi)) = part.split_once('-') {
-                let lo: u64 = lo
-                    .trim()
-                    .parse()
-                    .map_err(|_| XidMapParseError(format!("bad range start in {part:?}")))?;
-                let hi: u64 = hi
-                    .trim()
-                    .parse()
-                    .map_err(|_| XidMapParseError(format!("bad range end in {part:?}")))?;
-                if hi < lo {
-                    return Err(XidMapParseError(format!("descending range {part:?}")));
-                }
-                xids.extend((lo..=hi).map(Xid));
-            } else {
-                let v: u64 = part
-                    .trim()
-                    .parse()
-                    .map_err(|_| XidMapParseError(format!("bad XID in {part:?}")))?;
-                xids.push(Xid(v));
-            }
-        }
+        parse_compact_into(s, &mut xids)?;
         Ok(XidMap::new(xids))
     }
+}
+
+/// Parse a compact XID-map string, appending its XIDs to `xids` (what
+/// [`XidMap`]'s `FromStr` does into a vector of its own).
+pub(crate) fn parse_compact_into(s: &str, xids: &mut Vec<Xid>) -> Result<(), XidMapParseError> {
+    let inner = s
+        .strip_prefix('(')
+        .and_then(|r| r.strip_suffix(')'))
+        .ok_or_else(|| XidMapParseError(format!("{s:?} is not parenthesized")))?;
+    if inner.is_empty() {
+        return Ok(());
+    }
+    for part in inner.split(';') {
+        if let Some((lo, hi)) = part.split_once('-') {
+            let lo: u64 = lo
+                .trim()
+                .parse()
+                .map_err(|_| XidMapParseError(format!("bad range start in {part:?}")))?;
+            let hi: u64 = hi
+                .trim()
+                .parse()
+                .map_err(|_| XidMapParseError(format!("bad range end in {part:?}")))?;
+            if hi < lo {
+                return Err(XidMapParseError(format!("descending range {part:?}")));
+            }
+            xids.extend((lo..=hi).map(Xid));
+        } else {
+            let v: u64 = part
+                .trim()
+                .parse()
+                .map_err(|_| XidMapParseError(format!("bad XID in {part:?}")))?;
+            xids.push(Xid(v));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

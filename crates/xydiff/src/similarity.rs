@@ -148,7 +148,7 @@ fn match_leaves(
             }
             let NodeKind::Text(old_content) = old.kind(c) else { continue };
             let s = dice(old_content, content);
-            if s >= LEAF_THRESHOLD && best.is_none_or(|(bs, _)| s > bs) {
+            if s >= LEAF_THRESHOLD && best.map_or(true, |(bs, _)| s > bs) {
                 best = Some((s, c));
                 if s == 1.0 {
                     break;

@@ -36,7 +36,7 @@ mod tokenize;
 pub use tokenize::tokenize;
 
 use std::collections::BTreeMap;
-use xydelta::{Delta, Op, Xid, XidDocument, XidMap};
+use xydelta::{Delta, Op, Xid, XidDocument};
 use xytree::hash::{fast_map, FastHashMap};
 use xytree::{NodeId, NodeKind, Tree};
 
@@ -136,25 +136,26 @@ impl DocumentIndex {
                 Op::Delete { subtree, xid_map, .. } => {
                     // Indexing runs on stored (owned) deltas past the
                     // into_owned boundary.
-                    let subtree = subtree.tree();
-                    self.walk_stored(subtree, xid_map, &mut |idx, xid, _node, _label, _text| {
+                    let (tree, root) = delta.payload(*subtree);
+                    let xids = delta.xid_map(*xid_map);
+                    self.walk_stored(tree, root, xids, &mut |idx, xid, _node, _label, _text| {
                         idx.remove_node(xid);
                     });
                 }
                 Op::Insert { subtree, xid_map, parent, .. } => {
-                    let subtree = subtree.tree();
-                    // The stored tree's own root is a wrapper: a text node
-                    // inserted directly under `parent` must take its label
-                    // from the *target* element in the new version.
+                    let (tree, root) = delta.payload(*subtree);
+                    // A stored subtree's root has no parent in the payload
+                    // arena: a text node inserted directly under `parent`
+                    // must take its label from the *target* element in the
+                    // new version.
                     let target_label = new
                         .node(*parent)
                         .and_then(|n| new.doc.tree.name(n))
                         .unwrap_or("#root")
                         .to_string();
-                    let content_root = subtree.first_child(subtree.root());
-                    self.walk_stored(subtree, xid_map, &mut |idx, xid, node, label, text| {
-                        let label =
-                            if Some(node) == content_root { target_label.clone() } else { label };
+                    let xids = delta.xid_map(*xid_map);
+                    self.walk_stored(tree, root, xids, &mut |idx, xid, node, label, text| {
+                        let label = if node == root { target_label.clone() } else { label };
                         idx.add_text(xid, &label, text);
                     });
                 }
@@ -164,7 +165,7 @@ impl DocumentIndex {
                         .node(*xid)
                         .map(|n| parent_label(&new.doc.tree, n))
                         .unwrap_or_else(|| "#root".to_string());
-                    self.add_text(*xid, &label, new_text);
+                    self.add_text(*xid, &label, delta.text(*new_text));
                 }
                 Op::Move { xid, .. } => {
                     // Structural info changes only when the moved node is a
@@ -182,23 +183,21 @@ impl DocumentIndex {
         }
     }
 
-    /// Walk a stored op subtree in postfix order, pairing nodes with their
-    /// XIDs from the op's XID-map, and invoke `f` on every text node.
+    /// Walk the stored op subtree at `root` in postfix order, pairing nodes
+    /// with their XIDs from the op's XID-map, and invoke `f` on every text
+    /// node.
     fn walk_stored(
         &mut self,
-        subtree: &Tree,
-        xid_map: &XidMap,
+        tree: &Tree,
+        root: NodeId,
+        xids: &[Xid],
         f: &mut dyn FnMut(&mut Self, Xid, NodeId, String, &str),
     ) {
-        let Some(content_root) = subtree.first_child(subtree.root()) else {
-            return;
-        };
-        let nodes: Vec<NodeId> = subtree.post_order(content_root).collect();
-        debug_assert_eq!(nodes.len(), xid_map.len(), "op XID-map must cover its subtree");
-        for (n, &xid) in nodes.iter().zip(xid_map.xids()) {
-            if let NodeKind::Text(content) = subtree.kind(*n) {
-                let label = parent_label(subtree, *n);
-                f(self, xid, *n, label, content);
+        debug_assert_eq!(tree.subtree_size(root), xids.len(), "op XID-map must cover its subtree");
+        for (n, &xid) in tree.post_order(root).zip(xids) {
+            if let NodeKind::Text(content) = tree.kind(n) {
+                let label = parent_label(tree, n);
+                f(self, xid, n, label, content);
             }
         }
     }

@@ -1124,7 +1124,7 @@ fn text_step(
                 }
                 Some(ContentModel::Any) => !g
                     .realizable_children(p)
-                    .is_none_or(|s| s.is_empty()),
+                    .map_or(true, |s| s.is_empty()),
                 _ => false,
             }
     };

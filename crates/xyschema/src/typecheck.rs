@@ -18,8 +18,8 @@
 use crate::grammar::Grammar;
 use crate::sat::value_admissible;
 use std::collections::HashSet;
-use xydelta::{Delta, Op, SubtreePayload, Xid};
-use xytree::{AttDefault, ContentModel, NodeKind, Symbol, Tree};
+use xydelta::{Delta, Op, Xid};
+use xytree::{AttDefault, ContentModel, NodeId, NodeKind, Symbol, Tree};
 
 /// Resolves XIDs to labels, typically backed by a stored version's XID
 /// index. Both methods may return `None` for unknown or non-element nodes;
@@ -141,13 +141,16 @@ impl std::fmt::Display for Finding {
 }
 
 /// Document-free typecheck: inspects only what the delta itself carries
-/// (owned inserted subtrees). Borrowed payloads are skipped — deltas past
-/// the storage boundary are always owned.
+/// (stored inserted subtrees). Borrowed payloads are skipped — deltas past
+/// the storage boundary are always self-contained.
 pub fn typecheck(delta: &Delta, g: &Grammar) -> Vec<Finding> {
     let mut out = Vec::new();
     for (i, op) in delta.ops.iter().enumerate() {
-        if let Op::Insert { subtree: SubtreePayload::Owned(t), .. } = op {
-            check_subtree(t, g, i, &mut out);
+        if let Op::Insert { subtree, .. } = op {
+            if !subtree.is_borrowed() {
+                let (tree, root) = delta.payload(*subtree);
+                check_subtree(tree, root, g, i, &mut out);
+            }
         }
     }
     out
@@ -159,8 +162,10 @@ pub fn typecheck_with(delta: &Delta, g: &Grammar, r: &dyn XidResolver) -> Vec<Fi
     let mut out = typecheck(delta, g);
     for (i, op) in delta.ops.iter().enumerate() {
         match op {
-            Op::Insert { parent, subtree: SubtreePayload::Owned(t), .. } => {
-                if let (Some(p), Some(c)) = (r.label(*parent), payload_root_label(t)) {
+            Op::Insert { parent, subtree, .. } if !subtree.is_borrowed() => {
+                let (tree, root) = delta.payload(*subtree);
+                let child = tree.element(root).map(|e| e.name);
+                if let (Some(p), Some(c)) = (r.label(*parent), child) {
                     check_child_allowed(g, i, p, c, &mut out);
                 }
             }
@@ -178,7 +183,7 @@ pub fn typecheck_with(delta: &Delta, g: &Grammar, r: &dyn XidResolver) -> Vec<Fi
                             op_index: i,
                             kind: FindingKind::RequiredAttrDeleted {
                                 label: l.as_str().to_string(),
-                                attr: name.clone(),
+                                attr: name.to_string(),
                             },
                         });
                     }
@@ -186,13 +191,14 @@ pub fn typecheck_with(delta: &Delta, g: &Grammar, r: &dyn XidResolver) -> Vec<Fi
             }
             Op::AttrInsert { element, name, value, .. }
             | Op::AttrUpdate { element, name, new: value, .. } => {
+                let value = delta.text(*value);
                 if let Some(l) = r.label(*element) {
                     match g.attdef(l, name) {
                         None if g.is_declared(l) => out.push(Finding {
                             op_index: i,
                             kind: FindingKind::UndeclaredAttribute {
                                 label: l.as_str().to_string(),
-                                attr: name.clone(),
+                                attr: name.to_string(),
                             },
                         }),
                         Some(def) if !value_admissible(&def.ty, &def.default, value) => {
@@ -200,8 +206,8 @@ pub fn typecheck_with(delta: &Delta, g: &Grammar, r: &dyn XidResolver) -> Vec<Fi
                                 op_index: i,
                                 kind: FindingKind::BadAttributeValue {
                                     label: l.as_str().to_string(),
-                                    attr: name.clone(),
-                                    value: value.clone(),
+                                    attr: name.to_string(),
+                                    value: value.to_string(),
                                 },
                             });
                         }
@@ -231,11 +237,6 @@ pub fn typecheck_with(delta: &Delta, g: &Grammar, r: &dyn XidResolver) -> Vec<Fi
     out
 }
 
-/// Label of the single element under a payload tree's document root.
-fn payload_root_label(t: &Tree) -> Option<Symbol> {
-    t.root_element().and_then(|id| t.element(id)).map(|e| e.name)
-}
-
 fn check_child_allowed(g: &Grammar, i: usize, parent: Symbol, child: Symbol, out: &mut Vec<Finding>) {
     let Some(info) = g.element(parent) else { return };
     let allowed = match &info.model {
@@ -258,10 +259,10 @@ fn check_child_allowed(g: &Grammar, i: usize, parent: Symbol, child: Symbol, out
     }
 }
 
-/// Validity of an inserted subtree, in isolation (no document-global ID /
-/// IDREF reasoning — IDs may refer across the final document).
-fn check_subtree(t: &Tree, g: &Grammar, i: usize, out: &mut Vec<Finding>) {
-    let Some(root) = t.root_element() else { return };
+/// Validity of the inserted subtree at `root`, in isolation (no
+/// document-global ID / IDREF reasoning — IDs may refer across the final
+/// document).
+fn check_subtree(t: &Tree, root: NodeId, g: &Grammar, i: usize, out: &mut Vec<Finding>) {
     let mut reported_undeclared: HashSet<Symbol> = HashSet::new();
     for id in t.descendants(root) {
         let Some(el) = t.element(id) else { continue };
@@ -402,21 +403,11 @@ mod tests {
          <!ELEMENT price (#PCDATA)>\
          <!ATTLIST product id ID #REQUIRED>";
 
-    /// Payload tree shaped the way capture produces it: a document root
-    /// with the inserted node as its single child.
-    fn payload(xml: &str) -> SubtreePayload {
-        let doc = xytree::Document::parse(xml).unwrap();
-        SubtreePayload::Owned(doc.tree)
-    }
-
     fn insert(xml: &str) -> Delta {
-        Delta::from_ops(vec![Op::Insert {
-            xid: Xid(100),
-            parent: Xid(1),
-            pos: 0,
-            subtree: payload(xml),
-            xid_map: xydelta::XidMap::new(vec![Xid(100)]),
-        }])
+        let doc = xytree::Document::parse(xml).unwrap();
+        Delta::build(|b| {
+            b.insert(Xid(100), Xid(1), 0, &doc.tree, doc.root_element().unwrap(), &[Xid(100)]);
+        })
     }
 
     #[test]
@@ -466,42 +457,30 @@ mod tests {
         };
         let gr = g(DTD);
         // price moved directly under catalog: not in catalog's model.
-        let d = Delta::from_ops(vec![Op::Move {
-            xid: Xid(3),
-            from_parent: Xid(2),
-            from_pos: 1,
-            to_parent: Xid(1),
-            to_pos: 0,
-        }]);
+        let d = Delta::build(|b| {
+            b.push(Op::Move { xid: Xid(3), from_parent: Xid(2), from_pos: 1, to_parent: Xid(1), to_pos: 0 });
+        });
         let f = typecheck_with(&d, &gr, &r);
         assert!(f.iter().any(|f| matches!(f.kind, FindingKind::ChildNotAllowed { .. })), "{f:?}");
 
         // Deleting the required id attribute.
-        let d = Delta::from_ops(vec![Op::AttrDelete {
-            element: Xid(2),
-            name: "id".to_string(),
-            old: "p1".to_string(),
-            pos: 0,
-        }]);
+        let d = Delta::build(|b| {
+            b.attr_delete(Xid(2), "id", "p1", 0);
+        });
         let f = typecheck_with(&d, &gr, &r);
         assert!(f.iter().any(|f| matches!(f.kind, FindingKind::RequiredAttrDeleted { .. })));
 
         // Updating text whose parent is element-only content.
-        let d = Delta::from_ops(vec![Op::Update {
-            xid: Xid(7),
-            old: "a".to_string(),
-            new: "b".to_string(),
-        }]);
+        let d = Delta::build(|b| {
+            b.update(Xid(7), "a", "b");
+        });
         let f = typecheck_with(&d, &gr, &r);
         assert!(f.iter().any(|f| matches!(f.kind, FindingKind::TextWhereForbidden { .. })));
 
         // Bad attribute value through the resolver path.
-        let d = Delta::from_ops(vec![Op::AttrUpdate {
-            element: Xid(2),
-            name: "id".to_string(),
-            old: "p1".to_string(),
-            new: "9bad".to_string(),
-        }]);
+        let d = Delta::build(|b| {
+            b.attr_update(Xid(2), "id", "p1", "9bad");
+        });
         let f = typecheck_with(&d, &gr, &r);
         assert!(f.iter().any(|f| matches!(f.kind, FindingKind::BadAttributeValue { .. })));
     }

@@ -60,6 +60,9 @@ pub type FaultHook = Arc<dyn Fn(&str, u64, u32) -> bool + Send + Sync>;
 /// server replays the log.
 pub use xywal::WalConfig as WalPolicy;
 
+/// Log records a restart replays, then frees, at a time.
+const REPLAY_BATCH: usize = 1024;
+
 /// A rejected [`ServeConfig`] knob, reported by the fallible `with_*`
 /// builders (and re-checked by [`IngestServer::try_start`] in case a caller
 /// mutated the public fields directly).
@@ -575,14 +578,21 @@ impl IngestServer {
             Some(policy) => {
                 let (wal, recovery) = Wal::open(policy).map_err(StartError::Wal)?;
                 // The log holds the whole history: fold every record into
-                // the (empty) shards.
-                let replayed = xywarehouse::replay::apply_records(
-                    &recovery.records,
-                    &shards,
-                    |key| shard_index(key, shard_count),
-                )
-                .map_err(StartError::Replay)?;
-                metrics.wal_replayed.add(replayed.total() as u64);
+                // the (empty) shards, in LSN order, freeing each batch once
+                // it is applied — a restart then peaks at the chains plus
+                // one batch, not the chains plus the whole log.
+                let mut records = recovery.records.into_iter();
+                loop {
+                    let batch: Vec<(u64, Record)> = records.by_ref().take(REPLAY_BATCH).collect();
+                    if batch.is_empty() {
+                        break;
+                    }
+                    let replayed = xywarehouse::replay::apply_records(&batch, &shards, |key| {
+                        shard_index(key, shard_count)
+                    })
+                    .map_err(StartError::Replay)?;
+                    metrics.wal_replayed.add(replayed.total() as u64);
+                }
                 Some(wal)
             }
             None => None,
@@ -1307,9 +1317,15 @@ mod tests {
             assert!(done.durable, "Always mode must ack durable");
         }
         server.submit("other", "<o/>").unwrap();
+        // A third key makes the log longer than one replay batch.
+        for v in 0..=REPLAY_BATCH {
+            server.submit("long", format!("<l>{v}</l>")).unwrap();
+        }
+        let logged = 6 + REPLAY_BATCH + 1;
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
-        assert!(report.metrics_text.contains("ingest_wal_appends_total 6"), "{}", report.metrics_text);
+        let appends = format!("ingest_wal_appends_total {logged}");
+        assert!(report.metrics_text.contains(&appends), "{}", report.metrics_text);
 
         // Restart with a different shard count and matcher: chains re-route,
         // and replay applies the logged deltas without running any diff.
@@ -1317,12 +1333,16 @@ mod tests {
             config.with_shards(4).unwrap().with_mode(MatchMode::Unordered),
         )
         .unwrap();
-        assert_eq!(server.total_versions(), 6);
+        assert_eq!(server.total_versions(), logged);
         let repo = server.repository_for("doc");
         for v in 0..5 {
             assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));
         }
-        assert_eq!(server.metrics().wal_replayed.get(), 6);
+        let long = server.repository_for("long");
+        for v in [0, REPLAY_BATCH - 7, REPLAY_BATCH] {
+            assert_eq!(long.version_xml("long", v).unwrap(), format!("<l>{v}</l>"));
+        }
+        assert_eq!(server.metrics().wal_replayed.get(), logged as u64);
         // Ingest continues on the replayed chains and keeps logging.
         let t = server.submit_tracked("doc", "<d><v>5</v></d>").unwrap();
         let done = t.wait().unwrap();

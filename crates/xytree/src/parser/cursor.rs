@@ -1,8 +1,10 @@
-//! Byte cursor with line/column tracking over a UTF-8 input.
+//! Byte cursor over a UTF-8 input.
 //!
 //! The parser works on bytes (the input is already guaranteed UTF-8 by the
 //! `&str` type), which keeps scanning branch-cheap; multi-byte characters only
-//! matter for name characters, where any byte ≥ 0x80 is accepted.
+//! matter for name characters, where any byte ≥ 0x80 is accepted. Only the
+//! byte offset is tracked while scanning: the line and column an error
+//! reports are counted from it when the error is built.
 
 use crate::error::{ParseError, ParseErrorKind};
 
@@ -10,13 +12,11 @@ pub(crate) struct Cursor<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    line: u32,
-    col: u32,
 }
 
 impl<'a> Cursor<'a> {
     pub fn new(input: &'a str) -> Self {
-        Cursor { input, bytes: input.as_bytes(), pos: 0, line: 1, col: 1 }
+        Cursor { input, bytes: input.as_bytes(), pos: 0 }
     }
 
     #[inline]
@@ -38,18 +38,10 @@ impl<'a> Cursor<'a> {
         self.bytes[self.pos..].starts_with(prefix)
     }
 
-    /// Advance `n` bytes, maintaining line/column counters.
+    /// Advance `n` bytes (to the end of the input at most).
+    #[inline]
     pub fn advance(&mut self, n: usize) {
-        let end = (self.pos + n).min(self.bytes.len());
-        for &b in &self.bytes[self.pos..end] {
-            if b == b'\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
-            }
-        }
-        self.pos = end;
+        self.pos = (self.pos + n).min(self.bytes.len());
     }
 
     /// Consume `expected` or return the byte actually found (0 on EOF).
@@ -116,9 +108,13 @@ impl<'a> Cursor<'a> {
         &self.input[start..self.pos]
     }
 
-    /// Build a position-annotated error at the current location.
+    /// Build a position-annotated error at the current location: 1-based
+    /// line, and 1-based column counted in bytes.
     pub fn error(&self, kind: ParseErrorKind) -> ParseError {
-        ParseError::new(kind, self.line, self.col, self.pos)
+        let before = &self.bytes[..self.pos];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        let line_start = before.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        ParseError::new(kind, line as u32, (self.pos - line_start + 1) as u32, self.pos)
     }
 }
 

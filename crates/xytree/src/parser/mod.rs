@@ -14,6 +14,13 @@
 //!
 //! Parsing is iterative (explicit element stack) so document depth is bounded
 //! by [`ParseOptions::max_depth`], not the thread stack.
+//!
+//! The parser has two halves. A [`Tokenizer`] reads the syntax and checks
+//! well-formedness; [`build_content`] turns its tokens into tree nodes.
+//! [`crate::Document::parse`] is the two run over a whole input. A reader of
+//! a fixed vocabulary — the delta format, whose operation elements are all
+//! attributes — drives the tokenizer itself and calls `build_content` only
+//! where it wants nodes, so no tree is built for the rest.
 
 mod cursor;
 mod dtd;
@@ -62,92 +69,145 @@ pub(crate) struct Parsed {
 }
 
 pub(crate) fn parse(input: &str, opts: &ParseOptions) -> Result<Parsed, ParseError> {
-    Parser::new(input, opts).run()
+    let mut tokens = Tokenizer::new(input, opts.max_depth);
+    let mut tree = Tree::with_capacity(input.len() / 16 + 4);
+    let root = tree.root();
+    build_content(&mut tokens, &mut tree, root, opts)?;
+    // The parse result is what a warehouse keeps as the latest version.
+    tree.shrink_to_fit();
+    Ok(Parsed { tree, doctype: tokens.doctype })
 }
 
-struct Parser<'a> {
+/// One syntactic item of a document, in document order.
+#[derive(Debug)]
+pub enum Token<'a> {
+    /// A start tag, with the element name as written. Its attributes are in
+    /// [`Tokenizer::attrs`] until the next token is read.
+    Open(&'a str),
+    /// The end of the innermost open element: its end tag, or for an
+    /// empty-element tag (`<e/>`) the token right after its `Open`.
+    Close,
+    /// A run of character data, never empty: the text between two pieces of
+    /// markup with its entity references expanded, or the content of one
+    /// CDATA section. Consecutive runs belong to one text node. Whitespace
+    /// outside the root element is not reported.
+    Text(Cow<'a, str>),
+    /// A comment's content.
+    Comment(&'a str),
+    /// A processing instruction (never the XML declaration).
+    Pi {
+        /// The PI target.
+        target: &'a str,
+        /// Everything after the target, trailing whitespace trimmed.
+        data: &'a str,
+    },
+    /// The end of the input, after one complete root element.
+    Eof,
+}
+
+/// The syntax half of the parser: splits a document into [`Token`]s and
+/// checks everything that makes it well-formed — tags nest and match, one
+/// root element, no character data outside it, attribute names unique per
+/// tag, nesting depth bounded — so that whatever consumes the tokens only
+/// decides what to build from them. [`build_content`] builds tree nodes;
+/// a reader of a known vocabulary can take an element's attributes straight
+/// from [`Tokenizer::attrs`] without any node being made for it.
+///
+/// Nothing is copied while tokenizing: names, comments and character data
+/// without entity references borrow from the input.
+pub struct Tokenizer<'a> {
     cur: Cursor<'a>,
-    opts: &'a ParseOptions,
-    tree: Tree,
+    max_depth: usize,
     doctype: Option<Doctype>,
-    /// Open-element stack: (node, interned name-as-parsed).
-    stack: Vec<(NodeId, Symbol)>,
+    /// Names of the open elements, as written in their start tags.
+    open: Vec<&'a str>,
+    /// The start tag read last was an empty-element tag: its `Close` is due.
+    close_due: bool,
     seen_root: bool,
-    /// Pending character data. Borrows straight from the input for the common
-    /// single-run, no-entities case; goes owned only when runs merge (CDATA,
-    /// entity expansion) — so indentation text that the whitespace policy
-    /// drops is never copied at all, and kept text is copied exactly once,
-    /// into the tree's text buffer.
-    pending_text: Option<Cow<'a, str>>,
+    /// Attributes of the start tag read last, values entity-expanded.
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str, opts: &'a ParseOptions) -> Self {
+impl<'a> Tokenizer<'a> {
+    /// A tokenizer over `input` that refuses more than `max_depth` nested
+    /// elements.
+    pub fn new(input: &'a str, max_depth: usize) -> Self {
         // Skip a UTF-8 BOM if present.
         let input = input.strip_prefix('\u{feff}').unwrap_or(input);
-        Parser {
+        Tokenizer {
             cur: Cursor::new(input),
-            opts,
-            tree: Tree::with_capacity(input.len() / 16 + 4),
+            max_depth,
             doctype: None,
-            stack: Vec::with_capacity(32),
+            open: Vec::with_capacity(32),
+            close_due: false,
             seen_root: false,
-            pending_text: None,
+            attrs: Vec::new(),
         }
     }
 
-    fn err(&self, kind: ParseErrorKind) -> ParseError {
+    fn error(&self, kind: ParseErrorKind) -> ParseError {
         self.cur.error(kind)
     }
 
-    fn current_parent(&self) -> NodeId {
-        self.stack.last().map(|&(n, _)| n).unwrap_or_else(|| self.tree.root())
+    /// The attributes of the start tag the last [`Token::Open`] reported, in
+    /// document order, values after entity expansion.
+    pub fn attrs(&self) -> &[(&'a str, Cow<'a, str>)] {
+        &self.attrs
     }
 
-    fn run(mut self) -> Result<Parsed, ParseError> {
+    /// The next token. After [`Token::Eof`], `Eof` again.
+    #[inline]
+    #[allow(clippy::should_implement_trait)] // fallible, and an `Eof` token ends it
+    pub fn next(&mut self) -> Result<Token<'a>, ParseError> {
+        if std::mem::take(&mut self.close_due) {
+            return Ok(Token::Close);
+        }
         loop {
-            self.flush_pending_text()?;
             if self.cur.at_eof() {
-                break;
+                if let Some(name) = self.open.pop() {
+                    return Err(self.error(ParseErrorKind::UnclosedElement(name.to_string())));
+                }
+                if !self.seen_root {
+                    return Err(self.error(ParseErrorKind::NoRootElement));
+                }
+                return Ok(Token::Eof);
             }
-            if self.cur.peek() == Some(b'<') {
-                self.dispatch_markup()?;
-            } else {
-                self.read_text()?;
-            }
-        }
-        if let Some((_, name)) = self.stack.pop() {
-            return Err(self.err(ParseErrorKind::UnclosedElement(name.to_string())));
-        }
-        if !self.seen_root {
-            return Err(self.err(ParseErrorKind::NoRootElement));
-        }
-        // The parse result is what a warehouse keeps as the latest version.
-        self.tree.shrink_to_fit();
-        Ok(Parsed { tree: self.tree, doctype: self.doctype })
-    }
-
-    /// Dispatch on the construct starting at `<`.
-    fn dispatch_markup(&mut self) -> Result<(), ParseError> {
-        match self.cur.peek_at(1) {
-            Some(b'/') => self.read_close_tag(),
-            Some(b'!') => {
-                if self.cur.starts_with(b"<!--") {
-                    self.read_comment()
-                } else if self.cur.starts_with(b"<![CDATA[") {
-                    self.read_cdata()
-                } else if self.cur.starts_with(b"<!DOCTYPE") {
-                    self.read_doctype()
-                } else {
-                    Err(self.err(ParseErrorKind::Unexpected {
-                        context: "markup declaration",
-                        found: self.cur.peek_at(2).unwrap_or(0),
-                    }))
+            if self.cur.peek() != Some(b'<') {
+                let raw = self.cur.take_until(b'<');
+                let expanded = entities::expand(raw, self.doctype.as_ref().map(|d| &d.entities))
+                    .map_err(|k| self.error(k))?;
+                match self.text_run(expanded)? {
+                    Some(token) => return Ok(token),
+                    None => continue,
                 }
             }
-            Some(b'?') => self.read_pi(),
-            Some(_) => self.read_open_tag(),
-            None => Err(self.err(ParseErrorKind::UnexpectedEof("markup"))),
+            // Dispatch on the construct starting at `<`.
+            match self.cur.peek_at(1) {
+                Some(b'/') => return self.read_close_tag(),
+                Some(b'!') => {
+                    if self.cur.starts_with(b"<!--") {
+                        return self.read_comment();
+                    } else if self.cur.starts_with(b"<![CDATA[") {
+                        if let Some(token) = self.read_cdata()? {
+                            return Ok(token);
+                        }
+                    } else if self.cur.starts_with(b"<!DOCTYPE") {
+                        self.read_doctype()?;
+                    } else {
+                        return Err(self.error(ParseErrorKind::Unexpected {
+                            context: "markup declaration",
+                            found: self.cur.peek_at(2).unwrap_or(0),
+                        }));
+                    }
+                }
+                Some(b'?') => {
+                    if let Some(token) = self.read_pi()? {
+                        return Ok(token);
+                    }
+                }
+                Some(_) => return self.read_open_tag(),
+                None => return Err(self.error(ParseErrorKind::UnexpectedEof("markup"))),
+            }
         }
     }
 
@@ -155,156 +215,109 @@ impl<'a> Parser<'a> {
     // Character data
     // ------------------------------------------------------------------
 
-    fn read_text(&mut self) -> Result<(), ParseError> {
-        let raw = self.cur.take_until(b'<');
-        let expanded = entities::expand(raw, self.doctype.as_ref().map(|d| &d.entities))
-            .map_err(|k| self.err(k))?;
-        self.append_pending(expanded);
-        Ok(())
-    }
-
-    /// Accumulate a run of character data, staying borrowed until a second
-    /// run forces a merge.
-    fn append_pending(&mut self, piece: Cow<'a, str>) {
-        if piece.is_empty() {
-            return;
+    /// The token for a run of character data just read, if it is one:
+    /// outside the root element whitespace is skipped and anything else is
+    /// an error.
+    fn text_run(&mut self, text: Cow<'a, str>) -> Result<Option<Token<'a>>, ParseError> {
+        if text.is_empty() {
+            return Ok(None);
         }
-        match &mut self.pending_text {
-            None => self.pending_text = Some(piece),
-            Some(cur) => cur.to_mut().push_str(&piece),
-        }
-    }
-
-    /// Attach accumulated text (if any) as a text node under the current
-    /// parent, merging with a preceding text sibling.
-    fn flush_pending_text(&mut self) -> Result<(), ParseError> {
-        let Some(text) = self.pending_text.take() else {
-            return Ok(());
-        };
-        let at_top = self.stack.is_empty();
-        if at_top {
+        if self.open.is_empty() {
             if text.chars().all(char::is_whitespace) {
-                return Ok(());
+                return Ok(None);
             }
-            return Err(self.err(ParseErrorKind::ContentOutsideRoot));
+            return Err(self.error(ParseErrorKind::ContentOutsideRoot));
         }
-        if !self.opts.keep_whitespace_text && text.chars().all(char::is_whitespace) {
-            return Ok(());
-        }
-        let parent = self.current_parent();
-        // Merge with a trailing text sibling: "both data will be merged in
-        // the parsing of the resulting document" (§6.1).
-        match self.tree.last_child(parent) {
-            Some(last) if self.tree.kind(last).is_text() => self.tree.append_text(last, &text),
-            _ => {
-                let n = self.tree.new_text(text);
-                self.tree.link_last(parent, n);
-            }
-        }
-        Ok(())
+        Ok(Some(Token::Text(text)))
     }
 
-    fn read_cdata(&mut self) -> Result<(), ParseError> {
+    fn read_cdata(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         self.cur.advance(9); // <![CDATA[
         let content = self
             .cur
             .take_until_seq(b"]]>")
-            .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("CDATA section")))?;
-        self.append_pending(Cow::Borrowed(content));
+            .ok_or_else(|| self.error(ParseErrorKind::UnexpectedEof("CDATA section")))?;
         self.cur.advance(3);
-        Ok(())
+        self.text_run(Cow::Borrowed(content))
     }
 
     // ------------------------------------------------------------------
     // Tags
     // ------------------------------------------------------------------
 
-    fn read_open_tag(&mut self) -> Result<(), ParseError> {
+    fn read_open_tag(&mut self) -> Result<Token<'a>, ParseError> {
         self.cur.advance(1); // <
-        let name = Symbol::intern(self.read_name("element name")?);
-        let mut attrs: Vec<Attr> = Vec::new();
-        loop {
+        let name = self.read_name("element name")?;
+        self.attrs.clear();
+        let self_closed = loop {
             self.cur.skip_whitespace();
             match self.cur.peek() {
                 Some(b'>') => {
                     self.cur.advance(1);
-                    self.push_element(name, attrs, false)?;
-                    return Ok(());
+                    break false;
                 }
                 Some(b'/') => {
                     self.cur.advance(1);
                     self.cur
                         .expect_byte(b'>')
-                        .map_err(|found| self.err(ParseErrorKind::Unexpected {
+                        .map_err(|found| self.error(ParseErrorKind::Unexpected {
                             context: "empty-element tag",
                             found,
                         }))?;
-                    self.push_element(name, attrs, true)?;
-                    return Ok(());
+                    break true;
                 }
                 Some(_) => {
-                    let attr = self.read_attribute()?;
-                    if attrs.iter().any(|a| a.name == attr.name) {
+                    let (attr, value) = self.read_attribute()?;
+                    if self.attrs.iter().any(|&(seen, _)| seen == attr) {
                         return Err(
-                            self.err(ParseErrorKind::DuplicateAttribute(attr.name.to_string()))
+                            self.error(ParseErrorKind::DuplicateAttribute(attr.to_string()))
                         );
                     }
-                    attrs.push(attr);
+                    self.attrs.push((attr, value));
                 }
-                None => return Err(self.err(ParseErrorKind::UnexpectedEof("open tag"))),
+                None => return Err(self.error(ParseErrorKind::UnexpectedEof("open tag"))),
             }
-        }
-    }
-
-    fn push_element(
-        &mut self,
-        name: Symbol,
-        attrs: Vec<Attr>,
-        self_closed: bool,
-    ) -> Result<(), ParseError> {
-        if self.stack.is_empty() {
+        };
+        if self.open.is_empty() {
             if self.seen_root {
-                return Err(self.err(ParseErrorKind::ContentOutsideRoot));
+                return Err(self.error(ParseErrorKind::ContentOutsideRoot));
             }
             self.seen_root = true;
         }
-        if self.stack.len() >= self.opts.max_depth {
-            return Err(self.err(ParseErrorKind::TooDeep(self.opts.max_depth)));
+        if self.open.len() >= self.max_depth {
+            return Err(self.error(ParseErrorKind::TooDeep(self.max_depth)));
         }
-        let parent = self.current_parent();
-        let node = self.tree.new_element_with(name, attrs);
-        self.tree.link_last(parent, node);
-        if !self_closed {
-            self.stack.push((node, name));
+        if self_closed {
+            self.close_due = true;
+        } else {
+            self.open.push(name);
         }
-        Ok(())
+        Ok(Token::Open(name))
     }
 
-    fn read_close_tag(&mut self) -> Result<(), ParseError> {
+    fn read_close_tag(&mut self) -> Result<Token<'a>, ParseError> {
         self.cur.advance(2); // </
-        // Compared against the interned open-tag name without interning:
-        // close tags of well-formed input never introduce a new label.
         let name = self.read_name("close tag name")?;
         self.cur.skip_whitespace();
         self.cur
             .expect_byte(b'>')
-            .map_err(|found| self.err(ParseErrorKind::Unexpected { context: "close tag", found }))?;
-        match self.stack.pop() {
-            Some((_, open_name)) if open_name == name => Ok(()),
-            Some((_, open_name)) => Err(self.err(ParseErrorKind::MismatchedCloseTag {
+            .map_err(|found| self.error(ParseErrorKind::Unexpected { context: "close tag", found }))?;
+        match self.open.pop() {
+            Some(open_name) if open_name == name => Ok(Token::Close),
+            Some(open_name) => Err(self.error(ParseErrorKind::MismatchedCloseTag {
                 expected: open_name.to_string(),
                 found: name.to_string(),
             })),
-            None => Err(self.err(ParseErrorKind::UnmatchedCloseTag(name.to_string()))),
+            None => Err(self.error(ParseErrorKind::UnmatchedCloseTag(name.to_string()))),
         }
     }
 
-    fn read_attribute(&mut self) -> Result<Attr, ParseError> {
-        let name = Symbol::intern(self.read_name("attribute name")?);
+    fn read_attribute(&mut self) -> Result<(&'a str, Cow<'a, str>), ParseError> {
+        let name = self.read_name("attribute name")?;
         self.cur.skip_whitespace();
         self.cur
             .expect_byte(b'=')
-            .map_err(|found| self.err(ParseErrorKind::Unexpected {
+            .map_err(|found| self.error(ParseErrorKind::Unexpected {
                 context: "attribute equals sign",
                 found,
             }))?;
@@ -312,33 +325,32 @@ impl<'a> Parser<'a> {
         let quote = match self.cur.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             Some(found) => {
-                return Err(self.err(ParseErrorKind::Unexpected {
+                return Err(self.error(ParseErrorKind::Unexpected {
                     context: "attribute value quote",
                     found,
                 }))
             }
-            None => return Err(self.err(ParseErrorKind::UnexpectedEof("attribute value"))),
+            None => return Err(self.error(ParseErrorKind::UnexpectedEof("attribute value"))),
         };
         self.cur.advance(1);
         let raw = self
             .cur
             .take_until_byte_checked(quote)
-            .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("attribute value")))?;
+            .ok_or_else(|| self.error(ParseErrorKind::UnexpectedEof("attribute value")))?;
         let value = entities::expand(raw, self.doctype.as_ref().map(|d| &d.entities))
-            .map_err(|k| self.err(k))?
-            .into_owned();
+            .map_err(|k| self.error(k))?;
         self.cur.advance(1); // closing quote
-        Ok(Attr { name, value })
+        Ok((name, value))
     }
 
-    /// Borrow a name straight out of the input — callers intern or copy only
-    /// when the name survives the parse.
+    /// Borrow a name straight out of the input — consumers intern or copy
+    /// only when the name survives the parse.
     fn read_name(&mut self, context: &'static str) -> Result<&'a str, ParseError> {
         let name = self.cur.take_name();
         if name.is_empty() {
             return Err(match self.cur.peek() {
-                Some(found) => self.err(ParseErrorKind::Unexpected { context, found }),
-                None => self.err(ParseErrorKind::UnexpectedEof(context)),
+                Some(found) => self.error(ParseErrorKind::Unexpected { context, found }),
+                None => self.error(ParseErrorKind::UnexpectedEof(context)),
             });
         }
         Ok(name)
@@ -348,53 +360,105 @@ impl<'a> Parser<'a> {
     // Misc constructs
     // ------------------------------------------------------------------
 
-    fn read_comment(&mut self) -> Result<(), ParseError> {
+    fn read_comment(&mut self) -> Result<Token<'a>, ParseError> {
         self.cur.advance(4); // <!--
         let content = self
             .cur
             .take_until_seq(b"-->")
-            .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("comment")))?;
+            .ok_or_else(|| self.error(ParseErrorKind::UnexpectedEof("comment")))?;
         self.cur.advance(3);
-        if self.opts.keep_comments {
-            // Top-level comments are legal before/after the root.
-            let parent = self.current_parent();
-            let n = self.tree.new_node(NodeKind::Comment(content));
-            self.tree.link_last(parent, n);
-        }
-        Ok(())
+        Ok(Token::Comment(content))
     }
 
-    fn read_pi(&mut self) -> Result<(), ParseError> {
+    fn read_pi(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         self.cur.advance(2); // <?
         let target = self.read_name("processing instruction target")?;
         self.cur.skip_whitespace();
         let data = self
             .cur
             .take_until_seq(b"?>")
-            .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof("processing instruction")))?
+            .ok_or_else(|| self.error(ParseErrorKind::UnexpectedEof("processing instruction")))?
             .trim_end();
         self.cur.advance(2);
         // The XML declaration is not a PI node.
-        if target.eq_ignore_ascii_case("xml") {
-            return Ok(());
-        }
-        if self.opts.keep_pi {
-            let parent = self.current_parent();
-            let n = self.tree.new_node(NodeKind::Pi { target, data });
-            self.tree.link_last(parent, n);
-        }
-        Ok(())
+        Ok((!target.eq_ignore_ascii_case("xml")).then_some(Token::Pi { target, data }))
     }
 
     fn read_doctype(&mut self) -> Result<(), ParseError> {
         if self.seen_root || self.doctype.is_some() {
-            return Err(self.err(ParseErrorKind::MalformedDoctype(
+            return Err(self.error(ParseErrorKind::MalformedDoctype(
                 "DOCTYPE must precede the root element and appear once",
             )));
         }
         let dt = dtd::parse_doctype(&mut self.cur)?;
         self.doctype = Some(dt);
         Ok(())
+    }
+}
+
+/// The tree half of the parser: read the content of the innermost open
+/// element of `tokens` — everything up to its end tag, or with no element
+/// open everything up to the end of the input — and append it to `parent`
+/// in `tree`, under the node policy of `opts`.
+///
+/// Character data goes from the input straight into the tree's text buffer:
+/// text that the whitespace policy drops is never copied at all, and kept
+/// text is copied exactly once.
+pub fn build_content(
+    tokens: &mut Tokenizer<'_>,
+    tree: &mut Tree,
+    parent: NodeId,
+    opts: &ParseOptions,
+) -> Result<(), ParseError> {
+    // The element whose children are being read.
+    let mut at = parent;
+    loop {
+        match tokens.next()? {
+            Token::Open(name) => {
+                let attrs = if tokens.attrs.is_empty() {
+                    Vec::new()
+                } else {
+                    tokens
+                        .attrs
+                        .drain(..)
+                        .map(|(name, value)| Attr { name: Symbol::intern(name), value: value.into_owned() })
+                        .collect()
+                };
+                let node = tree.new_element_with(Symbol::intern(name), attrs);
+                tree.link_last(at, node);
+                at = node;
+            }
+            Token::Close if at == parent => return Ok(()),
+            Token::Close => {
+                // INVARIANT: `at` was linked below `parent` when it opened.
+                at = tree.parent(at).expect("open elements form a chain up to `parent`");
+            }
+            Token::Text(text) => {
+                if !opts.keep_whitespace_text && text.chars().all(char::is_whitespace) {
+                    continue;
+                }
+                // Merge with a trailing text sibling: "both data will be
+                // merged in the parsing of the resulting document" (§6.1).
+                match tree.last_child(at) {
+                    Some(last) if tree.kind(last).is_text() => tree.append_text(last, &text),
+                    _ => {
+                        let n = tree.new_text(text);
+                        tree.link_last(at, n);
+                    }
+                }
+            }
+            // Top-level comments and PIs are legal before/after the root.
+            Token::Comment(content) if opts.keep_comments => {
+                let n = tree.new_node(NodeKind::Comment(content));
+                tree.link_last(at, n);
+            }
+            Token::Pi { target, data } if opts.keep_pi => {
+                let n = tree.new_node(NodeKind::Pi { target, data });
+                tree.link_last(at, n);
+            }
+            Token::Comment(_) | Token::Pi { .. } => {}
+            Token::Eof => return Ok(()),
+        }
     }
 }
 

@@ -15,9 +15,10 @@
 //!
 //! # Layout and its cost rule
 //!
-//! The warehouse keeps the latest version of every document and the payload
-//! tree of every stored insert/delete resident, so the per-node constant —
-//! not the asymptotics — decides what fits in memory:
+//! The warehouse keeps the latest version of every document resident, and
+//! for every stored delta one tree — the payload arena, whose detached
+//! subtrees are what the delta's inserts and deletes carry — so the per-node
+//! constant, not the asymptotics, decides what fits in memory:
 //!
 //! - A node is one **32-byte slot**: five 4-byte links ([`NodeId`] wraps a
 //!   `NonZeroU32`, so `Option<NodeId>` has no separate tag), a kind tag, and
@@ -31,7 +32,10 @@
 //!
 //! So a tree costs `32 B × slots + text bytes + 24 B per attribute-bearing
 //! element (+ its attributes)`, in a handful of allocations however many
-//! nodes it has. Nothing is reclaimed in place: detached subtrees keep their
+//! nodes it has — and a stored delta `32 B × payload nodes + text +
+//! size_of::<Op>() × ops` (plus 8 B per payload node for its XIDs), in a
+//! fixed number of allocations however many operations it has
+//! (`xydelta::delta`). Nothing is reclaimed in place: detached subtrees keep their
 //! slots, and replaced text ([`Tree::set_text`]) leaves its old bytes behind.
 //! Long-lived mutated trees ask [`Tree::is_sparse`] and rebuild through
 //! [`Tree::compacted`].
@@ -111,8 +115,8 @@ impl Slot {
     }
 }
 
-/// Everything a tree owns besides its slots. Boxed so that a [`Tree`] — and
-/// with it every delta operation that carries one — stays four words.
+/// Everything a tree owns besides its slots. Boxed so that a [`Tree`] stays
+/// four words.
 #[derive(Debug, Clone, Default)]
 struct Side {
     /// Content of every text and comment node, back to back.
@@ -164,6 +168,11 @@ impl Tree {
         let mut slots = Vec::with_capacity(nodes.max(1));
         slots.push(Slot::detached(Tag::Document, 0, 0));
         Tree { slots, side: Box::default() }
+    }
+
+    /// Make room for `nodes` more nodes without reallocating.
+    pub fn reserve(&mut self, nodes: usize) {
+        self.slots.reserve_exact(nodes);
     }
 
     /// The document root node.
@@ -770,7 +779,7 @@ impl Tree {
     }
 
     /// Give back unused capacity; for trees that are built once and kept.
-    pub(crate) fn shrink_to_fit(&mut self) {
+    pub fn shrink_to_fit(&mut self) {
         self.slots.shrink_to_fit();
         self.side.text.shrink_to_fit();
         if let Some(rare) = &mut self.side.rare {

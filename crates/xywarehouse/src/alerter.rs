@@ -152,7 +152,7 @@ impl Alerter {
                 _ => new,
             };
             let path = label_path(doc, op.anchor());
-            let snippet = snippet_of(op);
+            let snippet = snippet_of(delta, op);
             let anchor_node = doc.node(op.anchor());
             for (sub, sets) in self.subscriptions.iter().zip(&query_sets) {
                 let query_hit = match (sets, anchor_node) {
@@ -202,19 +202,19 @@ fn label_path(doc: &XidDocument, xid: Xid) -> Vec<String> {
 }
 
 /// The content an op affects, for `content_contains` filtering.
-fn snippet_of(op: &Op) -> String {
-    match op {
+fn snippet_of(delta: &Delta, op: &Op) -> String {
+    match *op {
         Op::Insert { subtree, .. } | Op::Delete { subtree, .. } => {
             // Alerting runs on stored (owned) deltas past the into_owned
             // boundary.
-            let subtree = subtree.tree();
-            subtree.deep_text(subtree.root())
+            let (tree, root) = delta.payload(subtree);
+            tree.deep_text(root)
         }
-        Op::Update { new, .. } => new.clone(),
         Op::Move { .. } => String::new(),
-        Op::AttrInsert { value, .. } => value.clone(),
-        Op::AttrUpdate { new, .. } => new.clone(),
-        Op::AttrDelete { old, .. } => old.clone(),
+        Op::Update { new: value, .. }
+        | Op::AttrInsert { value, .. }
+        | Op::AttrUpdate { new: value, .. }
+        | Op::AttrDelete { old: value, .. } => delta.text(value).to_string(),
     }
 }
 

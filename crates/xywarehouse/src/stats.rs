@@ -66,10 +66,8 @@ impl ChangeStats {
                     // The stored subtree's root labels the op directly
                     // (stats run on owned deltas past the into_owned
                     // boundary).
-                    let subtree = subtree.tree();
-                    subtree
-                        .first_child(subtree.root())
-                        .map(|c| node_label(subtree, c))
+                    let (tree, root) = delta.payload(*subtree);
+                    Some(node_label(tree, root))
                 }
                 Op::Update { xid, .. } => anchor_label(new, *xid).or_else(|| anchor_label(old, *xid)),
                 Op::Move { xid, .. } => anchor_label(new, *xid),

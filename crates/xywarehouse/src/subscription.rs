@@ -146,35 +146,33 @@ impl Subscription {
 
     /// Does `doc_key` pass the document restriction?
     pub fn document_matches(&self, doc_key: &str) -> bool {
-        self.doc_key.as_deref().is_none_or(|k| k == doc_key)
+        self.doc_key.as_deref().map_or(true, |k| k == doc_key)
     }
 
     /// Does `content` pass the substring restriction?
     pub fn content_matches(&self, content: &str) -> bool {
         self.content_contains
             .as_deref()
-            .is_none_or(|needle| content.contains(needle))
+            .map_or(true, |needle| content.contains(needle))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xydelta::Xid;
-
-    fn update_op() -> Op {
-        Op::Update { xid: Xid(1), old: "a".into(), new: "b".into() }
-    }
+    use xydelta::{DeltaBuilder, Xid};
 
     #[test]
     fn filter_dispatch() {
-        let up = update_op();
-        assert!(OpFilter::Any.accepts(&up));
-        assert!(OpFilter::Update.accepts(&up));
-        assert!(!OpFilter::Insert.accepts(&up));
-        let attr = Op::AttrInsert { element: Xid(1), name: "n".into(), value: "v".into(), pos: 0 };
-        assert!(OpFilter::AttrChange.accepts(&attr));
-        assert!(!OpFilter::Move.accepts(&attr));
+        let mut b = DeltaBuilder::new();
+        b.update(Xid(1), "a", "b").attr_insert(Xid(1), "n", "v", 0);
+        let delta = b.finish();
+        let (up, attr) = (&delta.ops[0], &delta.ops[1]);
+        assert!(OpFilter::Any.accepts(up));
+        assert!(OpFilter::Update.accepts(up));
+        assert!(!OpFilter::Insert.accepts(up));
+        assert!(OpFilter::AttrChange.accepts(attr));
+        assert!(!OpFilter::Move.accepts(attr));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Heap-instrumented proof of the allocation-free hot path.
+//! Heap-instrumented proof of the allocation-free hot path, and of what a
+//! stored delta costs.
 //!
-//! A counting global allocator tracks net live bytes and the number of
-//! allocation calls. After a warm-up that fills the `DiffScratch` capacity,
+//! A counting global allocator tracks net live bytes, live blocks and the
+//! number of allocation calls. After a warm-up that fills the `DiffScratch` capacity,
 //! interns every symbol, and touches every lazily initialised global,
 //! repeating the same diff workload must not grow the heap at all: every
 //! transient allocation (delta ops, the cloned new version) is freed with its
@@ -11,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use xydiff_suite::xydelta::{CaptureMode, PayloadSource, XidDocument};
+use xydiff_suite::xydelta::{xml_io, CaptureMode, Delta, Op, PayloadSource, XidDocument};
 use xydiff_suite::xydiff::Differ;
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::Document;
@@ -24,23 +25,27 @@ static GATE: Mutex<()> = Mutex::new(());
 struct CountingAlloc;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
 /// Calls that obtain or move a block: `alloc`, `alloc_zeroed`, `realloc`.
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BLOCKS.fetch_sub(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
         System.dealloc(ptr, layout);
     }
@@ -217,4 +222,103 @@ fn steady_state_repository_ingest_does_not_grow_the_heap() {
     let (hits, misses) = repo.cache_counters("page-0");
     assert!(hits > hits_before, "the swapped-in cache stopped hitting");
     assert_eq!(misses, misses_before, "a warm cache must not miss in the steady state");
+}
+
+/// The benchmark's `crawl-small` stream in miniature: eight keys cycling
+/// through the four document families, every version an edit (each
+/// operation at per-node probability 0.04) of the key's 110-node base,
+/// diffed and made self-contained the way the repository does it.
+fn crawl_small_deltas() -> Vec<Delta> {
+    let kinds = [DocKind::Catalog, DocKind::AddressBook, DocKind::Feed, DocKind::Generic];
+    let mut differ = Differ::new().with_capture(CaptureMode::Borrowed);
+    let mut deltas = Vec::new();
+    for (d, kind) in kinds.into_iter().cycle().take(8).enumerate() {
+        let seed = 1100 + d as u64;
+        let base = XidDocument::assign_initial(generate(&DocGenConfig {
+            kind,
+            target_nodes: 110,
+            seed,
+            id_attributes: false,
+        }));
+        let mut latest = base.clone();
+        for v in 1..12 {
+            let edit = simulate(&base, &ChangeConfig::uniform(0.04, seed << 8 | v));
+            let result = differ.diff_consume(&latest, edit.new_version.doc);
+            let src = PayloadSource {
+                old: &latest.doc.tree,
+                new: &result.new_version.doc.tree,
+            };
+            deltas.push(result.delta.into_owned(&src));
+            latest = result.new_version;
+        }
+    }
+    deltas
+}
+
+/// The cost rule of a stored delta (`xydelta::delta`'s module docs): ops,
+/// payload nodes, XIDs and text, in a fixed number of blocks. What a chain
+/// keeps is a clone, so that is what is measured — against the length of the
+/// delta's XML form, which is what the same content costs on disk. (With a
+/// `Tree` and an XID-map per payload and a `String` per value this stream
+/// cost 2.0 times its XML in 80 blocks a version.)
+#[test]
+fn stored_delta_costs_a_few_blocks_and_little_more_than_its_xml() {
+    let _gate = GATE.lock().unwrap();
+    let deltas = crawl_small_deltas();
+    let (mut bytes, mut blocks, mut xml_bytes) = (0, 0, 0);
+    for delta in &deltas {
+        xml_bytes += xml_io::delta_to_xml(delta).len() as isize;
+        let before = (LIVE_BYTES.load(Ordering::Relaxed), LIVE_BLOCKS.load(Ordering::Relaxed));
+        let stored = delta.clone();
+        bytes += LIVE_BYTES.load(Ordering::Relaxed) - before.0;
+        blocks += LIVE_BLOCKS.load(Ordering::Relaxed) - before.1;
+        drop(stored);
+    }
+    let n = deltas.len() as isize;
+    assert!(xml_bytes / n > 2000, "the stream's deltas shrank to {} B", xml_bytes / n);
+    assert!(
+        10 * bytes <= 14 * xml_bytes,
+        "a stored delta costs {} B for {} B of XML",
+        bytes / n,
+        xml_bytes / n
+    );
+    assert!(blocks <= 12 * n, "a stored delta takes {:.1} blocks", blocks as f64 / n as f64);
+}
+
+/// Decoding reads the operation elements off the tokenizer and builds each
+/// payload once, in the delta's arena: what it allocates is the delta's own
+/// buffers growing and a string per update value — no node per operation
+/// element, no tree or XID-map per payload. (With a delta document first,
+/// then a tree, a copy and an XID-map per payload, it was eleven calls per
+/// operation.) The decoded delta is what a replaying warehouse keeps, so it
+/// must be as tight as a clone.
+#[test]
+fn decoding_allocates_for_the_delta_not_per_operation_or_payload() {
+    let _gate = GATE.lock().unwrap();
+    let deltas = crawl_small_deltas();
+    let (mut calls, mut ops, mut payloads) = (0, 0, 0);
+    for delta in &deltas {
+        let xml = xml_io::delta_to_xml(delta);
+        // Warm-up interns every label.
+        drop(xml_io::parse_delta(&xml).unwrap());
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let decoded = xml_io::parse_delta(&xml).unwrap();
+        calls += ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        ops += delta.len();
+        payloads += delta
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Op::Insert { .. } | Op::Delete { .. }))
+            .count();
+
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let clone = decoded.clone();
+        let clone_bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        drop(clone);
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        drop(decoded);
+        assert_eq!(before - LIVE_BYTES.load(Ordering::Relaxed), clone_bytes);
+    }
+    assert!(2 * payloads > ops, "most operations of the stream carry a payload");
+    assert!(calls <= 2 * ops, "decoding made {:.1} calls per operation", calls as f64 / ops as f64);
 }

@@ -1,7 +1,7 @@
 //! Algebraic properties of delta chains over realistic change streams:
 //! reconstruction, inversion, aggregation, and the diff's idempotence.
 
-use xydiff_suite::xydelta::{aggregate::aggregate_chain, VersionChain, XidDocument};
+use xydiff_suite::xydelta::{aggregate::aggregate_chain, xml_io, VersionChain, XidDocument};
 use xydiff_suite::xydiff::{diff, DiffOptions};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 
@@ -138,6 +138,47 @@ fn replayed_chain_sheds_dead_slots_and_replaced_text() {
         if i % 16 == 0 {
             // A clone of the checkpoint itself.
             assert!(v.doc.tree.arena_len() <= 18, "checkpoint {i}: {}", v.doc.tree.arena_len());
+        }
+    }
+}
+
+/// The readers that index a delta's payload arena, over a long chain of
+/// *decoded* deltas — what a warehouse holds after a restart. Every version
+/// is an edit of one base, so consecutive versions trade subtrees back and
+/// forth. Uncompacted, version `i` is reached from the latest by reading
+/// deltas `i..` backwards (`apply_inverse`), so reading every version reads
+/// every stored insert as a delete and every delete as an insert; after
+/// compaction the same versions come from checkpoints, forwards or
+/// backwards, whichever is nearer.
+#[test]
+fn long_decoded_chain_reads_every_version_back_before_and_after_compaction() {
+    for (kind, seed) in [(DocKind::Catalog, 31), (DocKind::Feed, 37)] {
+        let base = XidDocument::assign_initial(generate(&DocGenConfig {
+            kind,
+            target_nodes: 150,
+            seed,
+            id_attributes: false,
+        }));
+        let mut chain = VersionChain::new(base.clone());
+        let mut snapshots = vec![base.doc.to_xml()];
+        for step in 1..=40 {
+            let edit = simulate(&base, &ChangeConfig::uniform(0.04, seed << 8 | step));
+            let r = diff(chain.latest(), &edit.new_version.doc, &DiffOptions::default());
+            let decoded = xml_io::parse_delta(&xml_io::delta_to_xml(&r.delta)).unwrap();
+            chain.push_delta(decoded).unwrap();
+            snapshots.push(edit.new_version.doc.to_xml());
+        }
+        for compacted in [false, true] {
+            if compacted {
+                assert!(chain.compact(8).unwrap() > 0);
+            }
+            for (i, want) in snapshots.iter().enumerate() {
+                assert_eq!(
+                    &chain.version(i).unwrap().doc.to_xml(),
+                    want,
+                    "{kind:?} version {i}, compacted: {compacted}"
+                );
+            }
         }
     }
 }

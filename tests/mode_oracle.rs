@@ -20,8 +20,9 @@ mod common;
 
 use common::seed_range;
 use proptest::prelude::*;
-use xydiff_suite::xydelta::{verify, XidDocument};
+use xydiff_suite::xydelta::{verify, xml_io, XidDocument};
 use xydiff_suite::xydiff::{DiffResult, Differ, MatchMode};
+use xydiff_suite::xytree::{Document, ParseOptions};
 use xydiff_suite::xysim::{
     attribute_churn, generate, shuffle_children, simulate, AttrChurnConfig, ChangeConfig,
     DocGenConfig, DocKind, ShuffleConfig, SimulatedChange,
@@ -81,6 +82,31 @@ fn check_mode(old: &XidDocument, sim: &SimulatedChange, mode: MatchMode, ctx: &s
         replay.doc.to_xml(),
         sim.new_version.doc.to_xml(),
         "{ctx} mode {mode}: replay diverged"
+    );
+    // The delta's XML form. The encoder that writes it directly must agree
+    // byte for byte with the one it replaced (build the delta document,
+    // serialize it), and decoding must be its exact inverse, giving a delta
+    // that verifies like the one it came from.
+    let xml = xml_io::delta_to_xml(&r.delta);
+    assert!(
+        xml == xml_io::delta_to_document(&r.delta).to_xml(),
+        "{ctx} mode {mode}: direct and document encodings differ"
+    );
+    let decoded = xml_io::parse_delta(&xml)
+        .unwrap_or_else(|e| panic!("{ctx} mode {mode}: own encoding does not decode: {e}"));
+    verify(&decoded).unwrap_or_else(|e| panic!("{ctx} mode {mode}: decoded delta: {e}"));
+    assert!(
+        xml_io::delta_to_xml(&decoded) == xml,
+        "{ctx} mode {mode}: decode then encode is not the identity"
+    );
+    // Likewise the decoder it replaced: parse the delta document, read it.
+    let keep_whitespace = ParseOptions { keep_whitespace_text: true, ..Default::default() };
+    let document = Document::parse_with(&xml, &keep_whitespace).expect("the encoding is XML");
+    let by_document = xml_io::document_to_delta(&document)
+        .unwrap_or_else(|e| panic!("{ctx} mode {mode}: reference decoder: {e}"));
+    assert!(
+        xml_io::delta_to_xml(&by_document) == xml,
+        "{ctx} mode {mode}: direct and document decodings differ"
     );
     r
 }

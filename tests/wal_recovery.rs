@@ -115,6 +115,27 @@ fn assert_prefix_replay(reference: &Repository, records: &[(u64, Record)]) {
     }
 }
 
+/// Open the log in `dir`, replay it into a fresh repository, and demand
+/// that it holds exactly `history` (in LSN order), every version
+/// byte-identical to the snapshot that produced it.
+fn assert_log_replays_history(dir: &Path, history: &[(String, String)]) {
+    let (_wal, recovery) = Wal::open(&WalConfig::new(dir)).expect("open log");
+    assert!(!recovery.torn, "log must be a clean segment");
+    assert_eq!(recovery.records.len(), history.len());
+    let shards = vec![Repository::new()];
+    let stats = replay::apply_records(&recovery.records, &shards, |_| 0).expect("replay log");
+    assert_eq!(stats.total(), history.len());
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+    for (key, xml) in history {
+        let v = *seen.entry(key.as_str()).and_modify(|v| *v += 1).or_insert(0);
+        assert_eq!(
+            shards[0].version_xml(key, v).expect("replayed version"),
+            canonical(xml),
+            "key {key:?} version {v}",
+        );
+    }
+}
+
 /// A small three-key history with enough shape variety that every delta
 /// carries inserts, deletes and updates.
 fn fixed_history() -> Vec<(String, String)> {
@@ -322,22 +343,7 @@ fn zero_copy_deltas_log_bit_identically_and_replay() {
         "zero-copy capture must be invisible in the durable segment bytes"
     );
 
-    let (_wal, recovery) = Wal::open(&WalConfig::new(&borrowed_dir)).expect("reopen");
-    assert!(!recovery.torn);
-    assert_eq!(recovery.records.len(), history.len());
-    let shards = vec![Repository::new()];
-    let stats =
-        replay::apply_records(&recovery.records, &shards, |_| 0).expect("replay zero-copy log");
-    assert_eq!(stats.total(), history.len());
-    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-    for (key, xml) in &history {
-        let v = *seen.entry(key.as_str()).and_modify(|v| *v += 1).or_insert(0);
-        assert_eq!(
-            shards[0].version_xml(key, v).expect("replayed version"),
-            canonical(xml),
-            "key {key:?} version {v}",
-        );
-    }
+    assert_log_replays_history(&borrowed_dir, &history);
     let _ = fs::remove_dir_all(&owned_dir);
     let _ = fs::remove_dir_all(&borrowed_dir);
 }
@@ -354,23 +360,51 @@ fn v1_fixture_segment_replays_on_current_code() {
     fs::copy(&fixture, dir.join(fixture.file_name().expect("fixture name")))
         .expect("copy checked-in fixture");
 
-    let (_wal, recovery) = Wal::open(&WalConfig::new(&dir)).expect("open v1 fixture");
-    assert!(!recovery.torn, "fixture must be a clean segment");
-    let history = fixed_history();
-    assert_eq!(recovery.records.len(), history.len());
+    assert_log_replays_history(&dir, &fixed_history());
+    let _ = fs::remove_dir_all(&dir);
+}
 
-    let shards = vec![Repository::new()];
-    let stats =
-        replay::apply_records(&recovery.records, &shards, |_| 0).expect("replay v1 fixture");
-    assert_eq!(stats.total(), history.len());
-    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-    for (key, xml) in &history {
-        let v = *seen.entry(key.as_str()).and_modify(|v| *v += 1).or_insert(0);
-        assert_eq!(
-            shards[0].version_xml(key, v).expect("replayed version"),
-            canonical(xml),
-            "key {key:?} version {v} must replay from the v1 segment",
-        );
+/// "No format change", across versions. `tests/fixtures/wal-dom-codec/` is a
+/// corpus (`corpus/<key>/v<N>.xml`) and the log `xydiff ingest --workers 1`
+/// wrote for it at the last commit whose delta codec went through a delta
+/// document (PR 16, before deltas owned one arena). Its deltas cover every
+/// operation kind, entity-bearing text and attribute values, comment and PI
+/// payloads, an XID-map with gaps, and `<?xy-sep?>` boundaries in a delete
+/// and an insert. This code must write the same bytes for the same input,
+/// under either capture mode, and replay the old log into every version.
+#[test]
+fn log_written_before_the_delta_arena_is_rewritten_and_replayed_bit_identically() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal-dom-codec");
+    let read = |path: PathBuf| fs::read_to_string(&path).expect("read fixture file");
+    let keys = ["alpha", "beta", "gamma"];
+    // Submission order of `xydiff ingest`: version i of every key before
+    // version i + 1 of any.
+    let mut history = Vec::new();
+    for v in 0..4 {
+        for key in keys {
+            let path = fixture.join(format!("corpus/{key}/v{v}.xml"));
+            if path.is_file() {
+                history.push((key.to_string(), read(path)));
+            }
+        }
     }
+    assert_eq!(history.len(), 11, "4 + 4 + 3 snapshots");
+    let logged = fs::read(fixture.join("seg-00000001.wal")).expect("read fixture segment");
+
+    for capture in [
+        xydiff_suite::xydelta::CaptureMode::Owned,
+        xydiff_suite::xydelta::CaptureMode::Borrowed,
+    ] {
+        let dir = tmpdir("dom-codec-rewrite");
+        assert!(
+            log_with_capture(&dir, &history, capture) == logged,
+            "{capture:?} capture: the segment written today differs from the fixture's"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    let dir = tmpdir("dom-codec-replay");
+    fs::write(dir.join("seg-00000001.wal"), &logged).expect("copy checked-in fixture");
+    assert_log_replays_history(&dir, &history);
     let _ = fs::remove_dir_all(&dir);
 }
