@@ -1,31 +1,57 @@
 //! Exact delta computation between two versions whose node matching is
-//! already known through shared XIDs.
+//! already known — as shared XIDs, or as the matcher's own arrays.
 //!
 //! Given the matching, "there are only few deltas that can describe the
 //! corresponding changes. The differences between these deltas essentially
 //! come from move operations that reorder a subsequence of child nodes for a
 //! given parent" (§4). This module materializes that canonical delta:
 //!
-//! - XIDs present only in the old version → maximal deleted subtrees;
-//! - XIDs present only in the new version → maximal inserted subtrees;
-//! - matched nodes with different parent XIDs → cross-parent moves;
+//! - old nodes without a partner → maximal deleted subtrees;
+//! - new nodes without a partner → maximal inserted subtrees;
+//! - matched nodes whose parents are not partners → cross-parent moves;
 //! - matched children permuted within one parent → within-parent moves for
 //!   everything outside a heaviest order-preserving subsequence;
 //! - matched text nodes with different content → updates;
 //! - matched elements with different attribute sets → attribute operations.
 //!
-//! It is used three ways: as the back end of delta **aggregation**, as the
-//! change simulator's **perfect delta** generator (§6.1 — "the result of the
-//! change simulator is … a delta representing the exact changes that
-//! occurred"), and in tests as an oracle for the BULD diff (feeding BULD's
-//! matching through it must reproduce BULD's delta).
+//! One core builds every delta: `diff_matched` takes the matching as two
+//! arrays indexed by arena slot, which is how the diff's matchers hold it,
+//! and is phase 5 of all three of them. [`diff_by_xid`] and its variants
+//! resolve the matching from the XIDs the two versions share into the same
+//! arrays and call the same core; they are the back end of delta
+//! **aggregation**, the change simulator's **perfect delta** generator
+//! (§6.1 — "the result of the change simulator is … a delta representing the
+//! exact changes that occurred"), and the **oracle** of the diff: the new
+//! version a diff produces carries its matching as inherited XIDs, so
+//! `diff_by_xid(old, &result.new_version)` must reproduce the diff's delta
+//! byte for byte (`tests/mode_oracle.rs` checks it in every mode).
+//!
+//! # Cost rule
+//!
+//! The core is one pre-order walk of the new tree that does not descend
+//! below a *settled* node — the root of a subtree matched whole to an
+//! identical old subtree, where no operation can originate (§5.1). At each
+//! node it visits it reads the node's children and, if the node has a
+//! partner, the partner's children: inserts, moves in, updates and
+//! attribute operations come from the first list, deletes from the second,
+//! and the two are compared for a reorder. So a delta costs the nodes
+//! outside settled subtrees and their partners' children, plus the
+//! captured payload nodes — with two exceptions that are paid per
+//! operation, not per node: a cross-parent move records the positions of
+//! its old siblings in a map (once per old parent, on the first move out of
+//! it), and a reordered parent weighs its stable children by subtree size.
+//! Nothing is sized by the whole old arena. Without settled marks
+//! ([`diff_by_xid`]) the walk is the whole new tree.
+
+#![doc = "xylint: hot-path"]
 
 use crate::delta::{Delta, DeltaBuilder};
 use crate::lis::{chunked_heaviest_increasing_by, heaviest_increasing_subsequence_by};
 use crate::ops::{Op, PayloadSide};
 use crate::xid::Xid;
 use crate::xiddoc::XidDocument;
-use xytree::hash::{fast_map_with_capacity, FastHashMap};
+use xytree::hash::{fast_map, FastHashMap};
+use xytree::traversal::PrunedPreOrder;
 use xytree::NodeId;
 
 /// How delete/insert operations capture their subtree content.
@@ -80,23 +106,20 @@ pub fn diff_by_xid_captured(
         "diff_by_xid requires matching document roots"
     );
 
-    let mut ops = DeltaBuilder::new();
-    let borrow_as = |side| (capture == CaptureMode::Borrowed).then_some(side);
-
-    // Resolve the XID matching into direct NodeId↔NodeId arrays up front:
-    // the walks below probe "is this node matched / where is its partner"
-    // several times per node, and an array load beats a hash lookup on that
-    // budget (one hash probe per node here instead of ~6 spread over the
-    // walks).
+    // Resolve the XID matching into the NodeId↔NodeId arrays the core
+    // reads. XIDs are dense (allocated sequentially per document chain), so
+    // when the span is proportionate to the node count a direct array
+    // indexed by XID value replaces the per-node hash probe. Long version
+    // chains can leave the live XID range sparse; fall back to the hash map
+    // there rather than allocate a table proportional to every XID ever
+    // issued.
+    // ALLOC-OK: two arrays per call; the diff's phase 5 passes its own.
     let mut new_of_old: Vec<Option<NodeId>> = vec![None; o.arena_len()];
+    // ALLOC-OK: as above.
     let mut old_of_new: Vec<Option<NodeId>> = vec![None; n.arena_len()];
-    // XIDs are dense (allocated sequentially per document chain), so when the
-    // span is proportionate to the node count a direct array indexed by XID
-    // value replaces the per-node hash probe. Long version chains can leave
-    // the live XID range sparse; fall back to the hash map there rather than
-    // allocate a table proportional to every XID ever issued.
     let xid_span = new.next_xid_value() as usize;
     if xid_span <= 4 * (o.arena_len() + n.arena_len()) {
+        // ALLOC-OK: one table per call, as above.
         let mut node_of_xid: Vec<Option<NodeId>> = vec![None; xid_span];
         for (new_node, xid) in new.iter() {
             node_of_xid[xid.value() as usize] = Some(new_node);
@@ -119,213 +142,324 @@ pub fn diff_by_xid_captured(
             }
         }
     }
+    diff_matched(old, new, &new_of_old, &old_of_new, &[], lis_window, capture)
+}
 
-    // Child positions and subtree sizes, O(n) each. The walks below emit one
-    // op per changed node, and each op wants the node's position among its
-    // siblings (`Tree::child_index` is O(position)) or its subtree weight
-    // (`Tree::subtree_size` is O(subtree)); under a wide parent — thousands
-    // of products in a catalog — paying those per op is quadratic.
-    let pos_old = child_positions(o);
-    let pos_new = child_positions(n);
-
-
-    // A delete/insert op is emitted for every unmatched node whose parent
-    // *is* matched. The captured subtree excludes matched descendants (they
-    // are covered by move ops) — and any unmatched region nested below such
-    // a matched descendant gets its own op, because its parent is matched.
-    // The traversal therefore visits the whole tree: unmatched subtrees can
-    // alternate with matched ones at any depth (a move into an insert into a
-    // move …).
-    for node in o.descendants(o.root()) {
-        let Some(parent) = o.parent(node) else { continue };
-        if new_of_old[node.index()].is_some() {
+/// The delta transforming `old` into `new` under a given node matching —
+/// the one core behind every delta this crate and the diff build (see the
+/// module docs for what it emits and what it costs).
+///
+/// `new_of_old` and `old_of_new` are the matching as partner arrays indexed
+/// by arena slot, a bijection between attached nodes that pairs the two
+/// document roots; partners must carry the same XID, and a node without a
+/// partner one the other version has never used — which is what the diff's
+/// XID inheritance produces. `settled` marks, by new-side slot, roots of
+/// subtrees matched whole to identical old subtrees; the walk does not
+/// descend below them. An empty (or short) slice marks nothing.
+/// `lis_window` and `capture` are as in [`diff_by_xid_captured`].
+///
+/// Hidden from the documented API: a settled mark is a promise the walk
+/// cannot check — a subtree marked with an unpartnered node inside would
+/// lose that node's operations. The diff's phase 5 is the one caller that
+/// passes marks, and they come from the matcher that made the pairs; every
+/// other caller goes through [`diff_by_xid`] and its variants.
+///
+/// # Panics
+///
+/// If the document roots are not partners — a caller bug.
+#[doc(hidden)]
+pub fn diff_matched(
+    old: &XidDocument,
+    new: &XidDocument,
+    new_of_old: &[Option<NodeId>],
+    old_of_new: &[Option<NodeId>],
+    settled: &[bool],
+    lis_window: Option<usize>,
+    capture: CaptureMode,
+) -> Delta {
+    let n = &new.doc.tree;
+    assert_eq!(
+        old_of_new[n.root().index()],
+        Some(old.doc.tree.root()),
+        "the document roots must be partners"
+    );
+    let is_settled = |v: NodeId| settled.get(v.index()).copied().unwrap_or(false);
+    let mut core = Core {
+        old,
+        new,
+        new_of_old,
+        old_of_new,
+        capture,
+        ops: DeltaBuilder::new(),
+        old_pos: fast_map(),
+    };
+    // A settled node's children are its partner's, in order and unchanged:
+    // it is yielded (its parent has already looked at it) and skipped.
+    let mut walk = PrunedPreOrder::new(n.root());
+    while let Some(parent) = walk.next(n, is_settled) {
+        if is_settled(parent) {
             continue;
         }
-        // INVARIANT: every node of a XidDocument carries an XID; assignment is
-        // total at construction (assign_initial / apply) and never partial.
-        let xid = old.xid(node).expect("old node without XID");
-        if new_of_old[parent.index()].is_none() {
-            continue; // covered by the ancestor's delete op
-        }
-        // INVARIANT: every node of a XidDocument carries an XID; assignment is
-        // total at construction (assign_initial / apply) and never partial.
-        let parent_xid = old.xid(parent).expect("parent without XID");
-        let (subtree, xid_map) = ops.capture_payload(
-            old,
-            node,
-            &|d| new_of_old[d.index()].is_some(),
-            borrow_as(PayloadSide::Old),
-        );
-        ops.push(Op::Delete {
-            xid,
-            parent: parent_xid,
-            pos: pos_old[node.index()],
-            subtree,
-            xid_map,
-        });
+        core.visit(parent, lis_window, is_settled);
     }
-
-
-    // --- Insertions: the exact mirror image. ---
-    for node in n.descendants(n.root()) {
-        let Some(parent) = n.parent(node) else { continue };
-        if old_of_new[node.index()].is_some() {
-            continue;
-        }
-        // INVARIANT: every node of a XidDocument carries an XID; assignment is
-        // total at construction (assign_initial / apply) and never partial.
-        let xid = new.xid(node).expect("new node without XID");
-        if old_of_new[parent.index()].is_none() {
-            continue; // covered by the ancestor's insert op
-        }
-        // INVARIANT: every node of a XidDocument carries an XID; assignment is
-        // total at construction (assign_initial / apply) and never partial.
-        let parent_xid = new.xid(parent).expect("parent without XID");
-        let (subtree, xid_map) = ops.capture_payload(
-            new,
-            node,
-            &|d| old_of_new[d.index()].is_some(),
-            borrow_as(PayloadSide::New),
-        );
-        ops.push(Op::Insert {
-            xid,
-            parent: parent_xid,
-            pos: pos_new[node.index()],
-            subtree,
-            xid_map,
-        });
-    }
-
-
-    // --- Matched-node comparisons: moves, updates, attributes. ---
-    // Walk matched nodes of the new document (every XID in both).
-    for new_node in n.descendants(n.root()) {
-        let Some(old_node) = old_of_new[new_node.index()] else { continue };
-        // INVARIANT: every node of a XidDocument carries an XID; assignment is
-        // total at construction (assign_initial / apply) and never partial.
-        let xid = new.xid(new_node).expect("new node without XID");
-        // Cross-parent move?
-        if new_node != n.root() {
-            let new_parent_xid = n.parent(new_node).and_then(|p| new.xid(p));
-            let old_parent_xid = o.parent(old_node).and_then(|p| old.xid(p));
-            if let (Some(npx), Some(opx)) = (new_parent_xid, old_parent_xid) {
-                if npx != opx {
-                    ops.push(Op::Move {
-                        xid,
-                        from_parent: opx,
-                        from_pos: pos_old[old_node.index()],
-                        to_parent: npx,
-                        to_pos: pos_new[new_node.index()],
-                    });
-                }
-            }
-        }
-        // Content update?
-        match (o.kind(old_node), n.kind(new_node)) {
-            (xytree::NodeKind::Text(a), xytree::NodeKind::Text(b)) if a != b => {
-                ops.update(xid, a, b);
-            }
-            (xytree::NodeKind::Element(ea), xytree::NodeKind::Element(eb)) => {
-                diff_attrs(xid, ea, eb, &mut ops);
-            }
-            _ => {}
-        }
-    }
-
-
-    // --- Within-parent reorders. ---
-    // For every matched parent pair, the children that are matched *and*
-    // stayed under this parent form the same set on both sides; everything
-    // outside a heaviest order-preserving subsequence of their permutation
-    // becomes a same-parent move (Figure 3).
-    for new_parent in n.descendants(n.root()) {
-        let Some(old_parent) = old_of_new[new_parent.index()] else { continue };
-        // Fast path, no allocation: the stable children (matched and still
-        // under this parent on both sides) keep their relative order for any
-        // parent whose child list was only edited/extended/trimmed, which is
-        // almost every parent. Compare the old-side sequence against the new
-        // side's partners directly.
-        let order_preserved = {
-            let old_side = o.children(old_parent).filter(|&oc| {
-                new_of_old[oc.index()].is_some_and(|nc| n.parent(nc) == Some(new_parent))
-            });
-            let new_side = n.children(new_parent).filter_map(|c| {
-                let oc = old_of_new[c.index()]?;
-                (o.parent(oc) == Some(old_parent)).then_some(oc)
-            });
-            old_side.eq(new_side)
-        };
-        if order_preserved {
-            continue;
-        }
-        // INVARIANT: every node of a XidDocument carries an XID; assignment is
-        // total at construction (assign_initial / apply) and never partial.
-        let pxid = new.xid(new_parent).expect("new node without XID");
-        // Stable children in new order, with their position in the *new*
-        // child list and subtree weight.
-        let stable_new: Vec<(Xid, NodeId)> = n
-            .children(new_parent)
-            .filter_map(|c| {
-                let oc = old_of_new[c.index()]?;
-                // Stayed under the same parent?
-                let cx = new.xid(c)?;
-                (o.parent(oc) == Some(old_parent)).then_some((cx, c))
-            })
-            .collect();
-        if stable_new.len() < 2 {
-            continue;
-        }
-        let mut new_rank: FastHashMap<Xid, u64> = fast_map_with_capacity(stable_new.len());
-        for (rank, (cx, _)) in stable_new.iter().enumerate() {
-            new_rank.insert(*cx, rank as u64);
-        }
-        // Same set in old order.
-        let stable_old: Vec<(Xid, NodeId)> = o
-            .children(old_parent)
-            .filter_map(|c| {
-                let cx = old.xid(c)?;
-                new_rank.contains_key(&cx).then_some((cx, c))
-            })
-            .collect();
-        debug_assert_eq!(stable_old.len(), stable_new.len());
-        let perm: Vec<u64> = stable_old.iter().map(|(cx, _)| new_rank[cx]).collect();
-        let weights: Vec<u64> =
-            stable_old.iter().map(|&(_, oc)| o.subtree_size(oc) as u64).collect();
-        let kept = match lis_window {
-            Some(w) => chunked_heaviest_increasing_by(&perm, w, |i| weights[i]),
-            None => heaviest_increasing_subsequence_by(&perm, |i| weights[i]),
-        };
-        let kept_set: std::collections::HashSet<usize> = kept.into_iter().collect();
-        for (i, &(cx, oc)) in stable_old.iter().enumerate() {
-            if kept_set.contains(&i) {
-                continue;
-            }
-            let nc = stable_new[perm[i] as usize].1;
-            ops.push(Op::Move {
-                xid: cx,
-                from_parent: pxid,
-                from_pos: pos_old[oc.index()],
-                to_parent: pxid,
-                to_pos: pos_new[nc.index()],
-            });
-        }
-    }
-
-    let mut delta = ops.finish();
+    let mut delta = core.ops.finish();
     delta.canonicalize();
     delta
 }
 
-/// Position of every attached node among its siblings, indexed by arena slot
-/// (detached slots keep 0 and are never consulted).
-fn child_positions(tree: &xytree::Tree) -> Vec<usize> {
-    let mut pos = vec![0usize; tree.arena_len()];
-    for node in tree.descendants(tree.root()) {
-        for (i, c) in tree.children(node).enumerate() {
-            pos[c.index()] = i;
+/// The XID of a node of `doc`.
+fn xid(doc: &XidDocument, node: NodeId) -> Xid {
+    // INVARIANT: every attached node of a XidDocument carries an XID;
+    // assignment is total at construction (assign_initial / apply / the
+    // diff's inheritance) and never partial.
+    doc.xid(node).expect("attached node without XID")
+}
+
+/// What the walk of `diff_matched` reads and writes.
+struct Core<'a> {
+    old: &'a XidDocument,
+    new: &'a XidDocument,
+    new_of_old: &'a [Option<NodeId>],
+    old_of_new: &'a [Option<NodeId>],
+    capture: CaptureMode,
+    ops: DeltaBuilder,
+    /// Position of old nodes among their siblings, filled one old parent at
+    /// a time, on the first cross-parent move out of it.
+    old_pos: FastHashMap<NodeId, usize>,
+}
+
+/// A cursor over the children of an old parent: the next one to look at
+/// and its position.
+struct OldChildren {
+    next: Option<NodeId>,
+    pos: usize,
+}
+
+impl Core<'_> {
+    fn borrow_as(&self, side: PayloadSide) -> Option<PayloadSide> {
+        (self.capture == CaptureMode::Borrowed).then_some(side)
+    }
+
+    /// Every operation read off the children of `parent` and, when it has a
+    /// partner, the partner's children — one pass over each list:
+    ///
+    /// - a new child without a partner is an insert (if `parent` has one;
+    ///   otherwise `parent`'s own insert carries it);
+    /// - a partnered one whose old parent is not `parent`'s partner moved in;
+    /// - a partnered one outside a settled subtree may have changed content
+    ///   (update, attribute operations);
+    /// - an old child without a partner is a delete, whose captured subtree
+    ///   excludes partnered descendants (moves cover them) — an unpartnered
+    ///   region nested below one gets its own op, when the walk visits that
+    ///   descendant's partner;
+    /// - the *stable* children, partnered and under this pair on both sides,
+    ///   are checked to keep their relative order as the two lists go by
+    ///   (no allocation: almost every parent's list was only edited,
+    ///   extended or trimmed); when they do not, [`Core::reorder`] repairs it.
+    fn visit(
+        &mut self,
+        parent: NodeId,
+        lis_window: Option<usize>,
+        is_settled: impl Fn(NodeId) -> bool,
+    ) {
+        let (o, n) = (&self.old.doc.tree, &self.new.doc.tree);
+        let old_parent = self.old_of_new[parent.index()];
+        let mut old = OldChildren { next: old_parent.and_then(|op| o.first_child(op)), pos: 0 };
+        let mut in_order = true;
+        for (pos, c) in n.children(parent).enumerate() {
+            let Some(oc) = self.old_of_new[c.index()] else {
+                if old_parent.is_some() {
+                    let old_of_new = self.old_of_new;
+                    let borrow = self.borrow_as(PayloadSide::New);
+                    let (subtree, xid_map) = self.ops.capture_payload(
+                        self.new,
+                        c,
+                        &|d| old_of_new[d.index()].is_some(),
+                        borrow,
+                    );
+                    self.ops.push(Op::Insert {
+                        xid: xid(self.new, c),
+                        parent: xid(self.new, parent),
+                        pos,
+                        subtree,
+                        xid_map,
+                    });
+                }
+                continue;
+            };
+            // Only the old root has no parent, and it partners the new root.
+            let from = o.parent(oc);
+            match (from, old_parent) {
+                (Some(from), Some(op)) if from == op => {
+                    // Stable: the old children up to `oc` must hold no other
+                    // stable child, which would come later in new order.
+                    in_order = in_order && self.old_children_until(&mut old, oc, op, parent);
+                }
+                (Some(from), _) => {
+                    let from_pos = self.old_position(oc, from);
+                    self.ops.push(Op::Move {
+                        xid: xid(self.new, c),
+                        from_parent: xid(self.old, from),
+                        from_pos,
+                        to_parent: xid(self.new, parent),
+                        to_pos: pos,
+                    });
+                }
+                (None, _) => {}
+            }
+            if is_settled(c) {
+                continue;
+            }
+            match (o.kind(oc), n.kind(c)) {
+                (xytree::NodeKind::Text(a), xytree::NodeKind::Text(b)) if a != b => {
+                    self.ops.update(xid(self.new, c), a, b);
+                }
+                (xytree::NodeKind::Element(ea), xytree::NodeKind::Element(eb)) => {
+                    diff_attrs(xid(self.new, c), ea, eb, &mut self.ops);
+                }
+                _ => {}
+            }
+        }
+        let Some(op) = old_parent else { return };
+        // The old children after the last stable one — or after the one that
+        // broke the order. A stable one among them broke it too.
+        while let Some(x) = old.next {
+            in_order &= !self.old_child(&mut old, x, op, parent);
+        }
+        if !in_order {
+            self.reorder(op, parent, lis_window);
         }
     }
-    pos
+
+    /// Take old children from `old` up to and including `oc`, the partner
+    /// of a stable new child; false if a stable child comes first (or `oc`
+    /// is already behind), the order having changed.
+    fn old_children_until(
+        &mut self,
+        old: &mut OldChildren,
+        oc: NodeId,
+        op: NodeId,
+        parent: NodeId,
+    ) -> bool {
+        while let Some(x) = old.next {
+            let stable = self.old_child(old, x, op, parent);
+            if x == oc {
+                return true;
+            }
+            if stable {
+                return false;
+            }
+        }
+        false
+    }
+
+    /// Take `x`, the next of `op`'s children: a delete if it has no partner.
+    /// Returns whether it is stable (its partner is a child of `parent`).
+    fn old_child(&mut self, old: &mut OldChildren, x: NodeId, op: NodeId, parent: NodeId) -> bool {
+        let (o, n) = (&self.old.doc.tree, &self.new.doc.tree);
+        old.next = o.next_sibling(x);
+        let pos = old.pos;
+        old.pos += 1;
+        match self.new_of_old[x.index()] {
+            Some(c) => n.parent(c) == Some(parent),
+            None => {
+                let new_of_old = self.new_of_old;
+                let borrow = self.borrow_as(PayloadSide::Old);
+                let matched = |d: NodeId| new_of_old[d.index()].is_some();
+                let (subtree, xid_map) = self.ops.capture_payload(self.old, x, &matched, borrow);
+                self.ops.push(Op::Delete {
+                    xid: xid(self.old, x),
+                    parent: xid(self.old, op),
+                    pos,
+                    subtree,
+                    xid_map,
+                });
+                false
+            }
+        }
+    }
+
+    /// Within-parent moves under a partnered pair whose stable children
+    /// changed their relative order: everything outside a heaviest
+    /// order-preserving subsequence of their permutation becomes a
+    /// same-parent move (Figure 3).
+    fn reorder(&mut self, old_parent: NodeId, parent: NodeId, lis_window: Option<usize>) {
+        let (o, n) = (&self.old.doc.tree, &self.new.doc.tree);
+        let (new_of_old, old_of_new) = (self.new_of_old, self.old_of_new);
+        // The partner of a stable child, seen from either side.
+        let stays_old =
+            |oc: NodeId| new_of_old[oc.index()].filter(|&c| n.parent(c) == Some(parent));
+        let stays_new =
+            |c: NodeId| old_of_new[c.index()].filter(|&oc| o.parent(oc) == Some(old_parent));
+        // Stable children with their positions, in each side's order.
+        // ALLOC-OK: per reordered parent, like the LIS below.
+        let stable_new: Vec<(NodeId, usize)> = n
+            .children(parent)
+            .enumerate()
+            .filter(|&(_, c)| stays_new(c).is_some())
+            .map(|(pos, c)| (c, pos))
+            .collect();
+        if stable_new.len() < 2 {
+            return;
+        }
+        // ALLOC-OK: per reordered parent.
+        let stable_old: Vec<(NodeId, usize, NodeId)> = o
+            .children(old_parent)
+            .enumerate()
+            .filter_map(|(pos, oc)| Some((oc, pos, stays_old(oc)?)))
+            .collect();
+        debug_assert_eq!(stable_old.len(), stable_new.len());
+        // Each old-order child's rank in new order, found by node.
+        // ALLOC-OK: per reordered parent.
+        let mut rank_of: Vec<(NodeId, u64)> =
+            stable_new.iter().enumerate().map(|(rank, &(c, _))| (c, rank as u64)).collect();
+        rank_of.sort_unstable();
+        // ALLOC-OK: per reordered parent.
+        let perm: Vec<u64> = stable_old
+            .iter()
+            .map(|&(_, _, c)| {
+                let at = rank_of.binary_search_by_key(&c, |&(d, _)| d);
+                // INVARIANT: both stable lists hold the same partnered pairs.
+                rank_of[at.expect("stable on both sides")].1
+            })
+            .collect();
+        // ALLOC-OK: per reordered parent.
+        let weights: Vec<u64> =
+            stable_old.iter().map(|&(oc, ..)| o.subtree_size(oc) as u64).collect();
+        let kept = match lis_window {
+            Some(w) => chunked_heaviest_increasing_by(&perm, w, |i| weights[i]),
+            None => heaviest_increasing_subsequence_by(&perm, |i| weights[i]),
+        };
+        // ALLOC-OK: per reordered parent.
+        let mut moves = vec![true; stable_old.len()];
+        for i in kept {
+            moves[i] = false;
+        }
+        let pxid = xid(self.new, parent);
+        for (i, &(oc, from_pos, _)) in stable_old.iter().enumerate() {
+            if moves[i] {
+                self.ops.push(Op::Move {
+                    xid: xid(self.old, oc),
+                    from_parent: pxid,
+                    from_pos,
+                    to_parent: pxid,
+                    to_pos: stable_new[perm[i] as usize].1,
+                });
+            }
+        }
+    }
+
+    /// Position of `oc` among the children of `parent`, its old parent;
+    /// the first query under a parent records all of its children's.
+    fn old_position(&mut self, oc: NodeId, parent: NodeId) -> usize {
+        if let Some(&pos) = self.old_pos.get(&oc) {
+            return pos;
+        }
+        let children = self.old.doc.tree.children(parent);
+        // ALLOC-OK: grows with the old parents that moves leave, per operation.
+        self.old_pos.extend(children.enumerate().map(|(pos, c)| (c, pos)));
+        self.old_pos[&oc]
+    }
 }
 
 fn diff_attrs(

@@ -21,6 +21,12 @@
 //!   candidate with a matching parent in constant time" when the candidate
 //!   list is long — the paper's device for the `d → 0` regime (e.g. the
 //!   repeated manufacturer name in a product catalog).
+//!
+//! The loop allocates nothing per candidate: verification
+//! ([`Tree::subtree_eq`]) walks sibling and parent links, and the unique-child
+//! propagation sorts children in a table the [`Matching`] keeps for reuse.
+
+#![doc = "xylint: hot-path"]
 
 use crate::config::DiffOptions;
 use crate::info::TreeInfo;
@@ -111,7 +117,7 @@ pub fn run_with(
         if !matching.available_new(v) {
             // Already matched (pre-matched root, ID match, or a propagation
             // that ran ahead of the queue) or forbidden: the node itself is
-            // settled, but its children may still need signature matching —
+            // decided, but its children may still need signature matching —
             // e.g. the content below an ID-matched element, which can have
             // changed arbitrarily. Every node enters the queue at most once,
             // so this keeps the O(n log n) bound.
@@ -251,6 +257,8 @@ impl CandidateIndex {
                     lists[live].nodes.clear();
                     lists[live].cursor = 0;
                 } else {
+                    // ALLOC-OK: a list slot past every earlier diff's count;
+                    // a warm scratch recycles them all.
                     lists.push(CandidateList { nodes: Vec::new(), cursor: 0 });
                 }
                 live += 1;
@@ -371,6 +379,11 @@ fn ancestor_at(tree: &Tree, node: NodeId, level: usize) -> Option<NodeId> {
 
 /// Match every corresponding node of two content-identical subtrees.
 /// Descendant pairs already matched or forbidden (e.g. via IDs) are skipped.
+///
+/// When no pair had to be skipped the whole subtree now corresponds node
+/// for node, and `v` is settled: phases 4 and 5 need not look below it.
+/// A skipped pair (an ID match inside, a forbidden node) leaves nothing
+/// marked, so those phases walk the subtree as before.
 fn match_subtrees(
     old: &Tree,
     new: &Tree,
@@ -379,11 +392,17 @@ fn match_subtrees(
     matching: &mut Matching,
 ) -> usize {
     let mut count = 0;
+    let mut whole = true;
     for (oc, nc) in old.descendants(o).zip(new.descendants(v)) {
         if matching.can_match(oc, nc) {
             matching.add(oc, nc);
             count += 1;
+        } else {
+            whole = false;
         }
+    }
+    if whole {
+        matching.settle(v);
     }
     count
 }

@@ -41,10 +41,6 @@ pub struct DiffOptions {
     /// unnecessary insertions and deletions").
     pub enable_propagation: bool,
 
-    /// Maximum number of phase-4 passes (each pass is linear; the matching
-    /// grows monotonically so few passes reach a fixpoint).
-    pub propagation_passes: usize,
-
     /// Phase 3: propagate a match immediately to children when both matched
     /// parents have a single child with a given label ("When both parents
     /// have a single child with a given label, we propagate the match
@@ -67,7 +63,6 @@ impl Default for DiffOptions {
             lis_window: 50,
             exact_lis: false,
             enable_propagation: true,
-            propagation_passes: 3,
             enable_unique_child_propagation: true,
             max_candidates_scan: 8,
         }

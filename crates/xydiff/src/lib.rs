@@ -23,15 +23,23 @@
 //!    same-signature candidates in the old document, pick the candidate
 //!    whose ancestors agree with already-matched ancestors (look-up depth
 //!    `1 + log n · W/W₀`), match the whole subtree, propagate to same-label
-//!    ancestors, and enqueue the children of unmatched elements.
+//!    ancestors, and enqueue the children of unmatched elements. A subtree
+//!    matched whole, every pair by that one match, is *settled*.
 //! 4. **Structural propagation** — bottom-up (adopt the parent of the
 //!    heaviest matched-children group) and top-down (match unique same-label
-//!    children of matched parents) peephole passes.
+//!    children of matched parents) peephole walks; one pass reaches the
+//!    fixpoint.
 //! 5. **Delta construction** — matched nodes inherit XIDs, unmatched nodes
 //!    are inserts/deletes, text changes are updates, parent changes are
 //!    moves, and within-parent permutations are repaired with a weighted
 //!    largest order-preserving subsequence (exact or the paper's fixed-window
-//!    heuristic).
+//!    heuristic). The delta is built from the matching in one walk
+//!    (`xydelta::diff_by_xid::diff_matched`).
+//!
+//! Nothing inside a settled subtree can be unmatched or changed, so phases
+//! 4 and 5 do not descend below one: after hashing, a diff costs the nodes
+//! outside settled subtrees plus the operations it emits, not the document
+//! (§5.1's *lazy down*; DESIGN.md §2 states the rule).
 //!
 //! # Quick start
 //!
@@ -135,8 +143,11 @@ pub(crate) fn start_matching(matching: &mut Matching, old: &XidDocument, new: &D
 }
 
 /// The epilogue every matcher shares — phase 5: matched nodes inherit XIDs
-/// (`new` moves into the produced version), the delta is built from the two
-/// XID-carrying versions, and the node counts close the statistics.
+/// (`new` moves into the produced version), the delta is built from the
+/// matching itself (`xydelta::diff_by_xid::diff_matched`, pruned at the
+/// settled subtrees), and the matching closes the statistics. `stats`
+/// arrives with the node counts: BULD has them from phase 2, the other
+/// matchers from [`count_nodes`].
 pub(crate) fn finish(
     old: &XidDocument,
     new: Document,
@@ -146,15 +157,28 @@ pub(crate) fn finish(
     mut stats: DiffStats,
     mut timings: PhaseTimings,
 ) -> DiffResult {
-    stats.old_nodes = old.doc.tree.subtree_size(old.doc.tree.root());
     let t = Instant::now();
     let new_version = phase5::inherit_xids(old, new, matching);
     let lis_window = if opts.exact_lis { None } else { Some(opts.lis_window) };
-    let delta = xydelta::diff_by_xid::diff_by_xid_captured(old, &new_version, lis_window, capture);
+    let (new_of_old, old_of_new, settled) = matching.as_slices();
+    let delta = xydelta::diff_by_xid::diff_matched(
+        old,
+        &new_version,
+        new_of_old,
+        old_of_new,
+        settled,
+        lis_window,
+        capture,
+    );
     timings.phase5 = t.elapsed();
-    stats.new_nodes = new_version.doc.tree.subtree_size(new_version.doc.tree.root());
     stats.matched_nodes = matching.matched_count();
     DiffResult { delta, new_version, timings, stats }
+}
+
+/// Node counts of both documents for matchers that have no phase-2 record
+/// of them.
+pub(crate) fn count_nodes(old: &XidDocument, new: &Document) -> (usize, usize) {
+    (old.doc.tree.subtree_size(old.doc.tree.root()), new.tree.subtree_size(new.tree.root()))
 }
 
 /// The whole pipeline, owning the new document.
@@ -195,6 +219,8 @@ pub(crate) fn diff_core(
     }
     info::analyze_into_with(new_tree, new_info, runner);
     timings.phase2 = t.elapsed();
+    stats.old_nodes = old_info.node_count;
+    stats.new_nodes = new_info.node_count;
     let new_info_buf = new_info;
     let (old_info, new_info) = (&*old_info, &*new_info_buf);
 
@@ -215,16 +241,10 @@ pub(crate) fn diff_core(
     );
     timings.phase3 = t.elapsed();
 
-    // Phase 4: structural propagation to fixpoint (bounded passes).
+    // Phase 4: structural propagation — one pass is the fixpoint.
     let t = Instant::now();
     if opts.enable_propagation {
-        for _ in 0..opts.propagation_passes {
-            let changed =
-                propagate::propagation_pass(old_tree, new_tree, new_info, matching, &mut stats);
-            if changed == 0 {
-                break;
-            }
-        }
+        propagate::propagation_pass(old_tree, new_tree, new_info, matching, &mut stats);
     }
     timings.phase4 = t.elapsed();
 
@@ -250,4 +270,151 @@ pub fn diff_str(old_xml: &str, new_xml: &str) -> Result<DiffResult, xytree::Pars
     let old = Document::parse(old_xml)?;
     let new = Document::parse(new_xml)?;
     Ok(diff_documents(&old, &new, &DiffOptions::default()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+    use xydelta::diff_by_xid::diff_by_xid;
+    use xydelta::xml_io;
+    use xytree::traversal::{PrunedPostOrder, PrunedPreOrder};
+    use xytree::NodeId;
+
+    /// `<catalog>` of `sections` sections of ten distinct products,
+    /// `<product><name>…</name><desc>…</desc></product>`: 51 nodes a
+    /// section. `edit` rewrites the description of one product.
+    fn catalog(sections: usize, doctype: &str, edit: Option<(usize, usize)>) -> String {
+        let mut xml = format!("{doctype}<catalog>");
+        for s in 0..sections {
+            xml.push_str("<section>");
+            for p in 0..10 {
+                let id = if (s, p) == (50, 7) { " id='p50-7'" } else { "" };
+                let desc = if edit == Some((s, p)) { "rewritten" } else { "as shipped" };
+                xml.push_str(&format!(
+                    "<product{id}><name>item {s}-{p}</name><desc>{desc} {s}-{p}</desc></product>"
+                ));
+            }
+            xml.push_str("</section>");
+        }
+        xml.push_str("</catalog>");
+        xml
+    }
+
+    /// The `p`-th product of the `s`-th section.
+    fn product(tree: &xytree::Tree, s: usize, p: usize) -> NodeId {
+        let catalog = tree.root_element().unwrap();
+        tree.child_at(tree.child_at(catalog, s).unwrap(), p).unwrap()
+    }
+
+    /// What the pruned walks of phases 4 (both) and 5 (pre-order) visit
+    /// under `m`'s settled marks.
+    fn visits(tree: &xytree::Tree, m: &Matching) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
+        let settled = |v| m.is_settled(v);
+        let (mut pre, mut post) = (BTreeSet::new(), BTreeSet::new());
+        let mut walk = PrunedPreOrder::new(tree.root());
+        while let Some(v) = walk.next(tree, settled) {
+            assert!(pre.insert(v), "pre-order visits a node twice");
+        }
+        let mut walk = PrunedPostOrder::new(tree, tree.root(), settled);
+        while let Some(v) = walk.next(tree, settled) {
+            assert!(post.insert(v), "post-order visits a node twice");
+        }
+        (pre, post)
+    }
+
+    /// Nodes inside settled subtrees.
+    fn settled_nodes(tree: &xytree::Tree, m: &Matching) -> usize {
+        tree.descendants(tree.root())
+            .filter(|&v| m.is_settled(v) || tree.ancestors(v).any(|a| m.is_settled(a)))
+            .count()
+    }
+
+    /// The settling cost rule: one text update in a 10 712-node document.
+    /// Phase 3 matches everything else in whole subtrees and settles them,
+    /// and phases 4–5 then visit the changed node's ancestors and their
+    /// children — 225 nodes — not the document.
+    #[test]
+    fn one_update_settles_the_document_and_the_walks_follow_the_change() {
+        let old = XidDocument::parse_initial(&catalog(210, "", None)).unwrap();
+        let new = Document::parse(&catalog(210, "", Some((100, 4)))).unwrap();
+        let mut scratch = DiffScratch::new();
+        let opts = DiffOptions::default();
+        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &SerialRunner);
+        let (m, tree) = (&scratch.matching, &r.new_version.doc.tree);
+        assert!(r.stats.new_nodes >= 10_000, "{} nodes", r.stats.new_nodes);
+        assert_eq!(r.delta.counts().updates, 1);
+        assert_eq!(r.delta.len(), 1, "{}", r.delta.describe());
+        let settled = settled_nodes(tree, m);
+        let total = r.stats.new_nodes;
+        assert!(20 * settled >= 19 * total, "phase 3 settled {settled} of {total} nodes");
+        // All but the path to the change: document, catalog, section,
+        // product, description, text.
+        assert_eq!(settled, r.stats.new_nodes - 6);
+
+        let changed = tree.first_child(tree.child_at(product(tree, 100, 4), 1).unwrap()).unwrap();
+        let mut expected: BTreeSet<NodeId> =
+            tree.ancestors(changed).flat_map(|a| tree.children(a)).collect();
+        expected.insert(tree.root());
+        let (pre, post) = visits(tree, m);
+        assert_eq!(pre.len(), 225);
+        assert_eq!(pre, expected, "phase 5 and top-down walks");
+        assert_eq!(post, expected, "bottom-up walk");
+
+        let oracle = xml_io::delta_to_xml(&diff_by_xid(&old, &r.new_version));
+        assert_eq!(xml_io::delta_to_xml(&r.delta), oracle);
+    }
+
+    /// A pair made before phase 3 — here by hand, where phase 1 makes ID
+    /// matches — inside a subtree phase 3 then matches whole: that call did
+    /// not add every pair, so nothing there is settled and the walks look
+    /// inside, and the delta is still the oracle's.
+    #[test]
+    fn an_earlier_match_inside_a_whole_subtree_prevents_the_mark() {
+        let old = XidDocument::parse_initial(&catalog(210, "", None)).unwrap();
+        let new = Document::parse(&catalog(210, "", Some((100, 4)))).unwrap();
+        let opts = DiffOptions::default();
+        let mut m = Matching::new(0, 0);
+        start_matching(&mut m, &old, &new);
+        let (o_tree, n_tree) = (&old.doc.tree, &new.tree);
+        m.add(product(o_tree, 30, 2), product(n_tree, 30, 2));
+        let (old_info, new_info) = (info::analyze(o_tree), info::analyze(n_tree));
+        let (old_nodes, new_nodes) = (old_info.node_count, new_info.node_count);
+        let mut stats = DiffStats { old_nodes, new_nodes, ..Default::default() };
+        buld::run(o_tree, n_tree, &old_info, &new_info, &mut m, &opts, &mut stats);
+        let section = n_tree.child_at(n_tree.root_element().unwrap(), 30).unwrap();
+        assert!(m.is_matched_new(section), "the section still matches whole");
+        assert!(n_tree.descendants(section).all(|v| !m.is_settled(v)), "nothing settled inside");
+        assert!(m.is_settled(n_tree.child_at(n_tree.root_element().unwrap(), 31).unwrap()));
+        while propagate::propagation_pass(o_tree, n_tree, &new_info, &mut m, &mut stats) > 0 {}
+
+        let (pre, _) = visits(n_tree, &m);
+        let entered = n_tree.descendants(section).all(|v| pre.contains(&v));
+        assert!(entered, "the walk must enter the section");
+        let r = finish(&old, new, &m, &opts, CaptureMode::Owned, stats, PhaseTimings::default());
+        assert_eq!(r.delta.len(), 1, "{}", r.delta.describe());
+        let oracle = xml_io::delta_to_xml(&diff_by_xid(&old, &r.new_version));
+        assert_eq!(xml_io::delta_to_xml(&r.delta), oracle);
+    }
+
+    /// The same through phase 1 itself: the new version declares `id` an
+    /// ID and the old one does not, so the ID-carrying product finds no
+    /// partner and is barred from matching; the section around it matches
+    /// whole without it, unsettled, and the delta is still the oracle's.
+    #[test]
+    fn a_forbidden_node_inside_a_whole_subtree_prevents_the_mark() {
+        let dtd = "<!DOCTYPE catalog [<!ATTLIST product id ID #IMPLIED>]>";
+        let old = XidDocument::parse_initial(&catalog(60, "", None)).unwrap();
+        let new = Document::parse(&catalog(60, dtd, Some((10, 4)))).unwrap();
+        let mut scratch = DiffScratch::new();
+        let opts = DiffOptions::default();
+        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &SerialRunner);
+        let (m, tree) = (&scratch.matching, &r.new_version.doc.tree);
+        let section = tree.child_at(tree.root_element().unwrap(), 50).unwrap();
+        assert!(!m.is_matched_new(product(tree, 50, 7)), "the ID-carrying product is barred");
+        assert!(tree.descendants(section).all(|v| !m.is_settled(v)));
+        assert!(r.delta.counts().inserts > 0 && r.delta.counts().deletes > 0);
+        let oracle = xml_io::delta_to_xml(&diff_by_xid(&old, &r.new_version));
+        assert_eq!(xml_io::delta_to_xml(&r.delta), oracle);
+    }
 }

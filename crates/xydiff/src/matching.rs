@@ -16,7 +16,12 @@ pub struct Matching {
     new_to_old: Vec<Option<NodeId>>,
     forbidden_old: Vec<bool>,
     forbidden_new: Vec<bool>,
+    settled: Vec<bool>,
     matched: usize,
+    /// Scratch of [`crate::propagate::match_unique_children`]: the available
+    /// children of one parent pair, each flagged whether it is the new one's,
+    /// kept between calls for its allocation.
+    pub(crate) child_table: Vec<(bool, NodeId)>,
 }
 
 impl Matching {
@@ -27,7 +32,9 @@ impl Matching {
             new_to_old: vec![None; new_len],
             forbidden_old: vec![false; old_len],
             forbidden_new: vec![false; new_len],
+            settled: vec![false; new_len],
             matched: 0,
+            child_table: Vec::new(),
         }
     }
 
@@ -42,6 +49,8 @@ impl Matching {
         self.forbidden_old.resize(old_len, false);
         self.forbidden_new.clear();
         self.forbidden_new.resize(new_len, false);
+        self.settled.clear();
+        self.settled.resize(new_len, false);
         self.matched = 0;
     }
 
@@ -112,6 +121,28 @@ impl Matching {
     /// Number of matched pairs.
     pub fn matched_count(&self) -> usize {
         self.matched
+    }
+
+    /// Mark `new` as the root of a subtree matched whole to an identical old
+    /// subtree. Only phase 3 does this, for a subtree whose every pair it
+    /// added itself in one call; the method is crate-private so that no
+    /// other caller can mark a subtree with unmatched nodes, which phases 4
+    /// and 5 would then never look at.
+    pub(crate) fn settle(&mut self, new: NodeId) {
+        self.settled[new.index()] = true;
+    }
+
+    /// Is `new` the root of a subtree matched whole?
+    #[inline]
+    pub fn is_settled(&self, new: NodeId) -> bool {
+        self.settled[new.index()]
+    }
+
+    /// The matching as two arrays indexed by arena slot — the partner of
+    /// each old node, of each new node — and the settled marks of the new
+    /// nodes: what phase 5 (`xydelta::diff_by_xid::diff_matched`) reads.
+    pub(crate) fn as_slices(&self) -> (&[Option<NodeId>], &[Option<NodeId>], &[bool]) {
+        (&self.old_to_new, &self.new_to_old, &self.settled)
     }
 }
 

@@ -4,38 +4,49 @@
 //! identifiers from their matching in the previous version. New persistent
 //! identifiers are assigned to unmatched nodes." (§4)
 //!
-//! Once the new version carries XIDs, the actual delta construction
-//! (inserts/deletes/updates/moves, §5.2 phase 5 steps 1–3) is exactly the
-//! XID-matched diff of [`xydelta::diff_by_xid`], which `crate::diff` invokes
-//! with the configured order-preserving-subsequence strategy.
+//! The delta itself (inserts/deletes/updates/moves, §5.2 phase 5 steps 1–3)
+//! is then built from the [`Matching`] directly, not re-derived from the
+//! XIDs: `crate::finish` hands its partner arrays and settled marks to
+//! `xydelta::diff_by_xid::diff_matched`, with the configured
+//! order-preserving-subsequence strategy, and that walk does not enter the
+//! subtrees phase 3 matched whole. The XIDs assigned here are still the
+//! whole matching, so [`xydelta::diff_by_xid::diff_by_xid`] over the old and
+//! the produced version — the same core, without the settled marks —
+//! reproduces the delta byte for byte; the tests use it as the oracle.
 
 use crate::matching::Matching;
 use xydelta::{Xid, XidDocument};
-use xytree::Document;
+use xytree::traversal::PrunedPostOrder;
+use xytree::{Document, NodeId};
 
 /// Build the new version's [`XidDocument`]: matched nodes inherit the old
 /// version's XIDs, unmatched nodes receive fresh ones in postfix order.
+///
+/// Matched nodes are read off the matching in slot order; only the fresh
+/// ones need the postfix walk, which therefore skips the interior of
+/// settled subtrees (all matched).
 pub fn inherit_xids(old: &XidDocument, new_doc: Document, matching: &Matching) -> XidDocument {
     let mut next = old.next_xid_value();
     let tree = &new_doc.tree;
-    let mut assignment: Vec<(xytree::NodeId, Xid)> =
-        Vec::with_capacity(tree.arena_len());
-    for n in tree.post_order(tree.root()) {
-        let xid = match matching.old_of_new(n) {
-            Some(o) => old
-                .xid(o)
-                // INVARIANT: the matching only relates nodes of the old
-                // document, whose XID assignment is total.
-                .expect("matched old node must carry an XID"),
-            None => {
-                let x = Xid(next);
-                next += 1;
-                x
-            }
-        };
-        assignment.push((n, xid));
+    let settled = |n| matching.is_settled(n);
+    let mut fresh: Vec<(NodeId, Xid)> = Vec::new();
+    let mut walk = PrunedPostOrder::new(tree, tree.root(), settled);
+    while let Some(n) = walk.next(tree, settled) {
+        if !matching.is_matched_new(n) {
+            fresh.push((n, Xid(next)));
+            next += 1;
+        }
     }
-    XidDocument::with_assignment(new_doc, assignment, next)
+    let (_, old_of_new, _) = matching.as_slices();
+    let inherited = old_of_new.iter().enumerate().filter_map(|(i, o)| {
+        let xid = old
+            .xid((*o)?)
+            // INVARIANT: the matching only relates nodes of the old
+            // document, whose XID assignment is total.
+            .expect("matched old node must carry an XID");
+        Some((NodeId::from_index(i), xid))
+    });
+    XidDocument::with_assignment(new_doc, inherited.chain(fresh), next)
 }
 
 #[cfg(test)]

@@ -18,9 +18,25 @@ use crate::info::TreeInfo;
 use crate::matching::Matching;
 use crate::report::DiffStats;
 use xytree::hash::{fast_map, FastHashMap};
+use xytree::traversal::{PrunedPostOrder, PrunedPreOrder};
 use xytree::{NodeId, NodeKind, Tree};
 
 /// One bottom-up then top-down pass. Returns the number of matches added.
+///
+/// One pass reaches the fixpoint — a second would add nothing — so phase 4
+/// runs one. Bottom-up matches only the node it visits, in post-order, so
+/// every unmatched node has seen its children's matches by its turn, bar
+/// those the top-down half adds later; and those are children of *matched*
+/// nodes, which never vote. Top-down at a matched `v` matches children of
+/// `v` and of its partner only, which nothing later in the pass touches,
+/// and matching a uniquely keyed pair changes no other key's count. So a
+/// second pass would find at every node exactly what the first left there
+/// (the test `a_second_pass_adds_nothing` checks it on simulated pairs).
+///
+/// Both walks skip the interior of settled subtrees ([`Matching::is_settled`]):
+/// every node there is matched, and so is every child of its partner, so
+/// neither rule can fire below a settled node. A pass therefore costs the
+/// nodes outside settled subtrees, not the document.
 pub fn propagation_pass(
     old: &Tree,
     new: &Tree,
@@ -32,9 +48,11 @@ pub fn propagation_pass(
 
     // --- Bottom-up: propagate to parent. ---
     // Post-order so that matches made at one level feed the next level up
-    // within the same pass.
+    // within the same pass. Settled marks only change in phase 3, so the
+    // walk may read them while the pass adds matches.
     let mut parent_votes: FastHashMap<NodeId, f64> = fast_map();
-    for v in new.post_order(new.root()) {
+    let mut walk = PrunedPostOrder::new(new, new.root(), |v| matching.is_settled(v));
+    while let Some(v) = walk.next(new, |v| matching.is_settled(v)) {
         if !matching.available_new(v) || !new.kind(v).is_element() {
             continue;
         }
@@ -61,9 +79,14 @@ pub fn propagation_pass(
     }
 
     // --- Top-down: propagate to children. ---
-    for v in new.descendants(new.root()) {
-        if let Some(ov) = matching.old_of_new(v) {
-            added += match_unique_children(old, new, matching, ov, v, stats);
+    // A settled node's children and its partner's are all matched already.
+    let mut walk = PrunedPreOrder::new(new.root());
+    while let Some(v) = walk.next(new, |v| matching.is_settled(v)) {
+        match matching.old_of_new(v) {
+            Some(ov) if !matching.is_settled(v) => {
+                added += match_unique_children(old, new, matching, ov, v, stats);
+            }
+            _ => {}
         }
     }
 
@@ -74,10 +97,13 @@ pub fn propagation_pass(
 /// content-identical comments/PIs. Text children match regardless of content
 /// (that is what turns a changed string into an *update* instead of a
 /// delete+insert); comments and PIs have no update operation in the change
-/// model, so they only match on equal content.
-#[derive(PartialEq, Eq, Hash, Clone)]
+/// model, so they only match on equal content. Labels compare by [`Symbol`]
+/// id: equal ids are equal labels, and no text is resolved.
+///
+/// [`Symbol`]: xytree::Symbol
+#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
 enum ChildKey<'a> {
-    Elem(&'a str),
+    Elem(u32),
     Text,
     Comment(&'a str),
     Pi(&'a str, &'a str),
@@ -85,7 +111,7 @@ enum ChildKey<'a> {
 
 fn child_key(kind: NodeKind<'_>) -> Option<ChildKey<'_>> {
     match kind {
-        NodeKind::Element(e) => Some(ChildKey::Elem(e.name.as_str())),
+        NodeKind::Element(e) => Some(ChildKey::Elem(e.name.id())),
         NodeKind::Text(_) => Some(ChildKey::Text),
         NodeKind::Comment(c) => Some(ChildKey::Comment(c)),
         NodeKind::Pi { target, data } => Some(ChildKey::Pi(target, data)),
@@ -97,6 +123,12 @@ fn child_key(kind: NodeKind<'_>) -> Option<ChildKey<'_>> {
 /// given key, match those children ("when both parents have a single child
 /// with a given label, we propagate the match immediately", §5.1). Returns
 /// the number of pairs matched.
+///
+/// The available children of both sides go into a table the matching keeps
+/// for reuse, sorted by key with the old ones first; a key is unique on both
+/// sides exactly when its run is one old child then one new child. Which
+/// pairs match does not depend on the order they are found in, since
+/// matching a pair changes no other key's count.
 pub fn match_unique_children(
     old: &Tree,
     new: &Tree,
@@ -105,44 +137,33 @@ pub fn match_unique_children(
     pn: NodeId,
     stats: &mut DiffStats,
 ) -> usize {
-    // `None` marks a duplicated key.
-    let mut old_unique: FastHashMap<ChildKey<'_>, Option<NodeId>> = fast_map();
-    for c in old.children(po) {
-        if !matching.available_old(c) {
-            continue;
-        }
-        if let Some(k) = child_key(old.kind(c)) {
-            old_unique
-                .entry(k)
-                .and_modify(|slot| *slot = None)
-                .or_insert(Some(c));
-        }
-    }
-    if old_unique.is_empty() {
+    // Phase 4 asks this of every matched parent outside the settled
+    // subtrees, and most have no unmatched child left.
+    if !new.children(pn).any(|c| matching.available_new(c)) {
         return 0;
     }
-    let mut new_unique: FastHashMap<ChildKey<'_>, Option<NodeId>> = fast_map();
-    for c in new.children(pn) {
-        if !matching.available_new(c) {
-            continue;
-        }
-        if let Some(k) = child_key(new.kind(c)) {
-            new_unique
-                .entry(k)
-                .and_modify(|slot| *slot = None)
-                .or_insert(Some(c));
-        }
-    }
+    let mut table = std::mem::take(&mut matching.child_table);
+    table.clear();
+    table.extend(old.children(po).filter(|&c| matching.available_old(c)).map(|c| (false, c)));
+    table.extend(new.children(pn).filter(|&c| matching.available_new(c)).map(|c| (true, c)));
+    let key = |&(is_new, c): &(bool, NodeId)| {
+        let tree = if is_new { new } else { old };
+        (child_key(tree.kind(c)), is_new)
+    };
+    table.sort_unstable_by_key(key);
     let mut added = 0;
-    for (k, slot) in new_unique {
-        let Some(nc) = slot else { continue };
-        let Some(Some(oc)) = old_unique.get(&k).copied() else { continue };
-        if matching.can_match(oc, nc) {
-            matching.add(oc, nc);
-            stats.propagation_matches += 1;
+    let mut run = 0;
+    while run < table.len() {
+        let k = key(&table[run]).0;
+        let end = run + table[run..].iter().take_while(|e| key(e).0 == k).count();
+        if let (Some(_), [(false, oc), (true, nc)]) = (k, &table[run..end]) {
+            matching.add(*oc, *nc);
             added += 1;
         }
+        run = end;
     }
+    matching.child_table = table;
+    stats.propagation_matches += added;
     // Deliberately non-recursive: descending further here would pre-empt
     // signature matches still waiting in the phase-3 queue (e.g. it would
     // glue Figure 2's Discount/Product(tx123) to the *moved-in* zy456
@@ -298,5 +319,51 @@ mod tests {
         let info = analyze(&f.new.tree);
         propagation_pass(&f.old.tree, &f.new.tree, &info, &mut f.matching, &mut f.stats);
         assert!(f.matching.is_matched_new(by_label(&f.new, "Discount")));
+    }
+
+    /// Phase 4 runs one pass because a second cannot add a match (the
+    /// argument is on [`propagation_pass`]); check it on simulated pairs of
+    /// every family, with and without ID attributes and phase-3 unique-child
+    /// propagation, from light edits to heavy ones.
+    #[test]
+    fn a_second_pass_adds_nothing() {
+        use crate::{buld, phase1, DiffOptions};
+        use xydelta::XidDocument;
+        use xysim::{generate, shuffle_children, simulate, ChangeConfig, DocGenConfig, DocKind};
+        use DocKind::{AddressBook, Catalog, Feed, Generic, Grid};
+        let mut first_added = 0;
+        for (k, kind) in [Catalog, AddressBook, Feed, Generic, Grid].into_iter().enumerate() {
+            for seed in 0..6u64 {
+                let ids = seed % 2 == 0;
+                let doc_seed = seed * 7 + k as u64;
+                let cfg =
+                    DocGenConfig { kind, target_nodes: 150, seed: doc_seed, id_attributes: ids };
+                let base = XidDocument::assign_initial(generate(&cfg));
+                let mut edits: Vec<_> = [0.01, 0.1, 0.4]
+                    .into_iter()
+                    .map(|rate| simulate(&base, &ChangeConfig::uniform(rate, seed ^ 0x5eed)))
+                    .collect();
+                edits.push(shuffle_children(&base, &xysim::ShuffleConfig { p_shuffle: 0.5, seed }));
+                let unique = seed % 3 != 0;
+                let opts = DiffOptions { enable_unique_child_propagation: unique, ..Default::default() };
+                for edit in &edits {
+                    let (old, new) = (&base.doc, &edit.new_version.doc);
+                    let (o, n) = (&old.tree, &new.tree);
+                    let (old_info, new_info) = (analyze(o), analyze(n));
+                    let mut m = Matching::new(o.arena_len(), n.arena_len());
+                    m.add(o.root(), n.root());
+                    let mut stats = DiffStats::default();
+                    phase1::match_by_id(old, new, &mut m, &mut stats);
+                    if stats.id_matches > 0 {
+                        propagation_pass(o, n, &new_info, &mut m, &mut stats);
+                    }
+                    buld::run(o, n, &old_info, &new_info, &mut m, &opts, &mut stats);
+                    let mut pass = || propagation_pass(o, n, &new_info, &mut m, &mut stats);
+                    first_added += pass();
+                    assert_eq!(pass(), 0, "a second pass matched more");
+                }
+            }
+        }
+        assert!(first_added > 0, "the first passes must have had work to do");
     }
 }

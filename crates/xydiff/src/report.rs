@@ -17,7 +17,7 @@ pub struct PhaseTimings {
     pub phase2: Duration,
     /// Phase 3: BULD matching loop.
     pub phase3: Duration,
-    /// Phase 4: structural propagation passes.
+    /// Phase 4: structural propagation.
     pub phase4: Duration,
     /// Phase 5: XID inheritance + delta construction.
     pub phase5: Duration,

@@ -83,6 +83,7 @@ pub(crate) fn diff_core_similarity(
     }
     timings.phase4 = t.elapsed();
 
+    (stats.old_nodes, stats.new_nodes) = crate::count_nodes(old, &new);
     crate::finish(old, new, matching, opts, capture, stats, timings)
 }
 

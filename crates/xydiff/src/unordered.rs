@@ -388,6 +388,7 @@ pub(crate) fn diff_core_unordered(
     run_matching(old_tree, new_tree, &old_sigs, &new_sigs, matching, &mut stats);
     timings.phase3 = t.elapsed();
 
+    (stats.old_nodes, stats.new_nodes) = crate::count_nodes(old, &new);
     crate::finish(old, new, matching, opts, capture, stats, timings)
 }
 

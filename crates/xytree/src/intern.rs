@@ -282,6 +282,26 @@ mod tests {
     }
 
     #[test]
+    fn symbol_interned_on_one_thread_resolves_on_another() {
+        // Labels interned on a thread that then exits.
+        let syms: Vec<Symbol> = std::thread::spawn(|| {
+            (0..300).map(|i| Symbol::intern(&format!("cross-thread-{i}"))).collect()
+        })
+        .join()
+        .unwrap();
+        for (i, s) in syms.iter().enumerate() {
+            let text = format!("cross-thread-{i}");
+            assert_eq!(s.as_str(), text);
+            assert_eq!(Symbol::lookup(&text), Some(*s));
+            assert_eq!(Symbol::intern(&text), *s);
+        }
+        // And the other way round: this thread's handles resolve elsewhere.
+        let here = Symbol::intern("interned-on-the-test-thread");
+        let there = std::thread::spawn(move || (here.as_str(), Symbol::intern(here.as_str())));
+        assert_eq!(there.join().unwrap(), ("interned-on-the-test-thread", here));
+    }
+
+    #[test]
     fn concurrent_interning_is_consistent() {
         let handles: Vec<_> = (0..8)
             .map(|t| {

@@ -1,9 +1,56 @@
 //! Tree iterators: children, ancestors, pre-order and post-order walks.
 //!
-//! All iterators are allocation-free except [`PostOrder`], which keeps an
-//! explicit descent stack bounded by tree depth.
+//! Every iterator is allocation-free: the walks step over the first-child,
+//! next-sibling and parent links and keep no stack.
+//!
+//! The two *pruned* walks ([`PrunedPreOrder`], [`PrunedPostOrder`]) take a
+//! predicate at every step and do not descend below a node for which it
+//! holds — they still yield that node. The diff uses them to skip the
+//! interior of subtrees it matched whole, where no operation can originate.
 
 use crate::tree::{NodeId, Tree};
+
+/// The pre-order successor of `cur` inside `scope`: its first child when
+/// `descend` (and it has one), else the next sibling of the nearest
+/// ancestor-or-self still inside the scope.
+#[inline]
+fn pre_order_next(tree: &Tree, scope: NodeId, cur: NodeId, descend: bool) -> Option<NodeId> {
+    if descend {
+        if let Some(c) = tree.first_child(cur) {
+            return Some(c);
+        }
+    }
+    let mut n = cur;
+    loop {
+        if n == scope {
+            return None;
+        }
+        if let Some(s) = tree.next_sibling(n) {
+            return Some(s);
+        }
+        n = tree.parent(n)?;
+    }
+}
+
+/// The first node of a post-order walk of `n`'s subtree: its leftmost
+/// leaf, treating nodes for which `stop` holds as leaves.
+#[inline]
+fn leftmost_leaf(tree: &Tree, mut n: NodeId, stop: impl Fn(NodeId) -> bool) -> NodeId {
+    while let Some(c) = tree.first_child(n).filter(|_| !stop(n)) {
+        n = c;
+    }
+    n
+}
+
+/// The post-order successor of `cur` (not the scope itself): the first
+/// node of its next sibling's walk, else its parent.
+#[inline]
+fn post_order_next(tree: &Tree, cur: NodeId, stop: impl Fn(NodeId) -> bool) -> Option<NodeId> {
+    match tree.next_sibling(cur) {
+        Some(sib) => Some(leftmost_leaf(tree, sib, stop)),
+        None => tree.parent(cur),
+    }
+}
 
 /// Iterator over the children of a node, in document order.
 pub struct Children<'a> {
@@ -67,25 +114,7 @@ impl Iterator for Descendants<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.next?;
-        // Advance: first child, else next sibling of the nearest ancestor
-        // still inside the scope.
-        self.next = if let Some(c) = self.tree.first_child(cur) {
-            Some(c)
-        } else {
-            let mut n = cur;
-            loop {
-                if n == self.scope {
-                    break None;
-                }
-                if let Some(s) = self.tree.next_sibling(n) {
-                    break Some(s);
-                }
-                match self.tree.parent(n) {
-                    Some(p) => n = p,
-                    None => break None,
-                }
-            }
-        };
+        self.next = pre_order_next(self.tree, self.scope, cur, true);
         Some(cur)
     }
 }
@@ -96,20 +125,13 @@ impl Iterator for Descendants<'_> {
 /// the paper uses the postfix position as the initial persistent identifier).
 pub struct PostOrder<'a> {
     tree: &'a Tree,
-    /// Nodes whose subtree still has to be descended into.
     next: Option<NodeId>,
     scope: NodeId,
-    done: bool,
 }
 
 impl<'a> PostOrder<'a> {
     pub(crate) fn new(tree: &'a Tree, scope: NodeId) -> Self {
-        // Start at the leftmost leaf.
-        let mut cur = scope;
-        while let Some(c) = tree.first_child(cur) {
-            cur = c;
-        }
-        PostOrder { tree, next: Some(cur), scope, done: false }
+        PostOrder { tree, next: Some(leftmost_leaf(tree, scope, |_| false)), scope }
     }
 }
 
@@ -117,32 +139,75 @@ impl Iterator for PostOrder<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        if self.done {
-            return None;
-        }
         let cur = self.next?;
-        if cur == self.scope {
-            self.done = true;
-            self.next = None;
-            return Some(cur);
-        }
-        self.next = if let Some(sib) = self.tree.next_sibling(cur) {
-            // Descend to the leftmost leaf of the next sibling.
-            let mut n = sib;
-            while let Some(c) = self.tree.first_child(n) {
-                n = c;
-            }
-            Some(n)
+        self.next = if cur == self.scope {
+            None
         } else {
-            self.tree.parent(cur)
+            post_order_next(self.tree, cur, |_| false)
         };
+        Some(cur)
+    }
+}
+
+/// A pre-order walk of a subtree that, step by step, does not descend below
+/// the node it yields when the caller's predicate holds for it — it still
+/// yields that node.
+///
+/// A stepper, not an [`Iterator`]: the predicate is an argument of each
+/// step, so the caller may change what it reads between steps (phase 4 of
+/// the diff adds matches while it walks and prunes on the matching).
+#[derive(Debug, Clone)]
+pub struct PrunedPreOrder {
+    scope: NodeId,
+    next: Option<NodeId>,
+}
+
+impl PrunedPreOrder {
+    /// A walk of `scope`'s subtree, starting at `scope`.
+    pub fn new(scope: NodeId) -> Self {
+        PrunedPreOrder { scope, next: Some(scope) }
+    }
+
+    /// The next node in pre-order; the walk will not enter its subtree if
+    /// `prune` holds for it.
+    #[inline]
+    pub fn next(&mut self, tree: &Tree, prune: impl Fn(NodeId) -> bool) -> Option<NodeId> {
+        let cur = self.next?;
+        self.next = pre_order_next(tree, self.scope, cur, !prune(cur));
+        Some(cur)
+    }
+}
+
+/// A post-order walk of a subtree (children before parents, the scope last)
+/// that does not descend below a node for which the caller's predicate
+/// holds — it still yields that node. A stepper like [`PrunedPreOrder`].
+#[derive(Debug, Clone)]
+pub struct PrunedPostOrder {
+    scope: NodeId,
+    next: Option<NodeId>,
+}
+
+impl PrunedPostOrder {
+    /// A walk of `scope`'s subtree, pruned by `prune` as it descends to the
+    /// first node.
+    pub fn new(tree: &Tree, scope: NodeId, prune: impl Fn(NodeId) -> bool) -> Self {
+        PrunedPostOrder { scope, next: Some(leftmost_leaf(tree, scope, prune)) }
+    }
+
+    /// The next node in post-order, not descending below nodes for which
+    /// `prune` holds on the way to it.
+    #[inline]
+    pub fn next(&mut self, tree: &Tree, prune: impl Fn(NodeId) -> bool) -> Option<NodeId> {
+        let cur = self.next?;
+        self.next = if cur == self.scope { None } else { post_order_next(tree, cur, prune) };
         Some(cur)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::tree::Tree;
+    use super::{PrunedPostOrder, PrunedPreOrder};
+    use crate::tree::{NodeId, Tree};
 
     /// Build:
     /// ```text
@@ -232,6 +297,41 @@ mod tests {
         pre.sort();
         post.sort();
         assert_eq!(pre, post);
+    }
+
+    /// Drain a pruned stepper.
+    fn pruned(t: &Tree, scope: NodeId, post: bool, prune: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        if post {
+            let mut walk = PrunedPostOrder::new(t, scope, &prune);
+            while let Some(n) = walk.next(t, &prune) {
+                out.push(n);
+            }
+        } else {
+            let mut walk = PrunedPreOrder::new(scope);
+            while let Some(n) = walk.next(t, &prune) {
+                out.push(n);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pruned_walks_yield_but_do_not_enter_pruned_nodes() {
+        let (t, ids) = sample();
+        let (b, f) = (ids[1], ids[5]);
+        let prune = |n| n == b || n == f;
+        let pre = pruned(&t, ids[0], false, prune);
+        assert_eq!(names(&t, pre.into_iter()), ["a", "b", "e", "f"]);
+        let post = pruned(&t, ids[0], true, prune);
+        assert_eq!(names(&t, post.into_iter()), ["b", "e", "f", "a"]);
+        // A pruned scope is a leaf; pruning nothing is the plain walk.
+        assert_eq!(pruned(&t, b, false, prune), [b]);
+        assert_eq!(pruned(&t, b, true, prune), [b]);
+        let all: Vec<_> = t.descendants(t.root()).collect();
+        assert_eq!(pruned(&t, t.root(), false, |_| false), all);
+        let all: Vec<_> = t.post_order(t.root()).collect();
+        assert_eq!(pruned(&t, t.root(), true, |_| false), all);
     }
 
     #[test]

@@ -791,31 +791,47 @@ impl Tree {
     /// Structural equality of two subtrees (labels, attributes as sets, text,
     /// children order). Document nodes compare equal to each other.
     ///
-    /// Implemented as an iterative lockstep walk over an explicit stack: the
-    /// diff's phase-3 candidate verification calls this on every accept, and
-    /// the recursive formulation paid a call frame per node (and risked
-    /// overflow on pathologically deep documents).
+    /// Implemented as a lockstep pre-order walk over the first-child,
+    /// next-sibling and parent links of both trees — no stack, no
+    /// allocation: the diff's phase-3 candidate verification calls this on
+    /// every accept, and it must not overflow on pathologically deep
+    /// documents either. The two walks stay at the same depth, so when one
+    /// climbs back to `a` the other is back at `b`.
     pub fn subtree_eq(&self, a: NodeId, other: &Tree, b: NodeId) -> bool {
-        let mut stack = vec![(a, b)];
-        while let Some((x, y)) = stack.pop() {
+        let (mut x, mut y) = (a, b);
+        loop {
             if !node_payload_eq(self.kind(x), other.kind(y)) {
                 return false;
             }
-            let mut ca = self.first_child(x);
-            let mut cb = other.first_child(y);
+            match (self.first_child(x), other.first_child(y)) {
+                (Some(cx), Some(cy)) => {
+                    (x, y) = (cx, cy);
+                    continue;
+                }
+                (None, None) => {}
+                _ => return false,
+            }
+            // A leaf pair: climb to the nearest pair of next siblings.
             loop {
-                match (ca, cb) {
-                    (None, None) => break,
-                    (Some(p), Some(q)) => {
-                        stack.push((p, q));
-                        ca = self.next_sibling(p);
-                        cb = other.next_sibling(q);
+                if x == a {
+                    return true;
+                }
+                match (self.next_sibling(x), other.next_sibling(y)) {
+                    (Some(sx), Some(sy)) => {
+                        (x, y) = (sx, sy);
+                        break;
+                    }
+                    (None, None) => {
+                        // INVARIANT: below `a` (and `b`) every node has a
+                        // parent, and the walk never climbs above them.
+                        x = self.parent(x).expect("walk stays inside the compared subtree");
+                        // INVARIANT: as above, in the other tree.
+                        y = other.parent(y).expect("walk stays inside the compared subtree");
                     }
                     _ => return false,
                 }
             }
         }
-        true
     }
 
     // ------------------------------------------------------------------

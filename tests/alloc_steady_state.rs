@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use xydiff_suite::xydelta::{xml_io, CaptureMode, Delta, Op, PayloadSource, XidDocument};
-use xydiff_suite::xydiff::Differ;
+use xydiff_suite::xydiff::{Differ, SignatureCache};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::Document;
 use xydiff_suite::xywarehouse::Repository;
@@ -321,4 +321,63 @@ fn decoding_allocates_for_the_delta_not_per_operation_or_payload() {
     }
     assert!(2 * payloads > ops, "most operations of the stream carry a payload");
     assert!(calls <= 2 * ops, "decoding made {:.1} calls per operation", calls as f64 / ops as f64);
+}
+
+/// The diff's allocation cost rule, on the warehouse's own path (the
+/// `crawl-large` shape in miniature: four families, ~3 600-node bases, every
+/// version an edit of its key's base at per-node probability 0.01, diffed
+/// against the previous version through the signature cache with borrowed
+/// payloads): once the worker's scratch and the caches are warm, a diff
+/// allocates for what it emits — its delta's buffers, the new version's XID
+/// table, a reordered parent's permutation — and for nothing it merely looks
+/// at: no stack per candidate verified, no key table per parent, no
+/// pass over the interior of a subtree matched whole.
+#[test]
+fn steady_state_diff_allocates_per_operation_not_per_node() {
+    let _gate = GATE.lock().unwrap();
+    let kinds = [DocKind::Catalog, DocKind::AddressBook, DocKind::Feed, DocKind::Generic];
+    let mut differ = Differ::new().with_capture(CaptureMode::Borrowed);
+    let keys: Vec<(XidDocument, Vec<Document>)> = kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            let seed = 2500 + i as u64;
+            let cfg = DocGenConfig { kind, target_nodes: 3600, seed, id_attributes: false };
+            let base = XidDocument::assign_initial(generate(&cfg));
+            let versions = (0..10)
+                .map(|v| simulate(&base, &ChangeConfig::uniform(0.01, seed << 8 | v)))
+                .map(|edit| edit.new_version.doc)
+                .collect();
+            (base, versions)
+        })
+        .collect();
+    let (mut calls, mut ops, mut diffs, mut nodes) = (0, 0, 0, 0);
+    for (base, versions) in &keys {
+        nodes += base.doc.node_count();
+        let mut cache = SignatureCache::new();
+        let mut latest = base.clone();
+        for (v, doc) in versions.iter().enumerate() {
+            let doc = doc.clone();
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            let result = differ.diff_consume_with_cache(&latest, doc, &mut cache);
+            let made = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+            // The first versions warm the scratch and the cache.
+            if v >= 4 {
+                calls += made;
+                ops += result.delta.len();
+                diffs += 1;
+            }
+            latest = result.new_version;
+        }
+    }
+    assert!(nodes / kinds.len() >= 3000, "bases shrank to {} nodes", nodes / kinds.len());
+    assert!(ops / diffs >= 40, "the edits shrank to {} ops per diff", ops / diffs);
+    // Measured: 1.7 calls per operation (266 per diff for 158 operations);
+    // the parent commit made 11.2 (1 780 per diff).
+    assert!(
+        calls <= 2 * ops + 24 * diffs,
+        "{:.1} allocation calls per diff for {:.1} operations",
+        calls as f64 / diffs as f64,
+        ops as f64 / diffs as f64
+    );
 }

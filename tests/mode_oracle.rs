@@ -20,8 +20,9 @@ mod common;
 
 use common::seed_range;
 use proptest::prelude::*;
-use xydiff_suite::xydelta::{verify, xml_io, XidDocument};
-use xydiff_suite::xydiff::{DiffResult, Differ, MatchMode};
+use xydiff_suite::xydelta::diff_by_xid::diff_by_xid_with;
+use xydiff_suite::xydelta::{verify, xml_io, CaptureMode, PayloadSource, XidDocument};
+use xydiff_suite::xydiff::{DiffResult, Differ, MatchMode, SignatureCache};
 use xydiff_suite::xytree::{Document, ParseOptions};
 use xydiff_suite::xysim::{
     attribute_churn, generate, shuffle_children, simulate, AttrChurnConfig, ChangeConfig,
@@ -72,7 +73,10 @@ fn pair_for(seed: u64) -> (XidDocument, SimulatedChange, &'static str) {
 /// Diff under `mode`, check verify-cleanliness and apply-roundtrip, and
 /// return the result. `ctx` prefixes every failure with the rerun recipe.
 fn check_mode(old: &XidDocument, sim: &SimulatedChange, mode: MatchMode, ctx: &str) -> DiffResult {
-    let r = Differ::new().with_mode(mode).diff(old, &sim.new_version.doc);
+    let mut differ = Differ::new().with_mode(mode);
+    let opts = differ.options();
+    let window = (!opts.exact_lis).then_some(opts.lis_window);
+    let r = differ.diff(old, &sim.new_version.doc);
     verify(&r.delta).unwrap_or_else(|e| panic!("{ctx} mode {mode}: delta fails verify: {e}"));
     let mut replay = old.clone();
     r.delta
@@ -107,6 +111,24 @@ fn check_mode(old: &XidDocument, sim: &SimulatedChange, mode: MatchMode, ctx: &s
     assert!(
         xml_io::delta_to_xml(&by_document) == xml,
         "{ctx} mode {mode}: direct and document decodings differ"
+    );
+    // Phase 5 builds the delta from the matcher's own arrays; the new
+    // version carries the same matching as inherited XIDs, and the one core
+    // fed it through `diff_by_xid` must agree byte for byte — what ties the
+    // core's two entry points together.
+    assert!(
+        xml_io::delta_to_xml(&diff_by_xid_with(old, &r.new_version, window)) == xml,
+        "{ctx} mode {mode}: diff_by_xid over the inherited XIDs differs from the diff"
+    );
+    // And the warehouse's path to the same delta: cached signatures,
+    // borrowed payloads, materialized at the `into_owned` boundary.
+    let mut cache = SignatureCache::new();
+    let mut warehouse = Differ::new().with_mode(mode).with_capture(CaptureMode::Borrowed);
+    let w = warehouse.diff_consume_with_cache(old, sim.new_version.doc.clone(), &mut cache);
+    let src = PayloadSource { old: &old.doc.tree, new: &w.new_version.doc.tree };
+    assert!(
+        xml_io::delta_to_xml(&w.delta.into_owned(&src)) == xml,
+        "{ctx} mode {mode}: the warehouse path (cache, borrowed capture) differs"
     );
     r
 }
