@@ -70,12 +70,11 @@ pub(crate) fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
 
     let report = server.shutdown();
     eprintln!(
-        "ingested {} snapshots of {} documents: {} stored, {} dead-lettered, {} retries, {} alerts",
+        "ingested {} snapshots of {} documents: {} stored, {} dead-lettered, {} alerts",
         report.submitted,
         corpus.len(),
         report.succeeded,
         report.dead_lettered,
-        report.retries,
         report.alerts_fired,
     );
     for dl in &report.dead_letters {

@@ -54,11 +54,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 
     let banner = serve.to_string();
     let server = NetServer::start(net, serve).map_err(|e| e.to_string())?;
-    eprintln!(
-        "xydiff serve: listening on http://{} ({} reactor)",
-        server.local_addr(),
-        server.backend(),
-    );
+    eprintln!("xydiff serve: listening on http://{}", server.local_addr());
     eprintln!("xydiff serve: {banner}");
     eprintln!("xydiff serve: POST /admin/shutdown (or close stdin) to drain");
 

@@ -50,7 +50,6 @@ fn spawn_server(wal_dir: &Path) -> Server {
             .expect("server exited before announcing its address")
             .expect("read server stderr");
         if let Some(rest) = line.split("listening on http://").nth(1) {
-            // The banner continues with the backend name: "… (epoll reactor)".
             let addr = rest.split_whitespace().next().expect("announced address");
             break addr.parse().expect("parse announced address");
         }

@@ -302,11 +302,6 @@ impl SignatureCache {
         self.len() == 0
     }
 
-    /// Drop every record (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.stamp = 0;
-    }
-
     /// Take over `info`, the records of `doc` (indices must refer to
     /// `doc.doc.tree`); `info` receives the retired buffers in exchange.
     pub(crate) fn store(&mut self, doc: &XidDocument, info: &mut TreeInfo) {

@@ -5,13 +5,13 @@
 //! state-machine code runs over three backends:
 //!
 //! - [`crate::sysdrv::SysDriver`] — real nonblocking sockets polled through
-//!   the `polling` shim (epoll on Linux, `poll(2)` fallback);
+//!   the `polling` shim's epoll;
 //! - [`crate::sim::SimDriver`] — a deterministic in-memory driver for the
 //!   torture tests: scripted byte chunks, virtual time, no sockets;
 //! - (tests may provide their own `Driver` for targeted scenarios.)
 //!
-//! The readiness contract is **oneshot**, matching both epoll's
-//! `EPOLLONESHOT` and the shim's `poll(2)` emulation: once an event for a
+//! The readiness contract is **oneshot**, matching epoll's
+//! `EPOLLONESHOT`: once an event for a
 //! token is delivered, that token stays dormant until the reactor re-arms
 //! it with [`Driver::rearm`]. The listener obeys the same contract through
 //! [`Driver::arm_accept`].
@@ -31,7 +31,7 @@ pub const LISTENER_TOKEN: Token = usize::MAX - 1;
 
 /// Wakes a blocked [`Driver::poll`] from any thread (completion callbacks,
 /// shutdown requests). Replaces the old loopback dummy-connect trick: the
-/// real driver backs this with an eventfd/self-pipe owned by the poller.
+/// real driver backs this with an eventfd owned by the poller.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// What readiness a connection should be (re-)armed for.
@@ -86,9 +86,6 @@ pub trait Transport: Send {
 pub trait Driver: Send {
     /// The bound listen address (a placeholder in the sim).
     fn local_addr(&self) -> SocketAddr;
-
-    /// Backend name for banners and metrics: `"epoll"`, `"poll"`, `"sim"`.
-    fn backend(&self) -> &'static str;
 
     /// The driver's clock. Real drivers return [`Instant::now`]; the sim
     /// returns a virtual clock so idle-eviction tests are deterministic.

@@ -6,8 +6,8 @@
 //! loop; this crate puts a wire protocol in front of it as an
 //! **event-driven reactor**: one thread multiplexes every connection over
 //! nonblocking sockets behind a readiness seam ([`driver::Driver`]) with
-//! three backends — epoll (Linux), a portable `poll(2)` fallback, and a
-//! deterministic in-memory simulator for tests. Per-connection state
+//! two backends — epoll and a deterministic in-memory simulator for
+//! tests. Per-connection state
 //! machines ([`machine`]) drive the incremental HTTP parser ([`http`]);
 //! only complete requests reach the xyserve scheduler, so idle keep-alive
 //! clients cost a file descriptor each, not a thread.
@@ -21,7 +21,7 @@
 //!     ServeConfig::new().with_workers(4).expect("valid worker count"),
 //! )
 //! .expect("bind failed");
-//! println!("listening on {} ({})", server.local_addr(), server.backend());
+//! println!("listening on {}", server.local_addr());
 //! // POST /ingest/{key} bodies flow through the diff pipeline; when a
 //! // drain is requested (POST /admin/shutdown), finish loss-free:
 //! server.wait_for_shutdown_request(std::time::Duration::MAX);

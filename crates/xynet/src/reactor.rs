@@ -15,7 +15,7 @@
 //! answered in place. `POST /ingest/{key}` is handed to the xyserve
 //! scheduler through [`xyserve::IngestServer::try_submit_with`]; the
 //! completion callback pushes the outcome onto a queue and fires the
-//! driver's [`Waker`] (eventfd/self-pipe — this replaced the old loopback
+//! driver's [`Waker`] (an eventfd — this replaced the old loopback
 //! dummy-connect wake), so a reactor blocked in `poll` resumes immediately
 //! while never parking a thread per request.
 //!
@@ -150,7 +150,6 @@ impl<D: Driver> Reactor<D> {
             ingest,
             http: HttpMetrics::new(),
             local_addr: driver.local_addr(),
-            backend: driver.backend(),
             config: net,
             draining: AtomicBool::new(false),
             shutdown_flag: Mutex::new(false),
@@ -183,11 +182,6 @@ impl<D: Driver> Reactor<D> {
     /// Connections currently registered.
     pub fn open_connections(&self) -> usize {
         self.open
-    }
-
-    /// The driver backend name (`"epoll"`, `"poll"`, `"sim"`).
-    pub fn backend(&self) -> &'static str {
-        self.shared.backend
     }
 
     /// Run until a drain is requested and every connection has resolved.
@@ -686,11 +680,6 @@ impl FrontHandle {
     /// The bound listen address (a placeholder for the sim driver).
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.shared.local_addr
-    }
-
-    /// The driver backend name (`"epoll"`, `"poll"`, `"sim"`).
-    pub fn backend(&self) -> &'static str {
-        self.shared.backend
     }
 
     /// The ingest pipeline behind the front.

@@ -180,26 +180,22 @@ pub(crate) fn draining_response() -> Response {
 
 fn completed_json(done: &Completed) -> String {
     format!(
-        "{{\"key\":\"{}\",\"seq\":{},\"version\":{},\"ops\":{},\"alerts\":{},\
-         \"schema_warnings\":{},\"durable\":{},\"mode\":\"{}\"}}",
+        "{{\"key\":\"{}\",\"seq\":{},\"version\":{},\"ops\":{},\"alerts\":{},\"durable\":{}}}",
         json_escape(&done.key),
         done.seq,
         done.version,
         done.ops,
         done.alerts,
-        done.schema_warnings,
         done.durable,
-        done.mode,
     )
 }
 
 fn dead_letter_json(letter: &DeadLetter) -> String {
     format!(
-        "{{\"error\":\"{}\",\"key\":\"{}\",\"seq\":{},\"attempts\":{}}}",
+        "{{\"error\":\"{}\",\"key\":\"{}\",\"seq\":{}}}",
         json_escape(&letter.error),
         json_escape(&letter.key),
         letter.seq,
-        letter.attempts,
     )
 }
 

@@ -20,7 +20,7 @@
 //! arrivals with the same `503`, and at `max_connections` the listener
 //! itself pauses. Shutdown is loss-free — every accepted snapshot resolves
 //! before the pipeline stops, and the drain is signalled to the reactor
-//! through the poller's eventfd/self-pipe wake-up (no loopback connects).
+//! through the poller's eventfd wake-up (no loopback connects).
 
 use std::io;
 use std::net::SocketAddr;
@@ -74,8 +74,6 @@ pub(crate) struct Shared {
     pub(crate) http: HttpMetrics,
     pub(crate) config: NetConfig,
     pub(crate) local_addr: SocketAddr,
-    /// Driver backend name, for banners: `"epoll"`, `"poll"`, `"sim"`.
-    pub(crate) backend: &'static str,
     /// Set once a drain begins; new snapshots are refused from then on.
     pub(crate) draining: AtomicBool,
     /// Signals [`NetServer::wait_for_shutdown_request`].
@@ -160,11 +158,6 @@ impl NetServer {
     /// The bound listen address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.handle().local_addr()
-    }
-
-    /// The active readiness backend: `"epoll"` or `"poll"`.
-    pub fn backend(&self) -> &'static str {
-        self.handle().backend()
     }
 
     /// The ingest pipeline behind the front.

@@ -6,7 +6,7 @@
 //! reset, read back what the server wrote, and advance a **virtual clock**
 //! that only moves when the test says so — which makes idle-timeout and
 //! slow-loris eviction exactly reproducible. The driver honours the same
-//! oneshot readiness contract as the real epoll/poll backends, so interest
+//! oneshot readiness contract as the real epoll driver, so interest
 //! re-arming bugs show up here first.
 //!
 //! [`Driver::poll`] never sleeps for long: with no deliverable event it
@@ -258,7 +258,7 @@ pub struct SimDriver {
 
 impl SimDriver {
     /// Events deliverable right now under the armed interest set. Delivery
-    /// disarms (oneshot), exactly like the epoll/poll backends.
+    /// disarms (oneshot), exactly like epoll.
     fn collect(state: &mut SimState, out: &mut Vec<Event>) {
         if state.accept_armed && !state.pending_accepts.is_empty() {
             state.accept_armed = false;
@@ -290,10 +290,6 @@ impl Driver for SimDriver {
     fn local_addr(&self) -> SocketAddr {
         // INVARIANT: a fixed literal address always parses.
         "127.0.0.1:0".parse().expect("literal address parses")
-    }
-
-    fn backend(&self) -> &'static str {
-        "sim"
     }
 
     fn now(&self) -> Instant {

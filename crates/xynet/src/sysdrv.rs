@@ -1,10 +1,9 @@
 //! The production [`Driver`]: nonblocking `std::net` sockets polled through
-//! the `polling` shim (epoll on Linux, `poll(2)` fallback, selectable at
-//! runtime with `XYPOLL_BACKEND=poll`).
+//! the `polling` shim's epoll.
 //!
 //! Registration keys are the reactor's tokens; the listener lives under
-//! [`LISTENER_TOKEN`] and the poller's notify wake-up (an eventfd or
-//! self-pipe inside the shim) backs [`Driver::waker`]. All registrations
+//! [`LISTENER_TOKEN`] and the poller's notify wake-up (an eventfd inside
+//! the shim) backs [`Driver::waker`]. All registrations
 //! follow the shim's oneshot contract, so this driver is a thin mapping
 //! layer with no interest bookkeeping of its own beyond the listener arm.
 
@@ -80,10 +79,6 @@ fn interest_event(token: Token, interest: Interest) -> PollEvent {
 impl Driver for SysDriver {
     fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    fn backend(&self) -> &'static str {
-        self.poller.backend()
     }
 
     fn now(&self) -> Instant {

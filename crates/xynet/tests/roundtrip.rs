@@ -199,8 +199,7 @@ fn full_queue_sheds_with_503_and_retry_after() {
             .unwrap()
             .with_queue_capacity(1)
             .unwrap()
-            .with_fault_hook(Arc::new(
-            |key, _, _| {
+            .with_fault_hook(Arc::new(|key, _| {
                 // Park the single worker while HOLD is up, but only for the
                 // designated key so the release path drains instantly.
                 if key == "block" {
@@ -208,9 +207,7 @@ fn full_queue_sheds_with_503_and_retry_after() {
                         std::thread::sleep(Duration::from_millis(2));
                     }
                 }
-                false
-            },
-        )),
+            })),
     ));
     let addr = server.local_addr();
 
@@ -424,14 +421,14 @@ const CORPUS: &[Script] = &[
             "GET /doc/diff-doc/9 HTTP/1.1\r\nHost: t\r\n\r\n",
             "GET /doc/ghost HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
         ],
-        expect: "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"error\":\"parse error: 7:2: content outside the root element\",\"key\":\"diff-doc\",\"seq\":0,\"attempts\":1}HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 30\r\nAllow: POST\r\n\r\n{\"error\":\"method not allowed\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\nConnection: close\r\n\r\n{\"error\":\"no such document\"}",
+        expect: "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\nContent-Length: 87\r\n\r\n{\"error\":\"parse error: 7:2: content outside the root element\",\"key\":\"diff-doc\",\"seq\":0}HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 30\r\nAllow: POST\r\n\r\n{\"error\":\"method not allowed\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"error\":\"no such document\"}HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 28\r\nConnection: close\r\n\r\n{\"error\":\"no such document\"}",
     },
     Script {
         name: "dead-letter-parse-error",
         writes: &[
             "POST /ingest/broken HTTP/1.1\r\nHost: t\r\nContent-Length: 7\r\nConnection: close\r\n\r\n<broken",
         ],
-        expect: "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\nContent-Length: 112\r\nConnection: close\r\n\r\n{\"error\":\"parse error: 1:8: unexpected end of input while reading open tag\",\"key\":\"broken\",\"seq\":0,\"attempts\":1}",
+        expect: "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\nContent-Length: 99\r\nConnection: close\r\n\r\n{\"error\":\"parse error: 1:8: unexpected end of input while reading open tag\",\"key\":\"broken\",\"seq\":0}",
     },
     Script {
         name: "expect-100-continue",
@@ -439,7 +436,7 @@ const CORPUS: &[Script] = &[
             "POST /ingest/cont HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: 4\r\nConnection: close\r\n\r\n",
             "<d/>",
         ],
-        expect: "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 103\r\nConnection: close\r\n\r\n{\"key\":\"cont\",\"seq\":0,\"version\":0,\"ops\":0,\"alerts\":0,\"schema_warnings\":0,\"durable\":false,\"mode\":\"buld\"}",
+        expect: "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 69\r\nConnection: close\r\n\r\n{\"key\":\"cont\",\"seq\":0,\"version\":0,\"ops\":0,\"alerts\":0,\"durable\":false}",
     },
 ];
 

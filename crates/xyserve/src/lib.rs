@@ -13,8 +13,8 @@
 //!   the oldest ready key, with one capacity bound as the backpressure
 //!   toward the crawler;
 //! - [`IngestServer`] — a worker pool over hash-sharded
-//!   [`xywarehouse::Repository`] shards, with bounded retry for transient
-//!   failures and a dead-letter queue for poison documents;
+//!   [`xywarehouse::Repository`] shards, with a dead-letter queue for
+//!   snapshots that cannot be stored;
 //! - [`metrics::Metrics`] — atomic counters, the queue-depth gauge, and
 //!   per-phase latency histograms with a Prometheus text exposition.
 //!

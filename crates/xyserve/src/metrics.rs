@@ -14,7 +14,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use xydiff::MatchMode;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -239,50 +238,6 @@ pub mod expo {
     }
 }
 
-/// One counter per diff matcher mode, for the `ingest_mode_total` family.
-///
-/// The full label set is always rendered (zero-valued series included) so a
-/// scrape sees every mode the server could run, not just the one it did.
-#[derive(Debug, Default)]
-pub struct ModeCounters {
-    buld: Counter,
-    unordered: Counter,
-    similarity: Counter,
-}
-
-impl ModeCounters {
-    fn counter(&self, mode: MatchMode) -> Option<&Counter> {
-        match mode {
-            MatchMode::Buld => Some(&self.buld),
-            MatchMode::Unordered => Some(&self.unordered),
-            MatchMode::Similarity => Some(&self.similarity),
-            // `MatchMode` is non_exhaustive: a mode this build does not
-            // know about has no series to charge.
-            _ => None,
-        }
-    }
-
-    /// Add one successful ingest under `mode`.
-    pub fn inc(&self, mode: MatchMode) {
-        if let Some(c) = self.counter(mode) {
-            c.inc();
-        }
-    }
-
-    /// Current count for `mode` (0 for modes this build does not know).
-    pub fn get(&self, mode: MatchMode) -> u64 {
-        self.counter(mode).map_or(0, Counter::get)
-    }
-
-    /// `(label, count)` series for every known mode, in declaration order.
-    pub fn series(&self) -> Vec<(String, u64)> {
-        MatchMode::all()
-            .iter()
-            .map(|&m| (m.as_str().to_string(), self.get(m)))
-            .collect()
-    }
-}
-
 /// The ingest server's metric registry.
 #[derive(Debug)]
 pub struct Metrics {
@@ -290,17 +245,10 @@ pub struct Metrics {
     pub enqueued: Counter,
     /// Snapshots whose processing finished successfully.
     pub succeeded: Counter,
-    /// Transient failures that were retried.
-    pub retries: Counter,
     /// Snapshots given up on and moved to the dead-letter queue.
     pub dead_lettered: Counter,
     /// Subscription notifications fired by the alerter.
     pub alerts_fired: Counter,
-    /// Subscriptions statically proven unsatisfiable against an ingested
-    /// document's DTD (they can never fire; see `xyschema`).
-    pub schema_warnings: Counter,
-    /// Successful ingests by diff matcher mode (`ingest_mode_total`).
-    pub ingest_mode: ModeCounters,
     /// Snapshots pending in the queue (with high-water mark).
     pub queue_depth: Gauge,
     /// XML parse time per snapshot.
@@ -339,11 +287,8 @@ impl Default for Metrics {
         Metrics {
             enqueued: Counter::default(),
             succeeded: Counter::default(),
-            retries: Counter::default(),
             dead_lettered: Counter::default(),
             alerts_fired: Counter::default(),
-            schema_warnings: Counter::default(),
-            ingest_mode: ModeCounters::default(),
             queue_depth: Gauge::default(),
             parse_time: Histogram::default(),
             diff_time: Histogram::default(),
@@ -402,12 +347,6 @@ impl Metrics {
         );
         expo::counter(
             &mut out,
-            "ingest_retries_total",
-            "Transient-failure retries performed.",
-            self.retries.get(),
-        );
-        expo::counter(
-            &mut out,
             "ingest_dead_lettered_total",
             "Snapshots moved to the dead-letter queue.",
             self.dead_lettered.get(),
@@ -417,19 +356,6 @@ impl Metrics {
             "ingest_alerts_fired_total",
             "Subscription notifications fired by the alerter.",
             self.alerts_fired.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ingest_schema_warnings_total",
-            "Subscriptions statically proven dead against an ingested DTD.",
-            self.schema_warnings.get(),
-        );
-        expo::labeled_counter(
-            &mut out,
-            "ingest_mode_total",
-            "Successful ingests by diff matcher mode.",
-            "mode",
-            &self.ingest_mode.series(),
         );
         expo::gauge(
             &mut out,
@@ -653,20 +579,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.observe_total(9);
         assert_eq!(c.get(), 9);
-    }
-
-    #[test]
-    fn mode_counters_render_every_mode() {
-        let m = Metrics::new();
-        m.ingest_mode.inc(MatchMode::Unordered);
-        m.ingest_mode.inc(MatchMode::Unordered);
-        m.ingest_mode.inc(MatchMode::Buld);
-        assert_eq!(m.ingest_mode.get(MatchMode::Unordered), 2);
-        let text = m.render();
-        assert!(text.contains("ingest_mode_total{mode=\"buld\"} 1"), "{text}");
-        assert!(text.contains("ingest_mode_total{mode=\"unordered\"} 2"), "{text}");
-        // Zero-valued series stay visible so the label set is complete.
-        assert!(text.contains("ingest_mode_total{mode=\"similarity\"} 0"), "{text}");
     }
 
     #[test]

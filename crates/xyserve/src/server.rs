@@ -7,13 +7,10 @@
 //! diff against the stored latest → append the delta to the version chain →
 //! evaluate subscriptions.
 //!
-//! Two failure classes are kept apart:
-//!
-//! - **poison** snapshots (malformed XML) can never succeed — they go to
-//!   the dead-letter queue immediately and must never kill a worker;
-//! - **transient** failures (modeled by an injectable fault hook, standing
-//!   in for store I/O hiccups) are retried a bounded number of times before
-//!   dead-lettering.
+//! A snapshot that cannot be stored — malformed XML, or a computed delta
+//! that fails static verification — goes to the dead-letter queue at once
+//! and never kills a worker. Nothing is retried: neither failure can
+//! succeed on a second attempt.
 //!
 //! Versions of one document apply in submission order because the queue
 //! hands out at most one snapshot per key at a time, in push order (see
@@ -42,14 +39,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xydelta::xml_io;
-use xydiff::{Differ, DiffOptions, MatchMode};
+use xydiff::{Differ, DiffOptions};
 use xytree::Document;
 use xywal::{Record, Wal, WalError};
 use xywarehouse::{Alerter, Notification, ReplayError, Repository};
 
-/// Decides whether an attempt experiences a (simulated) transient failure.
-/// Arguments: document key, per-key sequence number, 1-based attempt count.
-pub type FaultHook = Arc<dyn Fn(&str, u64, u32) -> bool + Send + Sync>;
+/// A test seam called once per job, after the parse and before the store,
+/// with the document key and per-key sequence number. It cannot fail the
+/// job; tests use it to park a worker.
+pub type FaultHook = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
 /// Where and how the server write-ahead-logs every completed ingest: the
 /// log's own [`xywal::WalConfig`] (directory, sync mode, segment size).
@@ -140,8 +138,6 @@ pub struct ServeConfig {
     /// Queue capacity — the backpressure threshold over the pending
     /// snapshots of all keys.
     pub queue_capacity: usize,
-    /// How many times a transient failure is retried before dead-lettering.
-    pub max_retries: u32,
     /// Number of repository shards (keys are hash-partitioned; must be a
     /// power of two).
     pub shards: usize,
@@ -155,7 +151,7 @@ pub struct ServeConfig {
     pub diff_options: DiffOptions,
     /// Subscriptions evaluated on every ingested delta.
     pub alerter: Alerter,
-    /// Transient-failure injection for tests; `None` in production.
+    /// The per-job test seam; `None` in production.
     pub fault_hook: Option<FaultHook>,
     /// Write-ahead logging of every completed ingest; `None` keeps the
     /// server memory-only: an ack only guarantees the version is in memory.
@@ -189,13 +185,6 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// Set the transient-failure retry budget.
-    #[must_use]
-    pub fn with_max_retries(mut self, retries: u32) -> ServeConfig {
-        self.max_retries = retries;
-        self
-    }
-
     /// Set the repository shard count. Rejects 0 and non-powers-of-two.
     pub fn with_shards(mut self, shards: usize) -> Result<ServeConfig, ConfigError> {
         self.shards = check_shards(shards)?;
@@ -227,14 +216,6 @@ impl ServeConfig {
         self
     }
 
-    /// Select the diff matcher mode every shard runs (shorthand for setting
-    /// [`DiffOptions::mode`] through [`ServeConfig::with_diff_options`]).
-    #[must_use]
-    pub fn with_mode(mut self, mode: MatchMode) -> ServeConfig {
-        self.diff_options.mode = mode;
-        self
-    }
-
     /// Set the alerter evaluated on every ingested delta.
     #[must_use]
     pub fn with_alerter(mut self, alerter: Alerter) -> ServeConfig {
@@ -242,7 +223,7 @@ impl ServeConfig {
         self
     }
 
-    /// Install a transient-failure injection hook (tests).
+    /// Install the per-job test seam (see [`FaultHook`]).
     #[must_use]
     pub fn with_fault_hook(mut self, hook: FaultHook) -> ServeConfig {
         self.fault_hook = Some(hook);
@@ -319,8 +300,7 @@ impl std::fmt::Display for ServeConfig {
         write!(
             f,
             "workers={} available_parallelism={} oversubscribed={} shards={} \
-             queue_capacity={} diff_threads={} mode={} max_retries={} wal={} \
-             compact_chain_max={}",
+             queue_capacity={} diff_threads={} mode={} wal={} compact_chain_max={}",
             self.workers,
             available,
             available > 0 && runnable > available,
@@ -328,7 +308,6 @@ impl std::fmt::Display for ServeConfig {
             self.queue_capacity,
             self.diff_threads,
             self.diff_options.mode,
-            self.max_retries,
             self.wal.is_some(),
             self.compact_chain_max
         )
@@ -340,7 +319,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("max_retries", &self.max_retries)
             .field("shards", &self.shards)
             .field("diff_threads", &self.diff_threads)
             .field("mode", &self.diff_options.mode)
@@ -356,7 +334,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_capacity: 128,
-            max_retries: 2,
             shards: 8,
             diff_threads: 1,
             diff_options: DiffOptions::default(),
@@ -376,8 +353,6 @@ pub struct DeadLetter {
     /// Per-key sequence number of the failed snapshot (0 for one refused by
     /// a draining server, which never got a number).
     pub seq: u64,
-    /// Attempts made (0 when the snapshot never reached processing).
-    pub attempts: u32,
     /// Human-readable failure description.
     pub error: String,
 }
@@ -398,16 +373,11 @@ pub struct Completed {
     pub ops: usize,
     /// Alert notifications this delta fired.
     pub alerts: usize,
-    /// Subscriptions statically proven dead against this document's DTD
-    /// (non-zero only on the first load of a key or on a DOCTYPE change).
-    pub schema_warnings: usize,
     /// True when the version was written to the write-ahead log (and, in
     /// [`xywal::WalSync::Always`] mode, fsynced) before this ack — i.e. it
     /// survives `kill -9`. False when no WAL is configured, when the sync
     /// mode leaves flushing to the OS, or when the append failed.
     pub durable: bool,
-    /// The diff matcher mode that produced this version's delta.
-    pub mode: MatchMode,
 }
 
 /// A handle resolving to the outcome of one tracked submission.
@@ -426,7 +396,6 @@ impl Ticket {
             Err(DeadLetter {
                 key: String::new(),
                 seq: 0,
-                attempts: 0,
                 error: "server dropped before delivering an outcome".to_string(),
             })
         })
@@ -490,10 +459,8 @@ pub struct ShutdownReport {
     pub submitted: u64,
     /// Snapshots fully processed.
     pub succeeded: u64,
-    /// Snapshots dead-lettered (poison, retry exhaustion, or shutdown race).
+    /// Snapshots dead-lettered (poison, a rejected delta, or shutdown race).
     pub dead_lettered: u64,
-    /// Transient-failure retries performed.
-    pub retries: u64,
     /// Alerter notifications fired.
     pub alerts_fired: u64,
     /// The dead letters themselves.
@@ -654,7 +621,7 @@ impl IngestServer {
                 // dropped unused: a delivery on top would answer twice. The
                 // letter is counted before the submit, so the two counters
                 // never read as work still pending.
-                inner.dead_letter(key, 0, 0, "submitted during shutdown".to_string(), None);
+                inner.dead_letter(key, 0, "submitted during shutdown".to_string(), None);
                 inner.metrics.enqueued.inc();
                 Err(SubmitError::ShuttingDown)
             }
@@ -775,7 +742,6 @@ impl IngestServer {
             submitted: m.enqueued.get(),
             succeeded: m.succeeded.get(),
             dead_lettered: m.dead_lettered.get(),
-            retries: m.retries.get(),
             alerts_fired: m.alerts_fired.get(),
             dead_letters: locked(&self.inner.dead).clone(),
             notifications: std::mem::take(&mut locked(&self.inner.notifications)),
@@ -874,24 +840,17 @@ impl Inner {
         }
     }
 
-    fn dead_letter(
-        &self,
-        key: &str,
-        seq: u64,
-        attempts: u32,
-        error: String,
-        done: Option<CompletionFn>,
-    ) {
+    fn dead_letter(&self, key: &str, seq: u64, error: String, done: Option<CompletionFn>) {
         self.metrics.dead_lettered.inc();
-        let letter = DeadLetter { key: key.to_string(), seq, attempts, error };
+        let letter = DeadLetter { key: key.to_string(), seq, error };
         if let Some(done) = done {
             done(Err(letter.clone()));
         }
         locked(&self.dead).push(letter);
     }
 
-    /// Run one snapshot through parse → diff → store → alert, with bounded
-    /// retry for transient failures and dead-lettering for poison input.
+    /// Run one snapshot through parse → diff → store → alert, dead-lettering
+    /// what cannot be stored.
     fn process(&self, key: &str, seq: u64, job: Job, differ: &mut Differ) {
         let Job { xml, done } = job;
         let started = Instant::now();
@@ -899,33 +858,13 @@ impl Inner {
         let doc = match Document::parse(&xml) {
             Ok(doc) => doc,
             Err(e) => {
-                // Poison: malformed XML can never succeed, so no retry.
-                self.dead_letter(key, seq, 1, format!("parse error: {e}"), done);
+                self.dead_letter(key, seq, format!("parse error: {e}"), done);
                 return;
             }
         };
         self.metrics.parse_time.observe(t_parse.elapsed());
-
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            if let Some(hook) = &self.config.fault_hook {
-                if hook(key, seq, attempt) {
-                    if attempt > self.config.max_retries {
-                        self.dead_letter(
-                            key,
-                            seq,
-                            attempt,
-                            "transient failure, retries exhausted".to_string(),
-                            done,
-                        );
-                        return;
-                    }
-                    self.metrics.retries.inc();
-                    continue;
-                }
-            }
-            break;
+        if let Some(hook) = &self.config.fault_hook {
+            hook(key, seq);
         }
 
         let shard = &self.shards[self.shard_of(key)];
@@ -943,7 +882,7 @@ impl Inner {
                 // an input property: dead-letter the snapshot (the version
                 // was not stored, so the chain stays consistent) instead of
                 // taking the worker down.
-                self.dead_letter(key, seq, attempt, format!("rejected delta: {e}"), done);
+                self.dead_letter(key, seq, format!("rejected delta: {e}"), done);
                 return;
             }
         };
@@ -958,10 +897,6 @@ impl Inner {
             // duration would skew the latency statistics.
             self.metrics.diff_time.observe(out.diff_time);
             self.metrics.alert_time.observe(out.alert_time);
-        }
-        let schema_warnings = out.schema_warnings.len();
-        if schema_warnings > 0 {
-            self.metrics.schema_warnings.add(schema_warnings as u64);
         }
         let alerts = out.notifications.len();
         if alerts > 0 {
@@ -995,9 +930,7 @@ impl Inner {
             }
             self.sync_wal_metrics(wal);
         }
-        let mode = self.config.diff_options.mode;
         self.metrics.succeeded.inc();
-        self.metrics.ingest_mode.inc(mode);
         self.metrics.total_time.observe(started.elapsed());
         if let Some(done) = done {
             done(Ok(Completed {
@@ -1006,9 +939,7 @@ impl Inner {
                 version: out.version,
                 ops: out.delta.len(),
                 alerts,
-                schema_warnings,
                 durable,
-                mode,
             }));
         }
     }
@@ -1118,47 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_then_succeed() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let tries = Arc::new(AtomicU32::new(0));
-        let tries2 = Arc::clone(&tries);
-        let server = IngestServer::start(
-            ServeConfig::new().with_workers(1).unwrap().with_max_retries(3).with_fault_hook(
-                // Fail the first two attempts of everything.
-                Arc::new(move |_, _, attempt| {
-                    tries2.fetch_add(1, Ordering::Relaxed);
-                    attempt <= 2
-                }),
-            ),
-        );
-        server.submit("doc", "<a/>").unwrap();
-        let report = server.shutdown();
-        assert!(report.is_balanced());
-        assert_eq!(report.succeeded, 1);
-        assert_eq!(report.retries, 2);
-        assert_eq!(tries.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn transient_failures_exhaust_retries_into_dlq() {
-        let server = IngestServer::start(
-            ServeConfig::new()
-                .with_workers(2)
-                .unwrap()
-                .with_max_retries(2)
-                .with_fault_hook(Arc::new(|key, _, _| key == "cursed")),
-        );
-        server.submit("cursed", "<a/>").unwrap();
-        server.submit("fine", "<a/>").unwrap();
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-        assert_eq!(report.succeeded, 1);
-        assert_eq!(report.dead_lettered, 1);
-        assert_eq!(report.retries, 2);
-        assert_eq!(report.dead_letters[0].attempts, 3);
-    }
-
-    #[test]
     fn submit_after_shutdown_is_refused() {
         let server = tiny_server(1);
         server.begin_drain();
@@ -1205,31 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_subscriptions_surface_in_ack_and_metrics() {
-        use xywarehouse::Subscription;
-        let mut alerter = Alerter::new();
-        alerter.subscribe(Subscription::everything("dead").at_query("//widget"));
-        let server =
-            IngestServer::start(ServeConfig::new().with_workers(1).unwrap().with_alerter(alerter));
-        let dtd = "<!DOCTYPE catalog [<!ELEMENT catalog (product*)>\
-                   <!ELEMENT product (#PCDATA)>]>";
-        let t = server
-            .submit_tracked("cat", format!("{dtd}<catalog><product>p</product></catalog>"))
-            .unwrap();
-        let done = t.wait().expect("first version stores");
-        assert_eq!(done.schema_warnings, 1, "{done:?}");
-        // Without a DOCTYPE there is nothing to audit.
-        let t = server.submit_tracked("plain", "<catalog/>").unwrap();
-        assert_eq!(t.wait().expect("stores").schema_warnings, 0);
-        let report = server.shutdown();
-        assert!(
-            report.metrics_text.contains("ingest_schema_warnings_total 1"),
-            "{}",
-            report.metrics_text
-        );
-    }
-
-    #[test]
     fn tracked_submission_reports_version_and_ops() {
         let server = tiny_server(2);
         let t0 = server.submit_tracked("doc", "<d><v>0</v></d>").unwrap();
@@ -1261,12 +1126,11 @@ mod tests {
                 .unwrap()
                 .with_queue_capacity(1)
                 .unwrap()
-                .with_fault_hook(Arc::new(move |key, _, _| {
+                .with_fault_hook(Arc::new(move |key, _| {
                     if key == "held" {
                         entered_tx.lock().unwrap().send(()).unwrap();
                         release_rx.lock().unwrap().recv().unwrap();
                     }
-                    false
                 })),
         );
         server.submit("held", "<a/>").unwrap();
@@ -1329,10 +1193,10 @@ mod tests {
 
         // Restart with a different shard count and matcher: chains re-route,
         // and replay applies the logged deltas without running any diff.
-        let server = IngestServer::try_start(
-            config.with_shards(4).unwrap().with_mode(MatchMode::Unordered),
-        )
-        .unwrap();
+        let unordered = DiffOptions { mode: xydiff::MatchMode::Unordered, ..DiffOptions::default() };
+        let server =
+            IngestServer::try_start(config.with_shards(4).unwrap().with_diff_options(unordered))
+                .unwrap();
         assert_eq!(server.total_versions(), logged);
         let repo = server.repository_for("doc");
         for v in 0..5 {
@@ -1429,7 +1293,7 @@ mod tests {
         assert_eq!(
             keys.join(" "),
             "workers available_parallelism oversubscribed shards queue_capacity diff_threads \
-             mode max_retries wal compact_chain_max",
+             mode wal compact_chain_max",
             "{line}"
         );
         assert!(line.starts_with(&format!("workers=1024 available_parallelism={available} ")), "{line}");

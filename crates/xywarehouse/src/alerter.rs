@@ -4,10 +4,7 @@
 //! delta, patterns that may interest some subscriptions." (§2, Figure 1)
 
 use crate::subscription::Subscription;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 use xydelta::{Delta, Op, Xid, XidDocument};
-use xytree::Doctype;
 
 /// A subscription hit produced while loading one new version.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,26 +21,10 @@ pub struct Notification {
     pub snippet: String,
 }
 
-/// A registration-time schema diagnostic: a subscription whose query can
-/// never select a node in any document valid under the stored DTD, so it
-/// will silently never fire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchemaWarning {
-    /// Name of the dead subscription.
-    pub subscription: String,
-    /// Document whose DTD rules it out.
-    pub doc_key: String,
-    /// Human-readable unsatisfiability proof sketch.
-    pub reason: String,
-}
-
 /// A set of subscriptions evaluated against every delta.
 #[derive(Debug, Default, Clone)]
 pub struct Alerter {
     subscriptions: Vec<Subscription>,
-    /// `(doc_key, subscription)` pairs already warned about, shared across
-    /// clones so each dead subscription is reported once per document.
-    warned: Arc<Mutex<HashSet<(String, String)>>>,
 }
 
 impl Alerter {
@@ -60,60 +41,6 @@ impl Alerter {
     /// Number of registered subscriptions.
     pub fn subscription_count(&self) -> usize {
         self.subscriptions.len()
-    }
-
-    /// Statically audit every subscription scoped to `doc_key` against the
-    /// document's DTD: a subscription whose query (or path suffix) is
-    /// provably unsatisfiable under the grammar can never fire and is
-    /// reported as a [`SchemaWarning`]. Each `(doc_key, subscription)` pair
-    /// is warned about at most once across the alerter's lifetime (clones
-    /// share the memory). Queries the analyzer cannot decide are skipped —
-    /// only proofs produce warnings.
-    pub fn audit(&self, doc_key: &str, doctype: &Doctype) -> Vec<SchemaWarning> {
-        if self.subscriptions.is_empty() || !doctype.has_element_decls() {
-            return Vec::new();
-        }
-        let Ok(grammar) = xyschema::Grammar::from_doctype(doctype) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        // INVARIANT: a poisoned lock means another thread panicked while
-        // recording a warning key; the alerter cannot vouch for its dedup
-        // state, so the panic propagates.
-        let mut warned = self.warned.lock().expect("schema-warning set poisoned");
-        for sub in &self.subscriptions {
-            if !sub.document_matches(doc_key) {
-                continue;
-            }
-            // Subscriptions with an explicit query are checked as-is; a bare
-            // path suffix `[l1, …, ln]` fires only on nodes whose label path
-            // ends with it, which requires the chain `//l1/l2/…/ln` to be
-            // realizable somewhere in a valid document.
-            let path = match &sub.query {
-                Some(q) => q.clone(),
-                None => {
-                    if sub.path_suffix.is_empty() {
-                        continue;
-                    }
-                    let expr = format!("//{}", sub.path_suffix.join("/"));
-                    match xyquery::Path::parse(&expr) {
-                        Ok(p) => p,
-                        Err(_) => continue,
-                    }
-                }
-            };
-            if let Ok(xyschema::Verdict::Unsatisfiable(u)) = xyschema::analyze(&path, &grammar) {
-                let key = (doc_key.to_string(), sub.name.clone());
-                if warned.insert(key) {
-                    out.push(SchemaWarning {
-                        subscription: sub.name.clone(),
-                        doc_key: doc_key.to_string(),
-                        reason: u.describe(),
-                    });
-                }
-            }
-        }
-        out
     }
 
     /// Evaluate a delta (computed between `old` and `new`) for document
@@ -388,51 +315,6 @@ mod tests {
     #[test]
     fn bad_subscription_query_fails_at_registration() {
         assert!(Subscription::everything("s").try_at_query("//broken[").is_err());
-    }
-
-    #[test]
-    fn audit_flags_dead_subscriptions_once() {
-        let dt = xytree::parse_dtd(
-            "<!ELEMENT catalog (product*)>\
-             <!ELEMENT product (name)>\
-             <!ELEMENT name (#PCDATA)>",
-            None,
-        )
-        .unwrap();
-        let mut a = Alerter::new();
-        a.subscribe(Subscription::everything("dead-query").at_query("//widget"));
-        a.subscribe(Subscription::everything("alive").at_query("//product/name"));
-        a.subscribe(Subscription::everything("dead-suffix").at_path(["catalog", "widget"]));
-        a.subscribe(Subscription::everything("no-restriction"));
-        let w = a.audit("cat.xml", &dt);
-        let names: Vec<&str> = w.iter().map(|w| w.subscription.as_str()).collect();
-        assert_eq!(names, ["dead-query", "dead-suffix"], "{w:?}");
-        assert!(w[0].reason.contains("widget"), "{w:?}");
-        // Each (doc, subscription) pair is warned about once, and clones
-        // share the memory.
-        assert!(a.audit("cat.xml", &dt).is_empty());
-        assert!(a.clone().audit("cat.xml", &dt).is_empty());
-        // A different document key is a fresh audit.
-        assert_eq!(a.audit("other.xml", &dt).len(), 2);
-    }
-
-    #[test]
-    fn audit_scopes_to_document_key() {
-        let dt = xytree::parse_dtd("<!ELEMENT a (#PCDATA)>", None).unwrap();
-        let mut a = Alerter::new();
-        a.subscribe(Subscription::everything("elsewhere").on_document("other.xml").at_query("//b"));
-        assert!(a.audit("cat.xml", &dt).is_empty());
-        assert_eq!(a.audit("other.xml", &dt).len(), 1);
-    }
-
-    #[test]
-    fn audit_without_element_decls_is_quiet() {
-        // ID-attribute-only DOCTYPEs (the common xysim shape) declare no
-        // content models, so there is no grammar to analyze against.
-        let dt = xytree::parse_dtd("<!ATTLIST product id ID #REQUIRED>", Some("catalog")).unwrap();
-        let mut a = Alerter::new();
-        a.subscribe(Subscription::everything("q").at_query("//nosuch"));
-        assert!(a.audit("cat.xml", &dt).is_empty());
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!
 //! - [`Repository`] — a concurrent in-memory store mapping document keys to
 //!   version chains (latest snapshot + delta sequence), fed by
-//!   [`Repository::load_version`] which runs the BULD diff;
+//!   [`Repository::load_version`] which runs the BULD diff; any past
+//!   version or any delta range can be reconstructed ("querying the past");
 //! - [`Subscription`] / [`Alerter`] — the monitoring side: label-path
 //!   patterns over delta operations ("e.g., that a new product has been
 //!   added to a catalog"), evaluated against every incoming delta;
-//! - temporal queries — any past version or any delta range can be
-//!   reconstructed ("querying the past");
 //! - [`replay`] — rebuilding the repository from its one durable form, the
 //!   `xywal` log of first versions and completed deltas.
 
@@ -28,13 +27,9 @@
 pub mod alerter;
 pub mod replay;
 pub mod repository;
-pub mod stats;
-pub mod temporal;
 pub mod subscription;
 
-pub use alerter::{Alerter, Notification, SchemaWarning};
+pub use alerter::{Alerter, Notification};
 pub use replay::{ReplayError, ReplayStats};
 pub use repository::{LoadOutcome, Repository, RepositoryError};
-pub use stats::ChangeStats;
-pub use temporal::TemporalError;
 pub use subscription::{OpFilter, Subscription};

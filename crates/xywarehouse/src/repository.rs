@@ -7,7 +7,7 @@
 //! possibly removed from the repository"), and hands the delta to the
 //! alerter.
 
-use crate::alerter::{Alerter, Notification, SchemaWarning};
+use crate::alerter::{Alerter, Notification};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -78,10 +78,6 @@ pub struct LoadOutcome {
     pub diff_time: std::time::Duration,
     /// Wall-clock time spent evaluating subscriptions.
     pub alert_time: std::time::Duration,
-    /// Subscriptions statically proven dead against this document's DTD
-    /// (audited on the first load and whenever the DOCTYPE changes; each is
-    /// reported once per document).
-    pub schema_warnings: Vec<SchemaWarning>,
 }
 
 /// One stored document: its version chain plus the signature cache carried
@@ -98,7 +94,6 @@ pub struct Repository {
     entries: RwLock<HashMap<String, StoredDoc>>,
     opts: DiffOptions,
     alerter: Alerter,
-    use_signature_cache: bool,
 }
 
 impl Repository {
@@ -109,12 +104,7 @@ impl Repository {
 
     /// An empty repository with explicit diff options and an alerter.
     pub fn with_options(opts: DiffOptions, alerter: Alerter) -> Repository {
-        Repository {
-            entries: RwLock::new(HashMap::new()),
-            opts,
-            alerter,
-            use_signature_cache: true,
-        }
+        Repository { entries: RwLock::new(HashMap::new()), opts, alerter }
     }
 
     /// Shared access to the entries. A poisoned lock (a thread panicked while
@@ -128,20 +118,6 @@ impl Repository {
     /// Exclusive access to the entries; same poison policy as [`Self::read`].
     fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, StoredDoc>> {
         self.entries.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enable or disable the per-document cross-version signature cache.
-    ///
-    /// The cache is a pure optimisation — deltas and reconstructed versions
-    /// are byte-identical either way (pinned by tests) — so the toggle exists
-    /// for benchmarking and for debugging suspected cache-coherence issues.
-    pub fn set_signature_cache(&mut self, enabled: bool) {
-        self.use_signature_cache = enabled;
-        if !enabled {
-            for stored in self.write().values_mut() {
-                stored.cache.clear();
-            }
-        }
     }
 
     /// Install a new version of document `key` (the Figure 1 ingest path).
@@ -206,10 +182,6 @@ impl Repository {
         let mut entries = self.write();
         match entries.get_mut(key) {
             None => {
-                let schema_warnings = doc
-                    .doctype
-                    .as_ref()
-                    .map_or_else(Vec::new, |dt| self.alerter.audit(key, dt));
                 let initial = XidDocument::assign_initial(doc);
                 entries.insert(
                     key.to_string(),
@@ -221,28 +193,16 @@ impl Repository {
                     notifications: Vec::new(),
                     diff_time: std::time::Duration::ZERO,
                     alert_time: std::time::Duration::ZERO,
-                    schema_warnings,
                 })
             }
             Some(stored) => {
                 let chain = &mut stored.chain;
-                // Re-audit only when this version ships a different DOCTYPE
-                // than the stored latest (the audit memoizes per
-                // subscription, but skipping it entirely keeps the steady
-                // state free of grammar construction).
-                let audit_doctype = (doc.doctype.is_some()
-                    && doc.doctype != chain.latest().doc.doctype)
-                    .then(|| doc.doctype.clone())
-                    .flatten();
                 let t0 = std::time::Instant::now();
-                // The consuming entry points move `doc` into the produced
+                // The consuming entry point moves `doc` into the produced
                 // version (no whole-document clone), and a borrowed-capture
                 // differ skips the per-subtree payload clones too.
-                let result = if self.use_signature_cache {
-                    differ.diff_consume_with_cache(chain.latest(), doc, &mut stored.cache)
-                } else {
-                    differ.diff_consume(chain.latest(), doc)
-                };
+                let result =
+                    differ.diff_consume_with_cache(chain.latest(), doc, &mut stored.cache);
                 // Materialize any borrowed payloads while both source
                 // documents are still in scope. This is the into_owned
                 // boundary: verification, alerting, the WAL, and the chain
@@ -262,16 +222,7 @@ impl Repository {
                 let alert_time = t1.elapsed();
                 let version = chain.latest_index() + 1;
                 chain.push_version(result.new_version, delta.clone());
-                let schema_warnings = audit_doctype
-                    .map_or_else(Vec::new, |dt| self.alerter.audit(key, &dt));
-                Ok(LoadOutcome {
-                    version,
-                    delta,
-                    notifications,
-                    diff_time,
-                    alert_time,
-                    schema_warnings,
-                })
+                Ok(LoadOutcome { version, delta, notifications, diff_time, alert_time })
             }
         }
     }
@@ -287,7 +238,7 @@ impl Repository {
     }
 
     /// Cumulative signature-cache (hits, misses) for `key`, `(0, 0)` when the
-    /// key is unknown or the cache is disabled (observability hook).
+    /// key is unknown (observability hook).
     pub fn cache_counters(&self, key: &str) -> (u64, u64) {
         self.read().get(key).map_or((0, 0), |s| s.cache.counters())
     }
@@ -539,34 +490,5 @@ mod tests {
         let out = repo.load_version("doc", "<a/>").unwrap();
         assert_eq!(out.version, 1);
         assert!(out.delta.is_empty());
-    }
-
-    #[test]
-    fn dead_subscriptions_surface_as_schema_warnings_on_ingest() {
-        let mut alerter = Alerter::new();
-        alerter.subscribe(
-            crate::subscription::Subscription::everything("dead").at_query("//widget"),
-        );
-        alerter.subscribe(
-            crate::subscription::Subscription::everything("alive").at_query("//name"),
-        );
-        let repo = Repository::with_options(DiffOptions::default(), alerter);
-        let dtd = "<!DOCTYPE catalog [<!ELEMENT catalog (product*)>\
-                   <!ELEMENT product (name)><!ELEMENT name (#PCDATA)>]>";
-        // First load with a DOCTYPE: the audit runs and flags the dead one.
-        let out = repo
-            .load_version("cat.xml", &format!("{dtd}<catalog><product><name>n</name></product></catalog>"))
-            .unwrap();
-        assert_eq!(out.schema_warnings.len(), 1, "{:?}", out.schema_warnings);
-        assert_eq!(out.schema_warnings[0].subscription, "dead");
-        assert_eq!(out.schema_warnings[0].doc_key, "cat.xml");
-        // Same DOCTYPE again: no re-audit, no warnings.
-        let out = repo
-            .load_version("cat.xml", &format!("{dtd}<catalog><product><name>m</name></product></catalog>"))
-            .unwrap();
-        assert!(out.schema_warnings.is_empty());
-        // A document without any DOCTYPE never audits.
-        let out = repo.load_version("plain.xml", "<catalog/>").unwrap();
-        assert!(out.schema_warnings.is_empty());
     }
 }

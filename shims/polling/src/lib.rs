@@ -1,37 +1,30 @@
 //! Offline stand-in for the `polling` crate.
 //!
-//! Portable readiness polling with **oneshot** semantics, exactly the
-//! subset `xynet`'s reactor uses: register a socket with a `key`, wait for
+//! Readiness polling with **oneshot** semantics, exactly the subset
+//! `xynet`'s reactor uses: register a socket with a `key`, wait for
 //! readiness events, and re-arm with [`Poller::modify`] after each
 //! delivery (like the real crate, a delivered source stays dormant until
 //! re-armed). [`Poller::notify`] wakes a blocked [`Poller::wait`] from any
 //! thread.
 //!
-//! Two backends, both over raw syscalls declared here (the environment has
-//! no registry access, so no `libc` crate either):
-//!
-//! - **epoll** (Linux, default): `epoll_create1` + `EPOLLONESHOT`, woken
-//!   by an `eventfd`.
-//! - **poll(2)** (portable fallback): a `poll` sweep over the registered
-//!   descriptor set, woken by a self-pipe. Forced with
-//!   `XYPOLL_BACKEND=poll` so CI exercises it on Linux too.
+//! The one backend is Linux epoll (`epoll_create1` + `EPOLLONESHOT`, woken
+//! by an `eventfd`), over raw syscalls declared here (the environment has
+//! no registry access, so no `libc` crate either).
 //!
 //! This file is the one place in the workspace allowed to contain `unsafe`
 //! (every `crates/*` root keeps `#![forbid(unsafe_code)]`, enforced by
 //! xylint L3); each unsafe block is a direct FFI call with its argument
 //! validity argued on the spot.
 
-use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Raw syscall declarations: the tiny slice of the platform libc this shim
 /// needs. Signatures match the Linux ABI (the only target this workspace
-/// builds on; `poll`/`pipe`/`fcntl` are POSIX-portable regardless).
+/// builds on).
 mod sys {
-    use std::os::raw::{c_int, c_uint, c_ulong, c_void};
+    use std::os::raw::{c_int, c_uint, c_void};
 
     /// Linux `struct epoll_event`; packed on x86 so the layout matches the
     /// kernel ABI.
@@ -41,15 +34,6 @@ mod sys {
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
-    }
-
-    /// POSIX `struct pollfd`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
     }
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -66,15 +50,6 @@ mod sys {
     pub const EFD_CLOEXEC: c_int = 0o2000000;
     pub const EFD_NONBLOCK: c_int = 0o4000;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFL: c_int = 4;
-    pub const O_NONBLOCK: c_int = 0o4000;
-
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -85,9 +60,6 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
@@ -196,43 +168,17 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-/// Per-source registration state for the poll(2) backend.
-#[derive(Debug, Clone, Copy)]
-struct Reg {
-    key: usize,
-    readable: bool,
-    writable: bool,
-}
-
-enum Backend {
-    /// Linux epoll: the kernel owns the interest set; `EPOLLONESHOT`
-    /// implements the disarm-on-delivery contract.
-    Epoll { epfd: OwnedFd, event_fd: OwnedFd },
-    /// Portable poll(2): the interest set lives here and is swept on every
-    /// wait; delivery disarms the source in the map.
-    Poll { regs: Mutex<HashMap<RawFd, Reg>>, pipe_read: OwnedFd, pipe_write: OwnedFd },
-}
-
 /// An oneshot readiness poller over sockets (and anything else with a file
-/// descriptor).
+/// descriptor). The kernel owns the interest set; `EPOLLONESHOT`
+/// implements the disarm-on-delivery contract.
 pub struct Poller {
-    backend: Backend,
+    epfd: OwnedFd,
+    event_fd: OwnedFd,
 }
 
 impl Poller {
-    /// Create a poller: epoll on Linux, poll(2) elsewhere or when the
-    /// `XYPOLL_BACKEND=poll` environment variable forces the fallback.
+    /// Create an epoll-backed poller.
     pub fn new() -> io::Result<Poller> {
-        let force_poll = std::env::var("XYPOLL_BACKEND").is_ok_and(|v| v == "poll");
-        if cfg!(target_os = "linux") && !force_poll {
-            Poller::with_epoll()
-        } else {
-            Poller::with_poll()
-        }
-    }
-
-    /// Create an epoll-backed poller explicitly (Linux only).
-    pub fn with_epoll() -> io::Result<Poller> {
         // Plain FFI calls; no pointers passed.
         let epfd = OwnedFd(cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?);
         let event_fd =
@@ -242,118 +188,40 @@ impl Poller {
         let mut ev = sys::EpollEvent { events: sys::EPOLLIN, data: NOTIFY_KEY as u64 };
         // `ev` is a live stack value for the duration of the call.
         cvt(unsafe { sys::epoll_ctl(epfd.0, sys::EPOLL_CTL_ADD, event_fd.0, &mut ev) })?;
-        Ok(Poller { backend: Backend::Epoll { epfd, event_fd } })
-    }
-
-    /// Create a poll(2)-backed poller explicitly.
-    pub fn with_poll() -> io::Result<Poller> {
-        let mut fds = [0i32; 2];
-        // `fds` is a live 2-element array, exactly what pipe() writes.
-        cvt(unsafe { sys::pipe(fds.as_mut_ptr()) })?;
-        let (pipe_read, pipe_write) = (OwnedFd(fds[0]), OwnedFd(fds[1]));
-        for fd in [pipe_read.0, pipe_write.0] {
-            // Plain FFI calls on descriptors we just created.
-            let flags = cvt(unsafe { sys::fcntl(fd, sys::F_GETFL, 0) })?;
-            cvt(unsafe { sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) })?;
-        }
-        Ok(Poller {
-            backend: Backend::Poll { regs: Mutex::new(HashMap::new()), pipe_read, pipe_write },
-        })
-    }
-
-    /// The active backend, for banners and tests: `"epoll"` or `"poll"`.
-    pub fn backend(&self) -> &'static str {
-        match &self.backend {
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
-        }
+        Ok(Poller { epfd, event_fd })
     }
 
     /// Register `source` with the given interest. Delivery disarms the
     /// source: re-arm with [`Poller::modify`]. The key must not be
     /// [`NOTIFY_KEY`].
     pub fn add(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-        if interest.key == NOTIFY_KEY {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "NOTIFY_KEY is reserved"));
-        }
-        let fd = source.as_raw_fd();
-        match &self.backend {
-            Backend::Epoll { epfd, .. } => {
-                let mut ev = epoll_interest(interest);
-                // `ev` is a live stack value for the duration of the call;
-                // the caller guarantees `fd` is open (it borrows the source).
-                cvt(unsafe { sys::epoll_ctl(epfd.0, sys::EPOLL_CTL_ADD, fd, &mut ev) })?;
-                Ok(())
-            }
-            Backend::Poll { regs, .. } => {
-                let mut regs = regs.lock().unwrap_or_else(|e| e.into_inner());
-                if regs.contains_key(&fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "descriptor already registered",
-                    ));
-                }
-                regs.insert(
-                    fd,
-                    Reg { key: interest.key, readable: interest.readable, writable: interest.writable },
-                );
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_ADD, source, interest)
     }
 
     /// Replace the interest set of an already-registered source (the
     /// re-arm operation of the oneshot contract).
     pub fn modify(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, source, interest)
+    }
+
+    fn ctl(&self, op: i32, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
         if interest.key == NOTIFY_KEY {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "NOTIFY_KEY is reserved"));
         }
-        let fd = source.as_raw_fd();
-        match &self.backend {
-            Backend::Epoll { epfd, .. } => {
-                let mut ev = epoll_interest(interest);
-                // `ev` is a live stack value for the duration of the call;
-                // the caller guarantees `fd` is open (it borrows the source).
-                cvt(unsafe { sys::epoll_ctl(epfd.0, sys::EPOLL_CTL_MOD, fd, &mut ev) })?;
-                Ok(())
-            }
-            Backend::Poll { regs, .. } => {
-                let mut regs = regs.lock().unwrap_or_else(|e| e.into_inner());
-                match regs.get_mut(&fd) {
-                    Some(reg) => {
-                        *reg = Reg {
-                            key: interest.key,
-                            readable: interest.readable,
-                            writable: interest.writable,
-                        };
-                        Ok(())
-                    }
-                    None => Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        "descriptor is not registered",
-                    )),
-                }
-            }
-        }
+        let mut ev = epoll_interest(interest);
+        // `ev` is a live stack value for the duration of the call; the
+        // caller guarantees the descriptor is open (it borrows the source).
+        cvt(unsafe { sys::epoll_ctl(self.epfd.0, op, source.as_raw_fd(), &mut ev) })?;
+        Ok(())
     }
 
     /// Remove a source from the poller. Call before closing the descriptor.
     pub fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
         let fd = source.as_raw_fd();
-        match &self.backend {
-            Backend::Epoll { epfd, .. } => {
-                // Plain FFI call; a null event pointer is allowed for DEL
-                // on every kernel this workspace targets (>= 2.6.9).
-                cvt(unsafe {
-                    sys::epoll_ctl(epfd.0, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut())
-                })?;
-                Ok(())
-            }
-            Backend::Poll { regs, .. } => {
-                regs.lock().unwrap_or_else(|e| e.into_inner()).remove(&fd);
-                Ok(())
-            }
-        }
+        // Plain FFI call; a null event pointer is allowed for DEL on every
+        // kernel this workspace targets (>= 2.6.9).
+        cvt(unsafe { sys::epoll_ctl(self.epfd.0, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) })?;
+        Ok(())
     }
 
     /// Block until at least one source is ready, the timeout elapses, or
@@ -362,99 +230,39 @@ impl Poller {
     /// `Ok(0)`.
     pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
-        match &self.backend {
-            Backend::Epoll { epfd, event_fd } => {
-                let mut raw = [sys::EpollEvent { events: 0, data: 0 }; 256];
-                // `raw` is a live buffer of exactly the advertised length.
-                let n = unsafe {
-                    sys::epoll_wait(epfd.0, raw.as_mut_ptr(), raw.len() as i32, timeout_ms(timeout))
-                };
-                let n = match cvt(n) {
-                    Ok(n) => n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                    Err(e) => return Err(e),
-                };
-                for ev in &raw[..n] {
-                    let (bits, key) = (ev.events, ev.data as usize);
-                    if key == NOTIFY_KEY {
-                        drain_fd(event_fd.0);
-                        continue;
-                    }
-                    events.inner.push(Event {
-                        key,
-                        readable: bits
-                            & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP)
-                            != 0,
-                        writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                    });
-                }
-                Ok(events.inner.len())
+        let mut raw = [sys::EpollEvent { events: 0, data: 0 }; 256];
+        // `raw` is a live buffer of exactly the advertised length.
+        let n = unsafe {
+            sys::epoll_wait(self.epfd.0, raw.as_mut_ptr(), raw.len() as i32, timeout_ms(timeout))
+        };
+        let n = match cvt(n) {
+            Ok(n) => n as usize,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        for ev in &raw[..n] {
+            let (bits, key) = (ev.events, ev.data as usize);
+            if key == NOTIFY_KEY {
+                drain_fd(self.event_fd.0);
+                continue;
             }
-            Backend::Poll { regs, pipe_read, .. } => {
-                // Snapshot the armed subset; the notify pipe is always slot 0.
-                let mut fds = vec![sys::PollFd { fd: pipe_read.0, events: sys::POLLIN, revents: 0 }];
-                {
-                    let regs = regs.lock().unwrap_or_else(|e| e.into_inner());
-                    for (fd, reg) in regs.iter() {
-                        let mut bits = 0i16;
-                        if reg.readable {
-                            bits |= sys::POLLIN;
-                        }
-                        if reg.writable {
-                            bits |= sys::POLLOUT;
-                        }
-                        if bits != 0 {
-                            fds.push(sys::PollFd { fd: *fd, events: bits, revents: 0 });
-                        }
-                    }
-                }
-                // `fds` is a live vec of exactly the advertised length.
-                let n = unsafe {
-                    sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms(timeout))
-                };
-                match cvt(n) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(0),
-                    Err(e) => return Err(e),
-                }
-                let mut regs = regs.lock().unwrap_or_else(|e| e.into_inner());
-                for pfd in &fds {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    if pfd.fd == pipe_read.0 {
-                        drain_fd(pipe_read.0);
-                        continue;
-                    }
-                    let Some(reg) = regs.get_mut(&pfd.fd) else {
-                        continue; // deleted concurrently
-                    };
-                    let err = pfd.revents & (sys::POLLERR | sys::POLLHUP) != 0;
-                    events.inner.push(Event {
-                        key: reg.key,
-                        readable: pfd.revents & sys::POLLIN != 0 || err,
-                        writable: pfd.revents & sys::POLLOUT != 0 || err,
-                    });
-                    // Oneshot: dormant until the caller re-arms via modify.
-                    reg.readable = false;
-                    reg.writable = false;
-                }
-                Ok(events.inner.len())
-            }
+            events.inner.push(Event {
+                key,
+                readable: bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP)
+                    != 0,
+                writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+            });
         }
+        Ok(events.inner.len())
     }
 
     /// Wake the current (or next) [`Poller::wait`] from any thread.
     pub fn notify(&self) -> io::Result<()> {
-        let fd = match &self.backend {
-            Backend::Epoll { event_fd, .. } => event_fd.0,
-            Backend::Poll { pipe_write, .. } => pipe_write.0,
-        };
         let one: u64 = 1;
-        // An 8-byte write satisfies both an eventfd (which requires exactly
-        // 8 bytes) and a pipe; a full pipe (EAGAIN) already has a wake-up
-        // pending, which is all notify promises.
-        let ret = unsafe { sys::write(fd, (&raw const one).cast(), 8) };
+        // An eventfd takes exactly 8 bytes; a counter at its maximum
+        // (EAGAIN) already has a wake-up pending, which is all notify
+        // promises.
+        let ret = unsafe { sys::write(self.event_fd.0, (&raw const one).cast(), 8) };
         if ret < 0 {
             let e = io::Error::last_os_error();
             if e.kind() == io::ErrorKind::WouldBlock {
@@ -466,7 +274,7 @@ impl Poller {
     }
 }
 
-/// Read a wake-up fd until empty (both eventfd and pipe are non-blocking).
+/// Read the non-blocking wake-up eventfd until empty.
 fn drain_fd(fd: RawFd) {
     let mut buf = [0u8; 64];
     loop {
@@ -504,90 +312,76 @@ mod tests {
         (client, server)
     }
 
-    fn backends() -> Vec<Poller> {
-        vec![Poller::with_epoll().unwrap(), Poller::with_poll().unwrap()]
-    }
-
     #[test]
     fn readable_event_is_oneshot_until_rearmed() {
-        for poller in backends() {
-            let (mut client, server) = pair();
-            server.set_nonblocking(true).unwrap();
-            poller.add(&server, Event::readable(7)).unwrap();
+        let poller = Poller::new().unwrap();
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        poller.add(&server, Event::readable(7)).unwrap();
 
-            let mut events = Events::new();
-            assert_eq!(
-                poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap(),
-                0,
-                "{}: no data yet",
-                poller.backend()
-            );
+        let mut events = Events::new();
+        assert_eq!(poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap(), 0, "no data yet");
 
-            client.write_all(b"x").unwrap();
-            assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
-            let ev = events.iter().next().unwrap();
-            assert_eq!(ev.key, 7);
-            assert!(ev.readable);
+        client.write_all(b"x").unwrap();
+        assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
+        let ev = events.iter().next().unwrap();
+        assert_eq!(ev.key, 7);
+        assert!(ev.readable);
 
-            // Oneshot: without a re-arm the still-unread byte reports nothing.
-            assert_eq!(poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap(), 0);
-            poller.modify(&server, Event::readable(7)).unwrap();
-            assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
-            poller.delete(&server).unwrap();
-        }
+        // Oneshot: without a re-arm the still-unread byte reports nothing.
+        assert_eq!(poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap(), 0);
+        poller.modify(&server, Event::readable(7)).unwrap();
+        assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
+        poller.delete(&server).unwrap();
     }
 
     #[test]
     fn writable_and_hangup_are_reported() {
-        for poller in backends() {
-            let (client, mut server) = pair();
-            server.set_nonblocking(true).unwrap();
-            poller.add(&server, Event::writable(3)).unwrap();
-            let mut events = Events::new();
-            assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
-            assert!(events.iter().next().unwrap().writable, "{}", poller.backend());
+        let poller = Poller::new().unwrap();
+        let (client, mut server) = pair();
+        server.set_nonblocking(true).unwrap();
+        poller.add(&server, Event::writable(3)).unwrap();
+        let mut events = Events::new();
+        assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
+        assert!(events.iter().next().unwrap().writable);
 
-            drop(client);
-            poller.modify(&server, Event::readable(3)).unwrap();
-            assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
-            let ev = events.iter().next().unwrap();
-            assert!(ev.readable, "hang-up must deliver readable: {ev:?}");
-            let mut buf = [0u8; 8];
-            assert_eq!(server.read(&mut buf).unwrap(), 0, "read observes EOF");
-            poller.delete(&server).unwrap();
-        }
+        drop(client);
+        poller.modify(&server, Event::readable(3)).unwrap();
+        assert_eq!(poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap(), 1);
+        let ev = events.iter().next().unwrap();
+        assert!(ev.readable, "hang-up must deliver readable: {ev:?}");
+        let mut buf = [0u8; 8];
+        assert_eq!(server.read(&mut buf).unwrap(), 0, "read observes EOF");
+        poller.delete(&server).unwrap();
     }
 
     #[test]
     fn notify_wakes_a_blocked_wait_from_another_thread() {
-        for poller in backends() {
-            let poller = std::sync::Arc::new(poller);
-            let waker = std::sync::Arc::clone(&poller);
-            let t = Instant::now();
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                waker.notify().unwrap();
-            });
-            let mut events = Events::new();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
-            assert_eq!(n, 0, "notify delivers no source event");
-            assert!(t.elapsed() < Duration::from_secs(5), "woke early via notify");
-            handle.join().unwrap();
+        let poller = std::sync::Arc::new(Poller::new().unwrap());
+        let waker = std::sync::Arc::clone(&poller);
+        let t = Instant::now();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.notify().unwrap();
+        });
+        let mut events = Events::new();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(n, 0, "notify delivers no source event");
+        assert!(t.elapsed() < Duration::from_secs(5), "woke early via notify");
+        handle.join().unwrap();
 
-            // A notify with no waiter wakes the next wait immediately.
-            poller.notify().unwrap();
-            let t = Instant::now();
-            poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
-            assert!(t.elapsed() < Duration::from_secs(5));
-        }
+        // A notify with no waiter wakes the next wait immediately.
+        poller.notify().unwrap();
+        let t = Instant::now();
+        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
+        assert!(t.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
     fn reserved_key_is_rejected() {
-        for poller in backends() {
-            let (_client, server) = pair();
-            let err = poller.add(&server, Event::readable(NOTIFY_KEY)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{}", poller.backend());
-        }
+        let poller = Poller::new().unwrap();
+        let (_client, server) = pair();
+        let err = poller.add(&server, Event::readable(NOTIFY_KEY)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use xydiff_suite::xydelta::XidDocument;
 use xydiff_suite::xynet::{NetConfig, NetServer};
-use xydiff_suite::xydiff::MatchMode;
+use xydiff_suite::xydiff::{DiffOptions, MatchMode};
 use xydiff_suite::xyserve::{ServeConfig, WalPolicy};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 
@@ -221,7 +221,7 @@ fn restart_from_the_log_serves_the_same_versions() {
             .unwrap()
             .with_shards(shards)
             .unwrap()
-            .with_mode(mode)
+            .with_diff_options(DiffOptions { mode, ..DiffOptions::default() })
             .with_wal(WalPolicy::new(&dir))
     };
 
