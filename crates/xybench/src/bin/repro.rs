@@ -15,8 +15,14 @@ use xydiff::{diff, Differ, DiffOptions};
 use xysim::{evolve_site, site_snapshot, SiteConfig};
 use xytree::{Document, SerializeOptions};
 
-const KNOWN: &[&str] =
-    &["all", "fig4", "fig5", "fig6", "scaling", "site", "ablation", "index", "modes", "diff"];
+const KNOWN: &[&str] = &[
+    "all", "fig4", "fig5", "fig6", "scaling", "site", "ablation", "index", "modes", "diff", "identity",
+];
+
+/// The digest `identity` prints for the committed matchers. A diff change
+/// that is meant to be a pure speedup must leave it as it is; one that
+/// changes what is matched moves it and records the new value here.
+const IDENTITY_DIGEST: u64 = 0xfe88_2785_3da1_2d1d;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,6 +59,81 @@ fn main() {
     }
     if want("diff") {
         diff_bench();
+    }
+    if want("identity") {
+        identity();
+    }
+}
+
+/// Byte identity as a command: one FNV-64 digest over the delta XML and the
+/// produced version's XIDs of a fixed pair set — four families × two sizes
+/// (~110 and ~4 000 nodes) × three edit rates × every matcher × owned and
+/// borrowed capture, each pair diffed fresh and again through a chain of
+/// versions on one [`Differ`] with a signature cache. Two builds that print
+/// the same digest emit the same bytes on all of it. `XYBENCH_GATE=1` fails
+/// the run unless the digest equals [`IDENTITY_DIGEST`].
+fn identity() {
+    use xydelta::{xml_io, CaptureMode, PayloadSource};
+    use xydiff::{MatchMode, SignatureCache};
+    use xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
+    use xytree::hash::Fnv64;
+
+    println!("## Identity — one digest over every emitted delta and XID\n");
+    /// Fold one diff's output into the digest.
+    fn absorb(h: &mut Fnv64, old: &XidDocument, r: &xydiff::DiffResult) {
+        let src = PayloadSource { old: &old.doc.tree, new: &r.new_version.doc.tree };
+        h.update(xml_io::delta_to_xml_with(&r.delta, &src).as_bytes());
+        let version = &r.new_version;
+        for xid in version.xid_map_of(version.doc.tree.root()).xids() {
+            h.update_u64(xid.0);
+        }
+    }
+    let kinds = [DocKind::Catalog, DocKind::AddressBook, DocKind::Feed, DocKind::Generic];
+    let mut h = Fnv64::new();
+    let (mut pairs, mut diffs) = (0usize, 0usize);
+    let t = Instant::now();
+    for (k, kind) in kinds.into_iter().enumerate() {
+        for nodes in [110usize, 4_000] {
+            for (r, rate) in [0.001f64, 0.01, 0.05].into_iter().enumerate() {
+                let seed = 2800 + (k * 100 + r * 10) as u64 + nodes as u64;
+                let cfg = DocGenConfig {
+                    kind,
+                    target_nodes: nodes,
+                    seed,
+                    id_attributes: matches!(kind, DocKind::Catalog),
+                };
+                let base = XidDocument::assign_initial(generate(&cfg));
+                let versions: Vec<Document> = (0..4)
+                    .map(|v| simulate(&base, &ChangeConfig::uniform(rate, seed << 8 | v)))
+                    .map(|edit| edit.new_version.doc)
+                    .collect();
+                pairs += versions.len();
+                for mode in MatchMode::all() {
+                    for capture in [CaptureMode::Owned, CaptureMode::Borrowed] {
+                        for doc in &versions {
+                            let r = Differ::new().with_mode(mode).with_capture(capture).diff(&base, doc);
+                            absorb(&mut h, &base, &r);
+                        }
+                        let mut chain = Differ::new().with_mode(mode).with_capture(capture);
+                        let mut cache = SignatureCache::new();
+                        let mut latest = base.clone();
+                        for doc in &versions {
+                            let r = chain.diff_consume_with_cache(&latest, doc.clone(), &mut cache);
+                            absorb(&mut h, &latest, &r);
+                            latest = r.new_version;
+                        }
+                        diffs += 2 * versions.len();
+                    }
+                }
+            }
+        }
+    }
+    let digest = h.value();
+    println!("{pairs} pairs, {diffs} diffs in {}", fmt_dur(t.elapsed()));
+    println!("identity digest fnv64:{digest:016x} (committed fnv64:{IDENTITY_DIGEST:016x})\n");
+    if std::env::var_os("XYBENCH_GATE").is_some() && digest != IDENTITY_DIGEST {
+        eprintln!("identity gate FAILED: the matchers emit different bytes than the committed digest");
+        std::process::exit(1);
     }
 }
 

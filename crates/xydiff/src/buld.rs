@@ -37,7 +37,7 @@ use crate::report::DiffStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
-use xytree::hash::{fast_map_with_capacity, FastHashMap};
+use xytree::hash::SigHashMap;
 use xytree::{NodeId, NodeKind, Tree};
 
 /// How many leading candidates per top-level seed the parallel
@@ -48,9 +48,10 @@ const PREVERIFY_CANDIDATES: usize = 4;
 
 /// Reusable phase-3 state: the old-document candidate index, the
 /// heaviest-first priority queue, and the memo filled by the parallel
-/// pre-verification pass. Part of [`crate::DiffScratch`]; a fresh value per
-/// diff is equivalent, reuse just keeps the table and vector allocations
-/// warm.
+/// pre-verification pass. The three tables are keyed by signatures and node
+/// ids, so they hash with one fold per key word ([`SigHashMap`]). Part of
+/// [`crate::DiffScratch`]; a fresh value per diff is equivalent, reuse just
+/// keeps the table and vector allocations warm.
 #[derive(Debug, Default)]
 pub struct BuldScratch {
     index: CandidateIndex,
@@ -58,7 +59,7 @@ pub struct BuldScratch {
     /// `(old candidate, new node) → subtree_eq` results computed ahead of the
     /// serial loop. `subtree_eq` is pure, so consulting the memo instead of
     /// re-walking cannot change any accept/reject decision.
-    eq_memo: FastHashMap<(NodeId, NodeId), bool>,
+    eq_memo: SigHashMap<(NodeId, NodeId), bool>,
 }
 
 /// Run the phase-3 matching loop, extending `matching` in place.
@@ -151,7 +152,7 @@ fn preverify_top_level(
     old_info: &TreeInfo,
     new_info: &TreeInfo,
     index: &CandidateIndex,
-    eq_memo: &mut FastHashMap<(NodeId, NodeId), bool>,
+    eq_memo: &mut SigHashMap<(NodeId, NodeId), bool>,
     runner: &dyn ParallelRunner,
 ) {
     let Some(root_elem) =
@@ -222,9 +223,9 @@ impl Ord for Entry {
 /// parent-keyed secondary index.
 #[derive(Debug, Default)]
 struct CandidateIndex {
-    by_sig: FastHashMap<u64, usize>,
+    by_sig: SigHashMap<u64, usize>,
     lists: Vec<CandidateList>,
-    by_sig_parent: FastHashMap<(u64, NodeId), Vec<NodeId>>,
+    by_sig_parent: SigHashMap<(u64, NodeId), Vec<NodeId>>,
 }
 
 #[derive(Debug)]
@@ -243,7 +244,7 @@ impl CandidateIndex {
         by_sig.clear();
         by_sig_parent.clear();
         if by_sig.capacity() == 0 {
-            *by_sig = fast_map_with_capacity(old_info.node_count);
+            by_sig.reserve(old_info.node_count);
         }
         let mut live = 0usize;
         // Document order, so "first candidate" ties break deterministically.
@@ -297,7 +298,7 @@ impl CandidateIndex {
         matching: &Matching,
         old_info: &TreeInfo,
         new_info: &TreeInfo,
-        eq_memo: &FastHashMap<(NodeId, NodeId), bool>,
+        eq_memo: &SigHashMap<(NodeId, NodeId), bool>,
         opts: &DiffOptions,
         n_total: usize,
         w0: f64,

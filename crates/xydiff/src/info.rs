@@ -13,14 +13,19 @@
 //! children" and "grow in O(n)"), text nodes weigh `1 + log(length(text))`
 //! ("when the text is large … it should have more weight than a simple
 //! word").
+//!
+//! Cost rule: a node costs one [`WordHash`] fold per eight bytes of its
+//! text (or attribute value), one per child and one per attribute, plus one
+//! [`LabelTable`] read per label. A label's own hash is computed once per
+//! symbol per worker, not per occurrence.
 
 #![doc = "xylint: hot-path"]
 
 use crate::par::ParallelRunner;
 use std::sync::OnceLock;
 use xydelta::XidDocument;
-use xytree::hash::Fnv64;
-use xytree::{NodeId, NodeKind, Tree};
+use xytree::hash::WordHash;
+use xytree::{NodeId, NodeKind, Symbol, Tree};
 
 /// Domain-separation seeds so that, e.g., a text node `"a"` and an element
 /// `<a/>` can never share a signature.
@@ -119,12 +124,18 @@ impl TreeInfo {
 
     /// Fill in every attached node of `tree` in post-order: from `staged`
     /// where it has a record, by hashing otherwise.
-    fn fill(&mut self, tree: &Tree, staged: impl Fn(NodeId) -> Option<NodeInfo>) {
+    fn fill(
+        &mut self,
+        tree: &Tree,
+        labels: &mut LabelTable,
+        staged: impl Fn(NodeId) -> Option<NodeInfo>,
+    ) {
         self.reset(tree.arena_len());
         let mut node_count = 0usize;
         for node in tree.post_order(tree.root()) {
             node_count += 1;
-            let info = staged(node).unwrap_or_else(|| compute_node(tree, node, |c| self.get(c)));
+            let info =
+                staged(node).unwrap_or_else(|| compute_node(tree, node, labels, |c| self.get(c)));
             self.set(node, info);
         }
         self.total_weight = self.weight(tree.root());
@@ -132,18 +143,56 @@ impl TreeInfo {
     }
 }
 
+/// Hash and text of every label a worker has hashed, indexed by
+/// [`Symbol::id`].
+///
+/// A symbol's text never changes, so an entry is filled the first time its
+/// label is seen and is never stale: phase 2 resolves a label through the
+/// global interner (and its lock) at most once per distinct label per
+/// table. Part of [`crate::DiffScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct LabelTable {
+    slots: Vec<Option<(u64, &'static str)>>,
+}
+
+impl LabelTable {
+    /// Hash and text of `label`, filling its entry on first sight.
+    #[inline]
+    fn get(&mut self, label: Symbol) -> (u64, &'static str) {
+        let i = label.id() as usize;
+        if let Some(Some(entry)) = self.slots.get(i) {
+            return *entry;
+        }
+        self.fill(label)
+    }
+
+    #[cold]
+    fn fill(&mut self, label: Symbol) -> (u64, &'static str) {
+        let i = label.id() as usize;
+        if i >= self.slots.len() {
+            // ALLOC-OK: grows once per label id past every earlier one; a
+            // warm table never resizes.
+            self.slots.resize(i + 1, None);
+        }
+        let text = label.as_str();
+        let entry = (WordHash::hash_bytes(text.as_bytes()), text);
+        self.slots[i] = Some(entry);
+        entry
+    }
+}
+
 /// One post-order traversal computing signature + weight for each node.
 pub fn analyze(tree: &Tree) -> TreeInfo {
     let mut out = TreeInfo::default();
-    analyze_into(tree, &mut out);
+    analyze_into(tree, &mut LabelTable::default(), &mut out);
     out
 }
 
-/// [`analyze`] into a caller-owned [`TreeInfo`], reusing its allocation.
-/// This is the [`crate::DiffScratch`] reuse path: a long-lived worker runs
-/// thousands of diffs without growing the heap.
-pub fn analyze_into(tree: &Tree, out: &mut TreeInfo) {
-    out.fill(tree, |_| None);
+/// [`analyze`] into a caller-owned [`TreeInfo`] with caller-owned label
+/// hashes, reusing both. This is the [`crate::DiffScratch`] reuse path: a
+/// long-lived worker runs thousands of diffs without growing the heap.
+pub(crate) fn analyze_into(tree: &Tree, labels: &mut LabelTable, out: &mut TreeInfo) {
+    out.fill(tree, labels, |_| None);
 }
 
 /// [`analyze_into`] with the subtree hashing fanned out over `runner`.
@@ -157,22 +206,34 @@ pub fn analyze_into(tree: &Tree, out: &mut TreeInfo) {
 /// the result equals [`analyze_into`] exactly, at every thread count.
 ///
 /// With a serial runner (or fewer than two shards) this delegates to
-/// [`analyze_into`] without allocating the staging buffer, preserving the
-/// steady-state no-alloc guarantee of the default path.
-pub fn analyze_into_with(tree: &Tree, out: &mut TreeInfo, runner: &dyn ParallelRunner) {
-    let shards: Vec<NodeId> = root_element_of(tree)
-        .map(|re| tree.children(re).collect())
-        .unwrap_or_default();
-    if runner.threads() <= 1 || shards.len() < 2 {
-        analyze_into(tree, out);
+/// [`analyze_into`] without allocating anything, preserving the
+/// steady-state no-alloc guarantee of the default path. Each shard hashes
+/// its labels into a table of its own.
+pub(crate) fn analyze_into_with(
+    tree: &Tree,
+    labels: &mut LabelTable,
+    out: &mut TreeInfo,
+    runner: &dyn ParallelRunner,
+) {
+    if runner.threads() <= 1 {
+        analyze_into(tree, labels, out);
         return;
     }
     // ALLOC-OK: parallel staging is opt-in; the serial bypass above keeps the
     // default path allocation-free.
+    let shards: Vec<NodeId> = root_element_of(tree)
+        .map(|re| tree.children(re).collect())
+        .unwrap_or_default();
+    if shards.len() < 2 {
+        analyze_into(tree, labels, out);
+        return;
+    }
+    // ALLOC-OK: parallel staging, as above.
     let slots: Vec<OnceLock<NodeInfo>> = (0..tree.arena_len()).map(|_| OnceLock::new()).collect();
     runner.run(shards.len(), &|i| {
+        let mut labels = LabelTable::default();
         for node in tree.post_order(shards[i]) {
-            let info = compute_node(tree, node, |c| {
+            let info = compute_node(tree, node, &mut labels, |c| {
                 // INVARIANT: post-order within one shard — a node's children
                 // were published by this same worker before the node itself.
                 *slots[c.index()].get().expect("children published before their parent")
@@ -180,7 +241,7 @@ pub fn analyze_into_with(tree: &Tree, out: &mut TreeInfo, runner: &dyn ParallelR
             let _ = slots[node.index()].set(info);
         }
     });
-    out.fill(tree, |node| slots[node.index()].get().copied());
+    out.fill(tree, labels, |node| slots[node.index()].get().copied());
 }
 
 /// The root element (first element child of the document node), if any.
@@ -190,64 +251,74 @@ fn root_element_of(tree: &Tree) -> Option<NodeId> {
 
 /// Signature/weight/size of one node, with the records of its children
 /// (post-order predecessors) supplied by `child`.
-fn compute_node(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInfo) -> NodeInfo {
+fn compute_node(
+    tree: &Tree,
+    node: NodeId,
+    labels: &mut LabelTable,
+    child: impl Fn(NodeId) -> NodeInfo,
+) -> NodeInfo {
     let mut h;
     let mut weight;
     let mut size = 1u32;
     match tree.kind(node) {
         NodeKind::Document => {
-            h = Fnv64::with_seed(seed::DOCUMENT);
+            h = WordHash::with_seed(seed::DOCUMENT);
             weight = 1.0;
         }
         NodeKind::Element(e) => {
-            h = Fnv64::with_seed(seed::ELEMENT);
-            h.update(e.name.as_bytes());
-            h.update(&[0]);
+            h = WordHash::with_seed(seed::ELEMENT);
+            h.fold(labels.get(e.name).0);
             // Attributes are a set: hash them in name order. Parsers and
             // builders keep attributes in a stable order, so they are almost
             // always already sorted — check first and skip the index buffer.
-            let mut fold = |a: &xytree::Attr| {
-                h.update(a.name.as_bytes());
-                h.update(&[1]);
+            let mut sorted = true;
+            let mut prev = "";
+            for a in e.attrs {
+                let name = labels.get(a.name).1;
+                sorted &= prev <= name;
+                prev = name;
+            }
+            let mut fold = |labels: &mut LabelTable, a: &xytree::Attr| {
+                h.fold(labels.get(a.name).0);
                 h.update(a.value.as_bytes());
-                h.update(&[2]);
             };
-            if e.attrs.windows(2).all(|w| w[0].name <= w[1].name) {
+            if sorted {
                 for a in e.attrs {
-                    fold(a);
+                    fold(labels, a);
                 }
             } else {
+                // ALLOC-OK: out-of-order attributes only; the sortedness
+                // check above keeps ordinary elements off this path.
                 let mut idx: Vec<usize> = (0..e.attrs.len()).collect();
-                idx.sort_by(|&a, &b| e.attrs[a].name.cmp(&e.attrs[b].name));
+                idx.sort_by_key(|&i| labels.get(e.attrs[i].name).1);
                 for i in idx {
-                    fold(&e.attrs[i]);
+                    fold(labels, &e.attrs[i]);
                 }
             }
             weight = 1.0;
         }
         NodeKind::Text(t) => {
-            h = Fnv64::with_seed(seed::TEXT);
+            h = WordHash::with_seed(seed::TEXT);
             h.update(t.as_bytes());
             weight = text_weight(t.len());
         }
         NodeKind::Comment(c) => {
-            h = Fnv64::with_seed(seed::COMMENT);
+            h = WordHash::with_seed(seed::COMMENT);
             h.update(c.as_bytes());
             weight = text_weight(c.len());
         }
         NodeKind::Pi { target, data } => {
-            h = Fnv64::with_seed(seed::PI);
+            h = WordHash::with_seed(seed::PI);
             h.update(target.as_bytes());
-            h.update(&[0]);
             h.update(data.as_bytes());
             weight = text_weight(target.len() + data.len());
         }
     }
     // Children were visited first (post-order): fold their signatures in
-    // order and add their weights.
+    // order, one fold each, and add their weights.
     for c in tree.children(node) {
         let ci = child(c);
-        h.update_u64(ci.signature);
+        h.fold(ci.signature);
         weight += ci.weight;
         size += ci.size;
     }
@@ -322,13 +393,18 @@ impl SignatureCache {
 /// of exactly this document state they are swapped into `out` (the cache is
 /// left empty until the diff stores the next version's), otherwise the tree
 /// is hashed. See the [`SignatureCache`] coherence rule.
-pub fn analyze_xid_cached(doc: &XidDocument, cache: &mut SignatureCache, out: &mut TreeInfo) {
+pub(crate) fn analyze_xid_cached(
+    doc: &XidDocument,
+    cache: &mut SignatureCache,
+    labels: &mut LabelTable,
+    out: &mut TreeInfo,
+) {
     if cache.stamp == doc.stamp() {
         std::mem::swap(&mut cache.info, out);
         cache.stamp = 0;
         cache.hits += out.node_count as u64;
     } else {
-        analyze_into(&doc.doc.tree, out);
+        analyze_into(&doc.doc.tree, labels, out);
         cache.misses += out.node_count as u64;
     }
 }
@@ -448,7 +524,7 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let mut par = TreeInfo::default();
             let runner = StdScopeRunner::new(threads);
-            analyze_into_with(&d.tree, &mut par, &runner);
+            analyze_into_with(&d.tree, &mut LabelTable::default(), &mut par, &runner);
             assert_eq!(par.node_count, serial.node_count);
             assert_eq!(par.total_weight, serial.total_weight);
             for n in d.tree.post_order(d.tree.root()) {
@@ -459,7 +535,7 @@ mod tests {
         }
         // Serial runner takes the bypass and still matches.
         let mut bypass = TreeInfo::default();
-        analyze_into_with(&d.tree, &mut bypass, &SerialRunner);
+        analyze_into_with(&d.tree, &mut LabelTable::default(), &mut bypass, &SerialRunner);
         assert_eq!(bypass.signature(d.tree.root()), serial.signature(d.tree.root()));
     }
 
@@ -471,7 +547,8 @@ mod tests {
             let d = Document::parse(xml).unwrap();
             let serial = analyze(&d.tree);
             let mut par = TreeInfo::default();
-            analyze_into_with(&d.tree, &mut par, &crate::par::StdScopeRunner::new(4));
+            let runner = crate::par::StdScopeRunner::new(4);
+            analyze_into_with(&d.tree, &mut LabelTable::default(), &mut par, &runner);
             assert_eq!(par.signature(d.tree.root()), serial.signature(d.tree.root()));
         }
     }
@@ -489,5 +566,56 @@ mod tests {
         let (d, i) = info_of(&xml);
         let w = i.weight(d.root_element().unwrap());
         assert!((100.0..=101.0).contains(&w));
+    }
+
+    fn root_signature(xml: &str) -> u64 {
+        let (d, i) = info_of(xml);
+        i.signature(d.root_element().unwrap())
+    }
+
+    #[test]
+    fn attribute_value_boundaries_change_signature() {
+        assert_ne!(root_signature(r#"<a x="ab" y="c"/>"#), root_signature(r#"<a x="a" y="bc"/>"#));
+        assert_ne!(root_signature(r#"<a x="ab"/>"#), root_signature(r#"<a xa="b"/>"#));
+    }
+
+    #[test]
+    fn trailing_nul_changes_text_signature() {
+        // XML cannot carry a NUL, so build the text node directly.
+        let text_sig = |t: &str| {
+            let mut tree = Tree::new();
+            let node = tree.new_text(t);
+            let root = tree.root();
+            tree.append_child(root, node);
+            analyze(&tree).signature(node)
+        };
+        assert_ne!(text_sig("ab"), text_sig("ab\0"));
+        assert_ne!(text_sig(""), text_sig("\0"));
+        assert_eq!(text_sig("ab"), text_sig("ab"));
+    }
+
+    #[test]
+    fn warm_and_fresh_scratch_give_the_same_signatures() {
+        // The warm table has met every label of the corpus, in another
+        // order, before it hashes the probe documents.
+        let corpus = [
+            r#"<z q="1"><y/><x>t</x></z>"#,
+            r#"<cat><p a="1" b="2"><q>text</q></p><r/></cat>"#,
+            r#"<cat><r b="2" a="1"/><?pi data?><!-- c --></cat>"#,
+        ];
+        let mut warm = crate::DiffScratch::new();
+        for xml in corpus.iter().rev().chain(&corpus) {
+            let d = Document::parse(xml).unwrap();
+            analyze_into(&d.tree, &mut warm.labels, &mut warm.new_info);
+        }
+        for xml in corpus {
+            let d = Document::parse(xml).unwrap();
+            let mut fresh = crate::DiffScratch::new();
+            analyze_into(&d.tree, &mut fresh.labels, &mut fresh.new_info);
+            analyze_into(&d.tree, &mut warm.labels, &mut warm.old_info);
+            for n in d.tree.post_order(d.tree.root()) {
+                assert_eq!(warm.old_info.signature(n), fresh.new_info.signature(n), "{xml}");
+            }
+        }
     }
 }

@@ -206,7 +206,7 @@ pub(crate) fn diff_core(
     let new_tree = &new.tree;
     // Split borrows: the infos stay shared references through phases 1–4
     // while the matching and BULD state are mutated.
-    let DiffScratch { old_info, new_info, matching, buld } = scratch;
+    let DiffScratch { old_info, new_info, labels, matching, buld } = scratch;
     start_matching(matching, old, &new);
 
     // Phase 2 runs first here: the propagation pass that closes phase 1
@@ -214,10 +214,10 @@ pub(crate) fn diff_core(
     // in Figure 4, so the grouping is faithful).
     let t = Instant::now();
     match cache.as_deref_mut() {
-        Some(c) => info::analyze_xid_cached(old, c, old_info),
-        None => info::analyze_into(old_tree, old_info),
+        Some(c) => info::analyze_xid_cached(old, c, labels, old_info),
+        None => info::analyze_into(old_tree, labels, old_info),
     }
-    info::analyze_into_with(new_tree, new_info, runner);
+    info::analyze_into_with(new_tree, labels, new_info, runner);
     timings.phase2 = t.elapsed();
     stats.old_nodes = old_info.node_count;
     stats.new_nodes = new_info.node_count;

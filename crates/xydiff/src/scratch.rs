@@ -16,15 +16,15 @@
 #![doc = "xylint: hot-path"]
 
 use crate::buld::BuldScratch;
-use crate::info::TreeInfo;
+use crate::info::{LabelTable, TreeInfo};
 use crate::matching::Matching;
 
 /// Reusable working memory for the diff pipeline, owned by a
 /// [`crate::Differ`] (or passed explicitly through the deprecated
 /// multi-argument entry points).
 ///
-/// Holds the phase-2 analyses, the phase-1/3/4 matching vectors, and the
-/// phase-3 candidate index + priority queue. Every component is cleared and
+/// Holds the phase-2 analyses and label hashes, the phase-1/3/4 matching
+/// vectors, and the phase-3 candidate index + priority queue. Every component is cleared and
 /// resized in place at the start of a diff, keeping its allocation.
 #[derive(Debug)]
 pub struct DiffScratch {
@@ -32,6 +32,8 @@ pub struct DiffScratch {
     pub(crate) old_info: TreeInfo,
     /// Signatures/weights of the new tree (phase 2).
     pub(crate) new_info: TreeInfo,
+    /// Hash and text of every label this worker has met (phase 2).
+    pub(crate) labels: LabelTable,
     /// The node matching under construction (phases 1, 3, 4).
     pub(crate) matching: Matching,
     /// Candidate index and heaviest-first queue (phase 3).
@@ -44,6 +46,7 @@ impl DiffScratch {
         DiffScratch {
             old_info: TreeInfo::default(),
             new_info: TreeInfo::default(),
+            labels: LabelTable::default(),
             matching: Matching::new(0, 0),
             buld: BuldScratch::default(),
         }

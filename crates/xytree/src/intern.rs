@@ -16,15 +16,33 @@
 //! - **No dependencies, no unsafe.** The table is a `std` `RwLock` around a
 //!   leak-on-insert store; resolved labels are `&'static str`, so reads
 //!   escape the lock immediately.
+//! - **No lock per name parsed.** The parser interns every element and
+//!   attribute name it reads. [`Symbol::intern`] first probes a per-thread
+//!   cache keyed by the name text (hashed a word at a time, from a
+//!   per-process random state, since the names are input), and only a miss
+//!   takes the global lock; the answer is then cached. A worker thread that
+//!   parses the same few dozen names all day touches the lock once per name.
+//!   The cache holds at most 4 096 names (`THREAD_CACHE_CAP`), so input with
+//!   an unbounded number of distinct names grows only the global table (as it
+//!   always did); past the cap a name is interned through the lock every
+//!   time, with the same result. Cached handles are the global ones, so ids,
+//!   [`Ord`], [`Hash`] and [`Symbol::lookup`] are unchanged.
 //! - **Process-lifetime memory.** Interned labels are never freed. That is
 //!   the right trade for label-like strings (bounded, heavily repeated) and
 //!   why attribute *values* and text content stay `String`.
 
+#![doc = "xylint: hot-path"]
+
+use crate::hash::RandomWordState;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{OnceLock, RwLock};
+
+/// Most names one thread's cache holds.
+const THREAD_CACHE_CAP: usize = 4096;
 
 /// An interned label (element or attribute name).
 ///
@@ -43,32 +61,66 @@ fn interner() -> &'static RwLock<Interner> {
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         // Slot 0 is the empty string so `Symbol::default()` needs no lookup.
+        // ALLOC-OK: once per process.
         RwLock::new(Interner { map: HashMap::from([("", 0)]), strings: vec![""] })
     })
 }
 
+/// A thread's names → handles, keyed by the global table's own text.
+/// Its hasher is keyed per process: the names come from the input.
+type ThreadCache = HashMap<&'static str, u32, RandomWordState>;
+
+thread_local! {
+    static THREAD_CACHE: RefCell<ThreadCache> = RefCell::new(ThreadCache::default());
+}
+
+/// Intern `s` in the global table: its handle and the table's copy of it.
+fn intern_global(s: &str) -> (u32, &'static str) {
+    let lock = interner();
+    {
+        // INVARIANT: the interner holds no user code, so the lock can only be
+        // poisoned by an allocation failure — unrecoverable either way.
+        let r = lock.read().expect("interner poisoned");
+        if let Some((&text, &id)) = r.map.get_key_value(s) {
+            return (id, text);
+        }
+    }
+    // INVARIANT: the interner holds no user code, so the lock can only be
+    // poisoned by an allocation failure — unrecoverable either way.
+    let mut w = lock.write().expect("interner poisoned");
+    if let Some((&text, &id)) = w.map.get_key_value(s) {
+        return (id, text);
+    }
+    // ALLOC-OK: a name never seen by the process is stored once, for good.
+    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+    // INVARIANT: 2^32 distinct labels would exhaust memory long before
+    // the table overflows; this is a capacity invariant, not input-driven.
+    let id = u32::try_from(w.strings.len()).expect("intern table overflow");
+    w.strings.push(leaked);
+    w.map.insert(leaked, id);
+    (id, leaked)
+}
+
 impl Symbol {
     /// Intern `s`, returning its stable handle. Repeated calls with the same
-    /// text return the same handle for the lifetime of the process.
+    /// text return the same handle for the lifetime of the process, on every
+    /// thread.
+    #[inline]
     pub fn intern(s: &str) -> Symbol {
-        let lock = interner();
-        // INVARIANT: the interner holds no user code, so the lock can only be
-        // poisoned by an allocation failure — unrecoverable either way.
-        if let Some(&id) = lock.read().expect("interner poisoned").map.get(s) {
+        // `try_with`: a thread tearing down its locals interns through the
+        // global table alone.
+        if let Ok(Some(id)) = THREAD_CACHE.try_with(|cache| cache.borrow().get(s).copied()) {
             return Symbol(id);
         }
-        // INVARIANT: the interner holds no user code, so the lock can only be
-        // poisoned by an allocation failure — unrecoverable either way.
-        let mut w = lock.write().expect("interner poisoned");
-        if let Some(&id) = w.map.get(s) {
-            return Symbol(id);
-        }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        // INVARIANT: 2^32 distinct labels would exhaust memory long before
-        // the table overflows; this is a capacity invariant, not input-driven.
-        let id = u32::try_from(w.strings.len()).expect("intern table overflow");
-        w.strings.push(leaked);
-        w.map.insert(leaked, id);
+        let (id, text) = intern_global(s);
+        let _ = THREAD_CACHE.try_with(|cache| {
+            let mut cache = cache.borrow_mut();
+            if cache.len() < THREAD_CACHE_CAP {
+                // ALLOC-OK: a miss — at most once per distinct name per
+                // thread, and never past the cap.
+                cache.insert(text, id);
+            }
+        });
         Symbol(id)
     }
 
@@ -200,6 +252,7 @@ impl From<&String> for Symbol {
 
 impl From<Symbol> for String {
     fn from(s: Symbol) -> String {
+        // ALLOC-OK: the caller asked for an owned copy.
         s.as_str().to_owned()
     }
 }
@@ -316,6 +369,63 @@ mod tests {
                 let expect = Symbol::intern(&format!("conc-{}", (t + i) % 16)).id();
                 assert_eq!(id, expect);
             }
+        }
+    }
+
+    #[test]
+    fn opposite_interning_orders_on_two_threads_agree() {
+        let names: Vec<String> = (0..50).map(|i| format!("two-orders-{i}")).collect();
+        // Both threads start interning together, so their misses race on
+        // the global table.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let run = |reverse: bool| {
+            let names = names.clone();
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut order: Vec<&String> = names.iter().collect();
+                if reverse {
+                    order.reverse();
+                }
+                let mut syms: Vec<(String, Symbol)> =
+                    order.into_iter().map(|n| (n.clone(), Symbol::intern(n))).collect();
+                syms.sort();
+                // Second round: every probe is a cache hit now.
+                for (n, s) in &syms {
+                    assert_eq!(Symbol::intern(n), *s);
+                }
+                syms
+            })
+        };
+        let (forward, backward) = (run(false), run(true));
+        let (forward, backward) = (forward.join().unwrap(), backward.join().unwrap());
+        assert_eq!(forward, backward);
+        for (n, s) in &forward {
+            assert_eq!(s.as_str(), n);
+            assert_eq!(Symbol::lookup(n), Some(*s));
+        }
+    }
+
+    #[test]
+    fn a_thread_past_the_cache_cap_still_interns_correctly() {
+        let (early, late) = std::thread::spawn(|| {
+            let early: Vec<Symbol> =
+                (0..THREAD_CACHE_CAP + 100).map(|i| Symbol::intern(&format!("cap-{i}"))).collect();
+            let full = THREAD_CACHE.with_borrow(|c| c.len());
+            assert_eq!(full, THREAD_CACHE_CAP, "the cache stops at its cap");
+            // Past the cap: served by the global table, every time.
+            let late: Vec<Symbol> =
+                (0..THREAD_CACHE_CAP + 100).map(|i| Symbol::intern(&format!("cap-{i}"))).collect();
+            assert_eq!(THREAD_CACHE.with_borrow(|c| c.len()), full);
+            (early, late)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(early, late);
+        for (i, s) in early.iter().enumerate() {
+            let text = format!("cap-{i}");
+            assert_eq!(s.as_str(), text);
+            assert_eq!(Symbol::intern(&text), *s, "another thread agrees");
         }
     }
 }

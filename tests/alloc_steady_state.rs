@@ -372,10 +372,13 @@ fn steady_state_diff_allocates_per_operation_not_per_node() {
     }
     assert!(nodes / kinds.len() >= 3000, "bases shrank to {} nodes", nodes / kinds.len());
     assert!(ops / diffs >= 40, "the edits shrank to {} ops per diff", ops / diffs);
-    // Measured: 1.7 calls per operation (266 per diff for 158 operations);
-    // the parent commit made 11.2 (1 780 per diff).
+    // Measured: 6 253 calls for 3 799 operations over 24 diffs (260.5 per
+    // diff for 158.3 operations). Before the serial phase-2 path stopped
+    // collecting the root element's children on every diff it was 6 385,
+    // which this bound (6 295) refuses; before phase 5 was built from the
+    // matching it was 1 780 per diff.
     assert!(
-        calls <= 2 * ops + 24 * diffs,
+        calls <= ops + 104 * diffs,
         "{:.1} allocation calls per diff for {:.1} operations",
         calls as f64 / diffs as f64,
         ops as f64 / diffs as f64
