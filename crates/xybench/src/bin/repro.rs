@@ -197,14 +197,11 @@ fn diff_bench() {
 
     // One differ (options + scratch) reused across the whole run, as a
     // long-lived ingest worker would hold it: zero-copy (borrowed) payload
-    // capture, plus the scoped fork-join runner when parallelism is on. The
-    // warmup round (untimed) also warms its scratch capacity, so the timed
-    // rounds measure the allocation-free steady state.
-    let mut differ = Differ::new().with_capture(xydelta::CaptureMode::Borrowed);
-    if diff_threads > 1 {
-        differ =
-            differ.with_runner(std::sync::Arc::new(xydiff::StdScopeRunner::new(diff_threads)));
-    }
+    // capture, fanned out over `diff_threads` threads. The warmup round
+    // (untimed) also warms its scratch capacity, so the timed rounds measure
+    // the allocation-free steady state.
+    let mut differ =
+        Differ::new().with_capture(xydelta::CaptureMode::Borrowed).with_threads(diff_threads);
     for c in &cases {
         let _ = differ.diff(&c.old, &c.new);
     }

@@ -31,7 +31,7 @@
 use crate::config::DiffOptions;
 use crate::info::TreeInfo;
 use crate::matching::Matching;
-use crate::par::{ParallelRunner, SerialRunner};
+use crate::par::StdScopeRunner;
 use crate::propagate::match_unique_children;
 use crate::report::DiffStats;
 use std::cmp::Ordering;
@@ -53,7 +53,7 @@ const PREVERIFY_CANDIDATES: usize = 4;
 /// [`crate::DiffScratch`]; a fresh value per diff is equivalent, reuse just
 /// keeps the table and vector allocations warm.
 #[derive(Debug, Default)]
-pub struct BuldScratch {
+pub(crate) struct BuldScratch {
     index: CandidateIndex,
     heap: BinaryHeap<Entry>,
     /// `(old candidate, new node) → subtree_eq` results computed ahead of the
@@ -62,24 +62,11 @@ pub struct BuldScratch {
     eq_memo: SigHashMap<(NodeId, NodeId), bool>,
 }
 
-/// Run the phase-3 matching loop, extending `matching` in place.
-pub fn run(
-    old: &Tree,
-    new: &Tree,
-    old_info: &TreeInfo,
-    new_info: &TreeInfo,
-    matching: &mut Matching,
-    opts: &DiffOptions,
-    stats: &mut DiffStats,
-) {
-    let mut scratch = BuldScratch::default();
-    run_with(old, new, old_info, new_info, matching, opts, stats, &mut scratch, &SerialRunner);
-}
-
-/// [`run`] with caller-owned scratch, reusing its allocations, and a runner
-/// for the candidate pre-verification pass (serial runners skip it).
+/// Run the phase-3 matching loop, extending `matching` in place, with
+/// caller-owned scratch, reusing its allocations, and a runner for the
+/// candidate pre-verification pass (skipped at one thread).
 #[allow(clippy::too_many_arguments)]
-pub fn run_with(
+pub(crate) fn run_with(
     old: &Tree,
     new: &Tree,
     old_info: &TreeInfo,
@@ -88,7 +75,7 @@ pub fn run_with(
     opts: &DiffOptions,
     stats: &mut DiffStats,
     scratch: &mut BuldScratch,
-    runner: &dyn ParallelRunner,
+    runner: &StdScopeRunner,
 ) {
     let BuldScratch { index, heap, eq_memo } = scratch;
     index.rebuild(old, old_info, opts.max_candidates_scan);
@@ -153,7 +140,7 @@ fn preverify_top_level(
     new_info: &TreeInfo,
     index: &CandidateIndex,
     eq_memo: &mut SigHashMap<(NodeId, NodeId), bool>,
-    runner: &dyn ParallelRunner,
+    runner: &StdScopeRunner,
 ) {
     let Some(root_elem) =
         new.children(new.root()).find(|&n| matches!(new.kind(n), NodeKind::Element(_)))
@@ -179,7 +166,7 @@ fn preverify_top_level(
         return;
     }
     let slots: Vec<OnceLock<bool>> = (0..tasks.len()).map(|_| OnceLock::new()).collect();
-    runner.run(tasks.len(), &|i| {
+    runner.run(tasks.len(), |i| {
         let (c, v) = tasks[i];
         let _ = slots[i].set(old.subtree_eq(c, new, v));
     });
@@ -466,7 +453,11 @@ mod tests {
         let mut matching = Matching::new(old.tree.arena_len(), new.tree.arena_len());
         matching.add(old.tree.root(), new.tree.root());
         let mut stats = DiffStats::default();
-        run(&old.tree, &new.tree, &old_info, &new_info, &mut matching, opts, &mut stats);
+        let (scratch, runner) = (&mut BuldScratch::default(), &StdScopeRunner::default());
+        run_with(
+            &old.tree, &new.tree, &old_info, &new_info, &mut matching, opts, &mut stats, scratch,
+            runner,
+        );
         (old, new, matching, stats)
     }
 

@@ -11,9 +11,10 @@ pub struct DiffOptions {
     /// Which matcher runs: the ordered BULD pipeline (default), the
     /// unordered X-Diff-style multiset matcher, or the LaDiff-inspired
     /// similarity comparator. Every entry point — free functions,
-    /// [`Differ`](crate::Differ), warehouse, server, CLI — dispatches on
-    /// this; all modes share phase-5 delta construction. Per-mode tuning
-    /// lives in the per-mode option structs carried by the `Differ`.
+    /// [`Differ`](crate::Differ), warehouse, server, CLI — honours this;
+    /// all modes share phase 2 and phase 5. The other fields tune BULD and
+    /// phase 5; the two other matchers' tuning is a few constants beside
+    /// their code.
     pub mode: MatchMode,
 
     /// Phase 1: use DTD-declared ID attributes to pre-match nodes. "If ID
@@ -72,7 +73,7 @@ impl Default for DiffOptions {
 impl DiffOptions {
     /// The ancestor look-up / propagation depth for a subtree of weight `w`
     /// in a document of `n` nodes and total weight `w0` (§5.2/§5.3).
-    pub fn lookup_depth(&self, n: usize, w: f64, w0: f64) -> usize {
+    pub(crate) fn lookup_depth(&self, n: usize, w: f64, w0: f64) -> usize {
         let n = n.max(2) as f64;
         let frac = if w0 > 0.0 { (w / w0).clamp(0.0, 1.0) } else { 0.0 };
         let d = 1.0 + self.depth_factor * n.log2() * frac;

@@ -1,7 +1,8 @@
-//! The unified diff entry point: options + scratch in one value.
+//! The unified diff entry point: options + working memory in one value.
 //!
-//! [`Differ`] owns the [`DiffOptions`] and the reusable [`DiffScratch`], so
-//! callers configure once and then call [`Differ::diff`] per document pair:
+//! [`Differ`] owns the [`DiffOptions`] and the reusable working memory of the
+//! pipeline (its scratch), so callers configure once and then call
+//! [`Differ::diff`] per document pair:
 //!
 //! ```
 //! use xydelta::XidDocument;
@@ -27,10 +28,9 @@
 use crate::config::DiffOptions;
 use crate::info::SignatureCache;
 use crate::mode::MatchMode;
-use crate::par::{ParallelRunner, SerialRunner};
+use crate::par::StdScopeRunner;
 use crate::report::DiffResult;
 use crate::scratch::DiffScratch;
-use std::sync::Arc;
 use xydelta::CaptureMode;
 use xydelta::XidDocument;
 use xytree::Document;
@@ -45,11 +45,12 @@ pub struct Differ {
     opts: DiffOptions,
     scratch: DiffScratch,
     capture: CaptureMode,
-    runner: Option<Arc<dyn ParallelRunner>>,
+    runner: StdScopeRunner,
 }
 
 impl Differ {
-    /// A differ with default [`DiffOptions`] and empty scratch.
+    /// A differ with default [`DiffOptions`], empty working memory and one
+    /// thread.
     pub fn new() -> Differ {
         Differ::default()
     }
@@ -84,29 +85,19 @@ impl Differ {
         self
     }
 
-    /// Install a parallel runner hosting the data-parallel stages of phases
-    /// 2 and 3 (builder style). Without one — or with any runner reporting
-    /// one thread — the pipeline stays strictly serial and allocation-free
-    /// in the steady state. The delta is byte-identical either way.
+    /// Fan the data-parallel stages of phases 2 and 3 out over `threads`
+    /// scoped threads (builder style). At one thread (the default; 0 counts
+    /// as 1) the pipeline stays strictly serial and allocation-free in the
+    /// steady state. The delta is byte-identical at every thread count.
     #[must_use]
-    pub fn with_runner(mut self, runner: Arc<dyn ParallelRunner>) -> Differ {
-        self.runner = Some(runner);
+    pub fn with_threads(mut self, threads: usize) -> Differ {
+        self.runner = StdScopeRunner::new(threads);
         self
-    }
-
-    /// The payload capture mode every diff from this differ uses.
-    pub fn capture(&self) -> CaptureMode {
-        self.capture
     }
 
     /// The matcher every diff from this differ runs.
     pub fn mode(&self) -> MatchMode {
         self.opts.mode
-    }
-
-    /// Worker parallelism of the installed runner (1 when none is set).
-    pub fn runner_threads(&self) -> usize {
-        self.runner.as_ref().map_or(1, |r| r.threads())
     }
 
     /// The options every [`Differ::diff`] call uses.
@@ -121,8 +112,8 @@ impl Differ {
 
     /// Diff an XID-carrying old version against a plain new document.
     ///
-    /// The scratch is reused across calls; results are byte-identical to a fresh-memory diff (pinned by
-    /// the golden-equivalence suite).
+    /// The scratch is reused across calls; results are byte-identical to a
+    /// fresh-memory diff (pinned by the golden-equivalence suite).
     pub fn diff(&mut self, old: &XidDocument, new: &Document) -> DiffResult {
         self.run(old, new.clone(), None)
     }
@@ -142,8 +133,10 @@ impl Differ {
     /// warehouse steady-state entry point (no clone, cached old side).
     ///
     /// The differ contributes options + scratch; `cache` must describe `old`
-    /// (or be empty/cold — a cache describing any other state misses) and
-    /// is refreshed to describe the produced version before returning.
+    /// (or be empty/cold — a cache describing any other state, or filled by
+    /// a mode that folds children the other way, misses) and is refreshed
+    /// to describe the produced version before returning. Every mode reads
+    /// and refreshes it.
     pub fn diff_consume_with_cache(
         &mut self,
         old: &XidDocument,
@@ -161,11 +154,8 @@ impl Differ {
         new: Document,
         cache: Option<&mut SignatureCache>,
     ) -> DiffResult {
-        // Destructure for split borrows: the runner is shared while the
-        // scratch is handed out mutably.
         let Differ { opts, scratch, capture, runner } = self;
-        let runner: &dyn ParallelRunner = runner.as_deref().unwrap_or(&SerialRunner);
-        crate::diff_dispatch(old, new, opts, scratch, cache, *capture, runner)
+        crate::diff_core(old, new, opts, scratch, cache, *capture, runner)
     }
 }
 

@@ -14,14 +14,21 @@
 //! ("when the text is large … it should have more weight than a simple
 //! word").
 //!
+//! Every mode runs this phase. BULD and similarity fold a node's children
+//! in order; the unordered matcher folds them as a wrapping sum of mixed
+//! child signatures, so that sibling order cannot change a signature (the
+//! analogue of X-Diff's `XHash`). The fold is a const parameter, so each
+//! loop is compiled for one fold and branches on none. Both folds give the
+//! same weights and sizes.
+//!
 //! Cost rule: a node costs one [`WordHash`] fold per eight bytes of its
 //! text (or attribute value), one per child and one per attribute, plus one
-//! [`LabelTable`] read per label. A label's own hash is computed once per
+//! label-table read per label. A label's own hash is computed once per
 //! symbol per worker, not per occurrence.
 
 #![doc = "xylint: hot-path"]
 
-use crate::par::ParallelRunner;
+use crate::par::StdScopeRunner;
 use std::sync::OnceLock;
 use xydelta::XidDocument;
 use xytree::hash::WordHash;
@@ -44,14 +51,14 @@ mod seed {
 
 /// Per-node signature/weight record.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NodeInfo {
+pub(crate) struct NodeInfo {
     /// Content hash of the whole subtree rooted here.
-    pub signature: u64,
+    pub(crate) signature: u64,
     /// The paper's weight (drives the priority queue and the look-up depth).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Node count of the subtree (cheap exact size, used for statistics and
     /// as the LIS move weight).
-    pub size: u32,
+    pub(crate) size: u32,
 }
 
 /// Signatures and weights for every attached node of a tree, one array per
@@ -59,39 +66,41 @@ pub struct NodeInfo {
 /// far more often than weights, and 20 bytes per node is what a
 /// [`SignatureCache`] keeps resident per stored document.
 #[derive(Debug, Clone, Default)]
-pub struct TreeInfo {
+pub(crate) struct TreeInfo {
     signatures: Vec<u64>,
     weights: Vec<f64>,
     sizes: Vec<u32>,
     /// Total weight of the document (W₀ in the paper's depth bound).
-    pub total_weight: f64,
+    pub(crate) total_weight: f64,
     /// Number of attached nodes.
-    pub node_count: usize,
+    pub(crate) node_count: usize,
+    /// Which fold filled the signatures: true for the commutative one.
+    commutative: bool,
 }
 
 impl TreeInfo {
     /// Info record of `node`.
     #[inline]
-    pub fn get(&self, node: NodeId) -> NodeInfo {
+    pub(crate) fn get(&self, node: NodeId) -> NodeInfo {
         let i = node.index();
         NodeInfo { signature: self.signatures[i], weight: self.weights[i], size: self.sizes[i] }
     }
 
     /// Subtree signature of `node`.
     #[inline]
-    pub fn signature(&self, node: NodeId) -> u64 {
+    pub(crate) fn signature(&self, node: NodeId) -> u64 {
         self.signatures[node.index()]
     }
 
     /// Weight of `node`.
     #[inline]
-    pub fn weight(&self, node: NodeId) -> f64 {
+    pub(crate) fn weight(&self, node: NodeId) -> f64 {
         self.weights[node.index()]
     }
 
     /// Subtree node count of `node`.
     #[inline]
-    pub fn size(&self, node: NodeId) -> u32 {
+    pub(crate) fn size(&self, node: NodeId) -> u32 {
         self.sizes[node.index()]
     }
 
@@ -124,7 +133,7 @@ impl TreeInfo {
 
     /// Fill in every attached node of `tree` in post-order: from `staged`
     /// where it has a record, by hashing otherwise.
-    fn fill(
+    fn fill<const COMMUTATIVE: bool>(
         &mut self,
         tree: &Tree,
         labels: &mut LabelTable,
@@ -134,12 +143,14 @@ impl TreeInfo {
         let mut node_count = 0usize;
         for node in tree.post_order(tree.root()) {
             node_count += 1;
-            let info =
-                staged(node).unwrap_or_else(|| compute_node(tree, node, labels, |c| self.get(c)));
+            let info = staged(node).unwrap_or_else(|| {
+                compute_node::<COMMUTATIVE>(tree, node, labels, |c| self.get(c))
+            });
             self.set(node, info);
         }
         self.total_weight = self.weight(tree.root());
         self.node_count = node_count;
+        self.commutative = COMMUTATIVE;
     }
 }
 
@@ -181,18 +192,41 @@ impl LabelTable {
     }
 }
 
-/// One post-order traversal computing signature + weight for each node.
-pub fn analyze(tree: &Tree) -> TreeInfo {
+/// The ordered analysis of `tree` in fresh memory.
+#[cfg(test)]
+pub(crate) fn analyze(tree: &Tree) -> TreeInfo {
     let mut out = TreeInfo::default();
-    analyze_into(tree, &mut LabelTable::default(), &mut out);
+    analyze_into::<false>(tree, &mut LabelTable::default(), &mut out);
     out
 }
 
-/// [`analyze`] into a caller-owned [`TreeInfo`] with caller-owned label
-/// hashes, reusing both. This is the [`crate::DiffScratch`] reuse path: a
-/// long-lived worker runs thousands of diffs without growing the heap.
-pub(crate) fn analyze_into(tree: &Tree, labels: &mut LabelTable, out: &mut TreeInfo) {
-    out.fill(tree, labels, |_| None);
+/// Phase 2 of one diff: the old side from `cache` when it describes `old`
+/// (see [`analyze_xid_cached`]), the new side fanned out over `runner`.
+pub(crate) fn analyze_pair<const COMMUTATIVE: bool>(
+    old: &XidDocument,
+    new: &Tree,
+    cache: Option<&mut SignatureCache>,
+    labels: &mut LabelTable,
+    old_info: &mut TreeInfo,
+    new_info: &mut TreeInfo,
+    runner: &StdScopeRunner,
+) {
+    match cache {
+        Some(c) => analyze_xid_cached::<COMMUTATIVE>(old, c, labels, old_info),
+        None => analyze_into::<COMMUTATIVE>(&old.doc.tree, labels, old_info),
+    }
+    analyze_into_with::<COMMUTATIVE>(new, labels, new_info, runner);
+}
+
+/// One post-order traversal into a caller-owned [`TreeInfo`] with
+/// caller-owned label hashes, reusing both: a long-lived worker runs
+/// thousands of diffs without growing the heap.
+pub(crate) fn analyze_into<const COMMUTATIVE: bool>(
+    tree: &Tree,
+    labels: &mut LabelTable,
+    out: &mut TreeInfo,
+) {
+    out.fill::<COMMUTATIVE>(tree, labels, |_| None);
 }
 
 /// [`analyze_into`] with the subtree hashing fanned out over `runner`.
@@ -205,18 +239,18 @@ pub(crate) fn analyze_into(tree: &Tree, labels: &mut LabelTable, out: &mut TreeI
 /// top-level comments/PIs) whose children span shards. Hashing is pure, so
 /// the result equals [`analyze_into`] exactly, at every thread count.
 ///
-/// With a serial runner (or fewer than two shards) this delegates to
+/// At one thread (or with fewer than two shards) this delegates to
 /// [`analyze_into`] without allocating anything, preserving the
 /// steady-state no-alloc guarantee of the default path. Each shard hashes
 /// its labels into a table of its own.
-pub(crate) fn analyze_into_with(
+fn analyze_into_with<const COMMUTATIVE: bool>(
     tree: &Tree,
     labels: &mut LabelTable,
     out: &mut TreeInfo,
-    runner: &dyn ParallelRunner,
+    runner: &StdScopeRunner,
 ) {
     if runner.threads() <= 1 {
-        analyze_into(tree, labels, out);
+        analyze_into::<COMMUTATIVE>(tree, labels, out);
         return;
     }
     // ALLOC-OK: parallel staging is opt-in; the serial bypass above keeps the
@@ -225,15 +259,15 @@ pub(crate) fn analyze_into_with(
         .map(|re| tree.children(re).collect())
         .unwrap_or_default();
     if shards.len() < 2 {
-        analyze_into(tree, labels, out);
+        analyze_into::<COMMUTATIVE>(tree, labels, out);
         return;
     }
     // ALLOC-OK: parallel staging, as above.
     let slots: Vec<OnceLock<NodeInfo>> = (0..tree.arena_len()).map(|_| OnceLock::new()).collect();
-    runner.run(shards.len(), &|i| {
+    runner.run(shards.len(), |i| {
         let mut labels = LabelTable::default();
         for node in tree.post_order(shards[i]) {
-            let info = compute_node(tree, node, &mut labels, |c| {
+            let info = compute_node::<COMMUTATIVE>(tree, node, &mut labels, |c| {
                 // INVARIANT: post-order within one shard — a node's children
                 // were published by this same worker before the node itself.
                 *slots[c.index()].get().expect("children published before their parent")
@@ -241,7 +275,7 @@ pub(crate) fn analyze_into_with(
             let _ = slots[node.index()].set(info);
         }
     });
-    out.fill(tree, labels, |node| slots[node.index()].get().copied());
+    out.fill::<COMMUTATIVE>(tree, labels, |node| slots[node.index()].get().copied());
 }
 
 /// The root element (first element child of the document node), if any.
@@ -249,9 +283,19 @@ fn root_element_of(tree: &Tree) -> Option<NodeId> {
     tree.children(tree.root()).find(|&n| matches!(tree.kind(n), NodeKind::Element(_)))
 }
 
+/// SplitMix64 finalizer: decorrelates child signatures before the
+/// commutative (wrapping-add) fold, so that e.g. `{a, a}` and `{b, c}` with
+/// `b + c = 2a` do not collide structurally.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Signature/weight/size of one node, with the records of its children
 /// (post-order predecessors) supplied by `child`.
-fn compute_node(
+fn compute_node<const COMMUTATIVE: bool>(
     tree: &Tree,
     node: NodeId,
     labels: &mut LabelTable,
@@ -314,13 +358,22 @@ fn compute_node(
             weight = text_weight(target.len() + data.len());
         }
     }
-    // Children were visited first (post-order): fold their signatures in
-    // order, one fold each, and add their weights.
+    // Children were visited first (post-order). The ordered fold takes
+    // their signatures in order, one fold each; the commutative fold sums
+    // them mixed and folds the sum once. Either adds their weights.
+    let mut sum = 0u64;
     for c in tree.children(node) {
         let ci = child(c);
-        h.fold(ci.signature);
+        if COMMUTATIVE {
+            sum = sum.wrapping_add(mix(ci.signature));
+        } else {
+            h.fold(ci.signature);
+        }
         weight += ci.weight;
         size += ci.size;
+    }
+    if COMMUTATIVE {
+        h.fold(sum);
     }
     NodeInfo { signature: h.value(), weight, size }
 }
@@ -331,19 +384,20 @@ fn compute_node(
 /// In a warehouse, the *old* side of every diff is a document the system
 /// itself produced one ingest earlier — its signatures were all computed
 /// then, as the *new* side of that diff. The cache keeps those arrays,
-/// indexed by node like the [`TreeInfo`] they were: at the end of a diff the
-/// new side's arrays are swapped in (the buffer they replace goes back to
-/// the [`crate::DiffScratch`]), and the next diff swaps them out again as
-/// its old side instead of re-hashing the old tree. Nothing is copied,
-/// probed or rebuilt per node.
+/// indexed by node: at the end of a diff the new side's arrays are swapped
+/// in (the buffer they replace goes back to the differ's working memory),
+/// and the next diff swaps them out again as its old side instead of
+/// re-hashing the old tree. Nothing is copied, probed or rebuilt per node.
 ///
 /// **Coherence**: the cache records the [`XidDocument::stamp`] of the version
 /// it describes and is used only for a document carrying that stamp — the
 /// very value the diff produced, moved but not cloned, applied to or rebuilt
-/// since. Anything else (a foreign document, a chain recovered from a log, a
-/// clone) misses as a whole and is hashed locally; a miss is always safe.
-/// The one case the stamp cannot see is an edit made directly through
-/// `XidDocument::doc`: whoever does that must [`SignatureCache::clear`].
+/// since. It also records which child fold filled it, and a diff in a mode
+/// that folds the other way misses. Anything else (a foreign document, a
+/// chain recovered from a log, a clone) misses as a whole and is hashed
+/// locally; a miss is always safe. The one case the stamp cannot see is an
+/// edit made directly through `XidDocument::doc`: whoever does that must
+/// replace the cache with [`SignatureCache::new`].
 #[derive(Debug, Clone, Default)]
 pub struct SignatureCache {
     info: TreeInfo,
@@ -389,22 +443,23 @@ impl SignatureCache {
     }
 }
 
-/// [`analyze`] for an XID-carrying document: when `cache` holds the records
-/// of exactly this document state they are swapped into `out` (the cache is
-/// left empty until the diff stores the next version's), otherwise the tree
-/// is hashed. See the [`SignatureCache`] coherence rule.
-pub(crate) fn analyze_xid_cached(
+/// [`analyze_into`] for an XID-carrying document: when `cache` holds the
+/// records of exactly this document state, folded this way, they are
+/// swapped into `out` (the cache is left empty until the diff stores the
+/// next version's), otherwise the tree is hashed. See the
+/// [`SignatureCache`] coherence rule.
+fn analyze_xid_cached<const COMMUTATIVE: bool>(
     doc: &XidDocument,
     cache: &mut SignatureCache,
     labels: &mut LabelTable,
     out: &mut TreeInfo,
 ) {
-    if cache.stamp == doc.stamp() {
+    if cache.stamp == doc.stamp() && cache.info.commutative == COMMUTATIVE {
         std::mem::swap(&mut cache.info, out);
         cache.stamp = 0;
         cache.hits += out.node_count as u64;
     } else {
-        analyze_into(&doc.doc.tree, labels, out);
+        analyze_into::<COMMUTATIVE>(&doc.doc.tree, labels, out);
         cache.misses += out.node_count as u64;
     }
 }
@@ -511,32 +566,40 @@ mod tests {
         assert_eq!(i.get(d.tree.root()).size, 5);
     }
 
+    /// `tree` analyzed with the commutative fold.
+    fn commutative(tree: &Tree) -> TreeInfo {
+        let mut out = TreeInfo::default();
+        analyze_into::<true>(tree, &mut LabelTable::default(), &mut out);
+        out
+    }
+
     #[test]
     fn parallel_analysis_matches_serial_exactly() {
-        use crate::par::{SerialRunner, StdScopeRunner};
         let mut xml = String::from("<cat>");
         for i in 0..20 {
             xml.push_str(&format!("<p a=\"{i}\"><q>text {i}</q><r/></p>"));
         }
         xml.push_str("</cat>");
         let d = Document::parse(&xml).unwrap();
-        let serial = analyze(&d.tree);
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = TreeInfo::default();
-            let runner = StdScopeRunner::new(threads);
-            analyze_into_with(&d.tree, &mut LabelTable::default(), &mut par, &runner);
-            assert_eq!(par.node_count, serial.node_count);
-            assert_eq!(par.total_weight, serial.total_weight);
-            for n in d.tree.post_order(d.tree.root()) {
-                assert_eq!(par.signature(n), serial.signature(n), "threads={threads}");
-                assert_eq!(par.weight(n), serial.weight(n));
-                assert_eq!(par.get(n).size, serial.get(n).size);
+        for serial in [analyze(&d.tree), commutative(&d.tree)] {
+            for threads in [1usize, 2, 4, 8] {
+                let mut par = TreeInfo::default();
+                let runner = StdScopeRunner::new(threads);
+                let labels = &mut LabelTable::default();
+                if serial.commutative {
+                    analyze_into_with::<true>(&d.tree, labels, &mut par, &runner);
+                } else {
+                    analyze_into_with::<false>(&d.tree, labels, &mut par, &runner);
+                }
+                assert_eq!(par.node_count, serial.node_count);
+                assert_eq!(par.total_weight, serial.total_weight);
+                for n in d.tree.post_order(d.tree.root()) {
+                    assert_eq!(par.signature(n), serial.signature(n), "threads={threads}");
+                    assert_eq!(par.weight(n), serial.weight(n));
+                    assert_eq!(par.get(n).size, serial.get(n).size);
+                }
             }
         }
-        // Serial runner takes the bypass and still matches.
-        let mut bypass = TreeInfo::default();
-        analyze_into_with(&d.tree, &mut LabelTable::default(), &mut bypass, &SerialRunner);
-        assert_eq!(bypass.signature(d.tree.root()), serial.signature(d.tree.root()));
     }
 
     #[test]
@@ -547,9 +610,23 @@ mod tests {
             let d = Document::parse(xml).unwrap();
             let serial = analyze(&d.tree);
             let mut par = TreeInfo::default();
-            let runner = crate::par::StdScopeRunner::new(4);
-            analyze_into_with(&d.tree, &mut LabelTable::default(), &mut par, &runner);
+            let runner = StdScopeRunner::new(4);
+            analyze_into_with::<false>(&d.tree, &mut LabelTable::default(), &mut par, &runner);
             assert_eq!(par.signature(d.tree.root()), serial.signature(d.tree.root()));
+        }
+    }
+
+    #[test]
+    fn both_folds_give_equal_weights_and_sizes() {
+        let d = Document::parse(r#"<r k="v"><a>1</a><b>two words</b><c/><!--n--><a>1</a></r>"#)
+            .unwrap();
+        let (ordered, unordered) = (analyze(&d.tree), commutative(&d.tree));
+        assert_eq!(ordered.node_count, unordered.node_count);
+        assert_eq!(ordered.total_weight, unordered.total_weight);
+        for n in d.tree.post_order(d.tree.root()) {
+            assert_eq!(ordered.weight(n), unordered.weight(n));
+            assert_eq!(ordered.size(n), unordered.size(n));
+            assert_ne!(ordered.signature(n), unordered.signature(n));
         }
     }
 
@@ -606,13 +683,13 @@ mod tests {
         let mut warm = crate::DiffScratch::new();
         for xml in corpus.iter().rev().chain(&corpus) {
             let d = Document::parse(xml).unwrap();
-            analyze_into(&d.tree, &mut warm.labels, &mut warm.new_info);
+            analyze_into::<false>(&d.tree, &mut warm.labels, &mut warm.new_info);
         }
         for xml in corpus {
             let d = Document::parse(xml).unwrap();
             let mut fresh = crate::DiffScratch::new();
-            analyze_into(&d.tree, &mut fresh.labels, &mut fresh.new_info);
-            analyze_into(&d.tree, &mut warm.labels, &mut warm.old_info);
+            analyze_into::<false>(&d.tree, &mut fresh.labels, &mut fresh.new_info);
+            analyze_into::<false>(&d.tree, &mut warm.labels, &mut warm.old_info);
             for n in d.tree.post_order(d.tree.root()) {
                 assert_eq!(warm.old_info.signature(n), fresh.new_info.signature(n), "{xml}");
             }

@@ -41,6 +41,16 @@
 //! outside settled subtrees plus the operations it emits, not the document
 //! (§5.1's *lazy down*; DESIGN.md §2 states the rule).
 //!
+//! # One pipeline, three matchers
+//!
+//! [`DiffOptions::mode`] picks what runs between phase 2 and phase 5:
+//! BULD's phases 1, 3 and 4 (the default), an X-Diff-style matcher that
+//! pairs children by signature multiset, or a LaDiff-style matcher that
+//! pairs leaves by textual similarity. Every mode runs the same phase 2
+//! (the unordered matcher folds children into a signature as an
+//! order-insensitive sum) and the same phase 5, so every mode's delta is
+//! correct by construction.
+//!
 //! # Quick start
 //!
 //! ```
@@ -61,30 +71,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buld;
-pub mod config;
-pub mod differ;
-pub mod info;
-pub mod matching;
-pub mod mode;
-pub mod par;
-pub mod phase1;
-pub mod phase5;
-pub mod propagate;
-pub mod report;
-pub mod scratch;
-pub mod similarity;
-pub mod unordered;
+mod buld;
+mod config;
+mod differ;
+mod info;
+mod matching;
+mod mode;
+mod par;
+mod phase1;
+mod phase5;
+mod propagate;
+mod report;
+mod scratch;
+mod similarity;
+mod unordered;
 
 pub use config::DiffOptions;
 pub use differ::Differ;
 pub use info::SignatureCache;
-pub use matching::Matching;
 pub use mode::{MatchMode, ParseMatchModeError};
-pub use par::{ParallelRunner, SerialRunner, StdScopeRunner};
 pub use report::{DiffResult, DiffStats, PhaseTimings};
-pub use scratch::DiffScratch;
 
+use matching::Matching;
+use par::StdScopeRunner;
+use scratch::DiffScratch;
 use std::time::Instant;
 use xydelta::diff_by_xid::CaptureMode;
 use xydelta::XidDocument;
@@ -100,44 +110,17 @@ use xytree::Document;
 ///
 /// This is a thin convenience wrapper that allocates fresh working memory
 /// per call; long-running callers should hold a [`Differ`] (which owns the
-/// options, the reusable scratch, and an optional signature cache) and call
-/// [`Differ::diff`] instead.
+/// options and the reusable working memory) and call [`Differ::diff`]
+/// instead.
 pub fn diff(old: &XidDocument, new: &Document, opts: &DiffOptions) -> DiffResult {
     let mut scratch = DiffScratch::new();
-    diff_dispatch(old, new.clone(), opts, &mut scratch, None, CaptureMode::Owned, &SerialRunner)
-}
-
-/// Route a diff to the matcher selected by [`DiffOptions::mode`].
-///
-/// The BULD arm uses the full machinery (scratch, cache, parallel runner);
-/// the unordered and similarity arms take only the scratch's matching and
-/// ignore `cache` and `runner` (an installed per-document cache is simply
-/// left untouched — it misses safely if the caller later switches back to
-/// BULD). All arms honor `capture` and the phase-5 LIS settings, so every
-/// mode supports the zero-copy warehouse path.
-pub(crate) fn diff_dispatch(
-    old: &XidDocument,
-    new: Document,
-    opts: &DiffOptions,
-    scratch: &mut DiffScratch,
-    cache: Option<&mut SignatureCache>,
-    capture: CaptureMode,
-    runner: &dyn par::ParallelRunner,
-) -> DiffResult {
-    match opts.mode {
-        MatchMode::Buld => diff_core(old, new, opts, scratch, cache, capture, runner),
-        MatchMode::Unordered => {
-            unordered::diff_core_unordered(old, new, opts, &mut scratch.matching, capture)
-        }
-        MatchMode::Similarity => {
-            similarity::diff_core_similarity(old, new, opts, &mut scratch.matching, capture)
-        }
-    }
+    let runner = StdScopeRunner::default();
+    diff_core(old, new.clone(), opts, &mut scratch, None, CaptureMode::Owned, &runner)
 }
 
 /// The prologue every matcher shares: size `matching` for both arenas and
 /// pair the document roots, which always correspond.
-pub(crate) fn start_matching(matching: &mut Matching, old: &XidDocument, new: &Document) {
+fn start_matching(matching: &mut Matching, old: &XidDocument, new: &Document) {
     matching.reset(old.doc.tree.arena_len(), new.tree.arena_len());
     matching.add(old.doc.tree.root(), new.tree.root());
 }
@@ -146,9 +129,8 @@ pub(crate) fn start_matching(matching: &mut Matching, old: &XidDocument, new: &D
 /// (`new` moves into the produced version), the delta is built from the
 /// matching itself (`xydelta::diff_by_xid::diff_matched`, pruned at the
 /// settled subtrees), and the matching closes the statistics. `stats`
-/// arrives with the node counts: BULD has them from phase 2, the other
-/// matchers from [`count_nodes`].
-pub(crate) fn finish(
+/// arrives with the node counts of phase 2.
+fn finish(
     old: &XidDocument,
     new: Document,
     matching: &Matching,
@@ -175,13 +157,15 @@ pub(crate) fn finish(
     DiffResult { delta, new_version, timings, stats }
 }
 
-/// Node counts of both documents for matchers that have no phase-2 record
-/// of them.
-pub(crate) fn count_nodes(old: &XidDocument, new: &Document) -> (usize, usize) {
-    (old.doc.tree.subtree_size(old.doc.tree.root()), new.tree.subtree_size(new.tree.root()))
-}
-
-/// The whole pipeline, owning the new document.
+/// The one pipeline, for every [`MatchMode`], owning the new document.
+///
+/// Phase 2 hashes both sides into the scratch (the old side from `cache`
+/// when it describes `old`), folding children in order for BULD and
+/// similarity and commutatively for the unordered matcher. The mode's
+/// matcher then runs: BULD's phases 1, 3 and 4, the unordered multiset
+/// pairing, or similarity's leaf and vote passes. Phase 5 ([`finish`])
+/// builds the delta, and the new side's records go into `cache` for the
+/// next diff of this document.
 ///
 /// This is the zero-copy core every public entry point funnels into: the
 /// reference-taking wrappers clone at the API boundary, the consuming
@@ -197,56 +181,69 @@ pub(crate) fn diff_core(
     scratch: &mut DiffScratch,
     mut cache: Option<&mut SignatureCache>,
     capture: CaptureMode,
-    runner: &dyn par::ParallelRunner,
+    runner: &StdScopeRunner,
 ) -> DiffResult {
     let mut stats = DiffStats::default();
     let mut timings = PhaseTimings::default();
 
     let old_tree = &old.doc.tree;
     let new_tree = &new.tree;
-    // Split borrows: the infos stay shared references through phases 1–4
+    // Split borrows: the infos stay shared references through the matcher
     // while the matching and BULD state are mutated.
     let DiffScratch { old_info, new_info, labels, matching, buld } = scratch;
     start_matching(matching, old, &new);
 
-    // Phase 2 runs first here: the propagation pass that closes phase 1
-    // needs the weights (the paper reports "phase 1 + phase 2" as one curve
-    // in Figure 4, so the grouping is faithful).
+    // Phase 2 runs first for BULD too: the propagation pass that closes
+    // phase 1 needs the weights (the paper reports "phase 1 + phase 2" as
+    // one curve in Figure 4, so the grouping is faithful).
     let t = Instant::now();
-    match cache.as_deref_mut() {
-        Some(c) => info::analyze_xid_cached(old, c, labels, old_info),
-        None => info::analyze_into(old_tree, labels, old_info),
+    let c = cache.as_deref_mut();
+    if opts.mode == MatchMode::Unordered {
+        info::analyze_pair::<true>(old, new_tree, c, labels, old_info, new_info, runner);
+    } else {
+        info::analyze_pair::<false>(old, new_tree, c, labels, old_info, new_info, runner);
     }
-    info::analyze_into_with(new_tree, labels, new_info, runner);
     timings.phase2 = t.elapsed();
     stats.old_nodes = old_info.node_count;
     stats.new_nodes = new_info.node_count;
     let new_info_buf = new_info;
     let (old_info, new_info) = (&*old_info, &*new_info_buf);
 
-    // Phase 1: ID-attribute matching (+ one propagation pass).
-    let t = Instant::now();
-    if opts.use_id_attributes {
-        phase1::match_by_id(&old.doc, &new, matching, &mut stats);
-        if stats.id_matches > 0 {
-            propagate::propagation_pass(old_tree, new_tree, new_info, matching, &mut stats);
+    match opts.mode {
+        MatchMode::Buld => {
+            // Phase 1: ID-attribute matching (+ one propagation pass).
+            let t = Instant::now();
+            if opts.use_id_attributes {
+                phase1::match_by_id(&old.doc, &new, matching, &mut stats);
+                if stats.id_matches > 0 {
+                    propagate::propagation_pass(old_tree, new_tree, new_info, matching, &mut stats);
+                }
+            }
+            timings.phase1 = t.elapsed();
+
+            // Phase 3: BULD matching loop.
+            let t = Instant::now();
+            buld::run_with(
+                old_tree, new_tree, old_info, new_info, matching, opts, &mut stats, buld, runner,
+            );
+            timings.phase3 = t.elapsed();
+
+            // Phase 4: structural propagation — one pass is the fixpoint.
+            let t = Instant::now();
+            if opts.enable_propagation {
+                propagate::propagation_pass(old_tree, new_tree, new_info, matching, &mut stats);
+            }
+            timings.phase4 = t.elapsed();
+        }
+        MatchMode::Unordered => {
+            let t = Instant::now();
+            unordered::run_matching(old_tree, new_tree, old_info, new_info, matching, &mut stats);
+            timings.phase3 = t.elapsed();
+        }
+        MatchMode::Similarity => {
+            similarity::run(old_tree, new_tree, new_info, matching, &mut stats, &mut timings);
         }
     }
-    timings.phase1 = t.elapsed();
-
-    // Phase 3: BULD matching loop.
-    let t = Instant::now();
-    buld::run_with(
-        old_tree, new_tree, old_info, new_info, matching, opts, &mut stats, buld, runner,
-    );
-    timings.phase3 = t.elapsed();
-
-    // Phase 4: structural propagation — one pass is the fixpoint.
-    let t = Instant::now();
-    if opts.enable_propagation {
-        propagate::propagation_pass(old_tree, new_tree, new_info, matching, &mut stats);
-    }
-    timings.phase4 = t.elapsed();
 
     let result = finish(old, new, matching, opts, capture, stats, timings);
 
@@ -340,7 +337,8 @@ mod tests {
         let new = Document::parse(&catalog(210, "", Some((100, 4)))).unwrap();
         let mut scratch = DiffScratch::new();
         let opts = DiffOptions::default();
-        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &SerialRunner);
+        let runner = StdScopeRunner::default();
+        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &runner);
         let (m, tree) = (&scratch.matching, &r.new_version.doc.tree);
         assert!(r.stats.new_nodes >= 10_000, "{} nodes", r.stats.new_nodes);
         assert_eq!(r.delta.counts().updates, 1);
@@ -381,7 +379,10 @@ mod tests {
         let (old_info, new_info) = (info::analyze(o_tree), info::analyze(n_tree));
         let (old_nodes, new_nodes) = (old_info.node_count, new_info.node_count);
         let mut stats = DiffStats { old_nodes, new_nodes, ..Default::default() };
-        buld::run(o_tree, n_tree, &old_info, &new_info, &mut m, &opts, &mut stats);
+        let (scratch, runner) = (&mut buld::BuldScratch::default(), &StdScopeRunner::default());
+        buld::run_with(
+            o_tree, n_tree, &old_info, &new_info, &mut m, &opts, &mut stats, scratch, runner,
+        );
         let section = n_tree.child_at(n_tree.root_element().unwrap(), 30).unwrap();
         assert!(m.is_matched_new(section), "the section still matches whole");
         assert!(n_tree.descendants(section).all(|v| !m.is_settled(v)), "nothing settled inside");
@@ -408,7 +409,8 @@ mod tests {
         let new = Document::parse(&catalog(60, dtd, Some((10, 4)))).unwrap();
         let mut scratch = DiffScratch::new();
         let opts = DiffOptions::default();
-        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &SerialRunner);
+        let runner = StdScopeRunner::default();
+        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &runner);
         let (m, tree) = (&scratch.matching, &r.new_version.doc.tree);
         let section = tree.child_at(tree.root_element().unwrap(), 50).unwrap();
         assert!(!m.is_matched_new(product(tree, 50, 7)), "the ID-carrying product is barred");

@@ -11,7 +11,7 @@ use xytree::NodeId;
 
 /// A partial bijection between old-document and new-document nodes.
 #[derive(Debug, Clone)]
-pub struct Matching {
+pub(crate) struct Matching {
     old_to_new: Vec<Option<NodeId>>,
     new_to_old: Vec<Option<NodeId>>,
     forbidden_old: Vec<bool>,
@@ -26,7 +26,7 @@ pub struct Matching {
 
 impl Matching {
     /// An empty matching over arenas of the given sizes.
-    pub fn new(old_len: usize, new_len: usize) -> Matching {
+    pub(crate) fn new(old_len: usize, new_len: usize) -> Matching {
         Matching {
             old_to_new: vec![None; old_len],
             new_to_old: vec![None; new_len],
@@ -40,7 +40,7 @@ impl Matching {
 
     /// Clear in place and resize for arenas of the given sizes, keeping the
     /// vector allocations (the [`crate::DiffScratch`] reuse path).
-    pub fn reset(&mut self, old_len: usize, new_len: usize) {
+    pub(crate) fn reset(&mut self, old_len: usize, new_len: usize) {
         self.old_to_new.clear();
         self.old_to_new.resize(old_len, None);
         self.new_to_old.clear();
@@ -55,7 +55,7 @@ impl Matching {
     }
 
     /// Record `old ↔ new`. Both must be unmatched (checked in debug builds).
-    pub fn add(&mut self, old: NodeId, new: NodeId) {
+    pub(crate) fn add(&mut self, old: NodeId, new: NodeId) {
         debug_assert!(self.old_to_new[old.index()].is_none(), "old node matched twice");
         debug_assert!(self.new_to_old[new.index()].is_none(), "new node matched twice");
         self.old_to_new[old.index()] = Some(new);
@@ -63,43 +63,37 @@ impl Matching {
         self.matched += 1;
     }
 
-    /// The new-document partner of an old node.
-    #[inline]
-    pub fn new_of_old(&self, old: NodeId) -> Option<NodeId> {
-        self.old_to_new[old.index()]
-    }
-
     /// The old-document partner of a new node.
     #[inline]
-    pub fn old_of_new(&self, new: NodeId) -> Option<NodeId> {
+    pub(crate) fn old_of_new(&self, new: NodeId) -> Option<NodeId> {
         self.new_to_old[new.index()]
     }
 
     /// Is this old node matched?
     #[inline]
-    pub fn is_matched_old(&self, old: NodeId) -> bool {
+    pub(crate) fn is_matched_old(&self, old: NodeId) -> bool {
         self.old_to_new[old.index()].is_some()
     }
 
     /// Is this new node matched?
     #[inline]
-    pub fn is_matched_new(&self, new: NodeId) -> bool {
+    pub(crate) fn is_matched_new(&self, new: NodeId) -> bool {
         self.new_to_old[new.index()].is_some()
     }
 
     /// Bar an old node from ever being matched.
-    pub fn forbid_old(&mut self, old: NodeId) {
+    pub(crate) fn forbid_old(&mut self, old: NodeId) {
         self.forbidden_old[old.index()] = true;
     }
 
     /// Bar a new node from ever being matched.
-    pub fn forbid_new(&mut self, new: NodeId) {
+    pub(crate) fn forbid_new(&mut self, new: NodeId) {
         self.forbidden_new[new.index()] = true;
     }
 
     /// Can this old/new pair still be matched?
     #[inline]
-    pub fn can_match(&self, old: NodeId, new: NodeId) -> bool {
+    pub(crate) fn can_match(&self, old: NodeId, new: NodeId) -> bool {
         !self.is_matched_old(old)
             && !self.is_matched_new(new)
             && !self.forbidden_old[old.index()]
@@ -108,33 +102,32 @@ impl Matching {
 
     /// Is this old node available (unmatched, not forbidden)?
     #[inline]
-    pub fn available_old(&self, old: NodeId) -> bool {
+    pub(crate) fn available_old(&self, old: NodeId) -> bool {
         !self.is_matched_old(old) && !self.forbidden_old[old.index()]
     }
 
     /// Is this new node available (unmatched, not forbidden)?
     #[inline]
-    pub fn available_new(&self, new: NodeId) -> bool {
+    pub(crate) fn available_new(&self, new: NodeId) -> bool {
         !self.is_matched_new(new) && !self.forbidden_new[new.index()]
     }
 
     /// Number of matched pairs.
-    pub fn matched_count(&self) -> usize {
+    pub(crate) fn matched_count(&self) -> usize {
         self.matched
     }
 
     /// Mark `new` as the root of a subtree matched whole to an identical old
     /// subtree. Only phase 3 does this, for a subtree whose every pair it
-    /// added itself in one call; the method is crate-private so that no
-    /// other caller can mark a subtree with unmatched nodes, which phases 4
-    /// and 5 would then never look at.
+    /// added itself in one call: phases 4 and 5 never look inside a marked
+    /// subtree, so one with unmatched nodes must never be marked.
     pub(crate) fn settle(&mut self, new: NodeId) {
         self.settled[new.index()] = true;
     }
 
     /// Is `new` the root of a subtree matched whole?
     #[inline]
-    pub fn is_settled(&self, new: NodeId) -> bool {
+    pub(crate) fn is_settled(&self, new: NodeId) -> bool {
         self.settled[new.index()]
     }
 
@@ -158,8 +151,8 @@ mod tests {
     fn add_and_lookup() {
         let mut m = Matching::new(4, 4);
         m.add(id(1), id(2));
-        assert_eq!(m.new_of_old(id(1)), Some(id(2)));
         assert_eq!(m.old_of_new(id(2)), Some(id(1)));
+        assert_eq!(m.old_of_new(id(1)), None);
         assert!(m.is_matched_old(id(1)));
         assert!(m.is_matched_new(id(2)));
         assert!(!m.is_matched_old(id(0)));

@@ -1,17 +1,13 @@
 //! Matcher selection: one diff pipeline, three matching philosophies.
 //!
-//! The crate grew three matchers with three incompatible entry points: the
-//! BULD pipeline behind [`crate::diff`]/[`crate::Differ`], the similarity
-//! comparator behind a free function, and (new) the unordered X-Diff-style
-//! matcher. [`MatchMode`] collapses them into one selector carried by
-//! [`DiffOptions`](crate::DiffOptions): every entry point — the free
-//! functions, the [`Differ`](crate::Differ) builder, the warehouse, the
-//! server, the CLI — dispatches on it, and every mode funnels into the same
-//! phase-5 delta construction, so all three emit valid,
-//! `xydelta::verify`-clean XyDeltas over the same change model.
-//!
-//! Per-mode tuning is a handful of constants beside the matcher that reads
-//! them ([`crate::unordered`], [`crate::similarity`]).
+//! [`MatchMode`] is carried by [`DiffOptions`](crate::DiffOptions), and every
+//! entry point — the free functions, the [`Differ`](crate::Differ) builder,
+//! the warehouse, the server, the CLI — honours it. Every mode runs the same
+//! phase 2 (signatures and weights) and the same phase 5 (XID inheritance
+//! and delta construction), so all three emit valid,
+//! `xydelta::verify`-clean XyDeltas over the same change model; the mode
+//! decides only how the nodes in between are matched. Per-mode tuning is a
+//! handful of constants beside the matcher that reads them.
 
 use std::fmt;
 use std::str::FromStr;
@@ -32,17 +28,16 @@ pub enum MatchMode {
     /// X-Diff-style unordered matching (Wang/DeWitt/Cai): children pair by
     /// subtree-signature **multiset** instead of position, so data-centric
     /// documents whose element order is incidental produce small deltas
-    /// under reordering. See [`crate::unordered`].
+    /// under reordering.
     Unordered,
     /// The LaDiff-inspired similarity comparator (§3): leaves by textual
-    /// Dice similarity, internal nodes by matched-children vote. See
-    /// [`crate::similarity`].
+    /// Dice similarity, internal nodes by matched-children vote.
     Similarity,
 }
 
 impl MatchMode {
-    /// The stable lowercase name used on the CLI (`--mode`), in ack JSON,
-    /// and as the `/metrics` label value.
+    /// The stable lowercase name `--mode` takes on the CLI and the server
+    /// prints in its start-up banner.
     pub fn as_str(self) -> &'static str {
         match self {
             MatchMode::Buld => "buld",
@@ -51,7 +46,7 @@ impl MatchMode {
         }
     }
 
-    /// All modes, in display order (for metric label enumeration).
+    /// All modes, in display order.
     pub fn all() -> [MatchMode; 3] {
         [MatchMode::Buld, MatchMode::Unordered, MatchMode::Similarity]
     }

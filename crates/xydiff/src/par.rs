@@ -4,64 +4,25 @@
 //! embarrassingly parallel work over *independent top-level subtrees*: the
 //! children of the root element never share descendants, so their signatures
 //! and their `subtree_eq` verifications can run concurrently without any
-//! shared mutable state. This module defines the narrow interface the diff
-//! pipeline uses to exploit that — a [`ParallelRunner`] executes `n`
-//! independent closures and joins them — without committing the crate to a
-//! thread-pool implementation.
-//!
-//! Two implementations live here:
-//!
-//! - [`SerialRunner`] — the default; runs everything inline on the calling
-//!   thread. The diff takes this path when `--diff-threads 1` (or when no
-//!   runner is installed), and it performs *zero* additional allocation, so
-//!   the steady-state no-alloc guarantee of [`crate::DiffScratch`] holds.
-//! - [`StdScopeRunner`] — fork-join over [`std::thread::scope`]: the runner
-//!   the server installs via [`crate::Differ::with_runner`] when
-//!   `--diff-threads` is above 1, and the one the equivalence property tests
-//!   run at arbitrary thread counts.
+//! shared mutable state. [`StdScopeRunner`] runs `n` independent closures
+//! over [`std::thread::scope`] and joins them. At one thread (the default,
+//! and `--diff-threads 1`) it runs them inline, and the diff skips its
+//! parallel staging altogether, so the steady-state no-alloc guarantee of
+//! the default path holds. [`crate::Differ::with_threads`] sizes it.
 //!
 //! # Determinism contract
 //!
-//! A runner executes `f(0)`, `f(1)`, …, `f(n-1)` exactly once each, in any
+//! The runner executes `f(0)`, `f(1)`, …, `f(n-1)` exactly once each, in any
 //! order and on any thread, and returns only after every invocation has
 //! finished. Callers in this crate only pass *pure* closures that write
 //! results into per-index slots ([`std::sync::OnceLock`] cells), then merge
 //! the slots in index order on the calling thread — so the produced delta is
 //! byte-identical to the serial path at every thread count (pinned by
-//! `tests/parallel_equivalence.rs` and the cross-crate property suite).
+//! `tests/diff_parallel_props.rs`).
 
 #![doc = "xylint: hot-path"]
 
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Executes `n` independent work items and joins them; see the module docs
-/// for the determinism contract.
-pub trait ParallelRunner: Send + Sync + fmt::Debug {
-    /// Worker parallelism this runner offers. The diff uses `threads() <= 1`
-    /// to bypass parallel staging entirely (no slot buffers, no task lists).
-    fn threads(&self) -> usize;
-
-    /// Invoke `f(i)` for every `i` in `0..n`, exactly once each, in any
-    /// order, possibly concurrently. Must not return before all have run.
-    fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync));
-}
-
-/// The degenerate runner: everything inline, no threads, no allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialRunner;
-
-impl ParallelRunner for SerialRunner {
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        for i in 0..n {
-            f(i);
-        }
-    }
-}
 
 /// Fork-join runner over [`std::thread::scope`].
 ///
@@ -69,23 +30,32 @@ impl ParallelRunner for SerialRunner {
 /// index, so a worker that drew a small item takes the next one while a
 /// large item is still running — uneven items balance without a queue.
 #[derive(Debug, Clone, Copy)]
-pub struct StdScopeRunner {
+pub(crate) struct StdScopeRunner {
     threads: usize,
+}
+
+impl Default for StdScopeRunner {
+    /// One thread: everything inline.
+    fn default() -> StdScopeRunner {
+        StdScopeRunner::new(1)
+    }
 }
 
 impl StdScopeRunner {
     /// A runner that fans out over `threads` scoped workers (minimum 1).
-    pub fn new(threads: usize) -> StdScopeRunner {
+    pub(crate) fn new(threads: usize) -> StdScopeRunner {
         StdScopeRunner { threads: threads.max(1) }
     }
-}
 
-impl ParallelRunner for StdScopeRunner {
-    fn threads(&self) -> usize {
+    /// Worker parallelism this runner offers. The diff uses `threads() <= 1`
+    /// to bypass parallel staging entirely (no slot buffers, no task lists).
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
-    fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+    /// Invoke `f(i)` for every `i` in `0..n`, exactly once each, in any
+    /// order, possibly concurrently; returns when all have run.
+    pub(crate) fn run(&self, n: usize, f: impl Fn(usize) + Sync) {
         let workers = self.threads.min(n);
         if workers <= 1 {
             for i in 0..n {
@@ -93,8 +63,8 @@ impl ParallelRunner for StdScopeRunner {
             }
             return;
         }
-        // ALLOC-OK: parallel staging is opt-in; the serial path (the one the
-        // steady-state no-alloc test pins) never reaches this line.
+        // ALLOC-OK: parallel staging is opt-in; the one-thread path (the one
+        // the steady-state no-alloc test pins) never reaches this line.
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -115,9 +85,9 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    fn covers_all(runner: &dyn ParallelRunner, n: usize) {
+    fn covers_all(runner: StdScopeRunner, n: usize) {
         let slots: Vec<OnceLock<usize>> = (0..n).map(|_| OnceLock::new()).collect();
-        runner.run(n, &|i| {
+        runner.run(n, |i| {
             slots[i].set(i * i).expect("each index visited exactly once");
         });
         for (i, s) in slots.iter().enumerate() {
@@ -126,27 +96,22 @@ mod tests {
     }
 
     #[test]
-    fn serial_runner_visits_every_index_once() {
-        covers_all(&SerialRunner, 17);
-        covers_all(&SerialRunner, 0);
-    }
-
-    #[test]
-    fn scoped_runner_visits_every_index_once() {
+    fn runner_visits_every_index_once() {
         for threads in [1, 2, 4, 8] {
-            covers_all(&StdScopeRunner::new(threads), 33);
-            covers_all(&StdScopeRunner::new(threads), 1);
-            covers_all(&StdScopeRunner::new(threads), 0);
+            covers_all(StdScopeRunner::new(threads), 33);
+            covers_all(StdScopeRunner::new(threads), 1);
+            covers_all(StdScopeRunner::new(threads), 0);
         }
     }
 
     #[test]
     fn oversubscription_beyond_item_count_is_fine() {
-        covers_all(&StdScopeRunner::new(64), 3);
+        covers_all(StdScopeRunner::new(64), 3);
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(StdScopeRunner::new(0).threads(), 1);
+        assert_eq!(StdScopeRunner::default().threads(), 1);
     }
 }

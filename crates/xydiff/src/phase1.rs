@@ -2,7 +2,7 @@
 //!
 //! "In one traversal of each tree, we register nodes that are uniquely
 //! identified by an ID attribute defined in the DTD of the documents. The
-//! existence of [an] ID attribute for a given node provides a unique
+//! existence of \[an\] ID attribute for a given node provides a unique
 //! condition to match the node: its matching must have the same ID value. If
 //! such a pair of nodes is found in the other document, they are matched.
 //! Other nodes with ID attributes can not be matched, even during the next
@@ -15,7 +15,7 @@ use xytree::{Document, NodeId, Symbol};
 
 /// Match element nodes by `(label, ID value)`; forbid ID-bearing nodes that
 /// find no partner.
-pub fn match_by_id(
+pub(crate) fn match_by_id(
     old: &Document,
     new: &Document,
     matching: &mut Matching,

@@ -25,7 +25,11 @@ use xytree::{Document, NodeId};
 /// Matched nodes are read off the matching in slot order; only the fresh
 /// ones need the postfix walk, which therefore skips the interior of
 /// settled subtrees (all matched).
-pub fn inherit_xids(old: &XidDocument, new_doc: Document, matching: &Matching) -> XidDocument {
+pub(crate) fn inherit_xids(
+    old: &XidDocument,
+    new_doc: Document,
+    matching: &Matching,
+) -> XidDocument {
     let mut next = old.next_xid_value();
     let tree = &new_doc.tree;
     let settled = |n| matching.is_settled(n);

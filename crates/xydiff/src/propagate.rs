@@ -6,10 +6,10 @@
 //! so that their overall cost is linear in time and space:
 //!
 //! 1. *propagate to parent*: consider that node i is not matched. If it has
-//!    [children] matched … we will prefer the parent i′ of the larger
+//!    \[children\] matched … we will prefer the parent i′ of the larger
 //!    (weight) set of children …
 //! 2. *propagate to children*: if a node is matched, and both it and its
-//!    matching have a unique [child] with a given label, then these two
+//!    matching have a unique \[child\] with a given label, then these two
 //!    children will be matched."
 
 #![doc = "xylint: hot-path"]
@@ -37,7 +37,7 @@ use xytree::{NodeId, NodeKind, Tree};
 /// every node there is matched, and so is every child of its partner, so
 /// neither rule can fire below a settled node. A pass therefore costs the
 /// nodes outside settled subtrees, not the document.
-pub fn propagation_pass(
+pub(crate) fn propagation_pass(
     old: &Tree,
     new: &Tree,
     new_info: &TreeInfo,
@@ -129,7 +129,7 @@ fn child_key(kind: NodeKind<'_>) -> Option<ChildKey<'_>> {
 /// sides exactly when its run is one old child then one new child. Which
 /// pairs match does not depend on the order they are found in, since
 /// matching a pair changes no other key's count.
-pub fn match_unique_children(
+pub(crate) fn match_unique_children(
     old: &Tree,
     new: &Tree,
     matching: &mut Matching,
@@ -357,7 +357,11 @@ mod tests {
                     if stats.id_matches > 0 {
                         propagation_pass(o, n, &new_info, &mut m, &mut stats);
                     }
-                    buld::run(o, n, &old_info, &new_info, &mut m, &opts, &mut stats);
+                    let scratch = &mut buld::BuldScratch::default();
+                    let runner = &Default::default();
+                    buld::run_with(
+                        o, n, &old_info, &new_info, &mut m, &opts, &mut stats, scratch, runner,
+                    );
                     let mut pass = || propagation_pass(o, n, &new_info, &mut m, &mut stats);
                     first_added += pass();
                     assert_eq!(pass(), 0, "a second pass matched more");

@@ -20,21 +20,21 @@ use crate::info::{LabelTable, TreeInfo};
 use crate::matching::Matching;
 
 /// Reusable working memory for the diff pipeline, owned by a
-/// [`crate::Differ`] (or passed explicitly through the deprecated
-/// multi-argument entry points).
+/// [`crate::Differ`].
 ///
-/// Holds the phase-2 analyses and label hashes, the phase-1/3/4 matching
-/// vectors, and the phase-3 candidate index + priority queue. Every component is cleared and
-/// resized in place at the start of a diff, keeping its allocation.
+/// Holds the phase-2 analyses and label hashes, the matching vectors every
+/// matcher fills, and BULD's phase-3 candidate index + priority queue. Every
+/// component is cleared and resized in place at the start of a diff, keeping
+/// its allocation.
 #[derive(Debug)]
-pub struct DiffScratch {
+pub(crate) struct DiffScratch {
     /// Signatures/weights of the old tree (phase 2).
     pub(crate) old_info: TreeInfo,
     /// Signatures/weights of the new tree (phase 2).
     pub(crate) new_info: TreeInfo,
     /// Hash and text of every label this worker has met (phase 2).
     pub(crate) labels: LabelTable,
-    /// The node matching under construction (phases 1, 3, 4).
+    /// The node matching under construction (the matcher's output).
     pub(crate) matching: Matching,
     /// Candidate index and heaviest-first queue (phase 3).
     pub(crate) buld: BuldScratch,
@@ -42,7 +42,7 @@ pub struct DiffScratch {
 
 impl DiffScratch {
     /// An empty scratch. Capacity grows on first use and is retained.
-    pub fn new() -> DiffScratch {
+    pub(crate) fn new() -> DiffScratch {
         DiffScratch {
             old_info: TreeInfo::default(),
             new_info: TreeInfo::default(),

@@ -15,15 +15,12 @@
 //! baseline — quality and cost comparisons live in the `xybench` harness —
 //! not as the production path.
 
-use crate::config::DiffOptions;
-use crate::info::{analyze, TreeInfo};
+use crate::info::TreeInfo;
 use crate::matching::Matching;
-use crate::report::{DiffResult, DiffStats, PhaseTimings};
+use crate::report::{DiffStats, PhaseTimings};
 use std::time::Instant;
-use xydelta::diff_by_xid::CaptureMode;
-use xydelta::XidDocument;
 use xytree::hash::{fast_map, FastHashMap};
-use xytree::{Document, NodeId, NodeKind, Tree};
+use xytree::{NodeId, NodeKind, Tree};
 
 /// Minimum Dice similarity for two text leaves to match (LaDiff's `f`).
 const LEAF_THRESHOLD: f64 = 0.5;
@@ -38,30 +35,20 @@ const MAX_LEAF_CANDIDATES: usize = 64;
 /// Bottom-up passes over the element structure.
 const PASSES: usize = 2;
 
-/// The similarity pipeline core: leaf/internal matching, shared phase-5
-/// delta construction. Owns the new document (zero-copy like
-/// [`crate::diff_core`]); honors `capture` and the phase-5 LIS settings
-/// from `opts` so the warehouse path works in this mode too.
-pub(crate) fn diff_core_similarity(
-    old: &XidDocument,
-    new: Document,
-    opts: &DiffOptions,
+/// The similarity matcher: leaves by similarity (timed as phase 3), then
+/// internal nodes by a vote weighted with the new side's phase-2 weights,
+/// and the children of matched pairs by unique label (timed as phase 4).
+pub(crate) fn run(
+    old_tree: &Tree,
+    new_tree: &Tree,
+    new_info: &TreeInfo,
     matching: &mut Matching,
-    capture: CaptureMode,
-) -> DiffResult {
-    let mut stats = DiffStats::default();
-    let mut timings = PhaseTimings::default();
-    let old_tree = &old.doc.tree;
-    let new_tree = &new.tree;
-    crate::start_matching(matching, old, &new);
-
-    let t = Instant::now();
-    let new_info = analyze(new_tree);
-    timings.phase2 = t.elapsed();
-
+    stats: &mut DiffStats,
+    timings: &mut PhaseTimings,
+) {
     // --- Leaf matching by similarity. ---
     let t = Instant::now();
-    match_leaves(old_tree, new_tree, matching, &mut stats);
+    match_leaves(old_tree, new_tree, matching, stats);
     timings.phase3 = t.elapsed();
 
     // --- Internal nodes by matched-children vote, then children alignment
@@ -70,11 +57,10 @@ pub(crate) fn diff_core_similarity(
     // unique-label alignment below is that second half). ---
     let t = Instant::now();
     for _ in 0..PASSES {
-        let mut changed = match_internal(old_tree, new_tree, &new_info, matching, &mut stats);
+        let mut changed = match_internal(old_tree, new_tree, new_info, matching, stats);
         for n in new_tree.descendants(new_tree.root()) {
             if let Some(o) = matching.old_of_new(n) {
-                changed +=
-                    align_unique_element_children(old_tree, new_tree, matching, o, n, &mut stats);
+                changed += align_unique_element_children(old_tree, new_tree, matching, o, n, stats);
             }
         }
         if changed == 0 {
@@ -82,9 +68,6 @@ pub(crate) fn diff_core_similarity(
         }
     }
     timings.phase4 = t.elapsed();
-
-    (stats.old_nodes, stats.new_nodes) = crate::count_nodes(old, &new);
-    crate::finish(old, new, matching, opts, capture, stats, timings)
 }
 
 /// Word-level Dice similarity of two strings.
@@ -253,7 +236,10 @@ fn match_internal(
 mod tests {
     use super::*;
     use crate::mode::MatchMode;
+    use crate::report::DiffResult;
     use crate::Differ;
+    use xydelta::XidDocument;
+    use xytree::Document;
 
     fn run(old_xml: &str, new_xml: &str) -> DiffResult {
         let old = XidDocument::parse_initial(old_xml).unwrap();

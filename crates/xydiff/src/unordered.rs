@@ -10,10 +10,10 @@
 //! treats the document as an unordered tree and matches subtrees by
 //! content, which this module reproduces in the XyDiff pipeline:
 //!
-//! 1. **Commutative signatures** — every subtree gets a hash in which the
-//!    children's contribution is an order-insensitive sum, so two subtrees
-//!    whose descendants are permutations of each other hash identically at
-//!    every level (the analogue of X-Diff's `XHash`).
+//! 1. **Commutative signatures** — phase 2 folds every node's children
+//!    into its hash as an order-insensitive sum (`crate::info`), so two
+//!    subtrees whose descendants are permutations of each other hash
+//!    identically at every level (the analogue of X-Diff's `XHash`).
 //! 2. **Multiset pairing** — starting from the matched roots, the children
 //!    of every matched pair are grouped by signature; equal-signature
 //!    subtrees pair off in occurrence order and match recursively, wholesale.
@@ -35,14 +35,11 @@
 //! reported as delete + insert rather than a move. That is the documented
 //! trade-off of the unordered model, not a defect.
 
-use crate::config::DiffOptions;
+use crate::info::TreeInfo;
 use crate::matching::Matching;
-use crate::report::{DiffResult, DiffStats, PhaseTimings};
-use std::time::Instant;
-use xydelta::diff_by_xid::CaptureMode;
-use xydelta::XidDocument;
-use xytree::hash::{fast_map, FastHashMap, Fnv64};
-use xytree::{Document, NodeId, NodeKind, Tree};
+use crate::report::DiffStats;
+use xytree::hash::{fast_map, FastHashMap};
+use xytree::{NodeId, NodeKind, Tree};
 
 /// Cost-matrix budget for the label-bucket fallback: a bucket of `o` old ×
 /// `n` new changed subtrees runs min-cost assignment only while `o · n`
@@ -55,96 +52,6 @@ const MAX_BUCKET_PAIRS: usize = 4096;
 /// the pair is left unmatched (delete + insert). 0 accepts any same-label
 /// pair.
 const MIN_CHILD_OVERLAP: f64 = 0.0;
-
-/// Domain-separation seeds for the commutative signature. Deliberately
-/// distinct from the ordered signature seeds in `info.rs`: an ordered and
-/// an unordered signature must never collide by construction.
-mod seed {
-    /// Document-root signature seed.
-    pub const DOCUMENT: u64 = 0x0D0C_0D0C;
-    /// Element signature seed (name + sorted attributes folded in).
-    pub const ELEMENT: u64 = 0x0E1E_0E1E;
-    /// Text-node signature seed.
-    pub const TEXT: u64 = 0x07E7_07E7;
-    /// Comment signature seed.
-    pub const COMMENT: u64 = 0x0C03_0C03;
-    /// Processing-instruction signature seed.
-    pub const PI: u64 = 0x0091_0091;
-}
-
-/// SplitMix64 finalizer: decorrelates child signatures before the
-/// commutative (wrapping-add) fold, so that e.g. `{a, a}` and `{b, c}` with
-/// `b + c = 2a` do not collide structurally.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Compute the commutative subtree signature for every attached node.
-///
-/// One post-order pass; the returned vector is indexed by
-/// [`NodeId::index`]. Detached arena slots keep signature 0 (never read —
-/// matching only walks attached children).
-pub fn unordered_signatures(tree: &Tree) -> Vec<u64> {
-    let mut sigs = vec![0u64; tree.arena_len()];
-    for node in tree.post_order(tree.root()) {
-        let mut h;
-        match tree.kind(node) {
-            NodeKind::Document => {
-                h = Fnv64::with_seed(seed::DOCUMENT);
-            }
-            NodeKind::Element(e) => {
-                h = Fnv64::with_seed(seed::ELEMENT);
-                h.update(e.name.as_bytes());
-                h.update(&[0]);
-                // Attributes are already a set: fold in name order, exactly
-                // as the ordered signature does.
-                let mut fold = |a: &xytree::Attr| {
-                    h.update(a.name.as_bytes());
-                    h.update(&[1]);
-                    h.update(a.value.as_bytes());
-                    h.update(&[2]);
-                };
-                if e.attrs.windows(2).all(|w| w[0].name <= w[1].name) {
-                    for a in e.attrs {
-                        fold(a);
-                    }
-                } else {
-                    let mut idx: Vec<usize> = (0..e.attrs.len()).collect();
-                    idx.sort_by(|&a, &b| e.attrs[a].name.cmp(&e.attrs[b].name));
-                    for i in idx {
-                        fold(&e.attrs[i]);
-                    }
-                }
-            }
-            NodeKind::Text(t) => {
-                h = Fnv64::with_seed(seed::TEXT);
-                h.update(t.as_bytes());
-            }
-            NodeKind::Comment(c) => {
-                h = Fnv64::with_seed(seed::COMMENT);
-                h.update(c.as_bytes());
-            }
-            NodeKind::Pi { target, data } => {
-                h = Fnv64::with_seed(seed::PI);
-                h.update(target.as_bytes());
-                h.update(&[0]);
-                h.update(data.as_bytes());
-            }
-        }
-        // The children's contribution is a wrapping sum of mixed child
-        // signatures: commutative, so sibling order cannot influence it.
-        let mut children_sum = 0u64;
-        for c in tree.children(node) {
-            children_sum = children_sum.wrapping_add(mix(sigs[c.index()]));
-        }
-        h.update_u64(children_sum);
-        sigs[node.index()] = h.value();
-    }
-    sigs
-}
 
 /// The bucket key for changed (leftover) children: node type + label.
 /// Only same-kind, same-label nodes are candidates for fallback pairing.
@@ -173,8 +80,8 @@ fn bucket_key<'t>(tree: &'t Tree, node: NodeId) -> Option<BucketKey<'t>> {
 fn child_overlap(
     old_tree: &Tree,
     new_tree: &Tree,
-    old_sigs: &[u64],
-    new_sigs: &[u64],
+    old_info: &TreeInfo,
+    new_info: &TreeInfo,
     o: NodeId,
     n: NodeId,
     counts: &mut FastHashMap<u64, usize>,
@@ -182,14 +89,14 @@ fn child_overlap(
     counts.clear();
     let mut old_n = 0usize;
     for c in old_tree.children(o) {
-        *counts.entry(old_sigs[c.index()]).or_insert(0) += 1;
+        *counts.entry(old_info.signature(c)).or_insert(0) += 1;
         old_n += 1;
     }
     let mut shared = 0usize;
     let mut new_n = 0usize;
     for c in new_tree.children(n) {
         new_n += 1;
-        if let Some(slot) = counts.get_mut(&new_sigs[c.index()]) {
+        if let Some(slot) = counts.get_mut(&new_info.signature(c)) {
             if *slot > 0 {
                 *slot -= 1;
                 shared += 1;
@@ -199,15 +106,16 @@ fn child_overlap(
     (shared, old_n, new_n)
 }
 
-/// Run the unordered matching from the (pre-matched) roots down.
+/// Run the unordered matching from the (pre-matched) roots down, over the
+/// commutative signatures of phase 2.
 ///
 /// Invariant maintained throughout: a node is only matched when its parent
 /// is matched, and every `Matching::add` pairs two available nodes.
-fn run_matching<'t>(
+pub(crate) fn run_matching<'t>(
     old_tree: &'t Tree,
     new_tree: &'t Tree,
-    old_sigs: &[u64],
-    new_sigs: &[u64],
+    old_info: &TreeInfo,
+    new_info: &TreeInfo,
     matching: &mut Matching,
     stats: &mut DiffStats,
 ) {
@@ -222,7 +130,7 @@ fn run_matching<'t>(
         for oc in old_tree.children(po) {
             if matching.available_old(oc) {
                 // Occurrence order: push back, consume from the front.
-                by_sig.entry(old_sigs[oc.index()]).or_default().push(oc);
+                by_sig.entry(old_info.signature(oc)).or_default().push(oc);
             }
         }
         // Cursors into each group (front-consumption without a deque).
@@ -232,7 +140,7 @@ fn run_matching<'t>(
             if !matching.available_new(nc) {
                 continue;
             }
-            let sig = new_sigs[nc.index()];
+            let sig = new_info.signature(nc);
             let paired = match by_sig.get(&sig) {
                 Some(group) => {
                     let cur = cursors.entry(sig).or_insert(0);
@@ -285,8 +193,8 @@ fn run_matching<'t>(
                 let pairs = pair_bucket(
                     old_tree,
                     new_tree,
-                    old_sigs,
-                    new_sigs,
+                    old_info,
+                    new_info,
                     olds,
                     news,
                     matches!(key, BucketKey::Element(_)),
@@ -315,8 +223,8 @@ fn run_matching<'t>(
 fn pair_bucket(
     old_tree: &Tree,
     new_tree: &Tree,
-    old_sigs: &[u64],
-    new_sigs: &[u64],
+    old_info: &TreeInfo,
+    new_info: &TreeInfo,
     olds: &[NodeId],
     news: &[NodeId],
     elements: bool,
@@ -336,7 +244,7 @@ fn pair_bucket(
     for (oi, &oc) in olds.iter().enumerate() {
         for (ni, &nc) in news.iter().enumerate() {
             let (shared, o_n, n_n) = child_overlap(
-                old_tree, new_tree, old_sigs, new_sigs, oc, nc, overlap_counts,
+                old_tree, new_tree, old_info, new_info, oc, nc, overlap_counts,
             );
             let total = o_n + n_n;
             let frac = if total == 0 { 1.0 } else { 2.0 * shared as f64 / total as f64 };
@@ -362,41 +270,15 @@ fn pair_bucket(
     out
 }
 
-/// The unordered pipeline core: signatures, multiset matching, shared
-/// phase-5 delta construction. Owns the new document (zero-copy like
-/// [`crate::diff_core`]); `capture` selects payload capture exactly as in
-/// the BULD core.
-pub(crate) fn diff_core_unordered(
-    old: &XidDocument,
-    new: Document,
-    opts: &DiffOptions,
-    matching: &mut Matching,
-    capture: CaptureMode,
-) -> DiffResult {
-    let mut stats = DiffStats::default();
-    let mut timings = PhaseTimings::default();
-    let old_tree = &old.doc.tree;
-    let new_tree = &new.tree;
-
-    let t = Instant::now();
-    let old_sigs = unordered_signatures(old_tree);
-    let new_sigs = unordered_signatures(new_tree);
-    timings.phase2 = t.elapsed();
-
-    let t = Instant::now();
-    crate::start_matching(matching, old, &new);
-    run_matching(old_tree, new_tree, &old_sigs, &new_sigs, matching, &mut stats);
-    timings.phase3 = t.elapsed();
-
-    (stats.old_nodes, stats.new_nodes) = crate::count_nodes(old, &new);
-    crate::finish(old, new, matching, opts, capture, stats, timings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::info::LabelTable;
     use crate::mode::MatchMode;
+    use crate::report::DiffResult;
     use crate::DiffOptions;
+    use xydelta::XidDocument;
+    use xytree::Document;
 
     fn run(old_xml: &str, new_xml: &str) -> DiffResult {
         let old = XidDocument::parse_initial(old_xml).unwrap();
@@ -410,26 +292,27 @@ mod tests {
         r
     }
 
+    /// The commutative signature of the document node of `xml`.
+    fn root_signature(xml: &str) -> u64 {
+        let d = Document::parse(xml).unwrap();
+        let mut info = TreeInfo::default();
+        crate::info::analyze_into::<true>(&d.tree, &mut LabelTable::default(), &mut info);
+        info.signature(d.tree.root())
+    }
+
     #[test]
     fn commutative_signatures_ignore_sibling_order() {
-        let a = Document::parse("<r><a>1</a><b>2</b><c/></r>").unwrap();
-        let b = Document::parse("<r><c/><b>2</b><a>1</a></r>").unwrap();
-        let sa = unordered_signatures(&a.tree);
-        let sb = unordered_signatures(&b.tree);
-        assert_eq!(sa[a.tree.root().index()], sb[b.tree.root().index()]);
-
-        let c = Document::parse("<r><a>1</a><b>2</b></r>").unwrap();
-        let sc = unordered_signatures(&c.tree);
-        assert_ne!(sa[a.tree.root().index()], sc[c.tree.root().index()]);
+        let a = root_signature("<r><a>1</a><b>2</b><c/></r>");
+        assert_eq!(a, root_signature("<r><c/><b>2</b><a>1</a></r>"));
+        assert_ne!(a, root_signature("<r><a>1</a><b>2</b></r>"));
     }
 
     #[test]
     fn nested_permutations_share_signatures() {
-        let a = Document::parse("<r><g><x>1</x><y>2</y></g><g><x>3</x></g></r>").unwrap();
-        let b = Document::parse("<r><g><x>3</x></g><g><y>2</y><x>1</x></g></r>").unwrap();
-        let sa = unordered_signatures(&a.tree);
-        let sb = unordered_signatures(&b.tree);
-        assert_eq!(sa[a.tree.root().index()], sb[b.tree.root().index()]);
+        assert_eq!(
+            root_signature("<r><g><x>1</x><y>2</y></g><g><x>3</x></g></r>"),
+            root_signature("<r><g><x>3</x></g><g><y>2</y><x>1</x></g></r>"),
+        );
     }
 
     #[test]

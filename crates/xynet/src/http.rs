@@ -3,8 +3,8 @@
 //! Only what the ingest front needs: request line + headers +
 //! `Content-Length` bodies, keep-alive, strict size limits that map to
 //! typed errors (`400`/`411`/`413`/`431`/`501`). Buffering, pipelining and
-//! incremental arrival live in the reactor's per-connection state machine
-//! ([`crate::machine`]), which calls the pure functions here.
+//! incremental arrival live in the reactor's per-connection state machine,
+//! which calls the pure functions here.
 
 use std::io::{self, Write};
 

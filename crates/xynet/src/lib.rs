@@ -8,7 +8,7 @@
 //! nonblocking sockets behind a readiness seam ([`driver::Driver`]) with
 //! two backends — epoll and a deterministic in-memory simulator for
 //! tests. Per-connection state
-//! machines ([`machine`]) drive the incremental HTTP parser ([`http`]);
+//! machines drive the incremental HTTP parser ([`http`]);
 //! only complete requests reach the xyserve scheduler, so idle keep-alive
 //! clients cost a file descriptor each, not a thread.
 //!

@@ -1,9 +1,9 @@
 //! The event-driven connection engine: one thread, many connections.
 //!
 //! A [`Reactor`] owns every accepted connection as a slot in a token table.
-//! Each slot couples a nonblocking [`Transport`] with a push-parser
-//! [`ConnMachine`] and an output buffer; the loop is the classic readiness
-//! shape:
+//! Each slot couples a nonblocking [`Transport`](crate::Transport) with a
+//! push-parser state machine and an output buffer; the loop is the classic
+//! readiness shape:
 //!
 //! ```text
 //!    poll ──► completions ──► events (read/flush) ──► accept ──► sweep

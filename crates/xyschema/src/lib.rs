@@ -13,11 +13,11 @@
 //!    containment, excluded attribute value, position beyond the provable
 //!    occurrence bound, …). Dead subscriptions are flagged at registration
 //!    time instead of silently never firing.
-//! 2. **Schema-change impact** ([`impact`]): given two DTD versions, which
+//! 2. **Schema-change impact** ([`impact()`]): given two DTD versions, which
 //!    queries died, which came alive, and which had their match language
 //!    narrowed or widened (decided by containment on the label-path
 //!    languages of grammar and query).
-//! 3. **Delta typechecking** ([`typecheck`]): could a completed XyDelta
+//! 3. **Delta typechecking** ([`typecheck()`]): could a completed XyDelta
 //!    possibly transform one valid document into another, checked without
 //!    materializing either version.
 //!

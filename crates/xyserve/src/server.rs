@@ -143,8 +143,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Intra-document diff parallelism: each worker's differ fans the
     /// data-parallel diff stages (phase-2 hashing, phase-3 candidate
-    /// pre-verification) out over this many scoped threads via
-    /// [`xydiff::StdScopeRunner`]. 1 (the default) keeps diffs strictly serial
+    /// pre-verification) out over this many scoped threads
+    /// ([`Differ::with_threads`]). 1 (the default) keeps diffs strictly serial
     /// and allocation-free; deltas are byte-identical at any setting.
     pub diff_threads: usize,
     /// Diff options used by every shard.
@@ -804,15 +804,10 @@ impl Inner {
         shard_index(key, self.shards.len())
     }
 
-    /// A worker's differ: repository options + scratch, plus the scoped
-    /// fork-join runner when intra-diff parallelism is on.
+    /// A worker's differ: repository options + scratch, fanned out over
+    /// `diff_threads` threads.
     fn make_differ(&self) -> Differ {
-        let differ = self.shards[0].differ();
-        if self.config.diff_threads > 1 {
-            differ.with_runner(Arc::new(xydiff::StdScopeRunner::new(self.config.diff_threads)))
-        } else {
-            differ
-        }
+        self.shards[0].differ().with_threads(self.config.diff_threads)
     }
 
     fn worker_loop(&self) {

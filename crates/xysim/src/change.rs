@@ -3,10 +3,10 @@
 //! "The change simulator reads an XML document, and stores its nodes in
 //! arrays. Then, based on some parameters (probabilities for each change
 //! operations) the four types of simulated operations are created in three
-//! phases: **[delete]** given a delete probability, we delete some nodes and
-//! [their] entire subtree. **[update]** the remaining text nodes are then
+//! phases: **\[delete\]** given a delete probability, we delete some nodes and
+//! \[their\] entire subtree. **\[update\]** the remaining text nodes are then
 //! updated (with original text data) based on their update probability.
-//! **[insert/move]** we choose random nodes in the remaining element nodes
+//! **\[insert/move\]** we choose random nodes in the remaining element nodes
 //! and insert a child to them … according to the type of node inserted, and
 //! the move probability we do either insert data that had been deleted, e.g.
 //! that corresponds to a move, or we insert 'original' data."

@@ -35,7 +35,7 @@ pub enum RepositoryError {
     /// corruption — should never happen).
     Reconstruct(ApplyError),
     /// The freshly computed delta failed static verification
-    /// ([`xydelta::verify`]); the version was NOT stored. Indicates a diff
+    /// ([`xydelta::verify()`]); the version was NOT stored. Indicates a diff
     /// bug or memory corruption, never a property of the input document.
     InvalidDelta(xydelta::VerifyError),
 }
@@ -168,7 +168,7 @@ impl Repository {
     /// (long-lived workers hold one differ each, making steady-state ingest
     /// free of per-diff structural allocation); the repository contributes
     /// the per-document signature cache. Every computed delta is checked by
-    /// the static validator ([`xydelta::verify`]) before the version is
+    /// the static validator ([`xydelta::verify()`]) before the version is
     /// stored. On failure the repository is left unchanged — the bad delta
     /// is neither appended to the chain nor handed to the alerter — and the
     /// caller decides what to do with the document (xyserve routes it to the

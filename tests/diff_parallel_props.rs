@@ -10,9 +10,8 @@
 //! `apply(diff(a, b), a) == b` regardless of `--diff-threads`.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use xydiff_suite::xydelta::{xml_io, CaptureMode, PayloadSource, XidDocument};
-use xydiff_suite::xydiff::{diff, DiffOptions, Differ, StdScopeRunner};
+use xydiff_suite::xydiff::{diff, DiffOptions, Differ, MatchMode};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::Document;
 
@@ -70,18 +69,23 @@ fn zero_copy_capture_serializes_byte_identically() {
     }
 }
 
+/// Every mode hashes through the same sharded phase 2, so every mode is
+/// checked at every thread count.
 #[test]
 fn parallel_diff_is_byte_identical_at_every_thread_count() {
     let (old, new) = corpus_case(DocKind::Catalog, 900, 0.15, 41);
-    let want = reference_xml(&old, &new);
-    for &threads in THREAD_COUNTS {
-        let mut differ = Differ::new().with_runner(Arc::new(StdScopeRunner::new(threads)));
-        let result = differ.diff_consume(&old, new.clone());
-        assert_eq!(
-            xml_io::delta_to_xml(&result.delta),
-            want,
-            "{threads} threads: parallel delta diverged from serial"
-        );
+    for mode in MatchMode::all() {
+        let opts = DiffOptions { mode, ..Default::default() };
+        let want = xml_io::delta_to_xml(&diff(&old, &new, &opts).delta);
+        for &threads in THREAD_COUNTS {
+            let mut differ = Differ::new().with_options(opts.clone()).with_threads(threads);
+            let result = differ.diff_consume(&old, new.clone());
+            assert_eq!(
+                xml_io::delta_to_xml(&result.delta),
+                want,
+                "{mode}, {threads} threads: parallel delta diverged from serial"
+            );
+        }
     }
 }
 
@@ -103,9 +107,8 @@ proptest! {
         let (old, new) = corpus_case(KINDS[kind_idx], 350, rate, seed);
         let want = reference_xml(&old, &new);
         for &threads in THREAD_COUNTS {
-            let mut differ = Differ::new()
-                .with_capture(CaptureMode::Borrowed)
-                .with_runner(Arc::new(StdScopeRunner::new(threads)));
+            let mut differ =
+                Differ::new().with_capture(CaptureMode::Borrowed).with_threads(threads);
             let result = differ.diff_consume(&old, new.clone());
             let src = PayloadSource {
                 old: &old.doc.tree,

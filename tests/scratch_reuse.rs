@@ -5,8 +5,7 @@
 //! new version, statistics — must be byte-identical whether the working
 //! memory is fresh, reused across many unrelated diffs, or seeded from a
 //! previous version's cache. These tests quantify that over random documents
-//! and over warehouse version chains, and pin the deprecated multi-arg
-//! entry points to the `Differ` results.
+//! and over warehouse version chains, in every matcher mode.
 
 use std::cell::RefCell;
 
@@ -150,31 +149,35 @@ proptest! {
         prop_assert_eq!(fresh.new_version.doc.to_xml(), warm.new_version.doc.to_xml());
     }
 
-    /// Interleaving matchers on one differ must not let one mode's run
-    /// perturb another's: a BULD diff after an unordered and a similarity
-    /// diff (same differ, same scratch) stays byte-identical to a
-    /// fresh-memory BULD diff. (The deprecated multi-arg entry points this
-    /// block used to pin are gone; every caller holds a `Differ` now.)
+    /// Interleaving matchers on one differ and one cache must not let one
+    /// mode's run perturb another's. A chain of cached diffs in the order
+    /// BULD → unordered → similarity → BULD (same differ, same scratch, each
+    /// diff's old side the version the previous one produced) gives, at
+    /// every step, the delta a fresh diff in that step's mode gives. The
+    /// unordered step finds records of the ordered fold in the cache and
+    /// the similarity step records of the commutative one: both must miss.
     #[test]
     fn mode_interleaving_leaves_scratch_coherent(sa in arb_spec(), sb in arb_spec()) {
         use xydiff_suite::xydiff::MatchMode;
-        let a = XidDocument::assign_initial(build(&sa));
-        let b = build(&sb);
-        let fresh = diff(&a, &b, &DiffOptions::default());
+        let (a, b) = (build(&sa), build(&sb));
         let mut differ = Differ::new();
-        for mode in [MatchMode::Unordered, MatchMode::Similarity] {
+        let mut cache = SignatureCache::new();
+        let mut old = XidDocument::assign_initial(a.clone());
+        let modes = [MatchMode::Buld, MatchMode::Unordered, MatchMode::Similarity, MatchMode::Buld];
+        for (i, mode) in modes.into_iter().enumerate() {
+            let new = if i % 2 == 0 { &b } else { &a };
+            let opts = DiffOptions { mode, ..Default::default() };
+            let fresh = diff(&old, new, &opts);
             differ.options_mut().mode = mode;
-            let r = differ.diff(&a, &b);
-            let mut replay = a.clone();
-            r.delta.apply_to(&mut replay).unwrap_or_else(|e| panic!("{mode}: {e}"));
-            prop_assert_eq!(replay.doc.to_xml(), b.to_xml());
+            let r = differ.diff_consume_with_cache(&old, new.clone(), &mut cache);
+            prop_assert_eq!(
+                xml_io::delta_to_xml(&fresh.delta),
+                xml_io::delta_to_xml(&r.delta),
+                "step {} ({})", i, mode
+            );
+            prop_assert_eq!(fresh.new_version.doc.to_xml(), r.new_version.doc.to_xml());
+            old = r.new_version;
         }
-        differ.options_mut().mode = MatchMode::Buld;
-        let reused = differ.diff(&a, &b);
-        prop_assert_eq!(
-            xml_io::delta_to_xml(&fresh.delta),
-            xml_io::delta_to_xml(&reused.delta),
-        );
     }
 }
 
