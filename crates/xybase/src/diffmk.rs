@@ -12,7 +12,7 @@
 //! structure: a subtree that moved shows up as a full delete + insert.
 
 use crate::myers::{diff_slices, Edit};
-use xytree::hash::Fnv64;
+use xytree::Fnv64;
 use xytree::{Document, NodeKind, Tree};
 
 /// Outcome of a DiffMK-style diff.

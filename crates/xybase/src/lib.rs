@@ -2,28 +2,29 @@
 //!
 //! Three comparators, all implemented from scratch:
 //!
-//! - [`myers`] — the shortest-edit-script algorithm behind Unix `diff`
-//!   (Myers 1986, linear-space refinement). Figure 6 of the paper reports
-//!   the ratio of XyDiff delta sizes over Unix diff output sizes;
-//!   [`unixdiff`] renders the classic "normal format" output so the sizes
+//! - [`diff_slices`] — the shortest-edit-script algorithm behind Unix
+//!   `diff` (Myers 1986, linear-space refinement). Figure 6 of the paper
+//!   reports the ratio of XyDiff delta sizes over Unix diff output sizes;
+//!   [`unix_diff`] renders the classic "normal format" output so the sizes
 //!   are comparable.
-//! - [`diffmk`] — a DiffMK-style diff: "this tool is based on the unix
+//! - [`diffmk_diff`] — a DiffMK-style diff: "this tool is based on the unix
 //!   standard diff algorithm, and uses a list description of the XML
 //!   document, thus losing the benefit of tree structure" (§3). The tree is
 //!   flattened to a token list and line-diffed.
-//! - [`selkow`] — the quadratic dynamic-programming tree edit distance in
-//!   Selkow's variant (insertions/deletions at subtree granularity), i.e.
-//!   Lu's algorithm adapted to trees-with-labels, `O(|D1|·|D2|)` — the
-//!   "previous algorithms run in quadratic time" comparator of the scaling
-//!   experiment.
+//! - [`selkow_distance`] — the quadratic dynamic-programming tree edit
+//!   distance in Selkow's variant (insertions/deletions at subtree
+//!   granularity), i.e. Lu's algorithm adapted to trees-with-labels,
+//!   `O(|D1|·|D2|)` — the "previous algorithms run in quadratic time"
+//!   comparator of the scaling experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod diffmk;
-pub mod myers;
-pub mod selkow;
-pub mod unixdiff;
+mod diffmk;
+mod myers;
+mod selkow;
+mod unixdiff;
 
 pub use diffmk::{diffmk_diff, DiffMkResult};
 pub use myers::{diff_slices, Edit};

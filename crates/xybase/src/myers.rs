@@ -29,14 +29,6 @@ pub fn diff_slices<T: PartialEq>(a: &[T], b: &[T]) -> Vec<Edit> {
     edits
 }
 
-/// Number of non-keep steps (the D of the shortest edit script).
-pub fn edit_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    diff_slices(a, b)
-        .iter()
-        .filter(|e| !matches!(e, Edit::Keep(..)))
-        .count()
-}
-
 /// A sub-rectangle of the edit graph: old indices `left..right`, new indices
 /// `top..bottom`.
 #[derive(Debug, Clone, Copy)]
@@ -232,6 +224,11 @@ fn walk_snakes<T: PartialEq>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of non-keep steps (the D of the shortest edit script).
+    fn edit_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+        diff_slices(a, b).iter().filter(|e| !matches!(e, Edit::Keep(..))).count()
+    }
 
     /// Reference LCS length by quadratic DP — the oracle for minimality.
     fn lcs_len<T: PartialEq>(a: &[T], b: &[T]) -> usize {

@@ -14,15 +14,6 @@ use crate::diff_by_xid::diff_by_xid;
 use crate::error::ApplyError;
 use crate::xiddoc::XidDocument;
 
-/// Compose `first: base → v2` with `second: v2 → v3` into one delta
-/// `base → v3`.
-pub fn aggregate(base: &XidDocument, first: &Delta, second: &Delta) -> Result<Delta, ApplyError> {
-    let mut scratch = base.clone();
-    first.apply_to(&mut scratch)?;
-    second.apply_to(&mut scratch)?;
-    Ok(diff_by_xid(base, &scratch))
-}
-
 /// Compose an arbitrary chain of deltas over `base`.
 pub fn aggregate_chain(base: &XidDocument, deltas: &[Delta]) -> Result<Delta, ApplyError> {
     let mut scratch = base.clone();
@@ -66,7 +57,7 @@ mod tests {
         let base = XidDocument::parse_initial("<a><p>v0</p></a>").unwrap();
         let p_node = base.node(find(&base, "p")).unwrap();
         let txt = base.xid(base.doc.tree.first_child(p_node).unwrap()).unwrap();
-        let agg = aggregate(&base, &update(txt, "v0", "v1"), &update(txt, "v1", "v2")).unwrap();
+        let agg = aggregate_chain(&base, &[update(txt, "v0", "v1"), update(txt, "v1", "v2")]).unwrap();
         assert_eq!(agg.len(), 1);
         match agg.ops[0] {
             Op::Update { old, new, .. } => {
@@ -89,7 +80,7 @@ mod tests {
         let d2 = Delta::build(|b| {
             b.delete(x, a, 0, &stored.tree, tmp, &[x]);
         });
-        let agg = aggregate(&base, &d1, &d2).unwrap();
+        let agg = aggregate_chain(&base, &[d1, d2]).unwrap();
         assert!(agg.is_empty(), "insert∘delete must cancel, got {}", agg.describe());
     }
 
@@ -107,7 +98,7 @@ mod tests {
         d1.apply_to(&mut seq).unwrap();
         d2.apply_to(&mut seq).unwrap();
         // Aggregated.
-        let agg = aggregate(&base, &d1, &d2).unwrap();
+        let agg = aggregate_chain(&base, &[d1, d2]).unwrap();
         let mut once = base.clone();
         agg.apply_to(&mut once).unwrap();
         assert_eq!(once.doc.to_xml(), seq.doc.to_xml());

@@ -28,7 +28,7 @@ use xytree::{NodeId, Symbol, Tree};
 
 /// Apply `delta` to `doc` in place. On error the document may be left
 /// partially modified; apply to a clone when atomicity matters.
-pub fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
+pub(crate) fn apply(delta: &Delta, doc: &mut XidDocument) -> Result<(), ApplyError> {
     apply_read(delta, false, doc)
 }
 

@@ -182,7 +182,7 @@ impl Delta {
         Delta { ops: self.ops.iter().map(Op::inverted).collect(), store: self.store.clone() }
     }
 
-    /// Apply to a document in place. See [`crate::apply`] for the phased
+    /// Apply to a document in place. See the `apply` module for the phased
     /// semantics. On error the document may be partially modified; callers
     /// that need atomicity should apply to a clone.
     pub fn apply_to(&self, doc: &mut XidDocument) -> Result<(), ApplyError> {
@@ -239,7 +239,7 @@ impl Delta {
 
     /// Sort operations into a canonical order (kind, anchor xid, positions)
     /// for deterministic serialization and comparison in tests.
-    pub fn canonicalize(&mut self) {
+    pub(crate) fn canonicalize(&mut self) {
         self.ops.sort_by(|a, b| {
             let ka = op_rank(a);
             let kb = op_rank(b);

@@ -50,8 +50,8 @@ use crate::lis::{chunked_heaviest_increasing_by, heaviest_increasing_subsequence
 use crate::ops::{Op, PayloadSide};
 use crate::xid::Xid;
 use crate::xiddoc::XidDocument;
-use xytree::hash::{fast_map, FastHashMap};
-use xytree::traversal::PrunedPreOrder;
+use xytree::{fast_map, FastHashMap};
+use xytree::PrunedPreOrder;
 use xytree::NodeId;
 
 /// How delete/insert operations capture their subtree content.
@@ -92,7 +92,7 @@ pub fn diff_by_xid_with(old: &XidDocument, new: &XidDocument, lis_window: Option
 /// two modes up to payload representation — serializing a borrowed delta
 /// against its [`PayloadSource`](crate::ops::PayloadSource) yields the same
 /// bytes as the owned delta.
-pub fn diff_by_xid_captured(
+pub(crate) fn diff_by_xid_captured(
     old: &XidDocument,
     new: &XidDocument,
     lis_window: Option<usize>,
@@ -542,8 +542,8 @@ mod tests {
         let c = delta.counts();
         assert_eq!((c.deletes, c.inserts, c.moves, c.updates), (1, 0, 0, 0));
         // The delete is maximal: one op covering b and c.
-        assert!(matches!(delta.ops[0], Op::Delete { .. }));
-        assert_eq!(delta.ops[0].carried_nodes(), 2);
+        let Op::Delete { xid_map, .. } = delta.ops[0] else { panic!("expected a delete") };
+        assert_eq!(delta.xid_map(xid_map).len(), 2);
     }
 
     #[test]
@@ -654,7 +654,7 @@ mod tests {
         // The delete op must not carry the moved-out <keep>.
         match *delta.ops.iter().find(|o| matches!(o, Op::Delete { .. })).unwrap() {
             Op::Delete { xid_map, subtree, .. } => {
-                assert_eq!(xid_map.len(), 2); // dying + junk
+                assert_eq!(delta.xid_map(xid_map).len(), 2); // dying + junk
                 let (tree, root) = delta.payload(subtree);
                 let labels: Vec<_> = tree.descendants(root).filter_map(|x| tree.name(x)).collect();
                 assert_eq!(labels, ["dying", "junk"]);

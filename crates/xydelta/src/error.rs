@@ -22,12 +22,12 @@ pub struct ApplyError {
 
 impl ApplyError {
     /// A whole-delta failure not attributable to one operation.
-    pub fn new(kind: ApplyErrorKind) -> Self {
+    pub(crate) fn new(kind: ApplyErrorKind) -> Self {
         ApplyError { op_index: None, kind }
     }
 
     /// A failure attributed to the operation at `op_index`.
-    pub fn at(op_index: usize, kind: ApplyErrorKind) -> Self {
+    pub(crate) fn at(op_index: usize, kind: ApplyErrorKind) -> Self {
         ApplyError { op_index: Some(op_index), kind }
     }
 }

@@ -17,39 +17,44 @@
 //! - [`Op`], [`Delta`], [`DeltaBuilder`] — the operation set, including the
 //!   attribute-specific operations of §5.2; a delta keeps everything its
 //!   operations carry in one payload arena and two flat buffers;
-//! - [`Delta::apply_to`], [`Delta::inverted`], [`aggregate::aggregate`] —
+//! - [`Delta::apply_to`], [`Delta::inverted`], [`aggregate_chain`] —
 //!   the delta algebra;
-//! - [`diff_by_xid::diff_by_xid`] — the *exact* delta between two versions
+//! - [`diff_by_xid()`] — the *exact* delta between two versions
 //!   whose matching is already known through shared XIDs (used by the change
 //!   simulator to emit the "perfect" delta of §6.1, and as the engine of
 //!   aggregation);
-//! - [`version::VersionChain`] — versions-and-deltas storage with
+//! - [`VersionChain`] — versions-and-deltas storage with
 //!   reconstruction of any past version ("querying the past", §2);
-//! - [`verify::verify`] — a *static* completed-delta validator that checks
+//! - [`verify()`] — a *static* completed-delta validator that checks
 //!   the structural invariants of §4 (XID-map well-formedness, XID
 //!   uniqueness, move pairing, sibling-position consistency) without
 //!   applying the delta;
-//! - weighted longest-increasing-subsequence machinery ([`lis`]) shared with
-//!   the diff's move detection, including the paper's fixed-window heuristic.
+//! - weighted longest-increasing-subsequence machinery (the private `lis`
+//!   module) behind the delta builder's move detection, including the
+//!   paper's fixed-window heuristic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod aggregate;
-pub mod apply;
-pub mod delta;
-pub mod diff_by_xid;
-pub mod error;
-pub mod lis;
-pub mod ops;
-pub mod verify;
-pub mod version;
-pub mod xid;
-pub mod xiddoc;
+mod aggregate;
+mod apply;
+mod delta;
+mod diff_by_xid;
+mod error;
+mod lis;
+mod ops;
+mod verify;
+mod version;
+mod xid;
+mod xiddoc;
 pub mod xml_io;
 
+pub use aggregate::aggregate_chain;
 pub use delta::{Delta, DeltaBuilder};
-pub use diff_by_xid::CaptureMode;
+#[doc(hidden)]
+pub use diff_by_xid::diff_matched;
+pub use diff_by_xid::{diff_by_xid, diff_by_xid_with, CaptureMode};
 pub use error::{ApplyError, ApplyErrorKind, DeltaParseError};
 pub use ops::{Op, PayloadSide, PayloadSource, Span, SubtreePayload};
 pub use verify::{verify, verify_all, VerifyError};

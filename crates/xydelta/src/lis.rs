@@ -10,18 +10,12 @@
 //! subsequences with a maximum length (e.g. 50)" — the chunked variant,
 //! which reproduces the paper's Figure 3 example of missing `(v4, w4)`.
 
-/// Indices of one longest strictly-increasing subsequence of `values`
-/// (patience sorting, `O(s log s)`).
-pub fn longest_increasing_subsequence(values: &[u64]) -> Vec<usize> {
-    heaviest_increasing_subsequence_by(values, |_| 1)
-}
-
 /// Indices of a maximum-total-weight strictly-increasing subsequence, where
 /// element `i` has value `values[i]` and weight `weight(i)`.
 ///
 /// `O(s log s)` via a Fenwick tree over value ranks holding the best
 /// achievable weight for any subsequence ending at a value ≤ rank.
-pub fn heaviest_increasing_subsequence_by<W>(values: &[u64], weight: W) -> Vec<usize>
+pub(crate) fn heaviest_increasing_subsequence_by<W>(values: &[u64], weight: W) -> Vec<usize>
 where
     W: Fn(usize) -> u64,
 {
@@ -74,7 +68,7 @@ where
 ///
 /// `values` must be a permutation-like sequence over `0..n` (the position of
 /// each child in the other version), which is how phase 5 uses it.
-pub fn chunked_heaviest_increasing_by<W>(
+pub(crate) fn chunked_heaviest_increasing_by<W>(
     values: &[u64],
     window: usize,
     weight: W,
@@ -141,6 +135,11 @@ impl MaxFenwick {
 mod tests {
     use super::*;
 
+    /// The unweighted longest increasing subsequence.
+    fn lis(values: &[u64]) -> Vec<usize> {
+        heaviest_increasing_subsequence_by(values, |_| 1)
+    }
+
     fn values_of(seq: &[u64], idxs: &[usize]) -> Vec<u64> {
         idxs.iter().map(|&i| seq[i]).collect()
     }
@@ -154,33 +153,33 @@ mod tests {
     #[test]
     fn classic_lis() {
         let seq = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        let lis = longest_increasing_subsequence(&seq);
+        let lis = lis(&seq);
         assert_eq!(lis.len(), 4); // e.g. 1,4,5,9 or 3,4,5,6
         assert_increasing(&values_of(&seq, &lis));
     }
 
     #[test]
     fn empty_and_singleton() {
-        assert!(longest_increasing_subsequence(&[]).is_empty());
-        assert_eq!(longest_increasing_subsequence(&[7]), vec![0]);
+        assert!(lis(&[]).is_empty());
+        assert_eq!(lis(&[7]), vec![0]);
     }
 
     #[test]
     fn already_sorted_keeps_everything() {
         let seq: Vec<u64> = (0..100).collect();
-        assert_eq!(longest_increasing_subsequence(&seq).len(), 100);
+        assert_eq!(lis(&seq).len(), 100);
     }
 
     #[test]
     fn reverse_sorted_keeps_one() {
         let seq: Vec<u64> = (0..50).rev().collect();
-        assert_eq!(longest_increasing_subsequence(&seq).len(), 1);
+        assert_eq!(lis(&seq).len(), 1);
     }
 
     #[test]
     fn strictness_on_duplicates() {
         let seq = [2u64, 2, 2];
-        assert_eq!(longest_increasing_subsequence(&seq).len(), 1);
+        assert_eq!(lis(&seq).len(), 1);
     }
 
     #[test]
@@ -207,7 +206,7 @@ mod tests {
         // and v1 jumped to a later position. Exact algorithm keeps 5 of 6.
         // Model: new positions of v1..v6 = [5, 0, 1, 2, 3, 4].
         let seq = [5u64, 0, 1, 2, 3, 4];
-        let kept = longest_increasing_subsequence(&seq);
+        let kept = lis(&seq);
         assert_eq!(kept, vec![1, 2, 3, 4, 5]);
     }
 
@@ -223,7 +222,7 @@ mod tests {
         //   window 1 (idx 3..6, values in 3..6): candidates idx {4,5}.
         // Chunked keeps 4 of 6; the exact algorithm keeps 5.
         let seq = [1u64, 2, 3, 0, 4, 5];
-        let exact = longest_increasing_subsequence(&seq);
+        let exact = lis(&seq);
         assert_eq!(exact.len(), 5);
         let chunked = chunked_heaviest_increasing_by(&seq, 3, |_| 1);
         assert_eq!(chunked, vec![0, 1, 4, 5]);
@@ -233,7 +232,7 @@ mod tests {
     #[test]
     fn chunked_equals_exact_when_window_covers_all() {
         let seq = [4u64, 2, 7, 1, 8, 3];
-        let exact = longest_increasing_subsequence(&seq);
+        let exact = lis(&seq);
         let chunked = chunked_heaviest_increasing_by(&seq, 100, |_| 1);
         assert_eq!(exact, chunked);
     }
@@ -255,7 +254,7 @@ mod tests {
             for window in [5usize, 50] {
                 let kept = chunked_heaviest_increasing_by(&perm, window, |_| 1);
                 assert_increasing(&values_of(&perm, &kept));
-                let exact = longest_increasing_subsequence(&perm);
+                let exact = lis(&perm);
                 assert!(kept.len() <= exact.len());
             }
         }

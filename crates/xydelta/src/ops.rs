@@ -50,7 +50,7 @@ pub struct PayloadSource<'a> {
 
 impl<'a> PayloadSource<'a> {
     /// The tree a borrowed payload's side refers to.
-    pub fn tree_for(&self, side: PayloadSide) -> &'a Tree {
+    pub(crate) fn tree_for(&self, side: PayloadSide) -> &'a Tree {
         match side {
             PayloadSide::Old => self.old,
             PayloadSide::New => self.new,
@@ -76,13 +76,8 @@ impl Span {
         Span { start: word(start), len: word(len) }
     }
 
-    /// Number of items (bytes or XIDs) in the run.
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
-
     /// True for the empty run.
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.len == 0
     }
 
@@ -251,7 +246,7 @@ impl Op {
     /// transformation from the old to the new version, but the inverse
     /// transformation as well"). Its handles refer to the same delta's
     /// buffers: an inverted delete *is* the insert of the same payload.
-    pub fn inverted(&self) -> Op {
+    pub(crate) fn inverted(&self) -> Op {
         match *self {
             Op::Delete { xid, parent, pos, subtree, xid_map } => {
                 Op::Insert { xid, parent, pos, subtree, xid_map }
@@ -276,15 +271,6 @@ impl Op {
             Op::AttrUpdate { element, name, old, new } => {
                 Op::AttrUpdate { element, name, old: new, new: old }
             }
-        }
-    }
-
-    /// Number of nodes carried by the operation's subtree (0 for ops without
-    /// one): the XID-map enumerates exactly the captured nodes.
-    pub fn carried_nodes(&self) -> usize {
-        match self {
-            Op::Delete { xid_map, .. } | Op::Insert { xid_map, .. } => xid_map.len(),
-            _ => 0,
         }
     }
 }
@@ -339,16 +325,5 @@ mod tests {
             }
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn carried_nodes_counts_subtree() {
-        let doc = Document::parse("<a><b/><c>t</c></a>").unwrap();
-        let mut b = DeltaBuilder::new();
-        b.insert(Xid(4), Xid(9), 0, &doc.tree, doc.root_element().unwrap(), &[Xid(1), Xid(2), Xid(3), Xid(4)])
-            .update(Xid(1), "", "");
-        let delta = b.finish();
-        assert_eq!(delta.ops[0].carried_nodes(), 4); // a, b, c, t
-        assert_eq!(delta.ops[1].carried_nodes(), 0);
     }
 }

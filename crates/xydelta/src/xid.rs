@@ -45,7 +45,7 @@ pub struct XidMap {
 
 impl XidMap {
     /// An XID-map from a postfix-ordered sequence.
-    pub fn new(xids: Vec<Xid>) -> XidMap {
+    pub(crate) fn new(xids: Vec<Xid>) -> XidMap {
         XidMap { xids }
     }
 
@@ -55,23 +55,13 @@ impl XidMap {
     }
 
     /// Number of nodes covered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.xids.len()
-    }
-
-    /// True when the map covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.xids.is_empty()
-    }
-
-    /// The subtree root's XID (last in postfix order).
-    pub fn root_xid(&self) -> Option<Xid> {
-        self.xids.last().copied()
     }
 
     /// Render in the paper's compressed syntax: consecutive runs become
     /// `lo-hi`, runs are separated by `;`, the whole map is parenthesized.
-    pub fn to_compact_string(&self) -> String {
+    pub(crate) fn to_compact_string(&self) -> String {
         let mut out = String::new();
         write_compact(&self.xids, &mut out);
         out
@@ -214,11 +204,5 @@ mod tests {
         assert!("(3-)".parse::<XidMap>().is_err());
         assert!("(x)".parse::<XidMap>().is_err());
         assert!("(7-3)".parse::<XidMap>().is_err());
-    }
-
-    #[test]
-    fn root_is_last() {
-        assert_eq!(m(&[3, 4, 7]).root_xid(), Some(Xid(7)));
-        assert_eq!(m(&[]).root_xid(), None);
     }
 }

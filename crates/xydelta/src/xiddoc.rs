@@ -3,12 +3,12 @@
 use crate::xid::{Xid, XidMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use xytree::hash::{fast_map_with_capacity, FastHashMap};
+use xytree::{fast_map_with_capacity, FastHashMap};
 use xytree::{Document, NodeId};
 
 /// The processing-instruction target used to embed XID maps in serialized
 /// documents.
-pub const XIDMAP_PI_TARGET: &str = "xydiff-xidmap";
+pub(crate) const XIDMAP_PI_TARGET: &str = "xydiff-xidmap";
 
 /// Error from [`XidDocument::parse_annotated`].
 #[derive(Debug)]
@@ -174,14 +174,14 @@ impl XidDocument {
     }
 
     /// Allocate a fresh XID (monotonically increasing).
-    pub fn fresh_xid(&mut self) -> Xid {
+    pub(crate) fn fresh_xid(&mut self) -> Xid {
         let x = Xid(self.next);
         self.next += 1;
         x
     }
 
     /// Assign `xid` to `node`, replacing any previous assignment of either.
-    pub fn set_xid(&mut self, node: NodeId, xid: Xid) {
+    pub(crate) fn set_xid(&mut self, node: NodeId, xid: Xid) {
         assert_ne!(xid.0, 0, "XID 0 is reserved");
         // The displacement lookup ("who holds `xid` now?") needs the reverse
         // index; materialize it so the update below keeps it in sync.
@@ -268,7 +268,7 @@ impl XidDocument {
     }
 
     /// Iterate `(node, xid)` for all assigned nodes, in arena-slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Xid)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, Xid)> + '_ {
         self.xid_of
             .iter()
             .enumerate()

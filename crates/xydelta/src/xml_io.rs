@@ -24,9 +24,9 @@ use crate::error::DeltaParseError;
 use crate::ops::{Op, PayloadSource, Span, SubtreePayload};
 use crate::xid::{write_compact, Xid};
 use std::fmt::Write;
-use xytree::escape::{escape_attr_into, escape_text_into};
-use xytree::parser::{build_content, Token, Tokenizer};
-use xytree::serialize::serialize_node_into;
+use xytree::{escape_attr_into, escape_text_into};
+use xytree::{build_content, Token, Tokenizer};
+use xytree::serialize_node_into;
 use xytree::{Document, NodeId, NodeKind, ParseOptions, SerializeOptions, Symbol, Tree};
 
 /// Serialize a delta to its compact XML form. The delta must be

@@ -37,7 +37,7 @@ use crate::report::DiffStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
-use xytree::hash::SigHashMap;
+use xytree::SigHashMap;
 use xytree::{NodeId, NodeKind, Tree};
 
 /// How many leading candidates per top-level seed the parallel

@@ -31,22 +31,22 @@
 use crate::par::StdScopeRunner;
 use std::sync::OnceLock;
 use xydelta::XidDocument;
-use xytree::hash::WordHash;
+use xytree::WordHash;
 use xytree::{NodeId, NodeKind, Symbol, Tree};
 
 /// Domain-separation seeds so that, e.g., a text node `"a"` and an element
 /// `<a/>` can never share a signature.
 mod seed {
     /// Seed for the document root node.
-    pub const DOCUMENT: u64 = 0xD0C;
+    pub(crate) const DOCUMENT: u64 = 0xD0C;
     /// Seed for element nodes.
-    pub const ELEMENT: u64 = 0xE1E;
+    pub(crate) const ELEMENT: u64 = 0xE1E;
     /// Seed for text nodes.
-    pub const TEXT: u64 = 0x7E7;
+    pub(crate) const TEXT: u64 = 0x7E7;
     /// Seed for comment nodes.
-    pub const COMMENT: u64 = 0xC03;
+    pub(crate) const COMMENT: u64 = 0xC03;
     /// Seed for processing instructions.
-    pub const PI: u64 = 0x91;
+    pub(crate) const PI: u64 = 0x91;
 }
 
 /// Per-node signature/weight record.

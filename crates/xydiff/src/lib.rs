@@ -34,7 +34,7 @@
 //!    moves, and within-parent permutations are repaired with a weighted
 //!    largest order-preserving subsequence (exact or the paper's fixed-window
 //!    heuristic). The delta is built from the matching in one walk
-//!    (`xydelta::diff_by_xid::diff_matched`).
+//!    (`xydelta::diff_matched`).
 //!
 //! Nothing inside a settled subtree can be unmatched or changed, so phases
 //! 4 and 5 do not descend below one: after hashing, a diff costs the nodes
@@ -70,6 +70,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod buld;
 mod config;
@@ -96,7 +97,7 @@ use matching::Matching;
 use par::StdScopeRunner;
 use scratch::DiffScratch;
 use std::time::Instant;
-use xydelta::diff_by_xid::CaptureMode;
+use xydelta::CaptureMode;
 use xydelta::XidDocument;
 use xytree::Document;
 
@@ -127,7 +128,7 @@ fn start_matching(matching: &mut Matching, old: &XidDocument, new: &Document) {
 
 /// The epilogue every matcher shares — phase 5: matched nodes inherit XIDs
 /// (`new` moves into the produced version), the delta is built from the
-/// matching itself (`xydelta::diff_by_xid::diff_matched`, pruned at the
+/// matching itself (`xydelta::diff_matched`, pruned at the
 /// settled subtrees), and the matching closes the statistics. `stats`
 /// arrives with the node counts of phase 2.
 fn finish(
@@ -143,7 +144,7 @@ fn finish(
     let new_version = phase5::inherit_xids(old, new, matching);
     let lis_window = if opts.exact_lis { None } else { Some(opts.lis_window) };
     let (new_of_old, old_of_new, settled) = matching.as_slices();
-    let delta = xydelta::diff_by_xid::diff_matched(
+    let delta = xydelta::diff_matched(
         old,
         &new_version,
         new_of_old,
@@ -273,9 +274,9 @@ pub fn diff_str(old_xml: &str, new_xml: &str) -> Result<DiffResult, xytree::Pars
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use xydelta::diff_by_xid::diff_by_xid;
+    use xydelta::diff_by_xid;
     use xydelta::xml_io;
-    use xytree::traversal::{PrunedPostOrder, PrunedPreOrder};
+    use xytree::{PrunedPostOrder, PrunedPreOrder};
     use xytree::NodeId;
 
     /// `<catalog>` of `sections` sections of ten distinct products,

@@ -133,7 +133,7 @@ impl Matching {
 
     /// The matching as two arrays indexed by arena slot — the partner of
     /// each old node, of each new node — and the settled marks of the new
-    /// nodes: what phase 5 (`xydelta::diff_by_xid::diff_matched`) reads.
+    /// nodes: what phase 5 (`xydelta::diff_matched`) reads.
     pub(crate) fn as_slices(&self) -> (&[Option<NodeId>], &[Option<NodeId>], &[bool]) {
         (&self.old_to_new, &self.new_to_old, &self.settled)
     }

@@ -10,7 +10,7 @@
 
 use crate::matching::Matching;
 use crate::report::DiffStats;
-use xytree::hash::{fast_map, FastHashMap};
+use xytree::{fast_map, FastHashMap};
 use xytree::{Document, NodeId, Symbol};
 
 /// Match element nodes by `(label, ID value)`; forbid ID-bearing nodes that

@@ -7,16 +7,16 @@
 //! The delta itself (inserts/deletes/updates/moves, §5.2 phase 5 steps 1–3)
 //! is then built from the [`Matching`] directly, not re-derived from the
 //! XIDs: `crate::finish` hands its partner arrays and settled marks to
-//! `xydelta::diff_by_xid::diff_matched`, with the configured
+//! `xydelta::diff_matched`, with the configured
 //! order-preserving-subsequence strategy, and that walk does not enter the
 //! subtrees phase 3 matched whole. The XIDs assigned here are still the
-//! whole matching, so [`xydelta::diff_by_xid::diff_by_xid`] over the old and
+//! whole matching, so [`xydelta::diff_by_xid`] over the old and
 //! the produced version — the same core, without the settled marks —
 //! reproduces the delta byte for byte; the tests use it as the oracle.
 
 use crate::matching::Matching;
 use xydelta::{Xid, XidDocument};
-use xytree::traversal::PrunedPostOrder;
+use xytree::PrunedPostOrder;
 use xytree::{Document, NodeId};
 
 /// Build the new version's [`XidDocument`]: matched nodes inherit the old

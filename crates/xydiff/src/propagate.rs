@@ -17,8 +17,8 @@
 use crate::info::TreeInfo;
 use crate::matching::Matching;
 use crate::report::DiffStats;
-use xytree::hash::{fast_map, FastHashMap};
-use xytree::traversal::{PrunedPostOrder, PrunedPreOrder};
+use xytree::{fast_map, FastHashMap};
+use xytree::{PrunedPostOrder, PrunedPreOrder};
 use xytree::{NodeId, NodeKind, Tree};
 
 /// One bottom-up then top-down pass. Returns the number of matches added.

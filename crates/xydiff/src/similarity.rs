@@ -19,7 +19,7 @@ use crate::info::TreeInfo;
 use crate::matching::Matching;
 use crate::report::{DiffStats, PhaseTimings};
 use std::time::Instant;
-use xytree::hash::{fast_map, FastHashMap};
+use xytree::{fast_map, FastHashMap};
 use xytree::{NodeId, NodeKind, Tree};
 
 /// Minimum Dice similarity for two text leaves to match (LaDiff's `f`).

@@ -38,7 +38,7 @@
 use crate::info::TreeInfo;
 use crate::matching::Matching;
 use crate::report::DiffStats;
-use xytree::hash::{fast_map, FastHashMap};
+use xytree::{fast_map, FastHashMap};
 use xytree::{NodeId, NodeKind, Tree};
 
 /// Cost-matrix budget for the label-bucket fallback: a bucket of `o` old ×

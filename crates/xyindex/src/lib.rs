@@ -37,7 +37,7 @@ pub use tokenize::tokenize;
 
 use std::collections::BTreeMap;
 use xydelta::{Delta, Op, Xid, XidDocument};
-use xytree::hash::{fast_map, FastHashMap};
+use xytree::{fast_map, FastHashMap};
 use xytree::{NodeId, NodeKind, Tree};
 
 /// One occurrence record: a word occurs in the text node `text_node`, which

@@ -27,7 +27,7 @@ pub type Token = usize;
 /// The token the driver uses to report "the listener is ready to accept".
 /// One below the `polling` shim's reserved `NOTIFY_KEY`, so connection
 /// slots (small indices) can never collide with either.
-pub const LISTENER_TOKEN: Token = usize::MAX - 1;
+pub(crate) const LISTENER_TOKEN: Token = usize::MAX - 1;
 
 /// Wakes a blocked [`Driver::poll`] from any thread (completion callbacks,
 /// shutdown requests). Replaces the old loopback dummy-connect trick: the
@@ -45,20 +45,16 @@ pub struct Interest {
 
 impl Interest {
     /// Read readiness only.
-    pub const READ: Interest = Interest { readable: true, writable: false };
-    /// Write readiness only.
-    pub const WRITE: Interest = Interest { readable: false, writable: true };
-    /// Both directions.
-    pub const BOTH: Interest = Interest { readable: true, writable: true };
+    pub(crate) const READ: Interest = Interest { readable: true, writable: false };
     /// Registered but dormant (e.g. while a request is in flight on the
     /// scheduler and output is fully flushed).
-    pub const NONE: Interest = Interest { readable: false, writable: false };
+    pub(crate) const NONE: Interest = Interest { readable: false, writable: false };
 }
 
 /// One delivered readiness event.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
-    /// The registered token ([`LISTENER_TOKEN`] for the acceptor).
+    /// The registered token (`LISTENER_TOKEN` for the acceptor).
     pub token: Token,
     /// Readable now (errors and hang-ups are delivered as readable so the
     /// next `read` observes them).
@@ -99,7 +95,7 @@ pub trait Driver: Send {
     fn accept(&mut self) -> io::Result<Option<Box<dyn Transport>>>;
 
     /// Arm (or pause) accept readiness. Like connection interest, accept
-    /// readiness is oneshot: delivery of a [`LISTENER_TOKEN`] event disarms
+    /// readiness is oneshot: delivery of a `LISTENER_TOKEN` event disarms
     /// it until the next `arm_accept(true)`.
     fn arm_accept(&mut self, enabled: bool) -> io::Result<()>;
 

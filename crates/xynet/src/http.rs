@@ -10,7 +10,7 @@ use std::io::{self, Write};
 
 /// Size limits enforced while reading a request.
 #[derive(Debug, Clone, Copy)]
-pub struct Limits {
+pub(crate) struct Limits {
     /// Maximum bytes of request line + headers (terminator included).
     pub max_head_bytes: usize,
     /// Maximum declared `Content-Length`.
@@ -19,7 +19,7 @@ pub struct Limits {
 
 /// Why a request could not be read, each mapping to one response status.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Syntactically invalid request → `400`.
     BadRequest(String),
     /// Body-bearing request without a `Content-Length` → `411`.
@@ -34,7 +34,7 @@ pub enum HttpError {
 
 impl HttpError {
     /// The response status this error maps to.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             HttpError::BadRequest(_) => 400,
             HttpError::LengthRequired => 411,
@@ -61,7 +61,7 @@ impl std::error::Error for HttpError {}
 
 /// A parsed request head: everything before the body.
 #[derive(Debug)]
-pub struct Head {
+pub(crate) struct Head {
     /// Request method, as sent (`GET`, `POST`, ...).
     pub method: String,
     /// Request target as sent, including any query string.
@@ -79,17 +79,17 @@ pub struct Head {
 
 impl Head {
     /// First value of `name` (lowercase), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
     /// The parsed `Content-Length`, when one was sent.
-    pub fn content_length(&self) -> Option<usize> {
+    pub(crate) fn content_length(&self) -> Option<usize> {
         self.content_length
     }
 
     /// The request path with any query string stripped.
-    pub fn route_path(&self) -> &str {
+    pub(crate) fn route_path(&self) -> &str {
         self.path.split('?').next().unwrap_or("")
     }
 }
@@ -97,7 +97,7 @@ impl Head {
 /// Validate the body-related headers of `head` and return how many body
 /// bytes to read: enforces `411` for body-bearing methods without a length
 /// and `413` against the configured limit.
-pub fn body_length(head: &Head, limits: &Limits) -> Result<usize, HttpError> {
+pub(crate) fn body_length(head: &Head, limits: &Limits) -> Result<usize, HttpError> {
     match head.content_length() {
         Some(n) if n > limits.max_body_bytes => Err(HttpError::PayloadTooLarge(n)),
         Some(n) => Ok(n),
@@ -193,7 +193,7 @@ pub(crate) fn parse_head(bytes: &[u8]) -> Result<Head, HttpError> {
 }
 
 /// Canonical reason phrase for the statuses this server emits.
-pub fn status_reason(code: u16) -> &'static str {
+pub(crate) fn status_reason(code: u16) -> &'static str {
     match code {
         100 => "Continue",
         200 => "OK",
@@ -214,7 +214,7 @@ pub fn status_reason(code: u16) -> &'static str {
 /// Write one complete response. `extra` headers come after `Content-Type`
 /// and `Content-Length`; `Connection: close` is added when `keep_alive` is
 /// false.
-pub fn write_response(
+pub(crate) fn write_response(
     w: &mut impl Write,
     code: u16,
     content_type: &str,
@@ -241,7 +241,7 @@ pub fn write_response(
 }
 
 /// Write the `100 Continue` interim response.
-pub fn write_continue(w: &mut impl Write) -> io::Result<()> {
+pub(crate) fn write_continue(w: &mut impl Write) -> io::Result<()> {
     w.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
 }
 

@@ -5,10 +5,10 @@
 //! push snapshots in, subscribers get alerts out. `xyserve` implements the
 //! loop; this crate puts a wire protocol in front of it as an
 //! **event-driven reactor**: one thread multiplexes every connection over
-//! nonblocking sockets behind a readiness seam ([`driver::Driver`]) with
+//! nonblocking sockets behind a readiness seam ([`Driver`]) with
 //! two backends — epoll and a deterministic in-memory simulator for
 //! tests. Per-connection state
-//! machines drive the incremental HTTP parser ([`http`]);
+//! machines drive the incremental HTTP parser (the private `http` module);
 //! only complete requests reach the xyserve scheduler, so idle keep-alive
 //! clients cost a file descriptor each, not a thread.
 //!
@@ -33,17 +33,18 @@
 //! (reactor architecture) at the repository root.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod config;
-pub mod driver;
-pub mod http;
+mod config;
+mod driver;
+mod http;
 mod machine;
-pub mod metrics;
-pub mod reactor;
+mod metrics;
+mod reactor;
 mod router;
-pub mod server;
-pub mod sim;
-pub mod sysdrv;
+mod server;
+mod sim;
+mod sysdrv;
 
 pub use config::NetConfig;
 pub use driver::{Driver, Event, Interest, Token, Transport, Waker};

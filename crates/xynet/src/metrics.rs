@@ -48,19 +48,19 @@ pub struct HttpMetrics {
 
 impl HttpMetrics {
     /// A zeroed registry.
-    pub fn new() -> HttpMetrics {
+    pub(crate) fn new() -> HttpMetrics {
         HttpMetrics::default()
     }
 
     /// Count one request against its route family (unknown routes land in
     /// `other`).
-    pub fn observe_route(&self, route: &str) {
+    pub(crate) fn observe_route(&self, route: &str) {
         let i = ROUTES.iter().position(|r| *r == route).unwrap_or(ROUTES.len() - 1);
         self.routes[i].inc();
     }
 
     /// Count one response by status code.
-    pub fn observe_status(&self, code: u16) {
+    pub(crate) fn observe_status(&self, code: u16) {
         let i = STATUSES.iter().position(|s| *s == code).unwrap_or(STATUSES.len());
         self.statuses[i].inc();
     }
@@ -71,19 +71,13 @@ impl HttpMetrics {
         self.statuses[i].get()
     }
 
-    /// Requests recorded for `route` so far.
-    pub fn route_count(&self, route: &str) -> u64 {
-        let i = ROUTES.iter().position(|r| *r == route).unwrap_or(ROUTES.len() - 1);
-        self.routes[i].get()
-    }
-
     /// Total requests received across every route.
-    pub fn requests_total(&self) -> u64 {
+    pub(crate) fn requests_total(&self) -> u64 {
         self.routes.iter().map(Counter::get).sum()
     }
 
     /// Append this registry's families to a Prometheus exposition.
-    pub fn render_into(&self, out: &mut String) {
+    pub(crate) fn render_into(&self, out: &mut String) {
         expo::counter(
             out,
             "http_connections_total",
@@ -213,6 +207,6 @@ mod tests {
         m.observe_route("metrics");
         assert_eq!(m.status_count(503), 2);
         assert_eq!(m.status_count(200), 0);
-        assert_eq!(m.route_count("metrics"), 1);
+        assert_eq!(m.requests_total(), 1);
     }
 }

@@ -142,8 +142,9 @@ pub struct Reactor<D: Driver> {
 
 impl<D: Driver> Reactor<D> {
     /// Start the ingest pipeline and wrap `driver` in a ready-to-run
-    /// reactor. The listener is armed; call [`Reactor::run`] (or step with
-    /// [`Reactor::turn`]) to serve.
+    /// reactor. The listener is armed; step it with [`Reactor::turn`] until
+    /// that returns `false` (`NetServer` runs the same loop on its own
+    /// thread).
     pub fn new(driver: D, net: NetConfig, serve: ServeConfig) -> Result<Reactor<D>, NetStartError> {
         let ingest = IngestServer::try_start(serve).map_err(NetStartError::Ingest)?;
         let shared = Arc::new(Shared {
@@ -179,13 +180,8 @@ impl<D: Driver> Reactor<D> {
         FrontHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Connections currently registered.
-    pub fn open_connections(&self) -> usize {
-        self.open
-    }
-
     /// Run until a drain is requested and every connection has resolved.
-    pub fn run(&mut self) {
+    pub(crate) fn run(&mut self) {
         while self.turn(None) {}
     }
 
@@ -245,7 +241,7 @@ impl<D: Driver> Reactor<D> {
         !(draining && self.open == 0)
     }
 
-    /// Consume the reactor after [`Reactor::run`] exits: release the driver
+    /// Consume the reactor once its loop has exited: release the driver
     /// (closing the listener and poller), drain the ingest pipeline, and
     /// return the combined accounting.
     pub fn into_report(self) -> NetShutdownReport {
@@ -678,7 +674,7 @@ pub struct FrontHandle {
 
 impl FrontHandle {
     /// The bound listen address (a placeholder for the sim driver).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub(crate) fn local_addr(&self) -> std::net::SocketAddr {
         self.shared.local_addr
     }
 
@@ -692,13 +688,6 @@ impl FrontHandle {
         &self.shared.http
     }
 
-    /// The full Prometheus exposition (ingest families then HTTP families).
-    pub fn metrics_text(&self) -> String {
-        let mut out = self.shared.ingest.metrics().render();
-        self.shared.http.render_into(&mut out);
-        out
-    }
-
     /// Begin a loss-free drain (what `POST /admin/shutdown` does).
     pub fn request_shutdown(&self) {
         self.shared.begin_shutdown();
@@ -706,7 +695,7 @@ impl FrontHandle {
 
     /// Block until a drain has been requested or `timeout` elapses;
     /// true when the drain was requested.
-    pub fn wait_for_shutdown_request(&self, timeout: Duration) -> bool {
+    pub(crate) fn wait_for_shutdown_request(&self, timeout: Duration) -> bool {
         self.shared.wait_for_shutdown_request(timeout)
     }
 }

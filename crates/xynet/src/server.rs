@@ -170,12 +170,6 @@ impl NetServer {
         self.handle().http_metrics()
     }
 
-    /// The full Prometheus exposition: ingest families then HTTP families
-    /// (exactly what `GET /metrics` serves).
-    pub fn metrics_text(&self) -> String {
-        self.handle().metrics_text()
-    }
-
     /// Begin a loss-free drain without consuming the handle (the same thing
     /// `POST /admin/shutdown` does). Follow with [`NetServer::shutdown`].
     pub fn request_shutdown(&self) {

@@ -57,7 +57,7 @@ pub struct SysDriver {
 
 impl SysDriver {
     /// Bind `addr` (port 0 picks a free port) and create the poller.
-    pub fn bind(addr: &str) -> io::Result<SysDriver> {
+    pub(crate) fn bind(addr: &str) -> io::Result<SysDriver> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;

@@ -1,7 +1,7 @@
 //! Path evaluation over a [`Tree`].
 
 use crate::{Axis, NodeTest, Output, Path, Predicate, Step};
-use xytree::hash::{fast_map_with_capacity, fast_set, FastHashMap};
+use xytree::{fast_map_with_capacity, fast_set, FastHashMap};
 use xytree::{NodeId, Tree};
 
 /// Evaluate `path` from `start` (normally the document root); results come

@@ -68,7 +68,7 @@ pub struct Grammar {
 impl Grammar {
     /// Compile a parsed doctype. Fails only when the DTD declares no
     /// element content models; a root that is undeclared or cannot derive
-    /// any document yields a grammar with [`Grammar::is_viable`] false, so
+    /// any document yields a grammar with `Grammar::is_viable` false, so
     /// impact analysis against a broken schema still runs.
     pub fn from_doctype(dt: &Doctype) -> Result<Grammar, GrammarError> {
         if dt.elements.is_empty() {
@@ -165,47 +165,42 @@ impl Grammar {
     }
 
     /// The declared document-element label.
-    pub fn root(&self) -> Symbol {
+    pub(crate) fn root(&self) -> Symbol {
         self.root
     }
 
     /// False when no document at all is valid under this DTD.
-    pub fn is_viable(&self) -> bool {
+    pub(crate) fn is_viable(&self) -> bool {
         self.viable
     }
 
     /// Info for a declared label.
-    pub fn element(&self, label: Symbol) -> Option<&ElementInfo> {
+    pub(crate) fn element(&self, label: Symbol) -> Option<&ElementInfo> {
         self.elements.get(&label)
     }
 
     /// Is `label` declared at all?
-    pub fn is_declared(&self, label: Symbol) -> bool {
+    pub(crate) fn is_declared(&self, label: Symbol) -> bool {
         self.elements.contains_key(&label)
     }
 
-    /// Can `label` appear in some valid document (reachable ∧ productive)?
-    pub fn is_live(&self, label: Symbol) -> bool {
-        self.reachable.contains(&label)
-    }
-
     /// Every label that can appear in some valid document.
-    pub fn live_labels(&self) -> &HashSet<Symbol> {
+    pub(crate) fn live_labels(&self) -> &HashSet<Symbol> {
         &self.reachable
     }
 
     /// Every productive declared label (what `ANY` content may contain).
-    pub fn productive_labels(&self) -> &HashSet<Symbol> {
+    pub(crate) fn productive_labels(&self) -> &HashSet<Symbol> {
         &self.productive_labels
     }
 
     /// Children of `label` that occur in some completable child sequence.
-    pub fn realizable_children(&self, label: Symbol) -> Option<&HashSet<Symbol>> {
+    pub(crate) fn realizable_children(&self, label: Symbol) -> Option<&HashSet<Symbol>> {
         self.elements.get(&label).map(|i| &i.realizable_children)
     }
 
     /// Can elements labeled `label` directly contain character data?
-    pub fn allows_text(&self, label: Symbol) -> bool {
+    pub(crate) fn allows_text(&self, label: Symbol) -> bool {
         matches!(
             self.elements.get(&label).map(|i| &i.model),
             Some(ContentModel::Mixed(_) | ContentModel::Any)
@@ -214,7 +209,7 @@ impl Grammar {
 
     /// Can the *deep* text of `label` be non-empty — i.e. does `label` or
     /// some label reachable below it allow character data?
-    pub fn allows_deep_text(&self, label: Symbol) -> bool {
+    pub(crate) fn allows_deep_text(&self, label: Symbol) -> bool {
         let mut seen = HashSet::new();
         let mut queue = VecDeque::from([label]);
         seen.insert(label);
@@ -237,7 +232,7 @@ impl Grammar {
     /// edges, both endpoints included; `None` when `to` is not reachable
     /// below `from`. With `proper` false a trivial `[from]` chain is allowed
     /// when `from == to`.
-    pub fn containment_chain(
+    pub(crate) fn containment_chain(
         &self,
         from: Symbol,
         to: Symbol,
@@ -272,7 +267,7 @@ impl Grammar {
     }
 
     /// The declaration of attribute `attr` on `label`, if any.
-    pub fn attdef(&self, label: Symbol, attr: &str) -> Option<&AttDef> {
+    pub(crate) fn attdef(&self, label: Symbol, attr: &str) -> Option<&AttDef> {
         self.elements
             .get(&label)?
             .attrs
@@ -306,9 +301,9 @@ mod tests {
         );
         assert!(g.is_viable());
         assert!(g.element(s("loop")).is_some_and(|i| !i.productive));
-        assert!(g.is_live(s("a")));
-        assert!(!g.is_live(s("loop")));
-        assert!(!g.is_live(s("orphan")));
+        assert!(g.live_labels().contains(&s("a")));
+        assert!(!g.live_labels().contains(&s("loop")));
+        assert!(!g.live_labels().contains(&s("orphan")));
         // `loop?` is skippable, so root stays productive; `loop` is not a
         // realizable child.
         assert!(!g.realizable_children(s("root")).unwrap().contains(&s("loop")));

@@ -22,18 +22,20 @@
 //!    materializing either version.
 //!
 //! Everything is built from two small pieces: Glushkov automata compiled
-//! from `<!ELEMENT>` content models ([`nfa`]) and a regular tree grammar
-//! with productivity/reachability fixpoints ([`grammar`]).
+//! from `<!ELEMENT>` content models (the private `nfa` module) and a
+//! regular tree grammar with productivity/reachability fixpoints
+//! ([`Grammar`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod grammar;
-pub mod impact;
-pub mod nfa;
-pub mod sat;
-pub mod typecheck;
-pub mod validate;
+mod grammar;
+mod impact;
+mod nfa;
+mod sat;
+mod typecheck;
+mod validate;
 
 mod witness;
 

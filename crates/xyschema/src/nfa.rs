@@ -59,13 +59,6 @@ pub enum Bound {
 }
 
 impl Bound {
-    /// True when the bound admits at least `n` occurrences.
-    pub fn at_least(self, n: usize) -> bool {
-        match self {
-            Bound::Finite(k) => k >= n,
-            Bound::Unbounded => true,
-        }
-    }
 }
 
 /// Intermediate fragment of the Glushkov construction.
@@ -77,7 +70,7 @@ struct Frag {
 
 impl Nfa {
     /// Compile a content-model particle.
-    pub fn compile(particle: &Particle) -> Nfa {
+    pub(crate) fn compile(particle: &Particle) -> Nfa {
         let mut nfa = Nfa {
             sym: Vec::new(),
             first: Vec::new(),
@@ -184,13 +177,8 @@ impl Nfa {
         }
     }
 
-    /// True when the empty child sequence is valid.
-    pub fn accepts_empty(&self) -> bool {
-        self.nullable
-    }
-
     /// Does the automaton accept `word`? (The validator's inner loop.)
-    pub fn accepts(&self, word: &[Symbol]) -> bool {
+    pub(crate) fn accepts(&self, word: &[Symbol]) -> bool {
         let mut states: HashSet<usize> = HashSet::from([0]);
         for &s in word {
             let mut nexts = HashSet::new();
@@ -211,7 +199,7 @@ impl Nfa {
 
     /// Length of the longest prefix of `word` after which some state is
     /// still live — the error offset the validator reports on mismatch.
-    pub fn longest_viable_prefix(&self, word: &[Symbol]) -> usize {
+    pub(crate) fn longest_viable_prefix(&self, word: &[Symbol]) -> usize {
         let mut states: HashSet<usize> = HashSet::from([0]);
         for (i, &s) in word.iter().enumerate() {
             let mut nexts = HashSet::new();
@@ -231,13 +219,13 @@ impl Nfa {
     }
 
     /// Is any accepting word composed only of symbols passing `allowed`?
-    pub fn accepts_some_word(&self, allowed: &dyn Fn(Symbol) -> bool) -> bool {
+    pub(crate) fn accepts_some_word(&self, allowed: &dyn Fn(Symbol) -> bool) -> bool {
         self.shortest_word(allowed).is_some()
     }
 
     /// Shortest accepting word over the `allowed` alphabet (BFS; ties broken
     /// by state order, deterministically).
-    pub fn shortest_word(&self, allowed: &dyn Fn(Symbol) -> bool) -> Option<Vec<Symbol>> {
+    pub(crate) fn shortest_word(&self, allowed: &dyn Fn(Symbol) -> bool) -> Option<Vec<Symbol>> {
         if self.nullable {
             return Some(Vec::new());
         }
@@ -271,7 +259,7 @@ impl Nfa {
 
     /// Shortest accepting word over `allowed` containing at least `n`
     /// occurrences counted by `target`. BFS over `(state, min(count, n))`.
-    pub fn word_with_count(
+    pub(crate) fn word_with_count(
         &self,
         target: CountTarget,
         n: usize,
@@ -322,7 +310,7 @@ impl Nfa {
     /// would put a different symbol at the counted position `n` are pruned,
     /// so the `n`-th match is `nth` by construction; occurrences beyond `n`
     /// are unconstrained.
-    pub fn word_with_nth(
+    pub(crate) fn word_with_nth(
         &self,
         target: CountTarget,
         n: usize,
@@ -374,7 +362,7 @@ impl Nfa {
 
     /// Maximum number of `target` occurrences over all accepting words using
     /// only `allowed` symbols. `Finite(0)` when no accepting word exists.
-    pub fn max_count(&self, target: CountTarget, allowed: &dyn Fn(Symbol) -> bool) -> Bound {
+    pub(crate) fn max_count(&self, target: CountTarget, allowed: &dyn Fn(Symbol) -> bool) -> Bound {
         let n = self.state_count();
         // Forward reachability from the start and backward reachability from
         // accepting states, restricted to the allowed alphabet.
@@ -500,7 +488,7 @@ impl Nfa {
 
     /// Symbols that occur in at least one accepting word over `allowed` —
     /// the *realizable* children of the element this model belongs to.
-    pub fn realizable_symbols(&self, allowed: &dyn Fn(Symbol) -> bool) -> HashSet<Symbol> {
+    pub(crate) fn realizable_symbols(&self, allowed: &dyn Fn(Symbol) -> bool) -> HashSet<Symbol> {
         let n = self.state_count();
         let step_ok = |p: usize| allowed(self.sym[p - 1]);
         let mut reach = vec![false; n];
@@ -550,7 +538,7 @@ impl Nfa {
     }
 
     /// Every symbol named anywhere in the model, realizable or not.
-    pub fn alphabet(&self) -> HashSet<Symbol> {
+    pub(crate) fn alphabet(&self) -> HashSet<Symbol> {
         self.sym.iter().copied().collect()
     }
 }
@@ -628,7 +616,7 @@ mod tests {
             vec![Particle::Name(s("x"), One), Particle::Name(s("y"), One)],
             Plus,
         ));
-        assert!(!n.accepts_empty());
+        assert!(!n.accepts(&[]));
         assert!(n.accepts(&[s("x"), s("y"), s("x")]));
         assert_eq!(n.max_count(CountTarget::Sym(s("x")), &any), Bound::Unbounded);
         let r = n.realizable_symbols(&any);

@@ -35,10 +35,6 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// True for the satisfiable case.
-    pub fn is_satisfiable(&self) -> bool {
-        matches!(self, Verdict::Satisfiable(_))
-    }
 }
 
 /// Evidence for a satisfiable verdict.
@@ -1563,7 +1559,7 @@ mod tests {
         assert_eq!(w.match_count, 1);
         // Bounded occurrence: title appears once per category, but
         // categories repeat, so //title[2] is satisfiable…
-        assert!(run("//title[2]", CATALOG).is_satisfiable());
+        assert!(matches!(run("//title[2]", CATALOG), Verdict::Satisfiable(_)));
         // …while a strictly bounded DTD caps it.
         let bounded = "<!ELEMENT root (a, b)>\
              <!ELEMENT a (#PCDATA)><!ELEMENT b (#PCDATA)>";
@@ -1589,13 +1585,13 @@ mod tests {
         let u = unsat("//product[@id='p1'][2]", CATALOG);
         assert!(matches!(u.reasons[0], UnsatReason::IdUniquenessViolated { .. }));
         // Without the position it is fine.
-        assert!(run("//product[@id='p1']", CATALOG).is_satisfiable());
+        assert!(matches!(run("//product[@id='p1']", CATALOG), Verdict::Satisfiable(_)));
     }
 
     #[test]
     fn text_steps() {
         let mixed = "<!ELEMENT doc (#PCDATA|em)*><!ELEMENT em (#PCDATA)>";
-        assert!(run("/doc/text()", mixed).is_satisfiable());
+        assert!(matches!(run("/doc/text()", mixed), Verdict::Satisfiable(_)));
         // Reached through a descendant step from a text-free root.
         let deep = "<!ELEMENT doc (sec+)><!ELEMENT sec (p)><!ELEMENT p (#PCDATA)>";
         let w = sat("//text()", deep);
@@ -1629,7 +1625,7 @@ mod tests {
     fn fixed_attribute_values() {
         let dtd = "<!ELEMENT root (item*)><!ELEMENT item EMPTY>\
              <!ATTLIST item ver CDATA #FIXED \"1\">";
-        assert!(run("//item[@ver='1']", dtd).is_satisfiable());
+        assert!(matches!(run("//item[@ver='1']", dtd), Verdict::Satisfiable(_)));
         let u = unsat("//item[@ver='2']", dtd);
         assert!(matches!(u.reasons[0], UnsatReason::AttributeValueExcluded { .. }));
     }

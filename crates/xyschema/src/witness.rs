@@ -68,7 +68,7 @@ impl WNode {
     }
 
     /// Serialize to compact XML with escaping.
-    pub fn to_xml(&self) -> String {
+    pub(crate) fn to_xml(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out
@@ -111,7 +111,7 @@ pub(crate) struct Builder<'g> {
 
 impl<'g> Builder<'g> {
     /// A fresh builder over `g`.
-    pub fn new(g: &'g Grammar) -> Builder<'g> {
+    pub(crate) fn new(g: &'g Grammar) -> Builder<'g> {
         Builder { g, next_id: 0 }
     }
 
@@ -163,7 +163,7 @@ impl<'g> Builder<'g> {
     /// The minimal valid subtree for `label`: shortest accepting word of
     /// its content model, recursing only into labels of strictly lower
     /// productive rank (which is what guarantees termination).
-    pub fn build_min(&mut self, label: Symbol) -> Option<WNode> {
+    pub(crate) fn build_min(&mut self, label: Symbol) -> Option<WNode> {
         let info = self.g.element(label)?;
         if !info.productive {
             return None;
@@ -188,7 +188,7 @@ impl<'g> Builder<'g> {
     /// accepting child word. All `slots` must share one label; remaining
     /// word positions are filled minimally. Returns `None` when the content
     /// model cannot host that many occurrences.
-    pub fn build_containing(&mut self, parent: Symbol, slots: Vec<WNode>) -> Option<WNode> {
+    pub(crate) fn build_containing(&mut self, parent: Symbol, slots: Vec<WNode>) -> Option<WNode> {
         let target = slots.first()?.label;
         let n = slots.len();
         let info = self.g.element(parent)?;
@@ -235,7 +235,7 @@ impl<'g> Builder<'g> {
     /// Build `parent` whose `n`-th element child (counting *all* element
     /// children, the wildcard-position case) is the supplied node, inside
     /// an accepting child word.
-    pub fn build_with_nth_child(
+    pub(crate) fn build_with_nth_child(
         &mut self,
         parent: Symbol,
         n: usize,
@@ -289,7 +289,7 @@ impl<'g> Builder<'g> {
     /// Build `parent` with at least `n` text-node children (interleaved
     /// with minimal elements, since adjacent text merges), the last one
     /// holding `content`.
-    pub fn build_with_nth_text(
+    pub(crate) fn build_with_nth_text(
         &mut self,
         parent: Symbol,
         n: usize,
@@ -322,7 +322,7 @@ impl<'g> Builder<'g> {
 
     /// Wrap `inner` under a containment chain `chain[0] → … → chain[k]`,
     /// where `inner.label == chain[k]`; returns the `chain[0]` node.
-    pub fn wrap_chain(&mut self, chain: &[Symbol], inner: WNode) -> Option<WNode> {
+    pub(crate) fn wrap_chain(&mut self, chain: &[Symbol], inner: WNode) -> Option<WNode> {
         let mut node = inner;
         for &label in chain.iter().rev().skip(1) {
             node = self.build_containing(label, vec![node])?;
@@ -331,7 +331,7 @@ impl<'g> Builder<'g> {
     }
 
     /// Apply attribute obligations to a node.
-    pub fn apply_attr_needs(&mut self, node: &mut WNode, needs: &Needs) {
+    pub(crate) fn apply_attr_needs(&mut self, node: &mut WNode, needs: &Needs) {
         for (name, need) in &needs.attrs {
             let value = match need {
                 AttrNeed::Exact(v) => v.clone(),
@@ -349,7 +349,7 @@ impl<'g> Builder<'g> {
     /// the model allows character data, otherwise thread it through the
     /// shortest text-capable descendant chain. An `Exact("")` need is
     /// already satisfied by a text-free minimal node.
-    pub fn apply_text_need(&mut self, node: &mut WNode, need: &TextNeed) -> bool {
+    pub(crate) fn apply_text_need(&mut self, node: &mut WNode, need: &TextNeed) -> bool {
         let content = match need {
             TextNeed::Exact(v) | TextNeed::Contains(v) => v.clone(),
         };

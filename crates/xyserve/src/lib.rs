@@ -7,7 +7,7 @@
 //! the single-threaded loop the other crates implement into that service
 //! shape:
 //!
-//! - [`queue::KeyedQueue`] — the one type that queues jobs (std
+//! - [`KeyedQueue`] — the one type that queues jobs (std
 //!   `Mutex`/`Condvar` only): a strand per document key, so versions of a
 //!   document run one at a time in push order while any idle worker takes
 //!   the oldest ready key, with one capacity bound as the backpressure
@@ -38,10 +38,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod metrics;
-pub mod queue;
-pub mod server;
+mod queue;
+mod server;
 
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
 pub use queue::{KeyedQueue, PushError};

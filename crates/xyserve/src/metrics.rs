@@ -26,14 +26,14 @@ impl Counter {
     }
 
     /// Add `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Sync this counter to an externally maintained monotone total (e.g. a
     /// counter owned by the write-ahead log). `fetch_max` keeps the counter
     /// monotone even when several workers observe the total concurrently.
-    pub fn observe_total(&self, total: u64) {
+    pub(crate) fn observe_total(&self, total: u64) {
         self.0.fetch_max(total, Ordering::Relaxed);
     }
 
@@ -76,7 +76,7 @@ impl Gauge {
     }
 
     /// Highest value ever set.
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.high_water.load(Ordering::Relaxed)
     }
 }
@@ -129,42 +129,14 @@ impl Histogram {
     }
 
     /// Sum of all observations in microseconds.
-    pub fn sum_micros(&self) -> u64 {
+    pub(crate) fn sum_micros(&self) -> u64 {
         self.sum_micros.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> u64 {
-        self.sum_micros().checked_div(self.count()).unwrap_or(0)
-    }
-
-    /// Largest observation in microseconds.
-    pub fn max_micros(&self) -> u64 {
-        self.max_micros.load(Ordering::Relaxed)
     }
 
     /// Non-cumulative bucket counts (index `i` covers `(2^(i-1), 2^i]` µs;
     /// index 0 covers `[0, 1]` µs; the last bucket is unbounded).
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Inclusive upper bound (µs) of the smallest bucket that contains the
-    /// `q`-quantile — a coarse percentile good enough for dashboards.
-    pub fn quantile_bound_micros(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let target = ((n as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return 1u64 << (i as u32).min(63);
-            }
-        }
-        self.max_micros()
     }
 }
 
@@ -175,7 +147,7 @@ pub mod expo {
     use std::fmt::Write;
 
     /// Append `# HELP`/`# TYPE` header lines for a metric family.
-    pub fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+    pub(crate) fn header(out: &mut String, name: &str, help: &str, kind: &str) {
         // INVARIANT: writing to a String cannot fail.
         writeln!(out, "# HELP {name} {help}").unwrap();
         // INVARIANT: writing to a String cannot fail.
@@ -311,17 +283,17 @@ impl Default for Metrics {
 
 impl Metrics {
     /// A fresh registry; the uptime clock starts now.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics::default()
     }
 
     /// Seconds since the registry was created.
-    pub fn uptime_secs(&self) -> f64 {
+    pub(crate) fn uptime_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
     /// Successfully processed documents per second of uptime.
-    pub fn docs_per_sec(&self) -> f64 {
+    pub(crate) fn docs_per_sec(&self) -> f64 {
         let t = self.uptime_secs();
         if t <= 0.0 {
             0.0
@@ -499,11 +471,7 @@ mod tests {
         h.observe(Duration::from_micros(5));
         h.observe(Duration::from_micros(100));
         assert_eq!(h.count(), 3);
-        assert_eq!(h.mean_micros(), 36);
-        assert_eq!(h.max_micros(), 100);
-        // p50 lands in the (2,4] µs bucket, p99 must cover the 100 µs sample.
-        assert!(h.quantile_bound_micros(0.5) <= 8);
-        assert!(h.quantile_bound_micros(0.99) >= 100);
+        assert_eq!(h.sum_micros(), 108);
     }
 
     #[test]
@@ -560,7 +528,7 @@ mod tests {
         let h = Histogram::default();
         h.observe(Duration::ZERO);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.mean_micros(), 0);
+        assert_eq!(h.sum_micros(), 0);
         let text = {
             let mut s = String::new();
             expo::histogram(&mut s, "t_seconds", "test", &h);

@@ -69,7 +69,7 @@ const REPLAY_BATCH: usize = 1024;
 pub enum ConfigError {
     /// `workers` was 0 — the server would accept work and never run it.
     ZeroWorkers,
-    /// `workers` exceeded [`ServeConfig::MAX_WORKERS`].
+    /// `workers` exceeded `MAX_WORKERS` (1024).
     TooManyWorkers {
         /// The rejected worker count.
         requested: usize,
@@ -88,7 +88,7 @@ pub enum ConfigError {
     },
     /// `diff_threads` was 0 — every diff would have nowhere to run.
     ZeroDiffThreads,
-    /// `diff_threads` exceeded [`ServeConfig::MAX_WORKERS`].
+    /// `diff_threads` exceeded `MAX_WORKERS` (1024).
     TooManyDiffThreads {
         /// The rejected intra-diff thread count.
         requested: usize,
@@ -164,7 +164,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Upper bound on the worker count — far above any sane pool, low
     /// enough to catch a units mistake (e.g. passing a byte size).
-    pub const MAX_WORKERS: usize = 1024;
+    pub(crate) const MAX_WORKERS: usize = 1024;
 
     /// The default configuration (same as [`ServeConfig::default`]).
     pub fn new() -> ServeConfig {
@@ -172,7 +172,7 @@ impl ServeConfig {
     }
 
     /// Set the worker-thread count. Rejects 0 and counts above
-    /// [`ServeConfig::MAX_WORKERS`]; oversubscribing the host is allowed
+    /// `MAX_WORKERS` (1024); oversubscribing the host is allowed
     /// (and flagged by the `Display` line).
     pub fn with_workers(mut self, workers: usize) -> Result<ServeConfig, ConfigError> {
         self.workers = check_workers(workers)?;
@@ -192,7 +192,7 @@ impl ServeConfig {
     }
 
     /// Set the intra-document diff parallelism. Rejects 0 and counts above
-    /// [`ServeConfig::MAX_WORKERS`]; oversubscribing the host is allowed
+    /// `MAX_WORKERS` (1024); oversubscribing the host is allowed
     /// (the result is byte-identical, only the wall-clock differs).
     pub fn with_diff_threads(mut self, threads: usize) -> Result<ServeConfig, ConfigError> {
         self.diff_threads = check_diff_threads(threads)?;
@@ -399,11 +399,6 @@ impl Ticket {
                 error: "server dropped before delivering an outcome".to_string(),
             })
         })
-    }
-
-    /// [`Ticket::wait`] with a timeout; `None` when it expires.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<IngestOutcome> {
-        self.rx.recv_timeout(timeout).ok()
     }
 }
 
@@ -675,11 +670,6 @@ impl IngestServer {
         &self.inner.metrics
     }
 
-    /// Current snapshot of the dead-letter queue.
-    pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        locked(&self.inner.dead).clone()
-    }
-
     /// Take every notification fired so far (the alert delivery channel).
     pub fn take_notifications(&self) -> Vec<Notification> {
         std::mem::take(&mut locked(&self.inner.notifications))
@@ -693,11 +683,6 @@ impl IngestServer {
     /// All shard repositories (global stats).
     pub fn shards(&self) -> &[Repository] {
         &self.inner.shards
-    }
-
-    /// Total versions stored across all shards.
-    pub fn total_versions(&self) -> usize {
-        self.inner.shards.iter().map(Repository::total_versions).sum()
     }
 
     /// Block until every snapshot submitted so far is accounted for
@@ -718,17 +703,6 @@ impl IngestServer {
     /// drain and joins the pool.
     pub fn begin_drain(&self) {
         self.inner.queue.close();
-    }
-
-    /// True once a drain (or shutdown) has started.
-    pub fn is_draining(&self) -> bool {
-        self.inner.queue.is_closed()
-    }
-
-    /// The write-ahead log, when one is configured (observability: LSNs,
-    /// segment counts).
-    pub fn wal(&self) -> Option<&Wal> {
-        self.inner.wal.as_ref()
     }
 
     /// Stop accepting work, drain the queue and all in-flight chains, join
@@ -1047,7 +1021,7 @@ mod tests {
     fn submit_after_shutdown_is_refused() {
         let server = tiny_server(1);
         server.begin_drain();
-        assert!(server.is_draining());
+        assert!(server.inner.queue.is_closed());
         let err = server.submit("doc", "<a/>");
         assert!(matches!(err, Err(SubmitError::ShuttingDown)));
         // The refused submit is accounted as a dead letter.
@@ -1192,7 +1166,7 @@ mod tests {
         let server =
             IngestServer::try_start(config.with_shards(4).unwrap().with_diff_options(unordered))
                 .unwrap();
-        assert_eq!(server.total_versions(), logged);
+        assert_eq!(server.shards().iter().map(Repository::total_versions).sum::<usize>(), logged);
         let repo = server.repository_for("doc");
         for v in 0..5 {
             assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));

@@ -27,7 +27,7 @@
 use crate::words::counter_text;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xydelta::diff_by_xid::diff_by_xid;
+use xydelta::diff_by_xid;
 use xydelta::{Delta, XidDocument};
 use xytree::NodeId;
 

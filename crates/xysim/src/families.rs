@@ -18,7 +18,7 @@
 use crate::change::{SimActions, SimulatedChange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xydelta::diff_by_xid::diff_by_xid;
+use xydelta::diff_by_xid;
 use xydelta::XidDocument;
 use xytree::{NodeId, NodeKind};
 

@@ -10,22 +10,24 @@
 //! reports (average web XML ≈ 20 KB; site-metadata files of ~5 MB), per the
 //! substitution policy in DESIGN.md §4.
 //!
-//! - [`docgen`] — parameterized random documents (catalogs, address books,
+//! - [`generate`] — parameterized random documents (catalogs, address books,
 //!   feeds, generic trees) of controllable size;
-//! - [`change`] — the three-phase change simulator of §6.1, emitting the
+//! - [`simulate`] — the three-phase change simulator of §6.1, emitting the
 //!   new version *and* the "perfect" delta (via shared XIDs);
-//! - [`websnap`] — site-metadata snapshots à la the INRIA experiment (§6.2);
+//! - [`site_snapshot`] — site-metadata snapshots à la the INRIA experiment
+//!   (§6.2);
 //! - [`corpus`] — small fixed documents, including the paper's Figure 2
 //!   catalog example, for tests and examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod change;
+mod change;
 pub mod corpus;
-pub mod docgen;
-pub mod families;
-pub mod websnap;
+mod docgen;
+mod families;
+mod websnap;
 mod words;
 
 pub use change::{simulate, ChangeConfig, SimulatedChange};

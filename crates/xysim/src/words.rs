@@ -14,7 +14,7 @@ const WORDS: &[&str] = &[
 ];
 
 /// `n` space-separated pseudo-random words.
-pub fn words(rng: &mut impl Rng, n: usize) -> String {
+pub(crate) fn words(rng: &mut impl Rng, n: usize) -> String {
     let mut s = String::with_capacity(n * 7);
     for i in 0..n {
         if i > 0 {
@@ -26,7 +26,7 @@ pub fn words(rng: &mut impl Rng, n: usize) -> String {
 }
 
 /// A sentence whose length is drawn from `min..=max` words.
-pub fn sentence(rng: &mut impl Rng, min: usize, max: usize) -> String {
+pub(crate) fn sentence(rng: &mut impl Rng, min: usize, max: usize) -> String {
     let n = rng.gen_range(min..=max.max(min));
     words(rng, n)
 }
@@ -34,7 +34,7 @@ pub fn sentence(rng: &mut impl Rng, min: usize, max: usize) -> String {
 /// "Original" replacement/insertion text carrying a counter, as the paper's
 /// simulator does ("we can just insert any original text using counters") —
 /// guaranteed never to collide with generated document content.
-pub fn counter_text(counter: &mut u64, rng: &mut impl Rng) -> String {
+pub(crate) fn counter_text(counter: &mut u64, rng: &mut impl Rng) -> String {
     *counter += 1;
     format!("{} [fresh-{}]", sentence(rng, 2, 6), counter)
 }

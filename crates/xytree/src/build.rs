@@ -14,7 +14,7 @@
 //! ```
 
 use crate::document::Document;
-use crate::node::{Attr, NodeKind};
+use crate::node::Attr;
 use crate::tree::{NodeId, Tree};
 
 /// Declarative element builder; see the module docs for an example.
@@ -29,8 +29,6 @@ pub struct ElementBuilder {
 enum BuildNode {
     Element(ElementBuilder),
     Text(String),
-    Comment(String),
-    Pi { target: String, data: String },
 }
 
 impl ElementBuilder {
@@ -51,41 +49,19 @@ impl ElementBuilder {
         self
     }
 
-    /// Add several child elements.
-    pub fn children(mut self, kids: impl IntoIterator<Item = ElementBuilder>) -> Self {
-        self.children.extend(kids.into_iter().map(BuildNode::Element));
-        self
-    }
-
     /// Add a text child.
     pub fn text(mut self, text: impl Into<String>) -> Self {
         self.children.push(BuildNode::Text(text.into()));
         self
     }
 
-    /// Add a comment child.
-    pub fn comment(mut self, text: impl Into<String>) -> Self {
-        self.children.push(BuildNode::Comment(text.into()));
-        self
-    }
-
-    /// Add a processing-instruction child.
-    pub fn pi(mut self, target: impl Into<String>, data: impl Into<String>) -> Self {
-        self.children.push(BuildNode::Pi { target: target.into(), data: data.into() });
-        self
-    }
-
     /// Materialize into `tree` as a detached subtree; returns its root.
-    pub fn build_into(self, tree: &mut Tree) -> NodeId {
+    pub(crate) fn build_into(self, tree: &mut Tree) -> NodeId {
         let node = tree.new_element_with(self.name.into(), self.attrs);
         for child in self.children {
             let c = match child {
                 BuildNode::Element(b) => b.build_into(tree),
                 BuildNode::Text(t) => tree.new_text(t),
-                BuildNode::Comment(t) => tree.new_node(NodeKind::Comment(&t)),
-                BuildNode::Pi { target, data } => {
-                    tree.new_node(NodeKind::Pi { target: &target, data: &data })
-                }
             };
             tree.append_child(node, c);
         }
@@ -111,20 +87,9 @@ mod tests {
         let doc = ElementBuilder::new("a")
             .attr("k", "v")
             .child(ElementBuilder::new("b").text("t"))
-            .comment("note")
-            .pi("go", "fast")
             .into_document();
-        assert_eq!(doc.to_xml(), "<a k=\"v\"><b>t</b><!--note--><?go fast?></a>");
+        assert_eq!(doc.to_xml(), "<a k=\"v\"><b>t</b></a>");
         doc.tree.validate().unwrap();
-    }
-
-    #[test]
-    fn children_bulk_adder() {
-        let doc = ElementBuilder::new("l")
-            .children((0..3).map(|i| ElementBuilder::new("i").text(i.to_string())))
-            .into_document();
-        let l = doc.root_element().unwrap();
-        assert_eq!(doc.tree.children_count(l), 3);
     }
 
     #[test]

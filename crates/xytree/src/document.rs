@@ -19,10 +19,6 @@ pub struct Document {
 }
 
 impl Document {
-    /// An empty document (document node only).
-    pub fn new() -> Document {
-        Document::default()
-    }
 
     /// Wrap an existing tree.
     pub fn from_tree(tree: Tree) -> Document {
@@ -96,7 +92,7 @@ mod tests {
 
     #[test]
     fn empty_document_has_only_root() {
-        let doc = Document::new();
+        let doc = Document::default();
         assert_eq!(doc.node_count(), 1);
         assert!(doc.root_element().is_none());
     }

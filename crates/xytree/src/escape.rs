@@ -29,23 +29,21 @@ pub fn escape_attr_into(value: &str, out: &mut String) {
     }
 }
 
-/// Escaped copy of element content.
-pub fn escape_text(text: &str) -> String {
-    let mut s = String::with_capacity(text.len() + 8);
-    escape_text_into(text, &mut s);
-    s
-}
-
-/// Escaped copy of an attribute value.
-pub fn escape_attr(value: &str) -> String {
-    let mut s = String::with_capacity(value.len() + 8);
-    escape_attr_into(value, &mut s);
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape_text(text: &str) -> String {
+        let mut out = String::new();
+        escape_text_into(text, &mut out);
+        out
+    }
+
+    fn escape_attr(value: &str) -> String {
+        let mut out = String::new();
+        escape_attr_into(value, &mut out);
+        out
+    }
 
     #[test]
     fn text_escapes_markup() {

@@ -108,14 +108,6 @@ impl Fnv64 {
     pub fn value(&self) -> u64 {
         self.state
     }
-
-    /// One-shot convenience: hash a byte slice.
-    #[inline]
-    pub fn hash_bytes(bytes: &[u8]) -> u64 {
-        let mut h = Fnv64::new();
-        h.update(bytes);
-        h.value()
-    }
 }
 
 impl Default for Fnv64 {
@@ -191,7 +183,7 @@ pub struct WordHash {
 impl WordHash {
     /// A hasher in the fixed initial state.
     #[inline]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WordHash { state: WORD_INIT }
     }
 
@@ -279,14 +271,14 @@ impl Hasher for WordHash {
 /// per-thread cache), where a fixed state would let an input choose names
 /// that all land in one probe sequence.
 #[derive(Debug, Clone, Copy)]
-pub struct RandomWordState {
+pub(crate) struct RandomWordState {
     state: u64,
 }
 
 impl RandomWordState {
     /// The process's random state (drawn once, from the standard library's
     /// per-process hash keys).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         static STATE: OnceLock<u64> = OnceLock::new();
         let state = *STATE.get_or_init(|| RandomState::new().build_hasher().finish());
         RandomWordState { state }
@@ -336,12 +328,19 @@ pub fn fast_set<K>() -> FastHashSet<K> {
 mod tests {
     use super::*;
 
+    /// FNV-1a of `bytes` through the `Hasher` a `FastHashMap` builds.
+    fn fnv(bytes: &[u8]) -> u64 {
+        let mut h = BuildHasherDefault::<Fnv64>::default().build_hasher();
+        h.write(bytes);
+        h.finish()
+    }
+
     #[test]
     fn known_vectors() {
         // Standard FNV-1a test vectors.
-        assert_eq!(Fnv64::hash_bytes(b""), 0xcbf29ce484222325);
-        assert_eq!(Fnv64::hash_bytes(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(Fnv64::hash_bytes(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]
@@ -349,7 +348,7 @@ mod tests {
         let mut h = Fnv64::new();
         h.update(b"foo");
         h.update(b"bar");
-        assert_eq!(h.value(), Fnv64::hash_bytes(b"foobar"));
+        assert_eq!(h.value(), fnv(b"foobar"));
     }
 
     #[test]
@@ -362,7 +361,7 @@ mod tests {
             reference ^= u64::from(b);
             reference = reference.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        assert_eq!(Fnv64::hash_bytes(&data), reference);
+        assert_eq!(fnv(&data), reference);
         // Split across updates at an offset that misaligns the chunks.
         let mut h = Fnv64::new();
         h.update(&data[..13]);

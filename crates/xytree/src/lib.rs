@@ -31,28 +31,36 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod build;
-pub mod document;
-pub mod error;
-pub mod escape;
-pub mod hash;
-pub mod intern;
-pub mod node;
-pub mod parser;
-pub mod serialize;
-pub mod stats;
-pub mod traversal;
-pub mod tree;
+mod build;
+mod document;
+mod error;
+mod escape;
+mod hash;
+mod intern;
+mod node;
+mod parser;
+mod serialize;
+mod stats;
+mod traversal;
+mod tree;
 
 pub use build::ElementBuilder;
 pub use document::{Doctype, Document};
 pub use error::{ParseError, ParseErrorKind};
+pub use escape::{escape_attr_into, escape_text_into};
+pub use hash::{
+    fast_map, fast_map_with_capacity, fast_set, FastHashMap, FastHashSet, Fnv64, SigHashMap,
+    WordHash,
+};
 pub use intern::Symbol;
 pub use node::{Attr, Element, NodeKind};
 pub use parser::{
-    parse_dtd, AttDef, AttDefault, AttType, ContentModel, Occur, ParseOptions, Particle,
+    build_content, parse_dtd, AttDef, AttDefault, AttType, ContentModel, Occur, ParseOptions,
+    Particle, Token, Tokenizer,
 };
-pub use serialize::SerializeOptions;
+pub use serialize::{serialize_node_into, SerializeOptions};
 pub use stats::DocStats;
+pub use traversal::{PrunedPostOrder, PrunedPreOrder};
 pub use tree::{NodeId, Tree};

@@ -20,7 +20,7 @@ pub struct Attr {
 
 impl Attr {
     /// Convenience constructor.
-    pub fn new(name: impl Into<Symbol>, value: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<Symbol>, value: impl Into<String>) -> Self {
         Attr { name: name.into(), value: value.into() }
     }
 }
@@ -41,7 +41,7 @@ pub struct Element<'a> {
 
 impl<'a> Element<'a> {
     /// An element with the given label and no attributes.
-    pub fn new(name: impl Into<Symbol>) -> Self {
+    pub(crate) fn new(name: impl Into<Symbol>) -> Self {
         Element { name: name.into(), attrs: &[] }
     }
 
@@ -54,11 +54,6 @@ impl<'a> Element<'a> {
     /// Avoids the text comparison of [`Element::attr`] on hot paths.
     pub fn attr_sym(&self, name: Symbol) -> Option<&'a str> {
         self.attrs.iter().find(|a| a.name == name).map(|a| a.value.as_str())
-    }
-
-    /// True when the element carries an attribute named `name`.
-    pub fn has_attr(&self, name: &str) -> bool {
-        self.attrs.iter().any(|a| a.name == name)
     }
 }
 
@@ -85,24 +80,9 @@ pub enum NodeKind<'a> {
 }
 
 impl<'a> NodeKind<'a> {
-    /// Element label, if this is an element.
-    pub fn name(&self) -> Option<&'static str> {
-        match self {
-            NodeKind::Element(e) => Some(e.name.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Text content, if this is a text node.
-    pub fn text(&self) -> Option<&'a str> {
-        match *self {
-            NodeKind::Text(t) => Some(t),
-            _ => None,
-        }
-    }
 
     /// The element view, if this is an element.
-    pub fn as_element(&self) -> Option<Element<'a>> {
+    pub(crate) fn as_element(&self) -> Option<Element<'a>> {
         match *self {
             NodeKind::Element(e) => Some(e),
             _ => None,
@@ -117,17 +97,6 @@ impl<'a> NodeKind<'a> {
     /// True for [`NodeKind::Text`].
     pub fn is_text(&self) -> bool {
         matches!(self, NodeKind::Text(_))
-    }
-
-    /// A short tag identifying the kind, used in diagnostics and hashing.
-    pub fn kind_tag(&self) -> &'static str {
-        match self {
-            NodeKind::Document => "document",
-            NodeKind::Element(_) => "element",
-            NodeKind::Text(_) => "text",
-            NodeKind::Comment(_) => "comment",
-            NodeKind::Pi { .. } => "pi",
-        }
     }
 }
 
@@ -160,22 +129,18 @@ mod tests {
         let e = Element { name: "product".into(), attrs: &attrs };
         assert_eq!(e.attr("id"), Some("p1"));
         assert_eq!(e.attr_sym(Symbol::intern("lang")), Some("en"));
-        assert!(e.has_attr("id"));
-        assert!(!e.has_attr("sku"));
+        assert!(e.attr("id").is_some());
+        assert!(e.attr("sku").is_none());
         assert_eq!(Element::new("x").attrs.len(), 0);
     }
 
     #[test]
     fn kind_accessors() {
         let e = NodeKind::Element(Element::new("a"));
-        assert_eq!(e.name(), Some("a"));
         assert!(e.is_element());
         assert!(!e.is_text());
         let t = NodeKind::Text("hello");
-        assert_eq!(t.text(), Some("hello"));
         assert!(t.is_text());
-        assert_eq!(NodeKind::Document.kind_tag(), "document");
-        assert_eq!(t.kind_tag(), "text");
     }
 
     #[test]

@@ -15,37 +15,37 @@ pub(crate) struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(input: &'a str) -> Self {
+    pub(crate) fn new(input: &'a str) -> Self {
         Cursor { input, bytes: input.as_bytes(), pos: 0 }
     }
 
     #[inline]
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.pos >= self.bytes.len()
     }
 
     #[inline]
-    pub fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     #[inline]
-    pub fn peek_at(&self, off: usize) -> Option<u8> {
+    pub(crate) fn peek_at(&self, off: usize) -> Option<u8> {
         self.bytes.get(self.pos + off).copied()
     }
 
-    pub fn starts_with(&self, prefix: &[u8]) -> bool {
+    pub(crate) fn starts_with(&self, prefix: &[u8]) -> bool {
         self.bytes[self.pos..].starts_with(prefix)
     }
 
     /// Advance `n` bytes (to the end of the input at most).
     #[inline]
-    pub fn advance(&mut self, n: usize) {
+    pub(crate) fn advance(&mut self, n: usize) {
         self.pos = (self.pos + n).min(self.bytes.len());
     }
 
     /// Consume `expected` or return the byte actually found (0 on EOF).
-    pub fn expect_byte(&mut self, expected: u8) -> Result<(), u8> {
+    pub(crate) fn expect_byte(&mut self, expected: u8) -> Result<(), u8> {
         match self.peek() {
             Some(b) if b == expected => {
                 self.advance(1);
@@ -56,14 +56,14 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub fn skip_whitespace(&mut self) {
+    pub(crate) fn skip_whitespace(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.advance(1);
         }
     }
 
     /// Consume and return everything up to (not including) `stop`, or to EOF.
-    pub fn take_until(&mut self, stop: u8) -> &'a str {
+    pub(crate) fn take_until(&mut self, stop: u8) -> &'a str {
         let start = self.pos;
         let rel = self.bytes[self.pos..].iter().position(|&b| b == stop);
         let end = rel.map(|r| self.pos + r).unwrap_or(self.bytes.len());
@@ -73,7 +73,7 @@ impl<'a> Cursor<'a> {
 
     /// Like [`Cursor::take_until`] but returns `None` if `stop` never occurs
     /// (the stop byte is *not* consumed).
-    pub fn take_until_byte_checked(&mut self, stop: u8) -> Option<&'a str> {
+    pub(crate) fn take_until_byte_checked(&mut self, stop: u8) -> Option<&'a str> {
         let start = self.pos;
         let rel = self.bytes[self.pos..].iter().position(|&b| b == stop)?;
         self.advance(rel);
@@ -82,7 +82,7 @@ impl<'a> Cursor<'a> {
 
     /// Consume and return everything up to (not including) the byte sequence
     /// `seq`; `None` if it never occurs. `seq` is not consumed.
-    pub fn take_until_seq(&mut self, seq: &[u8]) -> Option<&'a str> {
+    pub(crate) fn take_until_seq(&mut self, seq: &[u8]) -> Option<&'a str> {
         let hay = &self.bytes[self.pos..];
         let rel = find_subsequence(hay, seq)?;
         let start = self.pos;
@@ -91,7 +91,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume an XML name (possibly empty if the next byte cannot start one).
-    pub fn take_name(&mut self) -> &'a str {
+    pub(crate) fn take_name(&mut self) -> &'a str {
         let start = self.pos;
         if let Some(b) = self.peek() {
             if is_name_start(b) {
@@ -110,7 +110,7 @@ impl<'a> Cursor<'a> {
 
     /// Build a position-annotated error at the current location: 1-based
     /// line, and 1-based column counted in bytes.
-    pub fn error(&self, kind: ParseErrorKind) -> ParseError {
+    pub(crate) fn error(&self, kind: ParseErrorKind) -> ParseError {
         let before = &self.bytes[..self.pos];
         let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
         let line_start = before.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);

@@ -146,13 +146,13 @@ pub struct Doctype {
 
 impl Doctype {
     /// The ID attribute declared for elements labeled `element`, if any.
-    pub fn id_attr_of(&self, element: &str) -> Option<&str> {
+    pub(crate) fn id_attr_of(&self, element: &str) -> Option<&str> {
         // Non-inserting lookup: a never-interned label cannot be a key.
         let sym = Symbol::lookup(element)?;
         self.id_attrs.get(&sym).map(Symbol::as_str)
     }
 
-    /// [`Doctype::id_attr_of`] keyed by an interned label (hot-path form).
+    /// `Doctype::id_attr_of` keyed by an interned label (hot-path form).
     pub fn id_attr_sym(&self, element: Symbol) -> Option<Symbol> {
         self.id_attrs.get(&element).copied()
     }
@@ -162,20 +162,9 @@ impl Doctype {
         !self.id_attrs.is_empty()
     }
 
-    /// The content model declared for `element`, if any.
-    pub fn content_model_of(&self, element: &str) -> Option<&ContentModel> {
-        self.elements.get(&Symbol::lookup(element)?)
-    }
-
     /// The attribute declarations for `element` (empty when none declared).
     pub fn attdefs_of(&self, element: Symbol) -> &[AttDef] {
         self.attlists.get(&element).map_or(&[], Vec::as_slice)
-    }
-
-    /// True when the internal subset declared at least one content model —
-    /// the precondition for grammar-based static analysis.
-    pub fn has_element_decls(&self) -> bool {
-        !self.elements.is_empty()
     }
 }
 
@@ -721,6 +710,11 @@ fn skip_markup_decl_tail(cur: &mut Cursor<'_>) -> Result<(), ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The content model declared for `element`, if any.
+    fn content_model_of<'a>(dt: &'a Doctype, element: &str) -> Option<&'a ContentModel> {
+        dt.elements.get(&Symbol::lookup(element)?)
+    }
     use crate::document::Document;
     use crate::error::ParseErrorKind;
 
@@ -836,13 +830,13 @@ mod tests {
         )
         .unwrap();
         let dt = doc.doctype.as_ref().unwrap();
-        assert!(dt.has_element_decls());
+        assert!(!dt.elements.is_empty());
         // A single-item group with no outer modifier collapses to the item.
         assert_eq!(
-            dt.content_model_of("c"),
+            content_model_of(dt, "c"),
             Some(&ContentModel::Children(Particle::Name(Symbol::intern("p"), Occur::Star)))
         );
-        assert_eq!(dt.content_model_of("p"), Some(&ContentModel::Mixed(Vec::new())));
+        assert_eq!(content_model_of(dt, "p"), Some(&ContentModel::Mixed(Vec::new())));
     }
 
     #[test]
@@ -853,9 +847,9 @@ mod tests {
         .unwrap();
         let dt = doc.doctype.as_ref().unwrap();
         let Some(ContentModel::Children(Particle::Seq(items, Occur::One))) =
-            dt.content_model_of("r")
+            content_model_of(dt, "r")
         else {
-            panic!("{:?}", dt.content_model_of("r"));
+            panic!("{:?}", content_model_of(dt, "r"));
         };
         assert_eq!(items.len(), 3);
         assert!(matches!(&items[0], Particle::Choice(cs, Occur::Plus) if cs.len() == 2));
@@ -870,8 +864,8 @@ mod tests {
         )
         .unwrap();
         let dt = doc.doctype.as_ref().unwrap();
-        assert_eq!(dt.content_model_of("r"), Some(&ContentModel::Any));
-        assert_eq!(dt.content_model_of("hr"), Some(&ContentModel::Empty));
+        assert_eq!(content_model_of(dt, "r"), Some(&ContentModel::Any));
+        assert_eq!(content_model_of(dt, "hr"), Some(&ContentModel::Empty));
     }
 
     #[test]
@@ -882,7 +876,7 @@ mod tests {
         .unwrap();
         let dt = doc.doctype.as_ref().unwrap();
         assert_eq!(
-            dt.content_model_of("p"),
+            content_model_of(dt, "p"),
             Some(&ContentModel::Mixed(vec![Symbol::intern("em"), Symbol::intern("strong")]))
         );
     }
@@ -1018,7 +1012,7 @@ mod tests {
     fn wrapped_doctype_form_accepted_by_parse_dtd() {
         let dt = parse_dtd("<!DOCTYPE r [<!ELEMENT r EMPTY>]>", None).unwrap();
         assert_eq!(dt.name, "r");
-        assert_eq!(dt.content_model_of("r"), Some(&ContentModel::Empty));
+        assert_eq!(content_model_of(&dt, "r"), Some(&ContentModel::Empty));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::escape::{escape_attr_into, escape_text_into};
 use crate::node::NodeKind;
 use crate::tree::{NodeId, Tree};
 
-/// Options controlling [`serialize_node`] / [`crate::Document::to_xml_with`].
+/// Options controlling [`serialize_node_into`] / [`crate::Document::to_xml_with`].
 #[derive(Debug, Clone)]
 pub struct SerializeOptions {
     /// Indent nested elements by this many spaces per level; `None` for
@@ -49,7 +49,7 @@ impl SerializeOptions {
 
     /// Compact output with sorted attributes: a canonical form under the
     /// attributes-are-a-set semantics.
-    pub fn canonical() -> Self {
+    pub(crate) fn canonical() -> Self {
         SerializeOptions { sort_attributes: true, ..Default::default() }
     }
 }
@@ -71,7 +71,7 @@ pub fn serialize_node_into(tree: &Tree, node: NodeId, opts: &SerializeOptions, o
 }
 
 /// Serialize the subtree rooted at `node` to a fresh string.
-pub fn serialize_node(tree: &Tree, node: NodeId, opts: &SerializeOptions) -> String {
+pub(crate) fn serialize_node(tree: &Tree, node: NodeId, opts: &SerializeOptions) -> String {
     let mut s = String::new();
     serialize_node_into(tree, node, opts, &mut s);
     s

@@ -36,7 +36,7 @@ pub struct DocStats {
 
 impl DocStats {
     /// Walk the tree and collect statistics.
-    pub fn collect(tree: &Tree) -> DocStats {
+    pub(crate) fn collect(tree: &Tree) -> DocStats {
         let mut s = DocStats::default();
         for n in tree.descendants(tree.root()) {
             match tree.kind(n) {
@@ -57,20 +57,6 @@ impl DocStats {
             s.nodes += 1;
         }
         s
-    }
-
-    /// Mean text-node length in bytes (0.0 when there is no text).
-    pub fn mean_text_len(&self) -> f64 {
-        if self.text_nodes == 0 {
-            0.0
-        } else {
-            self.text_bytes as f64 / self.text_nodes as f64
-        }
-    }
-
-    /// Number of distinct element labels.
-    pub fn distinct_labels(&self) -> usize {
-        self.label_histogram.len()
     }
 
     /// The most frequent label, if any element exists.
@@ -103,16 +89,13 @@ mod tests {
         assert_eq!(s.nodes, 7);
         assert_eq!(s.max_depth, 2);
         assert_eq!(s.label_histogram["b"], 2);
-        assert_eq!(s.distinct_labels(), 2);
         assert_eq!(s.dominant_label(), Some(("b", 2)));
-        assert!((s.mean_text_len() - 3.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_document_stats() {
-        let s = Document::new().stats();
+        let s = Document::default().stats();
         assert_eq!(s, DocStats::default());
-        assert_eq!(s.mean_text_len(), 0.0);
         assert_eq!(s.dominant_label(), None);
     }
 }

@@ -410,7 +410,7 @@ impl Tree {
 
     /// Previous sibling of `id`.
     #[inline]
-    pub fn prev_sibling(&self, id: NodeId) -> Option<NodeId> {
+    pub(crate) fn prev_sibling(&self, id: NodeId) -> Option<NodeId> {
         self.data(id).prev_sibling
     }
 
@@ -464,7 +464,7 @@ impl Tree {
     }
 
     /// Depth of `id`: 0 for the root, 1 for its children, etc.
-    pub fn depth(&self, id: NodeId) -> usize {
+    pub(crate) fn depth(&self, id: NodeId) -> usize {
         self.ancestors(id).count()
     }
 
@@ -608,22 +608,8 @@ impl Tree {
         self.data_mut(parent).last_child = Some(child);
     }
 
-    /// Attach `child` as the first child of `parent`.
-    pub fn prepend_child(&mut self, parent: NodeId, child: NodeId) {
-        self.assert_insertable(parent, child);
-        let old_first = self.data(parent).first_child;
-        self.data_mut(child).parent = Some(parent);
-        self.data_mut(child).prev_sibling = None;
-        self.data_mut(child).next_sibling = old_first;
-        match old_first {
-            Some(first) => self.data_mut(first).prev_sibling = Some(child),
-            None => self.data_mut(parent).last_child = Some(child),
-        }
-        self.data_mut(parent).first_child = Some(child);
-    }
-
     /// Attach `new` immediately before `sibling` (which must be attached).
-    pub fn insert_before(&mut self, sibling: NodeId, new: NodeId) {
+    pub(crate) fn insert_before(&mut self, sibling: NodeId, new: NodeId) {
         let parent = self
             .parent(sibling)
             // INVARIANT: documented precondition — `sibling` is attached.
@@ -1188,7 +1174,7 @@ mod tests {
         let names: Vec<_> = t.element(e).unwrap().attrs.iter().map(|a| a.name.as_str()).collect();
         assert_eq!(names, ["id", "mid", "z", "end"]);
         assert_eq!(t.remove_attr(e, "mid"), Some("m".to_string()));
-        assert!(!t.element(e).unwrap().has_attr("mid"));
+        assert!(t.element(e).unwrap().attr("mid").is_none());
     }
 
     #[test]

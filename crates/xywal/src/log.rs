@@ -368,16 +368,6 @@ impl Wal {
         Ok((wal, recovery))
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured durability policy.
-    pub fn sync_mode(&self) -> WalSync {
-        self.sync_mode
-    }
-
     fn lock(&self) -> MutexGuard<'_, State> {
         // A poisoned std mutex only means another appender panicked while
         // holding it; the state itself is still consistent (every mutation
@@ -503,21 +493,6 @@ impl Wal {
         self.wait_durable(target)
     }
 
-    /// Highest LSN handed to the OS so far.
-    pub fn appended_lsn(&self) -> u64 {
-        self.lock().written_lsn
-    }
-
-    /// Highest LSN known durable.
-    pub fn durable_lsn(&self) -> u64 {
-        self.lock().durable_lsn
-    }
-
-    /// Segments currently on disk (sealed + active).
-    pub fn segment_count(&self) -> usize {
-        self.lock().segments
-    }
-
     /// A point-in-time copy of every counter.
     pub fn stats(&self) -> WalStats {
         let (appended_lsn, durable_lsn, segments) = {
@@ -572,8 +547,8 @@ mod tests {
         for v in 1..=5 {
             assert_eq!(wal.append(&delta("k", v)).unwrap().lsn, 1 + v);
         }
-        assert_eq!(wal.appended_lsn(), 6);
-        assert_eq!(wal.durable_lsn(), 6);
+        assert_eq!(wal.stats().appended_lsn, 6);
+        assert_eq!(wal.stats().durable_lsn, 6);
         drop(wal);
 
         let (wal2, rec2) = open(&dir);
@@ -657,14 +632,14 @@ mod tests {
     #[test]
     fn corruption_in_a_sealed_segment_is_an_error() {
         let dir = tmpdir("sealedcorrupt");
-        let cfg = WalConfig::new(&dir).with_segment_bytes(4 << 10);
+        let cfg = WalConfig { segment_bytes: 4 << 10, ..WalConfig::new(&dir) };
         let (wal, _) = Wal::open(&cfg).unwrap();
         let big = "x".repeat(512);
         for v in 1..=20 {
             wal.append(&Record::Delta { key: "k".into(), version: v, delta_xml: big.clone() })
                 .unwrap();
         }
-        assert!(wal.segment_count() > 1, "load must have rolled segments");
+        assert!(wal.stats().segments > 1, "load must have rolled segments");
         drop(wal);
         // Flip a payload byte in the middle of the FIRST (sealed) segment.
         let seg = dir.join(segment_name(1));
@@ -738,8 +713,8 @@ mod tests {
             h.join().unwrap();
         }
         let total = threads as u64 * per_thread;
-        assert_eq!(wal.appended_lsn(), total);
-        assert_eq!(wal.durable_lsn(), total);
+        assert_eq!(wal.stats().appended_lsn, total);
+        assert_eq!(wal.stats().durable_lsn, total);
         let stats = wal.stats();
         assert_eq!(stats.appends, total);
         assert!(stats.fsyncs <= total);
@@ -753,7 +728,10 @@ mod tests {
                 .records
                 .iter()
                 .filter(|(_, r)| r.key() == format!("k{t}"))
-                .map(|(_, r)| r.version())
+                .map(|(_, r)| match r {
+                    Record::Delta { version, .. } => *version,
+                    Record::Init { .. } => 0,
+                })
                 .collect();
             assert_eq!(versions, (1..=per_thread).collect::<Vec<_>>());
         }
@@ -768,7 +746,7 @@ mod tests {
         let out = wal.append(&delta("k", 1)).unwrap();
         assert!(!out.durable);
         wal.sync().unwrap();
-        assert_eq!(wal.durable_lsn(), 1);
+        assert_eq!(wal.stats().durable_lsn, 1);
         drop(wal);
         let (_, rec) = Wal::open(&cfg).unwrap();
         assert_eq!(rec.records.len(), 1);

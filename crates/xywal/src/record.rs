@@ -18,10 +18,10 @@
 
 /// Largest accepted body, far beyond any real document snapshot. A decoded
 /// length above this is treated as frame corruption.
-pub const MAX_BODY_BYTES: u32 = 256 << 20;
+pub(crate) const MAX_BODY_BYTES: u32 = 256 << 20;
 
 /// Frame header size: length + checksum.
-pub const FRAME_HEADER_BYTES: usize = 4 + 8;
+pub(crate) const FRAME_HEADER_BYTES: usize = 4 + 8;
 
 const TAG_INIT: u8 = 0;
 const TAG_DELTA: u8 = 1;
@@ -57,14 +57,6 @@ impl Record {
         }
     }
 
-    /// The version the record produces (0 for `Init`).
-    pub fn version(&self) -> u64 {
-        match self {
-            Record::Init { .. } => 0,
-            Record::Delta { version, .. } => *version,
-        }
-    }
-
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             Record::Init { key, xml } => {
@@ -91,7 +83,7 @@ impl Record {
 pub enum FrameError {
     /// The buffer ends before the frame does.
     Truncated,
-    /// The length prefix exceeds [`MAX_BODY_BYTES`].
+    /// The length prefix exceeds `MAX_BODY_BYTES`.
     OversizedLength(u32),
     /// The stored checksum does not match the body.
     ChecksumMismatch,

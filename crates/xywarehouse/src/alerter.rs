@@ -38,11 +38,6 @@ impl Alerter {
         self.subscriptions.push(sub);
     }
 
-    /// Number of registered subscriptions.
-    pub fn subscription_count(&self) -> usize {
-        self.subscriptions.len()
-    }
-
     /// Evaluate a delta (computed between `old` and `new`) for document
     /// `doc_key`; returns one notification per (subscription, matching op).
     pub fn evaluate(
@@ -230,7 +225,7 @@ mod tests {
         let mut with_sub = Alerter::new();
         with_sub.subscribe(Subscription::everything("s"));
         assert!(with_sub.evaluate("k", &Delta::new(), &old, &old).is_empty());
-        assert_eq!(with_sub.subscription_count(), 1);
+        assert_eq!(with_sub.subscriptions.len(), 1);
     }
 
     #[test]

@@ -23,11 +23,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod alerter;
+mod alerter;
 pub mod replay;
-pub mod repository;
-pub mod subscription;
+mod repository;
+mod subscription;
 
 pub use alerter::{Alerter, Notification};
 pub use replay::{ReplayError, ReplayStats};

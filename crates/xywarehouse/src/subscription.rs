@@ -33,7 +33,7 @@ pub enum OpFilter {
 
 impl OpFilter {
     /// Does this filter accept `op`?
-    pub fn accepts(&self, op: &Op) -> bool {
+    pub(crate) fn accepts(&self, op: &Op) -> bool {
         matches!(
             (self, op),
             (OpFilter::Any, _)
@@ -118,7 +118,7 @@ impl Subscription {
     /// # Panics
     /// Panics when the expression does not parse — subscriptions are
     /// registered by the operator, so a bad pattern is a configuration bug
-    /// best caught at registration. Use [`Subscription::try_at_query`] for
+    /// best caught at registration. Use `try_at_query` for
     /// fallible registration.
     pub fn at_query(self, path: &str) -> Self {
         // INVARIANT: documented panic — operator-supplied pattern; the
@@ -127,14 +127,14 @@ impl Subscription {
     }
 
     /// Fallible form of [`Subscription::at_query`].
-    pub fn try_at_query(mut self, path: &str) -> Result<Self, xyquery::QueryParseError> {
+    pub(crate) fn try_at_query(mut self, path: &str) -> Result<Self, xyquery::QueryParseError> {
         self.query = Some(Path::parse(path)?);
         Ok(self)
     }
 
     /// Does the label path `path` (root-first) end with this subscription's
     /// suffix?
-    pub fn path_matches(&self, path: &[String]) -> bool {
+    pub(crate) fn path_matches(&self, path: &[String]) -> bool {
         if self.path_suffix.len() > path.len() {
             return false;
         }
@@ -145,12 +145,12 @@ impl Subscription {
     }
 
     /// Does `doc_key` pass the document restriction?
-    pub fn document_matches(&self, doc_key: &str) -> bool {
+    pub(crate) fn document_matches(&self, doc_key: &str) -> bool {
         self.doc_key.as_deref().map_or(true, |k| k == doc_key)
     }
 
     /// Does `content` pass the substring restriction?
-    pub fn content_matches(&self, content: &str) -> bool {
+    pub(crate) fn content_matches(&self, content: &str) -> bool {
         self.content_contains
             .as_deref()
             .map_or(true, |needle| content.contains(needle))

@@ -5,7 +5,7 @@
 //! cargo run --example version_warehouse
 //! ```
 
-use xydiff_suite::xydelta::{aggregate::aggregate_chain, VersionChain, XidDocument};
+use xydiff_suite::xydelta::{aggregate_chain, VersionChain, XidDocument};
 use xydiff_suite::xydiff::{diff, DiffOptions};
 use xydiff_suite::xytree::Document;
 

@@ -1,7 +1,7 @@
 //! Algebraic properties of delta chains over realistic change streams:
 //! reconstruction, inversion, aggregation, and the diff's idempotence.
 
-use xydiff_suite::xydelta::{aggregate::aggregate_chain, xml_io, VersionChain, XidDocument};
+use xydiff_suite::xydelta::{aggregate_chain, xml_io, VersionChain, XidDocument};
 use xydiff_suite::xydiff::{diff, DiffOptions};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 

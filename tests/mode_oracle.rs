@@ -20,7 +20,7 @@ mod common;
 
 use common::seed_range;
 use proptest::prelude::*;
-use xydiff_suite::xydelta::diff_by_xid::diff_by_xid_with;
+use xydiff_suite::xydelta::diff_by_xid_with;
 use xydiff_suite::xydelta::{verify, xml_io, CaptureMode, PayloadSource, XidDocument};
 use xydiff_suite::xydiff::{DiffResult, Differ, MatchMode, SignatureCache};
 use xydiff_suite::xytree::{Document, ParseOptions};
