@@ -18,6 +18,7 @@
 //!   comparator of the scaling experiment.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 

@@ -359,6 +359,9 @@ fn diff_bench() {
 }
 
 /// E1 / Figure 4 — time cost of the different phases vs total input size.
+/// `XYBENCH_GATE=1` fails the run unless the diff total's log-log slope is
+/// at most 1.25: the paper calls the diff "almost linear", and it reads
+/// 0.77–1.05 (E28), so only a phase that turned super-linear fails it.
 fn fig4() {
     println!("## Figure 4 — per-phase time vs total size of both documents\n");
     println!(
@@ -393,11 +396,20 @@ fn fig4() {
         pts_total.push((total_bytes as f64, tm.total().as_secs_f64()));
         pts_core.push((total_bytes as f64, tm.core().as_secs_f64().max(1e-9)));
     }
+    let slope = log_log_slope(&pts_total);
     println!(
-        "\ngrowth exponent (log-log slope): diff total ≈ {:.2}, phases 3+4 ≈ {:.2}  (1.0 = linear; paper: 'almost linear')\n",
-        log_log_slope(&pts_total),
+        "\ngrowth exponent (log-log slope): diff total ≈ {slope:.2}, phases 3+4 ≈ {:.2}  (1.0 = linear; paper: 'almost linear')\n",
         log_log_slope(&pts_core)
     );
+    if std::env::var_os("XYBENCH_GATE").is_some() {
+        println!("fig4 gate: diff-total slope {slope:.2} (bound 1.25)");
+        if slope > 1.25 {
+            eprintln!(
+                "fig4 gate FAILED: diff time grows faster than near-linearly with input size"
+            );
+            std::process::exit(1);
+        }
+    }
 }
 
 /// E2 / Figure 5 — computed delta size vs the simulator's perfect delta.
@@ -485,12 +497,17 @@ fn fig6() {
 }
 
 /// E4 — BULD (n log n) vs the quadratic Selkow-variant DP and DiffMK.
+/// `XYBENCH_GATE=1` fails the run unless BULD's time exponent is at most 1.2
+/// and the DP's `pairs_examined` exponent at least 1.8. The pair count is
+/// deterministic (it reads 2.35), so the host can only move BULD's reading
+/// (0.89–0.98 in E28).
 fn scaling() {
     println!("## Scaling — BULD vs quadratic tree DP vs DiffMK list diff\n");
     println!("| nodes | BULD | Selkow DP | DP pairs | DiffMK | BULD delta | DP cost |");
     println!("|---:|---:|---:|---:|---:|---:|---:|");
     let mut buld_pts = Vec::new();
     let mut selkow_pts = Vec::new();
+    let mut pair_pts = Vec::new();
     for &bytes in &[2_000usize, 5_000, 10_000, 20_000, 50_000, 100_000] {
         let (old, sim) = pair_at_rate(bytes, 0.1, 77);
         let nodes = old.doc.node_count();
@@ -519,13 +536,27 @@ fn scaling() {
         let _ = mk;
         buld_pts.push((nodes as f64, buld_time.as_secs_f64()));
         selkow_pts.push((nodes as f64, selkow_time.as_secs_f64()));
+        pair_pts.push((nodes as f64, s.pairs_examined as f64));
     }
+    let (buld, pairs) = (log_log_slope(&buld_pts), log_log_slope(&pair_pts));
     println!(
-        "\ngrowth exponents: BULD ≈ {:.2}, Selkow DP ≈ {:.2}  \
+        "\ngrowth exponents: BULD ≈ {buld:.2}, Selkow DP ≈ {:.2} (pairs examined ≈ {pairs:.2})  \
          (paper: linear vs quadratic for previous algorithms)\n",
-        log_log_slope(&buld_pts),
         log_log_slope(&selkow_pts)
     );
+    if std::env::var_os("XYBENCH_GATE").is_some() {
+        println!(
+            "scaling gate: BULD exponent {buld:.2} (bound 1.2), \
+             DP pairs exponent {pairs:.2} (bound 1.8)"
+        );
+        if buld > 1.2 || pairs < 1.8 {
+            eprintln!(
+                "scaling gate FAILED: BULD is no longer near-linear \
+                 or the DP baseline no longer quadratic"
+            );
+            std::process::exit(1);
+        }
+    }
 }
 
 /// E7 — the §6.2 site-snapshot experiment (INRIA-scale, 5 MB XML).

@@ -6,6 +6,7 @@
 //! DESIGN.md §3 maps each experiment id (E1–E8) to its regenerator.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 use xydelta::XidDocument;

@@ -101,7 +101,6 @@ pub(crate) fn usage() -> String {
      xydiff serve [--addr HOST:PORT] [--workers N] [--queue N]\n  \
        \u{20}      [--shards N] [--diff-threads N] [--max-body BYTES]\n  \
        \u{20}      [--idle-timeout SECS] [--max-conns N] [--shed-conns N]\n  \
-       \u{20}      [--read-budget BYTES] [--write-budget BYTES]\n  \
        \u{20}      [--mode buld|unordered|similarity]\n  \
        \u{20}      [--wal-dir DIR] [--wal-sync always|none] [--compact-chain-max N]\n  \
        \u{20}      [--quiet]\n  \

@@ -40,12 +40,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--shed-conns" => {
                 net = net.with_shed_connections(flag_value(&mut it, "--shed-conns")?);
             }
-            "--read-budget" => {
-                net = net.with_read_budget(flag_value(&mut it, "--read-budget")?);
-            }
-            "--write-budget" => {
-                net = net.with_write_budget(flag_value(&mut it, "--write-budget")?);
-            }
             other => return Err(format!("unknown flag {other:?} for serve\n{}", usage())),
         }
     }

@@ -274,6 +274,7 @@ fn element_of(
 }
 
 fn place(doc: &mut XidDocument, placement: &Placement<'_>) -> Result<(), ApplyError> {
+    #[allow(clippy::expect_used)]
     let parent_node = doc
         .node(placement.parent)
         // INVARIANT: the fixpoint loop only dispatches parent-groups whose

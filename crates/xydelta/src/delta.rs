@@ -114,6 +114,7 @@ impl Delta {
         self.ops.len()
     }
 
+    #[allow(clippy::expect_used)]
     fn store(&self) -> &Store {
         // INVARIANT: every handle is issued by a builder call that creates
         // the store first; a handle without one came from another delta.
@@ -141,6 +142,7 @@ impl Delta {
     /// applied or aggregated deltas operates past the `into_owned()`
     /// boundary, so reaching this with a borrow is a caller bug, not a data
     /// condition.
+    #[allow(clippy::panic)]
     pub fn payload(&self, payload: SubtreePayload) -> (&Tree, NodeId) {
         match payload {
             SubtreePayload::Stored(node) => (&self.store().tree, node),
@@ -315,6 +317,7 @@ fn collect_xids_postfix(
     }
     // INVARIANT: every node of a XidDocument carries an XID; assignment is
     // total at construction (assign_initial / apply) and never partial.
+    #[allow(clippy::expect_used)]
     out.push(doc.xid(node).expect("captured node without XID"));
 }
 
@@ -399,6 +402,7 @@ impl DeltaBuilder {
             Some(side) => {
                 // INVARIANT: like the tree arena's ids, captures are
                 // u32-indexed; a delta has at most one per document node.
+                #[allow(clippy::expect_used)]
                 let index = u32::try_from(borrowed.len()).expect("capture index exceeds u32");
                 borrowed.push(Borrowed { side, node, excluded });
                 SubtreePayload::Borrowed(index)

@@ -43,8 +43,6 @@
 //! Nothing is sized by the whole old arena. Without settled marks
 //! ([`diff_by_xid`]) the walk is the whole new tree.
 
-#![doc = "xylint: hot-path"]
-
 use crate::delta::{Delta, DeltaBuilder};
 use crate::lis::{chunked_heaviest_increasing_by, heaviest_increasing_subsequence_by};
 use crate::ops::{Op, PayloadSide};
@@ -112,14 +110,13 @@ pub(crate) fn diff_by_xid_captured(
     // indexed by XID value replaces the per-node hash probe. Long version
     // chains can leave the live XID range sparse; fall back to the hash map
     // there rather than allocate a table proportional to every XID ever
-    // issued.
-    // ALLOC-OK: two arrays per call; the diff's phase 5 passes its own.
+    // issued. The two partner arrays and the XID table are the call's fixed
+    // allocations (`tests/alloc_steady_state.rs` pins them); the diff's
+    // phase 5 passes its own arrays.
     let mut new_of_old: Vec<Option<NodeId>> = vec![None; o.arena_len()];
-    // ALLOC-OK: as above.
     let mut old_of_new: Vec<Option<NodeId>> = vec![None; n.arena_len()];
     let xid_span = new.next_xid_value() as usize;
     if xid_span <= 4 * (o.arena_len() + n.arena_len()) {
-        // ALLOC-OK: one table per call, as above.
         let mut node_of_xid: Vec<Option<NodeId>> = vec![None; xid_span];
         for (new_node, xid) in new.iter() {
             node_of_xid[xid.value() as usize] = Some(new_node);
@@ -208,6 +205,7 @@ pub fn diff_matched(
 }
 
 /// The XID of a node of `doc`.
+#[allow(clippy::expect_used)]
 fn xid(doc: &XidDocument, node: NodeId) -> Xid {
     // INVARIANT: every attached node of a XidDocument carries an XID;
     // assignment is total at construction (assign_initial / apply / the
@@ -382,7 +380,8 @@ impl Core<'_> {
     /// Within-parent moves under a partnered pair whose stable children
     /// changed their relative order: everything outside a heaviest
     /// order-preserving subsequence of their permutation becomes a
-    /// same-parent move (Figure 3).
+    /// same-parent move (Figure 3). Its arrays, like the LIS's, are
+    /// allocated per reordered parent.
     fn reorder(&mut self, old_parent: NodeId, parent: NodeId, lis_window: Option<usize>) {
         let (o, n) = (&self.old.doc.tree, &self.new.doc.tree);
         let (new_of_old, old_of_new) = (self.new_of_old, self.old_of_new);
@@ -392,7 +391,6 @@ impl Core<'_> {
         let stays_new =
             |c: NodeId| old_of_new[c.index()].filter(|&oc| o.parent(oc) == Some(old_parent));
         // Stable children with their positions, in each side's order.
-        // ALLOC-OK: per reordered parent, like the LIS below.
         let stable_new: Vec<(NodeId, usize)> = n
             .children(parent)
             .enumerate()
@@ -402,7 +400,6 @@ impl Core<'_> {
         if stable_new.len() < 2 {
             return;
         }
-        // ALLOC-OK: per reordered parent.
         let stable_old: Vec<(NodeId, usize, NodeId)> = o
             .children(old_parent)
             .enumerate()
@@ -410,11 +407,10 @@ impl Core<'_> {
             .collect();
         debug_assert_eq!(stable_old.len(), stable_new.len());
         // Each old-order child's rank in new order, found by node.
-        // ALLOC-OK: per reordered parent.
         let mut rank_of: Vec<(NodeId, u64)> =
             stable_new.iter().enumerate().map(|(rank, &(c, _))| (c, rank as u64)).collect();
         rank_of.sort_unstable();
-        // ALLOC-OK: per reordered parent.
+        #[allow(clippy::expect_used)]
         let perm: Vec<u64> = stable_old
             .iter()
             .map(|&(_, _, c)| {
@@ -423,14 +419,12 @@ impl Core<'_> {
                 rank_of[at.expect("stable on both sides")].1
             })
             .collect();
-        // ALLOC-OK: per reordered parent.
         let weights: Vec<u64> =
             stable_old.iter().map(|&(oc, ..)| o.subtree_size(oc) as u64).collect();
         let kept = match lis_window {
             Some(w) => chunked_heaviest_increasing_by(&perm, w, |i| weights[i]),
             None => heaviest_increasing_subsequence_by(&perm, |i| weights[i]),
         };
-        // ALLOC-OK: per reordered parent.
         let mut moves = vec![true; stable_old.len()];
         for i in kept {
             moves[i] = false;
@@ -456,7 +450,7 @@ impl Core<'_> {
             return pos;
         }
         let children = self.old.doc.tree.children(parent);
-        // ALLOC-OK: grows with the old parents that moves leave, per operation.
+        // Grows with the old parents that moves leave, per operation.
         self.old_pos.extend(children.enumerate().map(|(pos, c)| (c, pos)));
         self.old_pos[&oc]
     }

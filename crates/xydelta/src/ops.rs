@@ -72,6 +72,7 @@ impl Span {
         // INVARIANT: like the tree arena's own offsets, a delta's buffers
         // are u32-indexed; 4 Gi XIDs or bytes in one delta is outside the
         // design range.
+        #[allow(clippy::expect_used)]
         let word = |n: usize| u32::try_from(n).expect("delta buffer exceeds u32 range");
         Span { start: word(start), len: word(len) }
     }

@@ -187,6 +187,7 @@ impl XidDocument {
         // index; materialize it so the update below keeps it in sync.
         self.reverse();
         // INVARIANT: reverse() on the line above materializes the index.
+        #[allow(clippy::expect_used)]
         let by_xid = self.by_xid.get_mut().expect("reverse index materialized");
         if node.index() >= self.xid_of.len() {
             self.xid_of.resize(node.index() + 1, 0);
@@ -253,6 +254,7 @@ impl XidDocument {
     ///
     /// Panics in debug builds if any node of the subtree lacks an XID.
     pub fn xid_map_of(&self, node: NodeId) -> XidMap {
+        #[allow(clippy::expect_used)]
         let xids: Vec<Xid> = self
             .doc
             .tree

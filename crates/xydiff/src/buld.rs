@@ -26,8 +26,6 @@
 //! ([`Tree::subtree_eq`]) walks sibling and parent links, and the unique-child
 //! propagation sorts children in a table the [`Matching`] keeps for reuse.
 
-#![doc = "xylint: hot-path"]
-
 use crate::config::DiffOptions;
 use crate::info::TreeInfo;
 use crate::matching::Matching;
@@ -147,7 +145,7 @@ fn preverify_top_level(
     else {
         return;
     };
-    // ALLOC-OK: pre-verification only runs with a parallel runner installed;
+    // Pre-verification only runs with a parallel runner installed;
     // the serial path (the steady-state no-alloc one) never reaches here.
     let mut tasks: Vec<(NodeId, NodeId)> = Vec::new();
     for v in new.children(root_elem) {
@@ -245,7 +243,7 @@ impl CandidateIndex {
                     lists[live].nodes.clear();
                     lists[live].cursor = 0;
                 } else {
-                    // ALLOC-OK: a list slot past every earlier diff's count;
+                    // A list slot past every earlier diff's count;
                     // a warm scratch recycles them all.
                     lists.push(CandidateList { nodes: Vec::new(), cursor: 0 });
                 }

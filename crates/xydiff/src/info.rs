@@ -26,8 +26,6 @@
 //! label-table read per label. A label's own hash is computed once per
 //! symbol per worker, not per occurrence.
 
-#![doc = "xylint: hot-path"]
-
 use crate::par::StdScopeRunner;
 use std::sync::OnceLock;
 use xydelta::XidDocument;
@@ -181,7 +179,7 @@ impl LabelTable {
     fn fill(&mut self, label: Symbol) -> (u64, &'static str) {
         let i = label.id() as usize;
         if i >= self.slots.len() {
-            // ALLOC-OK: grows once per label id past every earlier one; a
+            // Grows once per label id past every earlier one; a
             // warm table never resizes.
             self.slots.resize(i + 1, None);
         }
@@ -253,7 +251,7 @@ fn analyze_into_with<const COMMUTATIVE: bool>(
         analyze_into::<COMMUTATIVE>(tree, labels, out);
         return;
     }
-    // ALLOC-OK: parallel staging is opt-in; the serial bypass above keeps the
+    // Parallel staging is opt-in; the serial bypass above keeps the
     // default path allocation-free.
     let shards: Vec<NodeId> = root_element_of(tree)
         .map(|re| tree.children(re).collect())
@@ -262,11 +260,12 @@ fn analyze_into_with<const COMMUTATIVE: bool>(
         analyze_into::<COMMUTATIVE>(tree, labels, out);
         return;
     }
-    // ALLOC-OK: parallel staging, as above.
+    // Parallel staging, as above.
     let slots: Vec<OnceLock<NodeInfo>> = (0..tree.arena_len()).map(|_| OnceLock::new()).collect();
     runner.run(shards.len(), |i| {
         let mut labels = LabelTable::default();
         for node in tree.post_order(shards[i]) {
+            #[allow(clippy::expect_used)]
             let info = compute_node::<COMMUTATIVE>(tree, node, &mut labels, |c| {
                 // INVARIANT: post-order within one shard — a node's children
                 // were published by this same worker before the node itself.
@@ -331,7 +330,7 @@ fn compute_node<const COMMUTATIVE: bool>(
                     fold(labels, a);
                 }
             } else {
-                // ALLOC-OK: out-of-order attributes only; the sortedness
+                // Out-of-order attributes only; the sortedness
                 // check above keeps ordinary elements off this path.
                 let mut idx: Vec<usize> = (0..e.attrs.len()).collect();
                 idx.sort_by_key(|&i| labels.get(e.attrs[i].name).1);

@@ -20,8 +20,6 @@
 //! byte-identical to the serial path at every thread count (pinned by
 //! `tests/diff_parallel_props.rs`).
 
-#![doc = "xylint: hot-path"]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Fork-join runner over [`std::thread::scope`].
@@ -63,7 +61,7 @@ impl StdScopeRunner {
             }
             return;
         }
-        // ALLOC-OK: parallel staging is opt-in; the one-thread path (the one
+        // Parallel staging is opt-in; the one-thread path (the one
         // the steady-state no-alloc test pins) never reaches this line.
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {

@@ -43,6 +43,7 @@ pub(crate) fn inherit_xids(
     }
     let (_, old_of_new, _) = matching.as_slices();
     let inherited = old_of_new.iter().enumerate().filter_map(|(i, o)| {
+        #[allow(clippy::expect_used)]
         let xid = old
             .xid((*o)?)
             // INVARIANT: the matching only relates nodes of the old

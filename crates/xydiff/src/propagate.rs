@@ -12,8 +12,6 @@
 //!    matching have a unique \[child\] with a given label, then these two
 //!    children will be matched."
 
-#![doc = "xylint: hot-path"]
-
 use crate::info::TreeInfo;
 use crate::matching::Matching;
 use crate::report::DiffStats;

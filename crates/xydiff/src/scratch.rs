@@ -13,8 +13,6 @@
 //! and with a thousand-times-reused scratch produce byte-identical deltas
 //! (pinned by the golden-equivalence suite and a property test).
 
-#![doc = "xylint: hot-path"]
-
 use crate::buld::BuldScratch;
 use crate::info::{LabelTable, TreeInfo};
 use crate::matching::Matching;

@@ -29,6 +29,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 mod tokenize;

@@ -42,11 +42,6 @@ pub struct NetConfig {
     /// Soft cap: above this many open connections, new arrivals are
     /// answered `503` + `Retry-After` and closed without being registered.
     pub shed_connections: usize,
-    /// Most bytes read from one connection per loop iteration, so a
-    /// firehose peer cannot starve the others.
-    pub read_budget: usize,
-    /// Most bytes written to one connection per loop iteration.
-    pub write_budget: usize,
 }
 
 impl Default for NetConfig {
@@ -59,8 +54,6 @@ impl Default for NetConfig {
             idle_timeout: Duration::from_secs(10),
             max_connections: 8192,
             shed_connections: 8192 - 8192 / 8,
-            read_budget: 64 << 10,
-            write_budget: 64 << 10,
         }
     }
 }
@@ -124,20 +117,6 @@ impl NetConfig {
         self.shed_connections = shed.max(1).min(self.max_connections);
         self
     }
-
-    /// Set the per-connection per-iteration read budget (minimum 512 B).
-    #[must_use]
-    pub fn with_read_budget(mut self, bytes: usize) -> NetConfig {
-        self.read_budget = bytes.max(512);
-        self
-    }
-
-    /// Set the per-connection per-iteration write budget (minimum 512 B).
-    #[must_use]
-    pub fn with_write_budget(mut self, bytes: usize) -> NetConfig {
-        self.write_budget = bytes.max(512);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +140,10 @@ mod tests {
     fn reactor_knobs_clamp_and_derive() {
         let c = NetConfig::new()
             .with_idle_timeout(Duration::ZERO)
-            .with_max_connections(0)
-            .with_read_budget(1)
-            .with_write_budget(1);
+            .with_max_connections(0);
         assert_eq!(c.idle_timeout, Duration::from_millis(1));
         assert_eq!(c.max_connections, 8);
         assert_eq!(c.shed_connections, 7, "shed re-derives from the cap");
-        assert_eq!(c.read_budget, 512);
-        assert_eq!(c.write_budget, 512);
 
         let c = NetConfig::new().with_max_connections(1000).with_shed_connections(4000);
         assert_eq!(c.shed_connections, 1000, "shed clamps to the cap");

@@ -33,6 +33,12 @@
 //! (reactor architecture) at the repository root.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(unreachable_pub)]
 
 mod config;

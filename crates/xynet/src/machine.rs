@@ -79,6 +79,7 @@ impl ConnMachine {
                 if self.buf.len() >= pending.len {
                     // INVARIANT: the `Some` was just matched; take() is the
                     // by-value move the borrow checker cannot see through.
+                    #[allow(clippy::expect_used)]
                     let pending = self.pending.take().expect("pending body present");
                     let body: Vec<u8> = self.buf.drain(..pending.len).collect();
                     return Step::Request(pending.head, body);

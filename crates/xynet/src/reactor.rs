@@ -50,14 +50,18 @@ use crate::http::{self, Limits};
 use crate::machine::{ConnMachine, Step};
 use crate::metrics::HttpMetrics;
 use crate::router::{self, Response, Routed};
-use crate::server::{NetShutdownReport, NetStartError, Shared};
+use crate::server::{locked, NetShutdownReport, NetStartError, Shared};
 
 /// Most connections accepted in one loop iteration, so a connect storm
 /// cannot starve established connections.
 const ACCEPT_BATCH: usize = 256;
 
-/// Read chunk size; the per-iteration cap is `NetConfig::read_budget`.
+/// Read chunk size; the per-iteration cap is `IO_BUDGET`.
 const READ_CHUNK: usize = 4096;
+
+/// Most bytes read from, and most written to, one connection per loop
+/// iteration, so a firehose peer cannot starve the others.
+const IO_BUDGET: usize = 64 << 10;
 
 /// Resolved ingest outcomes en route from worker threads to the reactor.
 pub(crate) struct CompletionQueue {
@@ -71,14 +75,12 @@ impl CompletionQueue {
     }
 
     fn push(&self, token: Token, gen: u64, outcome: IngestOutcome) {
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        self.queue.lock().unwrap().push((token, gen, outcome));
+        locked(&self.queue).push((token, gen, outcome));
         (self.waker)();
     }
 
     fn drain(&self) -> Vec<(Token, u64, IngestOutcome)> {
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        std::mem::take(&mut *self.queue.lock().unwrap())
+        std::mem::take(&mut *locked(&self.queue))
     }
 }
 
@@ -244,6 +246,7 @@ impl<D: Driver> Reactor<D> {
     /// Consume the reactor once its loop has exited: release the driver
     /// (closing the listener and poller), drain the ingest pipeline, and
     /// return the combined accounting.
+    #[allow(clippy::panic)]
     pub fn into_report(self) -> NetShutdownReport {
         let Reactor { driver, shared, completions, .. } = self;
         drop(driver);
@@ -324,7 +327,6 @@ impl<D: Driver> Reactor<D> {
     /// Read up to the budget, feed the machine, and process what completed.
     /// Returns false when the connection died.
     fn do_read(&mut self, token: Token) -> bool {
-        let budget = self.shared.config.read_budget;
         let mut dead = false;
         let mut progressed = false;
         {
@@ -347,7 +349,7 @@ impl<D: Driver> Reactor<D> {
                             conn.machine.feed(&chunk[..n]);
                             progressed = true;
                             total += n;
-                            if total >= budget {
+                            if total >= IO_BUDGET {
                                 break; // budget spent; re-arm picks it up
                             }
                         }
@@ -479,14 +481,13 @@ impl<D: Driver> Reactor<D> {
     /// Flush pending output (bounded by the write budget), then close or
     /// re-arm.
     fn finish_conn(&mut self, token: Token) {
-        let budget = self.shared.config.write_budget;
         let now = self.driver.now();
         let mut dead = false;
         {
             let Some(conn) = self.slots[token].conn.as_mut() else { return };
             let mut written = 0usize;
-            while conn.out_pos < conn.out.len() && written < budget {
-                let end = conn.out.len().min(conn.out_pos + (budget - written));
+            while conn.out_pos < conn.out.len() && written < IO_BUDGET {
+                let end = conn.out.len().min(conn.out_pos + (IO_BUDGET - written));
                 match conn.transport.write(&conn.out[conn.out_pos..end]) {
                     Ok(0) => {
                         dead = true;

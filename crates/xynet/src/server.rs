@@ -25,7 +25,7 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -93,18 +93,16 @@ impl Shared {
             return;
         }
         self.ingest.begin_drain();
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        if let Some(waker) = self.waker.lock().unwrap().as_ref() {
+        if let Some(waker) = locked(&self.waker).as_ref() {
             waker();
         }
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        *self.shutdown_flag.lock().unwrap() = true;
+        *locked(&self.shutdown_flag) = true;
         self.shutdown_cv.notify_all();
     }
 
     pub(crate) fn wait_for_shutdown_request(&self, timeout: Duration) -> bool {
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        let flag = self.shutdown_flag.lock().unwrap();
+        let flag = locked(&self.shutdown_flag);
+        #[allow(clippy::unwrap_used)]
         let (flag, _) = self
             .shutdown_cv
             .wait_timeout_while(flag, timeout, |requested| !*requested)
@@ -116,9 +114,15 @@ impl Shared {
     /// Drop the poller wake-up (after the reactor exits, so the poller's
     /// descriptors can close).
     pub(crate) fn take_waker(&self) {
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        self.waker.lock().unwrap().take();
+        locked(&self.waker).take();
     }
+}
+
+/// Lock a piece of front state.
+#[allow(clippy::unwrap_used)]
+pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // INVARIANT: a poisoned lock means a panicking holder; propagate.
+    m.lock().unwrap()
 }
 
 /// The HTTP front over an [`IngestServer`]: binds a nonblocking listener
@@ -137,6 +141,7 @@ impl NetServer {
         let driver = SysDriver::bind(&net.addr).map_err(NetStartError::Bind)?;
         let mut reactor = Reactor::new(driver, net, serve)?;
         let handle = reactor.handle();
+        #[allow(clippy::expect_used)]
         let thread = std::thread::Builder::new()
             .name("xynet-reactor".to_string())
             .spawn(move || {
@@ -149,6 +154,7 @@ impl NetServer {
         Ok(NetServer { handle: Some(handle), reactor: Some(thread) })
     }
 
+    #[allow(clippy::expect_used)]
     fn handle(&self) -> &FrontHandle {
         // INVARIANT: `handle` is only vacated by `shutdown`, which consumes
         // the handle — no method can run after it.
@@ -191,8 +197,10 @@ impl NetServer {
         // its accounting sees the last Arc.
         self.handle = None;
         // INVARIANT: `reactor` is only vacated here, and `self` is consumed.
+        #[allow(clippy::expect_used)]
         let thread = self.reactor.take().expect("NetServer used after shutdown");
         // INVARIANT: a panicking reactor is a server bug; propagate.
+        #[allow(clippy::expect_used)]
         let reactor = thread.join().expect("reactor thread panicked");
         reactor.into_report()
     }

@@ -68,8 +68,7 @@ struct SimShared {
 
 impl SimShared {
     fn lock(&self) -> std::sync::MutexGuard<'_, SimState> {
-        // INVARIANT: a poisoned lock means a panicking holder; propagate.
-        self.state.lock().unwrap()
+        crate::server::locked(&self.state)
     }
 
     fn wake(&self) {
@@ -136,6 +135,7 @@ impl SimClient {
         let mut state = self.shared.lock();
         // INVARIANT: connections are never removed from the map while a
         // SimClient is alive; only flagged closed.
+        #[allow(clippy::expect_used)]
         let conn = state.conns.get_mut(&self.id).expect("connection exists");
         f(conn)
     }
@@ -288,8 +288,7 @@ impl SimDriver {
 
 impl Driver for SimDriver {
     fn local_addr(&self) -> SocketAddr {
-        // INVARIANT: a fixed literal address always parses.
-        "127.0.0.1:0".parse().expect("literal address parses")
+        SocketAddr::from(([127, 0, 0, 1], 0))
     }
 
     fn now(&self) -> Instant {
@@ -313,6 +312,7 @@ impl Driver for SimDriver {
                 return Ok(());
             }
             // INVARIANT: a poisoned lock means a panicking holder; propagate.
+            #[allow(clippy::unwrap_used)]
             let (next, _) = self.shared.cv.wait_timeout(state, left).unwrap();
             state = next;
         }

@@ -37,6 +37,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 mod eval;

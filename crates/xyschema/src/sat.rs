@@ -346,6 +346,7 @@ pub fn analyze(path: &Path, g: &Grammar) -> Result<Verdict, AnalysisError> {
             NodeTest::Name(_) | NodeTest::AnyElement => {
                 for (ctx, metas) in &frontier {
                     let cands = candidates(g, *ctx, step.axis);
+                    #[allow(clippy::unreachable)]
                     let wanted: Vec<Symbol> = match &step.test {
                         NodeTest::Name(n) => match Symbol::lookup(n) {
                             Some(s) if g.is_declared(s) => {

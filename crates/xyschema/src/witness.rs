@@ -270,6 +270,7 @@ impl<'g> Builder<'g> {
                 )?;
                 let mut placed = Some(nth);
                 for (i, s) in word.into_iter().enumerate() {
+                    #[allow(clippy::expect_used)]
                     let child = if i + 1 == n {
                         // INVARIANT: word_with_nth puts `nth.label` at
                         // element position n, so `placed` is still present.
@@ -310,6 +311,7 @@ impl<'g> Builder<'g> {
         for i in 1..=n {
             if i > 1 {
                 // INVARIANT: n > 1 implies a separator was found above.
+                #[allow(clippy::expect_used)]
                 let sep = separator.expect("separator exists for n > 1");
                 node.children.push(WChild::Elem(self.build_min(sep)?));
             }

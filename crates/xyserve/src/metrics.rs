@@ -147,24 +147,27 @@ pub mod expo {
     use std::fmt::Write;
 
     /// Append `# HELP`/`# TYPE` header lines for a metric family.
+    // INVARIANT: writing to a String cannot fail.
+    #[allow(clippy::unwrap_used)]
     pub(crate) fn header(out: &mut String, name: &str, help: &str, kind: &str) {
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "# HELP {name} {help}").unwrap();
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "# TYPE {name} {kind}").unwrap();
     }
 
     /// Append one counter family (`name` must already end in `_total`).
+    // INVARIANT: writing to a String cannot fail.
+    #[allow(clippy::unwrap_used)]
     pub fn counter(out: &mut String, name: &str, help: &str, value: u64) {
         debug_assert!(name.ends_with("_total"), "counter {name} must end in _total");
         header(out, name, help, "counter");
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "{name} {value}").unwrap();
     }
 
     /// Append one counter family whose series carry a label, e.g.
     /// `http_responses_total{code="200"} 7`. Zero-valued series are kept so
     /// scrapes always see the full label set.
+    // INVARIANT: writing to a String cannot fail.
+    #[allow(clippy::unwrap_used)]
     pub fn labeled_counter(
         out: &mut String,
         name: &str,
@@ -175,15 +178,15 @@ pub mod expo {
         debug_assert!(name.ends_with("_total"), "counter {name} must end in _total");
         header(out, name, help, "counter");
         for (value, count) in series {
-            // INVARIANT: writing to a String cannot fail.
             writeln!(out, "{name}{{{label}=\"{value}\"}} {count}").unwrap();
         }
     }
 
     /// Append one gauge family.
+    // INVARIANT: writing to a String cannot fail.
+    #[allow(clippy::unwrap_used)]
     pub fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
         header(out, name, help, "gauge");
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "{name} {value}").unwrap();
     }
 
@@ -191,6 +194,8 @@ pub mod expo {
     /// `_seconds`): cumulative `_bucket{le="…"}` series with exact `le`
     /// semantics (the histogram's µs buckets have inclusive upper bounds),
     /// then `_sum` and `_count`.
+    // INVARIANT: writing to a String cannot fail.
+    #[allow(clippy::unwrap_used)]
     pub fn histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
         header(out, name, help, "histogram");
         let counts = h.bucket_counts();
@@ -198,14 +203,10 @@ pub mod expo {
         for (i, c) in counts.iter().enumerate().take(counts.len() - 1) {
             cumulative += c;
             let le = (1u64 << i) as f64 / 1e6;
-            // INVARIANT: writing to a String cannot fail.
             writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}").unwrap();
         }
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count()).unwrap();
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "{name}_sum {}", h.sum_micros() as f64 / 1e6).unwrap();
-        // INVARIANT: writing to a String cannot fail.
         writeln!(out, "{name}_count {}", h.count()).unwrap();
     }
 }

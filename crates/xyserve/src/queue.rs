@@ -91,6 +91,7 @@ impl<T> KeyedQueue<T> {
         }
     }
 
+    #[allow(clippy::expect_used)]
     fn lock(&self) -> MutexGuard<'_, State<T>> {
         // INVARIANT: no code path panics while holding this lock short of a
         // broken internal condition; a poisoned queue cannot vouch for its
@@ -98,6 +99,7 @@ impl<T> KeyedQueue<T> {
         self.state.lock().expect("keyed queue lock poisoned")
     }
 
+    #[allow(clippy::expect_used)]
     fn wait<'a>(&self, cv: &Condvar, guard: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
         // INVARIANT: same lock, same reasoning as `lock`.
         cv.wait(guard).expect("keyed queue lock poisoned")
@@ -138,6 +140,7 @@ impl<T> KeyedQueue<T> {
             state.lanes.insert(key, lane);
         }
         // INVARIANT: the lane was found or inserted just above, under the lock.
+        #[allow(clippy::expect_used)]
         let lane = state.lanes.get_mut(key).expect("lane exists");
         let seq = lane.next_seq;
         lane.next_seq += 1;
@@ -154,8 +157,10 @@ impl<T> KeyedQueue<T> {
         let key = s.ready.pop_front()?;
         // INVARIANT: `ready` only holds keys of existing lanes with pending
         // work and no job out, and lanes are never removed.
+        #[allow(clippy::expect_used)]
         let lane = s.lanes.get_mut(&*key).expect("ready key has a lane");
         // INVARIANT: see above — a ready lane has at least one pending job.
+        #[allow(clippy::expect_used)]
         let (seq, item) = lane.pending.pop_front().expect("ready lane has a job");
         lane.busy = true;
         let depth = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
@@ -197,6 +202,7 @@ impl<T> KeyedQueue<T> {
         let state = &mut *s;
         // INVARIANT: `done` is only called with a key `pop` returned, and
         // lanes are never removed.
+        #[allow(clippy::expect_used)]
         let lane = state.lanes.get_mut(key).expect("done for a popped key");
         debug_assert!(lane.busy, "done without a job out");
         lane.busy = false;

@@ -517,6 +517,7 @@ impl IngestServer {
     ///
     /// Panics if a configured write-ahead log cannot be opened or replayed;
     /// callers with a [`WalPolicy`] should prefer [`IngestServer::try_start`].
+    #[allow(clippy::expect_used)]
     pub fn start(config: ServeConfig) -> IngestServer {
         // INVARIANT: the only fallible path is WAL open + replay, which
         // callers opting into persistence handle through try_start.
@@ -574,6 +575,7 @@ impl IngestServer {
         if let Some(wal) = &inner.wal {
             inner.sync_wal_metrics(wal);
         }
+        #[allow(clippy::expect_used)]
         let workers = (0..inner.config.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -585,6 +587,7 @@ impl IngestServer {
                     .expect("spawn worker thread")
             })
             .collect();
+        #[allow(clippy::expect_used)]
         let compactor = inner.compactor.is_some().then(|| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -754,6 +757,7 @@ impl Drop for IngestServer {
 }
 
 /// Lock a piece of server state.
+#[allow(clippy::unwrap_used)]
 fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // INVARIANT: a poisoned lock means a holder panicked mid-update; the
     // server cannot vouch for its state, so the panic propagates.
@@ -929,6 +933,7 @@ impl Inner {
     /// configured hop bound through checkpoints.
     fn compactor_loop(&self) {
         // INVARIANT: compactor_loop only runs when a CompactorState was built.
+        #[allow(clippy::expect_used)]
         let st = self.compactor.as_ref().expect("compactor state exists");
         loop {
             {
@@ -938,6 +943,7 @@ impl Inner {
                 }
                 // INVARIANT: a poisoned lock means a holder panicked
                 // mid-update; the panic propagates.
+                #[allow(clippy::unwrap_used)]
                 let wait = st.wake.wait_timeout(stop, Duration::from_millis(250)).unwrap();
                 let (stop, _) = wait;
                 if *stop {

@@ -20,6 +20,7 @@
 //!   catalog example, for tests and examples.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 

@@ -46,6 +46,9 @@ pub enum ParseErrorKind {
     InvalidCharRef(String),
     /// Entity expansion exceeded the recursion limit (cycle guard).
     EntityRecursionLimit(String),
+    /// Internal entities expanded to more than this many bytes of
+    /// replacement text in one document (a "billion laughs" guard).
+    EntityExpansionLimit(usize),
     /// Document nesting exceeded [`crate::ParseOptions::max_depth`].
     TooDeep(usize),
     /// More than one root element, or text at the top level.
@@ -90,6 +93,9 @@ impl fmt::Display for ParseErrorKind {
             InvalidCharRef(body) => write!(f, "invalid character reference &#{body};"),
             EntityRecursionLimit(name) => {
                 write!(f, "entity &{name}; expands too deeply (recursive definition?)")
+            }
+            EntityExpansionLimit(limit) => {
+                write!(f, "internal entities expand to more than {limit} bytes")
             }
             TooDeep(limit) => write!(f, "document nesting exceeds the limit of {limit}"),
             ContentOutsideRoot => write!(f, "content outside the root element"),

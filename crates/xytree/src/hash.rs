@@ -24,8 +24,6 @@
 //! uses [`RandomWordState`], a [`WordHash`] with a per-process random
 //! initial state.
 
-#![doc = "xylint: hot-path"]
-
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -72,6 +70,7 @@ impl Fnv64 {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
             // INVARIANT: chunks_exact(8) yields exactly-8-byte slices.
+            #[allow(clippy::expect_used)]
             let w = u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
             state ^= w & 0xff;
             state = state.wrapping_mul(FNV_PRIME);
@@ -203,6 +202,7 @@ impl WordHash {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
             // INVARIANT: chunks_exact(8) yields exactly-8-byte slices.
+            #[allow(clippy::expect_used)]
             let word = u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
             state = fold(state, word);
         }

@@ -31,15 +31,13 @@
 //!   the right trade for label-like strings (bounded, heavily repeated) and
 //!   why attribute *values* and text content stay `String`.
 
-#![doc = "xylint: hot-path"]
-
 use crate::hash::RandomWordState;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 /// Most names one thread's cache holds.
 const THREAD_CACHE_CAP: usize = 4096;
@@ -61,9 +59,16 @@ fn interner() -> &'static RwLock<Interner> {
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         // Slot 0 is the empty string so `Symbol::default()` needs no lookup.
-        // ALLOC-OK: once per process.
         RwLock::new(Interner { map: HashMap::from([("", 0)]), strings: vec![""] })
     })
+}
+
+/// Read the global table.
+#[allow(clippy::expect_used)]
+fn read_table() -> RwLockReadGuard<'static, Interner> {
+    // INVARIANT: the interner holds no user code, so the lock can only be
+    // poisoned by an allocation failure — unrecoverable either way.
+    interner().read().expect("interner poisoned")
 }
 
 /// A thread's names → handles, keyed by the global table's own text.
@@ -76,25 +81,20 @@ thread_local! {
 
 /// Intern `s` in the global table: its handle and the table's copy of it.
 fn intern_global(s: &str) -> (u32, &'static str) {
-    let lock = interner();
-    {
-        // INVARIANT: the interner holds no user code, so the lock can only be
-        // poisoned by an allocation failure — unrecoverable either way.
-        let r = lock.read().expect("interner poisoned");
-        if let Some((&text, &id)) = r.map.get_key_value(s) {
-            return (id, text);
-        }
+    if let Some((&text, &id)) = read_table().map.get_key_value(s) {
+        return (id, text);
     }
-    // INVARIANT: the interner holds no user code, so the lock can only be
-    // poisoned by an allocation failure — unrecoverable either way.
-    let mut w = lock.write().expect("interner poisoned");
+    // INVARIANT: as in `read_table`.
+    #[allow(clippy::expect_used)]
+    let mut w = interner().write().expect("interner poisoned");
     if let Some((&text, &id)) = w.map.get_key_value(s) {
         return (id, text);
     }
-    // ALLOC-OK: a name never seen by the process is stored once, for good.
+    // A name never seen by the process is stored once, for good.
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     // INVARIANT: 2^32 distinct labels would exhaust memory long before
     // the table overflows; this is a capacity invariant, not input-driven.
+    #[allow(clippy::expect_used)]
     let id = u32::try_from(w.strings.len()).expect("intern table overflow");
     w.strings.push(leaked);
     w.map.insert(leaked, id);
@@ -116,7 +116,7 @@ impl Symbol {
         let _ = THREAD_CACHE.try_with(|cache| {
             let mut cache = cache.borrow_mut();
             if cache.len() < THREAD_CACHE_CAP {
-                // ALLOC-OK: a miss — at most once per distinct name per
+                // A miss — at most once per distinct name per
                 // thread, and never past the cap.
                 cache.insert(text, id);
             }
@@ -128,18 +128,14 @@ impl Symbol {
     /// lookups keyed by [`Symbol`] when the query string may be novel (a
     /// never-interned label cannot possibly be a key).
     pub fn lookup(s: &str) -> Option<Symbol> {
-        // INVARIANT: the interner holds no user code, so the lock can only be
-        // poisoned by an allocation failure — unrecoverable either way.
-        interner().read().expect("interner poisoned").map.get(s).map(|&id| Symbol(id))
+        read_table().map.get(s).map(|&id| Symbol(id))
     }
 
     /// The label text. `'static` because interned strings live as long as
     /// the process.
     #[inline]
     pub fn as_str(&self) -> &'static str {
-        // INVARIANT: the interner holds no user code, so the lock can only be
-        // poisoned by an allocation failure — unrecoverable either way.
-        interner().read().expect("interner poisoned").strings[self.0 as usize]
+        read_table().strings[self.0 as usize]
     }
 
     /// The raw handle value (diagnostics only — not stable across runs).
@@ -252,7 +248,6 @@ impl From<&String> for Symbol {
 
 impl From<Symbol> for String {
     fn from(s: Symbol) -> String {
-        // ALLOC-OK: the caller asked for an owned copy.
         s.as_str().to_owned()
     }
 }

@@ -30,6 +30,11 @@
 //! nodes across two versions needs.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 

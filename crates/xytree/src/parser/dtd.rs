@@ -474,15 +474,9 @@ fn parse_children_group(cur: &mut Cursor<'_>, depth: usize) -> Result<Particle, 
     let occur = parse_occur(cur);
     Ok(match sep {
         Some(b'|') => Particle::Choice(items, occur),
-        // A single-item group is a sequence of one; `,` keeps it a Seq too.
-        _ => {
-            if items.len() == 1 && occur == Occur::One {
-                // INVARIANT: items starts with one element and only grows.
-                items.pop().expect("single-item group")
-            } else {
-                Particle::Seq(items, occur)
-            }
-        }
+        // A single-item group is its item; `,` keeps it a Seq.
+        _ if items.len() == 1 && occur == Occur::One => items.remove(0),
+        _ => Particle::Seq(items, occur),
     })
 }
 

@@ -9,7 +9,13 @@ use std::collections::HashMap;
 /// definitions like `<!ENTITY a "&b;"><!ENTITY b "&a;">`.
 const MAX_ENTITY_DEPTH: usize = 16;
 
-/// Expand all `&...;` references in `raw`.
+/// Replacement-text bytes one document's internal entities may expand to.
+/// The depth bound alone lets a ten-level "billion laughs" DTD of 1 KB
+/// expand to gigabytes; legitimate documents stay orders of magnitude below.
+pub(crate) const MAX_EXPANSION_BYTES: usize = 16 << 20;
+
+/// Expand all `&...;` references in `raw`, charging each internal entity's
+/// replacement text to `budget` (the bytes the document may still expand to).
 ///
 /// The overwhelmingly common case — element content and attribute values
 /// with no references at all — borrows the input untouched; an owned string
@@ -18,12 +24,13 @@ const MAX_ENTITY_DEPTH: usize = 16;
 pub(crate) fn expand<'a>(
     raw: &'a str,
     entities: Option<&HashMap<String, String>>,
+    budget: &mut usize,
 ) -> Result<Cow<'a, str>, ParseErrorKind> {
     if !raw.as_bytes().contains(&b'&') {
         return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
-    expand_rec(raw, entities, &mut out, 0)?;
+    expand_rec(raw, entities, &mut out, 0, budget)?;
     Ok(Cow::Owned(out))
 }
 
@@ -32,6 +39,7 @@ fn expand_rec(
     entities: Option<&HashMap<String, String>>,
     out: &mut String,
     depth: usize,
+    budget: &mut usize,
 ) -> Result<(), ParseErrorKind> {
     let mut rest = raw;
     while let Some(amp) = rest.find('&') {
@@ -72,7 +80,10 @@ fn expand_rec(
                 if depth >= MAX_ENTITY_DEPTH {
                     return Err(ParseErrorKind::EntityRecursionLimit(name.to_string()));
                 }
-                expand_rec(value, entities, out, depth + 1)?;
+                *budget = budget
+                    .checked_sub(value.len())
+                    .ok_or(ParseErrorKind::EntityExpansionLimit(MAX_EXPANSION_BYTES))?;
+                expand_rec(value, entities, out, depth + 1, budget)?;
             }
         }
     }
@@ -87,7 +98,8 @@ mod tests {
     fn expand(raw: &str, ents: &[(&str, &str)]) -> Result<String, ParseErrorKind> {
         let map: HashMap<String, String> =
             ents.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
-        super::expand(raw, Some(&map)).map(Cow::into_owned)
+        let mut budget = MAX_EXPANSION_BYTES;
+        super::expand(raw, Some(&map), &mut budget).map(Cow::into_owned)
     }
 
     #[test]
@@ -138,7 +150,20 @@ mod tests {
     #[test]
     fn no_entities_fast_path() {
         assert_eq!(expand("plain text", &[]).unwrap(), "plain text");
-        assert!(matches!(super::expand("plain text", None).unwrap(), Cow::Borrowed(_)));
-        assert!(matches!(super::expand("a&amp;b", None).unwrap(), Cow::Owned(_)));
+        let budget = &mut 0;
+        assert!(matches!(super::expand("plain text", None, budget).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(super::expand("a&amp;b", None, budget).unwrap(), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn expansion_is_charged_to_the_budget() {
+        let map = HashMap::from([("e".to_string(), "12345".to_string())]);
+        let mut budget = 12;
+        assert_eq!(super::expand("&e;&e;", Some(&map), &mut budget).unwrap(), "1234512345");
+        assert_eq!(budget, 2);
+        assert_eq!(
+            super::expand("&e;", Some(&map), &mut budget),
+            Err(ParseErrorKind::EntityExpansionLimit(MAX_EXPANSION_BYTES))
+        );
     }
 }

@@ -126,6 +126,9 @@ pub struct Tokenizer<'a> {
     seen_root: bool,
     /// Attributes of the start tag read last, values entity-expanded.
     attrs: Vec<(&'a str, Cow<'a, str>)>,
+    /// Replacement-text bytes this document's internal entities may still
+    /// expand to.
+    expansion_budget: usize,
 }
 
 impl<'a> Tokenizer<'a> {
@@ -142,6 +145,7 @@ impl<'a> Tokenizer<'a> {
             close_due: false,
             seen_root: false,
             attrs: Vec::new(),
+            expansion_budget: entities::MAX_EXPANSION_BYTES,
         }
     }
 
@@ -174,7 +178,8 @@ impl<'a> Tokenizer<'a> {
             }
             if self.cur.peek() != Some(b'<') {
                 let raw = self.cur.take_until(b'<');
-                let expanded = entities::expand(raw, self.doctype.as_ref().map(|d| &d.entities))
+                let entities = self.doctype.as_ref().map(|d| &d.entities);
+                let expanded = entities::expand(raw, entities, &mut self.expansion_budget)
                     .map_err(|k| self.error(k))?;
                 match self.text_run(expanded)? {
                     Some(token) => return Ok(token),
@@ -337,7 +342,8 @@ impl<'a> Tokenizer<'a> {
             .cur
             .take_until_byte_checked(quote)
             .ok_or_else(|| self.error(ParseErrorKind::UnexpectedEof("attribute value")))?;
-        let value = entities::expand(raw, self.doctype.as_ref().map(|d| &d.entities))
+        let entities = self.doctype.as_ref().map(|d| &d.entities);
+        let value = entities::expand(raw, entities, &mut self.expansion_budget)
             .map_err(|k| self.error(k))?;
         self.cur.advance(1); // closing quote
         Ok((name, value))
@@ -404,6 +410,7 @@ impl<'a> Tokenizer<'a> {
 /// Character data goes from the input straight into the tree's text buffer:
 /// text that the whitespace policy drops is never copied at all, and kept
 /// text is copied exactly once.
+#[allow(clippy::expect_used)]
 pub fn build_content(
     tokens: &mut Tokenizer<'_>,
     tree: &mut Tree,

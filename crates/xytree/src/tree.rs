@@ -64,6 +64,7 @@ impl NodeId {
     /// [`NodeId::index`]. Using an index that was never handed out yields a
     /// node id that panics on use.
     #[inline]
+    #[allow(clippy::expect_used)]
     pub fn from_index(index: usize) -> NodeId {
         let raw = u32::try_from(index).ok().and_then(|i| NonZeroU32::new(i.wrapping_add(1)));
         // INVARIANT: arena slots are u32-indexed; an index from
@@ -151,6 +152,7 @@ impl Default for Tree {
 }
 
 /// Narrow a buffer offset or table index to a payload word.
+#[allow(clippy::expect_used)]
 fn word(n: usize) -> u32 {
     // INVARIANT: like node indices, per-tree text offsets are u32; a tree
     // holding 4 GiB of character data is outside the arena's design range.
@@ -202,6 +204,7 @@ impl Tree {
         &self.side.text[start as usize..start as usize + len as usize]
     }
 
+    #[allow(clippy::expect_used)]
     fn rare(&self) -> &Rare {
         // INVARIANT: a slot only refers to an attribute list or a PI after
         // `rare_mut` created the table that holds it.
@@ -535,6 +538,7 @@ impl Tree {
     /// # Panics
     ///
     /// Panics on [`NodeKind::Document`].
+    #[allow(clippy::panic)]
     pub fn new_node(&mut self, kind: NodeKind<'_>) -> NodeId {
         match kind {
             // INVARIANT: documented precondition — the root is the only
@@ -610,6 +614,7 @@ impl Tree {
 
     /// Attach `new` immediately before `sibling` (which must be attached).
     pub(crate) fn insert_before(&mut self, sibling: NodeId, new: NodeId) {
+        #[allow(clippy::expect_used)]
         let parent = self
             .parent(sibling)
             // INVARIANT: documented precondition — `sibling` is attached.
@@ -631,6 +636,7 @@ impl Tree {
         match self.next_sibling(sibling) {
             Some(next) => self.insert_before(next, new),
             None => {
+                #[allow(clippy::expect_used)]
                 let parent = self
                     .parent(sibling)
                     // INVARIANT: documented precondition — `sibling` is attached.
@@ -686,6 +692,7 @@ impl Tree {
     /// root appears in `excluded` (sorted ascending; binary-searched per
     /// child). This is how borrowed delta payloads materialize: the excluded
     /// ids are the moved-out descendants covered by move operations.
+    #[allow(clippy::expect_used)]
     pub fn copy_subtree_from_excluding(
         &mut self,
         src: &Tree,
@@ -783,6 +790,7 @@ impl Tree {
     /// every accept, and it must not overflow on pathologically deep
     /// documents either. The two walks stay at the same depth, so when one
     /// climbs back to `a` the other is back at `b`.
+    #[allow(clippy::expect_used)]
     pub fn subtree_eq(&self, a: NodeId, other: &Tree, b: NodeId) -> bool {
         let (mut x, mut y) = (a, b);
         loop {

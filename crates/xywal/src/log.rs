@@ -151,6 +151,7 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
             });
         }
         // INVARIANT: the slice is exactly 8 bytes (length checked above).
+        #[allow(clippy::unwrap_used)]
         let first_lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         match expected_first {
             None if first_lsn != 1 => {

@@ -137,11 +137,13 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Record, usize), FrameError> {
     }
     // INVARIANT: the slice bounds are checked against buf.len() above /
     // below; try_into on a 4- or 8-byte slice of matching length cannot fail.
+    #[allow(clippy::unwrap_used)]
     let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
     if len > MAX_BODY_BYTES {
         return Err(FrameError::OversizedLength(len));
     }
     // INVARIANT: 4..12 is in bounds — buf.len() >= FRAME_HEADER_BYTES == 12.
+    #[allow(clippy::unwrap_used)]
     let stored = u64::from_le_bytes(buf[4..12].try_into().unwrap());
     let end = FRAME_HEADER_BYTES + len as usize;
     if buf.len() < end {
@@ -161,6 +163,7 @@ fn decode_body(body: &[u8]) -> Result<Record, FrameError> {
         return Err(FrameError::Malformed("missing key length"));
     }
     // INVARIANT: rest has at least 4 bytes, checked on the line above.
+    #[allow(clippy::unwrap_used)]
     let key_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     let rest = &rest[4..];
     if rest.len() < key_len {
@@ -182,6 +185,7 @@ fn decode_body(body: &[u8]) -> Result<Record, FrameError> {
                 return Err(FrameError::Malformed("missing version"));
             }
             // INVARIANT: rest has at least 8 bytes, checked on the line above.
+            #[allow(clippy::unwrap_used)]
             let version = u64::from_le_bytes(rest[0..8].try_into().unwrap());
             let delta_xml = std::str::from_utf8(&rest[8..])
                 .map_err(|_| FrameError::Malformed("payload is not UTF-8"))?

@@ -135,6 +135,7 @@ impl Repository {
     /// fallible part and a large share of the work — happens outside the
     /// store's write lock, so concurrent pipelines parse in parallel and
     /// hold the lock only for diff + append.
+    #[allow(clippy::expect_used)]
     pub(crate) fn load_parsed(&self, key: &str, doc: Document) -> LoadOutcome {
         let mut differ = self.differ();
         self.try_load_parsed_with(key, doc, &mut differ)

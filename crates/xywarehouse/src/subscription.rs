@@ -120,6 +120,7 @@ impl Subscription {
     /// registered by the operator, so a bad pattern is a configuration bug
     /// best caught at registration. Use `try_at_query` for
     /// fallible registration.
+    #[allow(clippy::expect_used)]
     pub fn at_query(self, path: &str) -> Self {
         // INVARIANT: documented panic — operator-supplied pattern; the
         // fallible form is try_at_query.

@@ -13,8 +13,8 @@
 //!
 //! This file is the one place in the workspace allowed to contain `unsafe`
 //! (every `crates/*` root keeps `#![forbid(unsafe_code)]`, enforced by
-//! xylint L3); each unsafe block is a direct FFI call with its argument
-//! validity argued on the spot.
+//! CI's root-attribute check); each unsafe block is a direct FFI call with
+//! its argument validity argued on the spot.
 
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};

@@ -16,6 +16,10 @@
 //! - [`xynet`] — HTTP/1.1 network front for the ingestion server
 //! - [`xywal`] — write-ahead delta log (crash recovery + compaction)
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]
+
 pub use xybase;
 pub use xydelta;
 pub use xydiff;

@@ -1,58 +1,65 @@
 //! Heap-instrumented proof of the allocation-free hot path, and of what a
 //! stored delta costs.
 //!
-//! A counting global allocator tracks net live bytes, live blocks and the
-//! number of allocation calls. After a warm-up that fills the `DiffScratch` capacity,
-//! interns every symbol, and touches every lazily initialised global,
-//! repeating the same diff workload must not grow the heap at all: every
-//! transient allocation (delta ops, the cloned new version) is freed with its
-//! `DiffResult`, and the scratch reuses its capacity instead of reallocating.
+//! A counting global allocator tracks, per thread, net live bytes, live
+//! blocks and the number of allocation calls. Every workload here runs on
+//! its test's own thread, so what the harness and the other tests do on
+//! theirs never shows in a reading. After a warm-up that fills the
+//! `DiffScratch` capacity, interns every symbol, and touches every lazily
+//! initialised global, repeating the same diff workload must not grow the
+//! heap at all: every transient allocation (delta ops, the cloned new
+//! version) is freed with its `DiffResult`, and the scratch reuses its
+//! capacity instead of reallocating.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-use xydiff_suite::xydelta::{xml_io, CaptureMode, Delta, Op, PayloadSource, XidDocument};
+use xydiff_suite::xydelta::{
+    diff_by_xid, xml_io, CaptureMode, Delta, Op, PayloadSource, XidDocument,
+};
 use xydiff_suite::xydiff::{Differ, SignatureCache};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
-use xydiff_suite::xytree::Document;
+use xydiff_suite::xytree::{Document, Symbol};
 use xydiff_suite::xywarehouse::Repository;
-
-/// The harness runs `#[test]` fns on concurrent threads, but every test
-/// here reads the one global byte counter — serialize them.
-static GATE: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
-/// Calls that obtain or move a block: `alloc`, `alloc_zeroed`, `realloc`.
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
+    /// Calls that obtain or move a block: `alloc`, `alloc_zeroed`, `realloc`.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn count_alloc(size: usize) {
+    ALLOC_CALLS.set(ALLOC_CALLS.get() + 1);
+    LIVE_BLOCKS.set(LIVE_BLOCKS.get() + 1);
+    LIVE_BYTES.set(LIVE_BYTES.get() + size as isize);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`. The
+// counters are const-initialised thread-locals with no destructor, so
+// updating them neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BLOCKS.fetch_sub(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        LIVE_BLOCKS.set(LIVE_BLOCKS.get() - 1);
+        LIVE_BYTES.set(LIVE_BYTES.get() - layout.size() as isize);
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        ALLOC_CALLS.set(ALLOC_CALLS.get() + 1);
+        LIVE_BYTES.set(LIVE_BYTES.get() + new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -82,7 +89,6 @@ fn workload() -> Vec<(XidDocument, Document)> {
 
 #[test]
 fn steady_state_diffing_does_not_grow_the_heap() {
-    let _gate = GATE.lock().unwrap();
     let cases = workload();
     let mut differ = Differ::new();
 
@@ -95,13 +101,13 @@ fn steady_state_diffing_does_not_grow_the_heap() {
         }
     }
 
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = LIVE_BYTES.get();
     for _ in 0..25 {
         for (old, new) in &cases {
             let _ = differ.diff(old, new);
         }
     }
-    let growth = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let growth = LIVE_BYTES.get() - before;
 
     assert_eq!(
         growth, 0,
@@ -117,7 +123,6 @@ fn steady_state_diffing_does_not_grow_the_heap() {
 /// bytes die with the owned delta. Net heap growth must still be zero.
 #[test]
 fn steady_state_zero_copy_capture_does_not_grow_the_heap() {
-    let _gate = GATE.lock().unwrap();
     let cases = workload();
 
     let mut differ = Differ::new().with_capture(CaptureMode::Borrowed);
@@ -138,11 +143,11 @@ fn steady_state_zero_copy_capture_does_not_grow_the_heap() {
         run_round(&mut differ);
     }
 
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = LIVE_BYTES.get();
     for _ in 0..25 {
         run_round(&mut differ);
     }
-    let growth = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let growth = LIVE_BYTES.get() - before;
 
     assert_eq!(
         growth, 0,
@@ -158,7 +163,6 @@ fn steady_state_zero_copy_capture_does_not_grow_the_heap() {
 /// so this document cost well over a thousand allocations.)
 #[test]
 fn parsing_allocates_per_tree_not_per_node() {
-    let _gate = GATE.lock().unwrap();
     let xml = generate(&DocGenConfig {
         kind: DocKind::Catalog,
         target_nodes: 5500,
@@ -171,9 +175,9 @@ fn parsing_allocates_per_tree_not_per_node() {
     let nodes = warm.node_count();
     assert!(nodes >= 4000, "generator produced only {nodes} nodes");
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ALLOC_CALLS.get();
     let doc = Document::parse(&xml).unwrap();
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let calls = ALLOC_CALLS.get() - before;
     assert_eq!(doc.node_count(), nodes);
     assert!(calls <= 64, "parsing a {nodes}-node document made {calls} allocation calls");
 }
@@ -186,7 +190,6 @@ fn parsing_allocates_per_tree_not_per_node() {
 /// of different size share one differ, so the buffers really do rotate.
 #[test]
 fn steady_state_repository_ingest_does_not_grow_the_heap() {
-    let _gate = GATE.lock().unwrap();
     let pages: Vec<(String, String)> = [(DocKind::Catalog, 400), (DocKind::Feed, 600)]
         .into_iter()
         .enumerate()
@@ -214,9 +217,9 @@ fn steady_state_repository_ingest_does_not_grow_the_heap() {
     crawl(34);
     let (hits_before, misses_before) = repo.cache_counters("page-0");
 
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = LIVE_BYTES.get();
     crawl(25);
-    let growth = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let growth = LIVE_BYTES.get() - before;
 
     assert_eq!(growth, 0, "steady-state ingest leaked {growth} net bytes over 50 loads");
     let (hits, misses) = repo.cache_counters("page-0");
@@ -263,15 +266,14 @@ fn crawl_small_deltas() -> Vec<Delta> {
 /// cost 2.0 times its XML in 80 blocks a version.)
 #[test]
 fn stored_delta_costs_a_few_blocks_and_little_more_than_its_xml() {
-    let _gate = GATE.lock().unwrap();
     let deltas = crawl_small_deltas();
     let (mut bytes, mut blocks, mut xml_bytes) = (0, 0, 0);
     for delta in &deltas {
         xml_bytes += xml_io::delta_to_xml(delta).len() as isize;
-        let before = (LIVE_BYTES.load(Ordering::Relaxed), LIVE_BLOCKS.load(Ordering::Relaxed));
+        let before = (LIVE_BYTES.get(), LIVE_BLOCKS.get());
         let stored = delta.clone();
-        bytes += LIVE_BYTES.load(Ordering::Relaxed) - before.0;
-        blocks += LIVE_BLOCKS.load(Ordering::Relaxed) - before.1;
+        bytes += LIVE_BYTES.get() - before.0;
+        blocks += LIVE_BLOCKS.get() - before.1;
         drop(stored);
     }
     let n = deltas.len() as isize;
@@ -294,16 +296,15 @@ fn stored_delta_costs_a_few_blocks_and_little_more_than_its_xml() {
 /// must be as tight as a clone.
 #[test]
 fn decoding_allocates_for_the_delta_not_per_operation_or_payload() {
-    let _gate = GATE.lock().unwrap();
     let deltas = crawl_small_deltas();
     let (mut calls, mut ops, mut payloads) = (0, 0, 0);
     for delta in &deltas {
         let xml = xml_io::delta_to_xml(delta);
         // Warm-up interns every label.
         drop(xml_io::parse_delta(&xml).unwrap());
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = ALLOC_CALLS.get();
         let decoded = xml_io::parse_delta(&xml).unwrap();
-        calls += ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        calls += ALLOC_CALLS.get() - before;
         ops += delta.len();
         payloads += delta
             .ops
@@ -311,33 +312,24 @@ fn decoding_allocates_for_the_delta_not_per_operation_or_payload() {
             .filter(|op| matches!(op, Op::Insert { .. } | Op::Delete { .. }))
             .count();
 
-        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let before = LIVE_BYTES.get();
         let clone = decoded.clone();
-        let clone_bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        let clone_bytes = LIVE_BYTES.get() - before;
         drop(clone);
-        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let before = LIVE_BYTES.get();
         drop(decoded);
-        assert_eq!(before - LIVE_BYTES.load(Ordering::Relaxed), clone_bytes);
+        assert_eq!(before - LIVE_BYTES.get(), clone_bytes);
     }
     assert!(2 * payloads > ops, "most operations of the stream carry a payload");
     assert!(calls <= 2 * ops, "decoding made {:.1} calls per operation", calls as f64 / ops as f64);
 }
 
-/// The diff's allocation cost rule, on the warehouse's own path (the
-/// `crawl-large` shape in miniature: four families, ~3 600-node bases, every
-/// version an edit of its key's base at per-node probability 0.01, diffed
-/// against the previous version through the signature cache with borrowed
-/// payloads): once the worker's scratch and the caches are warm, a diff
-/// allocates for what it emits — its delta's buffers, the new version's XID
-/// table, a reordered parent's permutation — and for nothing it merely looks
-/// at: no stack per candidate verified, no key table per parent, no
-/// pass over the interior of a subtree matched whole.
-#[test]
-fn steady_state_diff_allocates_per_operation_not_per_node() {
-    let _gate = GATE.lock().unwrap();
+/// The `crawl-large` shape in miniature: four families, ~3 600-node bases,
+/// ten versions per key, every version an edit of its key's base at per-node
+/// probability 0.01.
+fn crawl_large_keys() -> Vec<(XidDocument, Vec<Document>)> {
     let kinds = [DocKind::Catalog, DocKind::AddressBook, DocKind::Feed, DocKind::Generic];
-    let mut differ = Differ::new().with_capture(CaptureMode::Borrowed);
-    let keys: Vec<(XidDocument, Vec<Document>)> = kinds
+    kinds
         .into_iter()
         .enumerate()
         .map(|(i, kind)| {
@@ -350,7 +342,21 @@ fn steady_state_diff_allocates_per_operation_not_per_node() {
                 .collect();
             (base, versions)
         })
-        .collect();
+        .collect()
+}
+
+/// The diff's allocation cost rule, on the warehouse's own path (the
+/// `crawl-large` keys, each version diffed against the previous one through
+/// the signature cache with borrowed payloads): once the worker's scratch
+/// and the caches are warm, a diff allocates for what it emits — its delta's
+/// buffers, the new version's XID table, a reordered parent's permutation —
+/// and for nothing it merely looks at: no stack per candidate verified, no
+/// key table per parent, no pass over the interior of a subtree matched
+/// whole.
+#[test]
+fn steady_state_diff_allocates_per_operation_not_per_node() {
+    let keys = crawl_large_keys();
+    let mut differ = Differ::new().with_capture(CaptureMode::Borrowed);
     let (mut calls, mut ops, mut diffs, mut nodes) = (0, 0, 0, 0);
     for (base, versions) in &keys {
         nodes += base.doc.node_count();
@@ -358,9 +364,9 @@ fn steady_state_diff_allocates_per_operation_not_per_node() {
         let mut latest = base.clone();
         for (v, doc) in versions.iter().enumerate() {
             let doc = doc.clone();
-            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            let before = ALLOC_CALLS.get();
             let result = differ.diff_consume_with_cache(&latest, doc, &mut cache);
-            let made = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+            let made = ALLOC_CALLS.get() - before;
             // The first versions warm the scratch and the cache.
             if v >= 4 {
                 calls += made;
@@ -370,7 +376,7 @@ fn steady_state_diff_allocates_per_operation_not_per_node() {
             latest = result.new_version;
         }
     }
-    assert!(nodes / kinds.len() >= 3000, "bases shrank to {} nodes", nodes / kinds.len());
+    assert!(nodes / keys.len() >= 3000, "bases shrank to {} nodes", nodes / keys.len());
     assert!(ops / diffs >= 40, "the edits shrank to {} ops per diff", ops / diffs);
     // Measured: 6 253 calls for 3 799 operations over 24 diffs (260.5 per
     // diff for 158.3 operations). Before the serial phase-2 path stopped
@@ -383,4 +389,64 @@ fn steady_state_diff_allocates_per_operation_not_per_node() {
         calls as f64 / diffs as f64,
         ops as f64 / diffs as f64
     );
+}
+
+/// `diff_by_xid` resolves the shared XIDs into three arrays per call —
+/// old→new and new→old partners, and the new version's XID table — and
+/// otherwise allocates for what it emits. On the `crawl-large` keys, each
+/// version against its predecessor as the diff left it, every call stays
+/// within its operations plus those three, whatever the node count, and a
+/// version against itself costs exactly the three.
+#[test]
+fn diff_by_xid_allocates_per_operation_not_per_node() {
+    const PER_CALL: usize = 3;
+    let keys = crawl_large_keys();
+    let mut differ = Differ::new();
+    let (mut ops, mut nodes) = (0, 0);
+    for (base, versions) in &keys {
+        let mut latest = base.clone();
+        for doc in versions {
+            let next = differ.diff(&latest, doc).new_version;
+            // Warm-up interns every label.
+            drop(diff_by_xid(&latest, &next));
+            let before = ALLOC_CALLS.get();
+            let delta = diff_by_xid(&latest, &next);
+            let made = ALLOC_CALLS.get() - before;
+            assert!(
+                made <= delta.len() + PER_CALL,
+                "diff_by_xid made {made} allocation calls for {} operations",
+                delta.len()
+            );
+            let before = ALLOC_CALLS.get();
+            let unchanged = diff_by_xid(&next, &next);
+            let made_unchanged = ALLOC_CALLS.get() - before;
+            assert!(unchanged.is_empty());
+            assert_eq!(made_unchanged, PER_CALL, "an empty delta's fixed allocation calls");
+            ops += delta.len();
+            nodes += next.doc.node_count();
+            latest = next;
+        }
+    }
+    // Measured: 2 999 calls for 6 071 operations over 40 calls on 135 616
+    // nodes; no call exceeds its own operation count.
+    assert!(nodes >= 40 * 3000, "versions shrank to {} nodes", nodes / 40);
+    assert!(ops >= 40 * 40, "the edits shrank to {} ops per call", ops / 40);
+}
+
+/// A name this thread has interned before resolves from the thread's own
+/// cache: no lock, and not one allocation call.
+#[test]
+fn interning_a_name_seen_before_allocates_nothing() {
+    let names: Vec<String> = (0..64).map(|i| format!("alloc-steady-label-{i}")).collect();
+    for name in &names {
+        Symbol::intern(name);
+    }
+    let before = ALLOC_CALLS.get();
+    for _ in 0..100 {
+        for name in &names {
+            Symbol::intern(name);
+        }
+    }
+    let calls = ALLOC_CALLS.get() - before;
+    assert_eq!(calls, 0, "6 400 interns of known names made {calls} allocation calls");
 }

@@ -98,3 +98,26 @@ proptest! {
         let _ = xydiff_suite::xyquery::Path::parse(&input);
     }
 }
+
+/// A "billion laughs" DTD: every entity is ten references to the one below,
+/// so seven levels over a 10-byte leaf expand to 100 MB. The nesting depth
+/// is within bounds; the per-document expansion budget must refuse it.
+#[test]
+fn entity_expansion_is_bounded_per_document() {
+    use xydiff_suite::xytree::ParseErrorKind;
+    let mut dtd = String::from("<!ENTITY e0 \"0123456789\">");
+    for level in 1..=7 {
+        let refs = format!("&e{};", level - 1).repeat(10);
+        dtd.push_str(&format!("<!ENTITY e{level} \"{refs}\">"));
+    }
+    let xml = format!("<!DOCTYPE r [{dtd}]><r>&e7;</r>");
+    assert!(xml.len() < 1024, "the attack fits in {} bytes", xml.len());
+    let err = Document::parse(&xml).expect_err("100 MB of expansion must be refused");
+    assert!(matches!(err.kind, ParseErrorKind::EntityExpansionLimit(_)), "{err}");
+    // Attribute values draw on the same budget.
+    let attr = format!("<!DOCTYPE r [{dtd}]><r a=\"&e7;\"/>");
+    assert!(Document::parse(&attr).is_err());
+    // Modest use of the same entities still parses.
+    let ok = format!("<!DOCTYPE r [{dtd}]><r>&e3;&e3;</r>");
+    assert_eq!(Document::parse(&ok).unwrap().to_xml().len(), "<r></r>".len() + 20_000);
+}
