@@ -1,9 +1,8 @@
 //! Shared workloads and reporting helpers for the experiment harness.
 //!
 //! The `repro` binary (`cargo run -p xybench --release --bin repro -- all`)
-//! regenerates every figure of the paper; the Criterion benches under
-//! `benches/` measure the timing-sensitive parts with statistical rigor.
-//! DESIGN.md §3 maps each experiment id (E1–E8) to its regenerator.
+//! regenerates every figure of the paper, timings included. DESIGN.md §3
+//! maps each experiment id (E1–E8) to its regenerator.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::todo, clippy::dbg_macro, clippy::print_stderr))]

@@ -10,12 +10,14 @@
 
 //!
 //! Long chains make "querying the past" linear in the distance from the
-//! latest version. [`VersionChain::compact`] bounds that walk: it folds the
-//! delta chain through [`aggregate_chain`] into materialized *checkpoints*
-//! every `C` versions, after which any version reconstructs from its
-//! nearest anchor (a checkpoint or the latest) in at most `C` hops.
+//! latest version. A chain given a checkpoint interval `N`
+//! ([`VersionChain::set_checkpoint_every`]) keeps the version a push
+//! replaces whenever its index is a multiple of `N` — the moment the paper
+//! would remove it — as a materialized *checkpoint*, so any version
+//! reconstructs from its nearest anchor (a checkpoint or the latest) in at
+//! most `N / 2` hops at every push. [`VersionChain::compact`] builds the
+//! same checkpoints after the fact by replaying the deltas.
 
-use crate::aggregate::aggregate_chain;
 use crate::apply::apply_inverse;
 use crate::delta::Delta;
 use crate::diff_by_xid::diff_by_xid;
@@ -29,14 +31,14 @@ use crate::xiddoc::XidDocument;
 struct Checkpoint {
     /// The version index this checkpoint materializes.
     version: usize,
-    /// That version, with its XIDs (bit-identical to what the backward
-    /// walk would produce — checkpoints are built by folding the same
-    /// deltas through [`aggregate_chain`]).
+    /// That version, with its XIDs: the document a push replaced, or the
+    /// previous anchor with the deltas in between applied.
     doc: XidDocument,
 }
 
 /// A document's version history: latest snapshot + forward deltas, plus
-/// optional reconstruction checkpoints (see [`VersionChain::compact`]).
+/// optional reconstruction checkpoints (see
+/// [`VersionChain::set_checkpoint_every`] and [`VersionChain::compact`]).
 #[derive(Debug, Clone)]
 pub struct VersionChain {
     /// `deltas[i]` transforms version `i` into version `i + 1`.
@@ -45,12 +47,30 @@ pub struct VersionChain {
     latest: XidDocument,
     /// Materialized anchors, sorted by version, each < `latest_index()`.
     checkpoints: Vec<Checkpoint>,
+    /// A push keeps the version it replaces as a checkpoint when that
+    /// version's index is a multiple of this; 0 keeps none.
+    checkpoint_every: usize,
 }
 
 impl VersionChain {
     /// Start a chain at version 0.
     pub fn new(initial: XidDocument) -> VersionChain {
-        VersionChain { deltas: Vec::new(), latest: initial, checkpoints: Vec::new() }
+        VersionChain {
+            deltas: Vec::new(),
+            latest: initial,
+            checkpoints: Vec::new(),
+            checkpoint_every: 0,
+        }
+    }
+
+    /// From the next push on, keep the version a push replaces as a
+    /// checkpoint whenever its index is a multiple of `every` (0, the
+    /// default, keeps none). A chain grown under this rule from version 0
+    /// holds the checkpoints [`VersionChain::compact`]`(every)` would build,
+    /// without reconstructing any of them, and every version stays within
+    /// `every / 2` hops of an anchor.
+    pub fn set_checkpoint_every(&mut self, every: usize) {
+        self.checkpoint_every = every;
     }
 
     /// Index of the latest version (0 for a fresh chain).
@@ -80,8 +100,7 @@ impl VersionChain {
         // A chain grown this way (WAL replay) never swaps in a freshly
         // parsed tree, so what the deltas detach would pile up for good.
         next.shed_garbage();
-        self.latest = next;
-        self.deltas.push(delta);
+        self.replace_latest(next, delta);
         Ok(())
     }
 
@@ -97,8 +116,21 @@ impl VersionChain {
             },
             "pushed delta does not transform the stored latest into the pushed version"
         );
+        self.replace_latest(new_version, delta);
+    }
+
+    /// Install `next` as the latest version, reached by `delta`. The version
+    /// it replaces is dropped, or kept as a checkpoint when its index is a
+    /// multiple of the checkpoint interval.
+    fn replace_latest(&mut self, next: XidDocument, delta: Delta) {
+        let replaced_index = self.latest_index();
+        let mut replaced = std::mem::replace(&mut self.latest, next);
         self.deltas.push(delta);
-        self.latest = new_version;
+        if self.checkpoint_every > 0 && replaced_index % self.checkpoint_every == 0 {
+            // Kept for good, like a compacted checkpoint.
+            replaced.shed_garbage();
+            self.checkpoints.push(Checkpoint { version: replaced_index, doc: replaced });
+        }
     }
 
     /// Reconstruct version `i` ("querying the past", §2) from the nearest
@@ -179,23 +211,23 @@ impl VersionChain {
     }
 
     /// Materialize checkpoints at every multiple of `every` (≥ 1) that
-    /// lacks one, folding each span of deltas into a single aggregated
-    /// delta via [`aggregate_chain`] and applying it to the previous
-    /// anchor. Afterwards any version reconstructs in at most `every` hops
-    /// (at most `⌈every / 2⌉` in the interior). Returns the number of
-    /// checkpoints added.
+    /// lacks one, each by applying the span of deltas since the previous
+    /// anchor to a copy of it. Afterwards any version reconstructs in at
+    /// most `every` hops (at most `⌈every / 2⌉` in the interior). Returns the
+    /// number of checkpoints added.
     ///
     /// The cost is one full document copy per `every` versions — the
     /// classic log-compaction space/time trade. Checkpoints are in-memory
-    /// only: persistence stores `v0 + deltas` and a reloaded chain is
-    /// re-compacted by its owner's policy.
+    /// only: persistence stores `v0 + deltas`, and a chain rebuilt from
+    /// them under [`VersionChain::set_checkpoint_every`] checkpoints itself
+    /// as it grows.
     pub fn compact(&mut self, every: usize) -> Result<usize, ApplyError> {
         let every = every.max(1);
         let mut added = 0;
         let mut boundary = 0;
         while boundary < self.latest_index() {
             if !self.checkpoints.iter().any(|c| c.version == boundary) {
-                let (prev_version, prev_doc) = match self
+                let (prev_version, mut doc) = match self
                     .checkpoints
                     .iter()
                     .rev()
@@ -204,10 +236,8 @@ impl VersionChain {
                     Some(c) => (c.version, c.doc.clone()),
                     None => (0, self.version(0)?),
                 };
-                let mut doc = prev_doc;
-                if boundary > prev_version {
-                    let span = aggregate_chain(&doc, &self.deltas[prev_version..boundary])?;
-                    span.apply_to(&mut doc)?;
+                for d in &self.deltas[prev_version..boundary] {
+                    d.apply_to(&mut doc)?;
                 }
                 // Reconstructed by applying deltas, kept for good.
                 doc.shed_garbage();
@@ -228,8 +258,8 @@ impl VersionChain {
     /// (`i <= j`) — "constructing the changes between some versions n and
     /// n′" (§2). Both endpoints are reconstructed through the bounded
     /// anchor walk, and the XID-matched diff between them *is* the
-    /// aggregate of the intervening deltas (that is how [`aggregate_chain`]
-    /// computes it).
+    /// aggregate of the intervening deltas (that is how
+    /// [`crate::aggregate_chain`] computes it).
     pub fn delta_between(&self, i: usize, j: usize) -> Result<Delta, ApplyError> {
         assert!(i <= j && j <= self.latest_index(), "bad version range {i}..{j}");
         let base = self.version(i)?;

@@ -44,6 +44,12 @@ use xytree::{NodeId, NodeKind, Tree};
 /// the most likely `subtree_eq` walks into memo hits.
 const PREVERIFY_CANDIDATES: usize = 4;
 
+/// Candidates examined linearly before switching to the parent-keyed
+/// secondary index ("a secondary index … gives access by their parent's
+/// identifier to all candidate nodes for a given signature" — §5.3's device
+/// for keeping candidate evaluation O(1)).
+const MAX_CANDIDATES_SCAN: usize = 8;
+
 /// Reusable phase-3 state: the old-document candidate index, the
 /// heaviest-first priority queue, and the memo filled by the parallel
 /// pre-verification pass. The three tables are keyed by signatures and node
@@ -76,7 +82,7 @@ pub(crate) fn run_with(
     runner: &StdScopeRunner,
 ) {
     let BuldScratch { index, heap, eq_memo } = scratch;
-    index.rebuild(old, old_info, opts.max_candidates_scan);
+    index.rebuild(old, old_info);
     heap.clear();
     eq_memo.clear();
     if runner.threads() > 1 {
@@ -224,7 +230,7 @@ impl CandidateIndex {
     /// List slots are recycled in place via a live counter; slots beyond it
     /// are stale leftovers from a bigger earlier diff, unreachable because
     /// `by_sig` was cleared, and kept only for their capacity.
-    fn rebuild(&mut self, old: &Tree, old_info: &TreeInfo, parent_index_threshold: usize) {
+    fn rebuild(&mut self, old: &Tree, old_info: &TreeInfo) {
         let CandidateIndex { by_sig, lists, by_sig_parent } = self;
         by_sig.clear();
         by_sig_parent.clear();
@@ -261,7 +267,7 @@ impl CandidateIndex {
         // node list is.
         for (&sig, &slot) in by_sig.iter() {
             let nodes = &lists[slot].nodes;
-            if nodes.len() <= parent_index_threshold {
+            if nodes.len() <= MAX_CANDIDATES_SCAN {
                 continue;
             }
             for &o in nodes {
@@ -332,7 +338,7 @@ impl CandidateIndex {
             let Some(p) = new.parent(anc_new) else { break };
             anc_new = p;
             let Some(target) = matching.old_of_new(anc_new) else { continue };
-            if level == 1 && live.len() > opts.max_candidates_scan {
+            if level == 1 && live.len() > MAX_CANDIDATES_SCAN {
                 // Constant-time path via the parent index.
                 if let Some(group) = self.by_sig_parent.get(&(sig, target)) {
                     if let Some(&c) = group.iter().find(|&&c| accepts(c)) {
@@ -342,7 +348,7 @@ impl CandidateIndex {
             } else {
                 // Bounded prefix scan (the cursor guarantees the prefix is
                 // not full of consumed candidates).
-                for &c in live.iter().take(opts.max_candidates_scan.max(64)) {
+                for &c in live.iter().take(64) {
                     if ancestor_at(old, c, level) == Some(target) && accepts(c) {
                         return Some(c);
                     }
@@ -577,7 +583,7 @@ mod tests {
         let (_old, new, m, _s) = run_buld(
             &format!("<list>{items}</list>"),
             &format!("<list>{items}</list>"),
-            &DiffOptions { max_candidates_scan: 4, ..Default::default() },
+            &DiffOptions::default(),
         );
         let list = by_label(&new, "list");
         assert!(new.tree.children(list).all(|c| m.is_matched_new(c)));
@@ -596,7 +602,7 @@ mod tests {
         }
         old.push_str("</catalog>");
         new.push_str("</catalog>");
-        let (old, new, m, _s) = run_buld(&old, &new, &DiffOptions { max_candidates_scan: 2, ..Default::default() });
+        let (old, new, m, _s) = run_buld(&old, &new, &DiffOptions::default());
         // Every maker text matches, and matches *within the same product*.
         for (op, np) in old
             .tree

@@ -1,7 +1,7 @@
 //! Tuning knobs of the BULD algorithm (§5.2 "Tuning").
 //!
 //! Every knob corresponds to a design choice discussed in the paper, so that
-//! the ablation benchmarks (`xybench`) can measure what each one buys.
+//! the ablation experiment (`repro ablation`) can measure what each one buys.
 
 use crate::mode::MatchMode;
 
@@ -47,12 +47,6 @@ pub struct DiffOptions {
     /// have a single child with a given label, we propagate the match
     /// immediately"). Disabling makes the down phase fully lazy (ablation).
     pub enable_unique_child_propagation: bool,
-
-    /// Phase 3: candidates examined linearly before switching to the
-    /// parent-keyed secondary index ("a secondary index … gives access by
-    /// their parent's identifier to all candidate nodes for a given
-    /// signature" — §5.3's device for keeping candidate evaluation O(1)).
-    pub max_candidates_scan: usize,
 }
 
 impl Default for DiffOptions {
@@ -65,7 +59,6 @@ impl Default for DiffOptions {
             exact_lis: false,
             enable_propagation: true,
             enable_unique_child_propagation: true,
-            max_candidates_scan: 8,
         }
     }
 }

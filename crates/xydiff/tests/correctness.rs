@@ -112,7 +112,6 @@ fn option_ablations_preserve_correctness() {
         DiffOptions { depth_factor: 0.0, ..Default::default() },
         DiffOptions { depth_factor: 5.0, ..Default::default() },
         DiffOptions { use_id_attributes: false, ..Default::default() },
-        DiffOptions { max_candidates_scan: 1, ..Default::default() },
     ];
     for (i, opts) in variants.iter().enumerate() {
         simulated_case(DocKind::Catalog, 500, 0.15, 100 + i as u64, opts);

@@ -244,8 +244,6 @@ pub struct Metrics {
     pub wal_append_errors: Counter,
     /// Records applied during startup replay.
     pub wal_replayed: Counter,
-    /// Version chains folded through checkpoint compaction.
-    pub compactions: Counter,
     /// Live WAL segment files (with high-water mark).
     pub wal_segments: Gauge,
     /// Largest record batch a single fsync has made durable.
@@ -273,7 +271,6 @@ impl Default for Metrics {
             wal_fsynced_records: Counter::default(),
             wal_append_errors: Counter::default(),
             wal_replayed: Counter::default(),
-            compactions: Counter::default(),
             wal_segments: Gauge::default(),
             wal_fsync_batch_max: Gauge::default(),
             wal_append_time: Histogram::default(),
@@ -413,12 +410,6 @@ impl Metrics {
             "ingest_wal_replayed_total",
             "WAL records consumed during startup replay.",
             self.wal_replayed.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ingest_chain_compactions_total",
-            "Version chains folded through checkpoint compaction.",
-            self.compactions.get(),
         );
         expo::gauge(
             &mut out,

@@ -35,9 +35,9 @@ use crate::metrics::Metrics;
 use crate::queue::{KeyedQueue, PushError};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xydelta::xml_io;
 use xydiff::{Differ, DiffOptions};
 use xytree::Document;
@@ -156,8 +156,10 @@ pub struct ServeConfig {
     /// Write-ahead logging of every completed ingest; `None` keeps the
     /// server memory-only: an ack only guarantees the version is in memory.
     pub wal: Option<WalPolicy>,
-    /// Background chain compaction: keep every document reconstructible
-    /// within this many delta applications (0 disables the compactor).
+    /// Chain checkpointing: every chain keeps the version a push replaces
+    /// when its index is a multiple of this, so every version of every
+    /// document reconstructs within half this many delta applications at
+    /// every ack. 0 keeps no checkpoints.
     pub compact_chain_max: usize,
 }
 
@@ -239,9 +241,9 @@ impl ServeConfig {
         self
     }
 
-    /// Enable the background compactor: fold delta chains through
-    /// checkpoints so any version reconstructs within `max` delta
-    /// applications (0 disables it).
+    /// Checkpoint every chain every `max` versions, so any version
+    /// reconstructs within `max` delta applications (0 keeps no
+    /// checkpoints).
     #[must_use]
     pub fn with_compact_chain_max(mut self, max: usize) -> ServeConfig {
         self.compact_chain_max = max;
@@ -487,11 +489,6 @@ struct Job {
     done: Option<CompletionFn>,
 }
 
-struct CompactorState {
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
 struct Inner {
     shards: Vec<Repository>,
     queue: KeyedQueue<Job>,
@@ -501,15 +498,12 @@ struct Inner {
     /// The validated configuration the server was started with.
     config: ServeConfig,
     wal: Option<Wal>,
-    /// Present exactly when `config.compact_chain_max > 0`.
-    compactor: Option<CompactorState>,
 }
 
 /// The concurrent ingestion server. See the module docs for the design.
 pub struct IngestServer {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    compactor: Option<JoinHandle<()>>,
 }
 
 impl IngestServer {
@@ -534,6 +528,7 @@ impl IngestServer {
         let shards: Vec<Repository> = (0..shard_count)
             .map(|_| {
                 Repository::with_options(config.diff_options.clone(), config.alerter.clone())
+                    .with_checkpoint_every(config.compact_chain_max)
             })
             .collect();
         let metrics = Metrics::new();
@@ -560,8 +555,6 @@ impl IngestServer {
             }
             None => None,
         };
-        let compactor = (config.compact_chain_max > 0)
-            .then(|| CompactorState { stop: Mutex::new(false), wake: Condvar::new() });
         let inner = Arc::new(Inner {
             shards,
             queue: KeyedQueue::new(config.queue_capacity),
@@ -570,7 +563,6 @@ impl IngestServer {
             notifications: Mutex::new(Vec::new()),
             config,
             wal,
-            compactor,
         });
         if let Some(wal) = &inner.wal {
             inner.sync_wal_metrics(wal);
@@ -587,17 +579,7 @@ impl IngestServer {
                     .expect("spawn worker thread")
             })
             .collect();
-        #[allow(clippy::expect_used)]
-        let compactor = inner.compactor.is_some().then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("xyserve-compactor".to_string())
-                .spawn(move || inner.compactor_loop())
-                // INVARIANT: thread spawn fails only on OS resource exhaustion at
-                // startup; compaction cannot run without its thread.
-                .expect("spawn compactor thread")
-        });
-        Ok(IngestServer { inner, workers, compactor })
+        Ok(IngestServer { inner, workers })
     }
 
     /// The one way in: push onto the keyed queue, waiting for room when
@@ -726,19 +708,12 @@ impl IngestServer {
         }
     }
 
-    /// Close the queue, let the workers drain it, stop the compactor and
-    /// flush the log. Idempotent: `shutdown` runs it, then `Drop` finds
-    /// nothing left to join.
+    /// Close the queue, let the workers drain it and flush the log.
+    /// Idempotent: `shutdown` runs it, then `Drop` finds nothing left to
+    /// join.
     fn stop(&mut self) {
         self.inner.queue.close();
         for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.compactor.take() {
-            if let Some(st) = &self.inner.compactor {
-                *locked(&st.stop) = true;
-                st.wake.notify_all();
-            }
             let _ = h.join();
         }
         if let Some(wal) = &self.inner.wal {
@@ -926,38 +901,6 @@ impl Inner {
         self.metrics.wal_fsynced_records.observe_total(s.fsynced_records);
         self.metrics.wal_segments.set(s.segments as u64);
         self.metrics.wal_fsync_batch_max.set(s.max_fsync_batch);
-    }
-
-    /// The background compactor: sweep every shard on a short cadence and
-    /// fold any chain whose worst-case reconstruction exceeds the
-    /// configured hop bound through checkpoints.
-    fn compactor_loop(&self) {
-        // INVARIANT: compactor_loop only runs when a CompactorState was built.
-        #[allow(clippy::expect_used)]
-        let st = self.compactor.as_ref().expect("compactor state exists");
-        loop {
-            {
-                let stop = locked(&st.stop);
-                if *stop {
-                    return;
-                }
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                #[allow(clippy::unwrap_used)]
-                let wait = st.wake.wait_timeout(stop, Duration::from_millis(250)).unwrap();
-                let (stop, _) = wait;
-                if *stop {
-                    return;
-                }
-            }
-            let mut compacted = 0;
-            for shard in &self.shards {
-                compacted += shard.compact_chains(self.config.compact_chain_max);
-            }
-            if compacted > 0 {
-                self.metrics.compactions.add(compacted as u64);
-            }
-        }
     }
 }
 
@@ -1200,32 +1143,54 @@ mod tests {
     }
 
     #[test]
-    fn background_compactor_bounds_chain_hops() {
+    fn chain_hops_are_bounded_at_every_ack() {
         let server = IngestServer::start(
             ServeConfig::new().with_workers(2).unwrap().with_compact_chain_max(8),
         );
-        for v in 0..64 {
+        let repo = server.repository_for("doc");
+        // A chain whose latest index is `v` holds one checkpoint per
+        // multiple of 8 below `v`.
+        for v in 0..24 {
+            let done = server.submit_tracked("doc", format!("<d><v>{v}</v></d>")).unwrap();
+            assert_eq!(done.wait().unwrap().version, v);
+            assert!(repo.chain_hops("doc").unwrap() <= 4, "version {v}");
+            assert_eq!(repo.chain_checkpoints("doc"), Some(v.div_ceil(8)), "version {v}");
+        }
+        for v in 24..64 {
             server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
         }
         server.wait_idle();
-        let repo = server.repository_for("doc");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while repo.chain_hops("doc").unwrap() > 8 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(
-            repo.chain_hops("doc").unwrap() <= 8,
-            "compactor must bound hops, got {:?} with {:?} checkpoints",
-            repo.chain_hops("doc"),
-            repo.chain_checkpoints("doc"),
-        );
-        // Compaction must not change what reconstruction returns.
-        for v in [0, 7, 31, 63] {
+        assert!(repo.chain_hops("doc").unwrap() <= 4, "{:?}", repo.chain_hops("doc"));
+        assert_eq!(repo.chain_checkpoints("doc"), Some(8), "0, 8, …, 56");
+        for v in [0, 7, 8, 31, 63] {
             assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));
         }
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
-        assert!(report.metrics_text.contains("ingest_chain_compactions_total"), "{}", report.metrics_text);
+    }
+
+    /// Replay rebuilds the checkpoints of the restarted server's interval,
+    /// whatever interval wrote the log, before `try_start` returns.
+    #[test]
+    fn wal_restart_under_another_interval_is_bounded_on_start() {
+        let dir = std::env::temp_dir().join(format!("xyserve-wal-interval-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig::new().with_workers(2).unwrap().with_wal(WalPolicy::new(&dir));
+        let server = IngestServer::try_start(config.clone().with_compact_chain_max(16)).unwrap();
+        for v in 0..40 {
+            server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
+        }
+        assert!(server.shutdown().is_balanced());
+
+        let server = IngestServer::try_start(config.with_compact_chain_max(6)).unwrap();
+        let repo = server.repository_for("doc");
+        assert!(repo.chain_hops("doc").unwrap() <= 3, "{:?}", repo.chain_hops("doc"));
+        assert_eq!(repo.chain_checkpoints("doc"), Some(7), "0, 6, …, 36");
+        for v in [0, 5, 6, 20, 39] {
+            assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));
+        }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::repository::Repository;
 use std::fmt;
-use xydelta::{xml_io, VersionChain, XidDocument};
+use xydelta::{xml_io, XidDocument};
 use xytree::Document;
 use xywal::Record;
 
@@ -133,7 +133,7 @@ pub fn apply_records(
                     key: key.clone(),
                     message: e.to_string(),
                 })?;
-                repo.install_chain(key.clone(), VersionChain::new(XidDocument::assign_initial(doc)));
+                repo.install_chain(key.clone(), XidDocument::assign_initial(doc));
                 stats.initialized += 1;
             }
             Record::Delta { key, version, delta_xml } => {

@@ -94,6 +94,9 @@ pub struct Repository {
     entries: RwLock<HashMap<String, StoredDoc>>,
     opts: DiffOptions,
     alerter: Alerter,
+    /// The checkpoint interval of every chain this repository creates or
+    /// installs (see [`VersionChain::set_checkpoint_every`]); 0 keeps none.
+    checkpoint_every: usize,
 }
 
 impl Repository {
@@ -104,7 +107,25 @@ impl Repository {
 
     /// An empty repository with explicit diff options and an alerter.
     pub fn with_options(opts: DiffOptions, alerter: Alerter) -> Repository {
-        Repository { entries: RwLock::new(HashMap::new()), opts, alerter }
+        Repository { entries: RwLock::new(HashMap::new()), opts, alerter, checkpoint_every: 0 }
+    }
+
+    /// Checkpoint every chain this repository creates or installs every
+    /// `every` versions ([`VersionChain::set_checkpoint_every`]), so each
+    /// stored version reconstructs within `every / 2` delta applications
+    /// as soon as its load returns. 0, the default, keeps no checkpoints.
+    #[must_use]
+    pub fn with_checkpoint_every(mut self, every: usize) -> Repository {
+        self.checkpoint_every = every;
+        self
+    }
+
+    /// A chain starting at `initial` under this repository's checkpoint
+    /// interval.
+    fn new_chain(&self, initial: XidDocument) -> VersionChain {
+        let mut chain = VersionChain::new(initial);
+        chain.set_checkpoint_every(self.checkpoint_every);
+        chain
     }
 
     /// Shared access to the entries. A poisoned lock (a thread panicked while
@@ -186,7 +207,7 @@ impl Repository {
                 let initial = XidDocument::assign_initial(doc);
                 entries.insert(
                     key.to_string(),
-                    StoredDoc { chain: VersionChain::new(initial), cache: SignatureCache::new() },
+                    StoredDoc { chain: self.new_chain(initial), cache: SignatureCache::new() },
                 );
                 Ok(LoadOutcome {
                     version: 0,
@@ -298,10 +319,13 @@ impl Repository {
         self.read().values().map(|s| s.chain.version_count()).sum()
     }
 
-    /// Install a replayed chain under `key`, replacing any existing entry
-    /// (recovery support). The signature cache starts cold — misses fall
-    /// back to local hashing and the first ingest re-warms it.
-    pub(crate) fn install_chain(&self, key: String, chain: VersionChain) {
+    /// Install a replayed first version under `key`, replacing any
+    /// existing entry (recovery support). The chain takes this repository's
+    /// checkpoint interval, so replayed deltas checkpoint it as they go. The
+    /// signature cache starts cold — misses fall back to local hashing and
+    /// the first ingest re-warms it.
+    pub(crate) fn install_chain(&self, key: String, initial: XidDocument) {
+        let chain = self.new_chain(initial);
         self.write().insert(key, StoredDoc { chain, cache: SignatureCache::new() });
     }
 

@@ -8,8 +8,21 @@ use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKin
 /// Build a chain of `steps` simulated versions, returning the chain plus
 /// every version's canonical XML.
 fn build_chain(kind: DocKind, nodes: usize, rate: f64, steps: u64, seed: u64) -> (VersionChain, Vec<String>) {
+    build_checkpointed_chain(kind, nodes, rate, steps, seed, 0)
+}
+
+/// [`build_chain`] with the checkpoint interval set before the first push.
+fn build_checkpointed_chain(
+    kind: DocKind,
+    nodes: usize,
+    rate: f64,
+    steps: u64,
+    seed: u64,
+    every: usize,
+) -> (VersionChain, Vec<String>) {
     let doc = generate(&DocGenConfig { kind, target_nodes: nodes, seed, id_attributes: false });
     let mut chain = VersionChain::new(XidDocument::assign_initial(doc));
+    chain.set_checkpoint_every(every);
     let mut snapshots = vec![chain.latest().doc.to_xml()];
     for step in 0..steps {
         let sim = simulate(chain.latest(), &ChangeConfig::uniform(rate, seed ^ (step + 1)));
@@ -177,6 +190,47 @@ fn long_decoded_chain_reads_every_version_back_before_and_after_compaction() {
                     &chain.version(i).unwrap().doc.to_xml(),
                     want,
                     "{kind:?} version {i}, compacted: {compacted}"
+                );
+            }
+        }
+    }
+}
+
+/// The versions a chain serves without a delta application: its anchors.
+fn anchors(chain: &VersionChain) -> Vec<usize> {
+    (0..=chain.latest_index()).filter(|&i| chain.reconstruct_hops(i) == 0).collect()
+}
+
+/// Differential oracle for the checkpoint rule: a chain that keeps the
+/// version each push replaces at every multiple of `N` holds what the same
+/// history grown without checkpoints and then `compact(N)`-ed holds — the
+/// same anchors, and every version with the same bytes and the same XIDs —
+/// whether it grows by diffing (ingest) or by applying its deltas (replay).
+#[test]
+fn checkpointing_on_push_equals_compacting_afterwards() {
+    for (kind, every, seed) in [(DocKind::Catalog, 4, 41), (DocKind::Feed, 5, 43)] {
+        let (plain, snapshots) = build_chain(kind, 200, 0.08, 23, seed);
+        let (live, _) = build_checkpointed_chain(kind, 200, 0.08, 23, seed, every);
+        let mut compacted = plain.clone();
+        compacted.compact(every).unwrap();
+        let mut replayed = VersionChain::new(plain.version(0).unwrap());
+        replayed.set_checkpoint_every(every);
+        for i in 0..plain.latest_index() {
+            replayed.push_delta(plain.delta(i).unwrap().clone()).unwrap();
+            assert!(replayed.max_reconstruct_hops() <= every / 2, "{kind:?} after push {i}");
+        }
+        for chain in [&live, &replayed] {
+            assert_eq!(chain.checkpoint_count(), compacted.checkpoint_count(), "{kind:?}");
+            assert_eq!(anchors(chain), anchors(&compacted), "{kind:?}");
+            assert!(chain.max_reconstruct_hops() <= every / 2, "{kind:?}");
+            for (i, want) in snapshots.iter().enumerate() {
+                let (got, reference) = (chain.version(i).unwrap(), compacted.version(i).unwrap());
+                assert_eq!(&got.doc.to_xml(), want, "{kind:?} version {i}");
+                assert_eq!(got.doc.to_xml(), reference.doc.to_xml(), "{kind:?} version {i}");
+                assert_eq!(
+                    got.xid_map_of(got.doc.tree.root()),
+                    reference.xid_map_of(reference.doc.tree.root()),
+                    "{kind:?} version {i}"
                 );
             }
         }
