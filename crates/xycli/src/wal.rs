@@ -49,12 +49,21 @@ fn inspect(dir: &Path) -> Result<ExitCode, String> {
     println!("  segments  {}", report.segments.len());
     for seg in &report.segments {
         let name = seg.path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+        // Past its records the last segment holds either a torn tail
+        // (reported below) or the zeros a live writer fills ahead of itself.
+        let torn_here = report.torn.as_ref().is_some_and(|t| t.segment == seg.path);
+        let zeros = seg.bytes - seg.record_bytes;
+        let ahead = if zeros > 0 && !torn_here {
+            format!(", {zeros} bytes preallocated")
+        } else {
+            String::new()
+        };
         match seg.last_lsn() {
             Some(last) => println!(
-                "    {name}: lsn {}..={} ({} records, {} bytes)",
-                seg.first_lsn, last, seg.records, seg.bytes
+                "    {name}: lsn {}..={} ({} records, {} bytes of records{ahead})",
+                seg.first_lsn, last, seg.records, seg.record_bytes
             ),
-            None => println!("    {name}: empty (next lsn {})", seg.first_lsn),
+            None => println!("    {name}: empty (next lsn {}{ahead})", seg.first_lsn),
         }
     }
     if let Some(torn) = &report.torn {

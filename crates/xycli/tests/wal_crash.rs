@@ -5,8 +5,9 @@
 //! mid-stream — no drain, no warning. Every ingest the server *acked as
 //! durable* before the kill must survive: a restarted server on the same
 //! WAL directory serves every acked `(key, version)` byte-identically.
-//! Un-acked in-flight requests may be lost (that is the contract), and a
-//! torn tail from the kill must be repaired so the log stays healthy.
+//! Un-acked in-flight requests may be lost (that is the contract). The
+//! killed log must inspect healthy as it lies, its zero-filled room read as
+//! the clean end of the log, and it must stay healthy once restarted.
 
 #![cfg(unix)]
 
@@ -88,6 +89,16 @@ fn json_u64(body: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Run `xydiff wal inspect` on `dir`: whether it exited 0, and its report.
+fn inspect(dir: &Path) -> (bool, String) {
+    let out = Command::new(xydiff())
+        .args(["wal", "inspect"])
+        .arg(dir)
+        .output()
+        .expect("run wal inspect");
+    (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
 fn tmp_wal_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join(format!("xydiff-wal-crash-{tag}-{}", std::process::id()));
@@ -153,6 +164,13 @@ fn kill_nine_loses_no_acked_ingests() {
     let acked = Arc::try_unwrap(acked).expect("hammer thread is done").into_inner().unwrap();
     assert!(acked.len() >= 25, "expected at least 25 durable acks, got {}", acked.len());
 
+    // The killed writer never closed its segment, so the zeros it filled
+    // ahead of itself are still there: the log reads as ending cleanly
+    // after its last record, with no torn tail to repair.
+    let (healthy, stdout) = inspect(&wal_dir);
+    assert!(healthy, "wal inspect after SIGKILL:\n{stdout}");
+    assert!(!stdout.contains("TORN TAIL"), "unexpected torn tail:\n{stdout}");
+
     // Restart on the same WAL directory: replay must resurrect every
     // acked version, byte-identical to the canonical form of what the
     // client submitted.
@@ -185,18 +203,10 @@ fn kill_nine_loses_no_acked_ingests() {
     let status = server.child.wait().expect("wait for drained server");
     assert!(status.success(), "drained server must exit cleanly: {status:?}");
 
-    let inspect = Command::new(xydiff())
-        .arg("wal")
-        .arg("inspect")
-        .arg(&wal_dir)
-        .output()
-        .expect("run wal inspect");
-    let stdout = String::from_utf8_lossy(&inspect.stdout);
-    assert!(
-        inspect.status.success(),
-        "wal inspect found an unhealthy log after recovery:\n{stdout}",
-    );
+    let (healthy, stdout) = inspect(&wal_dir);
+    assert!(healthy, "wal inspect found an unhealthy log after recovery:\n{stdout}");
     assert!(stdout.contains("status    ok"), "unexpected inspect report:\n{stdout}");
+    assert!(!stdout.contains("preallocated"), "a drained log ends at its last record:\n{stdout}");
 
     let _ = std::fs::remove_dir_all(&wal_dir);
 }

@@ -91,6 +91,8 @@ pub(crate) fn route(shared: &Shared, head: &Head, body: Vec<u8>) -> Routed {
             shared.http.observe_route("healthz");
             if shared.draining.load(Ordering::SeqCst) {
                 Response::json(503, "{\"status\":\"draining\"}".to_string())
+            } else if shared.ingest.wal_poisoned() {
+                Response::json(503, "{\"status\":\"wal-poisoned\"}".to_string())
             } else {
                 Response::json(200, "{\"status\":\"ok\"}".to_string())
             }

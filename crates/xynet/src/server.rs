@@ -11,7 +11,8 @@
 //! | `POST /ingest/{key}`    | body = XML snapshot → `{version, ops, ...}` JSON |
 //! | `GET /doc/{key}[/{v}]`  | reconstructed XML of version `v` (default last)  |
 //! | `GET /metrics`          | Prometheus exposition (ingest + HTTP layers)     |
-//! | `GET /healthz`          | `200` while serving, `503` while draining        |
+//! | `GET /healthz`          | `200` while serving, `503` while draining or     |
+//! |                         | once the write-ahead log has poisoned itself     |
 //! | `POST /admin/shutdown`  | begin a loss-free drain, `202`                   |
 //!
 //! Backpressure is layered: a full ingest queue turns into `503` +

@@ -352,6 +352,43 @@ fn admin_shutdown_drains_and_flips_health() {
     assert!(report.requests >= 3);
 }
 
+/// A log that has poisoned itself turns health red. The next segment's path
+/// is a symlink to `/dev/full`, so rolling onto it gets a real `ENOSPC` from
+/// the kernel; ingests keep being acked, but non-durable.
+#[cfg(target_os = "linux")]
+#[test]
+fn poisoned_wal_turns_health_red() {
+    let dir = std::env::temp_dir().join(format!("xynet-wal-poisoned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = xyserve::WalPolicy { segment_bytes: 4 << 10, ..xyserve::WalPolicy::new(&dir) };
+    let server =
+        start(NetConfig::new(), ServeConfig::new().with_workers(1).unwrap().with_wal(policy));
+    let addr = server.local_addr();
+    // Only once the log is open: its scan refuses a device.
+    std::os::unix::fs::symlink("/dev/full", dir.join("seg-00000002.wal")).expect("symlink");
+
+    let (code, text) = request(addr, "GET", "/healthz", None);
+    assert_eq!(code, 200, "{text}");
+    let mut durable = 0;
+    for n in 0..64 {
+        let body = format!("<d><n>{n}</n><pad>{}</pad></d>", "p".repeat(400));
+        let (code, text) = request(addr, "POST", "/ingest/d", Some(&body));
+        assert_eq!(code, 200, "a poisoned log still stores the version: {text}");
+        if response_body(&text).contains("\"durable\":false") {
+            break;
+        }
+        durable += 1;
+    }
+    assert!(durable > 0 && durable < 64, "the roll onto /dev/full must fail: {durable}");
+    let (code, text) = request(addr, "GET", "/healthz", None);
+    assert_eq!(code, 503, "{text}");
+    assert_eq!(response_body(&text), "{\"status\":\"wal-poisoned\"}");
+
+    let report = server.shutdown();
+    assert!(report.ingest.is_balanced(), "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Golden protocol corpus.
 // ---------------------------------------------------------------------------

@@ -670,6 +670,13 @@ impl IngestServer {
         &self.inner.shards
     }
 
+    /// Whether the write-ahead log has poisoned itself after a failed
+    /// write, sync, roll or zero-fill: from then on every ingest is acked
+    /// non-durable. `false` without a log.
+    pub fn wal_poisoned(&self) -> bool {
+        self.inner.wal.as_ref().is_some_and(Wal::is_poisoned)
+    }
+
     /// Block until every snapshot submitted so far is accounted for
     /// (succeeded or dead-lettered). Quiesce point for live reads; the
     /// server keeps accepting new work afterwards.

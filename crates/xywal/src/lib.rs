@@ -23,10 +23,15 @@
 //!   whole written tail with a single `fdatasync` while the mutex stays
 //!   free for more appends; followers just wait on a condvar. One fsync
 //!   thus covers a batch of workers' records ([`Wal::append`]).
+//! - **Zero tail**: under [`WalSync::Always`] the active segment is
+//!   zero-filled ahead of the writer and frames overwrite the zeros, so an
+//!   fsync flushes record bytes, not a new file size. Rolling a segment
+//!   and a clean close ([`Wal`]'s `Drop`) cut it back to its last frame.
 //! - **Torn-tail recovery**: on open, every segment is scanned
 //!   record-by-record. An invalid record in the *last* segment is a torn
 //!   tail from a crash mid-write — the tail is truncated and reported, not
-//!   an error. An invalid record anywhere else is real corruption.
+//!   an error; an all-zero tail there is the clean end of the log. An
+//!   invalid record anywhere else is real corruption.
 //! - **The log is complete or it is refused**: segments are never deleted,
 //!   so the first one starts at LSN 1. A directory whose first segment
 //!   starts later was cut short by an earlier release (which kept the

@@ -17,17 +17,35 @@
 //! [`WalError::Truncated`]: segments are never deleted, so such a
 //! directory was cut short by an earlier release that kept the missing
 //! history in a snapshot this one cannot read.
+//!
+//! Under [`WalSync::Always`] the active segment is zero-filled ahead of the
+//! writer, one synced chunk at a time, and frames are written at explicit
+//! offsets into the zeros: a group-commit `fdatasync` then flushes record
+//! bytes only, not a new file size through the filesystem journal. The
+//! last segment may therefore end in zeros after its last frame; [`scan`]
+//! reads an all-zero tail as the clean end of the log. Rolling to the next
+//! segment and dropping the [`Wal`] truncate the segment to its last
+//! frame, so sealed and cleanly closed segments carry no zeros.
 
 use crate::record::{decode_frame, encode_frame, Record};
 use crate::{WalConfig, WalError, WalSync};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: [u8; 8] = *b"XYWALOG1";
 const SEGMENT_HEADER_BYTES: usize = 16;
+
+/// How far ahead of the writer the active segment is zero-filled, and the
+/// size of one fill. A commit leader tops the fill up once the writer is
+/// within half a chunk of its end.
+const PREALLOC_CHUNK: u64 = 1 << 20;
+
+/// The zeros a fill writes, a slice at a time: no allocation per fill.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
 
 fn segment_name(index: u64) -> String {
     format!("seg-{index:08}.wal")
@@ -39,6 +57,17 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 
 fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// Write zeros over `start..end` of `file` and make them durable.
+fn zero_fill(file: &File, start: u64, end: u64) -> std::io::Result<()> {
+    let mut at = start;
+    while at < end {
+        let n = (end - at).min(ZEROS.len() as u64);
+        file.write_all_at(&ZEROS[..n as usize], at)?;
+        at += n;
+    }
+    file.sync_data()
 }
 
 fn create_segment(dir: &Path, index: u64, first_lsn: u64) -> std::io::Result<File> {
@@ -64,7 +93,11 @@ pub struct SegmentReport {
     pub first_lsn: u64,
     /// Number of valid records decoded.
     pub records: u64,
-    /// File size in bytes (before any torn-tail truncation).
+    /// Header plus every valid frame: where the next record goes.
+    pub record_bytes: u64,
+    /// File size in bytes (before any torn-tail truncation). Beyond
+    /// `record_bytes` the last segment holds either a torn tail or the
+    /// zeros preallocated ahead of the writer.
     pub bytes: u64,
 }
 
@@ -106,7 +139,9 @@ pub struct ScanReport {
 /// and `xydiff wal inspect`. Fails on corruption anywhere except the
 /// tail of the last segment, which is reported as [`ScanReport::torn`],
 /// and on a log whose first record is not LSN 1
-/// ([`WalError::Truncated`]). Files other than `seg-*.wal` are ignored.
+/// ([`WalError::Truncated`]). An all-zero tail of the last segment is the
+/// preallocated room of a writer that did not close cleanly: the clean end
+/// of the log, not a torn write. Files other than `seg-*.wal` are ignored.
 pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
     let mut named: Vec<(u64, PathBuf)> = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -124,6 +159,14 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
     let mut expected_first: Option<u64> = None;
     for (pos, (index, path)) in named.iter().enumerate() {
         let is_last = pos + 1 == named.len();
+        if !fs::metadata(path)?.is_file() {
+            // A device behind the name (`/dev/zero`) would read forever.
+            return Err(WalError::Corrupt {
+                segment: path.clone(),
+                offset: 0,
+                message: "not a regular file".to_string(),
+            });
+        }
         let bytes = fs::read(path)?;
         if bytes.len() < SEGMENT_HEADER_BYTES || bytes[..8] != MAGIC {
             if is_last {
@@ -140,6 +183,7 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
                     index: *index,
                     first_lsn: 0,
                     records: 0,
+                    record_bytes: 0,
                     bytes: bytes.len() as u64,
                 });
                 break;
@@ -177,6 +221,7 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
                     count += 1;
                     offset += used;
                 }
+                Err(_) if is_last && bytes[offset..].iter().all(|&b| b == 0) => break,
                 Err(e) if is_last => {
                     torn = Some(TornTail {
                         segment: path.clone(),
@@ -201,6 +246,7 @@ pub fn scan(dir: &Path) -> Result<ScanReport, WalError> {
             index: *index,
             first_lsn,
             records: count,
+            record_bytes: offset as u64,
             bytes: bytes.len() as u64,
         });
     }
@@ -226,7 +272,14 @@ pub struct Recovery {
 struct State {
     file: File,
     seg_index: u64,
+    /// End of the active segment's last frame: where the next frame goes.
     seg_bytes: u64,
+    /// Written length of the active segment (≥ `seg_bytes`): frames up to
+    /// `seg_bytes`, then synced zeros, the room for the next frames.
+    alloc_bytes: u64,
+    /// A commit leader is zero-filling from `alloc_bytes` on, outside the
+    /// lock; no frame may be written past `alloc_bytes` until it is done.
+    extending: bool,
     /// LSN the next append will get (`written_lsn + 1`).
     next_lsn: u64,
     /// Highest LSN handed to the OS.
@@ -320,6 +373,7 @@ impl Wal {
                 f.sync_all()?;
                 if let Some(s) = report.segments.last_mut() {
                     s.bytes = t.valid_bytes;
+                    s.record_bytes = t.valid_bytes;
                 }
             }
             sync_dir(&config.dir)?;
@@ -327,16 +381,19 @@ impl Wal {
 
         let last_lsn =
             report.segments.iter().filter_map(SegmentReport::last_lsn).max().unwrap_or(0);
-        let (file, seg_index, seg_bytes) = match report.segments.last() {
+        // The writer resumes after the last frame; a zero tail left by a
+        // writer that did not close cleanly stays as preallocated room.
+        let (file, seg_index, seg_bytes, alloc_bytes) = match report.segments.last() {
             Some(s) => {
-                let f = OpenOptions::new().append(true).open(&s.path)?;
+                let f = OpenOptions::new().write(true).open(&s.path)?;
                 // Everything retained by the scan is durable from here on.
                 f.sync_data()?;
-                (f, s.index, s.bytes)
+                (f, s.index, s.record_bytes, s.bytes)
             }
             None => {
                 let f = create_segment(&config.dir, 1, 1)?;
-                (f, 1, SEGMENT_HEADER_BYTES as u64)
+                let header = SEGMENT_HEADER_BYTES as u64;
+                (f, 1, header, header)
             }
         };
         let segments = report.segments.len().max(1);
@@ -349,6 +406,8 @@ impl Wal {
                 file,
                 seg_index,
                 seg_bytes,
+                alloc_bytes,
+                extending: false,
                 next_lsn: last_lsn + 1,
                 written_lsn: last_lsn,
                 durable_lsn: last_lsn,
@@ -386,11 +445,20 @@ impl Wal {
     /// fsynced — one leader's fsync covers the whole written batch.
     pub fn append(&self, record: &Record) -> Result<AppendOutcome, WalError> {
         let frame = encode_frame(record);
+        let len = frame.len() as u64;
         let lsn;
         {
             let mut st = self.lock();
-            if st.poisoned {
-                return Err(WalError::Poisoned);
+            loop {
+                if st.poisoned {
+                    return Err(WalError::Poisoned);
+                }
+                // Only a frame that outgrows the zero-filled room waits for a
+                // fill in progress; with no fill running it extends the file.
+                if !(st.extending && st.seg_bytes + len > st.alloc_bytes) {
+                    break;
+                }
+                st = self.wait_cv(st);
             }
             if st.seg_bytes >= self.segment_bytes {
                 if let Err(e) = self.roll(&mut st) {
@@ -400,17 +468,18 @@ impl Wal {
                 }
             }
             lsn = st.next_lsn;
-            if let Err(e) = st.file.write_all(&frame) {
+            if let Err(e) = st.file.write_all_at(&frame, st.seg_bytes) {
                 st.poisoned = true;
                 self.cv.notify_all();
                 return Err(WalError::Io(e));
             }
             st.next_lsn += 1;
             st.written_lsn = lsn;
-            st.seg_bytes += frame.len() as u64;
+            st.seg_bytes += len;
+            st.alloc_bytes = st.alloc_bytes.max(st.seg_bytes);
         }
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(len, Ordering::Relaxed);
         let durable = match self.sync_mode {
             WalSync::None => false,
             WalSync::Always => {
@@ -418,20 +487,65 @@ impl Wal {
                 true
             }
         };
-        Ok(AppendOutcome { lsn, durable, bytes: frame.len() as u64 })
+        Ok(AppendOutcome { lsn, durable, bytes: len })
     }
 
-    /// Seal the active segment and start the next one. Called under the
-    /// state lock.
+    /// Seal the active segment — cut to its last frame, so a sealed
+    /// segment holds no zeros — and start the next one. Called under the
+    /// state lock, never while a fill runs: a fill stops below
+    /// `segment_bytes`, and a frame past it waits for the fill.
     fn roll(&self, st: &mut State) -> Result<(), WalError> {
-        st.file.sync_data()?;
+        // Fills stop at `segment_bytes`, so there is something to cut only
+        // when a zero tail was reopened under a smaller roll size.
+        if st.alloc_bytes > st.seg_bytes {
+            st.file.set_len(st.seg_bytes)?;
+            st.file.sync_all()?;
+        } else {
+            st.file.sync_data()?;
+        }
         st.durable_lsn = st.durable_lsn.max(st.written_lsn);
         let index = st.seg_index + 1;
         st.file = create_segment(&self.dir, index, st.next_lsn)?;
         st.segments += 1;
         st.seg_index = index;
         st.seg_bytes = SEGMENT_HEADER_BYTES as u64;
+        st.alloc_bytes = st.seg_bytes;
         Ok(())
+    }
+
+    /// Under [`WalSync::Always`], zero-fill and sync the next chunk of the
+    /// active segment once the writer is within half a chunk of the filled
+    /// end. A commit leader calls this after it has published durability,
+    /// and fills outside the lock: appenders keep writing into the room
+    /// that is left, and followers are already released. A failed fill
+    /// poisons the writer before any record is written into the chunk.
+    fn preallocate(&self, mut st: MutexGuard<'_, State>) {
+        let start = st.alloc_bytes;
+        let end = (start + PREALLOC_CHUNK).min(self.segment_bytes);
+        let room = start - st.seg_bytes;
+        if self.sync_mode == WalSync::None
+            || st.extending
+            || st.poisoned
+            || end <= start
+            || room >= PREALLOC_CHUNK / 2
+        {
+            return;
+        }
+        let Ok(file) = st.file.try_clone() else {
+            st.poisoned = true;
+            self.cv.notify_all();
+            return;
+        };
+        st.extending = true;
+        drop(st);
+        let result = zero_fill(&file, start, end);
+        let mut st = self.lock();
+        st.extending = false;
+        match result {
+            Ok(()) => st.alloc_bytes = end,
+            Err(_) => st.poisoned = true,
+        }
+        self.cv.notify_all();
     }
 
     /// Block until everything up to `lsn` is on stable storage, becoming
@@ -439,11 +553,11 @@ impl Wal {
     fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
         let mut st = self.lock();
         loop {
-            if st.poisoned {
-                return Err(WalError::Poisoned);
-            }
             if st.durable_lsn >= lsn {
                 return Ok(());
+            }
+            if st.poisoned {
+                return Err(WalError::Poisoned);
             }
             if st.syncing {
                 st = self.wait_cv(st);
@@ -477,6 +591,10 @@ impl Wal {
                         self.stats.max_fsync_batch.fetch_max(batch, Ordering::Relaxed);
                     }
                     self.cv.notify_all();
+                    // `target` covers `lsn`: this append is durable, whatever
+                    // the fill below does.
+                    self.preallocate(st);
+                    return Ok(());
                 }
                 Err(e) => {
                     st.poisoned = true;
@@ -494,6 +612,12 @@ impl Wal {
         self.wait_durable(target)
     }
 
+    /// Whether an earlier failure (a write, a sync, a segment roll or a
+    /// zero-fill) has made the writer refuse every further append.
+    pub fn is_poisoned(&self) -> bool {
+        self.lock().poisoned
+    }
+
     /// A point-in-time copy of every counter.
     pub fn stats(&self) -> WalStats {
         let (appended_lsn, durable_lsn, segments) = {
@@ -509,6 +633,17 @@ impl Wal {
             fsyncs: self.stats.fsyncs.load(Ordering::Relaxed),
             fsynced_records: self.stats.fsynced_records.load(Ordering::Relaxed),
             max_fsync_batch: self.stats.max_fsync_batch.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl Drop for Wal {
+    /// A clean close cuts the active segment to its last frame, so it is
+    /// byte-identical to one written without preallocation.
+    fn drop(&mut self) {
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if st.alloc_bytes > st.seg_bytes && st.file.set_len(st.seg_bytes).is_ok() {
+            let _ = st.file.sync_all();
         }
     }
 }
@@ -694,49 +829,65 @@ mod tests {
 
     #[test]
     fn concurrent_appends_group_commit() {
-        let dir = tmpdir("group");
-        let (wal, _) = open(&dir);
-        let wal = Arc::new(wal);
-        let threads = 8;
-        let per_thread = 25u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let w = Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    for v in 1..=per_thread {
-                        let out = w.append(&delta(&format!("k{t}"), v)).unwrap();
-                        assert!(out.durable);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = threads as u64 * per_thread;
-        assert_eq!(wal.stats().appended_lsn, total);
-        assert_eq!(wal.stats().durable_lsn, total);
-        let stats = wal.stats();
-        assert_eq!(stats.appends, total);
-        assert!(stats.fsyncs <= total);
-        assert_eq!(stats.fsynced_records, total);
-        drop(wal);
-        let (_, rec) = open(&dir);
-        assert_eq!(rec.records.len(), total as usize);
-        // Per-key version order is preserved in LSN order.
-        for t in 0..threads {
-            let versions: Vec<u64> = rec
-                .records
-                .iter()
-                .filter(|(_, r)| r.key() == format!("k{t}"))
-                .map(|(_, r)| match r {
-                    Record::Delta { version, .. } => *version,
-                    Record::Init { .. } => 0,
+        // Default segments, then 4 KiB ones: there appenders also wait for
+        // fills, and rolls cut segments while eight threads append.
+        for (tag, segment_bytes) in [("group", 4 << 20), ("group-small", 4 << 10)] {
+            let dir = tmpdir(tag);
+            let cfg = WalConfig { segment_bytes, ..WalConfig::new(&dir) };
+            let (wal, _) = Wal::open(&cfg).unwrap();
+            let wal = Arc::new(wal);
+            let threads = 8;
+            let per_thread = 25u64;
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let w = Arc::clone(&wal);
+                    std::thread::spawn(move || {
+                        for v in 1..=per_thread {
+                            let out = w.append(&delta(&format!("k{t}"), v)).unwrap();
+                            assert!(out.durable);
+                        }
+                    })
                 })
                 .collect();
-            assert_eq!(versions, (1..=per_thread).collect::<Vec<_>>());
+            for h in handles {
+                h.join().unwrap();
+            }
+            let total = threads as u64 * per_thread;
+            assert_eq!(wal.stats().appended_lsn, total);
+            assert_eq!(wal.stats().durable_lsn, total);
+            let stats = wal.stats();
+            assert_eq!(stats.appends, total);
+            assert!(stats.fsyncs <= total);
+            // A roll syncs the segment it seals: records it makes durable
+            // are not counted in a group-commit batch.
+            if stats.segments == 1 {
+                assert_eq!(stats.fsynced_records, total);
+            } else {
+                assert!(stats.fsynced_records <= total);
+            }
+            drop(wal);
+            let report = scan(&dir).unwrap();
+            assert!(report.torn.is_none());
+            for seg in &report.segments {
+                assert_eq!(seg.bytes, seg.record_bytes, "{}", seg.path.display());
+            }
+            let (_, rec) = Wal::open(&cfg).unwrap();
+            assert_eq!(rec.records.len(), total as usize);
+            // Per-key version order is preserved in LSN order.
+            for t in 0..threads {
+                let versions: Vec<u64> = rec
+                    .records
+                    .iter()
+                    .filter(|(_, r)| r.key() == format!("k{t}"))
+                    .map(|(_, r)| match r {
+                        Record::Delta { version, .. } => *version,
+                        Record::Init { .. } => 0,
+                    })
+                    .collect();
+                assert_eq!(versions, (1..=per_thread).collect::<Vec<_>>());
+            }
+            let _ = fs::remove_dir_all(&dir);
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -751,6 +902,156 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(&cfg).unwrap();
         assert_eq!(rec.records.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn live_segment_is_zero_filled_ahead_only_under_always() {
+        let cases = [("prealloc", WalSync::Always, true), ("noprealloc", WalSync::None, false)];
+        for (tag, sync, ahead) in cases {
+            let dir = tmpdir(tag);
+            let (wal, _) = Wal::open(&WalConfig::new(&dir).with_sync(sync)).unwrap();
+            let out = wal.append(&delta("k", 1)).unwrap();
+            let seg = dir.join(segment_name(1));
+            let records = SEGMENT_HEADER_BYTES as u64 + out.bytes;
+            assert_eq!(file_len(&seg) > records, ahead, "{sync}");
+            drop(wal);
+            assert_eq!(file_len(&seg), records, "{sync}: a clean close ends at the last frame");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn writer_gone_without_drop_leaves_a_clean_zero_tail() {
+        let dir = tmpdir("forget");
+        let (wal, _) = open(&dir);
+        let mut end = SEGMENT_HEADER_BYTES as u64;
+        for v in 1..=3 {
+            end += wal.append(&delta("k", v)).unwrap().bytes;
+        }
+        // What a killed process leaves: no Drop, so no truncation.
+        std::mem::forget(wal);
+        let seg = dir.join(segment_name(1));
+        assert!(file_len(&seg) > end, "the preallocated zeros are still there");
+        let report = scan(&dir).unwrap();
+        assert!(report.torn.is_none(), "a zero tail is not a torn write");
+        assert_eq!(report.segments[0].record_bytes, end);
+        assert_eq!(report.segments[0].bytes, file_len(&seg));
+
+        let (wal2, rec) = open(&dir);
+        assert!(!rec.torn);
+        assert_eq!(rec.torn_bytes, 0);
+        assert_eq!(rec.records.len(), 3);
+        let out = wal2.append(&delta("k", 4)).unwrap();
+        assert_eq!(out.lsn, 4);
+        drop(wal2);
+        // The new frame landed right after the last one: no zeros between.
+        assert_eq!(file_len(&seg), end + out.bytes);
+        let (_, rec3) = open(&dir);
+        assert!(!rec3.torn);
+        assert_eq!(rec3.records.len(), 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_frame_followed_by_zeros_is_torn_and_truncated() {
+        let dir = tmpdir("tornzeros");
+        let (wal, _) = open(&dir);
+        let mut end = SEGMENT_HEADER_BYTES as u64;
+        for v in 1..=2 {
+            end += wal.append(&delta("k", v)).unwrap().bytes;
+        }
+        drop(wal);
+        // Half a frame, then preallocated zeros behind it.
+        let seg = dir.join(segment_name(1));
+        let frame = encode_frame(&delta("k", 3));
+        let f = OpenOptions::new().write(true).open(&seg).unwrap();
+        f.write_all_at(&frame[..frame.len() / 2], end).unwrap();
+        f.set_len(end + 4096).unwrap();
+        drop(f);
+
+        let torn = scan(&dir).unwrap().torn.expect("a partial frame before zeros is torn");
+        assert_eq!(torn.valid_bytes, end);
+        assert_eq!(torn.lost_bytes, 4096);
+        let (_, rec) = open(&dir);
+        assert!(rec.torn);
+        assert_eq!(rec.records.len(), 2);
+        assert_eq!(file_len(&seg), end, "truncated to the last whole frame");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_segments_end_exactly_at_their_last_frame() {
+        let dir = tmpdir("sealedend");
+        let cfg = WalConfig { segment_bytes: 64 << 10, ..WalConfig::new(&dir) };
+        let (wal, _) = Wal::open(&cfg).unwrap();
+        let big = "x".repeat(3000);
+        for v in 1..=60 {
+            wal.append(&Record::Delta { key: "k".into(), version: v, delta_xml: big.clone() })
+                .unwrap();
+        }
+        assert!(wal.stats().segments > 2, "load must have rolled segments");
+        let report = scan(&dir).unwrap();
+        let (last, sealed) = report.segments.split_last().unwrap();
+        for seg in sealed {
+            assert_eq!(seg.bytes, seg.record_bytes, "{}", seg.path.display());
+        }
+        assert!(last.bytes > last.record_bytes, "the live segment is zero-filled ahead");
+        std::mem::forget(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zeros_in_a_sealed_segment_are_corrupt() {
+        let dir = tmpdir("sealedzeros");
+        let cfg = WalConfig { segment_bytes: 4 << 10, ..WalConfig::new(&dir) };
+        let (wal, _) = Wal::open(&cfg).unwrap();
+        let big = "x".repeat(512);
+        for v in 1..=20 {
+            wal.append(&Record::Delta { key: "k".into(), version: v, delta_xml: big.clone() })
+                .unwrap();
+        }
+        assert!(wal.stats().segments > 1, "load must have rolled segments");
+        drop(wal);
+        let seg = dir.join(segment_name(1));
+        let f = OpenOptions::new().write(true).open(&seg).unwrap();
+        f.set_len(file_len(&seg) + 4096).unwrap();
+        drop(f);
+        match Wal::open(&cfg) {
+            Err(WalError::Corrupt { segment, .. }) => assert!(segment.ends_with(segment_name(1))),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The next segment's path is a symlink to `/dev/full`: creating it gets
+    /// a real `ENOSPC` from the kernel, and the writer poisons itself. The
+    /// link is made after `open`: a scan refuses it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn full_disk_at_roll_poisons_the_writer() {
+        let dir = tmpdir("devfull");
+        let cfg = WalConfig { segment_bytes: 4 << 10, ..WalConfig::new(&dir) };
+        let (wal, _) = Wal::open(&cfg).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join(segment_name(2))).unwrap();
+        let big = "x".repeat(512);
+        let mut failed = None;
+        for v in 1..=20 {
+            let r = Record::Delta { key: "k".into(), version: v, delta_xml: big.clone() };
+            if let Err(e) = wal.append(&r) {
+                failed = Some(e);
+                break;
+            }
+        }
+        assert!(matches!(failed, Some(WalError::Io(_))), "{failed:?}");
+        assert!(wal.is_poisoned());
+        assert!(matches!(wal.append(&delta("k", 99)), Err(WalError::Poisoned)));
+        drop(wal);
+        assert!(matches!(scan(&dir), Err(WalError::Corrupt { .. })), "a device is no segment");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -118,14 +118,23 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encode `record` as one complete frame (header + body).
+/// Encode `record` as one complete frame (header + body), in one buffer:
+/// the header is reserved, the body encoded after it, then the header is
+/// filled in from the body slice.
 pub fn encode_frame(record: &Record) -> Vec<u8> {
-    let mut body = Vec::new();
-    record.encode_body(&mut body);
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv64(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let (key, payload) = match record {
+        Record::Init { key, xml } => (key, xml),
+        Record::Delta { key, delta_xml, .. } => (key, delta_xml),
+    };
+    // Body: tag, key length, version (deltas only), key, payload.
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 1 + 4 + 8 + key.len() + payload.len());
+    out.resize(FRAME_HEADER_BYTES, 0);
+    record.encode_body(&mut out);
+    let body = &out[FRAME_HEADER_BYTES..];
+    let len = (body.len() as u32).to_le_bytes();
+    let sum = fnv64(body).to_le_bytes();
+    out[..4].copy_from_slice(&len);
+    out[4..FRAME_HEADER_BYTES].copy_from_slice(&sum);
     out
 }
 

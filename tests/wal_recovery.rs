@@ -4,8 +4,9 @@
 //! crash, `replay(empty warehouse, log prefix)` reconstructs a warehouse
 //! byte-identical to the pre-crash reference truncated to that prefix.
 //! The deterministic test sweeps *every* crash point — each record
-//! boundary and several mid-record offsets — and the property test does
-//! the same for random histories and random cut points. A third test
+//! boundary, several mid-record offsets, and points inside the zero-filled
+//! room a live writer keeps ahead of its last record — and the property
+//! test does the same for random histories and random cut points. A third test
 //! checks the last line of defence: a logged record whose frame checksum
 //! holds but whose delta payload is semantically corrupt is rejected by
 //! the static validator during replay, before it can reach a chain.
@@ -47,16 +48,22 @@ fn segment_path(dir: &Path) -> PathBuf {
     segs.pop().expect("one segment")
 }
 
+/// Segment header length: where the first record starts.
+const HEADER: u64 = 16;
+
 /// Run `history` through a reference repository while logging each
 /// completed version to a fresh WAL in `dir` — exactly the server's ack
 /// path: `Init` with the canonical first version, then one `Delta` record
-/// per ingest. Returns the reference and the segment length after each
-/// append (= the record boundaries a crash can land between).
+/// per ingest. Returns the reference and the end offset of each record
+/// (= the record boundaries a crash can land between), summed from the
+/// appends: while the writer is open its segment runs on past the last
+/// record into zero-filled room. The writer is closed on return, which
+/// cuts the segment back to its last record.
 fn build_log(dir: &Path, history: &[(String, String)]) -> (Repository, Vec<u64>) {
     let reference = Repository::new();
     let (wal, recovery) = Wal::open(&WalConfig::new(dir)).expect("open fresh wal");
     assert_eq!(recovery.records.len(), 0, "fresh wal must be empty");
-    let seg = segment_path(dir);
+    let mut end = HEADER;
     let mut boundaries = Vec::new();
     for (key, xml) in history {
         let first = reference.version_count(key) == 0;
@@ -70,15 +77,16 @@ fn build_log(dir: &Path, history: &[(String, String)]) -> (Repository, Vec<u64>)
                 delta_xml: xml_io::delta_to_xml(&out.delta),
             }
         };
-        wal.append(&record).expect("append");
-        boundaries.push(fs::metadata(&seg).expect("segment metadata").len());
+        end += wal.append(&record).expect("append").bytes;
+        boundaries.push(end);
     }
     (reference, boundaries)
 }
 
 /// Simulate a crash at byte offset `cut`: copy the segment into a fresh
-/// directory, truncate it, and open the log there. Returns what recovery
-/// handed back.
+/// directory, truncate it (or, past its end, extend it with zeros as a
+/// live writer's preallocated room), and open the log there. Returns what
+/// recovery handed back.
 fn recover_at(seg: &Path, cut: u64, crash_dir: &Path) -> (Vec<(u64, Record)>, bool) {
     let dst = crash_dir.join(seg.file_name().expect("segment name"));
     fs::copy(seg, &dst).expect("copy segment");
@@ -161,16 +169,19 @@ fn every_crash_point_recovers_exactly_the_acked_prefix() {
     let history = fixed_history();
     let (reference, boundaries) = build_log(&dir, &history);
     let seg = segment_path(&dir);
-    const HEADER: u64 = 16;
+    let last = *boundaries.last().expect("history is not empty");
+    assert_eq!(fs::metadata(&seg).expect("segment metadata").len(), last);
 
     // Crash points: before/inside the header, at the bare header, at every
-    // record boundary, and twice inside every record.
+    // record boundary, twice inside every record, and inside the zero tail
+    // a writer that never closed leaves behind its last record.
     let mut cuts: Vec<u64> = vec![0, 1, HEADER - 1, HEADER];
     let mut prev = HEADER;
     for &b in &boundaries {
         cuts.extend([prev + 1, prev + (b - prev) / 2, b]);
         prev = b;
     }
+    cuts.extend([last + 1, last + 12, last + 4096, last + (1 << 20)]);
 
     for cut in cuts {
         let crash_dir = tmpdir("sweep-cut");
@@ -181,7 +192,7 @@ fn every_crash_point_recovers_exactly_the_acked_prefix() {
             expected,
             "cut at byte {cut} must recover exactly the {expected} fully-written records",
         );
-        let clean = cut == HEADER || boundaries.contains(&cut);
+        let clean = cut == HEADER || boundaries.contains(&cut) || cut > last;
         assert_eq!(torn, !clean, "cut at byte {cut}: torn must mean mid-record");
         assert_prefix_replay(&reference, &records);
         let _ = fs::remove_dir_all(&crash_dir);
@@ -262,7 +273,7 @@ proptest! {
         let (reference, boundaries) = build_log(&dir, &history);
         let seg = segment_path(&dir);
         let last = *boundaries.last().expect("at least one record");
-        let cut = 16 + (last - 16) * cut_permille / 1000;
+        let cut = HEADER + (last - HEADER) * cut_permille / 1000;
 
         let crash_dir = tmpdir("prop-cut");
         let (records, _) = recover_at(&seg, cut, &crash_dir);
@@ -278,7 +289,7 @@ proptest! {
 
 /// Run `history` through a bare `Differ` with the given capture mode,
 /// logging Init + Delta records exactly like the server's ack path, and
-/// return the raw segment bytes. With `CaptureMode::Borrowed` every delta
+/// return the raw segment bytes once the writer is closed. With `CaptureMode::Borrowed` every delta
 /// crosses the `into_owned()` boundary before serialization — the path
 /// the warehouse uses in production since the zero-copy capture landed.
 fn log_with_capture(
@@ -323,6 +334,7 @@ fn log_with_capture(
             }
         }
     }
+    drop(wal);
     fs::read(segment_path(dir)).expect("read segment")
 }
 
