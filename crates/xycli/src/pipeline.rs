@@ -2,7 +2,8 @@
 //! parsed in one place: `--workers --queue --shards --diff-threads --mode
 //! --wal-dir --wal-sync --compact-chain-max --quiet`.
 
-use xyserve::{ServeConfig, WalPolicy, WalSync};
+use xydiff::DiffOptions;
+use xyserve::{ConfigError, ServeConfig, WalPolicy, WalSync};
 
 /// The pipeline flags seen so far on one command line.
 #[derive(Default)]
@@ -16,22 +17,32 @@ pub(crate) struct PipelineFlags {
 
 impl PipelineFlags {
     /// Consume `flag` — and its value from `it` — when it is a pipeline
-    /// flag; `Ok(false)` leaves it to the calling command.
+    /// flag; `Ok(false)` leaves it to the calling command. A count goes
+    /// through its `ServeConfig` builder, so a value the builder rejects is
+    /// refused here, with the builder's [`ConfigError`] message.
     pub(crate) fn accept<'a>(
         &mut self,
         flag: &str,
         it: &mut impl Iterator<Item = &'a String>,
     ) -> Result<bool, String> {
-        let config = &mut self.config;
+        type Build = fn(ServeConfig, usize) -> Result<ServeConfig, ConfigError>;
+        let mut count = |build: Build| -> Result<(), String> {
+            let value = flag_value(it, flag)?;
+            let config = std::mem::take(&mut self.config);
+            self.config = build(config, value).map_err(|e| e.to_string())?;
+            Ok(())
+        };
         match flag {
-            "--workers" => config.workers = flag_value(it, flag)?,
-            "--queue" => config.queue_capacity = flag_value(it, flag)?,
-            "--shards" => config.shards = flag_value(it, flag)?,
-            "--diff-threads" => config.diff_threads = flag_value(it, flag)?,
-            "--compact-chain-max" => config.compact_chain_max = flag_value(it, flag)?,
+            "--workers" => count(ServeConfig::with_workers)?,
+            "--queue" => count(ServeConfig::with_queue_capacity)?,
+            "--shards" => count(ServeConfig::with_shards)?,
+            "--diff-threads" => count(ServeConfig::with_diff_threads)?,
+            "--compact-chain-max" => count(|c, max| Ok(c.with_compact_chain_max(max)))?,
             "--mode" => {
                 let v = it.next().ok_or("--mode needs a value (buld|unordered|similarity)")?;
-                config.diff_options.mode = v.parse().map_err(|e| format!("--mode: {e}"))?;
+                let mode = v.parse().map_err(|e| format!("--mode: {e}"))?;
+                let opts = DiffOptions { mode, ..DiffOptions::default() };
+                self.config = std::mem::take(&mut self.config).with_diff_options(opts);
             }
             "--wal-dir" => {
                 let v = it.next().ok_or("--wal-dir needs a directory")?;
@@ -50,10 +61,8 @@ impl PipelineFlags {
         Ok(true)
     }
 
-    /// The configuration the flags describe: range rules checked by
-    /// [`ServeConfig::validate`], the WAL policy folded in.
+    /// The configuration the flags describe, the WAL policy folded in.
     pub(crate) fn into_config(self) -> Result<ServeConfig, String> {
-        self.config.validate().map_err(|e| e.to_string())?;
         let Some(dir) = self.wal_dir else {
             return match self.wal_sync {
                 Some(_) => Err("--wal-sync needs --wal-dir".to_string()),

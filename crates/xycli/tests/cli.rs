@@ -197,8 +197,9 @@ fn error_paths_exit_two() {
 }
 
 /// `serve` and `ingest` share one parser for the pipeline flags: a missing
-/// or malformed value is refused by both with the same message, before the
-/// server binds a port or the corpus is scanned.
+/// or malformed value, or one a `ServeConfig` builder rejects, is refused by
+/// both with the same message, before the server binds a port or the corpus
+/// is scanned.
 #[test]
 fn pipeline_flags_reject_bad_values_identically_in_serve_and_ingest() {
     let cases: &[(&[&str], &str)] = &[
@@ -207,10 +208,13 @@ fn pipeline_flags_reject_bad_values_identically_in_serve_and_ingest() {
         (&["--workers", "0"], "workers must be at least 1"),
         (&["--queue"], "--queue needs a value"),
         (&["--queue", "-1"], "--queue needs a positive integer, got \"-1\""),
+        (&["--queue", "0"], "queue capacity must be at least 1"),
         (&["--shards"], "--shards needs a value"),
         (&["--shards", "3"], "shards = 3 is not a power of two"),
         (&["--diff-threads"], "--diff-threads needs a value"),
         (&["--diff-threads", "1e3"], "--diff-threads needs a positive integer, got \"1e3\""),
+        (&["--diff-threads", "0"], "diff threads must be at least 1"),
+        (&["--diff-threads", "2000"], "diff_threads = 2000 exceeds the maximum of 1024"),
         (&["--compact-chain-max"], "--compact-chain-max needs a value"),
         (&["--compact-chain-max", "x"], "--compact-chain-max needs a positive integer, got \"x\""),
         (&["--mode"], "--mode needs a value (buld|unordered|similarity)"),

@@ -17,14 +17,15 @@
 //! - [`Op`], [`Delta`], [`DeltaBuilder`] — the operation set, including the
 //!   attribute-specific operations of §5.2; a delta keeps everything its
 //!   operations carry in one payload arena and two flat buffers;
-//! - [`Delta::apply_to`], [`Delta::inverted`], [`aggregate_chain`] —
-//!   the delta algebra;
+//! - [`Delta::apply_to`], [`Delta::inverted`] — the delta algebra;
 //! - [`diff_by_xid()`] — the *exact* delta between two versions
 //!   whose matching is already known through shared XIDs (used by the change
 //!   simulator to emit the "perfect" delta of §6.1, and as the engine of
 //!   aggregation);
 //! - [`VersionChain`] — versions-and-deltas storage with
-//!   reconstruction of any past version ("querying the past", §2);
+//!   reconstruction of any past version ("querying the past", §2) and
+//!   aggregation of any range of its deltas into one
+//!   ([`VersionChain::delta_between`]);
 //! - [`verify()`] — a *static* completed-delta validator that checks
 //!   the structural invariants of §4 (XID-map well-formedness, XID
 //!   uniqueness, move pairing, sibling-position consistency) without
@@ -42,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod aggregate;
 mod apply;
 mod delta;
 mod diff_by_xid;
@@ -55,7 +55,6 @@ mod xid;
 mod xiddoc;
 pub mod xml_io;
 
-pub use aggregate::aggregate_chain;
 pub use delta::{Delta, DeltaBuilder};
 #[doc(hidden)]
 pub use diff_by_xid::diff_matched;

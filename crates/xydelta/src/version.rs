@@ -258,8 +258,9 @@ impl VersionChain {
     /// (`i <= j`) — "constructing the changes between some versions n and
     /// n′" (§2). Both endpoints are reconstructed through the bounded
     /// anchor walk, and the XID-matched diff between them *is* the
-    /// aggregate of the intervening deltas (that is how
-    /// [`crate::aggregate_chain`] computes it).
+    /// aggregate of the intervening deltas: transient operations cancel (a
+    /// node inserted and later deleted vanishes, two updates collapse into
+    /// one) and the move sets are re-minimized.
     pub fn delta_between(&self, i: usize, j: usize) -> Result<Delta, ApplyError> {
         assert!(i <= j && j <= self.latest_index(), "bad version range {i}..{j}");
         let base = self.version(i)?;
@@ -271,7 +272,9 @@ impl VersionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Op;
     use crate::xid::Xid;
+    use xytree::Document;
 
     fn text_xid(d: &XidDocument) -> Xid {
         let n = d
@@ -316,13 +319,82 @@ mod tests {
         }
     }
 
+    fn find(d: &XidDocument, label: &str) -> Xid {
+        let n = d
+            .doc
+            .tree
+            .descendants(d.doc.tree.root())
+            .find(|&n| d.doc.tree.name(n) == Some(label))
+            .unwrap();
+        d.xid(n).unwrap()
+    }
+
     #[test]
-    fn delta_between_aggregates() {
+    fn delta_between_aggregates_a_chain_of_three() {
         let (chain, _) = chain();
         let d = chain.delta_between(0, 3).unwrap();
         assert_eq!(d.len(), 1, "three updates must aggregate to one");
-        let d = chain.delta_between(1, 1).unwrap();
-        assert!(d.is_empty());
+        let mut v = chain.version(0).unwrap();
+        d.apply_to(&mut v).unwrap();
+        assert_eq!(v.doc.to_xml(), "<doc><p>v3</p></doc>");
+    }
+
+    #[test]
+    fn delta_between_an_empty_range_is_identity() {
+        let (chain, _) = chain();
+        assert!(chain.delta_between(1, 1).unwrap().is_empty());
+        let lone = VersionChain::new(XidDocument::parse_initial("<a/>").unwrap());
+        assert!(lone.delta_between(0, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn two_updates_collapse_to_one() {
+        let (chain, _) = chain();
+        let d = chain.delta_between(0, 2).unwrap();
+        assert_eq!(d.len(), 1);
+        match d.ops[0] {
+            Op::Update { old, new, .. } => assert_eq!((d.text(old), d.text(new)), ("v0", "v2")),
+            _ => panic!("{}", d.describe()),
+        }
+    }
+
+    #[test]
+    fn insert_then_delete_cancels() {
+        let mut base = XidDocument::parse_initial("<a/>").unwrap();
+        let a = find(&base, "a");
+        let stored = Document::parse("<tmp/>").unwrap();
+        let tmp = stored.root_element().unwrap();
+        let x = base.fresh_xid();
+        let mut chain = VersionChain::new(base);
+        let insert = Delta::build(|b| {
+            b.insert(x, a, 0, &stored.tree, tmp, &[x]);
+        });
+        let delete = Delta::build(|b| {
+            b.delete(x, a, 0, &stored.tree, tmp, &[x]);
+        });
+        chain.push_delta(insert).unwrap();
+        chain.push_delta(delete).unwrap();
+        let d = chain.delta_between(0, 2).unwrap();
+        assert!(d.is_empty(), "insert∘delete must cancel, got {}", d.describe());
+    }
+
+    #[test]
+    fn move_then_move_stays_one_move() {
+        let base = XidDocument::parse_initial("<a><x><m/></x><y/></a>").unwrap();
+        let (m, x, y, a) = (find(&base, "m"), find(&base, "x"), find(&base, "y"), find(&base, "a"));
+        let one_move = |from_parent, to_parent| {
+            Delta::build(|b| {
+                b.push(Op::Move { xid: m, from_parent, from_pos: 0, to_parent, to_pos: 0 });
+            })
+        };
+        let mut chain = VersionChain::new(base);
+        chain.push_delta(one_move(x, y)).unwrap();
+        chain.push_delta(one_move(y, a)).unwrap();
+        let d = chain.delta_between(0, 2).unwrap();
+        let mut once = chain.version(0).unwrap();
+        d.apply_to(&mut once).unwrap();
+        assert_eq!(once.doc.to_xml(), chain.latest().doc.to_xml());
+        assert_eq!(d.counts().moves, 1, "move∘move should stay one move");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub(crate) fn route(shared: &Shared, head: &Head, body: Vec<u8>) -> Routed {
         }
         ("GET", ["metrics"]) => {
             shared.http.observe_route("metrics");
-            let mut text = shared.ingest.metrics().render();
+            let mut text = shared.ingest.metrics_text();
             shared.http.render_into(&mut text);
             Response {
                 code: 200,

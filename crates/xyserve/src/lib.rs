@@ -11,16 +11,19 @@
 //!   `Mutex`/`Condvar` only): a strand per document key, so versions of a
 //!   document run one at a time in push order while any idle worker takes
 //!   the oldest ready key, with one capacity bound as the backpressure
-//!   toward the crawler;
+//!   toward the crawler; it also owns the queue depth and its high water;
 //! - [`IngestServer`] — a worker pool over hash-sharded
 //!   [`xywarehouse::Repository`] shards, with a dead-letter queue for
 //!   snapshots that cannot be stored;
-//! - [`metrics::Metrics`] — atomic counters, the queue-depth gauge, and
-//!   per-phase latency histograms with a Prometheus text exposition.
+//! - [`metrics::Metrics`] — the counters and per-phase latency histograms
+//!   the ingest loop keeps. [`IngestServer::metrics_text`] renders them as
+//!   a Prometheus exposition together with the queue's gauges and the
+//!   write-ahead log's counters, read from their owners at scrape time.
 //!
-//! `ServeConfig` is `#[non_exhaustive]` and built through `with_*` methods,
-//! so new knobs never break callers; the
-//! capacity-like knobs validate and return a typed [`ConfigError`]:
+//! [`ServeConfig`]'s fields are private: its `with_*` methods are the only
+//! way to set them, so new knobs never break callers, and the
+//! capacity-like knobs are checked once, there, with a typed
+//! [`ConfigError`]:
 //!
 //! ```
 //! use xyserve::{IngestServer, ServeConfig};

@@ -1,10 +1,13 @@
 //! Lock-free operational metrics with a Prometheus text exposition.
 //!
-//! Atomic counters, a gauge with a high-water mark for queue depth, and
-//! power-of-two-bucket latency histograms for the per-phase timings the
-//! paper's Figure 1 loop goes through (parse, diff, store+alert).
-//! [`Metrics::render`] produces the exposition `GET /metrics` serves, and
-//! the [`expo`] helpers let other layers (the HTTP front in `xynet`) append
+//! Atomic counters, gauges, and power-of-two-bucket latency histograms for
+//! the per-phase timings the paper's Figure 1 loop goes through (parse,
+//! diff, store+alert). The registry holds only what the ingest loop itself
+//! counts: queue depth and its high water belong to the
+//! [`crate::KeyedQueue`], the write-ahead log's counters to
+//! [`xywal::Wal::stats`], and both are read when the exposition is rendered
+//! ([`crate::IngestServer::metrics_text`] is what `GET /metrics` serves).
+//! The [`expo`] helpers let other layers (the HTTP front in `xynet`) append
 //! their own metric families to the same scrape in the same format.
 //!
 //! The exposition follows the Prometheus conventions: every family carries
@@ -14,6 +17,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use xywal::WalStats;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -30,54 +34,37 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sync this counter to an externally maintained monotone total (e.g. a
-    /// counter owned by the write-ahead log). `fetch_max` keeps the counter
-    /// monotone even when several workers observe the total concurrently.
-    pub(crate) fn observe_total(&self, total: u64) {
-        self.0.fetch_max(total, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A settable value that also remembers the highest value it ever held.
+/// A settable value.
 #[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    high_water: AtomicU64,
-}
+pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// Set the current value, updating the high-water mark.
+    /// Set the current value.
     pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.high_water.fetch_max(v, Ordering::Relaxed);
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Add one (for gauges tracking an active count).
     pub fn inc(&self) {
-        let v = self.value.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(v, Ordering::Relaxed);
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Subtract one, saturating at zero.
     pub fn dec(&self) {
         let _ = self
-            .value
+            .0
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Highest value ever set.
-    pub(crate) fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -222,8 +209,6 @@ pub struct Metrics {
     pub dead_lettered: Counter,
     /// Subscription notifications fired by the alerter.
     pub alerts_fired: Counter,
-    /// Snapshots pending in the queue (with high-water mark).
-    pub queue_depth: Gauge,
     /// XML parse time per snapshot.
     pub parse_time: Histogram,
     /// BULD diff time per snapshot (from the repository's stats hook).
@@ -232,22 +217,10 @@ pub struct Metrics {
     pub alert_time: Histogram,
     /// End-to-end processing time per snapshot (parse through store).
     pub total_time: Histogram,
-    /// Records appended to the write-ahead log.
-    pub wal_appends: Counter,
-    /// Bytes appended to the write-ahead log (frames, not payloads).
-    pub wal_appended_bytes: Counter,
-    /// Fsync calls issued by the write-ahead log.
-    pub wal_fsyncs: Counter,
-    /// Records made durable by those fsyncs (group-commit throughput).
-    pub wal_fsynced_records: Counter,
     /// WAL append attempts that failed (the ingest was acked non-durable).
     pub wal_append_errors: Counter,
     /// Records applied during startup replay.
     pub wal_replayed: Counter,
-    /// Live WAL segment files (with high-water mark).
-    pub wal_segments: Gauge,
-    /// Largest record batch a single fsync has made durable.
-    pub wal_fsync_batch_max: Gauge,
     /// WAL append latency (enqueue through group-commit durability).
     pub wal_append_time: Histogram,
     started: Instant,
@@ -260,19 +233,12 @@ impl Default for Metrics {
             succeeded: Counter::default(),
             dead_lettered: Counter::default(),
             alerts_fired: Counter::default(),
-            queue_depth: Gauge::default(),
             parse_time: Histogram::default(),
             diff_time: Histogram::default(),
             alert_time: Histogram::default(),
             total_time: Histogram::default(),
-            wal_appends: Counter::default(),
-            wal_appended_bytes: Counter::default(),
-            wal_fsyncs: Counter::default(),
-            wal_fsynced_records: Counter::default(),
             wal_append_errors: Counter::default(),
             wal_replayed: Counter::default(),
-            wal_segments: Gauge::default(),
-            wal_fsync_batch_max: Gauge::default(),
             wal_append_time: Histogram::default(),
             started: Instant::now(),
         }
@@ -300,8 +266,16 @@ impl Metrics {
         }
     }
 
-    /// Prometheus text exposition of every counter, gauge, and histogram.
-    pub fn render(&self) -> String {
+    /// Prometheus text exposition of every counter, gauge, and histogram,
+    /// with the queue's current depth and high water and the write-ahead
+    /// log's counters (all zero without a log) read by the caller from
+    /// their owners.
+    pub(crate) fn render(
+        &self,
+        queue_depth: usize,
+        queue_high_water: usize,
+        wal: WalStats,
+    ) -> String {
         let mut out = String::new();
         expo::counter(
             &mut out,
@@ -331,13 +305,13 @@ impl Metrics {
             &mut out,
             "ingest_queue_depth",
             "Snapshots currently waiting in the ingest queue.",
-            self.queue_depth.get() as f64,
+            queue_depth as f64,
         );
         expo::gauge(
             &mut out,
             "ingest_queue_depth_high_water",
             "Highest queue depth observed since start.",
-            self.queue_depth.high_water() as f64,
+            queue_high_water as f64,
         );
         expo::gauge(
             &mut out,
@@ -379,25 +353,25 @@ impl Metrics {
             &mut out,
             "ingest_wal_appends_total",
             "Records appended to the write-ahead log.",
-            self.wal_appends.get(),
+            wal.appends,
         );
         expo::counter(
             &mut out,
             "ingest_wal_appended_bytes_total",
             "Bytes appended to the write-ahead log.",
-            self.wal_appended_bytes.get(),
+            wal.appended_bytes,
         );
         expo::counter(
             &mut out,
             "ingest_wal_fsyncs_total",
             "Fsync calls issued by the write-ahead log.",
-            self.wal_fsyncs.get(),
+            wal.fsyncs,
         );
         expo::counter(
             &mut out,
             "ingest_wal_fsynced_records_total",
             "Records made durable by WAL fsyncs (group-commit throughput).",
-            self.wal_fsynced_records.get(),
+            wal.fsynced_records,
         );
         expo::counter(
             &mut out,
@@ -415,13 +389,13 @@ impl Metrics {
             &mut out,
             "ingest_wal_segments",
             "Live WAL segment files.",
-            self.wal_segments.get() as f64,
+            wal.segments as f64,
         );
         expo::gauge(
             &mut out,
             "ingest_wal_fsync_batch_max",
             "Largest record batch a single fsync has made durable.",
-            self.wal_fsync_batch_max.get() as f64,
+            wal.max_fsync_batch as f64,
         );
         expo::histogram(
             &mut out,
@@ -443,17 +417,16 @@ mod tests {
         m.enqueued.add(3);
         m.enqueued.inc();
         assert_eq!(m.enqueued.get(), 4);
-        m.queue_depth.set(7);
-        m.queue_depth.set(2);
-        assert_eq!(m.queue_depth.get(), 2);
-        assert_eq!(m.queue_depth.high_water(), 7);
-        m.queue_depth.inc();
-        assert_eq!(m.queue_depth.get(), 3);
-        m.queue_depth.dec();
-        m.queue_depth.dec();
-        m.queue_depth.dec();
-        m.queue_depth.dec();
-        assert_eq!(m.queue_depth.get(), 0, "dec saturates at zero");
+        let g = Gauge::default();
+        g.set(2);
+        assert_eq!(g.get(), 2);
+        g.inc();
+        assert_eq!(g.get(), 3);
+        g.dec();
+        g.dec();
+        g.dec();
+        g.dec();
+        assert_eq!(g.get(), 0, "dec saturates at zero");
     }
 
     #[test]
@@ -486,14 +459,18 @@ mod tests {
         m.succeeded.inc();
         m.alerts_fired.add(2);
         m.total_time.observe(Duration::from_millis(1));
-        let text = m.render();
+        let wal = WalStats { appends: 4, segments: 2, ..WalStats::default() };
+        let text = m.render(1, 3, wal);
         for needle in [
             "# TYPE ingest_enqueued_total counter",
             "# HELP ingest_succeeded_total",
             "ingest_succeeded_total 1",
             "ingest_alerts_fired_total 2",
             "# TYPE ingest_queue_depth gauge",
-            "ingest_queue_depth_high_water",
+            "ingest_queue_depth 1\n",
+            "ingest_queue_depth_high_water 3\n",
+            "ingest_wal_appends_total 4\n",
+            "ingest_wal_segments 2\n",
             "# TYPE ingest_process_seconds histogram",
             "ingest_process_seconds_bucket{le=\"+Inf\"} 1",
             "ingest_process_seconds_sum 0.001",
@@ -527,18 +504,6 @@ mod tests {
             s
         };
         assert!(text.contains("t_seconds_bucket{le=\"0.000001\"} 1"), "{text}");
-    }
-
-    #[test]
-    fn observe_total_is_monotone() {
-        let c = Counter::default();
-        c.observe_total(5);
-        assert_eq!(c.get(), 5);
-        // A stale (smaller) total observed late never winds the counter back.
-        c.observe_total(3);
-        assert_eq!(c.get(), 5);
-        c.observe_total(9);
-        assert_eq!(c.get(), 9);
     }
 
     #[test]

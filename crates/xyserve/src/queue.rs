@@ -12,9 +12,10 @@
 //!   created by the first push of its key and kept, so `seq` counts a key's
 //!   accepted pushes for the queue's whole life.
 //! - `ready`: FIFO of keys that have pending work and no job out.
-//! - `depth`: pending jobs over all lanes, bounded by `capacity` (an atomic
-//!   written only under the lock, so the metrics gauge reads it without
-//!   one); `out`: jobs popped and not yet [`KeyedQueue::done`].
+//! - `depth`: pending jobs over all lanes, bounded by `capacity`, and
+//!   `high_water`, the largest `depth` so far (atomics written only under
+//!   the lock, so a metrics scrape reads them without it); `out`: jobs
+//!   popped and not yet [`KeyedQueue::done`].
 //!
 //! Three operations move a job through it. [`KeyedQueue::push`] /
 //! [`KeyedQueue::try_push`] assign the per-key `seq` and append to the lane
@@ -66,6 +67,8 @@ pub struct KeyedQueue<T> {
     /// Pending jobs. Written only while `state` is locked (so `Relaxed` is
     /// ordered by the mutex); atomic so [`KeyedQueue::len`] takes no lock.
     depth: AtomicUsize,
+    /// The largest `depth` ever reached; same writing rule as `depth`.
+    high_water: AtomicUsize,
     capacity: usize,
     /// Poppers wait here for a ready key (or for close + drained).
     work: Condvar,
@@ -85,6 +88,7 @@ impl<T> KeyedQueue<T> {
                 closed: false,
             }),
             depth: AtomicUsize::new(0),
+            high_water: AtomicUsize::new(0),
             capacity: capacity.max(1),
             work: Condvar::new(),
             room: Condvar::new(),
@@ -145,7 +149,8 @@ impl<T> KeyedQueue<T> {
         let seq = lane.next_seq;
         lane.next_seq += 1;
         lane.pending.push_back((seq, item));
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.high_water.fetch_max(depth, Ordering::Relaxed);
         if !lane.busy && lane.pending.len() == 1 {
             state.ready.push_back(Arc::clone(&lane.key));
             self.work.notify_one();
@@ -233,6 +238,11 @@ impl<T> KeyedQueue<T> {
     /// Pending jobs (not counting jobs out with a worker).
     pub fn len(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
+    }
+
+    /// The most jobs ever pending at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Relaxed)
     }
 
     /// True when no job is pending.

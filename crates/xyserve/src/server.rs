@@ -62,8 +62,7 @@ pub use xywal::WalConfig as WalPolicy;
 const REPLAY_BATCH: usize = 1024;
 
 /// A rejected [`ServeConfig`] knob, reported by the fallible `with_*`
-/// builders (and re-checked by [`IngestServer::try_start`] in case a caller
-/// mutated the public fields directly).
+/// builders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -121,46 +120,44 @@ impl std::error::Error for ConfigError {}
 
 /// Configuration of an [`IngestServer`].
 ///
-/// Built with [`ServeConfig::new`] plus `with_*` methods. The struct is
-/// `#[non_exhaustive]`: construct it through the builder, not a struct
-/// literal, so new fields do not break downstream callers. The builders
-/// for the capacity-like knobs
-/// (`workers`, `queue_capacity`, `shards`, `diff_threads`) are fallible and
-/// reject degenerate values with a typed [`ConfigError`] instead of
-/// silently clamping; `Display` renders what the config will run with on
-/// this host (one line, `key=value` pairs — `xydiff serve` and `xydiff
-/// ingest` print it at startup).
+/// Built with [`ServeConfig::new`] plus `with_*` methods, the only way to
+/// set a field. The builders for the capacity-like knobs (`workers`,
+/// `queue_capacity`, `shards`, `diff_threads`) are fallible and reject
+/// degenerate values with a typed [`ConfigError`] instead of silently
+/// clamping, so every `ServeConfig` that exists is one the server can run.
+/// `Display` renders what the config will run with on this host (one line,
+/// `key=value` pairs — `xydiff serve` and `xydiff ingest` print it at
+/// startup).
 #[derive(Clone)]
-#[non_exhaustive]
 pub struct ServeConfig {
     /// Number of worker threads.
-    pub workers: usize,
+    workers: usize,
     /// Queue capacity — the backpressure threshold over the pending
     /// snapshots of all keys.
-    pub queue_capacity: usize,
-    /// Number of repository shards (keys are hash-partitioned; must be a
-    /// power of two).
-    pub shards: usize,
+    queue_capacity: usize,
+    /// Number of repository shards (keys are hash-partitioned; a power of
+    /// two).
+    shards: usize,
     /// Intra-document diff parallelism: each worker's differ fans the
     /// data-parallel diff stages (phase-2 hashing, phase-3 candidate
     /// pre-verification) out over this many scoped threads
     /// ([`Differ::with_threads`]). 1 (the default) keeps diffs strictly serial
     /// and allocation-free; deltas are byte-identical at any setting.
-    pub diff_threads: usize,
+    diff_threads: usize,
     /// Diff options used by every shard.
-    pub diff_options: DiffOptions,
+    diff_options: DiffOptions,
     /// Subscriptions evaluated on every ingested delta.
-    pub alerter: Alerter,
+    alerter: Alerter,
     /// The per-job test seam; `None` in production.
-    pub fault_hook: Option<FaultHook>,
+    fault_hook: Option<FaultHook>,
     /// Write-ahead logging of every completed ingest; `None` keeps the
     /// server memory-only: an ack only guarantees the version is in memory.
-    pub wal: Option<WalPolicy>,
+    wal: Option<WalPolicy>,
     /// Chain checkpointing: every chain keeps the version a push replaces
     /// when its index is a multiple of this, so every version of every
     /// document reconstructs within half this many delta applications at
     /// every ack. 0 keeps no checkpoints.
-    pub compact_chain_max: usize,
+    compact_chain_max: usize,
 }
 
 impl ServeConfig {
@@ -177,19 +174,34 @@ impl ServeConfig {
     /// `MAX_WORKERS` (1024); oversubscribing the host is allowed
     /// (and flagged by the `Display` line).
     pub fn with_workers(mut self, workers: usize) -> Result<ServeConfig, ConfigError> {
-        self.workers = check_workers(workers)?;
+        self.workers = match workers {
+            0 => return Err(ConfigError::ZeroWorkers),
+            n if n > Self::MAX_WORKERS => {
+                return Err(ConfigError::TooManyWorkers { requested: n, max: Self::MAX_WORKERS })
+            }
+            n => n,
+        };
         Ok(self)
     }
 
     /// Set the queue capacity. Rejects 0.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Result<ServeConfig, ConfigError> {
-        self.queue_capacity = check_queue_capacity(capacity)?;
+        if capacity == 0 {
+            return Err(ConfigError::ZeroQueueCapacity);
+        }
+        self.queue_capacity = capacity;
         Ok(self)
     }
 
     /// Set the repository shard count. Rejects 0 and non-powers-of-two.
     pub fn with_shards(mut self, shards: usize) -> Result<ServeConfig, ConfigError> {
-        self.shards = check_shards(shards)?;
+        self.shards = match shards {
+            0 => return Err(ConfigError::ZeroShards),
+            n if !n.is_power_of_two() => {
+                return Err(ConfigError::ShardsNotPowerOfTwo { requested: n })
+            }
+            n => n,
+        };
         Ok(self)
     }
 
@@ -197,18 +209,14 @@ impl ServeConfig {
     /// `MAX_WORKERS` (1024); oversubscribing the host is allowed
     /// (the result is byte-identical, only the wall-clock differs).
     pub fn with_diff_threads(mut self, threads: usize) -> Result<ServeConfig, ConfigError> {
-        self.diff_threads = check_diff_threads(threads)?;
+        self.diff_threads = match threads {
+            0 => return Err(ConfigError::ZeroDiffThreads),
+            n if n > Self::MAX_WORKERS => {
+                return Err(ConfigError::TooManyDiffThreads { requested: n, max: Self::MAX_WORKERS })
+            }
+            n => n,
+        };
         Ok(self)
-    }
-
-    /// Check every invariant the `with_*` builders enforce — the backstop
-    /// for callers that set the public fields directly.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        check_workers(self.workers)?;
-        check_queue_capacity(self.queue_capacity)?;
-        check_shards(self.shards)?;
-        check_diff_threads(self.diff_threads)?;
-        Ok(())
     }
 
     /// Set the diff options used by every shard.
@@ -248,43 +256,6 @@ impl ServeConfig {
     pub fn with_compact_chain_max(mut self, max: usize) -> ServeConfig {
         self.compact_chain_max = max;
         self
-    }
-}
-
-/// The `workers` rule, stated once for [`ServeConfig::with_workers`] and
-/// [`ServeConfig::validate`]; the three below do the same for their knobs.
-fn check_workers(workers: usize) -> Result<usize, ConfigError> {
-    match workers {
-        0 => Err(ConfigError::ZeroWorkers),
-        n if n > ServeConfig::MAX_WORKERS => {
-            Err(ConfigError::TooManyWorkers { requested: n, max: ServeConfig::MAX_WORKERS })
-        }
-        n => Ok(n),
-    }
-}
-
-fn check_queue_capacity(capacity: usize) -> Result<usize, ConfigError> {
-    if capacity == 0 {
-        return Err(ConfigError::ZeroQueueCapacity);
-    }
-    Ok(capacity)
-}
-
-fn check_shards(shards: usize) -> Result<usize, ConfigError> {
-    match shards {
-        0 => Err(ConfigError::ZeroShards),
-        n if !n.is_power_of_two() => Err(ConfigError::ShardsNotPowerOfTwo { requested: n }),
-        n => Ok(n),
-    }
-}
-
-fn check_diff_threads(threads: usize) -> Result<usize, ConfigError> {
-    match threads {
-        0 => Err(ConfigError::ZeroDiffThreads),
-        n if n > ServeConfig::MAX_WORKERS => {
-            Err(ConfigError::TooManyDiffThreads { requested: n, max: ServeConfig::MAX_WORKERS })
-        }
-        n => Ok(n),
     }
 }
 
@@ -428,8 +399,6 @@ impl std::error::Error for SubmitError {}
 /// Error returned by [`IngestServer::try_start`].
 #[derive(Debug)]
 pub enum StartError {
-    /// The configuration failed [`ServeConfig::validate`].
-    Config(ConfigError),
     /// Opening the write-ahead log failed (I/O error, corruption outside
     /// the repairable tail, or a log truncated by an earlier release).
     Wal(WalError),
@@ -440,7 +409,6 @@ pub enum StartError {
 impl std::fmt::Display for StartError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StartError::Config(e) => write!(f, "invalid config: {e}"),
             StartError::Wal(e) => write!(f, "write-ahead log: {e}"),
             StartError::Replay(e) => write!(f, "wal replay: {e}"),
         }
@@ -464,7 +432,8 @@ pub struct ShutdownReport {
     pub dead_letters: Vec<DeadLetter>,
     /// Notifications not yet collected via [`IngestServer::take_notifications`].
     pub notifications: Vec<Notification>,
-    /// Full metrics text exposition at shutdown time.
+    /// Full metrics text exposition at shutdown time (what
+    /// [`IngestServer::metrics_text`] renders after the drain).
     pub metrics_text: String,
 }
 
@@ -495,7 +464,7 @@ struct Inner {
     metrics: Metrics,
     dead: Mutex<Vec<DeadLetter>>,
     notifications: Mutex<Vec<Notification>>,
-    /// The validated configuration the server was started with.
+    /// The configuration the server was started with.
     config: ServeConfig,
     wal: Option<Wal>,
 }
@@ -521,9 +490,6 @@ impl IngestServer {
     /// Start a server with `config`, replaying the write-ahead log first
     /// when one is configured.
     pub fn try_start(config: ServeConfig) -> Result<IngestServer, StartError> {
-        // The builders already reject these, but the fields are public —
-        // re-validate so direct mutation cannot smuggle in a degenerate pool.
-        config.validate().map_err(StartError::Config)?;
         let shard_count = config.shards;
         let shards: Vec<Repository> = (0..shard_count)
             .map(|_| {
@@ -564,9 +530,6 @@ impl IngestServer {
             config,
             wal,
         });
-        if let Some(wal) = &inner.wal {
-            inner.sync_wal_metrics(wal);
-        }
         #[allow(clippy::expect_used)]
         let workers = (0..inner.config.workers)
             .map(|i| {
@@ -592,7 +555,6 @@ impl IngestServer {
         match pushed {
             Ok(_) => {
                 inner.metrics.enqueued.inc();
-                inner.metrics.queue_depth.set(inner.queue.len() as u64);
                 Ok(())
             }
             Err(PushError::Full(_)) => Err(SubmitError::QueueFull),
@@ -650,9 +612,16 @@ impl IngestServer {
         self.enqueue(key, Job { xml: xml.into(), done: Some(done) }, false)
     }
 
-    /// The metrics registry (live counters; render at any time).
+    /// The metrics registry (live counters the ingest loop keeps).
     pub fn metrics(&self) -> &Metrics {
         &self.inner.metrics
+    }
+
+    /// The Prometheus exposition `GET /metrics` serves: the registry's
+    /// families, plus the queue's depth and high water and the write-ahead
+    /// log's counters, read from their owners now.
+    pub fn metrics_text(&self) -> String {
+        self.inner.metrics_text()
     }
 
     /// Take every notification fired so far (the alert delivery channel).
@@ -711,7 +680,7 @@ impl IngestServer {
             alerts_fired: m.alerts_fired.get(),
             dead_letters: locked(&self.inner.dead).clone(),
             notifications: std::mem::take(&mut locked(&self.inner.notifications)),
-            metrics_text: m.render(),
+            metrics_text: self.inner.metrics_text(),
         }
     }
 
@@ -727,7 +696,6 @@ impl IngestServer {
             // In WalSync::None mode appended records may still be in the OS
             // cache; a clean stop flushes them.
             let _ = wal.sync();
-            self.inner.sync_wal_metrics(wal);
         }
     }
 }
@@ -770,6 +738,13 @@ impl Inner {
         self.shards[0].differ().with_threads(self.config.diff_threads)
     }
 
+    /// See [`IngestServer::metrics_text`]. Without a log every WAL family
+    /// reads zero.
+    fn metrics_text(&self) -> String {
+        let wal = self.wal.as_ref().map(Wal::stats).unwrap_or_default();
+        self.metrics.render(self.queue.len(), self.queue.high_water(), wal)
+    }
+
     fn worker_loop(&self) {
         /// Hands the key back to the queue when the job ends — also when it
         /// ends by unwinding, so a worker that dies releases its key and
@@ -789,7 +764,6 @@ impl Inner {
         // diff_consume_with_cache.
         let mut differ = self.make_differ();
         while let Some((key, seq, job)) = self.queue.pop() {
-            self.metrics.queue_depth.set(self.queue.len() as u64);
             let _lease = Lease(&self.queue, &key);
             self.process(&key, seq, job, &mut differ);
         }
@@ -823,13 +797,6 @@ impl Inner {
         }
 
         let shard = &self.shards[self.shard_of(key)];
-        // The first version of a key is logged as the full document; its
-        // canonical serialization must be captured before the load consumes
-        // the parse. Safe against racing writers of the same key: the
-        // queue hands out one snapshot of a key at a time, so between this
-        // check and the load no other worker can create the chain.
-        let init_xml = (self.wal.is_some() && shard.version_count(key) == 0)
-            .then(|| doc.to_xml());
         let out = match shard.try_load_parsed_with(key, doc, differ) {
             Ok(out) => out,
             Err(e) => {
@@ -863,8 +830,18 @@ impl Inner {
         // with durable=true survives kill -9.
         let mut durable = false;
         if let Some(wal) = &self.wal {
-            let record = match init_xml {
-                Some(xml) if out.version == 0 => Record::Init { key: key.to_string(), xml },
+            let record = match out.version {
+                0 => {
+                    // The first version of a key is logged as the full
+                    // document, serialized from the version the load stored.
+                    // It is still the latest: the queue hands out one
+                    // snapshot of a key at a time.
+                    // INVARIANT: the load created the chain, and chains are
+                    // never removed from a repository.
+                    #[allow(clippy::expect_used)]
+                    let xml = shard.latest_xml(key).expect("a loaded key has a chain");
+                    Record::Init { key: key.to_string(), xml }
+                }
                 _ => Record::Delta {
                     key: key.to_string(),
                     version: out.version as u64,
@@ -883,7 +860,6 @@ impl Inner {
                     self.metrics.wal_append_errors.inc();
                 }
             }
-            self.sync_wal_metrics(wal);
         }
         self.metrics.succeeded.inc();
         self.metrics.total_time.observe(started.elapsed());
@@ -897,17 +873,6 @@ impl Inner {
                 durable,
             }));
         }
-    }
-
-    /// Publish the WAL's internal counters into the metrics registry.
-    fn sync_wal_metrics(&self, wal: &Wal) {
-        let s = wal.stats();
-        self.metrics.wal_appends.observe_total(s.appends);
-        self.metrics.wal_appended_bytes.observe_total(s.appended_bytes);
-        self.metrics.wal_fsyncs.observe_total(s.fsyncs);
-        self.metrics.wal_fsynced_records.observe_total(s.fsynced_records);
-        self.metrics.wal_segments.set(s.segments as u64);
-        self.metrics.wal_fsync_batch_max.set(s.max_fsync_batch);
     }
 }
 
@@ -1203,12 +1168,11 @@ mod tests {
     #[test]
     fn degenerate_configs_are_rejected_with_typed_errors() {
         type Build = fn(ServeConfig, usize) -> Result<ServeConfig, ConfigError>;
-        type Poke = fn(&mut ServeConfig, usize);
         let max = ServeConfig::MAX_WORKERS;
-        let workers: (Build, Poke) = (ServeConfig::with_workers, |c, v| c.workers = v);
-        let queue: (Build, Poke) = (ServeConfig::with_queue_capacity, |c, v| c.queue_capacity = v);
-        let shards: (Build, Poke) = (ServeConfig::with_shards, |c, v| c.shards = v);
-        let threads: (Build, Poke) = (ServeConfig::with_diff_threads, |c, v| c.diff_threads = v);
+        let workers: Build = ServeConfig::with_workers;
+        let queue: Build = ServeConfig::with_queue_capacity;
+        let shards: Build = ServeConfig::with_shards;
+        let threads: Build = ServeConfig::with_diff_threads;
         let rules = [
             (workers, 0, ConfigError::ZeroWorkers),
             (workers, 2000, ConfigError::TooManyWorkers { requested: 2000, max }),
@@ -1218,17 +1182,8 @@ mod tests {
             (threads, 0, ConfigError::ZeroDiffThreads),
             (threads, 2000, ConfigError::TooManyDiffThreads { requested: 2000, max }),
         ];
-        for ((build, poke), value, want) in rules {
+        for (build, value, want) in rules {
             assert_eq!(build(ServeConfig::new(), value).unwrap_err(), want);
-            // The fields are public: validate, and try_start through it,
-            // are the backstop against direct mutation.
-            let mut config = ServeConfig::new();
-            poke(&mut config, value);
-            assert_eq!(config.validate().unwrap_err(), want);
-            assert!(
-                matches!(IngestServer::try_start(config), Err(StartError::Config(e)) if e == want),
-                "{want:?}"
-            );
         }
     }
 

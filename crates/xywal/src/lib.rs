@@ -41,7 +41,7 @@
 //!
 //! The crate is deliberately dependency-free and knows nothing about XML,
 //! diffs, or HTTP: `xywarehouse::replay` interprets the records, `xyserve`
-//! owns the policy (when to sync, when to compact).
+//! owns the policy (when to sync).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

@@ -5,7 +5,7 @@
 //! cargo run --example version_warehouse
 //! ```
 
-use xydiff_suite::xydelta::{aggregate_chain, VersionChain, XidDocument};
+use xydiff_suite::xydelta::{VersionChain, XidDocument};
 use xydiff_suite::xydiff::{diff, DiffOptions};
 use xydiff_suite::xytree::Document;
 
@@ -46,18 +46,15 @@ fn main() {
         println!("reconstructed v{i}: {}", vi.doc.to_xml());
     }
 
-    // Aggregation: one delta describing v0 -> v3 directly.
+    // Aggregation: one delta describing v0 -> v3 directly, the XID-matched
+    // diff of the two reconstructed endpoints. It is no longer than the
+    // three deltas it replaces.
     let direct = chain.delta_between(0, 3).unwrap();
     println!("\naggregated delta v0 -> v3 ({} ops):", direct.len());
     print!("{}", direct.describe());
     let mut replay = chain.version(0).unwrap();
     direct.apply_to(&mut replay).unwrap();
     assert_eq!(replay.doc.to_xml(), versions[3]);
-
-    // The same computed via the standalone aggregate_chain helper.
-    let base = chain.version(0).unwrap();
-    let deltas: Vec<_> = (0..3).map(|i| chain.delta(i).unwrap().clone()).collect();
-    let agg = aggregate_chain(&base, &deltas).unwrap();
-    assert_eq!(agg.len(), direct.len());
-    println!("\naggregate_chain agrees: {} ops", agg.len());
+    let steps: usize = (0..3).map(|i| chain.delta(i).unwrap().len()).sum();
+    assert!(direct.len() <= steps, "{} ops aggregate {steps}", direct.len());
 }

@@ -14,7 +14,7 @@
 //! - [`xyhtml`] — HTML XMLization so web pages can be diffed
 //! - [`xyserve`] — concurrent ingestion server (Figure 1 at scale)
 //! - [`xynet`] — HTTP/1.1 network front for the ingestion server
-//! - [`xywal`] — write-ahead delta log (crash recovery + compaction)
+//! - [`xywal`] — write-ahead delta log (the durable store, crash recovery)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

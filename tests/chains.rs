@@ -1,7 +1,7 @@
 //! Algebraic properties of delta chains over realistic change streams:
 //! reconstruction, inversion, aggregation, and the diff's idempotence.
 
-use xydiff_suite::xydelta::{aggregate_chain, xml_io, VersionChain, XidDocument};
+use xydiff_suite::xydelta::{xml_io, VersionChain, XidDocument};
 use xydiff_suite::xydiff::{diff, DiffOptions};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 
@@ -60,22 +60,6 @@ fn aggregate_of_any_range_equals_endpoint_diff() {
             }
         }
     }
-}
-
-#[test]
-fn aggregate_chain_matches_delta_between() {
-    let (chain, _) = build_chain(DocKind::AddressBook, 350, 0.1, 3, 3);
-    let base = chain.version(0).unwrap();
-    let deltas: Vec<_> = (0..3).map(|i| chain.delta(i).unwrap().clone()).collect();
-    let a = aggregate_chain(&base, &deltas).unwrap();
-    let b = chain.delta_between(0, 3).unwrap();
-    // Both express the same transformation (ops may be ordered differently).
-    let mut va = base.clone();
-    a.apply_to(&mut va).unwrap();
-    let mut vb = base.clone();
-    b.apply_to(&mut vb).unwrap();
-    assert_eq!(va.doc.to_xml(), vb.doc.to_xml());
-    assert_eq!(a.len(), b.len());
 }
 
 #[test]

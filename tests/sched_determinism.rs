@@ -86,6 +86,7 @@ fn explore_single_threaded(seed: u64) {
     let mut lanes: Vec<ModelLane> = (0..KEYS).map(|_| ModelLane::default()).collect();
     let mut next_id = 0u64;
     let mut closed = false;
+    let mut high_water = 0;
 
     let steps = 100 + rng.next() % 150;
     for step in 0..steps {
@@ -131,6 +132,8 @@ fn explore_single_threaded(seed: u64) {
         }
         let depth: usize = lanes.iter().map(ModelLane::pending).sum();
         assert_eq!(q.len(), depth, "{at}: depth bookkeeping drifted");
+        high_water = high_water.max(depth);
+        assert_eq!(q.high_water(), high_water, "{at}: high water is not the largest depth");
         assert_eq!(q.is_closed(), closed, "{at}: close flag");
     }
 

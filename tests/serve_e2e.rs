@@ -256,3 +256,66 @@ fn restart_from_the_log_serves_the_same_versions() {
     assert!(report.ingest.is_balanced());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Segment files in a log directory.
+fn segment_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".wal"))
+        .count()
+}
+
+/// A live `/metrics` scrape reads the write-ahead log's counters and the
+/// queue's high water from their owners: after N acked durable ingests it
+/// reports N appends and N fsynced records while the server still runs,
+/// and a restarted server's first scrape, before any ingest, reports the
+/// segments it replayed.
+#[test]
+fn live_scrape_reads_the_log_and_the_queue() {
+    let dir = tmp_root("live-scrape");
+    let mut policy = WalPolicy::new(&dir);
+    // Small segments, so the log rolls and the segment count is not 1.
+    policy.segment_bytes = 1024;
+    let serve = || ServeConfig::new().with_workers(2).unwrap().with_wal(policy.clone());
+    let corpus = corpus(3, 4, 60, 23);
+
+    let first = NetServer::start(NetConfig::new(), serve()).expect("first start");
+    let addr = first.local_addr();
+    let mut acked = 0;
+    for (key, versions) in &corpus {
+        for xml in versions {
+            let (status, body) = post_snapshot(addr, key, xml);
+            assert_eq!(status, 200, "{key}: {body}");
+            assert!(body.contains("\"durable\":true"), "{key}: {body}");
+            acked += 1;
+        }
+        // Mid-run: every ack so far is counted, none twice.
+        let (status, metrics) = request(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        assert_eq!(metric_value(&metrics, "ingest_wal_appends_total "), acked as f64, "{metrics}");
+        assert_eq!(
+            metric_value(&metrics, "ingest_wal_fsynced_records_total "),
+            acked as f64,
+            "{metrics}"
+        );
+        assert!(metric_value(&metrics, "ingest_wal_segments ") >= 1.0, "{metrics}");
+        assert!(metric_value(&metrics, "ingest_queue_depth_high_water ") >= 1.0, "{metrics}");
+    }
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let segments = segment_files(&dir);
+    assert!(segments > 1, "the log must have rolled: {segments} segment(s)");
+    assert_eq!(metric_value(&metrics, "ingest_wal_segments "), segments as f64, "{metrics}");
+    let report = first.shutdown();
+    assert!(report.ingest.is_balanced(), "{report:?}");
+    assert_eq!(report.ingest.succeeded as usize, acked);
+
+    let second = NetServer::start(NetConfig::new(), serve()).expect("second start");
+    let (status, metrics) = request(second.local_addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert_eq!(metric_value(&metrics, "ingest_wal_replayed_total "), acked as f64, "{metrics}");
+    assert_eq!(metric_value(&metrics, "ingest_wal_segments "), segments as f64, "{metrics}");
+    assert_eq!(metric_value(&metrics, "ingest_wal_appends_total "), 0.0, "{metrics}");
+    let report = second.shutdown();
+    assert!(report.ingest.is_balanced());
+    let _ = std::fs::remove_dir_all(&dir);
+}
