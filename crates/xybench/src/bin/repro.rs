@@ -186,22 +186,11 @@ fn diff_bench() {
     let bytes_per_node = xybench::resident_bytes_per_node(&texts, 8).unwrap_or(0.0);
     drop(texts);
 
-    // Intra-document diff parallelism: XYBENCH_DIFF_THREADS, defaulting to
-    // the host's parallelism capped at 8 (1 ⇒ strictly serial pipeline).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let diff_threads = std::env::var("XYBENCH_DIFF_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| cores.min(8))
-        .max(1);
-
     // One differ (options + scratch) reused across the whole run, as a
-    // long-lived ingest worker would hold it: zero-copy (borrowed) payload
-    // capture, fanned out over `diff_threads` threads. The warmup round
-    // (untimed) also warms its scratch capacity, so the timed rounds measure
-    // the allocation-free steady state.
-    let mut differ =
-        Differ::new().with_capture(xydelta::CaptureMode::Borrowed).with_threads(diff_threads);
+    // long-lived ingest worker would hold it, with zero-copy (borrowed)
+    // payload capture. The warmup round (untimed) also warms its scratch
+    // capacity, so the timed rounds measure the allocation-free steady state.
+    let mut differ = Differ::new().with_capture(xydelta::CaptureMode::Borrowed);
     for c in &cases {
         let _ = differ.diff(&c.old, &c.new);
     }
@@ -257,10 +246,10 @@ fn diff_bench() {
     let mb_per_sec = (bytes_per_round * rounds) as f64 / 1e6 / wall.as_secs_f64();
     let peak_rss = xybench::peak_rss_bytes().unwrap_or(0);
 
-    println!("| mode | pairs | rounds | threads | docs/sec | MB/s | mean diff | peak RSS |");
-    println!("|---|---:|---:|---:|---:|---:|---:|---:|");
+    println!("| mode | pairs | rounds | docs/sec | MB/s | mean diff | peak RSS |");
+    println!("|---|---:|---:|---:|---:|---:|---:|");
     println!(
-        "| {} | {} | {rounds} | {diff_threads} | {docs_per_sec:.0} | {mb_per_sec:.1} | {:.0} µs | {} |",
+        "| {} | {} | {rounds} | {docs_per_sec:.0} | {mb_per_sec:.1} | {:.0} µs | {} |",
         if fast { "fast" } else { "full" },
         cases.len(),
         phases[5],
@@ -289,7 +278,7 @@ fn diff_bench() {
     };
     let json = format!(
         "{{\n  \"bench\": \"diff\",\n  \"mode\": \"{mode}\",\n  \"pairs\": {pairs},\n  \
-         \"rounds\": {rounds},\n  \"diff_threads\": {diff_threads},\n  \
+         \"rounds\": {rounds},\n  \
          \"bytes_per_round\": {bytes_per_round},\n  \
          \"docs_per_sec\": {docs_per_sec:.2},\n  \"mb_per_sec\": {mb_per_sec:.3},\n  \
          \"phase_micros\": {means},\n  \

@@ -1,6 +1,8 @@
 //! The ingest-pipeline flags `xydiff serve` and `xydiff ingest` share,
-//! parsed in one place: `--workers --queue --shards --diff-threads --mode
-//! --wal-dir --wal-sync --compact-chain-max --quiet`.
+//! parsed in one place: `--workers --queue --shards --mode --wal-dir
+//! --wal-sync --compact-chain-max --quiet`. `--diff-threads` accepts only
+//! 1, which sets nothing (a diff runs on one thread; `--workers` sets how
+//! many documents are diffed at once), and refuses any other value.
 
 use xydiff::DiffOptions;
 use xyserve::{ConfigError, ServeConfig, WalPolicy, WalSync};

@@ -213,8 +213,9 @@ fn pipeline_flags_reject_bad_values_identically_in_serve_and_ingest() {
         (&["--shards", "3"], "shards = 3 is not a power of two"),
         (&["--diff-threads"], "--diff-threads needs a value"),
         (&["--diff-threads", "1e3"], "--diff-threads needs a positive integer, got \"1e3\""),
-        (&["--diff-threads", "0"], "diff threads must be at least 1"),
-        (&["--diff-threads", "2000"], "diff_threads = 2000 exceeds the maximum of 1024"),
+        (&["--diff-threads", "0"], "diff_threads = 0 is not 1: a diff runs on one thread"),
+        (&["--diff-threads", "2"], "diff_threads = 2 is not 1: a diff runs on one thread"),
+        (&["--diff-threads", "2000"], "diff_threads = 2000 is not 1: a diff runs on one thread"),
         (&["--compact-chain-max"], "--compact-chain-max needs a value"),
         (&["--compact-chain-max", "x"], "--compact-chain-max needs a positive integer, got \"x\""),
         (&["--mode"], "--mode needs a value (buld|unordered|similarity)"),
@@ -312,12 +313,12 @@ fn store_workflow_end_to_end() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `ingest --diff-threads --wal-dir` followed by `wal inspect`: the WAL
-/// the parallel zero-copy ingest pipeline writes — every delta crossed
-/// the `into_owned()` materialization boundary before logging — must
-/// parse, pass the static validator, and report a healthy log.
+/// `ingest --workers --wal-dir` followed by `wal inspect`: the WAL the
+/// concurrent zero-copy ingest pipeline writes — every delta crossed the
+/// `into_owned()` materialization boundary before logging — must parse,
+/// pass the static validator, and report a healthy log.
 #[test]
-fn ingest_with_diff_threads_writes_inspectable_wal() {
+fn ingest_writes_inspectable_wal() {
     let dir = std::env::temp_dir().join(format!("xycli-ingest-wal-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let corpus = dir.join("corpus");
@@ -336,7 +337,7 @@ fn ingest_with_diff_threads_writes_inspectable_wal() {
     let wal_s = wal.to_str().unwrap();
     let ingest = run(&[
         "ingest",
-        "--diff-threads",
+        "--workers",
         "4",
         "--wal-dir",
         wal_s,

@@ -29,20 +29,12 @@
 use crate::config::DiffOptions;
 use crate::info::TreeInfo;
 use crate::matching::Matching;
-use crate::par::StdScopeRunner;
 use crate::propagate::match_unique_children;
 use crate::report::DiffStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 use xytree::SigHashMap;
-use xytree::{NodeId, NodeKind, Tree};
-
-/// How many leading candidates per top-level seed the parallel
-/// pre-verification pass checks. The serial loop's first probe for each seed
-/// scans candidates front-to-back, so warming the head of each list converts
-/// the most likely `subtree_eq` walks into memo hits.
-const PREVERIFY_CANDIDATES: usize = 4;
+use xytree::{NodeId, Tree};
 
 /// Candidates examined linearly before switching to the parent-keyed
 /// secondary index ("a secondary index … gives access by their parent's
@@ -50,25 +42,19 @@ const PREVERIFY_CANDIDATES: usize = 4;
 /// for keeping candidate evaluation O(1)).
 const MAX_CANDIDATES_SCAN: usize = 8;
 
-/// Reusable phase-3 state: the old-document candidate index, the
-/// heaviest-first priority queue, and the memo filled by the parallel
-/// pre-verification pass. The three tables are keyed by signatures and node
-/// ids, so they hash with one fold per key word ([`SigHashMap`]). Part of
+/// Reusable phase-3 state: the old-document candidate index and the
+/// heaviest-first priority queue. The index's tables are keyed by signatures
+/// and node ids, so they hash with one fold per key word ([`SigHashMap`]). Part of
 /// [`crate::DiffScratch`]; a fresh value per diff is equivalent, reuse just
 /// keeps the table and vector allocations warm.
 #[derive(Debug, Default)]
 pub(crate) struct BuldScratch {
     index: CandidateIndex,
     heap: BinaryHeap<Entry>,
-    /// `(old candidate, new node) → subtree_eq` results computed ahead of the
-    /// serial loop. `subtree_eq` is pure, so consulting the memo instead of
-    /// re-walking cannot change any accept/reject decision.
-    eq_memo: SigHashMap<(NodeId, NodeId), bool>,
 }
 
 /// Run the phase-3 matching loop, extending `matching` in place, with
-/// caller-owned scratch, reusing its allocations, and a runner for the
-/// candidate pre-verification pass (skipped at one thread).
+/// caller-owned scratch, reusing its allocations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_with(
     old: &Tree,
@@ -79,15 +65,10 @@ pub(crate) fn run_with(
     opts: &DiffOptions,
     stats: &mut DiffStats,
     scratch: &mut BuldScratch,
-    runner: &StdScopeRunner,
 ) {
-    let BuldScratch { index, heap, eq_memo } = scratch;
+    let BuldScratch { index, heap } = scratch;
     index.rebuild(old, old_info);
     heap.clear();
-    eq_memo.clear();
-    if runner.threads() > 1 {
-        preverify_top_level(old, new, old_info, new_info, index, eq_memo, runner);
-    }
     let n_total = old_info.node_count + new_info.node_count;
     let w0 = new_info.total_weight;
 
@@ -118,7 +99,7 @@ pub(crate) fn run_with(
         }
         let sig = new_info.signature(v);
         let chosen =
-            index.select(old, new, v, sig, matching, old_info, new_info, eq_memo, opts, n_total, w0);
+            index.select(old, new, v, sig, matching, old_info, new_info, opts, n_total, w0);
         match chosen {
             Some(c) => {
                 let matched = match_subtrees(old, new, c, v, matching);
@@ -126,57 +107,6 @@ pub(crate) fn run_with(
                 propagate_up(old, new, c, v, matching, new_info, opts, n_total, w0, stats);
             }
             None => enqueue_children(heap, &mut seq),
-        }
-    }
-}
-
-/// Parallel candidate pre-verification: for every child of the new root
-/// element (the heaviest subtrees the queue will pop first), verify the
-/// leading same-signature candidates concurrently and memoize the results,
-/// so the serial matching loop replays memo hits instead of walking
-/// subtrees. Only size-compatible pairs are queued — a size mismatch already
-/// proves inequality, so those pairs never reach `subtree_eq` on the serial
-/// path either.
-fn preverify_top_level(
-    old: &Tree,
-    new: &Tree,
-    old_info: &TreeInfo,
-    new_info: &TreeInfo,
-    index: &CandidateIndex,
-    eq_memo: &mut SigHashMap<(NodeId, NodeId), bool>,
-    runner: &StdScopeRunner,
-) {
-    let Some(root_elem) =
-        new.children(new.root()).find(|&n| matches!(new.kind(n), NodeKind::Element(_)))
-    else {
-        return;
-    };
-    // Pre-verification only runs with a parallel runner installed;
-    // the serial path (the steady-state no-alloc one) never reaches here.
-    let mut tasks: Vec<(NodeId, NodeId)> = Vec::new();
-    for v in new.children(root_elem) {
-        let Some(&slot) = index.by_sig.get(&new_info.signature(v)) else { continue };
-        let size = new_info.size(v);
-        tasks.extend(
-            index.lists[slot]
-                .nodes
-                .iter()
-                .filter(|&&c| old_info.size(c) == size)
-                .take(PREVERIFY_CANDIDATES)
-                .map(|&c| (c, v)),
-        );
-    }
-    if tasks.len() < 2 {
-        return;
-    }
-    let slots: Vec<OnceLock<bool>> = (0..tasks.len()).map(|_| OnceLock::new()).collect();
-    runner.run(tasks.len(), |i| {
-        let (c, v) = tasks[i];
-        let _ = slots[i].set(old.subtree_eq(c, new, v));
-    });
-    for (i, &(c, v)) in tasks.iter().enumerate() {
-        if let Some(&eq) = slots[i].get() {
-            eq_memo.insert((c, v), eq);
         }
     }
 }
@@ -289,7 +219,6 @@ impl CandidateIndex {
         matching: &Matching,
         old_info: &TreeInfo,
         new_info: &TreeInfo,
-        eq_memo: &SigHashMap<(NodeId, NodeId), bool>,
         opts: &DiffOptions,
         n_total: usize,
         w0: f64,
@@ -309,20 +238,16 @@ impl CandidateIndex {
         }
         let list = &self.lists[slot];
         let live = &list.nodes[list.cursor..];
-        // Verification with two fast outs before the subtree walk: exact
+        // Verification with a fast out before the subtree walk: exact
         // subtree sizes from the phase-2 analysis (equal signatures with
-        // unequal sizes are a hash collision — O(1) reject), then the memo
-        // filled by the parallel pre-verification pass. Both are pure
-        // restatements of what `subtree_eq` would conclude, so the chosen
-        // candidate is identical with or without them.
+        // unequal sizes are a hash collision — an O(1) reject that
+        // `subtree_eq` would also conclude, so the chosen candidate is the
+        // same with or without it).
         let v_size = new_info.size(v);
         let accepts = |c: NodeId| {
             matching.available_old(c)
                 && old_info.size(c) == v_size
-                && match eq_memo.get(&(c, v)) {
-                    Some(&eq) => eq,
-                    None => old.subtree_eq(c, new, v),
-                }
+                && old.subtree_eq(c, new, v)
         };
 
         // Single candidate: "the first matchings are clear".
@@ -457,10 +382,9 @@ mod tests {
         let mut matching = Matching::new(old.tree.arena_len(), new.tree.arena_len());
         matching.add(old.tree.root(), new.tree.root());
         let mut stats = DiffStats::default();
-        let (scratch, runner) = (&mut BuldScratch::default(), &StdScopeRunner::default());
+        let scratch = &mut BuldScratch::default();
         run_with(
             &old.tree, &new.tree, &old_info, &new_info, &mut matching, opts, &mut stats, scratch,
-            runner,
         );
         (old, new, matching, stats)
     }

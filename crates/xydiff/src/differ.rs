@@ -28,7 +28,6 @@
 use crate::config::DiffOptions;
 use crate::info::SignatureCache;
 use crate::mode::MatchMode;
-use crate::par::StdScopeRunner;
 use crate::report::DiffResult;
 use crate::scratch::DiffScratch;
 use xydelta::CaptureMode;
@@ -45,12 +44,10 @@ pub struct Differ {
     opts: DiffOptions,
     scratch: DiffScratch,
     capture: CaptureMode,
-    runner: StdScopeRunner,
 }
 
 impl Differ {
-    /// A differ with default [`DiffOptions`], empty working memory and one
-    /// thread.
+    /// A differ with default [`DiffOptions`] and empty working memory.
     pub fn new() -> Differ {
         Differ::default()
     }
@@ -82,16 +79,6 @@ impl Differ {
     #[must_use]
     pub fn with_capture(mut self, capture: CaptureMode) -> Differ {
         self.capture = capture;
-        self
-    }
-
-    /// Fan the data-parallel stages of phases 2 and 3 out over `threads`
-    /// scoped threads (builder style). At one thread (the default; 0 counts
-    /// as 1) the pipeline stays strictly serial and allocation-free in the
-    /// steady state. The delta is byte-identical at every thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Differ {
-        self.runner = StdScopeRunner::new(threads);
         self
     }
 
@@ -154,8 +141,8 @@ impl Differ {
         new: Document,
         cache: Option<&mut SignatureCache>,
     ) -> DiffResult {
-        let Differ { opts, scratch, capture, runner } = self;
-        crate::diff_core(old, new, opts, scratch, cache, *capture, runner)
+        let Differ { opts, scratch, capture } = self;
+        crate::diff_core(old, new, opts, scratch, cache, *capture)
     }
 }
 

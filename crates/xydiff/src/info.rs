@@ -26,8 +26,6 @@
 //! label-table read per label. A label's own hash is computed once per
 //! symbol per worker, not per occurrence.
 
-use crate::par::StdScopeRunner;
-use std::sync::OnceLock;
 use xydelta::XidDocument;
 use xytree::WordHash;
 use xytree::{NodeId, NodeKind, Symbol, Tree};
@@ -128,28 +126,6 @@ impl TreeInfo {
             self.sizes.shrink_to_fit();
         }
     }
-
-    /// Fill in every attached node of `tree` in post-order: from `staged`
-    /// where it has a record, by hashing otherwise.
-    fn fill<const COMMUTATIVE: bool>(
-        &mut self,
-        tree: &Tree,
-        labels: &mut LabelTable,
-        staged: impl Fn(NodeId) -> Option<NodeInfo>,
-    ) {
-        self.reset(tree.arena_len());
-        let mut node_count = 0usize;
-        for node in tree.post_order(tree.root()) {
-            node_count += 1;
-            let info = staged(node).unwrap_or_else(|| {
-                compute_node::<COMMUTATIVE>(tree, node, labels, |c| self.get(c))
-            });
-            self.set(node, info);
-        }
-        self.total_weight = self.weight(tree.root());
-        self.node_count = node_count;
-        self.commutative = COMMUTATIVE;
-    }
 }
 
 /// Hash and text of every label a worker has hashed, indexed by
@@ -199,7 +175,7 @@ pub(crate) fn analyze(tree: &Tree) -> TreeInfo {
 }
 
 /// Phase 2 of one diff: the old side from `cache` when it describes `old`
-/// (see [`analyze_xid_cached`]), the new side fanned out over `runner`.
+/// (see [`analyze_xid_cached`]), the new side hashed.
 pub(crate) fn analyze_pair<const COMMUTATIVE: bool>(
     old: &XidDocument,
     new: &Tree,
@@ -207,13 +183,12 @@ pub(crate) fn analyze_pair<const COMMUTATIVE: bool>(
     labels: &mut LabelTable,
     old_info: &mut TreeInfo,
     new_info: &mut TreeInfo,
-    runner: &StdScopeRunner,
 ) {
     match cache {
         Some(c) => analyze_xid_cached::<COMMUTATIVE>(old, c, labels, old_info),
         None => analyze_into::<COMMUTATIVE>(&old.doc.tree, labels, old_info),
     }
-    analyze_into_with::<COMMUTATIVE>(new, labels, new_info, runner);
+    analyze_into::<COMMUTATIVE>(new, labels, new_info);
 }
 
 /// One post-order traversal into a caller-owned [`TreeInfo`] with
@@ -224,62 +199,16 @@ pub(crate) fn analyze_into<const COMMUTATIVE: bool>(
     labels: &mut LabelTable,
     out: &mut TreeInfo,
 ) {
-    out.fill::<COMMUTATIVE>(tree, labels, |_| None);
-}
-
-/// [`analyze_into`] with the subtree hashing fanned out over `runner`.
-///
-/// Shards are the children of the root element — disjoint subtrees, so each
-/// shard's post-order hash depends only on nodes the same worker computed.
-/// Workers publish per-node records through [`OnceLock`] cells; a serial
-/// finishing pass then walks the whole tree in post-order, copying published
-/// records and computing the few stragglers (document node, root element,
-/// top-level comments/PIs) whose children span shards. Hashing is pure, so
-/// the result equals [`analyze_into`] exactly, at every thread count.
-///
-/// At one thread (or with fewer than two shards) this delegates to
-/// [`analyze_into`] without allocating anything, preserving the
-/// steady-state no-alloc guarantee of the default path. Each shard hashes
-/// its labels into a table of its own.
-fn analyze_into_with<const COMMUTATIVE: bool>(
-    tree: &Tree,
-    labels: &mut LabelTable,
-    out: &mut TreeInfo,
-    runner: &StdScopeRunner,
-) {
-    if runner.threads() <= 1 {
-        analyze_into::<COMMUTATIVE>(tree, labels, out);
-        return;
+    out.reset(tree.arena_len());
+    let mut node_count = 0usize;
+    for node in tree.post_order(tree.root()) {
+        node_count += 1;
+        let info = compute_node::<COMMUTATIVE>(tree, node, labels, out);
+        out.set(node, info);
     }
-    // Parallel staging is opt-in; the serial bypass above keeps the
-    // default path allocation-free.
-    let shards: Vec<NodeId> = root_element_of(tree)
-        .map(|re| tree.children(re).collect())
-        .unwrap_or_default();
-    if shards.len() < 2 {
-        analyze_into::<COMMUTATIVE>(tree, labels, out);
-        return;
-    }
-    // Parallel staging, as above.
-    let slots: Vec<OnceLock<NodeInfo>> = (0..tree.arena_len()).map(|_| OnceLock::new()).collect();
-    runner.run(shards.len(), |i| {
-        let mut labels = LabelTable::default();
-        for node in tree.post_order(shards[i]) {
-            #[allow(clippy::expect_used)]
-            let info = compute_node::<COMMUTATIVE>(tree, node, &mut labels, |c| {
-                // INVARIANT: post-order within one shard — a node's children
-                // were published by this same worker before the node itself.
-                *slots[c.index()].get().expect("children published before their parent")
-            });
-            let _ = slots[node.index()].set(info);
-        }
-    });
-    out.fill::<COMMUTATIVE>(tree, labels, |node| slots[node.index()].get().copied());
-}
-
-/// The root element (first element child of the document node), if any.
-fn root_element_of(tree: &Tree) -> Option<NodeId> {
-    tree.children(tree.root()).find(|&n| matches!(tree.kind(n), NodeKind::Element(_)))
+    out.total_weight = out.weight(tree.root());
+    out.node_count = node_count;
+    out.commutative = COMMUTATIVE;
 }
 
 /// SplitMix64 finalizer: decorrelates child signatures before the
@@ -293,12 +222,12 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Signature/weight/size of one node, with the records of its children
-/// (post-order predecessors) supplied by `child`.
+/// (post-order predecessors) read from `done`.
 fn compute_node<const COMMUTATIVE: bool>(
     tree: &Tree,
     node: NodeId,
     labels: &mut LabelTable,
-    child: impl Fn(NodeId) -> NodeInfo,
+    done: &TreeInfo,
 ) -> NodeInfo {
     let mut h;
     let mut weight;
@@ -362,7 +291,7 @@ fn compute_node<const COMMUTATIVE: bool>(
     // them mixed and folds the sum once. Either adds their weights.
     let mut sum = 0u64;
     for c in tree.children(node) {
-        let ci = child(c);
+        let ci = done.get(c);
         if COMMUTATIVE {
             sum = sum.wrapping_add(mix(ci.signature));
         } else {
@@ -570,49 +499,6 @@ mod tests {
         let mut out = TreeInfo::default();
         analyze_into::<true>(tree, &mut LabelTable::default(), &mut out);
         out
-    }
-
-    #[test]
-    fn parallel_analysis_matches_serial_exactly() {
-        let mut xml = String::from("<cat>");
-        for i in 0..20 {
-            xml.push_str(&format!("<p a=\"{i}\"><q>text {i}</q><r/></p>"));
-        }
-        xml.push_str("</cat>");
-        let d = Document::parse(&xml).unwrap();
-        for serial in [analyze(&d.tree), commutative(&d.tree)] {
-            for threads in [1usize, 2, 4, 8] {
-                let mut par = TreeInfo::default();
-                let runner = StdScopeRunner::new(threads);
-                let labels = &mut LabelTable::default();
-                if serial.commutative {
-                    analyze_into_with::<true>(&d.tree, labels, &mut par, &runner);
-                } else {
-                    analyze_into_with::<false>(&d.tree, labels, &mut par, &runner);
-                }
-                assert_eq!(par.node_count, serial.node_count);
-                assert_eq!(par.total_weight, serial.total_weight);
-                for n in d.tree.post_order(d.tree.root()) {
-                    assert_eq!(par.signature(n), serial.signature(n), "threads={threads}");
-                    assert_eq!(par.weight(n), serial.weight(n));
-                    assert_eq!(par.get(n).size, serial.get(n).size);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_analysis_handles_shardless_documents() {
-        // No root element children (and no root element at all) must not
-        // panic — both delegate to the serial path.
-        for xml in ["<only/>", "<a>just text</a>"] {
-            let d = Document::parse(xml).unwrap();
-            let serial = analyze(&d.tree);
-            let mut par = TreeInfo::default();
-            let runner = StdScopeRunner::new(4);
-            analyze_into_with::<false>(&d.tree, &mut LabelTable::default(), &mut par, &runner);
-            assert_eq!(par.signature(d.tree.root()), serial.signature(d.tree.root()));
-        }
     }
 
     #[test]

@@ -83,7 +83,6 @@ mod differ;
 mod info;
 mod matching;
 mod mode;
-mod par;
 mod phase1;
 mod phase5;
 mod propagate;
@@ -99,7 +98,6 @@ pub use mode::{MatchMode, ParseMatchModeError};
 pub use report::{DiffResult, DiffStats, PhaseTimings};
 
 use matching::Matching;
-use par::StdScopeRunner;
 use scratch::DiffScratch;
 use std::time::Instant;
 use xydelta::CaptureMode;
@@ -120,8 +118,7 @@ use xytree::Document;
 /// instead.
 pub fn diff(old: &XidDocument, new: &Document, opts: &DiffOptions) -> DiffResult {
     let mut scratch = DiffScratch::new();
-    let runner = StdScopeRunner::default();
-    diff_core(old, new.clone(), opts, &mut scratch, None, CaptureMode::Owned, &runner)
+    diff_core(old, new.clone(), opts, &mut scratch, None, CaptureMode::Owned)
 }
 
 /// The prologue every matcher shares: size `matching` for both arenas and
@@ -178,8 +175,7 @@ fn finish(
 /// entry points ([`Differ::diff_consume`] and friends) pass the parse result
 /// straight through, so phase 5 inherits XIDs *into* the caller's document
 /// instead of a clone of it. `capture` selects how insert/delete payloads
-/// are captured (see [`CaptureMode`]); `runner` hosts the data-parallel
-/// stages of phases 2 and 3.
+/// are captured (see [`CaptureMode`]).
 pub(crate) fn diff_core(
     old: &XidDocument,
     new: Document,
@@ -187,7 +183,6 @@ pub(crate) fn diff_core(
     scratch: &mut DiffScratch,
     mut cache: Option<&mut SignatureCache>,
     capture: CaptureMode,
-    runner: &StdScopeRunner,
 ) -> DiffResult {
     let mut stats = DiffStats::default();
     let mut timings = PhaseTimings::default();
@@ -205,9 +200,9 @@ pub(crate) fn diff_core(
     let t = Instant::now();
     let c = cache.as_deref_mut();
     if opts.mode == MatchMode::Unordered {
-        info::analyze_pair::<true>(old, new_tree, c, labels, old_info, new_info, runner);
+        info::analyze_pair::<true>(old, new_tree, c, labels, old_info, new_info);
     } else {
-        info::analyze_pair::<false>(old, new_tree, c, labels, old_info, new_info, runner);
+        info::analyze_pair::<false>(old, new_tree, c, labels, old_info, new_info);
     }
     timings.phase2 = t.elapsed();
     stats.old_nodes = old_info.node_count;
@@ -230,7 +225,7 @@ pub(crate) fn diff_core(
             // Phase 3: BULD matching loop.
             let t = Instant::now();
             buld::run_with(
-                old_tree, new_tree, old_info, new_info, matching, opts, &mut stats, buld, runner,
+                old_tree, new_tree, old_info, new_info, matching, opts, &mut stats, buld,
             );
             timings.phase3 = t.elapsed();
 
@@ -266,13 +261,6 @@ pub(crate) fn diff_core(
 pub fn diff_documents(old: &Document, new: &Document, opts: &DiffOptions) -> DiffResult {
     let old_x = XidDocument::assign_initial(old.clone());
     diff(&old_x, new, opts)
-}
-
-/// Convenience wrapper over XML strings with default options.
-pub fn diff_str(old_xml: &str, new_xml: &str) -> Result<DiffResult, xytree::ParseError> {
-    let old = Document::parse(old_xml)?;
-    let new = Document::parse(new_xml)?;
-    Ok(diff_documents(&old, &new, &DiffOptions::default()))
 }
 
 #[cfg(test)]
@@ -343,8 +331,7 @@ mod tests {
         let new = Document::parse(&catalog(210, "", Some((100, 4)))).unwrap();
         let mut scratch = DiffScratch::new();
         let opts = DiffOptions::default();
-        let runner = StdScopeRunner::default();
-        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &runner);
+        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned);
         let (m, tree) = (&scratch.matching, &r.new_version.doc.tree);
         assert!(r.stats.new_nodes >= 10_000, "{} nodes", r.stats.new_nodes);
         assert_eq!(r.delta.counts().updates, 1);
@@ -385,10 +372,8 @@ mod tests {
         let (old_info, new_info) = (info::analyze(o_tree), info::analyze(n_tree));
         let (old_nodes, new_nodes) = (old_info.node_count, new_info.node_count);
         let mut stats = DiffStats { old_nodes, new_nodes, ..Default::default() };
-        let (scratch, runner) = (&mut buld::BuldScratch::default(), &StdScopeRunner::default());
-        buld::run_with(
-            o_tree, n_tree, &old_info, &new_info, &mut m, &opts, &mut stats, scratch, runner,
-        );
+        let scratch = &mut buld::BuldScratch::default();
+        buld::run_with(o_tree, n_tree, &old_info, &new_info, &mut m, &opts, &mut stats, scratch);
         let section = n_tree.child_at(n_tree.root_element().unwrap(), 30).unwrap();
         assert!(m.is_matched_new(section), "the section still matches whole");
         assert!(n_tree.descendants(section).all(|v| !m.is_settled(v)), "nothing settled inside");
@@ -415,8 +400,7 @@ mod tests {
         let new = Document::parse(&catalog(60, dtd, Some((10, 4)))).unwrap();
         let mut scratch = DiffScratch::new();
         let opts = DiffOptions::default();
-        let runner = StdScopeRunner::default();
-        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned, &runner);
+        let r = diff_core(&old, new, &opts, &mut scratch, None, CaptureMode::Owned);
         let (m, tree) = (&scratch.matching, &r.new_version.doc.tree);
         let section = tree.child_at(tree.root_element().unwrap(), 50).unwrap();
         assert!(!m.is_matched_new(product(tree, 50, 7)), "the ID-carrying product is barred");

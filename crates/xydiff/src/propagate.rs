@@ -356,9 +356,8 @@ mod tests {
                         propagation_pass(o, n, &new_info, &mut m, &mut stats);
                     }
                     let scratch = &mut buld::BuldScratch::default();
-                    let runner = &Default::default();
                     buld::run_with(
-                        o, n, &old_info, &new_info, &mut m, &opts, &mut stats, scratch, runner,
+                        o, n, &old_info, &new_info, &mut m, &opts, &mut stats, scratch,
                     );
                     let mut pass = || propagation_pass(o, n, &new_info, &mut m, &mut stats);
                     first_added += pass();

@@ -157,8 +157,7 @@ fn handle_doc(shared: &Shared, key: &str, version: Option<usize>) -> Response {
     }
 }
 
-/// The response for a resolved ingest submission (shared verbatim by both
-/// fronts).
+/// The response for a resolved ingest submission.
 pub(crate) fn outcome_response(outcome: &IngestOutcome) -> Response {
     match outcome {
         Ok(done) => Response::json(200, completed_json(done)),

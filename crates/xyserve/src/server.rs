@@ -85,14 +85,11 @@ pub enum ConfigError {
         /// The rejected shard count.
         requested: usize,
     },
-    /// `diff_threads` was 0 — every diff would have nowhere to run.
-    ZeroDiffThreads,
-    /// `diff_threads` exceeded `MAX_WORKERS` (1024).
-    TooManyDiffThreads {
+    /// A diff thread count other than 1: a diff runs on one thread, and
+    /// the worker pool is what runs documents in parallel.
+    DiffThreadsNotOne {
         /// The rejected intra-diff thread count.
         requested: usize,
-        /// The permitted maximum.
-        max: usize,
     },
 }
 
@@ -108,10 +105,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ShardsNotPowerOfTwo { requested } => {
                 write!(f, "shards = {requested} is not a power of two")
             }
-            ConfigError::ZeroDiffThreads => write!(f, "diff threads must be at least 1"),
-            ConfigError::TooManyDiffThreads { requested, max } => {
-                write!(f, "diff_threads = {requested} exceeds the maximum of {max}")
-            }
+            ConfigError::DiffThreadsNotOne { requested } => write!(
+                f,
+                "diff_threads = {requested} is not 1: a diff runs on one thread, \
+                 and workers run documents in parallel"
+            ),
         }
     }
 }
@@ -122,7 +120,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Built with [`ServeConfig::new`] plus `with_*` methods, the only way to
 /// set a field. The builders for the capacity-like knobs (`workers`,
-/// `queue_capacity`, `shards`, `diff_threads`) are fallible and reject
+/// `queue_capacity`, `shards`) are fallible and reject
 /// degenerate values with a typed [`ConfigError`] instead of silently
 /// clamping, so every `ServeConfig` that exists is one the server can run.
 /// `Display` renders what the config will run with on this host (one line,
@@ -138,12 +136,6 @@ pub struct ServeConfig {
     /// Number of repository shards (keys are hash-partitioned; a power of
     /// two).
     shards: usize,
-    /// Intra-document diff parallelism: each worker's differ fans the
-    /// data-parallel diff stages (phase-2 hashing, phase-3 candidate
-    /// pre-verification) out over this many scoped threads
-    /// ([`Differ::with_threads`]). 1 (the default) keeps diffs strictly serial
-    /// and allocation-free; deltas are byte-identical at any setting.
-    diff_threads: usize,
     /// Diff options used by every shard.
     diff_options: DiffOptions,
     /// Subscriptions evaluated on every ingested delta.
@@ -205,18 +197,15 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// Set the intra-document diff parallelism. Rejects 0 and counts above
-    /// `MAX_WORKERS` (1024); oversubscribing the host is allowed
-    /// (the result is byte-identical, only the wall-clock differs).
-    pub fn with_diff_threads(mut self, threads: usize) -> Result<ServeConfig, ConfigError> {
-        self.diff_threads = match threads {
-            0 => return Err(ConfigError::ZeroDiffThreads),
-            n if n > Self::MAX_WORKERS => {
-                return Err(ConfigError::TooManyDiffThreads { requested: n, max: Self::MAX_WORKERS })
-            }
-            n => n,
-        };
-        Ok(self)
+    /// Accepts 1, the only diff thread count, and sets nothing: a diff runs
+    /// on one thread, and [`ServeConfig::with_workers`] sets how many run
+    /// at once. Any other value is a [`ConfigError::DiffThreadsNotOne`].
+    /// Kept only for callers that still pass 1.
+    pub fn with_diff_threads(self, threads: usize) -> Result<ServeConfig, ConfigError> {
+        match threads {
+            1 => Ok(self),
+            requested => Err(ConfigError::DiffThreadsNotOne { requested }),
+        }
     }
 
     /// Set the diff options used by every shard.
@@ -261,25 +250,22 @@ impl ServeConfig {
 
 /// The operator-facing startup line: what this config runs with on this
 /// host, as `key=value` pairs. `available_parallelism` is 0 when the host
-/// cannot report it. `oversubscribed` is true when the threads the pool can
-/// have runnable at once — every worker fanning a diff out over
-/// `diff_threads` — exceed that parallelism: legal (CI runs 8 workers on 1
-/// core to shake out interleavings) but worth surfacing, because it adds
-/// context switching without speedup.
+/// cannot report it. `oversubscribed` is true when the workers — each runs
+/// one diff at a time, on its own thread — exceed that parallelism: legal
+/// (CI runs 8 workers on 1 core to shake out interleavings) but worth
+/// surfacing, because it adds context switching without speedup.
 impl std::fmt::Display for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let available = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-        let runnable = self.workers.saturating_mul(self.diff_threads);
         write!(
             f,
             "workers={} available_parallelism={} oversubscribed={} shards={} \
-             queue_capacity={} diff_threads={} mode={} wal={} compact_chain_max={}",
+             queue_capacity={} mode={} wal={} compact_chain_max={}",
             self.workers,
             available,
-            available > 0 && runnable > available,
+            available > 0 && self.workers > available,
             self.shards,
             self.queue_capacity,
-            self.diff_threads,
             self.diff_options.mode,
             self.wal.is_some(),
             self.compact_chain_max
@@ -293,7 +279,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
             .field("shards", &self.shards)
-            .field("diff_threads", &self.diff_threads)
             .field("mode", &self.diff_options.mode)
             .field("fault_hook", &self.fault_hook.is_some())
             .field("wal", &self.wal)
@@ -308,7 +293,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_capacity: 128,
             shards: 8,
-            diff_threads: 1,
             diff_options: DiffOptions::default(),
             alerter: Alerter::new(),
             fault_hook: None,
@@ -732,12 +716,6 @@ impl Inner {
         shard_index(key, self.shards.len())
     }
 
-    /// A worker's differ: repository options + scratch, fanned out over
-    /// `diff_threads` threads.
-    fn make_differ(&self) -> Differ {
-        self.shards[0].differ().with_threads(self.config.diff_threads)
-    }
-
     /// See [`IngestServer::metrics_text`]. Without a log every WAL family
     /// reads zero.
     fn metrics_text(&self) -> String {
@@ -762,7 +740,7 @@ impl Inner {
         // memory. Per-document signature caches live with the stored
         // documents; the repository threads them through
         // diff_consume_with_cache.
-        let mut differ = self.make_differ();
+        let mut differ = self.shards[0].differ();
         while let Some((key, seq, job)) = self.queue.pop() {
             let _lease = Lease(&self.queue, &key);
             self.process(&key, seq, job, &mut differ);
@@ -1179,12 +1157,15 @@ mod tests {
             (queue, 0, ConfigError::ZeroQueueCapacity),
             (shards, 0, ConfigError::ZeroShards),
             (shards, 6, ConfigError::ShardsNotPowerOfTwo { requested: 6 }),
-            (threads, 0, ConfigError::ZeroDiffThreads),
-            (threads, 2000, ConfigError::TooManyDiffThreads { requested: 2000, max }),
+            (threads, 0, ConfigError::DiffThreadsNotOne { requested: 0 }),
+            (threads, 2, ConfigError::DiffThreadsNotOne { requested: 2 }),
+            (threads, 2000, ConfigError::DiffThreadsNotOne { requested: 2000 }),
         ];
         for (build, value, want) in rules {
             assert_eq!(build(ServeConfig::new(), value).unwrap_err(), want);
         }
+        let one = ServeConfig::new().with_diff_threads(1).unwrap();
+        assert_eq!(one.to_string(), ServeConfig::new().to_string(), "1 sets nothing");
     }
 
     #[test]
@@ -1194,8 +1175,8 @@ mod tests {
         let keys: Vec<&str> = line.split(' ').filter_map(|kv| kv.split('=').next()).collect();
         assert_eq!(
             keys.join(" "),
-            "workers available_parallelism oversubscribed shards queue_capacity diff_threads \
-             mode wal compact_chain_max",
+            "workers available_parallelism oversubscribed shards queue_capacity mode wal \
+             compact_chain_max",
             "{line}"
         );
         assert!(line.starts_with(&format!("workers=1024 available_parallelism={available} ")), "{line}");
@@ -1204,14 +1185,10 @@ mod tests {
         // One serial worker never does.
         let line = ServeConfig::new().with_workers(1).unwrap().to_string();
         assert!(line.contains("oversubscribed=false"), "{line}");
-        // What can be runnable at once is workers x diff_threads: a worker
-        // per core fills the host exactly until each diff fans out.
+        // A worker per core fills the host exactly.
         if (1..=ServeConfig::MAX_WORKERS).contains(&available) {
             let full = ServeConfig::new().with_workers(available).unwrap();
             assert!(full.to_string().contains("oversubscribed=false"), "{full}");
-            let fanned = full.with_diff_threads(2).unwrap().to_string();
-            assert!(fanned.contains("diff_threads=2 "), "{fanned}");
-            assert!(fanned.contains("oversubscribed=true"), "{fanned}");
         }
     }
 }

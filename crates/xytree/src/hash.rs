@@ -301,7 +301,7 @@ impl BuildHasher for RandomWordState {
 }
 
 /// `HashMap` for keys that already are uniform hashes (subtree signatures,
-/// and pairs of node ids beside them): one fold per key word.
+/// alone or paired with a node id): one fold per key word.
 pub type SigHashMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHash>>;
 
 /// `HashMap` with the fast FNV hasher.
