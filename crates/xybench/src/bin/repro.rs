@@ -131,7 +131,7 @@ fn identity() {
     let digest = h.value();
     println!("{pairs} pairs, {diffs} diffs in {}", fmt_dur(t.elapsed()));
     println!("identity digest fnv64:{digest:016x} (committed fnv64:{IDENTITY_DIGEST:016x})\n");
-    if std::env::var_os("XYBENCH_GATE").is_some() && digest != IDENTITY_DIGEST {
+    if xybench::env_flag("XYBENCH_GATE") && digest != IDENTITY_DIGEST {
         eprintln!("identity gate FAILED: the matchers emit different bytes than the committed digest");
         std::process::exit(1);
     }
@@ -296,7 +296,7 @@ fn diff_bench() {
     std::fs::write(&path, &json).unwrap_or_else(|e| eprintln!("cannot write {path:?}: {e}"));
     println!("wrote {}\n", path.display());
 
-    if std::env::var_os("XYBENCH_GATE").is_some() {
+    if xybench::env_flag("XYBENCH_GATE") {
         let mut failed = false;
         match xybench::baseline_docs_per_sec("bench_baseline.json") {
             Some(base) => {
@@ -390,7 +390,7 @@ fn fig4() {
         "\ngrowth exponent (log-log slope): diff total ≈ {slope:.2}, phases 3+4 ≈ {:.2}  (1.0 = linear; paper: 'almost linear')\n",
         log_log_slope(&pts_core)
     );
-    if std::env::var_os("XYBENCH_GATE").is_some() {
+    if xybench::env_flag("XYBENCH_GATE") {
         println!("fig4 gate: diff-total slope {slope:.2} (bound 1.25)");
         if slope > 1.25 {
             eprintln!(
@@ -479,7 +479,7 @@ fn fig6() {
         "\n(paper: deltas are 'on average roughly the size of the Unix Diff result'; \
          one-line documents show Unix diff's long-line pathology)\n"
     );
-    if std::env::var_os("XYBENCH_GATE").is_some() {
+    if xybench::env_flag("XYBENCH_GATE") {
         println!("fig6 gate: worst multi-line ratio {worst_multi_line:.2} (bound 1.00)");
         if worst_multi_line > 1.0 {
             eprintln!("fig6 gate FAILED: a multi-line delta is larger than the Unix diff of its pair");
@@ -536,7 +536,7 @@ fn scaling() {
          (paper: linear vs quadratic for previous algorithms)\n",
         log_log_slope(&selkow_pts)
     );
-    if std::env::var_os("XYBENCH_GATE").is_some() {
+    if xybench::env_flag("XYBENCH_GATE") {
         println!(
             "scaling gate: BULD exponent {buld:.2} (bound 1.2), \
              DP pairs exponent {pairs:.2} (bound 1.8)"
@@ -688,7 +688,7 @@ fn modes() {
         shuffle_mean[0], shuffle_mean[1],
     );
 
-    if std::env::var_os("XYBENCH_GATE").is_some() {
+    if xybench::env_flag("XYBENCH_GATE") {
         println!("modes gate: shuffle mean ops unordered {:.1} vs buld {:.1}", shuffle_mean[1], shuffle_mean[0]);
         if shuffle_mean[1] >= shuffle_mean[0] {
             eprintln!(

@@ -34,10 +34,21 @@ pub fn pair_at_rate(bytes: usize, rate: f64, seed: u64) -> (XidDocument, Simulat
     (old, sim)
 }
 
-/// True when `XYBENCH_FAST=1`: benches shrink their corpora so the CI
-/// perf-smoke job finishes in seconds.
+/// True when the environment flag `name` (`XYBENCH_FAST`, `XYBENCH_GATE`)
+/// is on: set, non-empty and not `0`.
+pub fn env_flag(name: &str) -> bool {
+    flag_on(std::env::var_os(name))
+}
+
+/// The rule [`env_flag`] applies to a flag's value.
+fn flag_on(value: Option<std::ffi::OsString>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+/// True when `XYBENCH_FAST` is on ([`env_flag`]): benches shrink their
+/// corpora so the CI perf-smoke job finishes in seconds.
 pub fn fast_mode() -> bool {
-    std::env::var_os("XYBENCH_FAST").is_some_and(|v| v != "0")
+    env_flag("XYBENCH_FAST")
 }
 
 /// Where a `BENCH_*.json` file should land: `$XYBENCH_OUT` or the current
@@ -154,6 +165,15 @@ pub fn fmt_dur(d: std::time::Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_flag_is_on_when_set_non_empty_and_not_zero() {
+        let value = |v: &str| Some(std::ffi::OsString::from(v));
+        assert!(!flag_on(None));
+        assert!(!flag_on(value("")));
+        assert!(!flag_on(value("0")));
+        assert!(flag_on(value("1")));
+    }
 
     #[test]
     fn sized_catalog_hits_byte_target() {

@@ -93,13 +93,13 @@ pub(crate) fn usage() -> String {
      xydiff store DIR history KEY         list versions with delta summaries\n  \
      xydiff store DIR changes KEY FROM TO print the aggregated delta\n  \
      xydiff store DIR keys                list stored documents\n  \
-     xydiff ingest [--workers N] [--queue N] [--shards N] [--quiet] DIR\n  \
+     xydiff ingest [--workers N] [--queue N] [--quiet] DIR\n  \
        \u{20}      [--mode buld|unordered|similarity]\n  \
        \u{20}      [--wal-dir DIR] [--wal-sync always|none] [--compact-chain-max N]\n  \
        \u{20}                              ingest a snapshot corpus concurrently\n  \
        \u{20}                              (DIR/key/*.xml sorted = versions; metrics on stdout)\n  \
      xydiff serve [--addr HOST:PORT] [--workers N] [--queue N]\n  \
-       \u{20}      [--shards N] [--max-body BYTES]\n  \
+       \u{20}      [--max-body BYTES]\n  \
        \u{20}      [--idle-timeout SECS] [--max-conns N] [--shed-conns N]\n  \
        \u{20}      [--mode buld|unordered|similarity]\n  \
        \u{20}      [--wal-dir DIR] [--wal-sync always|none] [--compact-chain-max N]\n  \

@@ -1,8 +1,10 @@
 //! The ingest-pipeline flags `xydiff serve` and `xydiff ingest` share,
-//! parsed in one place: `--workers --queue --shards --mode --wal-dir
-//! --wal-sync --compact-chain-max --quiet`. `--diff-threads` accepts only
-//! 1, which sets nothing (a diff runs on one thread; `--workers` sets how
-//! many documents are diffed at once), and refuses any other value.
+//! parsed in one place: `--workers --queue --mode --wal-dir --wal-sync
+//! --compact-chain-max --quiet`. Two retired flags accept only the value
+//! they always had, which sets nothing, and refuse any other:
+//! `--shards 8` (the store locks per key) and `--diff-threads 1` (a diff
+//! runs on one thread; `--workers` sets how many documents are diffed at
+//! once).
 
 use xydiff::DiffOptions;
 use xyserve::{ConfigError, ServeConfig, WalPolicy, WalSync};

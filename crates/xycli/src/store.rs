@@ -76,7 +76,7 @@ fn store_load(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
     let c = match done.version {
         0 => Default::default(),
         v => server
-            .repository_for(key)
+            .repository()
             .delta_between(key, v - 1, v)
             .map_err(|e| e.to_string())?
             .counts(),
@@ -104,7 +104,7 @@ fn store_get(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
         _ => return Err(format!("store get needs KEY [VERSION]\n{}", usage())),
     };
     let server = open_store(dir)?;
-    let repo = server.repository_for(key);
+    let repo = server.repository();
     let xml = match version {
         None => repo.latest_xml(key),
         Some(v) => repo.version_xml(key, v),
@@ -119,7 +119,7 @@ fn store_history(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
         return Err(format!("store history needs KEY\n{}", usage()));
     };
     let server = open_store(dir)?;
-    let repo = server.repository_for(key);
+    let repo = server.repository();
     let count = repo.version_count(key);
     if count == 0 {
         return Err(format!("no document stored under {key:?}"));
@@ -149,7 +149,7 @@ fn store_changes(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
     let from: usize = from.parse().map_err(|_| format!("bad version {from:?}"))?;
     let to: usize = to.parse().map_err(|_| format!("bad version {to:?}"))?;
     let server = open_store(dir)?;
-    let repo = server.repository_for(key);
+    let repo = server.repository();
     if from > to || to >= repo.version_count(key) {
         return Err(format!(
             "version range {from}..{to} out of bounds for {key:?} ({} versions)",
@@ -163,14 +163,13 @@ fn store_changes(dir: &Path, rest: &[String]) -> Result<ExitCode, String> {
 
 fn store_keys(dir: &Path) -> Result<ExitCode, String> {
     let server = open_store(dir)?;
-    let mut keys: Vec<(String, usize)> = server
-        .shards()
-        .iter()
-        .flat_map(|repo| {
-            repo.keys().into_iter().map(move |key| {
-                let count = repo.version_count(&key);
-                (key, count)
-            })
+    let repo = server.repository();
+    let mut keys: Vec<(String, usize)> = repo
+        .keys()
+        .into_iter()
+        .map(|key| {
+            let count = repo.version_count(&key);
+            (key, count)
         })
         .collect();
     keys.sort();

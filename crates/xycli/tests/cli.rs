@@ -210,12 +210,15 @@ fn pipeline_flags_reject_bad_values_identically_in_serve_and_ingest() {
         (&["--queue", "-1"], "--queue needs a positive integer, got \"-1\""),
         (&["--queue", "0"], "queue capacity must be at least 1"),
         (&["--shards"], "--shards needs a value"),
-        (&["--shards", "3"], "shards = 3 is not a power of two"),
+        (&["--shards", "3"], "shards = 3 is retired: only its former default is accepted"),
+        (&["--shards", "4"], "shards = 4 is retired: only its former default is accepted"),
+        // 8 is accepted: the parse goes on to the next flag's refusal.
+        (&["--shards", "8", "--wal-sync", "none"], "--wal-sync needs --wal-dir"),
         (&["--diff-threads"], "--diff-threads needs a value"),
         (&["--diff-threads", "1e3"], "--diff-threads needs a positive integer, got \"1e3\""),
-        (&["--diff-threads", "0"], "diff_threads = 0 is not 1: a diff runs on one thread"),
-        (&["--diff-threads", "2"], "diff_threads = 2 is not 1: a diff runs on one thread"),
-        (&["--diff-threads", "2000"], "diff_threads = 2000 is not 1: a diff runs on one thread"),
+        (&["--diff-threads", "0"], "diff_threads = 0 is retired: only its former default"),
+        (&["--diff-threads", "2"], "diff_threads = 2 is retired: only its former default"),
+        (&["--diff-threads", "2000"], "diff_threads = 2000 is retired: only its former default"),
         (&["--compact-chain-max"], "--compact-chain-max needs a value"),
         (&["--compact-chain-max", "x"], "--compact-chain-max needs a positive integer, got \"x\""),
         (&["--mode"], "--mode needs a value (buld|unordered|similarity)"),
@@ -393,7 +396,7 @@ fn store_reads_a_10_050_version_server_log() {
     assert_eq!(report.succeeded as usize, VERSIONS);
 
     let server = IngestServer::try_start(config()).unwrap();
-    let repo = server.repository_for("hot");
+    let repo = server.repository();
     assert_eq!(repo.version_count("hot"), VERSIONS);
     for v in [0, 999, 1000, 9999, 10_000, VERSIONS - 1] {
         assert_eq!(repo.version_xml("hot", v).unwrap(), doc(v), "version {v} after restart");

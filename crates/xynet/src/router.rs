@@ -139,7 +139,7 @@ fn method_not_allowed_on(shared: &Shared, route: &str) -> Response {
 
 /// `GET /doc/{key}[/{version}]`: reconstruct a stored version's XML.
 fn handle_doc(shared: &Shared, key: &str, version: Option<usize>) -> Response {
-    let repo = shared.ingest.repository_for(key);
+    let repo = shared.ingest.repository();
     let count = repo.version_count(key);
     if count == 0 {
         return Response::error(404, "no such document");

@@ -79,7 +79,7 @@ fn start(net: NetConfig, serve: ServeConfig) -> NetServer {
 fn ingest_roundtrip_stores_versions_and_serves_them_back() {
     let server = start(
         NetConfig::new(),
-        ServeConfig::new().with_workers(2).unwrap().with_shards(2).unwrap(),
+        ServeConfig::new().with_workers(2).unwrap(),
     );
     let addr = server.local_addr();
 

@@ -12,10 +12,11 @@
 //!   document run one at a time in push order while any idle worker takes
 //!   the oldest ready key, with one capacity bound as the backpressure
 //!   toward the crawler; it also owns the queue depth and its high water;
-//! - [`IngestServer`] — a worker pool over hash-sharded
-//!   [`xywarehouse::Repository`] shards, with a dead-letter queue for
-//!   snapshots that cannot be stored; each worker runs one diff at a time,
-//!   on its own thread, so the worker count is the server's parallelism;
+//! - [`IngestServer`] — a worker pool over one
+//!   [`xywarehouse::Repository`], which locks per key, with a dead-letter
+//!   queue for snapshots that cannot be stored; each worker runs one diff at
+//!   a time, on its own thread, so the worker count is the server's
+//!   parallelism;
 //! - [`metrics::Metrics`] — the counters and per-phase latency histograms
 //!   the ingest loop keeps. [`IngestServer::metrics_text`] renders them as
 //!   a Prometheus exposition together with the queue's gauges and the

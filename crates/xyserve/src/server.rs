@@ -33,8 +33,6 @@
 
 use crate::metrics::Metrics;
 use crate::queue::{KeyedQueue, PushError};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -77,18 +75,15 @@ pub enum ConfigError {
     },
     /// `queue_capacity` was 0 — every submit would shed.
     ZeroQueueCapacity,
-    /// `shards` was 0 — there would be nowhere to store documents.
-    ZeroShards,
-    /// `shards` was not a power of two, so hash partitioning would be
-    /// visibly biased (and masking unavailable).
-    ShardsNotPowerOfTwo {
-        /// The rejected shard count.
-        requested: usize,
-    },
-    /// A diff thread count other than 1: a diff runs on one thread, and
-    /// the worker pool is what runs documents in parallel.
-    DiffThreadsNotOne {
-        /// The rejected intra-diff thread count.
+    /// A retired setting was given a value other than the one it always
+    /// had, which is the only value it still accepts and which sets
+    /// nothing: `shards` (8; the store locks per key) or `diff_threads`
+    /// (1; a diff runs on one thread, and workers run documents in
+    /// parallel).
+    Retired {
+        /// The retired setting.
+        setting: &'static str,
+        /// The rejected value.
         requested: usize,
     },
 }
@@ -101,14 +96,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "workers = {requested} exceeds the maximum of {max}")
             }
             ConfigError::ZeroQueueCapacity => write!(f, "queue capacity must be at least 1"),
-            ConfigError::ZeroShards => write!(f, "shards must be at least 1"),
-            ConfigError::ShardsNotPowerOfTwo { requested } => {
-                write!(f, "shards = {requested} is not a power of two")
-            }
-            ConfigError::DiffThreadsNotOne { requested } => write!(
+            ConfigError::Retired { setting, requested } => write!(
                 f,
-                "diff_threads = {requested} is not 1: a diff runs on one thread, \
-                 and workers run documents in parallel"
+                "{setting} = {requested} is retired: only its former default is accepted, \
+                 and it sets nothing"
             ),
         }
     }
@@ -120,7 +111,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Built with [`ServeConfig::new`] plus `with_*` methods, the only way to
 /// set a field. The builders for the capacity-like knobs (`workers`,
-/// `queue_capacity`, `shards`) are fallible and reject
+/// `queue_capacity`) are fallible and reject
 /// degenerate values with a typed [`ConfigError`] instead of silently
 /// clamping, so every `ServeConfig` that exists is one the server can run.
 /// `Display` renders what the config will run with on this host (one line,
@@ -133,10 +124,7 @@ pub struct ServeConfig {
     /// Queue capacity — the backpressure threshold over the pending
     /// snapshots of all keys.
     queue_capacity: usize,
-    /// Number of repository shards (keys are hash-partitioned; a power of
-    /// two).
-    shards: usize,
-    /// Diff options used by every shard.
+    /// Diff options of every load.
     diff_options: DiffOptions,
     /// Subscriptions evaluated on every ingested delta.
     alerter: Alerter,
@@ -185,30 +173,28 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// Set the repository shard count. Rejects 0 and non-powers-of-two.
-    pub fn with_shards(mut self, shards: usize) -> Result<ServeConfig, ConfigError> {
-        self.shards = match shards {
-            0 => return Err(ConfigError::ZeroShards),
-            n if !n.is_power_of_two() => {
-                return Err(ConfigError::ShardsNotPowerOfTwo { requested: n })
-            }
-            n => n,
-        };
-        Ok(self)
+    /// Accepts 8, the shard count the server had, and sets nothing: the
+    /// store locks per key. Any other value is a [`ConfigError::Retired`].
+    /// Kept only for callers that still pass 8.
+    pub fn with_shards(self, shards: usize) -> Result<ServeConfig, ConfigError> {
+        match shards {
+            8 => Ok(self),
+            requested => Err(ConfigError::Retired { setting: "shards", requested }),
+        }
     }
 
     /// Accepts 1, the only diff thread count, and sets nothing: a diff runs
     /// on one thread, and [`ServeConfig::with_workers`] sets how many run
-    /// at once. Any other value is a [`ConfigError::DiffThreadsNotOne`].
-    /// Kept only for callers that still pass 1.
+    /// at once. Any other value is a [`ConfigError::Retired`]. Kept only
+    /// for callers that still pass 1.
     pub fn with_diff_threads(self, threads: usize) -> Result<ServeConfig, ConfigError> {
         match threads {
             1 => Ok(self),
-            requested => Err(ConfigError::DiffThreadsNotOne { requested }),
+            requested => Err(ConfigError::Retired { setting: "diff_threads", requested }),
         }
     }
 
-    /// Set the diff options used by every shard.
+    /// Set the diff options of every load.
     #[must_use]
     pub fn with_diff_options(mut self, opts: DiffOptions) -> ServeConfig {
         self.diff_options = opts;
@@ -259,12 +245,11 @@ impl std::fmt::Display for ServeConfig {
         let available = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
         write!(
             f,
-            "workers={} available_parallelism={} oversubscribed={} shards={} \
+            "workers={} available_parallelism={} oversubscribed={} \
              queue_capacity={} mode={} wal={} compact_chain_max={}",
             self.workers,
             available,
             available > 0 && self.workers > available,
-            self.shards,
             self.queue_capacity,
             self.diff_options.mode,
             self.wal.is_some(),
@@ -278,7 +263,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("shards", &self.shards)
             .field("mode", &self.diff_options.mode)
             .field("fault_hook", &self.fault_hook.is_some())
             .field("wal", &self.wal)
@@ -292,7 +276,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_capacity: 128,
-            shards: 8,
             diff_options: DiffOptions::default(),
             alerter: Alerter::new(),
             fault_hook: None,
@@ -443,7 +426,7 @@ struct Job {
 }
 
 struct Inner {
-    shards: Vec<Repository>,
+    repo: Repository,
     queue: KeyedQueue<Job>,
     metrics: Metrics,
     dead: Mutex<Vec<DeadLetter>>,
@@ -474,19 +457,14 @@ impl IngestServer {
     /// Start a server with `config`, replaying the write-ahead log first
     /// when one is configured.
     pub fn try_start(config: ServeConfig) -> Result<IngestServer, StartError> {
-        let shard_count = config.shards;
-        let shards: Vec<Repository> = (0..shard_count)
-            .map(|_| {
-                Repository::with_options(config.diff_options.clone(), config.alerter.clone())
-                    .with_checkpoint_every(config.compact_chain_max)
-            })
-            .collect();
+        let repo = Repository::with_options(config.diff_options.clone(), config.alerter.clone())
+            .with_checkpoint_every(config.compact_chain_max);
         let metrics = Metrics::new();
         let wal = match &config.wal {
             Some(policy) => {
                 let (wal, recovery) = Wal::open(policy).map_err(StartError::Wal)?;
                 // The log holds the whole history: fold every record into
-                // the (empty) shards, in LSN order, freeing each batch once
+                // the (empty) repository, in LSN order, freeing each batch once
                 // it is applied — a restart then peaks at the chains plus
                 // one batch, not the chains plus the whole log.
                 let mut records = recovery.records.into_iter();
@@ -495,9 +473,11 @@ impl IngestServer {
                     if batch.is_empty() {
                         break;
                     }
-                    let replayed = xywarehouse::replay::apply_records(&batch, &shards, |key| {
-                        shard_index(key, shard_count)
-                    })
+                    let replayed = xywarehouse::replay::apply_records(
+                        &batch,
+                        std::slice::from_ref(&repo),
+                        |_| 0,
+                    )
                     .map_err(StartError::Replay)?;
                     metrics.wal_replayed.add(replayed.total() as u64);
                 }
@@ -506,7 +486,7 @@ impl IngestServer {
             None => None,
         };
         let inner = Arc::new(Inner {
-            shards,
+            repo,
             queue: KeyedQueue::new(config.queue_capacity),
             metrics,
             dead: Mutex::new(Vec::new()),
@@ -613,14 +593,10 @@ impl IngestServer {
         std::mem::take(&mut locked(&self.inner.notifications))
     }
 
-    /// The shard repository holding `key` (for reads: versions, deltas).
-    pub fn repository_for(&self, key: &str) -> &Repository {
-        &self.inner.shards[self.inner.shard_of(key)]
-    }
-
-    /// All shard repositories (global stats).
-    pub fn shards(&self) -> &[Repository] {
-        &self.inner.shards
+    /// The repository the workers store into (for reads: versions,
+    /// deltas, stats).
+    pub fn repository(&self) -> &Repository {
+        &self.inner.repo
     }
 
     /// Whether the write-ahead log has poisoned itself after a failed
@@ -698,24 +674,7 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap()
 }
 
-/// The hash shard routing derives from.
-fn key_hash(key: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// Hash-partition `key` over `shard_count` shards. Free function so WAL
-/// replay can route before an `Inner` exists.
-fn shard_index(key: &str, shard_count: usize) -> usize {
-    (key_hash(key) % shard_count as u64) as usize
-}
-
 impl Inner {
-    fn shard_of(&self, key: &str) -> usize {
-        shard_index(key, self.shards.len())
-    }
-
     /// See [`IngestServer::metrics_text`]. Without a log every WAL family
     /// reads zero.
     fn metrics_text(&self) -> String {
@@ -740,7 +699,7 @@ impl Inner {
         // memory. Per-document signature caches live with the stored
         // documents; the repository threads them through
         // diff_consume_with_cache.
-        let mut differ = self.shards[0].differ();
+        let mut differ = self.repo.differ();
         while let Some((key, seq, job)) = self.queue.pop() {
             let _lease = Lease(&self.queue, &key);
             self.process(&key, seq, job, &mut differ);
@@ -774,8 +733,7 @@ impl Inner {
             hook(key, seq);
         }
 
-        let shard = &self.shards[self.shard_of(key)];
-        let out = match shard.try_load_parsed_with(key, doc, differ) {
+        let out = match self.repo.try_load_parsed_with(key, doc, differ) {
             Ok(out) => out,
             Err(e) => {
                 // A delta that fails static verification is a diff bug, not
@@ -817,7 +775,7 @@ impl Inner {
                     // INVARIANT: the load created the chain, and chains are
                     // never removed from a repository.
                     #[allow(clippy::expect_used)]
-                    let xml = shard.latest_xml(key).expect("a loaded key has a chain");
+                    let xml = self.repo.latest_xml(key).expect("a loaded key has a chain");
                     Record::Init { key: key.to_string(), xml }
                 }
                 _ => Record::Delta {
@@ -864,8 +822,6 @@ mod tests {
                 .with_workers(workers)
                 .unwrap()
                 .with_queue_capacity(8)
-                .unwrap()
-                .with_shards(2)
                 .unwrap(),
         )
     }
@@ -890,9 +846,9 @@ mod tests {
             server.submit("b", format!("<e><m>{}</m></e>", v * 7)).unwrap();
         }
         server.wait_idle();
-        // Reads go through the owning shard; reconstruction must agree with
-        // what a serial loop would have stored.
-        let repo_a = server.repository_for("a");
+        // Reconstruction must agree with what a serial loop would have
+        // stored.
+        let repo_a = server.repository();
         for v in 0..10 {
             assert_eq!(repo_a.version_xml("a", v).unwrap(), format!("<d><n>{v}</n></d>"));
         }
@@ -1031,17 +987,12 @@ mod tests {
     }
 
     /// The log alone must reconstruct everything that was acked — under a
-    /// different shard count and matcher than the ones that wrote it.
+    /// different matcher than the one that wrote it.
     #[test]
     fn wal_only_restart_replays_every_acked_version() {
         let dir = std::env::temp_dir().join(format!("xyserve-wal-restart-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = ServeConfig::new()
-            .with_workers(2)
-            .unwrap()
-            .with_shards(2)
-            .unwrap()
-            .with_wal(WalPolicy::new(&dir));
+        let config = ServeConfig::new().with_workers(2).unwrap().with_wal(WalPolicy::new(&dir));
         let server = IngestServer::try_start(config.clone()).unwrap();
         for v in 0..5 {
             let t = server.submit_tracked("doc", format!("<d><v>{v}</v></d>")).unwrap();
@@ -1059,20 +1010,17 @@ mod tests {
         let appends = format!("ingest_wal_appends_total {logged}");
         assert!(report.metrics_text.contains(&appends), "{}", report.metrics_text);
 
-        // Restart with a different shard count and matcher: chains re-route,
-        // and replay applies the logged deltas without running any diff.
+        // Restart with a different matcher: replay applies the logged
+        // deltas without running any diff.
         let unordered = DiffOptions { mode: xydiff::MatchMode::Unordered, ..DiffOptions::default() };
-        let server =
-            IngestServer::try_start(config.with_shards(4).unwrap().with_diff_options(unordered))
-                .unwrap();
-        assert_eq!(server.shards().iter().map(Repository::total_versions).sum::<usize>(), logged);
-        let repo = server.repository_for("doc");
+        let server = IngestServer::try_start(config.with_diff_options(unordered)).unwrap();
+        let repo = server.repository();
+        assert_eq!(repo.total_versions(), logged);
         for v in 0..5 {
             assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));
         }
-        let long = server.repository_for("long");
         for v in [0, REPLAY_BATCH - 7, REPLAY_BATCH] {
-            assert_eq!(long.version_xml("long", v).unwrap(), format!("<l>{v}</l>"));
+            assert_eq!(repo.version_xml("long", v).unwrap(), format!("<l>{v}</l>"));
         }
         assert_eq!(server.metrics().wal_replayed.get(), logged as u64);
         // Ingest continues on the replayed chains and keeps logging.
@@ -1097,7 +1045,7 @@ mod tests {
         let server = IngestServer::start(
             ServeConfig::new().with_workers(2).unwrap().with_compact_chain_max(8),
         );
-        let repo = server.repository_for("doc");
+        let repo = server.repository();
         // A chain whose latest index is `v` holds one checkpoint per
         // multiple of 8 below `v`.
         for v in 0..24 {
@@ -1133,7 +1081,7 @@ mod tests {
         assert!(server.shutdown().is_balanced());
 
         let server = IngestServer::try_start(config.with_compact_chain_max(6)).unwrap();
-        let repo = server.repository_for("doc");
+        let repo = server.repository();
         assert!(repo.chain_hops("doc").unwrap() <= 3, "{:?}", repo.chain_hops("doc"));
         assert_eq!(repo.chain_checkpoints("doc"), Some(7), "0, 6, …, 36");
         for v in [0, 5, 6, 20, 39] {
@@ -1155,17 +1103,18 @@ mod tests {
             (workers, 0, ConfigError::ZeroWorkers),
             (workers, 2000, ConfigError::TooManyWorkers { requested: 2000, max }),
             (queue, 0, ConfigError::ZeroQueueCapacity),
-            (shards, 0, ConfigError::ZeroShards),
-            (shards, 6, ConfigError::ShardsNotPowerOfTwo { requested: 6 }),
-            (threads, 0, ConfigError::DiffThreadsNotOne { requested: 0 }),
-            (threads, 2, ConfigError::DiffThreadsNotOne { requested: 2 }),
-            (threads, 2000, ConfigError::DiffThreadsNotOne { requested: 2000 }),
+            (shards, 0, ConfigError::Retired { setting: "shards", requested: 0 }),
+            (shards, 4, ConfigError::Retired { setting: "shards", requested: 4 }),
+            (shards, 6, ConfigError::Retired { setting: "shards", requested: 6 }),
+            (threads, 0, ConfigError::Retired { setting: "diff_threads", requested: 0 }),
+            (threads, 2, ConfigError::Retired { setting: "diff_threads", requested: 2 }),
+            (threads, 2000, ConfigError::Retired { setting: "diff_threads", requested: 2000 }),
         ];
         for (build, value, want) in rules {
             assert_eq!(build(ServeConfig::new(), value).unwrap_err(), want);
         }
-        let one = ServeConfig::new().with_diff_threads(1).unwrap();
-        assert_eq!(one.to_string(), ServeConfig::new().to_string(), "1 sets nothing");
+        let retired = ServeConfig::new().with_shards(8).unwrap().with_diff_threads(1).unwrap();
+        assert_eq!(retired.to_string(), ServeConfig::new().to_string(), "8 and 1 set nothing");
     }
 
     #[test]
@@ -1175,7 +1124,7 @@ mod tests {
         let keys: Vec<&str> = line.split(' ').filter_map(|kv| kv.split('=').next()).collect();
         assert_eq!(
             keys.join(" "),
-            "workers available_parallelism oversubscribed shards queue_capacity mode wal \
+            "workers available_parallelism oversubscribed queue_capacity mode wal \
              compact_chain_max",
             "{line}"
         );

@@ -10,7 +10,7 @@
 use crate::alerter::{Alerter, Notification};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use xydelta::{ApplyError, Delta, VersionChain, XidDocument};
 use xydiff::{Differ, DiffOptions, SignatureCache};
 use xytree::{Document, ParseError};
@@ -90,13 +90,32 @@ struct StoredDoc {
 }
 
 /// A concurrent store of versioned documents.
+///
+/// Each key has its own lock. The map lock is held only to find a key's
+/// entry or to insert its first version; everything else takes that key's
+/// lock alone. A load holds its key's write lock through the diff, verify,
+/// alert and push, so it never waits on, nor holds up, another key's load
+/// or read.
 pub struct Repository {
-    entries: RwLock<HashMap<String, StoredDoc>>,
+    entries: RwLock<HashMap<String, Arc<RwLock<StoredDoc>>>>,
     opts: DiffOptions,
     alerter: Alerter,
     /// The checkpoint interval of every chain this repository creates or
     /// installs (see [`VersionChain::set_checkpoint_every`]); 0 keeps none.
     checkpoint_every: usize,
+}
+
+/// Shared access through `lock`. A poisoned lock (a thread panicked while
+/// holding it) is entered anyway — the non-poisoning policy this store has
+/// always had: the map and each chain stay structurally valid, and handing
+/// one writer's panic to every later reader helps nobody.
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exclusive access through `lock`; same poison policy as [`read_lock`].
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Repository {
@@ -120,25 +139,28 @@ impl Repository {
         self
     }
 
-    /// A chain starting at `initial` under this repository's checkpoint
-    /// interval.
-    fn new_chain(&self, initial: XidDocument) -> VersionChain {
+    /// A fresh entry whose chain starts at `initial` under this
+    /// repository's checkpoint interval. The signature cache starts cold.
+    fn new_entry(&self, initial: XidDocument) -> Arc<RwLock<StoredDoc>> {
         let mut chain = VersionChain::new(initial);
         chain.set_checkpoint_every(self.checkpoint_every);
-        chain
+        Arc::new(RwLock::new(StoredDoc { chain, cache: SignatureCache::new() }))
     }
 
-    /// Shared access to the entries. A poisoned lock (a thread panicked while
-    /// holding it) is entered anyway — the non-poisoning policy this store
-    /// has always had: the map stays structurally valid, and handing one
-    /// writer's panic to every reader of every other key helps nobody.
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, StoredDoc>> {
-        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    /// `key`'s entry, found under the map's read lock, which is released
+    /// before the caller takes the entry's own lock.
+    fn entry(&self, key: &str) -> Option<Arc<RwLock<StoredDoc>>> {
+        read_lock(&self.entries).get(key).cloned()
     }
 
-    /// Exclusive access to the entries; same poison policy as [`Self::read`].
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, StoredDoc>> {
-        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+    /// Every entry, collected under the map's read lock.
+    fn all_entries(&self) -> Vec<Arc<RwLock<StoredDoc>>> {
+        read_lock(&self.entries).values().cloned().collect()
+    }
+
+    /// `key`'s entry, or [`RepositoryError::UnknownDocument`].
+    fn known(&self, key: &str) -> Result<Arc<RwLock<StoredDoc>>, RepositoryError> {
+        self.entry(key).ok_or_else(|| RepositoryError::UnknownDocument(key.to_string()))
     }
 
     /// Install a new version of document `key` (the Figure 1 ingest path).
@@ -152,10 +174,8 @@ impl Repository {
 
     /// Install an already-parsed new version of document `key`.
     ///
-    /// This is the shard-friendly ingest entry point: parsing — the only
-    /// fallible part and a large share of the work — happens outside the
-    /// store's write lock, so concurrent pipelines parse in parallel and
-    /// hold the lock only for diff + append.
+    /// Parsing — the only fallible part and a large share of the work —
+    /// happens before any lock is taken.
     #[allow(clippy::expect_used)]
     pub(crate) fn load_parsed(&self, key: &str, doc: Document) -> LoadOutcome {
         let mut differ = self.differ();
@@ -201,78 +221,73 @@ impl Repository {
         doc: Document,
         differ: &mut Differ,
     ) -> Result<LoadOutcome, RepositoryError> {
-        let mut entries = self.write();
-        match entries.get_mut(key) {
+        let (stored, doc) = match self.entry(key) {
+            Some(stored) => (stored, doc),
             None => {
                 let initial = XidDocument::assign_initial(doc);
-                entries.insert(
-                    key.to_string(),
-                    StoredDoc { chain: self.new_chain(initial), cache: SignatureCache::new() },
-                );
-                Ok(LoadOutcome {
-                    version: 0,
-                    delta: Delta::new(),
-                    notifications: Vec::new(),
-                    diff_time: std::time::Duration::ZERO,
-                    alert_time: std::time::Duration::ZERO,
-                })
+                let mut entries = write_lock(&self.entries);
+                match entries.get(key) {
+                    // Another load inserted the key's first version since
+                    // the lookup: this snapshot diffs against it.
+                    Some(stored) => (Arc::clone(stored), initial.doc),
+                    None => {
+                        entries.insert(key.to_string(), self.new_entry(initial));
+                        return Ok(LoadOutcome {
+                            version: 0,
+                            delta: Delta::new(),
+                            notifications: Vec::new(),
+                            diff_time: std::time::Duration::ZERO,
+                            alert_time: std::time::Duration::ZERO,
+                        });
+                    }
+                }
             }
-            Some(stored) => {
-                let chain = &mut stored.chain;
-                let t0 = std::time::Instant::now();
-                // The consuming entry point moves `doc` into the produced
-                // version (no whole-document clone), and a borrowed-capture
-                // differ skips the per-subtree payload clones too.
-                let result =
-                    differ.diff_consume_with_cache(chain.latest(), doc, &mut stored.cache);
-                // Materialize any borrowed payloads while both source
-                // documents are still in scope. This is the into_owned
-                // boundary: verification, alerting, the WAL, and the chain
-                // all see owned deltas only.
-                let delta = {
-                    let src = xydelta::PayloadSource {
-                        old: &chain.latest().doc.tree,
-                        new: &result.new_version.doc.tree,
-                    };
-                    result.delta.into_owned(&src)
-                };
-                xydelta::verify(&delta).map_err(RepositoryError::InvalidDelta)?;
-                let diff_time = t0.elapsed();
-                let t1 = std::time::Instant::now();
-                let notifications =
-                    self.alerter.evaluate(key, &delta, chain.latest(), &result.new_version);
-                let alert_time = t1.elapsed();
-                let version = chain.latest_index() + 1;
-                chain.push_version(result.new_version, delta.clone());
-                Ok(LoadOutcome { version, delta, notifications, diff_time, alert_time })
-            }
-        }
+        };
+        let mut stored = write_lock(&stored);
+        let StoredDoc { chain, cache } = &mut *stored;
+        let t0 = std::time::Instant::now();
+        // The consuming entry point moves `doc` into the produced version
+        // (no whole-document clone), and a borrowed-capture differ skips the
+        // per-subtree payload clones too.
+        let result = differ.diff_consume_with_cache(chain.latest(), doc, cache);
+        // Materialize any borrowed payloads while both source documents are
+        // still in scope. This is the into_owned boundary: verification,
+        // alerting, the WAL, and the chain all see owned deltas only.
+        let delta = {
+            let src = xydelta::PayloadSource {
+                old: &chain.latest().doc.tree,
+                new: &result.new_version.doc.tree,
+            };
+            result.delta.into_owned(&src)
+        };
+        xydelta::verify(&delta).map_err(RepositoryError::InvalidDelta)?;
+        let diff_time = t0.elapsed();
+        let t1 = std::time::Instant::now();
+        let notifications = self.alerter.evaluate(key, &delta, chain.latest(), &result.new_version);
+        let alert_time = t1.elapsed();
+        let version = chain.latest_index() + 1;
+        chain.push_version(result.new_version, delta.clone());
+        Ok(LoadOutcome { version, delta, notifications, diff_time, alert_time })
     }
 
     /// Serialized latest version of `key`.
     pub fn latest_xml(&self, key: &str) -> Result<String, RepositoryError> {
-        let entries = self.read();
-        let chain = entries
-            .get(key)
-            .map(|s| &s.chain)
-            .ok_or_else(|| RepositoryError::UnknownDocument(key.to_string()))?;
-        Ok(chain.latest().doc.to_xml())
+        let stored = self.known(key)?;
+        let xml = read_lock(&stored).chain.latest().doc.to_xml();
+        Ok(xml)
     }
 
     /// Cumulative signature-cache (hits, misses) for `key`, `(0, 0)` when the
     /// key is unknown (observability hook).
     pub fn cache_counters(&self, key: &str) -> (u64, u64) {
-        self.read().get(key).map_or((0, 0), |s| s.cache.counters())
+        self.entry(key).map_or((0, 0), |s| read_lock(&s).cache.counters())
     }
 
     /// Serialized version `i` of `key`, reconstructed through inverse deltas
     /// ("querying the past").
     pub fn version_xml(&self, key: &str, version: usize) -> Result<String, RepositoryError> {
-        let entries = self.read();
-        let chain = entries
-            .get(key)
-            .map(|s| &s.chain)
-            .ok_or_else(|| RepositoryError::UnknownDocument(key.to_string()))?;
+        let stored = self.known(key)?;
+        let chain = &read_lock(&stored).chain;
         if version > chain.latest_index() {
             return Err(RepositoryError::UnknownVersion {
                 key: key.to_string(),
@@ -286,7 +301,7 @@ impl Repository {
 
     /// Number of stored versions of `key` (0 when unknown).
     pub fn version_count(&self, key: &str) -> usize {
-        self.read().get(key).map_or(0, |s| s.chain.version_count())
+        self.entry(key).map_or(0, |s| read_lock(&s).chain.version_count())
     }
 
     /// The aggregated delta between two versions of `key`.
@@ -296,27 +311,24 @@ impl Repository {
         from: usize,
         to: usize,
     ) -> Result<Delta, RepositoryError> {
-        let entries = self.read();
-        let chain = entries
-            .get(key)
-            .map(|s| &s.chain)
-            .ok_or_else(|| RepositoryError::UnknownDocument(key.to_string()))?;
-        chain.delta_between(from, to).map_err(RepositoryError::Reconstruct)
+        let stored = self.known(key)?;
+        let delta = read_lock(&stored).chain.delta_between(from, to);
+        delta.map_err(RepositoryError::Reconstruct)
     }
 
     /// All stored document keys.
     pub fn keys(&self) -> Vec<String> {
-        self.read().keys().cloned().collect()
+        read_lock(&self.entries).keys().cloned().collect()
     }
 
     /// Number of stored documents (stats hook for serving layers).
     pub fn doc_count(&self) -> usize {
-        self.read().len()
+        read_lock(&self.entries).len()
     }
 
     /// Total stored versions across all documents (stats hook).
     pub fn total_versions(&self) -> usize {
-        self.read().values().map(|s| s.chain.version_count()).sum()
+        self.all_entries().iter().map(|s| read_lock(s).chain.version_count()).sum()
     }
 
     /// Install a replayed first version under `key`, replacing any
@@ -325,8 +337,8 @@ impl Repository {
     /// signature cache starts cold — misses fall back to local hashing and
     /// the first ingest re-warms it.
     pub(crate) fn install_chain(&self, key: String, initial: XidDocument) {
-        let chain = self.new_chain(initial);
-        self.write().insert(key, StoredDoc { chain, cache: SignatureCache::new() });
+        let entry = self.new_entry(initial);
+        write_lock(&self.entries).insert(key, entry);
     }
 
     /// Append a WAL-replayed delta to `key`'s chain (recovery support). No
@@ -337,11 +349,9 @@ impl Repository {
         key: &str,
         delta: Delta,
     ) -> Result<(), RepositoryError> {
-        let mut entries = self.write();
-        let stored = entries
-            .get_mut(key)
-            .ok_or_else(|| RepositoryError::UnknownDocument(key.to_string()))?;
-        stored.chain.push_delta(delta).map_err(RepositoryError::Reconstruct)
+        let stored = self.known(key)?;
+        let pushed = write_lock(&stored).chain.push_delta(delta);
+        pushed.map_err(RepositoryError::Reconstruct)
     }
 
     /// Compact every chain whose worst-case reconstruction cost exceeds
@@ -349,24 +359,14 @@ impl Repository {
     /// within a bounded number of delta applications. Returns the number of
     /// chains compacted.
     ///
-    /// Candidate keys are collected under the read lock; each chain is then
-    /// compacted under its own short write-lock acquisition so concurrent
-    /// ingest interleaves between documents instead of stalling for the
-    /// whole sweep.
+    /// Each chain is compacted under its own key's write lock, so
+    /// concurrent ingest of every other key runs on during the sweep.
     pub fn compact_chains(&self, every: usize) -> usize {
-        let needy: Vec<String> = self
-            .read()
-            .iter()
-            .filter(|(_, s)| s.chain.needs_compaction(every))
-            .map(|(k, _)| k.clone())
-            .collect();
         let mut compacted = 0;
-        for key in needy {
-            let mut entries = self.write();
-            if let Some(stored) = entries.get_mut(&key) {
-                if stored.chain.needs_compaction(every) && stored.chain.compact(every).is_ok() {
-                    compacted += 1;
-                }
+        for stored in self.all_entries() {
+            let mut stored = write_lock(&stored);
+            if stored.chain.needs_compaction(every) && stored.chain.compact(every).is_ok() {
+                compacted += 1;
             }
         }
         compacted
@@ -375,13 +375,13 @@ impl Repository {
     /// Worst-case delta applications needed to reconstruct any version of
     /// `key` (`None` when the key is unknown).
     pub fn chain_hops(&self, key: &str) -> Option<usize> {
-        self.read().get(key).map(|s| s.chain.max_reconstruct_hops())
+        self.entry(key).map(|s| read_lock(&s).chain.max_reconstruct_hops())
     }
 
     /// Number of materialised checkpoints on `key`'s chain (`None` when the
     /// key is unknown).
     pub fn chain_checkpoints(&self, key: &str) -> Option<usize> {
-        self.read().get(key).map(|s| s.chain.checkpoint_count())
+        self.entry(key).map(|s| read_lock(&s).chain.checkpoint_count())
     }
 }
 
@@ -395,7 +395,6 @@ impl Default for Repository {
 mod tests {
     use super::*;
     use crate::subscription::{OpFilter, Subscription};
-    use std::sync::Arc;
 
     #[test]
     fn first_load_is_version_zero() {
@@ -505,6 +504,34 @@ mod tests {
                 repo.version_xml(&format!("doc-{t}"), 3).unwrap(),
                 "<d><v>3</v></d>"
             );
+        }
+    }
+
+    /// Eight first loads of one key race to insert it: one inserts version
+    /// 0, and each of the others diffs against what is stored by then.
+    #[test]
+    fn concurrent_first_loads_of_one_key_each_store_one_version() {
+        let repo = Arc::new(Repository::new());
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let inputs: Vec<String> = (0..8).map(|t| format!("<d><v>{t}</v></d>")).collect();
+        let handles: Vec<_> = inputs
+            .iter()
+            .cloned()
+            .map(|xml| {
+                let (repo, start) = (Arc::clone(&repo), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    repo.load_version("doc", &xml).unwrap().version
+                })
+            })
+            .collect();
+        let mut versions: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        versions.sort_unstable();
+        assert_eq!(versions, (0..8).collect::<Vec<_>>());
+        assert_eq!(repo.version_count("doc"), 8);
+        let stored: Vec<String> = (0..8).map(|v| repo.version_xml("doc", v).unwrap()).collect();
+        for xml in &inputs {
+            assert_eq!(stored.iter().filter(|s| *s == xml).count(), 1, "{xml} in {stored:?}");
         }
     }
 

@@ -53,8 +53,6 @@ fn concurrent_ingestion_matches_serial_byte_for_byte() {
             .unwrap()
             // Tiny on purpose: producers must hit backpressure.
             .with_queue_capacity(4)
-            .unwrap()
-            .with_shards(4)
             .unwrap(),
     ));
 
@@ -80,7 +78,7 @@ fn concurrent_ingestion_matches_serial_byte_for_byte() {
     server.wait_idle();
 
     for (key, versions) in corpus.iter() {
-        let repo = server.repository_for(key);
+        let repo = server.repository();
         assert_eq!(repo.version_count(key), versions.len(), "{key}");
         for (v, snapshot) in versions.iter().enumerate() {
             let concurrent = repo.version_xml(key, v).unwrap();
@@ -112,8 +110,6 @@ fn alerter_delivers_every_notification_exactly_once() {
             .with_workers(4)
             .unwrap()
             .with_queue_capacity(8)
-            .unwrap()
-            .with_shards(4)
             .unwrap()
             .with_alerter(alerter),
     );
@@ -157,8 +153,6 @@ fn poison_corpus_is_dead_lettered_with_full_accounting() {
             .with_workers(3)
             .unwrap()
             .with_queue_capacity(8)
-            .unwrap()
-            .with_shards(2)
             .unwrap(),
     );
 
@@ -180,8 +174,8 @@ fn poison_corpus_is_dead_lettered_with_full_accounting() {
 
     // Good documents are fully stored; the poison versions are simply
     // missing from flaky's chain.
-    assert_eq!(server.repository_for("healthy").version_count("healthy"), 6);
-    assert_eq!(server.repository_for("flaky").version_count("flaky"), 3);
+    assert_eq!(server.repository().version_count("healthy"), 6);
+    assert_eq!(server.repository().version_count("flaky"), 3);
 
     let report = server.shutdown();
     assert!(report.is_balanced(), "{report:?}");
@@ -223,8 +217,6 @@ fn poison_in_a_hot_key_among_cold_keys_is_dead_lettered_exactly_once() {
             .with_workers(4)
             .unwrap()
             .with_queue_capacity(64)
-            .unwrap()
-            .with_shards(2)
             .unwrap(),
     );
     // Five hot versions, then one version of one cold key, round and round:
@@ -245,7 +237,7 @@ fn poison_in_a_hot_key_among_cold_keys_is_dead_lettered_exactly_once() {
     // The poison version is simply missing; everything after it applied.
     let keys = std::iter::once(("hot", 29)).chain(cold.iter().map(|(k, v)| (k.as_str(), v.len())));
     for (key, versions) in keys {
-        let repo = server.repository_for(key);
+        let repo = server.repository();
         assert_eq!(repo.version_count(key), versions, "{key}");
         for v in 0..versions {
             assert_eq!(
@@ -278,8 +270,6 @@ fn concurrent_same_key_submitters_get_seqs_in_apply_order() {
             .unwrap()
             // Small on purpose: both submitters block on a full queue.
             .with_queue_capacity(2)
-            .unwrap()
-            .with_shards(2)
             .unwrap(),
     );
     let start = Barrier::new(2);
@@ -316,7 +306,7 @@ fn concurrent_same_key_submitters_get_seqs_in_apply_order() {
     let mut seqs: Vec<u64> = acks.iter().map(|a| a.0).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..2 * per_thread as u64).collect::<Vec<_>>(), "seqs are dense");
-    let repo = server.repository_for("shared");
+    let repo = server.repository();
     for (seq, version, xml) in &acks {
         assert_eq!(*seq as usize, *version, "seq {seq} applied out of order");
         assert_eq!(&repo.version_xml("shared", *version).unwrap(), xml, "seq {seq}");

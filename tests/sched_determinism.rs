@@ -268,8 +268,6 @@ fn oversubscribed_pool_drains_loss_free() {
             .with_workers(8)
             .unwrap()
             .with_queue_capacity(16)
-            .unwrap()
-            .with_shards(2)
             .unwrap(),
     );
     let docs = 6;
@@ -284,7 +282,7 @@ fn oversubscribed_pool_drains_loss_free() {
     let mut latest: HashMap<String, String> = HashMap::new();
     for d in 0..docs {
         let key = format!("doc-{d}");
-        let repo = server.repository_for(&key);
+        let repo = server.repository();
         assert_eq!(repo.version_count(&key), versions, "{key} lost versions");
         latest.insert(key.clone(), repo.latest_xml(&key).unwrap());
     }

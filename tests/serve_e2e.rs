@@ -77,8 +77,6 @@ fn concurrent_http_clients_ingest_and_read_back_byte_identical() {
             .with_workers(3)
             .unwrap()
             .with_queue_capacity(8)
-            .unwrap()
-            .with_shards(4)
             .unwrap(),
     )
     .expect("start");
@@ -139,9 +137,9 @@ fn metric_value(metrics: &str, name: &str) -> f64 {
         .unwrap_or_else(|| panic!("metric {name} missing from:\n{metrics}"))
 }
 
-/// One hot key among cold keys over HTTP: workers outnumber shards, one
-/// client posts the hot key's versions back to back while four others post
-/// the cold documents. Every version must read back byte-identical.
+/// One hot key among cold keys over HTTP: one client posts the hot key's
+/// versions back to back while four others post the cold documents. Every
+/// version must read back byte-identical.
 #[test]
 fn hot_key_among_cold_keys_reads_back_byte_identical() {
     let corpus = corpus(4, 3, 200, 55);
@@ -151,9 +149,6 @@ fn hot_key_among_cold_keys_reads_back_byte_identical() {
             .with_workers(4)
             .unwrap()
             .with_queue_capacity(32)
-            .unwrap()
-            // Deliberately fewer shards than workers.
-            .with_shards(2)
             .unwrap(),
     )
     .expect("start");
@@ -208,24 +203,22 @@ fn tmp_root(tag: &str) -> PathBuf {
 }
 
 /// Drain a server that logged every ingest, then boot a fresh one from the
-/// same directory under a different shard count and matcher: it must serve
+/// same directory under a different matcher: it must serve
 /// the same versions and continue the chains where the first instance
 /// stopped.
 #[test]
 fn restart_from_the_log_serves_the_same_versions() {
     let dir = tmp_root("restart");
     let corpus = corpus(3, 3, 200, 91);
-    let serve = |shards: usize, mode: MatchMode| {
+    let serve = |mode: MatchMode| {
         ServeConfig::new()
             .with_workers(2)
-            .unwrap()
-            .with_shards(shards)
             .unwrap()
             .with_diff_options(DiffOptions { mode, ..DiffOptions::default() })
             .with_wal(WalPolicy::new(&dir))
     };
 
-    let first = NetServer::start(NetConfig::new(), serve(2, MatchMode::Buld)).expect("first start");
+    let first = NetServer::start(NetConfig::new(), serve(MatchMode::Buld)).expect("first start");
     let addr = first.local_addr();
     for (key, versions) in &corpus {
         for xml in versions {
@@ -236,9 +229,9 @@ fn restart_from_the_log_serves_the_same_versions() {
     assert!(report.ingest.is_balanced());
     assert_eq!(report.ingest.succeeded, 9);
 
-    // Second instance: different shard count and matcher, same log.
+    // Second instance: different matcher, same log.
     let second =
-        NetServer::start(NetConfig::new(), serve(4, MatchMode::Unordered)).expect("second start");
+        NetServer::start(NetConfig::new(), serve(MatchMode::Unordered)).expect("second start");
     let addr = second.local_addr();
     for (key, versions) in &corpus {
         for (v, xml) in versions.iter().enumerate() {
